@@ -60,6 +60,8 @@ def _parse_sro_overrides(items) -> dict[str, float]:
             out[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad SRO value in {item!r}") from exc
+        if not math.isfinite(out[key]):
+            raise ConfigError(f"SRO value must be finite in {item!r}")
     return out
 
 
@@ -78,7 +80,11 @@ def cmd_simulate(args) -> int:
     spec = _resolve_scene(args.scene)
     overrides = _parse_sro_overrides(args.sro_override)
     for aid, sro in overrides.items():
-        spec.array(aid).sro_hz = sro
+        try:
+            spec.array(aid).sro_hz = sro
+        except KeyError:
+            raise ConfigError(f"--sro-override names unknown array {aid!r}") from None
+    spec.validate()
     out = Path(args.out)
     images, recordings = synthesize_scene(spec, args.seed)
     for m, rec in recordings.items():

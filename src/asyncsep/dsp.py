@@ -8,6 +8,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +240,23 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     return SampledSignal(out, spec.rate_hz)
 
 
+def _lagrange_weights(t, order: int) -> np.ndarray:
+    """Lagrange basis weights on the stencil nodes 0..order at abscissa t.
+
+    t is a scalar (one constant-delay FIR) or an (m,) array (one stencil per
+    output sample); the result has shape (order + 1,) + shape(t).
+    """
+    diffs = [t - l for l in range(order + 1)]
+    weights = []
+    for j in range(order + 1):
+        w = np.ones_like(diffs[0])
+        for l in range(order + 1):
+            if l != j:
+                w *= diffs[l] / (j - l)
+        weights.append(w)
+    return np.array(weights)
+
+
 def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     """Evaluate x at continuous positions by local Lagrange interpolation.
 
@@ -247,7 +265,8 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     """
     base = np.floor(pos).astype(np.int64)
     start = base - (order - 1) // 2
-    t = pos - start  # interpolation abscissa relative to the stencil start
+    # abscissa relative to the stencil start
+    weights = _lagrange_weights(pos - start, order)
 
     lo = int(start.min())
     hi = int(start.max()) + order
@@ -255,14 +274,14 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     pad_right = max(hi - (x.shape[0] - 1), 0) + 1
     padded = np.pad(x, ((pad_left, pad_right), (0, 0)))
 
+    # one gather index for every tap: tap j reads the view shifted by j
+    index = start + pad_left
     out = np.zeros((pos.shape[0], x.shape[1]))
+    tap = np.empty_like(out)
     for j in range(order + 1):
-        w = np.ones(pos.shape[0])
-        for l in range(order + 1):
-            if l == j:
-                continue
-            w *= (t - l) / (j - l)
-        out += w[:, None] * padded[start + j + pad_left]
+        np.take(padded[j:], index, axis=0, out=tap, mode="clip")
+        tap *= weights[j][:, None]
+        out += tap
     return out
 
 
@@ -281,6 +300,8 @@ def lagrange_resample(signal: SampledSignal, rate_offset_hz: float,
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if not math.isfinite(rate_offset_hz):
+        raise ValueError(f"rate_offset_hz must be finite, got {rate_offset_hz}")
     if abs(rate_offset_hz) >= signal.rate_hz:
         raise ValueError(
             f"|rate_offset_hz| ({abs(rate_offset_hz)}) must be below the "
@@ -296,24 +317,40 @@ def lagrange_resample(signal: SampledSignal, rate_offset_hz: float,
 
 
 def fractional_delay(samples: np.ndarray, delay: float, order: int = 4) -> np.ndarray:
-    """Delay a mono signal by a (possibly fractional) number of samples.
+    """Delay a signal by a (possibly fractional) number of samples.
 
-    Same Lagrange interpolator as :func:`lagrange_resample`; output length
-    equals input length, the head reads zeros.
+    A constant delay puts every output sample at the same abscissa within
+    its stencil, so this is a fixed (order+1)-tap Lagrange fractional-delay
+    FIR: the stencil and weights of :func:`lagrange_resample`, computed
+    once.  Output length equals input length; the first floor(delay)
+    samples are exactly zero.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not math.isfinite(delay):
+        raise ValueError(f"delay must be finite, got {delay}")
     if delay < 0:
         raise ValueError(f"delay must be nonnegative, got {delay}")
     x = np.asarray(samples, dtype=np.float64)
     squeeze = x.ndim == 1
     x = _as_2d(x)
+    n = x.shape[0]
     if delay == 0.0:
         out = x.copy()
     else:
-        pos = np.arange(x.shape[0], dtype=np.float64) - delay
-        out = _interpolate_at(x, pos, order)
-        # the interpolator sees pre-signal positions as zeros already, but
-        # keep the strictly causal region exactly zero
-        out[:int(np.floor(delay))] = 0.0
+        # output i reads x[i + first + j], j = 0..order, always at the
+        # abscissa -delay - first within its stencil
+        first = math.floor(-delay) - (order - 1) // 2
+        weights = _lagrange_weights(-delay - first, order)
+        out = np.zeros_like(x)
+        for j in range(order + 1):
+            shift = first + j
+            lo, hi = max(0, -shift), min(n, n - shift)
+            if lo < hi:
+                out[lo:hi] += weights[j] * x[lo + shift:hi + shift]
+        # the stencil reaches the first samples a little ahead of the
+        # delay; keep the strictly causal region exactly zero
+        out[:math.floor(delay)] = 0.0
     return out[:, 0] if squeeze else out
 
 

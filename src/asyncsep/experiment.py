@@ -6,6 +6,10 @@ the requested filter variants both with and without the scene's clock
 offsets, and scores every estimated image against the ground truth at the
 device clock (the truth image is passed through the same resampler as the
 mixture, so reference and estimate share a clock).
+
+Each scene is rendered once, on the nominal clock: the images and the
+mixtures do not depend on the clock offsets, which are applied to the
+synced mixtures per variant.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from .dsp import WindowSpec, istft, lagrange_resample, stft
 from .metrics import sdr
 from .model import train_models
-from .scene import SceneSpec, scene_to_dict, synthesize_scene
+from .scene import SceneSpec, apply_sro, scene_to_dict, synthesize_scene
 from .separator import MODES, separate
 
 __all__ = ["ExperimentReport", "run_experiment", "format_report"]
@@ -39,7 +43,9 @@ class ExperimentReport:
     sdr_db: dict = field(default_factory=dict)       # variant -> mode -> "m/k" -> dB
     mode_means: dict = field(default_factory=dict)   # variant -> mode -> dB
     consistency: dict = field(default_factory=dict)  # variant -> mode -> worst rel
-    runtime_s: dict = field(default_factory=dict)    # stage -> seconds
+    # stage -> seconds; "synthesize" renders the test scene once and
+    # "analyze[variant]" is that variant's clock-offset resampling + STFT
+    runtime_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -79,19 +85,13 @@ def _mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.inf
 
 
-def unprocessed_sdr(images, recordings, arrays) -> dict[str, float]:
-    """Score the raw mixture as the estimate of every source image."""
-    out = {}
-    for arr in arrays:
-        rec = recordings[arr.id].signal
-        for (m, k), truth in images.items():
-            if m != arr.id:
-                continue
-            ref = truth
-            if arr.sro_hz != 0.0:
-                ref = lagrange_resample(truth, arr.sro_hz)
-            out[f"{m}/{k}"] = sdr(ref, rec)
-    return out
+def unprocessed_sdr(refs, recordings) -> dict[str, float]:
+    """Score the raw mixture as the estimate of every source image.
+
+    refs maps (array, source) to the truth image at that device's clock.
+    """
+    return {f"{m}/{k}": sdr(ref, recordings[m].signal)
+            for (m, k), ref in refs.items()}
 
 
 def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
@@ -114,7 +114,7 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         seed=seed)
 
     t0 = time.perf_counter()
-    train_images, _ = synthesize_scene(train_scene, seed + 1)
+    train_images, _ = synthesize_scene(_zero_sro(train_scene), seed + 1)
     train_tensors = {key: stft(sig, window)
                      for key, sig in train_images.images.items()}
     spatial, states = train_models(
@@ -123,13 +123,16 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     report.runtime_s["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    test_images, _ = synthesize_scene(scene, seed)
+    # the mixture noise seeds do not depend on the clock offsets, so each
+    # variant's recordings are these synced mixtures resampled
+    test_images, synced = synthesize_scene(_zero_sro(scene), seed)
     report.runtime_s["synthesize"] = time.perf_counter() - t0
 
     for variant in variants:
         spec_v = scene if variant == "sro" else _zero_sro(scene)
         t0 = time.perf_counter()
-        _, recordings = synthesize_scene(spec_v, seed)
+        recordings = {arr.id: apply_sro(synced[arr.id], arr.sro_hz)
+                      for arr in spec_v.arrays}
         observations = {m: stft(rec.signal, window)
                         for m, rec in recordings.items()}
         report.runtime_s[f"analyze[{variant}]"] = time.perf_counter() - t0
@@ -149,8 +152,7 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         report.mode_means.setdefault(variant, {})
         report.consistency.setdefault(variant, {})
 
-        report.sdr_db[variant]["unprocessed"] = unprocessed_sdr(
-            test_images.images, recordings, spec_v.arrays)
+        report.sdr_db[variant]["unprocessed"] = unprocessed_sdr(refs, recordings)
         report.mode_means[variant]["unprocessed"] = _mean(
             report.sdr_db[variant]["unprocessed"].values())
 

@@ -32,6 +32,7 @@ are absolute, not relative to the direct path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,12 +96,21 @@ class SceneSpec:
     noise_level: float = 0.0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
-        if self.rate_hz <= 0:
-            raise ConfigError("rate_hz must be positive")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ConfigError unless the scene can be synthesized."""
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigError("duration_s must be positive and finite")
+        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise ConfigError("rate_hz must be positive and finite")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise ConfigError("noise_level must be nonnegative and finite")
+        for arr in self.arrays:
+            if not (math.isfinite(arr.sro_hz) and abs(arr.sro_hz) < self.rate_hz):
+                raise ConfigError(
+                    f"array {arr.id!r}: sro_hz must be finite and below "
+                    f"rate_hz in magnitude, got {arr.sro_hz}")
         ids = [a.id for a in self.arrays]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate array ids")
@@ -118,6 +128,12 @@ class SceneSpec:
                         f"source {src.id!r} / array {arr.id!r}: "
                         f"{len(taps)} channel couplings, expected {arr.channels}")
                 for tap in taps:
+                    values = [tap.delay, tap.gain]
+                    for e in tap.echoes:
+                        values += [e.delay, e.gain]
+                    if not all(math.isfinite(v) for v in values):
+                        raise ConfigError(
+                            f"source {src.id!r}: delays and gains must be finite")
                     if tap.delay < 0 or any(e.delay < 0 for e in tap.echoes):
                         raise ConfigError(
                             f"source {src.id!r}: delays must be nonnegative")

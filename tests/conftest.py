@@ -101,3 +101,31 @@ def make_planted_tiles(rng, spatial, states, window, n_frames=48, rate=16000.0):
                  for o in obs.values())
     top = energy >= np.quantile(energy, 0.75)
     return obs, planted, top
+
+
+def lagrange_interpolate_oracle(x, pos, order):
+    """Evaluate x (n, channels) at continuous positions, one stencil per sample.
+
+    The reference per-sample Lagrange interpolator: for every position the
+    order+1 basis weights are formed anew and the taps are read by
+    fancy indexing.  Positions outside the input read zeros.
+    """
+    base = np.floor(pos).astype(np.int64)
+    start = base - (order - 1) // 2
+    t = pos - start  # interpolation abscissa relative to the stencil start
+
+    lo = int(start.min())
+    hi = int(start.max()) + order
+    pad_left = max(-lo, 0) + 1
+    pad_right = max(hi - (x.shape[0] - 1), 0) + 1
+    padded = np.pad(x, ((pad_left, pad_right), (0, 0)))
+
+    out = np.zeros((pos.shape[0], x.shape[1]))
+    for j in range(order + 1):
+        w = np.ones(pos.shape[0])
+        for l in range(order + 1):
+            if l == j:
+                continue
+            w *= (t - l) / (j - l)
+        out += w[:, None] * padded[start + j + pad_left]
+    return out

@@ -138,3 +138,35 @@ def test_demo_shorthand_resolves(tmp_path):
     out = tmp_path / "demo"
     assert main(["simulate", "demo-train", str(out), "--seed", "1"]) == 0
     assert (out / "recordings" / "a1.wav").is_file()
+
+
+def _edited_scene(scene_file, edit):
+    data = yaml.safe_load(scene_file.read_text())
+    edit(data)
+    scene_file.write_text(yaml.safe_dump(data))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["sources"][0]["coupling"]["a"][1].update(delay=math.nan),
+    lambda d: d["sources"][1]["coupling"]["b"][0].update(gain=math.inf),
+    lambda d: d["arrays"][0].update(sro_hz=math.nan),
+    lambda d: d["arrays"][1].update(sro_hz=-16000.0),
+    lambda d: d.update(duration_s=math.nan),
+    lambda d: d.update(noise_level=math.inf),
+], ids=["nan-delay", "inf-gain", "nan-sro", "sro-at-rate", "nan-duration",
+        "inf-noise"])
+def test_non_finite_scene_values_fail_with_config_error(tmp_path, scene_file,
+                                                        capsys, edit):
+    _edited_scene(scene_file, edit)
+    assert main(["simulate", str(scene_file), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", ["a=nan", "a=inf", "a=16000", "zz=0.3"])
+def test_unusable_sro_override_fails_with_config_error(tmp_path, scene_file,
+                                                       capsys, override):
+    assert main(["simulate", str(scene_file), str(tmp_path / "out"),
+                 "--sro-override", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

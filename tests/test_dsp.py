@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsep.dsp import (
     SampledSignal,
@@ -16,7 +18,11 @@ from asyncsep.dsp import (
     stft,
 )
 
-from conftest import bandlimited_noise, correlation_peak_lag
+from conftest import (
+    bandlimited_noise,
+    correlation_peak_lag,
+    lagrange_interpolate_oracle,
+)
 
 
 class TestWindowSpec:
@@ -237,3 +243,68 @@ class TestLongTermAverageSpectrum:
                 for c in range(2):
                     total += abs(coeffs[t, f, c]) ** 2
             assert abs(got[f] - total / 12.0) <= 1e-12 * max(total, 1.0)
+
+
+class TestInterpolationArguments:
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_fractional_delay_bad_order_rejected(self, order):
+        with pytest.raises(ValueError, match="order"):
+            fractional_delay(np.ones(10), 1.5, order=order)
+
+    @pytest.mark.parametrize("delay", [np.nan, np.inf])
+    def test_fractional_delay_non_finite_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="finite"):
+            fractional_delay(np.ones(10), delay)
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_resample_non_finite_offset_rejected(self, offset):
+        sig = SampledSignal(np.zeros(100), 100.0)
+        with pytest.raises(ValueError, match="finite"):
+            lagrange_resample(sig, offset)
+
+    @pytest.mark.parametrize("delay", [1000.0, 1000.5, 1e6])
+    def test_delay_past_the_end_is_zero_without_padding(self, rng, delay):
+        import tracemalloc
+
+        x = rng.standard_normal((1000, 2))
+        tracemalloc.start()
+        try:
+            y = fractional_delay(x, delay)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.shape == x.shape and not y.any()
+        # a padded copy spanning the delay would take 8 bytes per sample
+        assert peak < 4 * x.nbytes
+
+
+rate_offsets = st.floats(-8000.0, 8000.0, exclude_min=True, exclude_max=True,
+                         allow_nan=False)
+
+
+class TestInterpolationMatchesPerSampleOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4096), frac=st.floats(0.0, 2.0),
+           order=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_fractional_delay(self, n, frac, order, seed):
+        x = np.random.default_rng(seed).standard_normal(n)
+        delay = frac * n
+        got = fractional_delay(x, delay, order=order)
+        want = lagrange_interpolate_oracle(
+            x[:, None], np.arange(n) - delay, order)[:, 0]
+        want[:int(np.floor(delay))] = 0.0  # the documented causal head
+        assert got.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(x).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2048), offset=rate_offsets,
+           channels=st.integers(1, 3), order=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lagrange_resample(self, n, offset, channels, order, seed):
+        rate = 16000.0
+        x = np.random.default_rng(seed).standard_normal((n, channels))
+        got = lagrange_resample(SampledSignal(x, rate), offset, order=order)
+        pos = np.arange(n, dtype=np.float64) * (rate / (rate + offset))
+        want = lagrange_interpolate_oracle(x, pos, order)
+        assert got.samples.shape == x.shape
+        assert np.abs(got.samples - want).max() <= 1e-12 * np.abs(want).max()

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from asyncsep.dsp import WindowSpec
-from asyncsep.experiment import format_report, run_experiment
-from asyncsep.scene import ArraySpec, ChannelCoupling, SceneSpec, SourceSpec
+from asyncsep.experiment import _zero_sro, format_report, run_experiment
+from asyncsep.scene import (
+    ArraySpec,
+    ChannelCoupling,
+    SceneSpec,
+    SourceSpec,
+    apply_sro,
+    scene_to_dict,
+    synthesize_scene,
+)
 
 
 def taps(d0, d1, gain):
@@ -94,3 +102,30 @@ def test_consistency_recorded_for_each_mode():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown mode"):
         run_experiment(tiny_scene(), tiny_scene(), modes=("fancy",), seed=0)
+
+
+def test_each_scene_is_rendered_once(monkeypatch):
+    import asyncsep.experiment as experiment
+
+    renders = []
+
+    def counting(spec, seed, *args, **kwargs):
+        renders.append((json.dumps(scene_to_dict(spec), sort_keys=True), seed))
+        return synthesize_scene(spec, seed, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "synthesize_scene", counting)
+    run_experiment(tiny_scene(), tiny_scene(duration=1.0),
+                   modes=("tv-distributed",), seed=3, window=WIN,
+                   variants=("sro", "synced"))
+    assert len(renders) == 2
+    assert len(set(renders)) == 2
+
+
+def test_resampled_synced_render_equals_direct_render():
+    scene = tiny_scene()
+    _, direct = synthesize_scene(scene, 11)
+    _, synced = synthesize_scene(_zero_sro(scene), 11)
+    for arr in scene.arrays:
+        rec = apply_sro(synced[arr.id], arr.sro_hz)
+        assert rec.sro_hz == direct[arr.id].sro_hz
+        assert np.array_equal(rec.signal.samples, direct[arr.id].signal.samples)

@@ -231,6 +231,33 @@ class TestSceneConfig:
         with pytest.raises(ConfigError, match="nonnegative"):
             scene_from_dict(data)
 
+    @pytest.mark.parametrize("path, value", [
+        (("sources", 0, "coupling", "a1", 0, "delay"), float("nan")),
+        (("sources", 0, "coupling", "a1", 1, "delay"), float("inf")),
+        (("sources", 0, "coupling", "a1", 0, "gain"), float("nan")),
+        (("sources", 0, "coupling", "a1", 0, "echoes", 0, "delay"), float("nan")),
+        (("sources", 0, "coupling", "a1", 0, "echoes", 0, "gain"), float("-inf")),
+        (("arrays", 0, "sro_hz"), float("nan")),
+        (("arrays", 0, "sro_hz"), 16000.0),
+        (("arrays", 0, "sro_hz"), -20000.0),
+        (("duration_s",), float("nan")),
+        (("duration_s",), float("inf")),
+        (("noise_level",), float("nan")),
+        (("noise_level",), float("inf")),
+        (("rate_hz",), float("inf")),
+    ], ids=["nan-delay", "inf-delay", "nan-gain", "nan-echo-delay",
+            "inf-echo-gain", "nan-sro", "sro-at-rate", "sro-above-rate",
+            "nan-duration", "inf-duration", "nan-noise", "inf-noise",
+            "inf-rate"])
+    def test_unsynthesizable_values_rejected(self, path, value):
+        data = self._dict()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError):
+            scene_from_dict(data)
+
     def test_unknown_signal_type_rejected_at_render(self):
         data = self._dict()
         data["sources"][0]["signal"] = {"type": "warble"}

@@ -25,7 +25,6 @@ from .model import (
     StateSpectrumModel,
     build_state_model,
     estimate_spatial_covariance,
-    regularized_sum,
     train_models,
 )
 from .classifier import (
@@ -34,9 +33,8 @@ from .classifier import (
     classify,
     posteriors,
     source_power_estimates,
-    state_log_likelihood,
 )
-from .separator import MODES, SeparationResult, mwf_apply, separate
+from .separator import MODES, SeparationResult, separate
 from .experiment import ExperimentReport, format_report, run_experiment
 
 __version__ = "0.1.0"
@@ -60,16 +58,13 @@ __all__ = [
     "estimate_spatial_covariance",
     "build_state_model",
     "train_models",
-    "regularized_sum",
     "PosteriorMap",
     "PowerEstimate",
     "classify",
     "posteriors",
     "source_power_estimates",
-    "state_log_likelihood",
     "MODES",
     "SeparationResult",
-    "mwf_apply",
     "separate",
     "sdr",
     "ExperimentReport",

@@ -1,61 +1,65 @@
-"""Per-tile linear-algebra kernels for the classifier and the filter bank.
+"""Per-tile linear algebra of the classifier and the filter bank.
 
-These inner loops dominate the runtime of a separation run: one Hermitian
-Cholesky factorization, triangular solves and a handful of small
-matrix-vector products per time-frequency tile.  Two implementations are
-provided with identical numerics:
+One numpy path, vectorized over batches of time-frequency tiles:
 
-  * numba @njit kernels (default when numba imports cleanly), and
-  * vectorized pure-numpy fallbacks.
+  * state log-likelihoods: the state covariances depend only on (state,
+    bin), so their Cholesky factors are inverted once and each tile's
+    quadratic form is one small matrix product;
+  * the multichannel Wiener filter: a Hermitian Cholesky factorization
+    with forward and back solves per tile, as channel recurrences.
 
-Set ASYNCSEP_NO_NUMBA=1 to force the numpy path.  `benchmarks/bench_kernels.py`
-compares the two.
+The filter's powers have a leading frame axis of N (time-varying) or 1
+(static); with 1 the factorization is computed once for every frame.
+`_load_diagonal` is the one diagonal-loading rule, shared by the filter
+and the classifier's state factors.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
-    "loglik_accumulate",
-    "mwf_filter",
-    "ridge_scale",
-]
+__all__ = ["USE_NUMBA", "loglik_accumulate", "mwf_filter"]
+
+USE_NUMBA = False  # no compiled path; kept for environment reports
 
 _EPS_RIDGE = 1e-9
 
-_flag = os.environ.get("ASYNCSEP_NO_NUMBA", "").strip().lower()
-_DISABLED = _flag in ("1", "true", "yes", "on")
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by ASYNCSEP_NO_NUMBA")
-    # the default layer probe is noisy on hosts with an old TBB
-    os.environ.setdefault("NUMBA_THREADING_LAYER", "omp")
-    from numba import njit, prange
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+def _load_diagonal(S, noise_power):
+    """Add noise/C plus a trace-scaled ridge to the diagonal of S in place.
+
+    S: (..., C, C) Hermitian PSD batch; noise_power broadcasts against its
+    leading axes.  Returns the added amount, shape S.shape[:-2].  The
+    ridge (1e-9 of the loaded trace, or 1e-9 when that trace is zero)
+    keeps S positive definite for any nonnegative powers.
+    """
+    C = S.shape[-1]
+    trace = np.einsum("...ii->...", S).real + noise_power
+    ridge = np.where(trace > 0.0, _EPS_RIDGE * trace, _EPS_RIDGE)
+    diag_add = noise_power / C + ridge
+    idx = np.arange(C)
+    S[..., idx, idx] += diag_add[..., None]
+    return diag_add
 
 
-def ridge_scale(trace: float) -> float:
-    """Diagonal loading that keeps the tile covariance positive definite."""
-    return _EPS_RIDGE * trace if trace > 0.0 else _EPS_RIDGE
+def loglik_accumulate(X, factors, logdets, out):
+    """Add one array's state log-likelihoods into `out`.
+
+    X:       (N, F, C) complex observations of one array
+    factors: (S, F, C, C) lower Cholesky factors of the state covariances
+    logdets: (S, F) log det(pi * S_state)
+    out:     (N, F, S) float, accumulated in place
+    """
+    Linv = np.linalg.inv(np.asarray(factors, dtype=np.complex128))
+    Xt = np.ascontiguousarray(np.transpose(X, (1, 2, 0)), dtype=np.complex128)
+    for s in range(Linv.shape[0]):  # one (F, C, N) buffer at a time
+        y = Linv[s] @ Xt
+        quad = (y.real ** 2 + y.imag ** 2).sum(axis=1)  # (F, N)
+        out[:, :, s] += -quad.T - logdets[s][None, :]
+    return out
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-#
-# The channel loops mirror the scalar recurrences of the numba kernels
-# element for element; only the tile axis is vectorized, so both paths
-# agree to floating-point roundoff.
-# ---------------------------------------------------------------------------
-
-def _chol_batch_numpy(S):
+def _cholesky(S):
     """Lower Cholesky factors of a (..., C, C) Hermitian PD batch."""
     C = S.shape[-1]
     L = np.zeros_like(S)
@@ -71,188 +75,56 @@ def _chol_batch_numpy(S):
     return L
 
 
-def _forward_solve_numpy(L, x):
-    """Solve L y = x for batched lower-triangular L: (..., C, C), x: (..., C)."""
+def _cho_solve(L, x):
+    """Solve L L^H z = x for batched lower L (..., C, C) and x (..., C)."""
     C = x.shape[-1]
-    y = np.empty_like(x)
+    y = np.empty(np.broadcast_shapes(L.shape[:-1], x.shape), np.complex128)
     for i in range(C):
         acc = x[..., i].copy()
         for k in range(i):
             acc -= L[..., i, k] * y[..., k]
         y[..., i] = acc / L[..., i, i]
-    return y
-
-
-def _backward_solve_numpy(L, y):
-    """Solve L^H z = y for batched lower-triangular L."""
-    C = y.shape[-1]
-    z = np.empty_like(y)
     for i in range(C - 1, -1, -1):
         acc = y[..., i].copy()
         for k in range(i + 1, C):
-            acc -= np.conj(L[..., k, i]) * z[..., k]
-        z[..., i] = acc / np.conj(L[..., i, i])
-    return z
+            acc -= np.conj(L[..., k, i]) * y[..., k]
+        y[..., i] = acc / np.conj(L[..., i, i])
+    return y
 
 
-def _loglik_accumulate_numpy(X, factors, logdets, out):
-    """Add one array's state log-likelihoods into `out`.
-
-    X:       (N, F, C) complex observations of one array
-    factors: (S, F, C, C) lower Cholesky factors of the state covariances
-    logdets: (S, F) log det(pi * S_state)
-    out:     (N, F, S) float, accumulated in place
-    """
-    N, F, C = X.shape
-    S = factors.shape[0]
-    for s in range(S):
-        L = factors[s][None, :, :, :]  # (1, F, C, C)
-        y = _forward_solve_numpy(L, X)
-        quad = (y.real ** 2 + y.imag ** 2).sum(axis=-1)
-        out[:, :, s] += -quad - logdets[s][None, :]
-    return out
-
-
-def _mwf_filter_numpy(X, Rbar, powers, noise_power, block=64):
+def mwf_filter(X, Rbar, powers, noise_power, block=64):
     """Per-tile multichannel Wiener filtering, all sources at once.
 
     X:           (N, F, C) complex mixture tensor of one array
     Rbar:        (K, F, C, C) unit-trace spatial covariances
-    powers:      (N, F, K) nonnegative per-source powers
+    powers:      (N, F, K) or (1, F, K) nonnegative per-source powers;
+                 a leading axis of 1 holds for every frame
     noise_power: (F,) diffuse-noise power
     returns      (K+1, N, F, C); the last slot is the noise image, which
-                 absorbs the diagonal loading so the images sum to X exactly.
+                 absorbs the diagonal loading so the images sum to X.
+    Frames are processed `block` at a time to bound the temporaries.
     """
+    X = np.asarray(X, dtype=np.complex128)
+    Rbar = np.asarray(Rbar, dtype=np.complex128)
+    powers = np.asarray(powers, dtype=np.float64)
+    noise_power = np.asarray(noise_power, dtype=np.float64)
     N, F, C = X.shape
     K = Rbar.shape[0]
     out = np.empty((K + 1, N, F, C), dtype=np.complex128)
-    Rb = Rbar.transpose(1, 0, 2, 3)  # (F, K, C, C)
+    Rb = Rbar.transpose(1, 0, 2, 3).reshape(F, K, C * C)
+    static = powers.shape[0] == 1
     for n0 in range(0, N, block):
         n1 = min(n0 + block, N)
-        p = powers[n0:n1]  # (B, F, K)
-        S = np.einsum("nfk,fkij->nfij", p, Rb)
-        trace = np.einsum("nfii->nf", S).real + noise_power[None, :]
-        ridge = np.where(trace > 0.0, _EPS_RIDGE * trace, _EPS_RIDGE)
-        diag_add = noise_power[None, :] / C + ridge
-        for i in range(C):
-            S[:, :, i, i] += diag_add
-        L = _chol_batch_numpy(S)
-        y = _backward_solve_numpy(L, _forward_solve_numpy(L, X[n0:n1]))
+        if n0 == 0 or not static:
+            p = powers if static else powers[n0:n1]  # (B or 1, F, K)
+            S = (p[:, :, None, :] @ Rb).reshape(p.shape[0], F, C, C)
+            _load_diagonal(S, noise_power[None, :])
+            L = _cholesky(S)
+        y = _cho_solve(L, X[n0:n1])
         for k in range(K):
-            img = np.einsum("fij,nfj->nfi", Rbar[k], y)
+            img = (Rbar[k] @ y[..., None])[..., 0]
             out[k, n0:n1] = p[:, :, k, None] * img
-        out[K, n0:n1] = diag_add[:, :, None] * y
+        # the noise filter is I - sum_k W_k, so taking the noise image as
+        # the rest keeps the image sum at X however ill-conditioned S is
+        out[K, n0:n1] = X[n0:n1] - out[:K, n0:n1].sum(axis=0)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _loglik_accumulate_numba(X, factors, logdets, out):
-        N, F, C = X.shape
-        S = factors.shape[0]
-        for n in prange(N):
-            y = np.empty(C, np.complex128)
-            for f in range(F):
-                for s in range(S):
-                    quad = 0.0
-                    for i in range(C):
-                        acc = X[n, f, i]
-                        for k in range(i):
-                            acc -= factors[s, f, i, k] * y[k]
-                        yi = acc / factors[s, f, i, i]
-                        y[i] = yi
-                        quad += yi.real * yi.real + yi.imag * yi.imag
-                    out[n, f, s] += -quad - logdets[s, f]
-        return out
-
-    @njit(parallel=True, cache=True)
-    def _mwf_filter_numba(X, Rbar, powers, noise_power, out):
-        N, F, C = X.shape
-        K = Rbar.shape[0]
-        for n in prange(N):
-            S = np.empty((C, C), np.complex128)
-            L = np.empty((C, C), np.complex128)
-            y = np.empty(C, np.complex128)
-            z = np.empty(C, np.complex128)
-            for f in range(F):
-                for i in range(C):
-                    for j in range(C):
-                        acc = 0.0 + 0.0j
-                        for k in range(K):
-                            acc += powers[n, f, k] * Rbar[k, f, i, j]
-                        S[i, j] = acc
-                trace = noise_power[f]
-                for i in range(C):
-                    trace += S[i, i].real
-                ridge = _EPS_RIDGE * trace if trace > 0.0 else _EPS_RIDGE
-                diag_add = noise_power[f] / C + ridge
-                for i in range(C):
-                    S[i, i] += diag_add
-
-                for i in range(C):
-                    for j in range(i + 1):
-                        acc = S[i, j]
-                        for k in range(j):
-                            acc -= L[i, k] * np.conj(L[j, k])
-                        if i == j:
-                            L[i, i] = np.sqrt(acc.real) + 0.0j
-                        else:
-                            L[i, j] = acc / L[j, j]
-
-                for i in range(C):
-                    acc = X[n, f, i]
-                    for k in range(i):
-                        acc -= L[i, k] * y[k]
-                    y[i] = acc / L[i, i]
-                for i in range(C - 1, -1, -1):
-                    acc = y[i]
-                    for k in range(i + 1, C):
-                        acc -= np.conj(L[k, i]) * z[k]
-                    z[i] = acc / np.conj(L[i, i])
-
-                for k in range(K):
-                    pk = powers[n, f, k]
-                    for i in range(C):
-                        acc = 0.0 + 0.0j
-                        for j in range(C):
-                            acc += Rbar[k, f, i, j] * z[j]
-                        out[k, n, f, i] = pk * acc
-                for i in range(C):
-                    out[K, n, f, i] = diag_add * z[i]
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-USE_NUMBA = HAVE_NUMBA
-
-
-def loglik_accumulate(X, factors, logdets, out):
-    """Accumulate state log-likelihoods of one array into `out` (N, F, S)."""
-    X = np.ascontiguousarray(X, dtype=np.complex128)
-    factors = np.ascontiguousarray(factors, dtype=np.complex128)
-    logdets = np.ascontiguousarray(logdets, dtype=np.float64)
-    if USE_NUMBA:
-        return _loglik_accumulate_numba(X, factors, logdets, out)
-    return _loglik_accumulate_numpy(X, factors, logdets, out)
-
-
-def mwf_filter(X, Rbar, powers, noise_power):
-    """Filter one array's tensor into K source images plus a noise image."""
-    X = np.ascontiguousarray(X, dtype=np.complex128)
-    Rbar = np.ascontiguousarray(Rbar, dtype=np.complex128)
-    powers = np.ascontiguousarray(powers, dtype=np.float64)
-    noise_power = np.ascontiguousarray(noise_power, dtype=np.float64)
-    if USE_NUMBA:
-        K = Rbar.shape[0]
-        N, F, C = X.shape
-        out = np.empty((K + 1, N, F, C), dtype=np.complex128)
-        return _mwf_filter_numba(X, Rbar, powers, noise_power, out)
-    return _mwf_filter_numpy(X, Rbar, powers, noise_power)

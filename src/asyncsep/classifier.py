@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .dsp import SpectrogramTensor
 from .errors import NumericalError
-from .model import SpatialModel, StateSpectrumModel, regularized_sum
+from .model import SpatialModel, StateSpectrumModel
 
 __all__ = [
     "PosteriorMap",
     "PowerEstimate",
-    "state_log_likelihood",
     "classify",
     "posteriors",
     "source_power_estimates",
@@ -59,7 +57,7 @@ class PosteriorMap:
 class PowerEstimate:
     """Per-tile source powers; the last source slot is the diffuse noise."""
 
-    sigma2: np.ndarray  # (frames, bins, K+1)
+    sigma2: np.ndarray  # (frames or 1, bins, K+1); 1 = same every frame
     source_ids: list[str]
 
 
@@ -76,12 +74,7 @@ def state_factors(spatial: SpatialModel, states: StateSpectrumModel,
     noise = states.noise_spectrum
 
     S_mat = np.einsum("skf,kfcd->sfcd", var, cov)
-    trace = np.einsum("sfcc->sf", S_mat).real + noise[None, :]
-    eps = _kernels.ridge_scale(0.0)
-    ridge = np.where(trace > 0.0, eps * trace, eps)
-    diag_add = noise[None, :] / C + ridge
-    idx = np.arange(C)
-    S_mat[:, :, idx, idx] += diag_add[:, :, None]
+    _kernels._load_diagonal(S_mat, noise[None, :])
 
     try:
         factors = np.linalg.cholesky(S_mat)
@@ -160,30 +153,6 @@ def source_power_estimates(gamma: PosteriorMap,
     sigma2 = np.einsum("nfs,skf->nfk", gamma.gamma, var)
     sigma2[:, :, -1] = states.noise_spectrum[None, :]
     return PowerEstimate(sigma2, states.source_ids + [states.state_ids[-1]])
-
-
-def state_log_likelihood(observations: dict[str, SpectrogramTensor],
-                         spatial: SpatialModel, states: StateSpectrumModel,
-                         n: int, f: int, s: int) -> float:
-    """Reference per-tile log-likelihood of state s, summed over arrays.
-
-    Cholesky-based: the quadratic form comes from a triangular solve and
-    the log-determinant from the factor diagonal.
-    """
-    var = states.conditional_variances()[s, :-1, :]  # (K, F) directional
-    noise = float(states.noise_spectrum[f])
-    total = 0.0
-    for m in sorted(observations):
-        x = observations[m].coeffs[n, f]
-        if not np.isfinite(x).all():
-            raise NumericalError(f"non-finite observation at ({m}, {n}, {f})")
-        S = regularized_sum(spatial, var[:, f], m, f, noise_power=noise)
-        L = np.linalg.cholesky(S)
-        y = scipy.linalg.solve_triangular(L, x, lower=True)
-        quad = float(np.vdot(y, y).real)
-        logdet = len(x) * _LOG_PI + 2.0 * float(np.log(np.diag(L).real).sum())
-        total += -quad - logdet
-    return total
 
 
 def save_posteriors(pmap: PosteriorMap, path) -> None:

@@ -9,14 +9,15 @@ is identical in every state.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .dsp import SpectrogramTensor, WindowSpec
 from .errors import ConfigError
 
@@ -26,7 +27,6 @@ __all__ = [
     "estimate_spatial_covariance",
     "build_state_model",
     "train_models",
-    "regularized_sum",
     "pooled_tensor",
     "save_models",
     "load_models",
@@ -286,26 +286,6 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
     return spatial, states
 
 
-def regularized_sum(spatial: SpatialModel, powers, array_id: str, f: int,
-                    noise_power: float | None = None) -> np.ndarray:
-    """Power-weighted covariance sum with diffuse noise and diagonal loading.
-
-    Returns sum_k powers[k] * R[array, k, f] + noise_power * I / C plus a
-    trace-scaled ridge; positive definite for any nonnegative powers.
-    """
-    powers = np.asarray(powers, dtype=np.float64)
-    cov = spatial.covariances[array_id]
-    C = cov.shape[2]
-    if noise_power is None:
-        nf = spatial.noise_floor.get(array_id)
-        noise_power = float(nf[f]) if nf is not None else 0.0
-    S = np.einsum("k,kcd->cd", powers, cov[:, f])
-    trace = np.trace(S).real + noise_power
-    ridge = _kernels.ridge_scale(trace)
-    S[np.diag_indices(C)] += noise_power / C + ridge
-    return S
-
-
 # ---------------------------------------------------------------------------
 # versioned binary container
 # ---------------------------------------------------------------------------
@@ -316,9 +296,24 @@ def _write_str(fh, s: str):
     fh.write(raw)
 
 
+def _read_exact(fh, n: int) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ConfigError(f"model container truncated: {n} bytes expected "
+                          f"at offset {fh.tell() - len(raw)}, {len(raw)} left")
+    return raw
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
 def _read_str(fh) -> str:
-    (n,) = struct.unpack("<I", fh.read(4))
-    return fh.read(n).decode("utf-8")
+    (n,) = _unpack(fh, "<I")
+    try:
+        return _read_exact(fh, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"model container holds a malformed id: {exc}") from None
 
 
 def _write_array(fh, arr: np.ndarray):
@@ -330,13 +325,11 @@ def _write_array(fh, arr: np.ndarray):
 
 
 def _read_array(fh) -> np.ndarray:
-    (is_complex,) = struct.unpack("<B", fh.read(1))
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-    dtype = np.complex128 if is_complex else np.float64
-    count = int(np.prod(shape))
-    data = np.frombuffer(fh.read(count * dtype().itemsize), dtype=dtype)
-    return data.reshape(shape).copy()
+    is_complex, ndim = _unpack(fh, "<BB")
+    shape = _unpack(fh, f"<{ndim}I")
+    dtype = np.dtype(np.complex128 if is_complex else np.float64)
+    raw = _read_exact(fh, math.prod(shape) * dtype.itemsize)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
@@ -391,19 +384,20 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"model file not found: {path}")
-    with open(path, "rb") as fh:
+    # parsed from memory, so a corrupt length cannot ask for a huge read
+    with io.BytesIO(path.read_bytes()) as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ConfigError(f"{path} is not a model container")
-        version, n_arrays, n_src = struct.unpack("<III", fh.read(12))
+        version, n_arrays, n_src = _unpack(fh, "<III")
         if version != _FORMAT_VERSION:
             raise ConfigError(f"unsupported model container version {version}")
-        n_bins, win_len, hop = struct.unpack("<III", fh.read(12))
-        (rate_hz,) = struct.unpack("<d", fh.read(8))
+        n_bins, win_len, hop = _unpack(fh, "<III")
+        (rate_hz,) = _unpack(fh, "<d")
         covariances = {}
         noise_floor = {}
         for _ in range(n_arrays):
             m = _read_str(fh)
-            struct.unpack("<I", fh.read(4))  # channels, implied by the array
+            _unpack(fh, "<I")  # channels, implied by the array
             covariances[m] = _read_array(fh)
             noise_floor[m] = _read_array(fh)
         source_ids = [_read_str(fh) for _ in range(n_src)]
@@ -412,9 +406,9 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
         sigma_low = _read_array(fh)
         noise_spectrum = _read_array(fh)
         pooled_order = None
-        (has_pooled,) = struct.unpack("<B", fh.read(1))
+        (has_pooled,) = _unpack(fh, "<B")
         if has_pooled:
-            (n_order,) = struct.unpack("<I", fh.read(4))
+            (n_order,) = _unpack(fh, "<I")
             pooled_order = [_read_str(fh) for _ in range(n_order)]
             covariances[SpatialModel.POOLED] = _read_array(fh)
             noise_floor[SpatialModel.POOLED] = _read_array(fh)

@@ -10,6 +10,8 @@ Four filter variants share one per-tile kernel:
   tv-distributed   per-tile powers from the joint classifier over all
                    arrays (the proposed operating mode)
 
+The powers that drive the filter have a frame axis of N (one set per
+tile, the tv modes) or 1 (one set for every frame, the static modes).
 Every variant produces one image per (array, source) plus an auxiliary
 noise image that absorbs the diagonal loading, so the images of a tile
 always sum to the observed mixture coefficient.
@@ -20,24 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 from .classifier import PowerEstimate, classify, source_power_estimates
 from .dsp import SpectrogramTensor
-from .errors import NumericalError
-from .model import (
-    NOISE_ID,
-    SpatialModel,
-    StateSpectrumModel,
-    pooled_tensor,
-    regularized_sum,
-)
+from .model import NOISE_ID, SpatialModel, StateSpectrumModel, pooled_tensor
 
 __all__ = [
     "MODES",
     "SeparationResult",
-    "mwf_apply",
     "separate",
     "filter_array",
 ]
@@ -58,53 +51,27 @@ class SeparationResult:
     metadata: dict = field(default_factory=dict)
 
 
-def mwf_apply(x: np.ndarray, spatial: SpatialModel, array_id: str, f: int,
-              powers, noise_power: float) -> np.ndarray:
-    """Reference single-tile filter: all source images from one observation.
-
-    x: (C,) mixture coefficients at one tile; powers: (K,) directional
-    source powers.  Returns (K+1, C) image estimates, noise last.  One
-    Cholesky factorization is shared by all K+1 filters.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if not np.isfinite(x).all():
-        raise NumericalError("non-finite tile observation")
-    powers = np.asarray(powers, dtype=np.float64)
-    cov = spatial.covariances[array_id]
-    C = cov.shape[2]
-    S = regularized_sum(spatial, powers, array_id, f, noise_power=noise_power)
-    L = np.linalg.cholesky(S)
-    y = scipy.linalg.cho_solve((L, True), x)
-    out = np.empty((len(powers) + 1, C), dtype=np.complex128)
-    for k in range(len(powers)):
-        out[k] = powers[k] * (cov[k, f] @ y)
-    # the noise filter keeps the diagonal loading so the images sum to x
-    trace = float(np.einsum("k,k->", powers,
-                            np.einsum("kcc->k", cov[:, f]).real)) + noise_power
-    out[-1] = (noise_power / C + _kernels.ridge_scale(trace)) * y
-    return out
-
-
 def filter_array(obs: SpectrogramTensor, spatial: SpatialModel,
                  array_id: str, powers: PowerEstimate,
                  states: StateSpectrumModel) -> np.ndarray:
-    """Filter one array's full tensor given per-tile powers.
+    """Filter one array's full tensor given per-tile or static powers.
 
-    Depends on other arrays only through `powers`.  Returns
-    (K+1, N, F, C) complex with the noise image last.
+    Depends on other arrays only through `powers`, whose frame axis is N
+    or 1.  Returns (K+1, N, F, C) complex with the noise image last.
     """
     sigma2 = powers.sigma2
     return _kernels.mwf_filter(obs.coeffs, spatial.covariances[array_id],
                                sigma2[:, :, :-1], states.noise_spectrum)
 
 
-def _static_powers(states: StateSpectrumModel, n_frames: int) -> PowerEstimate:
-    """Time-invariant powers: the long-term average spectrum of each source."""
-    K, F = states.ltas.shape
-    sigma2 = np.empty((n_frames, F, K + 1))
-    sigma2[:, :, :K] = states.ltas.T[None, :, :]
-    sigma2[:, :, K] = states.noise_spectrum[None, :]
-    return PowerEstimate(sigma2, states.source_ids + [NOISE_ID])
+def _static_powers(states: StateSpectrumModel) -> PowerEstimate:
+    """Time-invariant powers: the long-term average spectrum of each source.
+
+    One frame, (1, F, K+1), that the filter applies to every frame.
+    """
+    sigma2 = np.concatenate([states.ltas.T, states.noise_spectrum[:, None]],
+                            axis=1)
+    return PowerEstimate(sigma2[None], states.source_ids + [NOISE_ID])
 
 
 def _consistency(est: np.ndarray, coeffs: np.ndarray) -> float:
@@ -145,7 +112,7 @@ def separate(observations: dict[str, SpectrogramTensor],
         order = spatial.pooled_order
         merged = pooled_tensor(observations, order)
         pooled_obs = {SpatialModel.POOLED: merged}
-        powers = _static_powers(states, merged.n_frames)
+        powers = _static_powers(states)
         est = filter_array(merged, spatial, SpatialModel.POOLED, powers, states)
         consistency[SpatialModel.POOLED] = _consistency(est, merged.coeffs)
         offset = 0
@@ -161,7 +128,7 @@ def separate(observations: dict[str, SpectrogramTensor],
         for m in array_ids:
             obs = observations[m]
             if mode == "static-local":
-                powers = _static_powers(states, obs.n_frames)
+                powers = _static_powers(states)
             elif mode == "tv-local":
                 local = classify(observations, spatial, states, [m])
                 powers = source_power_estimates(local, states)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
+from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
 
 
@@ -129,3 +131,84 @@ def lagrange_interpolate_oracle(x, pos, order):
             w *= (t - l) / (j - l)
         out += w[:, None] * padded[start + j + pad_left]
     return out
+
+
+# ---------------------------------------------------------------------------
+# single-tile reference models
+#
+# These write the diagonal-loading rule out themselves (noise/C plus a ridge
+# of 1e-9 times the loaded trace, or 1e-9 for a zero trace) rather than
+# calling the library's helper, so they stay independent references.
+# ---------------------------------------------------------------------------
+
+_LOG_PI = float(np.log(np.pi))
+
+
+def _ridge(trace):
+    return 1e-9 * trace if trace > 0.0 else 1e-9
+
+
+def regularized_sum(spatial, powers, array_id, f, noise_power=None):
+    """Power-weighted covariance sum with diffuse noise and diagonal loading.
+
+    Returns sum_k powers[k] * R[array, k, f] + noise_power * I / C plus a
+    trace-scaled ridge; positive definite for any nonnegative powers.
+    """
+    powers = np.asarray(powers, dtype=np.float64)
+    cov = spatial.covariances[array_id]
+    C = cov.shape[2]
+    if noise_power is None:
+        nf = spatial.noise_floor.get(array_id)
+        noise_power = float(nf[f]) if nf is not None else 0.0
+    S = np.einsum("k,kcd->cd", powers, cov[:, f])
+    trace = np.trace(S).real + noise_power
+    S[np.diag_indices(C)] += noise_power / C + _ridge(trace)
+    return S
+
+
+def mwf_apply(x, spatial, array_id, f, powers, noise_power):
+    """Reference single-tile filter: all source images from one observation.
+
+    x: (C,) mixture coefficients at one tile; powers: (K,) directional
+    source powers.  Returns (K+1, C) image estimates, noise last.  One
+    Cholesky factorization is shared by all K+1 filters.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if not np.isfinite(x).all():
+        raise NumericalError("non-finite tile observation")
+    powers = np.asarray(powers, dtype=np.float64)
+    cov = spatial.covariances[array_id]
+    C = cov.shape[2]
+    S = regularized_sum(spatial, powers, array_id, f, noise_power=noise_power)
+    L = np.linalg.cholesky(S)
+    y = scipy.linalg.cho_solve((L, True), x)
+    out = np.empty((len(powers) + 1, C), dtype=np.complex128)
+    for k in range(len(powers)):
+        out[k] = powers[k] * (cov[k, f] @ y)
+    # the noise filter keeps the diagonal loading so the images sum to x
+    trace = float(np.einsum("k,k->", powers,
+                            np.einsum("kcc->k", cov[:, f]).real)) + noise_power
+    out[-1] = (noise_power / C + _ridge(trace)) * y
+    return out
+
+
+def state_log_likelihood(observations, spatial, states, n, f, s):
+    """Reference per-tile log-likelihood of state s, summed over arrays.
+
+    Cholesky-based: the quadratic form comes from a triangular solve and
+    the log-determinant from the factor diagonal.
+    """
+    var = states.conditional_variances()[s, :-1, :]  # (K, F) directional
+    noise = float(states.noise_spectrum[f])
+    total = 0.0
+    for m in sorted(observations):
+        x = observations[m].coeffs[n, f]
+        if not np.isfinite(x).all():
+            raise NumericalError(f"non-finite observation at ({m}, {n}, {f})")
+        S = regularized_sum(spatial, var[:, f], m, f, noise_power=noise)
+        L = np.linalg.cholesky(S)
+        y = scipy.linalg.solve_triangular(L, x, lower=True)
+        quad = float(np.vdot(y, y).real)
+        logdet = len(x) * _LOG_PI + 2.0 * float(np.log(np.diag(L).real).sum())
+        total += -quad - logdet
+    return total

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from asyncsep import _kernels
-from asyncsep.classifier import classify, state_log_likelihood
+from asyncsep.classifier import classify
 from asyncsep.demo import DEMO_SEED, demo_scene, demo_train_scene
 from asyncsep.dsp import (
     SampledSignal,
@@ -22,14 +22,15 @@ from asyncsep.dsp import (
 )
 from asyncsep.experiment import run_experiment
 from asyncsep.model import SpatialModel, StateSpectrumModel
-from asyncsep.separator import mwf_apply
 
 from conftest import (
     bandlimited_noise,
     correlation_peak_lag,
     make_planted_tiles,
     make_synthetic_models,
+    mwf_apply,
     rand_unit_psd,
+    state_log_likelihood,
 )
 
 ALL_MODES = ("static-local", "static-pooled", "tv-local", "tv-distributed")

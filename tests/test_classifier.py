@@ -13,13 +13,17 @@ from asyncsep.classifier import (
     save_posteriors,
     source_power_estimates,
     state_factors,
-    state_log_likelihood,
 )
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
 from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
 
-from conftest import make_planted_tiles, make_synthetic_models, rand_unit_psd
+from conftest import (
+    make_planted_tiles,
+    make_synthetic_models,
+    rand_unit_psd,
+    state_log_likelihood,
+)
 
 WIN = WindowSpec(16, 4)
 F = WIN.length // 2 + 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -170,3 +171,36 @@ def test_unusable_sro_override_fails_with_config_error(tmp_path, scene_file,
                  "--sro-override", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture
+def trained_container(tmp_path, scene_file):
+    sim = tmp_path / "sim"
+    model = tmp_path / "model.bin"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "1"]) == 0
+    assert main(["train", str(sim / "images"), str(model),
+                 "--stft-len", "1024"]) == 0
+    return model, sim / "recordings"
+
+
+def _id_string_cut(raw):
+    # one byte into the length-prefixed source id "s1"
+    return raw.index(struct.pack("<I", 2) + b"s1") + 5
+
+
+@pytest.mark.parametrize("cut", [lambda raw: 20, _id_string_cut,
+                                 lambda raw: 3000],
+                         ids=["header", "id-string", "array"])
+def test_truncated_model_fails_with_config_error(tmp_path, trained_container,
+                                                 capsys, cut):
+    model, recordings = trained_container
+    raw = model.read_bytes()
+    n = cut(raw)
+    assert 0 < n < len(raw)
+    model.write_bytes(raw[:n])
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "truncated" in err

@@ -1,16 +1,17 @@
-"""Equivalence of the numba kernels and their pure-numpy fallbacks."""
-
-import subprocess
-import sys
+"""The per-tile kernels: image sums, static powers and the loading rule."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from asyncsep import _kernels as kn
+from asyncsep.classifier import classify
+from asyncsep.dsp import SpectrogramTensor, WindowSpec
+from asyncsep.model import SpatialModel, StateSpectrumModel
 
-from conftest import rand_unit_psd
-
-needs_numba = pytest.mark.skipif(not kn.HAVE_NUMBA, reason="numba unavailable")
+from conftest import rand_unit_psd, state_log_likelihood
 
 
 def _state_setup(rng, N, F, C, K, S):
@@ -30,30 +31,6 @@ def _state_setup(rng, N, F, C, K, S):
     return X, Rbar, noise, L, logdets
 
 
-@needs_numba
-@pytest.mark.parametrize("C", [1, 2, 3, 4])
-def test_loglik_paths_agree(rng, C):
-    N, F, K, S = 9, 17, 3, 4
-    X, _, _, L, logdets = _state_setup(rng, N, F, C, K, S)
-    a = np.zeros((N, F, S))
-    b = np.zeros((N, F, S))
-    kn._loglik_accumulate_numpy(X, L, logdets, a)
-    kn._loglik_accumulate_numba(X, L, logdets, b)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
-
-
-@needs_numba
-@pytest.mark.parametrize("C", [1, 2, 4])
-def test_mwf_paths_agree(rng, C):
-    N, F, K = 7, 19, 4
-    X, Rbar, noise, _, _ = _state_setup(rng, N, F, C, K, 2)
-    powers = rng.uniform(0.0, 2.0, (N, F, K))
-    a = kn._mwf_filter_numpy(X, Rbar, powers, noise)
-    b = np.empty_like(a)
-    kn._mwf_filter_numba(X, Rbar, powers, noise, b)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(a).max())
-
-
 def test_mwf_images_sum_to_mixture(rng):
     N, F, C, K = 6, 15, 3, 3
     X, Rbar, noise, _, _ = _state_setup(rng, N, F, C, K, 2)
@@ -68,20 +45,77 @@ def test_fallback_blocks_are_seamless(rng):
     N, F, C, K = 10, 8, 2, 2
     X, Rbar, noise, _, _ = _state_setup(rng, N, F, C, K, 2)
     powers = rng.uniform(0.0, 2.0, (N, F, K))
-    a = kn._mwf_filter_numpy(X, Rbar, powers, noise, block=3)
-    b = kn._mwf_filter_numpy(X, Rbar, powers, noise, block=64)
+    a = kn.mwf_filter(X, Rbar, powers, noise, block=3)
+    b = kn.mwf_filter(X, Rbar, powers, noise, block=64)
     assert np.array_equal(a, b)
 
 
-def test_env_flag_selects_numpy_path():
-    code = ("import os; os.environ['ASYNCSEP_NO_NUMBA']='1'; "
-            "from asyncsep import _kernels as k; "
-            "print(k.HAVE_NUMBA, k.USE_NUMBA)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
-
-
 def test_ridge_scale_is_positive_even_for_degenerate_trace():
-    assert kn.ridge_scale(0.0) > 0.0
-    assert kn.ridge_scale(2.0) == pytest.approx(2e-9)
+    S = np.zeros((2, 2, 2), complex)
+    S[1] = np.eye(2)
+    added = kn._load_diagonal(S, np.zeros(2))
+    assert added[0] > 0.0
+    assert added[1] == pytest.approx(2e-9)
+    np.linalg.cholesky(S)
+
+
+# ---------------------------------------------------------------------------
+# property-based cases: C 1-6 channels, K 1-5 sources, nonnegative powers
+# and noise that include exact zeros
+# ---------------------------------------------------------------------------
+
+_power = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+
+
+@st.composite
+def _filter_case(draw, bins=st.integers(1, 4)):
+    C = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 5))
+    N = draw(st.integers(1, 7))
+    F = draw(bins)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((N, F, C)) + 1j * rng.standard_normal((N, F, C))
+    Rbar = np.stack([np.stack([rand_unit_psd(rng, C) for _ in range(F)])
+                     for _ in range(K)])
+    powers = draw(hnp.arrays(np.float64, (N, F, K), elements=_power))
+    noise = draw(hnp.arrays(np.float64, (F,), elements=_power))
+    return X, Rbar, powers, noise
+
+
+class TestKernelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_filter_case())
+    def test_images_sum_to_mixture(self, case):
+        X, Rbar, powers, noise = case
+        out = kn.mwf_filter(X, Rbar, powers, noise)
+        assert np.abs(out.sum(axis=0) - X).max() <= 1e-12 * np.abs(X).max()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_filter_case())
+    def test_one_frame_of_powers_equals_tiled_powers(self, case):
+        X, Rbar, powers, noise = case
+        static = powers[:1]
+        tiled = np.repeat(static, X.shape[0], axis=0)
+        a = kn.mwf_filter(X, Rbar, static, noise, block=2)
+        b = kn.mwf_filter(X, Rbar, tiled, noise)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_filter_case(bins=st.sampled_from([3, 5])))
+    def test_classify_matches_oracle(self, case):
+        X, Rbar, powers, noise = case
+        N, F, C = X.shape
+        K = Rbar.shape[0]
+        ids = [f"s{k}" for k in range(K)]
+        ltas = powers[0].T  # (K, F)
+        spatial = SpatialModel({"a": Rbar}, ids)
+        states = StateSpectrumModel(ids, ltas, 10.0 * ltas, ltas / 10.0,
+                                    noise)
+        window = WindowSpec(2 * (F - 1), (F - 1) // 2)  # 75% overlap
+        obs = {"a": SpectrogramTensor(X, window, 16000.0)}
+        ll = classify(obs, spatial, states).log_likelihoods
+        for n in range(N):
+            for f in range(F):
+                for s in range(K + 1):
+                    ref = state_log_likelihood(obs, spatial, states, n, f, s)
+                    assert abs(ll[n, f, s] - ref) <= 1e-10 * abs(ref)

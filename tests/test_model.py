@@ -14,12 +14,11 @@ from asyncsep.model import (
     load_models,
     model_summary,
     pooled_tensor,
-    regularized_sum,
     save_models,
     train_models,
 )
 
-from conftest import rand_unit_psd
+from conftest import rand_unit_psd, regularized_sum
 
 WIN = WindowSpec(16, 4)  # 9 bins, keeps model tests cheap
 F = WIN.length // 2 + 1

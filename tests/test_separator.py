@@ -6,9 +6,14 @@ import pytest
 from asyncsep.classifier import classify, source_power_estimates
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
 from asyncsep.model import NOISE_ID, SpatialModel, StateSpectrumModel
-from asyncsep.separator import MODES, filter_array, mwf_apply, separate
+from asyncsep.separator import MODES, filter_array, separate
 
-from conftest import make_planted_tiles, make_synthetic_models, rand_unit_psd
+from conftest import (
+    make_planted_tiles,
+    make_synthetic_models,
+    mwf_apply,
+    rand_unit_psd,
+)
 
 WIN = WindowSpec(16, 4)
 F = WIN.length // 2 + 1

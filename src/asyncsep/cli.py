@@ -150,6 +150,11 @@ def cmd_separate(args) -> int:
             raise ConfigError(f"missing recording for array {m!r}: {wav}")
         sig = read_wav(wav, expected_rate=meta["rate_hz"] or None)
         observations[m] = stft(sig, window)
+    frames = {m: obs.n_frames for m, obs in observations.items()}
+    if len(set(frames.values())) > 1:
+        raise ConfigError(
+            "recordings differ in length; STFT frames per array: "
+            + ", ".join(f"{m}={n}" for m, n in frames.items()))
 
     if args.mode not in MODES:
         raise ConfigError(f"unknown mode {args.mode!r}; choose from {MODES}")
@@ -198,6 +203,9 @@ def cmd_evaluate(args) -> int:
             ref = lagrange_resample(ref, sro[m])
         est = read_wav(est_path)
         n = min(ref.n_samples, est.n_samples)
+        if not ref.samples[:n].any():
+            raise ConfigError(f"truth image {wav} is silent over the scored "
+                              f"span; SDR is undefined")
         scores[f"{m}/{k}"] = sdr(SampledSignal(ref.samples[:n], ref.rate_hz),
                                  SampledSignal(est.samples[:n], est.rate_hz))
     if not scores:

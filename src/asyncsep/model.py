@@ -333,7 +333,7 @@ def _read_array(fh) -> np.ndarray:
 
 
 def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
-                window: WindowSpec | None = None, rate_hz: float = 0.0) -> None:
+                window: WindowSpec, rate_hz: float = 0.0) -> None:
     """Write both models to the versioned binary container.
 
     Layout (little-endian): magic, u32 version, u32 M, u32 K, u32 F,
@@ -350,9 +350,8 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _FORMAT_VERSION, len(array_ids),
                              spatial.n_sources))
-        fh.write(struct.pack("<III", spatial.n_bins,
-                             window.length if window else 0,
-                             window.hop if window else 0))
+        fh.write(struct.pack("<III", spatial.n_bins, window.length,
+                             window.hop))
         fh.write(struct.pack("<d", rate_hz))
         for m in array_ids:
             _write_str(fh, m)
@@ -376,6 +375,33 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
             _write_array(fh, spatial.noise_floor[SpatialModel.POOLED])
 
 
+def _check_container(path, K, F, win_len, hop, channels, covariances,
+                     noise_floor, state_arrays):
+    """Check a parsed container against its header; ConfigError if not."""
+    try:
+        window = WindowSpec(win_len, hop)
+    except ValueError as exc:
+        raise ConfigError(f"{path} records an unusable STFT window "
+                          f"(length {win_len}, hop {hop}): {exc}") from None
+    if F != window.length // 2 + 1:
+        raise ConfigError(f"{path}: {F} bins do not match window length "
+                          f"{win_len}")
+    expected = []
+    for m, C in channels.items():
+        if C < 1 or covariances[m].dtype != np.complex128:
+            raise ConfigError(f"{path}: array {m!r} has {C} channels and "
+                              f"{covariances[m].dtype} covariances")
+        expected += [(f"array {m!r} covariances", covariances[m], (K, F, C, C)),
+                     (f"array {m!r} noise floor", noise_floor[m], (F,))]
+    names = ("ltas", "sigma_high", "sigma_low", "noise spectrum")
+    shapes = ((K, F), (K, F), (K, F), (F,))
+    expected += list(zip(names, state_arrays, shapes))
+    for what, arr, shape in expected:
+        if arr.shape != shape:
+            raise ConfigError(f"{path}: {what}: shape {arr.shape}, the "
+                              f"header implies {shape}")
+
+
 def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
     """Read a model container; returns (spatial, states, meta).
 
@@ -395,9 +421,10 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
         (rate_hz,) = _unpack(fh, "<d")
         covariances = {}
         noise_floor = {}
+        channels = {}
         for _ in range(n_arrays):
             m = _read_str(fh)
-            _unpack(fh, "<I")  # channels, implied by the array
+            (channels[m],) = _unpack(fh, "<I")
             covariances[m] = _read_array(fh)
             noise_floor[m] = _read_array(fh)
         source_ids = [_read_str(fh) for _ in range(n_src)]
@@ -412,6 +439,15 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
             pooled_order = [_read_str(fh) for _ in range(n_order)]
             covariances[SpatialModel.POOLED] = _read_array(fh)
             noise_floor[SpatialModel.POOLED] = _read_array(fh)
+            unknown = sorted(set(pooled_order) - set(channels))
+            if unknown:
+                raise ConfigError(
+                    f"model container pools unknown arrays {unknown}")
+            channels[SpatialModel.POOLED] = sum(channels[m]
+                                                for m in pooled_order)
+    _check_container(path, n_src, n_bins, win_len, hop, channels,
+                     covariances, noise_floor,
+                     (ltas, sigma_high, sigma_low, noise_spectrum))
     spatial = SpatialModel(covariances, source_ids, noise_floor=noise_floor,
                            pooled_order=pooled_order)
     states = StateSpectrumModel(source_ids, ltas, sigma_high, sigma_low,

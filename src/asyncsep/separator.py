@@ -15,6 +15,10 @@ tile, the tv modes) or 1 (one set for every frame, the static modes).
 Every variant produces one image per (array, source) plus an auxiliary
 noise image that absorbs the diagonal loading, so the images of a tile
 always sum to the observed mixture coefficient.
+
+The filter kernel works on (channel, frame, bin) planes and writes an
+array's K+1 images into one (K+1, C, N, F) buffer; the image tensors of a
+SeparationResult are (N, F, C) views into that buffer.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def filter_array(obs: SpectrogramTensor, spatial: SpatialModel,
     """Filter one array's full tensor given per-tile or static powers.
 
     Depends on other arrays only through `powers`, whose frame axis is N
-    or 1.  Returns (K+1, N, F, C) complex with the noise image last.
+    or 1.  Returns (K+1, N, F, C) complex with the noise image last, a
+    view of one (K+1, C, N, F) buffer.
     """
     sigma2 = powers.sigma2
     return _kernels.mwf_filter(obs.coeffs, spatial.covariances[array_id],

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
+from asyncsep.audio import read_wav, write_wav
 from asyncsep.cli import main
+from asyncsep.dsp import SampledSignal
+from asyncsep.model import _MAGIC
 
 
 @pytest.fixture
@@ -204,3 +207,71 @@ def test_truncated_model_fails_with_config_error(tmp_path, trained_container,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "truncated" in err
+
+
+def _assert_clean_config_error(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for part in parts:
+        assert part in err
+
+
+def test_unequal_length_recordings_fail_with_config_error(
+        tmp_path, trained_container, capsys):
+    # independent devices stop recording at different times
+    model, recordings = trained_container
+    wav = recordings / "b.wav"
+    sig = read_wav(wav)
+    write_wav(wav, SampledSignal(sig.samples[:-5000], sig.rate_hz))
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, "a=", "b=")
+
+
+def _rewrite_cov_shape(raw):
+    # the first covariance shape field, (K, F, C, C) = (2, 513, 2, 2), turned
+    # into (1, 1026, 2, 2): the byte count is unchanged
+    old = struct.pack("<4I", 2, 513, 2, 2)
+    at = raw.index(old)
+    return raw[:at] + struct.pack("<4I", 1, 1026, 2, 2) + raw[at + len(old):]
+
+
+def _rewrite_window(length, hop):
+    def edit(raw):
+        at = len(_MAGIC) + 16  # after version, M, K and F
+        return raw[:at] + struct.pack("<II", length, hop) + raw[at + 8:]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _rewrite_cov_shape,
+    _rewrite_window(0, 0),
+    _rewrite_window(1024, 0),
+    _rewrite_window(0, 256),
+    _rewrite_window(2048, 512),
+], ids=["cov-shape", "no-window", "zero-hop", "zero-length", "bins-mismatch"])
+def test_model_inconsistent_with_header_fails_with_config_error(
+        tmp_path, trained_container, capsys, edit):
+    model, recordings = trained_container
+    raw = model.read_bytes()
+    edited = edit(raw)
+    assert len(edited) == len(raw) and edited != raw
+    model.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, str(model))
+
+
+def test_evaluate_against_silent_truth_fails_with_config_error(
+        tmp_path, scene_file, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    truth = sim / "images" / "a__s1.wav"
+    sig = read_wav(truth)
+    write_wav(truth, SampledSignal(np.zeros_like(sig.samples), sig.rate_hz))
+    capsys.readouterr()
+    assert main(["evaluate", str(sim / "images"), str(sim / "images"),
+                 str(tmp_path / "r.json")]) == 2
+    _assert_clean_config_error(capsys, "a__s1.wav")

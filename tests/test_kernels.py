@@ -1,4 +1,5 @@
-"""The per-tile kernels: image sums, static powers and the loading rule."""
+"""The per-tile kernels: image sums, static powers, the loading rule and
+the channel-planar layout."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from asyncsep.classifier import classify
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
 from asyncsep.model import SpatialModel, StateSpectrumModel
 
-from conftest import rand_unit_psd, state_log_likelihood
+from conftest import mwf_apply, rand_unit_psd, state_log_likelihood
 
 
 def _state_setup(rng, N, F, C, K, S):
@@ -119,3 +120,80 @@ class TestKernelProperties:
                 for s in range(K + 1):
                     ref = state_log_likelihood(obs, spatial, states, n, f, s)
                     assert abs(ll[n, f, s] - ref) <= 1e-10 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# channel-planar layout: per-tile oracle agreement for every power layout,
+# and inputs passed as non-contiguous views
+# ---------------------------------------------------------------------------
+
+def _as_view(X, layout):
+    """X with the same values as a non-contiguous (N, F, C) view."""
+    N, F, C = X.shape
+    if layout == "channel-slice":
+        wide = np.zeros((N, F, C + 2), dtype=complex)
+        wide[..., 1:C + 1] = X
+        return wide[..., 1:C + 1]
+    # one slot of a (K+1, N, F, C) view of a (K+1, C, N, F) buffer, the
+    # layout of mwf_filter's own result
+    planes = np.zeros((2, C, N, F), dtype=complex).transpose(0, 2, 3, 1)
+    planes[1] = X
+    return planes[1]
+
+
+@st.composite
+def _planar_case(draw):
+    X, Rbar, powers, noise = draw(_filter_case())
+    if draw(st.booleans()):
+        powers = powers[:1]  # static: one frame of powers for every frame
+    return X, Rbar, powers, noise
+
+
+def _assert_matches_oracle(out, X, Rbar, powers, noise):
+    N, F, _ = X.shape
+    K = Rbar.shape[0]
+    spatial = SpatialModel({"a": Rbar}, [f"s{k}" for k in range(K)])
+    for n in range(N):
+        for f in range(F):
+            p = powers[n if powers.shape[0] > 1 else 0, f]
+            ref = mwf_apply(X[n, f], spatial, "a", f, p, noise[f])[:K]
+            err = np.abs(out[:K, n, f] - ref).max()
+            assert err <= 1e-10 * np.abs(ref).max()
+
+
+class TestPlanarLayout:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_planar_case(), block=st.integers(1, 4))
+    def test_source_images_match_oracle(self, case, block):
+        X, Rbar, powers, noise = case
+        out = kn.mwf_filter(X, Rbar, powers, noise, block=block)
+        assert out.shape == (Rbar.shape[0] + 1,) + X.shape
+        _assert_matches_oracle(out, X, Rbar, powers, noise)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_planar_case(),
+           layout=st.sampled_from(["channel-slice", "result-slot"]))
+    def test_non_contiguous_mixture(self, case, layout):
+        X, Rbar, powers, noise = case
+        view = _as_view(X, layout)
+        out = kn.mwf_filter(view, Rbar, powers, noise)
+        _assert_matches_oracle(out, X, Rbar, powers, noise)
+        assert np.array_equal(out, kn.mwf_filter(X, Rbar, powers, noise))
+        assert np.array_equal(view, X)  # the input is left untouched
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_planar_case(),
+           layout=st.sampled_from(["channel-slice", "result-slot"]))
+    def test_loglik_of_a_view_equals_contiguous(self, case, layout):
+        X, Rbar, powers, noise = case
+        view = _as_view(X, layout)
+        var = np.stack([powers[0].T, 10.0 * powers[0].T])  # (2, K, F)
+        Smat = np.einsum("skf,kfij->sfij", var, Rbar)
+        kn._load_diagonal(Smat, noise[None, :])
+        L = np.linalg.cholesky(Smat)
+        logdets = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1).real).sum(-1)
+        a = kn.loglik_accumulate(view, L, logdets, np.zeros(X.shape[:2] + (2,)))
+        b = kn.loglik_accumulate(np.ascontiguousarray(view), L, logdets,
+                                 np.zeros(X.shape[:2] + (2,)))
+        assert np.isfinite(a).all()
+        assert np.array_equal(a, b)

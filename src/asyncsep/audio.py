@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,14 @@ def read_wav(path, expected_rate: float | None = None) -> SampledSignal:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"WAV file not found: {path}")
+    # parsed from memory, so a corrupt chunk size cannot ask for a huge read;
+    # scipy reports a malformed file through many exception types (struct,
+    # ZeroDivision, UnboundLocal, Type and Value errors among them)
     try:
-        rate, data = wavfile.read(str(path))
-    except ValueError as exc:
-        raise ConfigError(f"cannot read WAV file {path}: {exc}") from exc
+        rate, data = wavfile.read(io.BytesIO(path.read_bytes()))
+    except Exception as exc:
+        raise ConfigError(f"cannot read WAV file {path}: "
+                          f"{type(exc).__name__}: {exc}") from None
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:

@@ -130,15 +130,28 @@ def classify(observations: dict[str, SpectrogramTensor],
 
 def posteriors(log_likelihoods: np.ndarray,
                state_ids: list[str] | None = None) -> PosteriorMap:
-    """Stable softmax over the trailing state axis with uniform priors."""
+    """Stable softmax over the trailing state axis with uniform priors.
+
+    The per-tile maximum and normaliser are accumulated one state plane
+    at a time, in state order.  With fewer than 8 states numpy's own
+    reductions along the state axis add in that order too; with more
+    they sum pairwise, and the two differ by rounding only.
+    """
     ll = np.asarray(log_likelihoods, dtype=np.float64)
     if not np.isfinite(ll).all():
         raise NumericalError("non-finite state log-likelihoods")
-    shifted = ll - ll.max(axis=-1, keepdims=True)
-    g = np.exp(shifted)
-    g /= g.sum(axis=-1, keepdims=True)
+    n_states = ll.shape[-1]
+    peak = ll[..., 0].copy()
+    for s in range(1, n_states):
+        np.maximum(peak, ll[..., s], out=peak)
+    g = ll - peak[..., None]
+    np.exp(g, out=g)
+    total = g[..., 0].copy()
+    for s in range(1, n_states):
+        total += g[..., s]
+    g /= total[..., None]
     if state_ids is None:
-        state_ids = [str(s) for s in range(ll.shape[-1])]
+        state_ids = [str(s) for s in range(n_states)]
     return PosteriorMap(g, ll, state_ids)
 
 

@@ -29,7 +29,8 @@ from . import __version__
 from .audio import read_wav, write_wav
 from .classifier import classify, posterior_histogram, save_posteriors
 from .demo import demo_scene_path
-from .dsp import SampledSignal, WindowSpec, istft, lagrange_resample, stft
+from .dsp import (SampledSignal, SpectrogramTensor, WindowSpec, istft,
+                  lagrange_resample, stft)
 from .errors import ConfigError, NumericalError
 from .metrics import sdr
 from .model import load_models, model_summary, save_models, train_models
@@ -70,6 +71,19 @@ def _window_from_args(args) -> WindowSpec:
         return WindowSpec.from_overlap(args.stft_len, args.overlap)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _read_stft(wav: Path, window: WindowSpec, expected_rate=None,
+               channels: int | None = None) -> SpectrogramTensor:
+    """STFT of a WAV file; ConfigError naming it when it cannot be analyzed."""
+    sig = read_wav(wav, expected_rate=expected_rate)
+    if channels is not None and sig.channels != channels:
+        raise ConfigError(f"{wav} has {sig.channels} channels, the model "
+                          f"expects {channels}")
+    if sig.n_samples < window.length:
+        raise ConfigError(f"{wav} holds {sig.n_samples} samples, fewer than "
+                          f"one STFT window ({window.length})")
+    return stft(sig, window)
 
 
 def _image_name(array_id: str, source_id: str) -> str:
@@ -124,9 +138,8 @@ def cmd_train(args) -> int:
     tensors = {}
     rate = None
     for key, wav in pairs.items():
-        sig = read_wav(wav, expected_rate=rate)
-        rate = sig.rate_hz
-        tensors[key] = stft(sig, window)
+        tensors[key] = _read_stft(wav, window, expected_rate=rate)
+        rate = tensors[key].rate_hz
     spatial, states = train_models(tensors, noise_gain=args.noise_gain,
                                    include_pooled=args.pooled)
     save_models(args.model, spatial, states, window=window, rate_hz=rate)
@@ -148,8 +161,8 @@ def cmd_separate(args) -> int:
         wav = rec_dir / f"{m}.wav"
         if not wav.is_file():
             raise ConfigError(f"missing recording for array {m!r}: {wav}")
-        sig = read_wav(wav, expected_rate=meta["rate_hz"] or None)
-        observations[m] = stft(sig, window)
+        observations[m] = _read_stft(wav, window, meta["rate_hz"] or None,
+                                     spatial.channels(m))
     frames = {m: obs.n_frames for m, obs in observations.items()}
     if len(set(frames.values())) > 1:
         raise ConfigError(

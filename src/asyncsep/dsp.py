@@ -207,26 +207,38 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     Uses the analysis window again for synthesis and divides by the summed
     squared window, so an unmodified tensor reconstructs the original
     samples to machine precision on the analyzed extent.
+
+    The frames are synthesized as (channel, frame, sample) planes and
+    overlap-added one hop phase at a time: phase r adds sample block r of
+    every frame with one strided add.  Taking the phases in descending
+    order adds each output sample's frames in ascending frame order.  The
+    samples are returned as a (length, channels) view of a channel-major
+    buffer.
     """
     window = spec.window
     dev = window.cola_deviation()
     if dev > 1e-8:
         raise ValueError(f"window/hop not COLA-compliant (deviation {dev:.2e})")
 
-    n_frames, n_bins, n_ch = spec.coeffs.shape
-    total = (n_frames - 1) * window.hop + window.length
+    n_frames, _, n_ch = spec.coeffs.shape
+    hop = window.hop
+    total = (n_frames - 1) * hop + window.length
+    span = n_frames * hop
     win = window.window()
+    win2 = win ** 2
 
-    out = np.zeros((total, n_ch))
+    frames = np.fft.irfft(spec.coeffs.transpose(2, 0, 1), n=window.length,
+                          axis=-1)  # (C, N, L)
+    frames *= win
+    out = np.zeros((n_ch, total))
     denom = np.zeros(total)
-    frames = np.fft.irfft(spec.coeffs, n=window.length, axis=1)  # (N, L, C)
-    frames *= win[None, :, None]
-    for t in range(n_frames):
-        start = t * window.hop
-        out[start:start + window.length] += frames[t]
-        denom[start:start + window.length] += win ** 2
-    good = denom > 1e-12
-    out[good] /= denom[good, None]
+    for r in reversed(range(window.length // hop)):
+        seg, part = slice(r * hop, r * hop + span), slice(r * hop, (r + 1) * hop)
+        dst = out[:, seg].reshape(n_ch, n_frames, hop)  # views of the buffers
+        dst += frames[:, :, part]
+        wdst = denom[seg].reshape(n_frames, hop)
+        wdst += win2[part]
+    np.divide(out, denom, out=out, where=denom > 1e-12)
 
     # strip the analysis padding
     left = window.length
@@ -234,10 +246,10 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
         length = spec.n_samples
     if length is None:
         length = max(total - 2 * window.length, 0)
-    out = out[left:left + length]
-    if out.shape[0] < length:
-        out = np.pad(out, ((0, length - out.shape[0]), (0, 0)))
-    return SampledSignal(out, spec.rate_hz)
+    out = out[:, left:left + length]
+    if out.shape[1] < length:
+        out = np.pad(out, ((0, 0), (0, length - out.shape[1])))
+    return SampledSignal(out.T, spec.rate_hz)
 
 
 def _lagrange_weights(t, order: int) -> np.ndarray:

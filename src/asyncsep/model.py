@@ -13,6 +13,7 @@ import io
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +41,8 @@ SILENCE_GATE = 1e-6     # -60 dB relative to the per-bin average energy
 VARIANCE_FLOOR = 1e-12  # relative clamp keeping state variances positive
 
 _MAGIC = b"ASEPMODL"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 2: CRC-32 trailer
+_MAX_NDIM = 4  # the container stores (F,), (K, F) and (K, F, C, C) arrays
 
 
 @dataclass
@@ -297,11 +299,12 @@ def _write_str(fh, s: str):
 
 
 def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
+    at = fh.tell()
+    left = len(fh.getbuffer()) - at
+    if n > left:
         raise ConfigError(f"model container truncated: {n} bytes expected "
-                          f"at offset {fh.tell() - len(raw)}, {len(raw)} left")
-    return raw
+                          f"at offset {at}, {left} left")
+    return fh.read(n)
 
 
 def _unpack(fh, fmt: str) -> tuple:
@@ -326,6 +329,9 @@ def _write_array(fh, arr: np.ndarray):
 
 def _read_array(fh) -> np.ndarray:
     is_complex, ndim = _unpack(fh, "<BB")
+    if not 1 <= ndim <= _MAX_NDIM:
+        raise ConfigError(f"model container holds an array of {ndim} "
+                          f"dimensions at offset {fh.tell() - 1}")
     shape = _unpack(fh, f"<{ndim}I")
     dtype = np.dtype(np.complex128 if is_complex else np.float64)
     raw = _read_exact(fh, math.prod(shape) * dtype.itemsize)
@@ -341,12 +347,13 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
     u32 channel count, the (K, F, C, C) complex128 covariances row-major
     and the (F,) float64 noise floor; then the source ids and the state
     model arrays (ltas, sigma_high, sigma_low: (K, F); noise: (F,));
-    finally an optional pooled-array block.
+    then an optional pooled-array block; finally the u32 CRC-32 of all
+    the bytes before it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     array_ids = spatial.array_ids()
-    with open(path, "wb") as fh:
+    with io.BytesIO() as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _FORMAT_VERSION, len(array_ids),
                              spatial.n_sources))
@@ -373,17 +380,18 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
                 _write_str(fh, m)
             _write_array(fh, spatial.covariances[SpatialModel.POOLED])
             _write_array(fh, spatial.noise_floor[SpatialModel.POOLED])
+        body = fh.getvalue()
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _check_container(path, K, F, win_len, hop, channels, covariances,
                      noise_floor, state_arrays):
-    """Check a parsed container against its header; ConfigError if not."""
-    try:
-        window = WindowSpec(win_len, hop)
-    except ValueError as exc:
-        raise ConfigError(f"{path} records an unusable STFT window "
-                          f"(length {win_len}, hop {hop}): {exc}") from None
-    if F != window.length // 2 + 1:
+    """Check a parsed container against its header; ConfigError if not.
+
+    The window is built last: by then F is bounded by the arrays read and
+    the window length by F, so a corrupt length cannot size an allocation.
+    """
+    if F != win_len // 2 + 1:
         raise ConfigError(f"{path}: {F} bins do not match window length "
                           f"{win_len}")
     expected = []
@@ -400,18 +408,29 @@ def _check_container(path, K, F, win_len, hop, channels, covariances,
         if arr.shape != shape:
             raise ConfigError(f"{path}: {what}: shape {arr.shape}, the "
                               f"header implies {shape}")
+    try:
+        WindowSpec(win_len, hop)
+    except ValueError as exc:
+        raise ConfigError(f"{path} records an unusable STFT window "
+                          f"(length {win_len}, hop {hop}): {exc}") from None
 
 
 def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
     """Read a model container; returns (spatial, states, meta).
 
     meta carries the STFT provenance: window length, hop and sample rate.
+    Any damage to the file raises ConfigError.  The body is parsed and
+    checked against its header before the checksum is compared, so a cut
+    or a broken shape is reported as such; a change that leaves the
+    structure valid is caught by the checksum.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"model file not found: {path}")
+    raw = path.read_bytes()
+    body, trailer = raw[:-4], raw[-4:]
     # parsed from memory, so a corrupt length cannot ask for a huge read
-    with io.BytesIO(path.read_bytes()) as fh:
+    with io.BytesIO(body) as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ConfigError(f"{path} is not a model container")
         version, n_arrays, n_src = _unpack(fh, "<III")
@@ -445,9 +464,15 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
                     f"model container pools unknown arrays {unknown}")
             channels[SpatialModel.POOLED] = sum(channels[m]
                                                 for m in pooled_order)
+        if fh.tell() != len(body):
+            raise ConfigError(f"{path}: {len(body) - fh.tell()} unexpected "
+                              f"bytes after the model")
     _check_container(path, n_src, n_bins, win_len, hop, channels,
                      covariances, noise_floor,
                      (ltas, sigma_high, sigma_low, noise_spectrum))
+    if struct.pack("<I", zlib.crc32(body)) != trailer:
+        raise ConfigError(f"{path}: checksum mismatch, the model container "
+                          f"is damaged")
     spatial = SpatialModel(covariances, source_ids, noise_floor=noise_floor,
                            pooled_order=pooled_order)
     states = StateSpectrumModel(source_ids, ltas, sigma_high, sigma_low,

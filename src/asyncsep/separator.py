@@ -18,7 +18,8 @@ always sum to the observed mixture coefficient.
 
 The filter kernel works on (channel, frame, bin) planes and writes an
 array's K+1 images into one (K+1, C, N, F) buffer; the image tensors of a
-SeparationResult are (N, F, C) views into that buffer.
+SeparationResult are (N, F, C) views into that buffer.  The image-sum
+check recorded in the result's metadata reads the same planes.
 """
 
 from __future__ import annotations
@@ -80,13 +81,32 @@ def _static_powers(states: StateSpectrumModel) -> PowerEstimate:
 
 
 def _consistency(est: np.ndarray, coeffs: np.ndarray) -> float:
-    """Worst per-tile relative deviation of the image sum from the mixture."""
-    diff = est.sum(axis=0) - coeffs
-    num = np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=-1))
-    den = np.sqrt((coeffs.real ** 2 + coeffs.imag ** 2).sum(axis=-1))
-    rel = num / (den + 1e-300)
-    rel[den == 0.0] = 0.0
-    return float(rel.max())
+    """Worst per-tile relative deviation of the image sum from the mixture.
+
+    est is the filter's (K+1, N, F, C) view of a (K+1, C, N, F) buffer and
+    is read as those planes, a block of frames at a time: per channel the
+    images are summed and the mixture subtracted, and the squared
+    deviations and mixture powers are accumulated over channels.  Tiles
+    with a silent mixture count as 0.
+    """
+    planes = est.transpose(0, 3, 1, 2)  # (K+1, C, N, F)
+    mix = coeffs.transpose(2, 0, 1)     # (C, N, F)
+    _, C, N, F = planes.shape
+    worst = 0.0
+    for n0 in range(0, N, _kernels._BLOCK):
+        n1 = min(n0 + _kernels._BLOCK, N)
+        num = np.zeros((n1 - n0, F))
+        den = np.zeros((n1 - n0, F))
+        for c in range(C):
+            x = mix[c, n0:n1]
+            d = planes[:, c, n0:n1].sum(axis=0)
+            d -= x
+            num += d.real ** 2 + d.imag ** 2
+            den += x.real ** 2 + x.imag ** 2
+        active = den > 0.0
+        if active.any():
+            worst = max(worst, float((num[active] / den[active]).max()))
+    return float(np.sqrt(worst))
 
 
 def _result_images(est: np.ndarray, template: SpectrogramTensor,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from asyncsep.dsp import SpectrogramTensor, WindowSpec
+from asyncsep.dsp import SampledSignal, SpectrogramTensor, WindowSpec
 from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
 
@@ -103,6 +103,40 @@ def make_planted_tiles(rng, spatial, states, window, n_frames=48, rate=16000.0):
                  for o in obs.values())
     top = energy >= np.quantile(energy, 0.75)
     return obs, planted, top
+
+
+def istft_oracle(spec, length=None):
+    """Reference weighted overlap-add synthesis, one frame at a time.
+
+    Every frame's windowed samples and the squared window are added into
+    the output in ascending frame order; samples whose squared-window sum
+    is not above 1e-12 are left unnormalized.
+    """
+    window = spec.window
+    n_frames, _, n_ch = spec.coeffs.shape
+    total = (n_frames - 1) * window.hop + window.length
+    win = window.window()
+
+    out = np.zeros((total, n_ch))
+    denom = np.zeros(total)
+    frames = np.fft.irfft(spec.coeffs, n=window.length, axis=1)  # (N, L, C)
+    frames *= win[None, :, None]
+    for t in range(n_frames):
+        start = t * window.hop
+        out[start:start + window.length] += frames[t]
+        denom[start:start + window.length] += win ** 2
+    good = denom > 1e-12
+    out[good] /= denom[good, None]
+
+    left = window.length
+    if length is None:
+        length = spec.n_samples
+    if length is None:
+        length = max(total - 2 * window.length, 0)
+    out = out[left:left + length]
+    if out.shape[0] < length:
+        out = np.pad(out, ((0, length - out.shape[0]), (0, 0)))
+    return SampledSignal(out, spec.rate_hz)
 
 
 def lagrange_interpolate_oracle(x, pos, order):
@@ -212,3 +246,25 @@ def state_log_likelihood(observations, spatial, states, n, f, s):
         logdet = len(x) * _LOG_PI + 2.0 * float(np.log(np.diag(L).real).sum())
         total += -quad - logdet
     return total
+
+
+def softmax_oracle(log_likelihoods):
+    """Reference posteriors: the softmax reduced along the state axis."""
+    shifted = log_likelihoods - log_likelihoods.max(axis=-1, keepdims=True)
+    g = np.exp(shifted)
+    g /= g.sum(axis=-1, keepdims=True)
+    return g
+
+
+def consistency_oracle(est, coeffs):
+    """Reference worst per-tile relative deviation of the image sum.
+
+    est: (K+1, N, F, C) images; coeffs: (N, F, C) mixture.  Tiles with a
+    silent mixture count as 0.
+    """
+    diff = est.sum(axis=0) - coeffs
+    num = np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=-1))
+    den = np.sqrt((coeffs.real ** 2 + coeffs.imag ** 2).sum(axis=-1))
+    rel = num / (den + 1e-300)
+    rel[den == 0.0] = 0.0
+    return float(rel.max())

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsep.classifier import (
     classify,
@@ -22,6 +24,7 @@ from conftest import (
     make_planted_tiles,
     make_synthetic_models,
     rand_unit_psd,
+    softmax_oracle,
     state_log_likelihood,
 )
 
@@ -187,6 +190,45 @@ class TestPosteriors:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericalError):
             posteriors(np.array([[[np.inf, 0.0]]]))
+
+
+def _log_likelihoods(seed, n_states, spread, ties):
+    """(3, 5, n_states) log-likelihoods spanning `spread`, some tied."""
+    rng = np.random.default_rng(seed)
+    ll = rng.uniform(-0.5, 0.5, (3, 5, n_states)) * spread
+    if ties and n_states > 1:
+        ll[:, :2, -1] = ll[:, :2, 0]
+    return ll
+
+
+spreads = st.floats(0.0, 1e300, allow_nan=False)
+
+
+class TestPlaneByPlaneSoftmax:
+    @settings(max_examples=200, deadline=None)
+    @given(n_states=st.integers(1, 7), spread=spreads, ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_reduction_softmax(self, n_states, spread, ties, seed):
+        ll = _log_likelihoods(seed, n_states, spread, ties)
+        pm = posteriors(ll)
+        assert np.array_equal(pm.gamma, softmax_oracle(ll))
+        assert np.abs(pm.gamma.sum(axis=2) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_states=st.integers(8, 16), spread=spreads, ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_many_states_agree_to_rounding(self, n_states, spread, ties, seed):
+        # numpy sums 8 or more terms pairwise, the planes add in state order
+        ll = _log_likelihoods(seed, n_states, spread, ties)
+        gamma = posteriors(ll).gamma
+        assert np.allclose(gamma, softmax_oracle(ll), rtol=1e-14, atol=0.0)
+        assert np.abs(gamma.sum(axis=2) - 1.0).max() <= 1e-12
+
+    def test_input_left_untouched(self, rng):
+        ll = rng.uniform(-50.0, 50.0, (4, 6, 4))
+        kept = ll.copy()
+        posteriors(ll)
+        assert np.array_equal(ll, kept)
 
 
 class TestSourcePowerEstimates:

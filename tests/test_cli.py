@@ -1,5 +1,7 @@
 """Tests for the command-line pipeline and its exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -7,6 +9,8 @@ import struct
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsep.audio import read_wav, write_wav
 from asyncsep.cli import main
@@ -14,34 +18,36 @@ from asyncsep.dsp import SampledSignal
 from asyncsep.model import _MAGIC
 
 
+SCENE = {
+    "version": 1,
+    "rate_hz": 16000,
+    "duration_s": 1.5,
+    "noise_level": 0.002,
+    "arrays": [
+        {"id": "a", "channels": 2, "sro_hz": 0.0},
+        {"id": "b", "channels": 2, "sro_hz": 0.0},
+    ],
+    "sources": [
+        {"id": "s1",
+         "signal": {"type": "speech_noise", "level": 0.1, "activity": 0.5},
+         "coupling": {
+             "a": [{"delay": 0.0, "gain": 1.0}, {"delay": 3.5, "gain": 0.9}],
+             "b": [{"delay": 9.0, "gain": 0.5}, {"delay": 6.5, "gain": 0.45}],
+         }},
+        {"id": "s2",
+         "signal": {"type": "speech_noise", "level": 0.1, "activity": 0.5},
+         "coupling": {
+             "a": [{"delay": 8.0, "gain": 0.5}, {"delay": 10.5, "gain": 0.45}],
+             "b": [{"delay": 0.0, "gain": 1.0}, {"delay": 4.0, "gain": 0.9}],
+         }},
+    ],
+}
+
+
 @pytest.fixture
 def scene_file(tmp_path):
-    data = {
-        "version": 1,
-        "rate_hz": 16000,
-        "duration_s": 1.5,
-        "noise_level": 0.002,
-        "arrays": [
-            {"id": "a", "channels": 2, "sro_hz": 0.0},
-            {"id": "b", "channels": 2, "sro_hz": 0.0},
-        ],
-        "sources": [
-            {"id": "s1",
-             "signal": {"type": "speech_noise", "level": 0.1, "activity": 0.5},
-             "coupling": {
-                 "a": [{"delay": 0.0, "gain": 1.0}, {"delay": 3.5, "gain": 0.9}],
-                 "b": [{"delay": 9.0, "gain": 0.5}, {"delay": 6.5, "gain": 0.45}],
-             }},
-            {"id": "s2",
-             "signal": {"type": "speech_noise", "level": 0.1, "activity": 0.5},
-             "coupling": {
-                 "a": [{"delay": 8.0, "gain": 0.5}, {"delay": 10.5, "gain": 0.45}],
-                 "b": [{"delay": 0.0, "gain": 1.0}, {"delay": 4.0, "gain": 0.9}],
-             }},
-        ],
-    }
     p = tmp_path / "scene.yaml"
-    p.write_text(yaml.safe_dump(data))
+    p.write_text(yaml.safe_dump(SCENE))
     return p
 
 
@@ -275,3 +281,143 @@ def test_evaluate_against_silent_truth_fails_with_config_error(
     assert main(["evaluate", str(sim / "images"), str(sim / "images"),
                  str(tmp_path / "r.json")]) == 2
     _assert_clean_config_error(capsys, "a__s1.wav")
+
+
+def _cut(n):
+    return lambda raw: raw[:n]
+
+
+def _set_byte(at, value):
+    return lambda raw: raw[:at] + bytes([value]) + raw[at + 1:]
+
+
+def _keep_frames(n):
+    # the header up to the data chunk's size field, then n stereo float32
+    return lambda raw: raw[:raw.index(b"data") + 8 + 8 * n]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cut(30), "cannot read"),
+    (_cut(44), "cannot read"),
+    (_cut(60), "cannot read"),
+    (_set_byte(22, 0), "cannot read"),  # channel count
+    (_keep_frames(4), "fewer than one STFT window"),
+], ids=["cut-30", "cut-44", "cut-60", "no-channels", "shorter-than-window"])
+def test_damaged_recording_fails_with_config_error(
+        tmp_path, trained_container, capsys, edit, message):
+    model, recordings = trained_container
+    wav = recordings / "a.wav"
+    wav.write_bytes(edit(wav.read_bytes()))
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, str(wav), message)
+
+
+def test_recording_with_wrong_channel_count_fails_with_config_error(
+        tmp_path, trained_container, capsys):
+    model, recordings = trained_container
+    wav = recordings / "a.wav"
+    sig = read_wav(wav)
+    write_wav(wav, SampledSignal(sig.samples[:, :1], sig.rate_hz))
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, str(wav), "1 channels")
+
+
+def _container_field(raw, offset, value):
+    return raw[:offset] + value + raw[offset + len(value):]
+
+
+# offsets in a container of arrays "a" and "b": magic (8), version, M, K,
+# F, window length, hop (u32 each), rate (f64), then array "a": its id
+# (u32 length + 1 byte), channel count (u32), the covariances' complex
+# flag and ndim bytes
+_N_ARRAYS, _WIN_LEN_TOP, _COV_NDIM = 12, 27, 50
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: _container_field(raw, _N_ARRAYS, b"\xff\xff\xff\x7f"),
+     "model container"),
+    (lambda raw: _container_field(raw, _COV_NDIM, b"\xff"), "255 dimensions"),
+    (lambda raw: _container_field(raw, _WIN_LEN_TOP, b"\xff"),
+     "bins do not match window length"),
+    (lambda raw: _container_field(raw, 3000, bytes([raw[3000] ^ 1])),
+     "checksum"),
+], ids=["n-arrays", "ndim", "window-length", "covariance-value"])
+def test_corrupted_model_header_fails_with_config_error(
+        tmp_path, trained_container, capsys, edit, message):
+    model, recordings = trained_container
+    raw = model.read_bytes()
+    edited = edit(raw)
+    assert len(edited) == len(raw) and edited != raw
+    model.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, message)
+
+
+@pytest.fixture(scope="module")
+def small_scene(tmp_path_factory):
+    """A simulated scene and a container trained with a 256-sample window."""
+    root = tmp_path_factory.mktemp("small")
+    scene = root / "scene.yaml"
+    scene.write_text(yaml.safe_dump(SCENE))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", str(scene), str(root / "sim"),
+                     "--seed", "1"]) == 0
+        assert main(["train", str(root / "sim" / "images"),
+                     str(root / "model.bin"), "--stft-len", "256"]) == 0
+    return root
+
+
+def _separate_in_process(model, recordings, out):
+    """Exit code and stderr of `asyncsep separate`; raises on a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["separate", str(model), str(recordings), str(out)])
+    return code, err.getvalue()
+
+
+def _damaged(raw, cut, at, flip):
+    if cut:
+        return raw[:at % len(raw)]
+    at %= len(raw)
+    return raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+
+
+class TestDamagedFiles:
+    """Cut or flipped bytes never end `separate` in a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.booleans(), at=st.integers(0, 2**20),
+           flip=st.integers(1, 255))
+    def test_model_container(self, small_scene, cut, at, flip):
+        damaged = small_scene / "damaged.bin"
+        raw = (small_scene / "model.bin").read_bytes()
+        damaged.write_bytes(_damaged(raw, cut, at, flip))
+        code, err = _separate_in_process(damaged, small_scene / "sim" /
+                                         "recordings", small_scene / "est")
+        assert code in (2, 3)
+        assert err.startswith(("error: ", "numerical failure: "))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.booleans(), at=st.integers(0, 2**20),
+           flip=st.integers(1, 255))
+    def test_recording(self, small_scene, cut, at, flip):
+        # a header byte for flips, anywhere in the file for cuts
+        recordings = small_scene / "damaged-recordings"
+        recordings.mkdir(exist_ok=True)
+        for m in ("a", "b"):
+            raw = (small_scene / "sim" / "recordings" / f"{m}.wav").read_bytes()
+            if m == "a":
+                raw = _damaged(raw, cut, at if cut else at % 64, flip)
+            (recordings / f"{m}.wav").write_bytes(raw)
+        code, err = _separate_in_process(small_scene / "model.bin",
+                                         recordings, small_scene / "est")
+        assert code in (0, 2, 3)
+        if code:
+            assert err.startswith(("error: ", "numerical failure: "))

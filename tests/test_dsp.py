@@ -21,6 +21,7 @@ from asyncsep.dsp import (
 from conftest import (
     bandlimited_noise,
     correlation_peak_lag,
+    istft_oracle,
     lagrange_interpolate_oracle,
 )
 
@@ -145,6 +146,30 @@ class TestIstft:
         spec = stft(SampledSignal(x, 16000.0), win)
         assert istft(spec, length=2000).n_samples == 2000
         assert istft(spec, length=4000).n_samples == 4000
+
+
+class TestIstftMatchesFrameLoopOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(channels=st.integers(1, 3), n_frames=st.integers(0, 40),
+           window=st.sampled_from([(64, 16), (96, 32), (512, 128)]),
+           length=st.sampled_from(["default", "shorter", "longer"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_planar_view(self, channels, n_frames, window, length, seed):
+        # the filter's images are (N, F, C) views of (C, N, F) planes
+        win = WindowSpec(*window)
+        F = win.length // 2 + 1
+        rng = np.random.default_rng(seed)
+        planes = (rng.standard_normal((channels, n_frames, F))
+                  + 1j * rng.standard_normal((channels, n_frames, F)))
+        spec = SpectrogramTensor(planes.transpose(1, 2, 0), win, 16000.0)
+        assert planes.size == 0 or np.shares_memory(spec.coeffs, planes)
+        extent = max((n_frames - 1) * win.hop - win.length, 0)
+        n = {"default": None, "shorter": extent // 2,
+             "longer": extent + win.length + 7}[length]
+        got = istft(spec, n).samples
+        want = istft_oracle(spec, n).samples
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestLagrangeResample:

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asyncsep import separator
 from asyncsep.classifier import classify, source_power_estimates
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
 from asyncsep.model import NOISE_ID, SpatialModel, StateSpectrumModel
 from asyncsep.separator import MODES, filter_array, separate
 
 from conftest import (
+    consistency_oracle,
     make_planted_tiles,
     make_synthetic_models,
     mwf_apply,
@@ -192,3 +196,72 @@ class TestStaticPooled:
             rel = np.abs(total - obs[m].coeffs).max() / np.abs(obs[m].coeffs).max()
             assert rel <= 1e-6
             assert result.images[(m, "s1")].channels == 2
+
+
+def _planar_result(rng, n_src, C, N, n_bins):
+    """Random images as the filter returns them: a (K+1, N, F, C) view."""
+    shape = (n_src + 1, C, N, n_bins)
+    planes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return planes.transpose(0, 2, 3, 1)
+
+
+class TestConsistency:
+    @settings(max_examples=150, deadline=None)
+    @given(n_src=st.integers(1, 4), C=st.integers(1, 4), N=st.integers(1, 40),
+           n_bins=st.integers(1, 9), log_scale=st.floats(-16.0, 0.0),
+           silent=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reduction_formula(self, n_src, C, N, n_bins, log_scale,
+                                       silent, seed):
+        rng = np.random.default_rng(seed)
+        est = _planar_result(rng, n_src, C, N, n_bins)
+        noise = rng.standard_normal((N, n_bins, C)) * 10.0 ** log_scale
+        coeffs = est.sum(axis=0) + noise
+        coeffs[rng.uniform(size=(N, n_bins)) < silent] = 0.0
+        want = consistency_oracle(est, coeffs)
+        got = separator._consistency(est, coeffs)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_silent_mixture_tiles_count_as_zero(self, rng):
+        est = _planar_result(rng, 3, 2, 40, 5)
+        coeffs = np.zeros((40, 5, 2), complex)
+        assert separator._consistency(est, coeffs) == 0.0
+        coeffs = np.ascontiguousarray(est.sum(axis=0))
+        coeffs[17, 3] = 0.0  # the images there do not sum to zero
+        assert separator._consistency(est, coeffs) == 0.0
+
+
+def _perturbing_filter(monkeypatch, tile, delta):
+    """Make filter_array add delta to source 0 of one tile, channel 0."""
+    real = separator.filter_array
+
+    def perturbed(obs, spatial, array_id, powers, states):
+        est = real(obs, spatial, array_id, powers, states)
+        est[(0,) + tile + (0,)] += delta
+        return est
+
+    monkeypatch.setattr(separator, "filter_array", perturbed)
+
+
+class TestConsistencyFlagsPerturbedTile:
+    def test_per_array_path(self, rng, monkeypatch):
+        spatial, states, _ = make_synthetic_models(
+            rng, arrays=("a", "b"), window=WIN)
+        obs = TestSeparate()._obs(rng, spatial, n_frames=40)
+        tile, delta = (33, 4), 1e-3
+        _perturbing_filter(monkeypatch, tile, delta)
+        worst = separate(obs, spatial, states, "tv-local").metadata[
+            "consistency_rel_max"]
+        for m in ("a", "b"):
+            expected = delta / np.linalg.norm(obs[m].coeffs[tile])
+            assert worst[m] == pytest.approx(expected, rel=1e-9)
+
+    def test_pooled_path(self, rng, monkeypatch):
+        spatial, states, obs = TestStaticPooled()._trained(rng)
+        merged = np.concatenate([obs[m].coeffs for m in spatial.pooled_order],
+                                axis=2)
+        tile, delta = (90, 40), 1e-6
+        _perturbing_filter(monkeypatch, tile, delta)
+        worst = separate(obs, spatial, states, "static-pooled").metadata[
+            "consistency_rel_max"]
+        expected = delta / np.linalg.norm(merged[tile])
+        assert worst[SpatialModel.POOLED] == pytest.approx(expected, rel=1e-9)

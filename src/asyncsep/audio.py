@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +19,21 @@ def read_wav(path, expected_rate: float | None = None) -> SampledSignal:
     """Read a PCM16 or float32 WAV file into a SampledSignal.
 
     Integer samples are scaled to [-1, 1).  If expected_rate is given,
-    a mismatching file rate raises ConfigError.
+    a mismatching file rate raises ConfigError, and so does a damaged
+    file, including one that ends before its header says it does.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"WAV file not found: {path}")
     # parsed from memory, so a corrupt chunk size cannot ask for a huge read;
     # scipy reports a malformed file through many exception types (struct,
-    # ZeroDivision, UnboundLocal, Type and Value errors among them)
+    # ZeroDivision, UnboundLocal, Type and Value errors among them), and a
+    # file that ends before its header says only through a warning
     try:
-        rate, data = wavfile.read(io.BytesIO(path.read_bytes()))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Reached EOF prematurely",
+                                    wavfile.WavFileWarning)
+            rate, data = wavfile.read(io.BytesIO(path.read_bytes()))
     except Exception as exc:
         raise ConfigError(f"cannot read WAV file {path}: "
                           f"{type(exc).__name__}: {exc}") from None

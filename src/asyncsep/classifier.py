@@ -5,6 +5,13 @@ For every time-frequency tile the log-likelihood of each latent state
 the local Gaussian model, turned into posterior probabilities with uniform
 priors, and reduced to per-source power estimates.  This is the only place
 where information crosses array boundaries.
+
+Each stage has one block kernel that works on a block of frames:
+`_kernels.loglik_block` for the log-likelihoods, `posterior_block` for the
+softmax and its checks, and `power_block` for the powers.  `classify`,
+`posteriors` and `source_power_estimates` run them over a whole tensor,
+one block after another; `separator.separate` runs them inside its fused
+per-block pass and keeps no full-size posteriors.
 """
 
 from __future__ import annotations
@@ -48,9 +55,19 @@ class PosteriorMap:
     def __post_init__(self):
         if self.gamma.shape != self.log_likelihoods.shape:
             raise ValueError("gamma and log_likelihoods must share a shape")
-        sums = self.gamma.sum(axis=2)
-        if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-12):
-            raise ValueError("posteriors do not sum to 1")
+        _check_sums(self.gamma, np.empty(self.gamma.shape[:-1]))
+
+
+def _check_sums(gamma, sums):
+    """Raise unless every tile's posteriors sum to 1 within 1e-12.
+
+    gamma: (..., states); sums: float scratch of gamma.shape[:-1].
+    """
+    np.sum(gamma, axis=-1, out=sums)
+    sums -= 1.0
+    np.abs(sums, out=sums)
+    if not sums.max(initial=0.0) <= 1e-12:  # a NaN fails too
+        raise ValueError("posteriors do not sum to 1")
 
 
 @dataclass
@@ -132,27 +149,46 @@ def posteriors(log_likelihoods: np.ndarray,
                state_ids: list[str] | None = None) -> PosteriorMap:
     """Stable softmax over the trailing state axis with uniform priors.
 
-    The per-tile maximum and normaliser are accumulated one state plane
-    at a time, in state order.  With fewer than 8 states numpy's own
-    reductions along the state axis add in that order too; with more
-    they sum pairwise, and the two differ by rounding only.
+    log_likelihoods: (frames, bins, states), left untouched.  Runs
+    `posterior_block` over blocks of frames.
     """
     ll = np.asarray(log_likelihoods, dtype=np.float64)
-    if not np.isfinite(ll).all():
-        raise NumericalError("non-finite state log-likelihoods")
-    n_states = ll.shape[-1]
-    peak = ll[..., 0].copy()
-    for s in range(1, n_states):
-        np.maximum(peak, ll[..., s], out=peak)
-    g = ll - peak[..., None]
-    np.exp(g, out=g)
-    total = g[..., 0].copy()
-    for s in range(1, n_states):
-        total += g[..., s]
-    g /= total[..., None]
+    N, F, n_states = ll.shape
+    g = np.empty(ll.shape)
+    ws = _kernels.Workspace(_kernels._BLOCK, F, states=n_states)
+    for n0 in range(0, N, _kernels._BLOCK):
+        n1 = n0 + _kernels._BLOCK
+        posterior_block(ll[n0:n1], g[n0:n1], ws)
     if state_ids is None:
         state_ids = [str(s) for s in range(n_states)]
     return PosteriorMap(g, ll, state_ids)
+
+
+def posterior_block(ll, out, ws):
+    """Posteriors of one block of log-likelihoods, (b, F, S), into `out`.
+
+    `out` is C-contiguous and may be `ll` itself.  The per-tile maximum
+    and normaliser are accumulated one state plane at a time, in state
+    order.  With fewer than 8 states numpy's own reductions along the
+    state axis add in that order too; with more they sum pairwise, and
+    the two differ by rounding only.  Non-finite log-likelihoods raise
+    NumericalError, and posteriors that do not sum to 1 ValueError.
+    """
+    b = ll.shape[0]
+    if not np.isfinite(ll, out=ws.flags[:b]).all():
+        raise NumericalError("non-finite state log-likelihoods")
+    peak, total = ws.r[0, :b], ws.r[1, :b]
+    np.copyto(peak, ll[..., 0])
+    for s in range(1, ll.shape[-1]):
+        np.maximum(peak, ll[..., s], out=peak)
+    np.subtract(ll, peak[..., None], out=out)
+    np.exp(out, out=out)
+    np.copyto(total, out[..., 0])
+    for s in range(1, out.shape[-1]):
+        total += out[..., s]
+    out /= total[..., None]
+    _check_sums(out, total)
+    return out
 
 
 def source_power_estimates(gamma: PosteriorMap,
@@ -160,12 +196,36 @@ def source_power_estimates(gamma: PosteriorMap,
     """Posterior-weighted source powers per tile (noise source last).
 
     The noise slot is pinned to the state-independent noise spectrum
-    rather than recomputed through the convex combination.
+    rather than recomputed through the convex combination.  Runs
+    `power_block` over blocks of frames.
     """
     var = states.conditional_variances()  # (S, K+1, F)
-    sigma2 = np.einsum("nfs,skf->nfk", gamma.gamma, var)
+    g = gamma.gamma
+    N, F, _ = g.shape
+    sigma2 = np.empty((N, F, var.shape[1]))
+    planes = sigma2.transpose(2, 0, 1)
+    ws = _kernels.Workspace(_kernels._BLOCK, F)
+    for n0 in range(0, N, _kernels._BLOCK):
+        n1 = n0 + _kernels._BLOCK
+        power_block(g[n0:n1], var, planes[:-1, n0:n1], ws)
     sigma2[:, :, -1] = states.noise_spectrum[None, :]
     return PowerEstimate(sigma2, states.source_ids + [states.state_ids[-1]])
+
+
+def power_block(gamma, var, out, ws):
+    """Posterior-weighted source powers of one block.
+
+    gamma: (b, F, S) posteriors; var: (S, K+1, F) conditional variances;
+    out: K' <= K+1 planes of (b, F) float, out[k] = sum_s gamma_s var[s, k],
+    one weighted state plane at a time.
+    """
+    t = ws.r[0, :gamma.shape[0]]
+    for k in range(len(out)):
+        np.multiply(gamma[..., 0], var[0, k], out=out[k])
+        for s in range(1, gamma.shape[-1]):
+            np.multiply(gamma[..., s], var[s, k], out=t)
+            out[k] += t
+    return out
 
 
 def save_posteriors(pmap: PosteriorMap, path) -> None:

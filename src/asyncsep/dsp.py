@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
+
 __all__ = [
     "SampledSignal",
     "WindowSpec",
@@ -23,6 +25,8 @@ __all__ = [
     "fractional_delay",
     "long_term_average_spectrum",
 ]
+
+_SYNTH_CHUNK = 64  # frames synthesized at a time by `istft`
 
 
 def _as_2d(samples) -> np.ndarray:
@@ -208,12 +212,14 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     squared window, so an unmodified tensor reconstructs the original
     samples to machine precision on the analyzed extent.
 
-    The frames are synthesized as (channel, frame, sample) planes and
-    overlap-added one hop phase at a time: phase r adds sample block r of
-    every frame with one strided add.  Taking the phases in descending
+    Each channel is one task on the thread pool (`_pool`): its frames are
+    synthesized `_SYNTH_CHUNK` at a time into a buffer the calling thread
+    allocated and overlap-added one hop phase at a time: phase r adds
+    sample block r of every frame of the chunk with one strided add.
+    Taking the phases in descending order and the chunks in ascending
     order adds each output sample's frames in ascending frame order.  The
-    samples are returned as a (length, channels) view of a channel-major
-    buffer.
+    denominator and its mask are built once.  The samples are returned as
+    a (length, channels) view of a channel-major buffer.
     """
     window = spec.window
     dev = window.cola_deviation()
@@ -227,18 +233,18 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     win = window.window()
     win2 = win ** 2
 
-    frames = np.fft.irfft(spec.coeffs.transpose(2, 0, 1), n=window.length,
-                          axis=-1)  # (C, N, L)
-    frames *= win
-    out = np.zeros((n_ch, total))
     denom = np.zeros(total)
     for r in reversed(range(window.length // hop)):
-        seg, part = slice(r * hop, r * hop + span), slice(r * hop, (r + 1) * hop)
-        dst = out[:, seg].reshape(n_ch, n_frames, hop)  # views of the buffers
-        dst += frames[:, :, part]
-        wdst = denom[seg].reshape(n_frames, hop)
-        wdst += win2[part]
-    np.divide(out, denom, out=out, where=denom > 1e-12)
+        wdst = denom[r * hop:r * hop + span].reshape(n_frames, hop)  # a view
+        wdst += win2[r * hop:(r + 1) * hop]
+    good = denom > 1e-12
+    out = np.zeros((n_ch, total))
+    chunks = [np.empty((min(_SYNTH_CHUNK, n_frames) or 1, window.length))
+              for _ in range(min(_pool.worker_count(), n_ch))]
+    _pool.run(range(n_ch),
+              lambda c, chunk: _synthesize_channel(
+                  spec.coeffs[:, :, c], win, hop, denom, good, out[c], chunk),
+              chunks)
 
     # strip the analysis padding
     left = window.length
@@ -250,6 +256,24 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     if out.shape[1] < length:
         out = np.pad(out, ((0, 0), (0, length - out.shape[1])))
     return SampledSignal(out.T, spec.rate_hz)
+
+
+def _synthesize_channel(coeffs, win, hop, denom, good, out, chunk) -> None:
+    """Overlap-add one channel's (N, F) frames into `out` and normalise it.
+
+    chunk: (frames, window length) float scratch.
+    """
+    n_frames = coeffs.shape[0]
+    length = win.shape[0]
+    for f0 in range(0, n_frames, len(chunk)):
+        f1 = min(f0 + len(chunk), n_frames)
+        frames = chunk[:f1 - f0]
+        np.fft.irfft(coeffs[f0:f1], n=length, axis=-1, out=frames)
+        frames *= win
+        for r in reversed(range(length // hop)):
+            dst = out[(f0 + r) * hop:(f1 + r) * hop].reshape(f1 - f0, hop)
+            dst += frames[:, r * hop:(r + 1) * hop]
+    np.divide(out, denom, out=out, where=good)
 
 
 def _lagrange_weights(t, order: int) -> np.ndarray:

@@ -429,44 +429,49 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
         raise ConfigError(f"model file not found: {path}")
     raw = path.read_bytes()
     body, trailer = raw[:-4], raw[-4:]
-    # parsed from memory, so a corrupt length cannot ask for a huge read
-    with io.BytesIO(body) as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ConfigError(f"{path} is not a model container")
-        version, n_arrays, n_src = _unpack(fh, "<III")
-        if version != _FORMAT_VERSION:
-            raise ConfigError(f"unsupported model container version {version}")
-        n_bins, win_len, hop = _unpack(fh, "<III")
-        (rate_hz,) = _unpack(fh, "<d")
-        covariances = {}
-        noise_floor = {}
-        channels = {}
-        for _ in range(n_arrays):
-            m = _read_str(fh)
-            (channels[m],) = _unpack(fh, "<I")
-            covariances[m] = _read_array(fh)
-            noise_floor[m] = _read_array(fh)
-        source_ids = [_read_str(fh) for _ in range(n_src)]
-        ltas = _read_array(fh)
-        sigma_high = _read_array(fh)
-        sigma_low = _read_array(fh)
-        noise_spectrum = _read_array(fh)
-        pooled_order = None
-        (has_pooled,) = _unpack(fh, "<B")
-        if has_pooled:
-            (n_order,) = _unpack(fh, "<I")
-            pooled_order = [_read_str(fh) for _ in range(n_order)]
-            covariances[SpatialModel.POOLED] = _read_array(fh)
-            noise_floor[SpatialModel.POOLED] = _read_array(fh)
-            unknown = sorted(set(pooled_order) - set(channels))
-            if unknown:
+    # parsed from memory, so a corrupt length cannot ask for a huge read;
+    # the parse errors do not know the path, so it is added here
+    try:
+        with io.BytesIO(body) as fh:
+            if fh.read(len(_MAGIC)) != _MAGIC:
+                raise ConfigError("not a model container")
+            version, n_arrays, n_src = _unpack(fh, "<III")
+            if version != _FORMAT_VERSION:
                 raise ConfigError(
-                    f"model container pools unknown arrays {unknown}")
-            channels[SpatialModel.POOLED] = sum(channels[m]
-                                                for m in pooled_order)
-        if fh.tell() != len(body):
-            raise ConfigError(f"{path}: {len(body) - fh.tell()} unexpected "
-                              f"bytes after the model")
+                    f"unsupported model container version {version}")
+            n_bins, win_len, hop = _unpack(fh, "<III")
+            (rate_hz,) = _unpack(fh, "<d")
+            covariances = {}
+            noise_floor = {}
+            channels = {}
+            for _ in range(n_arrays):
+                m = _read_str(fh)
+                (channels[m],) = _unpack(fh, "<I")
+                covariances[m] = _read_array(fh)
+                noise_floor[m] = _read_array(fh)
+            source_ids = [_read_str(fh) for _ in range(n_src)]
+            ltas = _read_array(fh)
+            sigma_high = _read_array(fh)
+            sigma_low = _read_array(fh)
+            noise_spectrum = _read_array(fh)
+            pooled_order = None
+            (has_pooled,) = _unpack(fh, "<B")
+            if has_pooled:
+                (n_order,) = _unpack(fh, "<I")
+                pooled_order = [_read_str(fh) for _ in range(n_order)]
+                covariances[SpatialModel.POOLED] = _read_array(fh)
+                noise_floor[SpatialModel.POOLED] = _read_array(fh)
+                unknown = sorted(set(pooled_order) - set(channels))
+                if unknown:
+                    raise ConfigError(
+                        f"model container pools unknown arrays {unknown}")
+                channels[SpatialModel.POOLED] = sum(channels[m]
+                                                    for m in pooled_order)
+            if fh.tell() != len(body):
+                raise ConfigError(f"{len(body) - fh.tell()} unexpected bytes "
+                                  f"after the model")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     _check_container(path, n_src, n_bins, win_len, hop, channels,
                      covariances, noise_floor,
                      (ltas, sigma_high, sigma_low, noise_spectrum))

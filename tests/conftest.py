@@ -1,5 +1,7 @@
 """Shared fixtures and independent measurement oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -259,12 +261,23 @@ def softmax_oracle(log_likelihoods):
 def consistency_oracle(est, coeffs):
     """Reference worst per-tile relative deviation of the image sum.
 
-    est: (K+1, N, F, C) images; coeffs: (N, F, C) mixture.  Tiles with a
-    silent mixture count as 0.
+    est: (K+1, N, F, C) images; coeffs: (N, F, C) mixture.  Every real and
+    imaginary component of the deviation is summed exactly (math.fsum)
+    and rounded once, so the result is within a few ulps of the exact
+    value.  Tiles with a silent mixture count as 0.
     """
-    diff = est.sum(axis=0) - coeffs
-    num = np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=-1))
-    den = np.sqrt((coeffs.real ** 2 + coeffs.imag ** 2).sum(axis=-1))
-    rel = num / (den + 1e-300)
-    rel[den == 0.0] = 0.0
-    return float(rel.max())
+    _, N, F, C = est.shape
+    worst = 0.0
+    for n in range(N):
+        for f in range(F):
+            num, den = [], []
+            for c in range(C):
+                for part in (np.real, np.imag):
+                    x = float(part(coeffs[n, f, c]))
+                    d = math.fsum([*part(est[:, n, f, c]).tolist(), -x])
+                    num.append(d * d)
+                    den.append(x * x)
+            den_sum = math.fsum(den)
+            if den_sum > 0.0:
+                worst = max(worst, math.sqrt(math.fsum(num) / den_sum))
+    return worst

@@ -292,8 +292,15 @@ def _set_byte(at, value):
 
 
 def _keep_frames(n):
-    # the header up to the data chunk's size field, then n stereo float32
-    return lambda raw: raw[:raw.index(b"data") + 8 + 8 * n]
+    # the header up to the data chunk's size field, then n stereo float32,
+    # with the RIFF and data sizes rewritten so the file is whole
+    def edit(raw):
+        at = raw.index(b"data")
+        out = bytearray(raw[:at + 8 + 8 * n])
+        out[4:8] = struct.pack("<I", len(out) - 8)
+        out[at + 4:at + 8] = struct.pack("<I", 8 * n)
+        return bytes(out)
+    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -357,6 +364,36 @@ def test_corrupted_model_header_fails_with_config_error(
     assert main(["separate", str(model), str(recordings),
                  str(tmp_path / "est")]) == 2
     _assert_clean_config_error(capsys, message)
+
+
+def test_recordings_cut_on_a_sample_boundary_fail_with_config_error(
+        tmp_path, trained_container, capsys):
+    # both files end inside their data chunks, which claim the full length
+    model, recordings = trained_container
+    for m in ("a", "b"):
+        wav = recordings / f"{m}.wav"
+        raw = wav.read_bytes()
+        assert len(raw) == 192058
+        wav.write_bytes(raw[:120002])
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, str(recordings / "a.wav"),
+                               "Reached EOF prematurely")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cut(3000), "truncated"),
+    (lambda raw: _container_field(raw, _COV_NDIM, b"\xff"), "255 dimensions"),
+], ids=["truncated", "ndim"])
+def test_container_parse_errors_name_the_file(
+        tmp_path, trained_container, capsys, edit, message):
+    model, recordings = trained_container
+    model.write_bytes(edit(model.read_bytes()))
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, f"error: {model}: ", message)
 
 
 @pytest.fixture(scope="module")

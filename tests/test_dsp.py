@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncsep import _pool
 from asyncsep.dsp import (
     SampledSignal,
     SpectrogramTensor,
@@ -170,6 +171,29 @@ class TestIstftMatchesFrameLoopOracle:
         want = istft_oracle(spec, n).samples
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+class TestIstftChunksAndWorkers:
+    """More frames than one synthesis chunk, on one or more threads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(channels=st.integers(1, 4), n_frames=st.integers(0, 200),
+           workers=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_frame_loop_oracle(self, channels, n_frames, workers,
+                                      seed):
+        win = WindowSpec(64, 16)
+        rng = np.random.default_rng(seed)
+        shape = (n_frames, win.length // 2 + 1, channels)
+        spec = SpectrogramTensor(rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape),
+                                 win, 16000.0)
+        real = _pool.worker_count
+        _pool.worker_count = lambda: workers
+        try:
+            got = istft(spec).samples
+        finally:
+            _pool.worker_count = real
+        assert np.array_equal(got, istft_oracle(spec).samples)
 
 
 class TestLagrangeResample:

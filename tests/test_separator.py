@@ -1,14 +1,22 @@
 """Tests for the per-array multichannel Wiener filter bank."""
 
+import sys
+import threading
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncsep import separator
-from asyncsep.classifier import classify, source_power_estimates
-from asyncsep.dsp import SpectrogramTensor, WindowSpec
-from asyncsep.model import NOISE_ID, SpatialModel, StateSpectrumModel
+from asyncsep import _pool, separator
+from asyncsep.classifier import (PowerEstimate, classify,
+                                 source_power_estimates)
+from asyncsep.dsp import SpectrogramTensor, WindowSpec, istft
+from asyncsep.errors import NumericalError
+from asyncsep.model import (NOISE_ID, SpatialModel, StateSpectrumModel,
+                            pooled_tensor)
 from asyncsep.separator import MODES, filter_array, separate
 
 from conftest import (
@@ -205,11 +213,39 @@ def _planar_result(rng, n_src, C, N, n_bins):
     return planes.transpose(0, 2, 3, 1)
 
 
+def _summation_bound(est, coeffs, want):
+    """A-priori bound on |_consistency - exact| for one input.
+
+    Per tile and channel, each real or imaginary component of the image
+    sum minus the mixture is a recursive sum of K+2 terms, so its rounding
+    error is at most gamma(K+1) times the sum of the terms' magnitudes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2); the
+    deviation norm moves by at most the norm of those errors.  Squaring,
+    summing over channels, dividing and the square root add a relative
+    error of at most gamma(2C+8), which also covers the oracle's own
+    rounding.  The bound on the worst tile is the worst tile's bound.
+    """
+    u = 2.0 ** -53
+
+    def gamma(n):
+        return n * u / (1.0 - n * u)
+
+    n_terms, C = est.shape[0] + 1, est.shape[-1]
+    mag = [np.abs(part(est)).sum(axis=0) + np.abs(part(coeffs))
+           for part in (np.real, np.imag)]
+    err = gamma(n_terms - 1) * np.sqrt((mag[0] ** 2 + mag[1] ** 2).sum(-1))
+    den = np.sqrt((np.abs(coeffs) ** 2).sum(axis=-1))
+    active = den > 0.0
+    worst = float((err[active] / den[active]).max()) if active.any() else 0.0
+    return worst * (1.0 + gamma(2 * C + 8)) + gamma(2 * C + 8) * want
+
+
 class TestConsistency:
     @settings(max_examples=150, deadline=None)
     @given(n_src=st.integers(1, 4), C=st.integers(1, 4), N=st.integers(1, 40),
            n_bins=st.integers(1, 9), log_scale=st.floats(-16.0, 0.0),
            silent=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    @example(n_src=3, C=2, N=1, n_bins=1, log_scale=-4.0, silent=0.0, seed=1)
     def test_matches_reduction_formula(self, n_src, C, N, n_bins, log_scale,
                                        silent, seed):
         rng = np.random.default_rng(seed)
@@ -219,7 +255,7 @@ class TestConsistency:
         coeffs[rng.uniform(size=(N, n_bins)) < silent] = 0.0
         want = consistency_oracle(est, coeffs)
         got = separator._consistency(est, coeffs)
-        assert abs(got - want) <= 1e-12 * want
+        assert abs(got - want) <= _summation_bound(est, coeffs, want)
 
     def test_silent_mixture_tiles_count_as_zero(self, rng):
         est = _planar_result(rng, 3, 2, 40, 5)
@@ -231,15 +267,16 @@ class TestConsistency:
 
 
 def _perturbing_filter(monkeypatch, tile, delta):
-    """Make filter_array add delta to source 0 of one tile, channel 0."""
-    real = separator.filter_array
+    """Make the block pass add delta to source 0 of one tile, channel 0."""
+    real = separator._filter_block
 
-    def perturbed(obs, spatial, array_id, powers, states):
-        est = real(obs, spatial, array_id, powers, states)
-        est[(0,) + tile + (0,)] += delta
-        return est
+    def perturbed(f, x, n0, n1, ws):
+        real(f, x, n0, n1, ws)
+        n, k = tile
+        if n0 <= n < n1:
+            f.out[0, 0, n, k] += delta
 
-    monkeypatch.setattr(separator, "filter_array", perturbed)
+    monkeypatch.setattr(separator, "_filter_block", perturbed)
 
 
 class TestConsistencyFlagsPerturbedTile:
@@ -265,3 +302,210 @@ class TestConsistencyFlagsPerturbedTile:
             "consistency_rel_max"]
         expected = delta / np.linalg.norm(merged[tile])
         assert worst[SpatialModel.POOLED] == pytest.approx(expected, rel=1e-9)
+
+
+def _with_pooled(rng, spatial, n_src):
+    """Add a merged-array entry over every array, in sorted order."""
+    order = sorted(spatial.array_ids())
+    C = sum(spatial.channels(m) for m in order)
+    F = spatial.n_bins
+    cov = dict(spatial.covariances)
+    cov[SpatialModel.POOLED] = np.stack(
+        [np.broadcast_to(rand_unit_psd(rng, C), (F, C, C)).copy()
+         for _ in range(n_src)])
+    return SpatialModel(cov, spatial.source_ids,
+                        noise_floor=spatial.noise_floor, pooled_order=order)
+
+
+def _serial_separate(obs, spatial, states, mode):
+    """classify -> source_power_estimates -> filter_array, one array at a time.
+
+    Returns the images by (array, source) and the worst image-sum
+    deviation by filter, as `separate` reports them.
+    """
+    ids = sorted(obs)
+    static = PowerEstimate(
+        np.concatenate([states.ltas.T, states.noise_spectrum[:, None]],
+                       axis=1)[None], states.source_ids + [NOISE_ID])
+    sources = states.source_ids + [NOISE_ID]
+    images, worst = {}, {}
+    if mode == "static-pooled":
+        merged = pooled_tensor(obs, spatial.pooled_order)
+        est = filter_array(merged, spatial, SpatialModel.POOLED, static,
+                           states)
+        worst[SpatialModel.POOLED] = separator._consistency(est,
+                                                            merged.coeffs)
+        lo = 0
+        for m in spatial.pooled_order:
+            c = obs[m].channels
+            for k, sid in enumerate(sources):
+                images[(m, sid)] = est[k, :, :, lo:lo + c]
+            lo += c
+        return images, worst
+    if mode == "tv-distributed":
+        shared = source_power_estimates(classify(obs, spatial, states, ids),
+                                        states)
+    for m in ids:
+        if mode == "static-local":
+            powers = static
+        elif mode == "tv-local":
+            powers = source_power_estimates(
+                classify(obs, spatial, states, [m]), states)
+        else:
+            powers = shared
+        est = filter_array(obs[m], spatial, m, powers, states)
+        worst[m] = separator._consistency(est, obs[m].coeffs)
+        for k, sid in enumerate(sources):
+            images[(m, sid)] = est[k]
+    return images, worst
+
+
+def _random_case(seed, n_arrays, n_ch, n_src, n_frames):
+    rng = np.random.default_rng(seed)
+    spatial, states, _ = make_synthetic_models(
+        rng, arrays=[f"a{i}" for i in range(n_arrays)], n_ch=n_ch,
+        n_src=n_src, window=WIN)
+    spatial = _with_pooled(rng, spatial, n_src)
+    obs = {}
+    for m in spatial.array_ids():
+        x = (rng.standard_normal((n_frames, F, n_ch))
+             + 1j * rng.standard_normal((n_frames, F, n_ch)))
+        obs[m] = SpectrogramTensor(x * rng.uniform(0.01, 10.0), WIN, 16000.0)
+    return obs, spatial, states
+
+
+class TestFusedPassEqualsSerialStages:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_arrays=st.integers(1, 3),
+           n_ch=st.integers(1, 3), n_src=st.integers(1, 3),
+           n_frames=st.integers(1, 30), mode=st.sampled_from(MODES))
+    def test_images_and_consistency(self, seed, n_arrays, n_ch, n_src,
+                                    n_frames, mode):
+        obs, spatial, states = _random_case(seed, n_arrays, n_ch, n_src,
+                                            n_frames)
+        result = separate(obs, spatial, states, mode)
+        images, worst = _serial_separate(obs, spatial, states, mode)
+        assert set(result.images) == set(images)
+        for key, want in images.items():
+            assert np.array_equal(result.images[key].coeffs, want)
+        assert result.metadata["consistency_rel_max"] == worst
+
+
+def _corrupt(obs, value):
+    bad = obs["a1"].coeffs.copy()
+    bad[13, 4, 1] = value
+    return dict(obs, a1=SpectrogramTensor(bad, WIN, 16000.0))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_observations(self, mode, value):
+        obs, spatial, states = _random_case(5, 2, 2, 2, 20)
+        with pytest.raises(NumericalError, match="non-finite STFT"):
+            separate(_corrupt(obs, value), spatial, states, mode)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["tv-local", "tv-distributed"])
+    def test_log_likelihoods_in_a_block(self, mode):
+        # finite, but its quadratic forms overflow in one block
+        obs, spatial, states = _random_case(5, 2, 2, 2, 20)
+        with pytest.raises(NumericalError, match="log-likelihoods"):
+            separate(_corrupt(obs, 1e160), spatial, states, mode)
+
+
+def _separate_bounded(*args, timeout=120.0):
+    box = {}
+    t = threading.Thread(target=lambda: box.update(r=separate(*args)),
+                         daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "separate did not finish"
+    return box["r"]
+
+
+class TestWorkerCount:
+    """Outputs do not depend on how many threads run the blocks."""
+
+    def test_one_and_three_workers_agree_in_every_mode(self, rng,
+                                                       monkeypatch):
+        spatial, states, obs = TestStaticPooled()._trained(rng)
+        calls = Counter()
+        lock = threading.Lock()
+        real_block = separator._run_block
+
+        def counted(unit, n0, *rest):
+            with lock:
+                calls[(id(unit), n0)] += 1
+            real_block(unit, n0, *rest)
+
+        monkeypatch.setattr(separator, "_run_block", counted)
+        for mode in MODES:
+            runs = []
+            for workers in (1, 3):
+                monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+                calls.clear()
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    result = _separate_bounded(obs, spatial, states, mode)
+                    signals = {key: istft(t).samples
+                               for key, t in result.images.items()}
+                finally:
+                    sys.setswitchinterval(interval)
+                # every block of every unit ran exactly once
+                n_frames = obs["a"].n_frames
+                blocks = -(-n_frames // 8)
+                units = 2 if mode in ("static-local", "tv-local") else 1
+                assert sorted(calls.values()) == [1] * (blocks * units)
+                runs.append((result, signals))
+            (a, sig_a), (b, sig_b) = runs
+            assert a.metadata == b.metadata
+            assert set(a.images) == set(b.images)
+            for key in a.images:
+                assert np.array_equal(a.images[key].coeffs,
+                                      b.images[key].coeffs)
+                assert np.array_equal(sig_a[key], sig_b[key])
+
+
+class TestBlockPassAllocatesNoArrays:
+    """The block kernels work in the workspaces made before the pass."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_peak_traced_memory_of_the_pass(self, monkeypatch, mode):
+        # numpy's iterator buffers are not arrays: shrink them, and run
+        # every block on the calling thread, where the setting holds
+        win = WindowSpec(4096, 1024)
+        n_bins = win.length // 2 + 1
+        rng = np.random.default_rng(3)
+        spatial, states, _ = make_synthetic_models(
+            rng, arrays=("a", "b"), window=win)
+        spatial = _with_pooled(rng, spatial, 3)
+        obs = {m: SpectrogramTensor(
+            rng.standard_normal((40, n_bins, 2))
+            + 1j * rng.standard_normal((40, n_bins, 2)), win, 16000.0)
+            for m in ("a", "b")}
+        peaks = []
+        real_run = _pool.run
+
+        def measured(tasks, work, workspaces):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                real_run(tasks, work, workspaces)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(_pool, "run", measured)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+        bufsize = np.getbufsize()
+        np.setbufsize(16)
+        try:
+            result = separate(obs, spatial, states, mode)
+            istft(result.images[("a", "s0")])
+        finally:
+            np.setbufsize(bufsize)
+        # the smallest array a block could allocate: one (8, F) bool plane
+        assert len(peaks) == 2
+        assert max(peaks) < 8 * n_bins

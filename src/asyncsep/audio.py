@@ -28,9 +28,15 @@ def read_wav(path, expected_rate: float | None = None) -> SampledSignal:
     # parsed from memory, so a corrupt chunk size cannot ask for a huge read;
     # scipy reports a malformed file through many exception types (struct,
     # ZeroDivision, UnboundLocal, Type and Value errors among them), and a
-    # file that ends before its header says only through a warning
+    # file that ends before its header says only through a warning.  The
+    # warnings for a skipped unknown chunk and for a chunk id cut short
+    # after the data are dropped: the samples are read in both cases
     try:
         with warnings.catch_warnings():
+            for skipped in (r"Chunk \(non-data\) not understood",
+                            "Incomplete chunk ID"):
+                warnings.filterwarnings("ignore", skipped,
+                                        wavfile.WavFileWarning)
             warnings.filterwarnings("error", "Reached EOF prematurely",
                                     wavfile.WavFileWarning)
             rate, data = wavfile.read(io.BytesIO(path.read_bytes()))

@@ -152,6 +152,11 @@ def cmd_train(args) -> int:
 
 def cmd_separate(args) -> int:
     spatial, states, meta = load_models(args.model)
+    if args.mode == "static-pooled" and \
+            spatial.merged_id() not in spatial.covariances:
+        raise ConfigError(f"{args.model} holds no merged-array entry for "
+                          f"static-pooled; train it with `asyncsep train "
+                          f"--pooled`")
     rec_dir = Path(args.recordings)
     if not rec_dir.is_dir():
         raise ConfigError(f"recordings directory not found: {rec_dir}")

@@ -5,6 +5,10 @@ spatial covariances from training source images.  The state model turns the
 long-term average spectrum of every source into a high/low variance pair
 (10 dB above / 10 dB below the average) plus a diffuse-noise spectrum that
 is identical in every state.
+
+A spatial model entry is a device, or a merged array holding the channels
+of its member devices; its id joins their sorted ids with "+" ("a+b"), so
+device ids may not contain "+".  Only `SpatialModel.members` splits ids.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ SILENCE_GATE = 1e-6     # -60 dB relative to the per-bin average energy
 VARIANCE_FLOOR = 1e-12  # relative clamp keeping state variances positive
 
 _MAGIC = b"ASEPMODL"
-_FORMAT_VERSION = 2  # 2: CRC-32 trailer
+_FORMAT_VERSION = 3  # 2: CRC-32 trailer; 3: merged arrays are entries
 _MAX_NDIM = 4  # the container stores (F,), (K, F) and (K, F, C, C) arrays
+_UNIT_TOL = 1e-9  # Hermitian and unit-trace deviation a container may hold
 
 
 @dataclass
@@ -53,17 +58,13 @@ class SpatialModel:
     noise_floor: array id -> (F,) diffuse-noise power used as diagonal loading
     fallback_bins: (array id, source id) -> bins where training was silent
                    and the covariance fell back to identity/channels
-    pooled_order: channel concatenation order when a merged-array entry
-                  ("pooled" key in covariances) is present
+    An array id names a device or a merged array (see the module docstring).
     """
 
     covariances: dict[str, np.ndarray]
     source_ids: list[str]
     noise_floor: dict[str, np.ndarray] = field(default_factory=dict)
     fallback_bins: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-    pooled_order: list[str] | None = None
-
-    POOLED = "pooled"
 
     def __post_init__(self):
         for aid, cov in self.covariances.items():
@@ -83,8 +84,18 @@ class SpatialModel:
     def n_bins(self) -> int:
         return next(iter(self.covariances.values())).shape[1]
 
+    @staticmethod
+    def members(array_id: str) -> list[str]:
+        """The devices whose channels an entry holds, in channel order."""
+        return array_id.split("+")
+
     def array_ids(self) -> list[str]:
-        return [a for a in self.covariances if a != self.POOLED]
+        """The devices: every entry that is not a merged array."""
+        return [a for a in self.covariances if self.members(a) == [a]]
+
+    def merged_id(self) -> str:
+        """Id of the merged array over every device; one device is its own."""
+        return "+".join(sorted(self.array_ids()))
 
     def channels(self, array_id: str) -> int:
         return self.covariances[array_id].shape[2]
@@ -120,12 +131,10 @@ class StateSpectrumModel:
     def conditional_variances(self) -> np.ndarray:
         """(S, K+1, F) variance of each source (noise last) in each state."""
         K, F = self.ltas.shape
-        S = K + 1
-        var = np.empty((S, K + 1, F))
-        for s in range(S):
-            for k in range(K):
-                var[s, k] = self.sigma_high[k] if k == s else self.sigma_low[k]
-        var[:, K, :] = self.noise_spectrum[None, :]
+        var = np.empty((K + 1, K + 1, F))
+        var[:, :K] = self.sigma_low
+        var[range(K), range(K)] = self.sigma_high
+        var[:, K] = self.noise_spectrum
         return var
 
 
@@ -173,12 +182,22 @@ def estimate_spatial_covariance(
         training_images: dict[tuple[str, str], SpectrogramTensor]) -> SpatialModel:
     """Estimate unit-trace spatial covariances from training source images.
 
-    training_images maps (array id, source id) to a SpectrogramTensor, or
+    training_images maps (device id, source id) to a SpectrogramTensor, or
     to a sequence of tensors whose frames are pooled (useful for covering
-    motion by training on several perturbed variants of a scene).
+    motion by training on several perturbed variants of a scene).  A
+    device id may not contain "+", which joins merged-array ids.
     """
     if not training_images:
         raise ConfigError("no training images given")
+    for m, _ in training_images:
+        if SpatialModel.members(m) != [m]:
+            raise ConfigError(f"device id {m!r} contains '+', which joins "
+                              f"the device ids of a merged array")
+    return _estimate(training_images)
+
+
+def _estimate(training_images) -> SpatialModel:
+    """The covariances of every (array, source) entry, with zero floors."""
     array_ids = sorted({m for (m, _) in training_images})
     source_ids = sorted({k for (_, k) in training_images})
     for m in array_ids:
@@ -200,10 +219,8 @@ def estimate_spatial_covariance(
                 fallback_bins[(m, k)] = np.flatnonzero(fell)
         covariances[m] = np.stack(per_source)
 
-    model = SpatialModel(covariances, source_ids, fallback_bins=fallback_bins)
-    n_bins = model.n_bins
-    model.noise_floor = {m: np.zeros(n_bins) for m in array_ids}
-    return model
+    floors = {m: np.zeros(cov.shape[1]) for m, cov in covariances.items()}
+    return SpatialModel(covariances, source_ids, floors, fallback_bins)
 
 
 def build_state_model(training_images, spatial: SpatialModel,
@@ -241,12 +258,29 @@ def build_state_model(training_images, spatial: SpatialModel,
 
 def pooled_tensor(tensors: dict[str, SpectrogramTensor],
                   order: list[str]) -> SpectrogramTensor:
-    """Concatenate several arrays' tensors channel-wise (merged-array view)."""
+    """Concatenate several arrays' tensors channel-wise (merged-array view).
+
+    The tensors must hold the same number of frames; ConfigError if not.
+    """
     parts = [tensors[m] for m in order]
-    frames = min(t.n_frames for t in parts)
-    coeffs = np.concatenate([t.coeffs[:frames] for t in parts], axis=2)
+    if len({t.n_frames for t in parts}) > 1:
+        raise ConfigError(f"cannot merge arrays {order} of unequal frame "
+                          f"counts {[t.n_frames for t in parts]}")
+    coeffs = np.concatenate([t.coeffs for t in parts], axis=2)
     first = parts[0]
     return SpectrogramTensor(coeffs, first.window, first.rate_hz, first.n_samples)
+
+
+def _merged_images(training_images, devices: list[str], source_id: str):
+    """One source's merged-array training images, element by element."""
+    seqs = [training_images[(m, source_id)] for m in devices]
+    seqs = [[t] if isinstance(t, SpectrogramTensor) else list(t) for t in seqs]
+    if len({len(s) for s in seqs}) > 1:
+        raise ConfigError(f"source {source_id!r}: the devices hold different "
+                          f"numbers of training tensors, so they cannot merge")
+    merged = [pooled_tensor(dict(zip(devices, parts)), devices)
+              for parts in zip(*seqs)]
+    return merged[0] if len(merged) == 1 else merged
 
 
 def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
@@ -254,37 +288,24 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
                  ) -> tuple[SpatialModel, StateSpectrumModel]:
     """Estimate spatial covariances and the state model in one pass.
 
-    With include_pooled=True an extra merged-array entry is trained from
-    the channel-concatenated images (sorted array order), for use by the
-    static-pooled filter variant.
+    With include_pooled=True the merged array over every device is trained
+    as one more entry, from the channel-concatenated images, for use by
+    the static-pooled filter variant.  noise_gain must be finite and not
+    negative; ConfigError if not.
     """
+    if not (math.isfinite(noise_gain) and noise_gain >= 0.0):
+        raise ConfigError(f"noise gain must be finite and non-negative, "
+                          f"got {noise_gain}")
     spatial = estimate_spatial_covariance(training_images)
     states = build_state_model(training_images, spatial, noise_gain=noise_gain)
+    devices, mid = spatial.array_ids(), spatial.merged_id()
+    if include_pooled and len(devices) > 1:  # one device is its own merge
+        merged = _estimate({(mid, k): _merged_images(training_images, devices, k)
+                            for k in spatial.source_ids})
+        spatial.covariances.update(merged.covariances)
+        spatial.fallback_bins.update(merged.fallback_bins)
     spatial.noise_floor = {m: states.noise_spectrum.copy()
-                           for m in spatial.array_ids()}
-
-    if include_pooled:
-        order = spatial.array_ids()
-        pooled_images = {}
-        for k in spatial.source_ids:
-            per_array = {m: training_images[(m, k)] for m in order}
-            flat = {}
-            for m in order:
-                t = per_array[m]
-                flat[m] = t if isinstance(t, SpectrogramTensor) else t[0]
-            pooled_images[(SpatialModel.POOLED, k)] = pooled_tensor(flat, order)
-        per_source = []
-        fell_any = {}
-        for k in spatial.source_ids:
-            cov, fell = _gated_mean_covariance(
-                pooled_images[(SpatialModel.POOLED, k)].coeffs)
-            per_source.append(cov)
-            if fell.any():
-                fell_any[(SpatialModel.POOLED, k)] = np.flatnonzero(fell)
-        spatial.covariances[SpatialModel.POOLED] = np.stack(per_source)
-        spatial.noise_floor[SpatialModel.POOLED] = states.noise_spectrum.copy()
-        spatial.fallback_bins.update(fell_any)
-        spatial.pooled_order = order
+                           for m in spatial.covariances}
     return spatial, states
 
 
@@ -343,86 +364,100 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
     """Write both models to the versioned binary container.
 
     Layout (little-endian): magic, u32 version, u32 M, u32 K, u32 F,
-    u32 window length, u32 hop, f64 rate; per array a length-prefixed id,
-    u32 channel count, the (K, F, C, C) complex128 covariances row-major
-    and the (F,) float64 noise floor; then the source ids and the state
-    model arrays (ltas, sigma_high, sigma_low: (K, F); noise: (F,));
-    then an optional pooled-array block; finally the u32 CRC-32 of all
-    the bytes before it.
+    u32 window length, u32 hop, f64 rate; per array, devices and merged
+    arrays alike, a length-prefixed id, u32 channel count, the
+    (K, F, C, C) complex128 covariances row-major and the (F,) float64
+    noise floor; then the source ids and the state model arrays (ltas,
+    sigma_high, sigma_low: (K, F); noise: (F,)); finally the u32 CRC-32
+    of all the bytes before it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    array_ids = spatial.array_ids()
     with io.BytesIO() as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _FORMAT_VERSION, len(array_ids),
+        fh.write(struct.pack("<III", _FORMAT_VERSION, len(spatial.covariances),
                              spatial.n_sources))
         fh.write(struct.pack("<III", spatial.n_bins, window.length,
                              window.hop))
         fh.write(struct.pack("<d", rate_hz))
-        for m in array_ids:
+        for m, cov in spatial.covariances.items():
             _write_str(fh, m)
             fh.write(struct.pack("<I", spatial.channels(m)))
-            _write_array(fh, spatial.covariances[m])
+            _write_array(fh, cov)
             _write_array(fh, spatial.noise_floor.get(
                 m, np.zeros(spatial.n_bins)))
         for k in spatial.source_ids:
             _write_str(fh, k)
-        _write_array(fh, states.ltas)
-        _write_array(fh, states.sigma_high)
-        _write_array(fh, states.sigma_low)
-        _write_array(fh, states.noise_spectrum)
-        has_pooled = SpatialModel.POOLED in spatial.covariances
-        fh.write(struct.pack("<B", 1 if has_pooled else 0))
-        if has_pooled:
-            fh.write(struct.pack("<I", len(spatial.pooled_order)))
-            for m in spatial.pooled_order:
-                _write_str(fh, m)
-            _write_array(fh, spatial.covariances[SpatialModel.POOLED])
-            _write_array(fh, spatial.noise_floor[SpatialModel.POOLED])
+        for arr in (states.ltas, states.sigma_high, states.sigma_low,
+                    states.noise_spectrum):
+            _write_array(fh, arr)
         body = fh.getvalue()
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def _check_container(path, K, F, win_len, hop, channels, covariances,
-                     noise_floor, state_arrays):
-    """Check a parsed container against its header; ConfigError if not.
+def _check_container(path, intact, K, F, win_len, hop, rate_hz, channels,
+                     covariances, noise_floor, state_arrays):
+    """Check a parsed container; ConfigError naming the file if it fails.
 
-    The window is built last: by then F is bounded by the arrays read and
-    the window length by F, so a corrupt length cannot size an allocation.
+    First the structure against the header, so a cut or a broken shape is
+    reported as such; a merged array must merge stored devices in sorted
+    order and hold their channels.  The window is built last of these: F
+    is then bounded by the arrays read, so a corrupt length cannot size an
+    allocation.  Then the checksum (`intact`).  Last the values, as a
+    container written with bad values has a valid checksum: spectra, noise
+    floors and the rate must be finite and not negative, and covariances
+    Hermitian with unit trace to within _UNIT_TOL.
     """
     if F != win_len // 2 + 1:
         raise ConfigError(f"{path}: {F} bins do not match window length "
                           f"{win_len}")
     expected = []
     for m, C in channels.items():
-        if C < 1 or covariances[m].dtype != np.complex128:
-            raise ConfigError(f"{path}: array {m!r} has {C} channels and "
-                              f"{covariances[m].dtype} covariances")
+        members = SpatialModel.members(m)
+        if C < 1 or len(members) > 1 and (
+                members != sorted(set(members) & set(channels))
+                or C != sum(channels[d] for d in members)):
+            raise ConfigError(f"{path}: array {m!r} of {C} channels is "
+                              f"neither a device nor the merge of stored "
+                              f"devices in id order")
         expected += [(f"array {m!r} covariances", covariances[m], (K, F, C, C)),
                      (f"array {m!r} noise floor", noise_floor[m], (F,))]
     names = ("ltas", "sigma_high", "sigma_low", "noise spectrum")
-    shapes = ((K, F), (K, F), (K, F), (F,))
-    expected += list(zip(names, state_arrays, shapes))
+    expected += zip(names, state_arrays, ((K, F), (K, F), (K, F), (F,)))
     for what, arr, shape in expected:
-        if arr.shape != shape:
-            raise ConfigError(f"{path}: {what}: shape {arr.shape}, the "
-                              f"header implies {shape}")
+        dtype = np.dtype(np.complex128 if len(shape) == 4 else np.float64)
+        if arr.shape != shape or arr.dtype != dtype:
+            raise ConfigError(f"{path}: {what}: {arr.dtype} of shape "
+                              f"{arr.shape}, the header implies {dtype} of "
+                              f"shape {shape}")
     try:
         WindowSpec(win_len, hop)
     except ValueError as exc:
         raise ConfigError(f"{path} records an unusable STFT window "
                           f"(length {win_len}, hop {hop}): {exc}") from None
+    if not intact:
+        raise ConfigError(f"{path}: checksum mismatch, the model container "
+                          f"is damaged")
+    for what, arr, shape in expected + [("sample rate", np.array(rate_hz), ())]:
+        if not np.isfinite(arr).all():
+            rule = "finite"
+        elif len(shape) == 4:
+            herm = np.abs(arr - arr.conj().swapaxes(2, 3)).max(initial=0.0)
+            trace = np.abs(np.trace(arr, axis1=2, axis2=3) - 1.0)
+            worst = max(herm, trace.max(initial=0.0))
+            rule = "Hermitian with unit trace" if worst > _UNIT_TOL else None
+        else:
+            rule = "non-negative" if (arr < 0.0).any() else None
+        if rule:
+            raise ConfigError(f"{path}: {what} must be {rule}")
 
 
 def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
     """Read a model container; returns (spatial, states, meta).
 
     meta carries the STFT provenance: window length, hop and sample rate.
-    Any damage to the file raises ConfigError.  The body is parsed and
-    checked against its header before the checksum is compared, so a cut
-    or a broken shape is reported as such; a change that leaves the
-    structure valid is caught by the checksum.
+    Any damage to the file, and any value training cannot produce, raises
+    ConfigError (see `_check_container`).
     """
     path = Path(path)
     if not path.is_file():
@@ -450,38 +485,17 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
                 covariances[m] = _read_array(fh)
                 noise_floor[m] = _read_array(fh)
             source_ids = [_read_str(fh) for _ in range(n_src)]
-            ltas = _read_array(fh)
-            sigma_high = _read_array(fh)
-            sigma_low = _read_array(fh)
-            noise_spectrum = _read_array(fh)
-            pooled_order = None
-            (has_pooled,) = _unpack(fh, "<B")
-            if has_pooled:
-                (n_order,) = _unpack(fh, "<I")
-                pooled_order = [_read_str(fh) for _ in range(n_order)]
-                covariances[SpatialModel.POOLED] = _read_array(fh)
-                noise_floor[SpatialModel.POOLED] = _read_array(fh)
-                unknown = sorted(set(pooled_order) - set(channels))
-                if unknown:
-                    raise ConfigError(
-                        f"model container pools unknown arrays {unknown}")
-                channels[SpatialModel.POOLED] = sum(channels[m]
-                                                    for m in pooled_order)
+            state_arrays = [_read_array(fh) for _ in range(4)]
             if fh.tell() != len(body):
                 raise ConfigError(f"{len(body) - fh.tell()} unexpected bytes "
                                   f"after the model")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    _check_container(path, n_src, n_bins, win_len, hop, channels,
-                     covariances, noise_floor,
-                     (ltas, sigma_high, sigma_low, noise_spectrum))
-    if struct.pack("<I", zlib.crc32(body)) != trailer:
-        raise ConfigError(f"{path}: checksum mismatch, the model container "
-                          f"is damaged")
-    spatial = SpatialModel(covariances, source_ids, noise_floor=noise_floor,
-                           pooled_order=pooled_order)
-    states = StateSpectrumModel(source_ids, ltas, sigma_high, sigma_low,
-                                noise_spectrum)
+    intact = struct.pack("<I", zlib.crc32(body)) == trailer
+    _check_container(path, intact, n_src, n_bins, win_len, hop, rate_hz,
+                     channels, covariances, noise_floor, state_arrays)
+    spatial = SpatialModel(covariances, source_ids, noise_floor=noise_floor)
+    states = StateSpectrumModel(source_ids, *state_arrays)
     meta = {"window_length": win_len, "hop": hop, "rate_hz": rate_hz,
             "n_bins": n_bins}
     return spatial, states, meta
@@ -493,10 +507,8 @@ def model_summary(spatial: SpatialModel, states: StateSpectrumModel) -> str:
              f"  arrays:  {', '.join(spatial.array_ids())}",
              f"  sources: {', '.join(spatial.source_ids)}",
              f"  bins:    {spatial.n_bins}"]
-    for m in spatial.array_ids():
+    for m in spatial.covariances:
         lines.append(f"  array {m}: {spatial.channels(m)} channels")
-    if spatial.pooled_order:
-        lines.append(f"  pooled entry over: {', '.join(spatial.pooled_order)}")
     for k_idx, k in enumerate(states.source_ids):
         lt = states.ltas[k_idx]
         lines.append(

@@ -4,15 +4,15 @@ Four filter variants share one per-tile kernel:
 
   static-local     time-invariant powers (long-term spectra), each array
                    filtered with its own microphones only
-  static-pooled    time-invariant powers on the channel-concatenated
-                   merged array (only meaningful when clocks are shared)
+  static-pooled    static-local on the merged array over every device, id
+                   "a+b+..." (only meaningful when clocks are shared)
   tv-local         per-tile powers from each array's own classifier
   tv-distributed   per-tile powers from the joint classifier over all
                    arrays (the proposed operating mode)
 
 The powers that drive the filter have a frame axis of N (one set per
 tile, the tv modes) or 1 (one set for every frame, the static modes).
-Every variant produces one image per (array, source) plus an auxiliary
+Every variant produces one image per (device, source) plus an auxiliary
 noise image that absorbs the diagonal loading, so the images of a tile
 always sum to the observed mixture coefficient.
 
@@ -86,7 +86,7 @@ class _Filter:
     """One filter of the block pass: its images and what it needs."""
 
     cov_id: str        # key of the spatial covariances
-    arrays: list[str]  # whose channels it filters, in channel order
+    arrays: list[str]  # its member devices, in channel order
     channels: slice    # those channels among the block's mixture planes
     Rt: np.ndarray     # (C, C, K, F) covariance planes
     noise: tuple       # (noise power, noise power / C), each (F,)
@@ -97,7 +97,7 @@ class _Filter:
 
 @dataclass
 class _Unit:
-    """Arrays whose frame blocks are processed together."""
+    """Devices whose frame blocks are processed together."""
 
     arrays: list[str]  # their channel planes, stacked in this order
     n_frames: int
@@ -203,10 +203,13 @@ def _units(observations, spatial: SpatialModel, states: StateSpectrumModel,
     noise = states.noise_spectrum
     static = mode.startswith("static")
 
-    def unit(arrays, cov_ids, n_frames):
+    def unit(cov_ids):
+        arrays = [m for c in cov_ids for m in spatial.members(c)]
+        _check_aligned(observations, spatial, arrays)
+        n_frames = observations[arrays[0]].n_frames
         filters, lo = [], 0
         for cov_id in cov_ids:
-            members = arrays if cov_id == SpatialModel.POOLED else [cov_id]
+            members = spatial.members(cov_id)
             C = sum(observations[m].channels for m in members)
             filters.append(_Filter(
                 cov_id, members, slice(lo, lo + C),
@@ -231,32 +234,14 @@ def _units(observations, spatial: SpatialModel, states: StateSpectrumModel,
             f.static = (ws.p, ws.L, ws.dinv)
         return _Unit(arrays, n_frames, [], filters)
 
-    if mode == "static-pooled":
-        if SpatialModel.POOLED not in spatial.covariances:
-            raise ValueError(
-                "static-pooled requires a model trained with include_pooled")
-        order = spatial.pooled_order
-        for m in order:
-            _check_aligned(observations, spatial, [m])
-        n_frames = min(observations[m].n_frames for m in order)
-        return [unit(order, [SpatialModel.POOLED], n_frames)]
     if mode == "tv-distributed":
-        _check_aligned(observations, spatial, array_ids)
-        return [unit(array_ids, array_ids,
-                     observations[array_ids[0]].n_frames)]
-    units = []
-    for m in array_ids:
-        _check_aligned(observations, spatial, [m])
-        units.append(unit([m], [m], observations[m].n_frames))
-    return units
-
-
-def _result_images(est: np.ndarray, template: SpectrogramTensor,
-                   array_id: str, source_ids: list[str],
-                   images: dict) -> None:
-    for k, sid in enumerate(source_ids + [NOISE_ID]):
-        images[(array_id, sid)] = SpectrogramTensor(
-            est[k], template.window, template.rate_hz, template.n_samples)
+        return [unit(array_ids)]
+    if mode == "static-pooled":
+        array_ids = [spatial.merged_id()]
+        if array_ids[0] not in spatial.covariances:
+            raise ValueError("static-pooled requires a model trained with "
+                             "include_pooled (asyncsep train --pooled)")
+    return [unit([m]) for m in array_ids]
 
 
 def separate(observations: dict[str, SpectrogramTensor],
@@ -270,7 +255,7 @@ def separate(observations: dict[str, SpectrogramTensor],
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    array_ids = sorted(m for m in observations if m != SpatialModel.POOLED)
+    array_ids = sorted(observations)
     if not array_ids:
         raise ValueError("no observations given")
 
@@ -297,9 +282,11 @@ def separate(observations: dict[str, SpectrogramTensor],
             est = f.out.transpose(0, 2, 3, 1)  # (K+1, N, F, C)
             lo = 0
             for m in f.arrays:
-                c = observations[m].channels
-                _result_images(est[:, :, :, lo:lo + c], observations[m], m,
-                               spatial.source_ids, images)
-                lo += c
+                t = observations[m]
+                for k, sid in enumerate(spatial.source_ids + [NOISE_ID]):
+                    images[(m, sid)] = SpectrogramTensor(
+                        est[k, :, :, lo:lo + t.channels], t.window, t.rate_hz,
+                        t.n_samples)
+                lo += t.channels
     return SeparationResult(images, mode,
                             metadata={"consistency_rel_max": consistency})

@@ -5,17 +5,20 @@ import io
 import json
 import math
 import struct
+import warnings
+import zlib
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io.wavfile import WavFileWarning
 
 from asyncsep.audio import read_wav, write_wav
 from asyncsep.cli import main
 from asyncsep.dsp import SampledSignal
-from asyncsep.model import _MAGIC
+from asyncsep.model import _MAGIC, load_models
 
 
 SCENE = {
@@ -352,7 +355,10 @@ _N_ARRAYS, _WIN_LEN_TOP, _COV_NDIM = 12, 27, 50
      "bins do not match window length"),
     (lambda raw: _container_field(raw, 3000, bytes([raw[3000] ^ 1])),
      "checksum"),
-], ids=["n-arrays", "ndim", "window-length", "covariance-value"])
+    (lambda raw: _container_field(raw, len(_MAGIC), struct.pack("<I", 2)),
+     "unsupported model container version 2"),
+], ids=["n-arrays", "ndim", "window-length", "covariance-value",
+        "version-2"])
 def test_corrupted_model_header_fails_with_config_error(
         tmp_path, trained_container, capsys, edit, message):
     model, recordings = trained_container
@@ -458,3 +464,160 @@ class TestDamagedFiles:
         assert code in (0, 2, 3)
         if code:
             assert err.startswith(("error: ", "numerical failure: "))
+
+
+def test_static_pooled_without_merged_entry_fails_with_config_error(
+        tmp_path, trained_container, capsys):
+    model, recordings = trained_container  # trained without --pooled
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est"), "--mode", "static-pooled"]) == 2
+    _assert_clean_config_error(capsys, str(model), "train --pooled")
+
+
+@pytest.mark.parametrize("gain", ["nan", "inf", "-1"])
+def test_bad_noise_gain_fails_with_config_error(tmp_path, scene_file, capsys,
+                                                gain):
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["train", str(sim / "images"), str(tmp_path / "m.bin"),
+                 "--stft-len", "1024", "--noise-gain", gain]) == 2
+    _assert_clean_config_error(capsys, "noise gain")
+    assert not (tmp_path / "m.bin").exists()
+
+
+def _rewritten(raw, old: np.ndarray, new: np.ndarray, last=False) -> bytes:
+    """raw with the bytes of `old` replaced by `new`, its CRC-32 recomputed.
+
+    The first match is replaced, or the last one if `last`.  The checksum
+    is valid, so only the value checks can refuse the file.
+    """
+    at = (raw.rindex if last else raw.index)(old.tobytes())
+    body = raw[:at] + new.tobytes() + raw[at + old.nbytes:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _edited(get, edit, last=False):
+    def apply(raw, spatial, states):
+        old = get(spatial, states)
+        new = old.copy()
+        edit(new)
+        return _rewritten(raw, old, new, last)
+    return apply
+
+
+def _set(index, value):
+    def edit(arr):
+        arr[index] = value
+    return edit
+
+
+def _rate(value):
+    # the f64 rate follows the magic and six u32 header fields
+    return lambda raw, spatial, states: _rewritten(
+        raw, np.frombuffer(raw[32:40]), np.array(value))
+
+
+def _cov(spatial, states):
+    return spatial.covariances["b"]
+
+
+def _floor(spatial, states):
+    return spatial.noise_floor["a"]
+
+
+def _ltas(spatial, states):
+    return states.ltas
+
+
+def _sigma_high(spatial, states):
+    return states.sigma_high
+
+
+def _noise(spatial, states):
+    return states.noise_spectrum
+
+
+# the noise floors are copies of the noise spectrum, which is stored last
+@pytest.mark.parametrize("edit, message", [
+    (_edited(_cov, _set((1, 7, 0, 1), np.nan)), "'b' covariances must be finite"),
+    (_edited(_cov, _set((0, 3, 1, 1), np.inf)), "'b' covariances must be finite"),
+    (_edited(_cov, _set((0, 7, 0, 1), 0.3 + 0.1j)), "must be Hermitian"),
+    (_edited(_cov, _set((1, 2, 1, 1), 0.999)), "with unit trace"),
+    (_edited(_cov, lambda c: np.multiply(c, 2.0, out=c)), "with unit trace"),
+    (_edited(_floor, _set(5, -1e-3)), "'a' noise floor must be non-negative"),
+    (_edited(_floor, _set(5, np.nan)), "'a' noise floor must be finite"),
+    (_edited(_ltas, _set((1, 0), -1.0)), "ltas must be non-negative"),
+    (_edited(_sigma_high, _set((0, 9), np.inf)), "sigma_high must be finite"),
+    (_edited(_noise, _set(0, -np.inf), last=True),
+     "noise spectrum must be finite"),
+    (_rate(np.nan), "sample rate must be finite"),
+    (_rate(-16000.0), "sample rate must be non-negative"),
+], ids=["cov-nan", "cov-inf", "cov-not-hermitian", "cov-trace",
+        "cov-scaled", "floor-negative", "floor-nan", "ltas-negative",
+        "sigma-high-inf", "noise-negative-inf", "rate-nan", "rate-negative"])
+def test_container_with_bad_values_fails_with_config_error(
+        tmp_path, trained_container, capsys, edit, message):
+    model, recordings = trained_container
+    spatial, states, _ = load_models(model)
+    raw = model.read_bytes()
+    edited = edit(raw, spatial, states)
+    assert len(edited) == len(raw) and edited != raw
+    model.write_bytes(edited)
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, str(model), message)
+
+
+def test_device_named_pooled_separates_in_every_mode(tmp_path, capsys):
+    # "pooled" is an ordinary device id; the merged array is "a+pooled"
+    scene = yaml.safe_load(yaml.safe_dump(SCENE))
+    scene["arrays"][1]["id"] = "pooled"
+    for source in scene["sources"]:
+        source["coupling"]["pooled"] = source["coupling"].pop("b")
+    scene_file = tmp_path / "scene.yaml"
+    scene_file.write_text(yaml.safe_dump(scene))
+    sim, model = tmp_path / "sim", tmp_path / "model.bin"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "1"]) == 0
+    assert main(["train", str(sim / "images"), str(model), "--pooled",
+                 "--stft-len", "1024"]) == 0
+    assert "array a+pooled: 4 channels" in model.with_suffix(".txt").read_text()
+    for mode in ("static-local", "static-pooled", "tv-local",
+                 "tv-distributed"):
+        est = tmp_path / mode
+        assert main(["separate", str(model), str(sim / "recordings"),
+                     str(est), "--mode", mode]) == 0
+        names = {p.name for p in est.glob("*.wav")}
+        assert names == {f"{m}__{k}.wav" for m in ("a", "pooled")
+                         for k in ("s1", "s2", "noise")}
+        assert main(["evaluate", str(est), str(sim / "images"),
+                     str(tmp_path / f"{mode}.json")]) == 0
+        scores = json.loads((tmp_path / f"{mode}.json").read_text())["sdr_db"]
+        assert set(scores) == {"a/s1", "a/s2", "pooled/s1", "pooled/s2"}
+
+
+def _with_chunk(raw: bytes, chunk: bytes) -> bytes:
+    """A WAV file with `chunk` appended and its RIFF size rewritten."""
+    out = bytearray(raw + chunk)
+    out[4:8] = struct.pack("<I", len(out) - 8)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("chunk", [
+    b"abcd" + struct.pack("<I", 4) + b"\0\0\0\0",  # an unknown chunk
+    b"ab",                                         # a chunk id cut short
+], ids=["unknown-chunk", "incomplete-chunk-id"])
+def test_recording_with_skipped_chunk_separates_without_warning(
+        tmp_path, trained_container, capsys, chunk):
+    model, recordings = trained_container
+    wav = recordings / "a.wav"
+    wav.write_bytes(_with_chunk(wav.read_bytes(), chunk))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["separate", str(model), str(recordings),
+                     str(tmp_path / "est")]) == 0
+    assert not [w for w in caught if issubclass(w.category, WavFileWarning)]
+    assert "WavFileWarning" not in capsys.readouterr().err

@@ -1,7 +1,13 @@
 """Tests for spatial covariance estimation and the state spectrum model."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
 from asyncsep.errors import ConfigError
@@ -133,6 +139,12 @@ class TestEstimateSpatialCovariance:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError, match="no training images"):
             estimate_spatial_covariance({})
+
+    def test_device_id_with_merge_separator_rejected(self, rng):
+        # "a+b" names the merged array over devices a and b
+        x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))
+        with pytest.raises(ConfigError, match="'a\\+b' contains '\\+'"):
+            estimate_spatial_covariance({("a+b", "s"): tensor(x)})
 
 
 class TestBuildStateModel:
@@ -273,7 +285,7 @@ class TestPersistence:
         assert meta["window_length"] == WIN.length and meta["hop"] == WIN.hop
         assert meta["rate_hz"] == 16000.0
         assert spatial2.source_ids == spatial.source_ids
-        assert spatial2.pooled_order == ["a", "b"]
+        assert spatial2.members(spatial2.merged_id()) == ["a", "b"]
         for m in spatial.covariances:
             assert np.array_equal(spatial.covariances[m],
                                   spatial2.covariances[m])
@@ -298,6 +310,73 @@ class TestPersistence:
         for token in ("a, b", "s1, s2", "noise spectrum"):
             assert token in text
 
+    def test_summary_lists_the_merged_entry_as_an_array(self, rng):
+        spatial, states = self._trained(rng, pooled=True)
+        text = model_summary(spatial, states)
+        assert "arrays:  a, b\n" in text
+        assert "array a+b: 4 channels" in text
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_src=st.integers(1, 4), hop=st.integers(1, 8),
+           channels=st.dictionaries(
+               st.text(st.characters(exclude_characters="+"), max_size=6),
+               st.integers(1, 4), min_size=1, max_size=3),
+           merged=st.booleans(), rate=st.floats(0.0, 1e6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_of_random_layouts_is_bit_exact(
+            self, n_src, hop, channels, merged, rate, seed):
+        rng = np.random.default_rng(seed)
+        window = WindowSpec(4 * hop, hop)
+        n_bins = 2 * hop + 1
+        if merged:  # one device is its own merged array
+            channels["+".join(sorted(channels))] = sum(channels.values())
+        covariances, floors = {}, {}
+        for m, C in channels.items():
+            shape = (n_src, n_bins, C, C)
+            A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            R = A @ A.conj().swapaxes(2, 3)
+            covariances[m] = R / np.trace(R, axis1=2, axis2=3)[..., None, None]
+            floors[m] = rng.uniform(0.0, 1.0, n_bins)
+        source_ids = [f"s{k}" for k in range(n_src)]
+        spatial = SpatialModel(covariances, source_ids, floors)
+        states = StateSpectrumModel(
+            source_ids, *rng.uniform(0.0, 1.0, (3, n_src, n_bins)),
+            rng.uniform(0.0, 1.0, n_bins))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            save_models(path, spatial, states, window=window, rate_hz=rate)
+            spatial2, states2, meta = load_models(path)
+        assert meta == {"window_length": 4 * hop, "hop": hop,
+                        "rate_hz": rate, "n_bins": n_bins}
+        assert spatial2.source_ids == source_ids
+        assert list(spatial2.covariances) == list(channels)
+        for m in channels:
+            assert spatial2.covariances[m].dtype == np.complex128
+            assert np.array_equal(spatial2.covariances[m], covariances[m])
+            assert np.array_equal(spatial2.noise_floor[m], floors[m])
+        for attr in ("ltas", "sigma_high", "sigma_low", "noise_spectrum"):
+            assert np.array_equal(getattr(states2, attr),
+                                  getattr(states, attr))
+
+    @pytest.mark.parametrize("merged_id, channels", [
+        ("a+c", 4),  # c is not stored
+        ("b+a", 4),  # not in sorted id order
+        ("a+a", 4),  # a device twice
+        ("a+b", 3),  # a and b hold 4 channels
+    ])
+    def test_merged_entry_must_merge_stored_devices(self, rng, tmp_path,
+                                                    merged_id, channels):
+        spatial, states = self._trained(rng)
+        cov = np.broadcast_to(np.eye(channels) / channels,
+                              (2, F, channels, channels))
+        spatial.covariances[merged_id] = cov.astype(complex)
+        spatial.noise_floor[merged_id] = np.zeros(F)
+        path = tmp_path / "model.bin"
+        save_models(path, spatial, states, window=WIN)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"array {merged_id!r} of {channels} channels is neither")):
+            load_models(path)
+
 
 class TestPooled:
     def test_pooled_covariance_equals_merged_channel_training(self, rng):
@@ -311,7 +390,7 @@ class TestPooled:
         spatial, _ = train_models(imgs, include_pooled=True)
         merged = np.concatenate([raw["a"], raw["b"]], axis=2)
         direct = estimate_spatial_covariance({("p", "s"): tensor(merged)})
-        assert np.allclose(spatial.covariances[SpatialModel.POOLED],
+        assert np.allclose(spatial.covariances["a+b"],
                            direct.covariances["p"], atol=1e-12)
 
     def test_pooled_tensor_respects_order(self, rng):
@@ -320,3 +399,37 @@ class TestPooled:
         merged = pooled_tensor({"a": ta, "b": tb}, ["b", "a"])
         assert merged.channels == 3
         assert np.array_equal(merged.coeffs[:, :, 0], tb.coeffs[:, :, 0])
+
+    def test_pooled_tensor_refuses_unequal_frame_counts(self, rng):
+        ta = tensor(rng.standard_normal((4, F, 2)) * (1 + 0j))
+        tb = tensor(rng.standard_normal((5, F, 1)) * (1 + 0j))
+        with pytest.raises(ConfigError, match="unequal frame counts"):
+            pooled_tensor({"a": ta, "b": tb}, ["a", "b"])
+
+    def test_sequences_merge_element_by_element(self, rng):
+        # every element of a device's sequence trains the merged entry
+        def x(n):
+            return rng.standard_normal((n, F, 2)) \
+                + 1j * rng.standard_normal((n, F, 2))
+
+        raw = {m: [x(6), x(9)] for m in ("a", "b")}
+        imgs = {(m, "s"): [tensor(v) for v in vs] for m, vs in raw.items()}
+        spatial, _ = train_models(imgs, include_pooled=True)
+        direct = estimate_spatial_covariance({("p", "s"): [
+            tensor(np.concatenate([raw["a"][i], raw["b"][i]], axis=2))
+            for i in range(2)]})
+        assert np.allclose(spatial.covariances["a+b"],
+                           direct.covariances["p"], atol=1e-12)
+
+    def test_sequences_of_unequal_length_refused(self, rng):
+        x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))
+        imgs = {("a", "s"): [tensor(x), tensor(x)], ("b", "s"): tensor(x)}
+        with pytest.raises(ConfigError, match="cannot merge"):
+            train_models(imgs, include_pooled=True)
+
+
+@pytest.mark.parametrize("gain", [np.nan, np.inf, -1.0])
+def test_train_models_refuses_bad_noise_gain(rng, gain):
+    x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))
+    with pytest.raises(ConfigError, match="noise gain"):
+        train_models({("a", "s"): tensor(x)}, noise_gain=gain)

@@ -162,7 +162,7 @@ class TestSeparate:
 
 
 class TestStaticPooled:
-    def _trained(self, rng):
+    def _trained(self, rng, ids=("a", "b")):
         from asyncsep.dsp import stft
         from asyncsep.model import train_models
         from asyncsep.scene import (ArraySpec, ChannelCoupling, SceneSpec,
@@ -171,13 +171,14 @@ class TestStaticPooled:
         def taps(d0, d1, g):
             return [ChannelCoupling(d0, g), ChannelCoupling(d1, 0.9 * g)]
 
+        a, b = ids
         sources = [
             SourceSpec("s1", {"type": "speech_noise", "level": 0.1},
-                       {"a": taps(0.0, 2.5, 1.0), "b": taps(8.0, 6.0, 0.5)}),
+                       {a: taps(0.0, 2.5, 1.0), b: taps(8.0, 6.0, 0.5)}),
             SourceSpec("s2", {"type": "speech_noise", "level": 0.1},
-                       {"a": taps(7.0, 9.0, 0.5), "b": taps(0.0, 3.0, 1.0)}),
+                       {a: taps(7.0, 9.0, 0.5), b: taps(0.0, 3.0, 1.0)}),
         ]
-        arrays = [ArraySpec("a", 2, 0.0), ArraySpec("b", 2, 0.0)]
+        arrays = [ArraySpec(a, 2, 0.0), ArraySpec(b, 2, 0.0)]
         spec = SceneSpec(rate_hz=16000.0, duration_s=1.2, sources=sources,
                          arrays=arrays, noise_level=0.001)
         win = WindowSpec(512, 128)
@@ -188,10 +189,11 @@ class TestStaticPooled:
         return spatial, states, obs
 
     def test_requires_pooled_model(self, rng):
-        spatial, states, _ = make_synthetic_models(rng, arrays=("a",),
+        # one device is its own merged array, so the model has two
+        spatial, states, _ = make_synthetic_models(rng, arrays=("a", "b"),
                                                    window=WIN)
-        obs = {"a": SpectrogramTensor(np.zeros((3, F, 2), complex), WIN,
-                                      16000.0)}
+        obs = {m: SpectrogramTensor(np.zeros((3, F, 2), complex), WIN,
+                                    16000.0) for m in ("a", "b")}
         with pytest.raises(ValueError, match="include_pooled"):
             separate(obs, spatial, states, "static-pooled")
 
@@ -204,6 +206,28 @@ class TestStaticPooled:
             rel = np.abs(total - obs[m].coeffs).max() / np.abs(obs[m].coeffs).max()
             assert rel <= 1e-6
             assert result.images[(m, "s1")].channels == 2
+
+    def test_device_named_pooled_round_trips_and_separates(self, rng,
+                                                           tmp_path):
+        # "pooled" is an ordinary device id; the merged array is "a+pooled"
+        from asyncsep.model import load_models, save_models
+        spatial, states, obs = self._trained(rng, ids=("a", "pooled"))
+        assert list(spatial.covariances) == ["a", "pooled", "a+pooled"]
+        save_models(tmp_path / "m.bin", spatial, states, WindowSpec(512, 128),
+                    16000.0)
+        spatial, states, _ = load_models(tmp_path / "m.bin")
+        assert spatial.array_ids() == ["a", "pooled"]
+        for mode in MODES:
+            result = separate(obs, spatial, states, mode)
+            assert set(result.images) == {
+                (m, k) for m in ("a", "pooled")
+                for k in states.source_ids + [NOISE_ID]}
+            for m in ("a", "pooled"):
+                total = sum(result.images[(m, k)].coeffs
+                            for k in states.source_ids + [NOISE_ID])
+                rel = (np.abs(total - obs[m].coeffs).max()
+                       / np.abs(obs[m].coeffs).max())
+                assert rel <= 1e-6
 
 
 def _planar_result(rng, n_src, C, N, n_bins):
@@ -294,27 +318,28 @@ class TestConsistencyFlagsPerturbedTile:
 
     def test_pooled_path(self, rng, monkeypatch):
         spatial, states, obs = TestStaticPooled()._trained(rng)
-        merged = np.concatenate([obs[m].coeffs for m in spatial.pooled_order],
-                                axis=2)
+        members = spatial.members(spatial.merged_id())
+        merged = np.concatenate([obs[m].coeffs for m in members], axis=2)
         tile, delta = (90, 40), 1e-6
         _perturbing_filter(monkeypatch, tile, delta)
         worst = separate(obs, spatial, states, "static-pooled").metadata[
             "consistency_rel_max"]
         expected = delta / np.linalg.norm(merged[tile])
-        assert worst[SpatialModel.POOLED] == pytest.approx(expected, rel=1e-9)
+        assert worst["a+b"] == pytest.approx(expected, rel=1e-9)
 
 
 def _with_pooled(rng, spatial, n_src):
-    """Add a merged-array entry over every array, in sorted order."""
+    """Set the merged-array entry over every array, id "a0+a1+..." (a0 alone
+    for one array: a device is its own merged array)."""
     order = sorted(spatial.array_ids())
     C = sum(spatial.channels(m) for m in order)
     F = spatial.n_bins
     cov = dict(spatial.covariances)
-    cov[SpatialModel.POOLED] = np.stack(
+    cov["+".join(order)] = np.stack(
         [np.broadcast_to(rand_unit_psd(rng, C), (F, C, C)).copy()
          for _ in range(n_src)])
     return SpatialModel(cov, spatial.source_ids,
-                        noise_floor=spatial.noise_floor, pooled_order=order)
+                        noise_floor=spatial.noise_floor)
 
 
 def _serial_separate(obs, spatial, states, mode):
@@ -330,13 +355,12 @@ def _serial_separate(obs, spatial, states, mode):
     sources = states.source_ids + [NOISE_ID]
     images, worst = {}, {}
     if mode == "static-pooled":
-        merged = pooled_tensor(obs, spatial.pooled_order)
-        est = filter_array(merged, spatial, SpatialModel.POOLED, static,
-                           states)
-        worst[SpatialModel.POOLED] = separator._consistency(est,
-                                                            merged.coeffs)
+        merged_id = spatial.merged_id()
+        merged = pooled_tensor(obs, spatial.members(merged_id))
+        est = filter_array(merged, spatial, merged_id, static, states)
+        worst[merged_id] = separator._consistency(est, merged.coeffs)
         lo = 0
-        for m in spatial.pooled_order:
+        for m in spatial.members(merged_id):
             c = obs[m].channels
             for k, sid in enumerate(sources):
                 images[(m, sid)] = est[k, :, :, lo:lo + c]

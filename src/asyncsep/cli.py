@@ -174,8 +174,6 @@ def cmd_separate(args) -> int:
             "recordings differ in length; STFT frames per array: "
             + ", ".join(f"{m}={n}" for m, n in frames.items()))
 
-    if args.mode not in MODES:
-        raise ConfigError(f"unknown mode {args.mode!r}; choose from {MODES}")
     result = separate(observations, spatial, states, args.mode)
 
     out = Path(args.out)

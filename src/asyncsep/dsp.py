@@ -74,13 +74,13 @@ class WindowSpec:
 
     The hop must divide the length and the squared window must satisfy the
     constant-overlap-add property at that hop, which is what weighted
-    overlap-add synthesis relies on.  The periodic von Hann window meets
-    both for overlap factors of 4 (75% overlap, the validated default).
+    overlap-add synthesis relies on.  The window is always the periodic
+    von Hann, which meets both for overlap factors of 4 (75% overlap, the
+    validated default).
     """
 
     length: int = 4096
     hop: int = 1024
-    shape: str = "hann"
 
     def __post_init__(self):
         if self.length <= 0 or self.hop <= 0:
@@ -88,8 +88,6 @@ class WindowSpec:
         if self.length % self.hop != 0:
             raise ValueError(
                 f"hop ({self.hop}) must divide window length ({self.length})")
-        if self.shape != "hann":
-            raise ValueError(f"unsupported window shape: {self.shape!r}")
         dev = self.cola_deviation()
         if dev > 1e-8:
             raise ValueError(
@@ -97,9 +95,9 @@ class WindowSpec:
                 f"(relative deviation {dev:.2e}); use an overlap factor >= 3")
 
     @classmethod
-    def from_overlap(cls, length: int, overlap: float, shape: str = "hann") -> "WindowSpec":
+    def from_overlap(cls, length: int, overlap: float) -> "WindowSpec":
         hop = int(round(length * (1.0 - overlap)))
-        return cls(length=length, hop=hop, shape=shape)
+        return cls(length=length, hop=hop)
 
     def window(self) -> np.ndarray:
         # periodic von Hann; the symmetric variant breaks the overlap-add sum

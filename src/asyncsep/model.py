@@ -1,10 +1,11 @@
 """Spatial covariance estimation and the two-level state spectrum model.
 
 Per (array, source, frequency) the trainer accumulates unit-trace Hermitian
-spatial covariances from training source images.  The state model turns the
-long-term average spectrum of every source into a high/low variance pair
-(10 dB above / 10 dB below the average) plus a diffuse-noise spectrum that
-is identical in every state.
+spatial covariances from training source images.  The state model holds
+the long-term average spectrum of every source, from which the high/low
+variance pair (10 dB above / 10 dB below the average) is derived, and one
+diffuse-noise spectrum that is identical in every state and drives every
+array's diagonal loading.  Each trained quantity is stored once.
 
 A spatial model entry is a device, or a merged array holding the channels
 of its member devices; its id joins their sorted ids with "+" ("a+b"), so
@@ -45,9 +46,9 @@ SILENCE_GATE = 1e-6     # -60 dB relative to the per-bin average energy
 VARIANCE_FLOOR = 1e-12  # relative clamp keeping state variances positive
 
 _MAGIC = b"ASEPMODL"
-_FORMAT_VERSION = 3  # 2: CRC-32 trailer; 3: merged arrays are entries
+_FORMAT_VERSION = 4  # 2: CRC-32; 3: merged entries; 4: each quantity once
 _MAX_NDIM = 4  # the container stores (F,), (K, F) and (K, F, C, C) arrays
-_UNIT_TOL = 1e-9  # Hermitian and unit-trace deviation a container may hold
+_UNIT_TOL = 1e-9  # Hermitian, unit-trace and PSD slack a container may hold
 
 
 @dataclass
@@ -55,7 +56,6 @@ class SpatialModel:
     """Trained spatial parameters of every array.
 
     covariances: array id -> (K, F, C, C) complex, unit trace, Hermitian PSD
-    noise_floor: array id -> (F,) diffuse-noise power used as diagonal loading
     fallback_bins: (array id, source id) -> bins where training was silent
                    and the covariance fell back to identity/channels
     An array id names a device or a merged array (see the module docstring).
@@ -63,7 +63,6 @@ class SpatialModel:
 
     covariances: dict[str, np.ndarray]
     source_ids: list[str]
-    noise_floor: dict[str, np.ndarray] = field(default_factory=dict)
     fallback_bins: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -106,23 +105,28 @@ class StateSpectrumModel:
     """State-conditional source variances built from long-term spectra.
 
     States are one per directional source, in source order, plus one final
-    noise-only state.  The diffuse noise source keeps noise_spectrum in
-    every state.
+    noise-only state.  A source has variance sigma_high in its own state
+    and sigma_low in every other, both derived from ltas.  The diffuse
+    noise source keeps noise_spectrum in every state.
     """
 
     source_ids: list[str]
     ltas: np.ndarray            # (K, F) long-term average spectrum per source
-    sigma_high: np.ndarray      # (K, F)
-    sigma_low: np.ndarray       # (K, F)
     noise_spectrum: np.ndarray  # (F,)
+
+    @property
+    def sigma_high(self) -> np.ndarray:
+        """(K, F) variance of each source in its own state."""
+        return 10.0 * self.ltas
+
+    @property
+    def sigma_low(self) -> np.ndarray:
+        """(K, F) variance of each source in every other state."""
+        return self.ltas / 10.0
 
     @property
     def n_states(self) -> int:
         return len(self.source_ids) + 1
-
-    @property
-    def n_bins(self) -> int:
-        return self.noise_spectrum.shape[0]
 
     @property
     def state_ids(self) -> list[str]:
@@ -197,7 +201,7 @@ def estimate_spatial_covariance(
 
 
 def _estimate(training_images) -> SpatialModel:
-    """The covariances of every (array, source) entry, with zero floors."""
+    """The covariances of every (array, source) entry."""
     array_ids = sorted({m for (m, _) in training_images})
     source_ids = sorted({k for (_, k) in training_images})
     for m in array_ids:
@@ -218,9 +222,7 @@ def _estimate(training_images) -> SpatialModel:
             if fell.any():
                 fallback_bins[(m, k)] = np.flatnonzero(fell)
         covariances[m] = np.stack(per_source)
-
-    floors = {m: np.zeros(cov.shape[1]) for m, cov in covariances.items()}
-    return SpatialModel(covariances, source_ids, floors, fallback_bins)
+    return SpatialModel(covariances, source_ids, fallback_bins)
 
 
 def build_state_model(training_images, spatial: SpatialModel,
@@ -246,14 +248,8 @@ def build_state_model(training_images, spatial: SpatialModel,
     floor = VARIANCE_FLOOR * ltas.max(axis=1, keepdims=True)
     ltas = np.maximum(ltas, floor)
 
-    noise = noise_gain * ltas.mean(axis=0)
-    return StateSpectrumModel(
-        source_ids=list(spatial.source_ids),
-        ltas=ltas,
-        sigma_high=10.0 * ltas,
-        sigma_low=ltas / 10.0,
-        noise_spectrum=noise,
-    )
+    return StateSpectrumModel(list(spatial.source_ids), ltas,
+                              noise_gain * ltas.mean(axis=0))
 
 
 def pooled_tensor(tensors: dict[str, SpectrogramTensor],
@@ -304,8 +300,6 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
                             for k in spatial.source_ids})
         spatial.covariances.update(merged.covariances)
         spatial.fallback_bins.update(merged.fallback_bins)
-    spatial.noise_floor = {m: states.noise_spectrum.copy()
-                           for m in spatial.covariances}
     return spatial, states
 
 
@@ -365,11 +359,11 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
 
     Layout (little-endian): magic, u32 version, u32 M, u32 K, u32 F,
     u32 window length, u32 hop, f64 rate; per array, devices and merged
-    arrays alike, a length-prefixed id, u32 channel count, the
-    (K, F, C, C) complex128 covariances row-major and the (F,) float64
-    noise floor; then the source ids and the state model arrays (ltas,
-    sigma_high, sigma_low: (K, F); noise: (F,)); finally the u32 CRC-32
-    of all the bytes before it.
+    arrays alike, a length-prefixed id, u32 channel count and the
+    (K, F, C, C) complex128 covariances row-major; then the source ids,
+    the (K, F) float64 ltas and the (F,) float64 noise spectrum; finally
+    the u32 CRC-32 of all the bytes before it.  The state variances are
+    derived from ltas and are not stored.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -384,19 +378,25 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
             _write_str(fh, m)
             fh.write(struct.pack("<I", spatial.channels(m)))
             _write_array(fh, cov)
-            _write_array(fh, spatial.noise_floor.get(
-                m, np.zeros(spatial.n_bins)))
         for k in spatial.source_ids:
             _write_str(fh, k)
-        for arr in (states.ltas, states.sigma_high, states.sigma_low,
-                    states.noise_spectrum):
-            _write_array(fh, arr)
+        _write_array(fh, states.ltas)
+        _write_array(fh, states.noise_spectrum)
         body = fh.getvalue()
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def _psd(cov: np.ndarray) -> bool:
+    """No eigenvalue of a Hermitian (..., C, C) stack is below -_UNIT_TOL."""
+    try:
+        np.linalg.cholesky(cov + _UNIT_TOL * np.eye(cov.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _check_container(path, intact, K, F, win_len, hop, rate_hz, channels,
-                     covariances, noise_floor, state_arrays):
+                     covariances, ltas, noise):
     """Check a parsed container; ConfigError naming the file if it fails.
 
     First the structure against the header, so a cut or a broken shape is
@@ -404,9 +404,10 @@ def _check_container(path, intact, K, F, win_len, hop, rate_hz, channels,
     order and hold their channels.  The window is built last of these: F
     is then bounded by the arrays read, so a corrupt length cannot size an
     allocation.  Then the checksum (`intact`).  Last the values, as a
-    container written with bad values has a valid checksum: spectra, noise
-    floors and the rate must be finite and not negative, and covariances
-    Hermitian with unit trace to within _UNIT_TOL.
+    container written with bad values has a valid checksum: the spectra
+    and the rate must be finite and not negative, and covariances
+    Hermitian with unit trace and positive semi-definite, to within
+    _UNIT_TOL.
     """
     if F != win_len // 2 + 1:
         raise ConfigError(f"{path}: {F} bins do not match window length "
@@ -420,10 +421,9 @@ def _check_container(path, intact, K, F, win_len, hop, rate_hz, channels,
             raise ConfigError(f"{path}: array {m!r} of {C} channels is "
                               f"neither a device nor the merge of stored "
                               f"devices in id order")
-        expected += [(f"array {m!r} covariances", covariances[m], (K, F, C, C)),
-                     (f"array {m!r} noise floor", noise_floor[m], (F,))]
-    names = ("ltas", "sigma_high", "sigma_low", "noise spectrum")
-    expected += zip(names, state_arrays, ((K, F), (K, F), (K, F), (F,)))
+        expected.append((f"array {m!r} covariances", covariances[m],
+                         (K, F, C, C)))
+    expected += [("ltas", ltas, (K, F)), ("noise spectrum", noise, (F,))]
     for what, arr, shape in expected:
         dtype = np.dtype(np.complex128 if len(shape) == 4 else np.float64)
         if arr.shape != shape or arr.dtype != dtype:
@@ -445,7 +445,8 @@ def _check_container(path, intact, K, F, win_len, hop, rate_hz, channels,
             herm = np.abs(arr - arr.conj().swapaxes(2, 3)).max(initial=0.0)
             trace = np.abs(np.trace(arr, axis1=2, axis2=3) - 1.0)
             worst = max(herm, trace.max(initial=0.0))
-            rule = "Hermitian with unit trace" if worst > _UNIT_TOL else None
+            rule = ("Hermitian with unit trace" if worst > _UNIT_TOL
+                    else None if _psd(arr) else "positive semi-definite")
         else:
             rule = "non-negative" if (arr < 0.0).any() else None
         if rule:
@@ -456,8 +457,8 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
     """Read a model container; returns (spatial, states, meta).
 
     meta carries the STFT provenance: window length, hop and sample rate.
-    Any damage to the file, and any value training cannot produce, raises
-    ConfigError (see `_check_container`).
+    Any damage to the file, any value training cannot produce and any
+    other container version raise ConfigError (see `_check_container`).
     """
     path = Path(path)
     if not path.is_file():
@@ -477,15 +478,13 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
             n_bins, win_len, hop = _unpack(fh, "<III")
             (rate_hz,) = _unpack(fh, "<d")
             covariances = {}
-            noise_floor = {}
             channels = {}
             for _ in range(n_arrays):
                 m = _read_str(fh)
                 (channels[m],) = _unpack(fh, "<I")
                 covariances[m] = _read_array(fh)
-                noise_floor[m] = _read_array(fh)
             source_ids = [_read_str(fh) for _ in range(n_src)]
-            state_arrays = [_read_array(fh) for _ in range(4)]
+            ltas, noise = _read_array(fh), _read_array(fh)
             if fh.tell() != len(body):
                 raise ConfigError(f"{len(body) - fh.tell()} unexpected bytes "
                                   f"after the model")
@@ -493,9 +492,9 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
         raise ConfigError(f"{path}: {exc}") from None
     intact = struct.pack("<I", zlib.crc32(body)) == trailer
     _check_container(path, intact, n_src, n_bins, win_len, hop, rate_hz,
-                     channels, covariances, noise_floor, state_arrays)
-    spatial = SpatialModel(covariances, source_ids, noise_floor=noise_floor)
-    states = StateSpectrumModel(source_ids, *state_arrays)
+                     channels, covariances, ltas, noise)
+    spatial = SpatialModel(covariances, source_ids)
+    states = StateSpectrumModel(source_ids, ltas, noise)
     meta = {"window_length": win_len, "hop": hop, "rate_hz": rate_hz,
             "n_bins": n_bins}
     return spatial, states, meta

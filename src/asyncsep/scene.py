@@ -59,6 +59,8 @@ __all__ = [
     "mix_images",
 ]
 
+_ORDER = 4  # Lagrange order of the fractional delays and clock resampling
+
 
 @dataclass
 class EchoTap:
@@ -162,12 +164,6 @@ class SourceImageSet:
             if m in by_array and by_array[m] != key:
                 raise ValueError(f"images of array {m!r} differ in length or rate")
             by_array[m] = key
-
-    def arrays(self) -> list[str]:
-        return sorted({m for (m, _) in self.images})
-
-    def sources_for(self, array_id: str) -> list[str]:
-        return [k for (m, k) in self.images if m == array_id]
 
 
 @dataclass
@@ -352,13 +348,14 @@ def _child_seed(seed: int, *key: int) -> int:
 
 
 def _image_for(source_sig: np.ndarray, taps: list[ChannelCoupling],
-               rate: float, order: int) -> SampledSignal:
+               rate: float) -> SampledSignal:
     n = source_sig.shape[0]
     out = np.zeros((n, len(taps)))
     for c, tap in enumerate(taps):
-        y = tap.gain * fractional_delay(source_sig, tap.delay, order=order)
+        y = tap.gain * fractional_delay(source_sig, tap.delay, order=_ORDER)
         for echo in tap.echoes:
-            y += echo.gain * fractional_delay(source_sig, echo.delay, order=order)
+            y += echo.gain * fractional_delay(source_sig, echo.delay,
+                                              order=_ORDER)
         out[:, c] = y
     return SampledSignal(out, rate)
 
@@ -379,20 +376,20 @@ def mix_images(images: SourceImageSet, array_id: str, noise_level: float,
     return MultichannelRecording(SampledSignal(total, first.rate_hz), array_id)
 
 
-def apply_sro(recording: MultichannelRecording, sro_hz: float,
-              order: int = 4) -> MultichannelRecording:
+def apply_sro(recording: MultichannelRecording,
+              sro_hz: float) -> MultichannelRecording:
     """Resample all channels of a device by its single clock offset."""
     if sro_hz == 0.0:
         return MultichannelRecording(
             SampledSignal(recording.signal.samples.copy(),
                           recording.signal.rate_hz),
             recording.array_id, recording.sro_hz)
-    resampled = lagrange_resample(recording.signal, sro_hz, order=order)
+    resampled = lagrange_resample(recording.signal, sro_hz, order=_ORDER)
     return MultichannelRecording(resampled, recording.array_id,
                                  recording.sro_hz + sro_hz)
 
 
-def synthesize_scene(spec: SceneSpec, seed: int, delay_order: int = 4,
+def synthesize_scene(spec: SceneSpec, seed: int
                      ) -> tuple[SourceImageSet, dict[str, MultichannelRecording]]:
     """Render ground-truth images and per-device recordings for a scene.
 
@@ -410,7 +407,7 @@ def synthesize_scene(spec: SceneSpec, seed: int, delay_order: int = 4,
     for src in spec.sources:
         for arr in spec.arrays:
             images[(arr.id, src.id)] = _image_for(
-                signals[src.id], src.coupling[arr.id], spec.rate_hz, delay_order)
+                signals[src.id], src.coupling[arr.id], spec.rate_hz)
     image_set = SourceImageSet(images)
 
     recordings = {}
@@ -424,5 +421,5 @@ def synthesize_scene(spec: SceneSpec, seed: int, delay_order: int = 4,
                 rng = np.random.default_rng(_child_seed(seed, 202, a_idx))
                 base += spec.noise_level * rng.standard_normal(base.shape)
             rec = MultichannelRecording(SampledSignal(base, spec.rate_hz), arr.id)
-        recordings[arr.id] = apply_sro(rec, arr.sro_hz, order=delay_order)
+        recordings[arr.id] = apply_sro(rec, arr.sro_hz)
     return image_set, recordings

@@ -26,10 +26,6 @@ are kept.  The blocks are independent and write disjoint slices, so they
 run on every core (`_pool`), and the result does not depend on the number
 of threads.  The image tensors of a SeparationResult are (N, F, C) views
 into the buffers.
-
-`filter_array` runs the same kernels over a whole tensor, one block after
-another, for powers computed by `classifier.classify` and
-`classifier.source_power_estimates`.
 """
 
 from __future__ import annotations
@@ -39,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, _pool
-from .classifier import (PowerEstimate, _check_aligned, posterior_block,
-                         power_block, state_factors)
+from .classifier import (_check_aligned, posterior_block, power_block,
+                         state_factors)
 from .dsp import SpectrogramTensor
 from .model import NOISE_ID, SpatialModel, StateSpectrumModel
 
@@ -48,7 +44,6 @@ __all__ = [
     "MODES",
     "SeparationResult",
     "separate",
-    "filter_array",
 ]
 
 MODES = ("static-local", "static-pooled", "tv-local", "tv-distributed")
@@ -65,20 +60,6 @@ class SeparationResult:
     images: dict[tuple[str, str], SpectrogramTensor]
     mode: str
     metadata: dict = field(default_factory=dict)
-
-
-def filter_array(obs: SpectrogramTensor, spatial: SpatialModel,
-                 array_id: str, powers: PowerEstimate,
-                 states: StateSpectrumModel) -> np.ndarray:
-    """Filter one array's full tensor given per-tile or static powers.
-
-    Depends on other arrays only through `powers`, whose frame axis is N
-    or 1.  Returns (K+1, N, F, C) complex with the noise image last, a
-    view of one (K+1, C, N, F) buffer.
-    """
-    sigma2 = powers.sigma2
-    return _kernels.mwf_filter(obs.coeffs, spatial.covariances[array_id],
-                               sigma2[:, :, :-1], states.noise_spectrum)
 
 
 @dataclass
@@ -142,7 +123,7 @@ def _consistency(est: np.ndarray, coeffs: np.ndarray) -> float:
     """Worst per-tile relative deviation of the image sum from the mixture.
 
     est is a (K+1, N, F, C) view of a (K+1, C, N, F) buffer, as
-    `filter_array` returns it; it is read as those planes by
+    `_kernels.mwf_filter` returns it; it is read as those planes by
     `_deviation_block`, a block of frames at a time.
     """
     planes = est.transpose(0, 3, 1, 2)  # (K+1, C, N, F)

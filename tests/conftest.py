@@ -73,9 +73,7 @@ def make_synthetic_models(rng, arrays=("a0", "a1", "a2"), n_ch=2, n_src=3,
         cov[m] = np.stack(per)
     spatial = SpatialModel(cov, source_ids)
     lt = np.ones((n_src, F))
-    states = StateSpectrumModel(source_ids, lt, 10.0 * lt, lt / 10.0,
-                                np.full(F, noise_power))
-    spatial.noise_floor = {m: states.noise_spectrum.copy() for m in arrays}
+    states = StateSpectrumModel(source_ids, lt, np.full(F, noise_power))
     return spatial, states, window
 
 
@@ -184,7 +182,7 @@ def _ridge(trace):
     return 1e-9 * trace if trace > 0.0 else 1e-9
 
 
-def regularized_sum(spatial, powers, array_id, f, noise_power=None):
+def regularized_sum(spatial, powers, array_id, f, noise_power):
     """Power-weighted covariance sum with diffuse noise and diagonal loading.
 
     Returns sum_k powers[k] * R[array, k, f] + noise_power * I / C plus a
@@ -193,9 +191,6 @@ def regularized_sum(spatial, powers, array_id, f, noise_power=None):
     powers = np.asarray(powers, dtype=np.float64)
     cov = spatial.covariances[array_id]
     C = cov.shape[2]
-    if noise_power is None:
-        nf = spatial.noise_floor.get(array_id)
-        noise_power = float(nf[f]) if nf is not None else 0.0
     S = np.einsum("k,kcd->cd", powers, cov[:, f])
     trace = np.trace(S).real + noise_power
     S[np.diag_indices(C)] += noise_power / C + _ridge(trace)

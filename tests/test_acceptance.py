@@ -83,9 +83,7 @@ def test_a2_likelihood_and_filter_match_dense_oracles():
             spatial = SpatialModel({"a": cov}, [f"s{k}" for k in range(K)])
             lt = rng.uniform(0.2, 2.0, (K, nf))
             states = StateSpectrumModel(
-                [f"s{k}" for k in range(K)], lt, 10.0 * lt, lt / 10.0,
-                rng.uniform(0.05, 1.0, nf))
-            spatial.noise_floor = {"a": states.noise_spectrum.copy()}
+                [f"s{k}" for k in range(K)], lt, rng.uniform(0.05, 1.0, nf))
             x = rng.standard_normal((1, nf, C)) \
                 + 1j * rng.standard_normal((1, nf, C))
             obs = {"a": SpectrogramTensor(x, win, 16000.0)}

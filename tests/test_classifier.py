@@ -36,10 +36,8 @@ def scalar_models(var_high, noise=0.0):
     """1 array, 1 channel, 1 source; state 0 has source variance var_high."""
     cov = np.ones((1, F, 1, 1), complex)
     spatial = SpatialModel({"a": cov}, ["s0"])
-    spatial.noise_floor = {"a": np.full(F, noise)}
     lt = np.full((1, F), var_high / 10.0)
-    states = StateSpectrumModel(["s0"], lt, 10.0 * lt, lt / 10.0,
-                                np.full(F, noise))
+    states = StateSpectrumModel(["s0"], lt, np.full(F, noise))
     return spatial, states
 
 
@@ -234,8 +232,7 @@ class TestPlaneByPlaneSoftmax:
 class TestSourcePowerEstimates:
     def _states(self):
         lt = np.ones((2, F))
-        return StateSpectrumModel(["s0", "s1"], lt, 10.0 * lt, lt / 10.0,
-                                  np.full(F, 0.7))
+        return StateSpectrumModel(["s0", "s1"], lt, np.full(F, 0.7))
 
     def _pm(self, gamma):
         g = np.asarray(gamma, float)[None, None, :] * np.ones((2, F, 1))

@@ -110,8 +110,7 @@ class TestKernelProperties:
         ids = [f"s{k}" for k in range(K)]
         ltas = powers[0].T  # (K, F)
         spatial = SpatialModel({"a": Rbar}, ids)
-        states = StateSpectrumModel(ids, ltas, 10.0 * ltas, ltas / 10.0,
-                                    noise)
+        states = StateSpectrumModel(ids, ltas, noise)
         window = WindowSpec(2 * (F - 1), (F - 1) // 2)  # 75% overlap
         obs = {"a": SpectrogramTensor(X, window, 16000.0)}
         ll = classify(obs, spatial, states).log_likelihoods

@@ -213,15 +213,11 @@ class TestBuildStateModel:
 
 
 class TestRegularizedSum:
-    def _spatial(self, cov_by_source, noise=None):
+    def _spatial(self, cov_by_source):
         cov = np.stack([np.broadcast_to(c, (F,) + c.shape).copy()
                         for c in cov_by_source])
-        spatial = SpatialModel({"a": cov},
-                               [f"s{i}" for i in range(len(cov_by_source))])
-        C = cov.shape[2]
-        spatial.noise_floor = {"a": np.zeros(F) if noise is None
-                               else np.full(F, noise)}
-        return spatial
+        return SpatialModel({"a": cov},
+                            [f"s{i}" for i in range(len(cov_by_source))])
 
     def test_single_source_identity_over_two(self):
         spatial = self._spatial([np.eye(2) / 2])
@@ -233,11 +229,6 @@ class TestRegularizedSum:
         p = 0.8
         S = regularized_sum(spatial, [0.0], "a", 0, noise_power=p)
         assert np.allclose(S, (p / 2 + 1e-9 * p) * np.eye(2), atol=1e-15)
-
-    def test_noise_power_defaults_to_model_floor(self):
-        spatial = self._spatial([np.eye(2) / 2], noise=0.5)
-        S = regularized_sum(spatial, [0.0], "a", 3)
-        assert np.allclose(np.diag(S).real, 0.5 / 2 + 1e-9 * 0.5)
 
     def test_matches_brute_force_and_is_positive_definite(self, rng):
         mats = [rand_unit_psd(rng, 3) for _ in range(4)]
@@ -289,10 +280,38 @@ class TestPersistence:
         for m in spatial.covariances:
             assert np.array_equal(spatial.covariances[m],
                                   spatial2.covariances[m])
-            assert np.array_equal(spatial.noise_floor[m],
-                                  spatial2.noise_floor[m])
         for attr in ("ltas", "sigma_high", "sigma_low", "noise_spectrum"):
             assert np.array_equal(getattr(states, attr), getattr(states2, attr))
+
+    def test_rank_deficient_covariances_load(self, rng, tmp_path):
+        # one frame of two channels: every covariance is rank one, so its
+        # smallest eigenvalue is zero up to rounding
+        imgs = {("a", k): tensor(rng.standard_normal((1, F, 2))
+                                 + 1j * rng.standard_normal((1, F, 2)))
+                for k in ("s1", "s2")}
+        spatial, states = train_models(imgs)
+        assert np.abs(np.linalg.det(spatial.covariances["a"])).max() < 1e-12
+        save_models(tmp_path / "model.bin", spatial, states, window=WIN)
+        spatial2, _, _ = load_models(tmp_path / "model.bin")
+        assert np.array_equal(spatial2.covariances["a"],
+                              spatial.covariances["a"])
+
+    @pytest.mark.parametrize("eigenvalue, refused", [(-1e-10, False),
+                                                     (-1e-8, True)])
+    def test_covariances_psd_to_within_tolerance(self, rng, tmp_path,
+                                                 eigenvalue, refused):
+        spatial, states = self._trained(rng)
+        spatial.covariances["b"][1, 3] = np.diag([1.0 - eigenvalue,
+                                                  eigenvalue])
+        path = tmp_path / "model.bin"
+        save_models(path, spatial, states, window=WIN)
+        if refused:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{path}: array 'b' covariances must be positive "
+                    f"semi-definite")):
+                load_models(path)
+        else:
+            load_models(path)
 
     def test_garbage_file_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -330,18 +349,17 @@ class TestPersistence:
         n_bins = 2 * hop + 1
         if merged:  # one device is its own merged array
             channels["+".join(sorted(channels))] = sum(channels.values())
-        covariances, floors = {}, {}
+        covariances = {}
         for m, C in channels.items():
             shape = (n_src, n_bins, C, C)
             A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             R = A @ A.conj().swapaxes(2, 3)
             covariances[m] = R / np.trace(R, axis1=2, axis2=3)[..., None, None]
-            floors[m] = rng.uniform(0.0, 1.0, n_bins)
         source_ids = [f"s{k}" for k in range(n_src)]
-        spatial = SpatialModel(covariances, source_ids, floors)
-        states = StateSpectrumModel(
-            source_ids, *rng.uniform(0.0, 1.0, (3, n_src, n_bins)),
-            rng.uniform(0.0, 1.0, n_bins))
+        spatial = SpatialModel(covariances, source_ids)
+        states = StateSpectrumModel(source_ids,
+                                    rng.uniform(0.0, 1.0, (n_src, n_bins)),
+                                    rng.uniform(0.0, 1.0, n_bins))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.bin"
             save_models(path, spatial, states, window=window, rate_hz=rate)
@@ -353,7 +371,6 @@ class TestPersistence:
         for m in channels:
             assert spatial2.covariances[m].dtype == np.complex128
             assert np.array_equal(spatial2.covariances[m], covariances[m])
-            assert np.array_equal(spatial2.noise_floor[m], floors[m])
         for attr in ("ltas", "sigma_high", "sigma_low", "noise_spectrum"):
             assert np.array_equal(getattr(states2, attr),
                                   getattr(states, attr))
@@ -370,7 +387,6 @@ class TestPersistence:
         cov = np.broadcast_to(np.eye(channels) / channels,
                               (2, F, channels, channels))
         spatial.covariances[merged_id] = cov.astype(complex)
-        spatial.noise_floor[merged_id] = np.zeros(F)
         path = tmp_path / "model.bin"
         save_models(path, spatial, states, window=WIN)
         with pytest.raises(ConfigError, match=re.escape(

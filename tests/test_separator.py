@@ -10,14 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncsep import _pool, separator
+from asyncsep import _kernels, _pool, separator
 from asyncsep.classifier import (PowerEstimate, classify,
                                  source_power_estimates)
 from asyncsep.dsp import SpectrogramTensor, WindowSpec, istft
 from asyncsep.errors import NumericalError
-from asyncsep.model import (NOISE_ID, SpatialModel, StateSpectrumModel,
-                            pooled_tensor)
-from asyncsep.separator import MODES, filter_array, separate
+from asyncsep.model import NOISE_ID, SpatialModel, pooled_tensor
+from asyncsep.separator import MODES, separate
 
 from conftest import (
     consistency_oracle,
@@ -31,13 +30,11 @@ WIN = WindowSpec(16, 4)
 F = WIN.length // 2 + 1
 
 
-def spatial_for(mats_by_source, noise=0.0):
+def spatial_for(mats_by_source):
     cov = np.stack([np.broadcast_to(c, (F,) + c.shape).copy()
                     for c in mats_by_source])
-    spatial = SpatialModel({"a": cov},
-                           [f"s{i}" for i in range(len(mats_by_source))])
-    spatial.noise_floor = {"a": np.full(F, noise)}
-    return spatial
+    return SpatialModel({"a": cov},
+                        [f"s{i}" for i in range(len(mats_by_source))])
 
 
 class TestMwfApply:
@@ -132,11 +129,16 @@ class TestSeparate:
         obs = self._obs(rng, spatial)
         gamma = classify(obs, spatial, states)
         powers = source_power_estimates(gamma, states)
-        ref = filter_array(obs["a"], spatial, "a", powers, states)
+        ref = _kernels.mwf_filter(obs["a"].coeffs, spatial.covariances["a"],
+                                  powers.sigma2[:, :, :-1],
+                                  states.noise_spectrum)
         scrambled = dict(obs)
         scrambled["b"] = SpectrogramTensor(
             obs["b"].coeffs[::-1].copy(), WIN, 16000.0)
-        again = filter_array(scrambled["a"], spatial, "a", powers, states)
+        again = _kernels.mwf_filter(scrambled["a"].coeffs,
+                                    spatial.covariances["a"],
+                                    powers.sigma2[:, :, :-1],
+                                    states.noise_spectrum)
         assert np.array_equal(ref, again)
 
     def test_planted_scene_dominant_tiles_match(self, rng):
@@ -338,12 +340,11 @@ def _with_pooled(rng, spatial, n_src):
     cov["+".join(order)] = np.stack(
         [np.broadcast_to(rand_unit_psd(rng, C), (F, C, C)).copy()
          for _ in range(n_src)])
-    return SpatialModel(cov, spatial.source_ids,
-                        noise_floor=spatial.noise_floor)
+    return SpatialModel(cov, spatial.source_ids)
 
 
 def _serial_separate(obs, spatial, states, mode):
-    """classify -> source_power_estimates -> filter_array, one array at a time.
+    """classify -> source_power_estimates -> mwf_filter, one array at a time.
 
     Returns the images by (array, source) and the worst image-sum
     deviation by filter, as `separate` reports them.
@@ -357,7 +358,9 @@ def _serial_separate(obs, spatial, states, mode):
     if mode == "static-pooled":
         merged_id = spatial.merged_id()
         merged = pooled_tensor(obs, spatial.members(merged_id))
-        est = filter_array(merged, spatial, merged_id, static, states)
+        est = _kernels.mwf_filter(merged.coeffs, spatial.covariances[merged_id],
+                                  static.sigma2[:, :, :-1],
+                                  states.noise_spectrum)
         worst[merged_id] = separator._consistency(est, merged.coeffs)
         lo = 0
         for m in spatial.members(merged_id):
@@ -377,7 +380,9 @@ def _serial_separate(obs, spatial, states, mode):
                 classify(obs, spatial, states, [m]), states)
         else:
             powers = shared
-        est = filter_array(obs[m], spatial, m, powers, states)
+        est = _kernels.mwf_filter(obs[m].coeffs, spatial.covariances[m],
+                                  powers.sigma2[:, :, :-1],
+                                  states.noise_spectrum)
         worst[m] = separator._consistency(est, obs[m].coeffs)
         for k, sid in enumerate(sources):
             images[(m, sid)] = est[k]

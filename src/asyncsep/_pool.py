@@ -1,10 +1,10 @@
 """Independent tasks on every core this process may run on.
 
-The separation pass and the iSTFT split their work into tasks that write
-disjoint slices of buffers allocated beforehand, so the result does not
-depend on how many threads run them or in which order.  numpy releases
-the interpreter lock inside its loops, so threads overlap the numeric
-work.  Each thread owns one workspace of scratch buffers, which the
+The separation pass, the iSTFT and the resampler split their work into
+tasks that write disjoint slices of buffers allocated beforehand, so the
+result does not depend on how many threads run them or in which order.
+numpy releases the interpreter lock inside its loops, so threads overlap
+the numeric work.  Each thread owns one workspace of scratch buffers, which the
 calling thread allocates before any task starts.  The tasks allocate no
 arrays of their own: a worker thread's malloc arena would keep freed
 block temporaries and raise the peak resident memory.

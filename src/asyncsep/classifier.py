@@ -11,7 +11,8 @@ Each stage has one block kernel that works on a block of frames:
 softmax and its checks, and `power_block` for the powers.  `classify`,
 `posteriors` and `source_power_estimates` run them over a whole tensor,
 one block after another; `separator.separate` runs them inside its fused
-per-block pass and keeps no full-size posteriors.
+per-block pass and keeps full-size posteriors only in a buffer its caller
+passes.
 """
 
 from __future__ import annotations
@@ -46,14 +47,17 @@ class PosteriorMap:
 
     gamma, log_likelihoods: (frames, bins, states); states are the
     directional sources in model order plus the noise-only state last.
+    log_likelihoods is None where only the posteriors were kept, as for
+    the ones `separator.separate` writes.
     """
 
     gamma: np.ndarray
-    log_likelihoods: np.ndarray
+    log_likelihoods: np.ndarray | None
     state_ids: list[str]
 
     def __post_init__(self):
-        if self.gamma.shape != self.log_likelihoods.shape:
+        if self.log_likelihoods is not None and \
+                self.gamma.shape != self.log_likelihoods.shape:
             raise ValueError("gamma and log_likelihoods must share a shape")
         _check_sums(self.gamma, np.empty(self.gamma.shape[:-1]))
 

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .audio import read_wav, write_wav
-from .classifier import classify, posterior_histogram, save_posteriors
+from .classifier import PosteriorMap, posterior_histogram, save_posteriors
 from .demo import demo_scene_path
-from .dsp import (SampledSignal, SpectrogramTensor, WindowSpec, istft,
-                  lagrange_resample, stft)
+from .dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
+                  _resample_stacked, istft, stft)
 from .errors import ConfigError, NumericalError
 from .metrics import sdr
 from .model import load_models, model_summary, save_models, train_models
@@ -174,28 +174,43 @@ def cmd_separate(args) -> int:
             "recordings differ in length; STFT frames per array: "
             + ", ".join(f"{m}={n}" for m, n in frames.items()))
 
-    result = separate(observations, spatial, states, args.mode)
+    gamma = None
+    if args.dump_posteriors:
+        n_frames = next(iter(frames.values()))
+        gamma = np.empty((n_frames, spatial.n_bins, states.n_states))
+    result = separate(observations, spatial, states, args.mode,
+                      posteriors=gamma)
 
     out = Path(args.out)
     for (m, k), tensor in result.images.items():
         write_wav(out / _image_name(m, k), istft(tensor))
-    if args.dump_posteriors:
-        gamma = classify(observations, spatial, states)
-        save_posteriors(gamma, args.dump_posteriors)
-        print(posterior_histogram(gamma), end="")
+    if gamma is not None:
+        pmap = PosteriorMap(gamma, None, states.state_ids)
+        save_posteriors(pmap, args.dump_posteriors)
+        print(posterior_histogram(pmap), end="")
     worst = max(result.metadata["consistency_rel_max"].values())
     print(f"separated {len(observations)} arrays in mode {args.mode} "
           f"(worst tile consistency {worst:.2e}); estimates in {out}")
     return EXIT_OK
 
 
-def _load_manifest_sro(truth_dir: Path) -> dict[str, float]:
+def _load_manifest_sro(truth_dir: Path) -> tuple[Path | None, dict]:
+    """The manifest next to the truth images and its clock offsets."""
     for cand in (truth_dir / "manifest.json", truth_dir.parent / "manifest.json"):
         if cand.is_file():
-            data = json.loads(cand.read_text())
-            return {a["id"]: float(a.get("sro_hz", 0.0))
-                    for a in data["scene"]["arrays"]}
-    return {}
+            try:
+                data = json.loads(cand.read_text())
+                sro = {a["id"]: float(a.get("sro_hz", 0.0))
+                       for a in data["scene"]["arrays"]}
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{cand} is not a simulation manifest: "
+                                  f"{type(exc).__name__}: {exc}") from None
+            for m, v in sro.items():
+                if not math.isfinite(v):
+                    raise ConfigError(f"{cand}: clock offset of array {m!r} "
+                                      f"must be finite, got {v}")
+            return cand, sro
+    return None, {}
 
 
 def cmd_evaluate(args) -> int:
@@ -206,17 +221,37 @@ def cmd_evaluate(args) -> int:
     if not truth_dir.is_dir():
         raise ConfigError(f"truth directory not found: {truth_dir}")
     truth = _collect_images(truth_dir)
-    sro = _load_manifest_sro(truth_dir)
-    sro.update(_parse_sro_overrides(args.sro_override))
+    manifest, sro = _load_manifest_sro(truth_dir)
+    origin = dict.fromkeys(sro, str(manifest))
+    overrides = _parse_sro_overrides(args.sro_override)
+    sro.update(overrides)
+    origin.update(dict.fromkeys(overrides, "--sro-override"))
+
+    pairs = {}
+    for key, wav in truth.items():
+        est_path = est_dir / _image_name(*key)
+        if est_path.is_file():
+            pairs[key] = (wav, est_path)
+    refs = {key: read_wav(wav) for key, (wav, _) in pairs.items()}
+    # truth at the device clock: the images of one device, length and rate
+    # are resampled in one call
+    groups = {}
+    for (m, k), ref in refs.items():
+        if sro.get(m, 0.0) == 0.0:
+            continue
+        if abs(sro[m]) >= ref.rate_hz:
+            raise ConfigError(
+                f"clock offset {sro[m]} Hz of array {m!r} ({origin[m]}) is "
+                f"not below the sample rate of {pairs[(m, k)][0]} "
+                f"({ref.rate_hz} Hz)")
+        groups.setdefault((m, ref.n_samples, ref.rate_hz), []).append((m, k))
+    for (m, _, _), keys in groups.items():
+        refs.update(zip(keys, _resample_stacked([refs[key] for key in keys],
+                                                sro[m])))
 
     scores = {}
-    for (m, k), wav in truth.items():
-        est_path = est_dir / _image_name(m, k)
-        if not est_path.is_file():
-            continue
-        ref = read_wav(wav)
-        if sro.get(m, 0.0) != 0.0:
-            ref = lagrange_resample(ref, sro[m])
+    for (m, k), (wav, est_path) in pairs.items():
+        ref = refs[(m, k)]
         est = read_wav(est_path)
         n = min(ref.n_samples, est.n_samples)
         if not ref.samples[:n].any():

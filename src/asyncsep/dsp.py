@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _SYNTH_CHUNK = 64  # frames synthesized at a time by `istft`
+_RESAMPLE_ROWS = 16384  # output samples per resampling task
 
 
 def _as_2d(samples) -> np.ndarray:
@@ -274,21 +275,30 @@ def _synthesize_channel(coeffs, win, hop, denom, good, out, chunk) -> None:
     np.divide(out, denom, out=out, where=good)
 
 
-def _lagrange_weights(t, order: int) -> np.ndarray:
-    """Lagrange basis weights on the stencil nodes 0..order at abscissa t.
+def _lagrange_weights(t, order: int, out, diffs):
+    """Lagrange basis weights on the stencil nodes 0..order at abscissae t.
 
-    t is a scalar (one constant-delay FIR) or an (m,) array (one stencil per
-    output sample); the result has shape (order + 1,) + shape(t).
+    t: (r,); out: (order + 1, r) receives weight j in row j, the product
+    over l != j of (t - l) / (j - l) taken in ascending l; diffs:
+    (order + 2, r) float scratch.
     """
-    diffs = [t - l for l in range(order + 1)]
-    weights = []
+    for l in range(order + 1):
+        np.subtract(t, l, out=diffs[l])
+    q = diffs[order + 1]
     for j in range(order + 1):
-        w = np.ones_like(diffs[0])
-        for l in range(order + 1):
-            if l != j:
-                w *= diffs[l] / (j - l)
-        weights.append(w)
-    return np.array(weights)
+        others = [l for l in range(order + 1) if l != j]
+        np.divide(diffs[others[0]], j - others[0], out=out[j])
+        for l in others[1:]:
+            np.divide(diffs[l], j - l, out=q)
+            out[j] *= q
+    return out
+
+
+def _resample_scratch(rows: int, order: int, channels: int):
+    """One thread's scratch for `_interpolate_rows` tasks of up to `rows`."""
+    return (np.empty(rows), np.empty(rows, dtype=np.int64),
+            np.empty((order + 2, rows)), np.empty((order + 1, rows)),
+            np.empty((rows, channels)))
 
 
 def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
@@ -296,27 +306,52 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
 
     x: (n, channels); pos: (m,) positions in samples.  Positions outside
     the input read zeros.  Uses order+1 support points around each position.
-    """
-    base = np.floor(pos).astype(np.int64)
-    start = base - (order - 1) // 2
-    # abscissa relative to the stencil start
-    weights = _lagrange_weights(pos - start, order)
 
-    lo = int(start.min())
-    hi = int(start.max()) + order
+    Runs of `_RESAMPLE_ROWS` output rows are tasks on the thread pool
+    (`_pool`); each forms its own stencils and weights.  The calling
+    thread allocates the zero-padded input, the output and every thread's
+    scratch first, so a row's value does not depend on the thread count.
+    """
+    m = pos.shape[0]
+    # floor is monotone, so the extreme stencil starts are those of the
+    # extreme positions
+    lo = math.floor(pos.min()) - (order - 1) // 2
+    hi = math.floor(pos.max()) - (order - 1) // 2 + order
     pad_left = max(-lo, 0) + 1
     pad_right = max(hi - (x.shape[0] - 1), 0) + 1
     padded = np.pad(x, ((pad_left, pad_right), (0, 0)))
 
+    out = np.zeros((m, x.shape[1]))
+    starts = range(0, m, _RESAMPLE_ROWS)
+    rows = min(_RESAMPLE_ROWS, m)
+    scratch = [_resample_scratch(rows, order, x.shape[1])
+               for _ in range(min(_pool.worker_count(), len(starts)))]
+    _pool.run(starts,
+              lambda r0, ws: _interpolate_rows(padded, pad_left, pos, order,
+                                               out, r0, ws),
+              scratch)
+    return out
+
+
+def _interpolate_rows(padded, pad_left, pos, order, out, r0, ws) -> None:
+    """Rows r0 onwards, up to `_RESAMPLE_ROWS`, of `_interpolate_at`."""
+    r1 = min(r0 + _RESAMPLE_ROWS, pos.shape[0])
+    r = r1 - r0
+    t, index, diffs, weights, tap = ws
+    t, index, tap = t[:r], index[:r], tap[:r]
+    diffs, weights = diffs[:, :r], weights[:, :r]
+    p = pos[r0:r1]
+    np.floor(p, out=t)
+    t -= (order - 1) // 2  # the stencil starts, whole numbers
+    np.add(t, pad_left, out=index, casting="unsafe")
+    np.subtract(p, t, out=t)  # abscissae relative to the stencil starts
+    _lagrange_weights(t, order, weights, diffs)
     # one gather index for every tap: tap j reads the view shifted by j
-    index = start + pad_left
-    out = np.zeros((pos.shape[0], x.shape[1]))
-    tap = np.empty_like(out)
+    dst = out[r0:r1]
     for j in range(order + 1):
         np.take(padded[j:], index, axis=0, out=tap, mode="clip")
         tap *= weights[j][:, None]
-        out += tap
-    return out
+        dst += tap
 
 
 def lagrange_resample(signal: SampledSignal, rate_offset_hz: float,
@@ -350,6 +385,22 @@ def lagrange_resample(signal: SampledSignal, rate_offset_hz: float,
     return SampledSignal(_interpolate_at(x, pos, order), signal.rate_hz)
 
 
+def _resample_stacked(signals: list[SampledSignal], rate_offset_hz: float,
+                      order: int = 4) -> list[SampledSignal]:
+    """`lagrange_resample` of equally long signals at one rate, in one call.
+
+    Their channels are resampled side by side, so the stencils and weights
+    are formed once; each result is a view of its own channels and equals
+    resampling that signal alone.
+    """
+    stacked = lagrange_resample(
+        SampledSignal(np.concatenate([s.samples for s in signals], axis=1),
+                      signals[0].rate_hz), rate_offset_hz, order)
+    bounds = np.cumsum([s.channels for s in signals])[:-1]
+    return [SampledSignal(part, stacked.rate_hz)
+            for part in np.split(stacked.samples, bounds, axis=1)]
+
+
 def fractional_delay(samples: np.ndarray, delay: float, order: int = 4) -> np.ndarray:
     """Delay a signal by a (possibly fractional) number of samples.
 
@@ -375,7 +426,9 @@ def fractional_delay(samples: np.ndarray, delay: float, order: int = 4) -> np.nd
         # output i reads x[i + first + j], j = 0..order, always at the
         # abscissa -delay - first within its stencil
         first = math.floor(-delay) - (order - 1) // 2
-        weights = _lagrange_weights(-delay - first, order)
+        weights = _lagrange_weights(np.array([-delay - first]), order,
+                                    np.empty((order + 1, 1)),
+                                    np.empty((order + 2, 1)))[:, 0]
         out = np.zeros_like(x)
         for j in range(order + 1):
             shift = first + j

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .dsp import WindowSpec, istft, lagrange_resample, stft
+from .dsp import WindowSpec, _resample_stacked, istft, stft
 from .metrics import sdr
 from .model import train_models
 from .scene import SceneSpec, apply_sro, scene_to_dict, synthesize_scene
@@ -137,16 +137,15 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
                         for m, rec in recordings.items()}
         report.runtime_s[f"analyze[{variant}]"] = time.perf_counter() - t0
 
-        # truth at the device clock of this variant
+        # truth at the device clock of this variant; a device's images are
+        # resampled in one call
         refs = {}
         for arr in spec_v.arrays:
-            for (m, k), truth in test_images.images.items():
-                if m != arr.id:
-                    continue
-                ref = truth
-                if arr.sro_hz != 0.0:
-                    ref = lagrange_resample(truth, arr.sro_hz)
-                refs[(m, k)] = ref
+            keys = [key for key in test_images.images if key[0] == arr.id]
+            truths = [test_images.images[key] for key in keys]
+            if keys and arr.sro_hz != 0.0:
+                truths = _resample_stacked(truths, arr.sro_hz)
+            refs.update(zip(keys, truths))
 
         report.sdr_db.setdefault(variant, {})
         report.mode_means.setdefault(variant, {})

@@ -21,10 +21,11 @@ block sums the classifying arrays' log-likelihoods, takes the softmax and
 forms the powers; every array's filter then factorizes its loaded
 covariance (the static modes factorize once, before the pass), writes the
 K+1 images into the array's (K+1, C, N, F) buffer and checks that they
-sum to the mixture.  No full-size log-likelihoods, posteriors or powers
-are kept.  The blocks are independent and write disjoint slices, so they
-run on every core (`_pool`), and the result does not depend on the number
-of threads.  The image tensors of a SeparationResult are (N, F, C) views
+sum to the mixture.  No full-size log-likelihoods or powers are kept;
+the joint posteriors are kept only when the caller passes a buffer for
+them.  The blocks are independent and write disjoint slices, so they run
+on every core (`_pool`), and the result does not depend on the number of
+threads.  The image tensors of a SeparationResult are (N, F, C) views
 into the buffers.
 """
 
@@ -82,12 +83,10 @@ class _Unit:
 
     arrays: list[str]  # their channel planes, stacked in this order
     n_frames: int
+    channels: int      # of the stacked planes
     loglik: list       # (channel slice, Linv, logdets) per classifying array
     filters: list[_Filter]
-
-    @property
-    def channels(self) -> int:
-        return self.filters[-1].channels.stop
+    posteriors: np.ndarray | None  # (N, F, S) joint posteriors, or None
 
 
 def _deviation_block(planes: np.ndarray, x: np.ndarray, ws) -> float:
@@ -117,24 +116,6 @@ def _deviation_block(planes: np.ndarray, x: np.ndarray, ws) -> float:
     np.logical_not(active, out=active)
     np.copyto(num, 0.0, where=active)
     return float(num.max())
-
-
-def _consistency(est: np.ndarray, coeffs: np.ndarray) -> float:
-    """Worst per-tile relative deviation of the image sum from the mixture.
-
-    est is a (K+1, N, F, C) view of a (K+1, C, N, F) buffer, as
-    `_kernels.mwf_filter` returns it; it is read as those planes by
-    `_deviation_block`, a block of frames at a time.
-    """
-    planes = est.transpose(0, 3, 1, 2)  # (K+1, C, N, F)
-    mix = coeffs.transpose(2, 0, 1)     # (C, N, F)
-    N, F = planes.shape[2:]
-    ws = _kernels.Workspace(_kernels._BLOCK, F)
-    worst = [0.0]
-    for n0 in range(0, N, _kernels._BLOCK):
-        n1 = n0 + _kernels._BLOCK
-        worst.append(_deviation_block(planes[:, :, n0:n1], mix[:, n0:n1], ws))
-    return float(np.sqrt(max(worst)))
 
 
 def _filter_block(f: _Filter, x: np.ndarray, n0: int, n1: int, ws) -> None:
@@ -170,7 +151,10 @@ def _run_block(unit: _Unit, n0: int, ws, observations, var) -> None:
         for channels, Linv, logdets in unit.loglik:
             _kernels.loglik_block(x[channels], Linv, logdets, ll, ws)
         posterior_block(ll, ll, ws)
-        power_block(ll, var, ws.p.real[:, :b], ws)
+        if unit.posteriors is not None:
+            np.copyto(unit.posteriors[n0:n1], ll)
+        if unit.filters:
+            power_block(ll, var, ws.p.real[:, :b], ws)
     for f in unit.filters:
         _filter_block(f, x[f.channels], n0, n1, ws)
         f.worst[n0 // _kernels._BLOCK] = _deviation_block(
@@ -178,61 +162,81 @@ def _run_block(unit: _Unit, n0: int, ws, observations, var) -> None:
 
 
 def _units(observations, spatial: SpatialModel, states: StateSpectrumModel,
-           mode: str, array_ids: list[str]) -> list[_Unit]:
-    """The units of the block pass under one mode, with their buffers."""
+           mode: str, array_ids: list[str], posteriors) -> list[_Unit]:
+    """The units of the block pass under one mode, with their buffers.
+
+    The unit that classifies over every array writes `posteriors`: the one
+    unit of tv-distributed, or else one more unit that has no filters.
+    """
     K, F = spatial.n_sources, spatial.n_bins
     noise = states.noise_spectrum
     static = mode.startswith("static")
 
-    def unit(cov_ids):
+    def unit(cov_ids, classifies, filtered=True, posteriors=None):
         arrays = [m for c in cov_ids for m in spatial.members(c)]
         _check_aligned(observations, spatial, arrays)
         n_frames = observations[arrays[0]].n_frames
-        filters, lo = [], 0
+        if posteriors is not None and (
+                posteriors.shape != (n_frames, F, states.n_states)
+                or posteriors.dtype != np.float64):
+            raise ValueError(
+                f"posteriors must be a float64 array of shape "
+                f"{(n_frames, F, states.n_states)}, got {posteriors.dtype} "
+                f"{posteriors.shape}")
+        loglik, filters, lo = [], [], 0
         for cov_id in cov_ids:
             members = spatial.members(cov_id)
             C = sum(observations[m].channels for m in members)
-            filters.append(_Filter(
-                cov_id, members, slice(lo, lo + C),
-                _kernels.filter_operands(spatial.covariances[cov_id]),
-                (noise, noise / C),
-                np.empty((K + 1, C, n_frames, F), dtype=np.complex128),
-                np.zeros(-(-n_frames // _kernels._BLOCK)), None))
+            channels = slice(lo, lo + C)
             lo += C
-        if not static:
-            loglik = []
-            for f in filters:
-                factors, logdets = state_factors(spatial, states, f.cov_id)
-                loglik.append((f.channels, _kernels.inverse_factors(factors),
+            if classifies:
+                factors, logdets = state_factors(spatial, states, cov_id)
+                loglik.append((channels, _kernels.inverse_factors(factors),
                                logdets))
-            return _Unit(arrays, n_frames, loglik, filters)
-        for f in filters:
+            if filtered:
+                filters.append(_Filter(
+                    cov_id, members, channels,
+                    _kernels.filter_operands(spatial.covariances[cov_id]),
+                    (noise, noise / C),
+                    np.empty((K + 1, C, n_frames, F), dtype=np.complex128),
+                    np.zeros(-(-n_frames // _kernels._BLOCK)), None))
+        for f in filters if static else []:
             # the long-term spectra hold for every frame: factorize once
             C = f.out.shape[1]
             ws = _kernels.Workspace(1, F, factor_channels=C, sources=K)
             ws.p.real[:, 0] = states.ltas
             _kernels.mwf_factor(ws.p, f.Rt, *f.noise, ws.L, ws.dinv, ws)
             f.static = (ws.p, ws.L, ws.dinv)
-        return _Unit(arrays, n_frames, [], filters)
+        return _Unit(arrays, n_frames, lo, loglik, filters, posteriors)
 
     if mode == "tv-distributed":
-        return [unit(array_ids)]
+        return [unit(array_ids, True, posteriors=posteriors)]
+    filter_ids = array_ids
     if mode == "static-pooled":
-        array_ids = [spatial.merged_id()]
-        if array_ids[0] not in spatial.covariances:
+        filter_ids = [spatial.merged_id()]
+        if filter_ids[0] not in spatial.covariances:
             raise ValueError("static-pooled requires a model trained with "
                              "include_pooled (asyncsep train --pooled)")
-    return [unit([m]) for m in array_ids]
+    units = [unit([m], not static) for m in filter_ids]
+    if posteriors is not None:
+        units.append(unit(array_ids, True, filtered=False,
+                          posteriors=posteriors))
+    return units
 
 
 def separate(observations: dict[str, SpectrogramTensor],
              spatial: SpatialModel, states: StateSpectrumModel,
-             mode: str = "tv-distributed") -> SeparationResult:
+             mode: str = "tv-distributed", *,
+             posteriors: np.ndarray | None = None) -> SeparationResult:
     """Estimate all source images for every array under one filter variant.
 
     One fused pass per block of frames, on every core this process may
     run on; see the module docstring.  Non-finite observations raise
     NumericalError.
+
+    posteriors: an optional (N, F, S) float64 buffer that receives the
+    joint state posteriors over every array in every mode, the `gamma`
+    of `classifier.classify`; the images do not depend on it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -240,7 +244,7 @@ def separate(observations: dict[str, SpectrogramTensor],
     if not array_ids:
         raise ValueError("no observations given")
 
-    units = _units(observations, spatial, states, mode, array_ids)
+    units = _units(observations, spatial, states, mode, array_ids, posteriors)
     var = states.conditional_variances()
     tasks = [(u, n0) for u in units
              for n0 in range(0, u.n_frames, _kernels._BLOCK)]

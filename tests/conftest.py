@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from asyncsep import _kernels
 from asyncsep.dsp import SampledSignal, SpectrogramTensor, WindowSpec
 from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
+from asyncsep.separator import _deviation_block
 
 
 @pytest.fixture
@@ -276,3 +278,22 @@ def consistency_oracle(est, coeffs):
             if den_sum > 0.0:
                 worst = max(worst, math.sqrt(math.fsum(num) / den_sum))
     return worst
+
+
+def block_consistency(est, coeffs):
+    """Worst per-tile relative deviation of the image sum from the mixture,
+    by the separation pass's own block reduction.
+
+    est is a (K+1, N, F, C) view of a (K+1, C, N, F) buffer, as
+    `_kernels.mwf_filter` returns it; it is read as those planes by
+    `separator._deviation_block`, a block of frames at a time.
+    """
+    planes = est.transpose(0, 3, 1, 2)  # (K+1, C, N, F)
+    mix = coeffs.transpose(2, 0, 1)     # (C, N, F)
+    N, F = planes.shape[2:]
+    ws = _kernels.Workspace(_kernels._BLOCK, F)
+    worst = [0.0]
+    for n0 in range(0, N, _kernels._BLOCK):
+        n1 = n0 + _kernels._BLOCK
+        worst.append(_deviation_block(planes[:, :, n0:n1], mix[:, n0:n1], ws))
+    return float(np.sqrt(max(worst)))

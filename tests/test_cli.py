@@ -620,3 +620,80 @@ def test_recording_with_skipped_chunk_separates_without_warning(
                      str(tmp_path / "est")]) == 0
     assert not [w for w in caught if issubclass(w.category, WavFileWarning)]
     assert "WavFileWarning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"version": 1, "scene": {"arr',
+                                  '{"version": 1}',
+                                  '[1, 2]',
+                                  '{"scene": {"arrays": [{"sro_hz": 0.1}]}}',
+                                  '{"scene": {"arrays": [{"id": "a", '
+                                  '"sro_hz": "fast"}]}}',
+                                  '{"scene": {"arrays": [{"id": "a", '
+                                  '"sro_hz": NaN}]}}'],
+                         ids=["truncated", "no-scene", "list", "no-id",
+                              "bad-offset", "nan-offset"])
+def test_evaluate_with_damaged_manifest_fails_with_config_error(
+        tmp_path, scene_file, capsys, text):
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    (sim / "manifest.json").write_text(text)
+    capsys.readouterr()
+    assert main(["evaluate", str(sim / "images"), str(sim / "images"),
+                 str(tmp_path / "r.json")]) == 2
+    _assert_clean_config_error(capsys, "manifest.json")
+
+
+@pytest.mark.parametrize("offset", [16000.0, -16000.0, 1e9])
+def test_evaluate_offset_beyond_the_rate_fails_with_config_error(
+        tmp_path, scene_file, capsys, offset):
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(sim / "images"), str(sim / "images"),
+                 str(tmp_path / "r.json"),
+                 "--sro-override", f"a={offset}"]) == 2
+    _assert_clean_config_error(capsys, "--sro-override", "'a'")
+
+    manifest = json.loads((sim / "manifest.json").read_text())
+    manifest["scene"]["arrays"][1]["sro_hz"] = offset
+    (sim / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["evaluate", str(sim / "images"), str(sim / "images"),
+                 str(tmp_path / "r.json")]) == 2
+    _assert_clean_config_error(capsys, "manifest.json", "'b'")
+
+
+def test_evaluate_report_equals_one_built_image_by_image(tmp_path,
+                                                         scene_file):
+    # the truth images of a device are resampled together, grouped by
+    # length: a__s1 is cut short, so array a has two groups
+    from asyncsep.dsp import lagrange_resample
+    from asyncsep.metrics import sdr
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    images = sim / "images"
+    cut = read_wav(images / "a__s1.wav")
+    write_wav(images / "a__s1.wav",
+              SampledSignal(cut.samples[:-300], cut.rate_hz))
+    est = tmp_path / "est"
+    for wav in images.glob("*.wav"):
+        sig = read_wav(wav)
+        noisy = sig.samples + 0.01 * np.random.default_rng(1).standard_normal(
+            sig.samples.shape)
+        write_wav(est / wav.name, SampledSignal(noisy, sig.rate_hz))
+    offsets = {"a": 0.7, "b": -0.4}
+    assert main(["evaluate", str(est), str(images), str(tmp_path / "r.json"),
+                 *[f"--sro-override={m}={v}" for m, v in offsets.items()]]
+                ) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+
+    want = {}
+    for wav in sorted(images.glob("*__*.wav")):
+        m, _, k = wav.stem.partition("__")
+        ref = lagrange_resample(read_wav(wav), offsets[m])
+        e = read_wav(est / wav.name)
+        n = min(ref.n_samples, e.n_samples)
+        want[f"{m}/{k}"] = sdr(SampledSignal(ref.samples[:n], ref.rate_hz),
+                               SampledSignal(e.samples[:n], e.rate_hz))
+    assert list(report["sdr_db"]) == list(want)
+    assert report["sdr_db"] == want

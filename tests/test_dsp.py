@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsep import _pool
+from asyncsep import _pool, dsp
 from asyncsep.dsp import (
     SampledSignal,
     SpectrogramTensor,
@@ -346,14 +346,75 @@ class TestInterpolationMatchesPerSampleOracle:
         assert np.abs(got - want).max() <= 1e-9 * np.abs(x).max()
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 2048), offset=rate_offsets,
-           channels=st.integers(1, 3), order=st.integers(1, 6),
+    @given(n=st.integers(1, 3 * dsp._RESAMPLE_ROWS + 5), offset=rate_offsets,
+           channels=st.integers(1, 8), order=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1))
     def test_lagrange_resample(self, n, offset, channels, order, seed):
+        # runs of output rows are pool tasks: one and three threads agree
         rate = 16000.0
         x = np.random.default_rng(seed).standard_normal((n, channels))
-        got = lagrange_resample(SampledSignal(x, rate), offset, order=order)
+        sig = SampledSignal(x, rate)
+        got = _resample_with(1, sig, offset, order)
+        assert np.array_equal(got, _resample_with(3, sig, offset, order))
         pos = np.arange(n, dtype=np.float64) * (rate / (rate + offset))
         want = lagrange_interpolate_oracle(x, pos, order)
-        assert got.samples.shape == x.shape
-        assert np.abs(got.samples - want).max() <= 1e-12 * np.abs(want).max()
+        assert got.shape == x.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _resample_with(workers, signal, offset, order):
+    real = _pool.worker_count
+    _pool.worker_count = lambda: workers
+    try:
+        return lagrange_resample(signal, offset, order=order).samples
+    finally:
+        _pool.worker_count = real
+
+
+class TestResamplingTasks:
+    """Channels stacked into one call; the tasks' scratch."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 2 * dsp._RESAMPLE_ROWS),
+           widths=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           offset=rate_offsets, seed=st.integers(0, 2**32 - 1))
+    def test_stacked_equals_each_alone(self, n, widths, offset, seed):
+        rng = np.random.default_rng(seed)
+        signals = [SampledSignal(rng.standard_normal((n, c)), 16000.0)
+                   for c in widths]
+        got = dsp._resample_stacked(signals, offset)
+        assert len(got) == len(signals)
+        for sig, res in zip(signals, got):
+            assert np.array_equal(res.samples,
+                                  lagrange_resample(sig, offset).samples)
+
+    def test_tasks_allocate_no_arrays(self, monkeypatch):
+        # numpy's iterator buffers are not arrays: shrink them, and run
+        # every task on the calling thread, where the setting holds
+        import tracemalloc
+
+        x = np.random.default_rng(2).standard_normal((5 * dsp._RESAMPLE_ROWS,
+                                                      8))
+        peaks = []
+        real_run = _pool.run
+
+        def measured(tasks, work, workspaces):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                real_run(tasks, work, workspaces)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(_pool, "run", measured)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+        bufsize = np.getbufsize()
+        np.setbufsize(16)
+        try:
+            lagrange_resample(SampledSignal(x, 16000.0), 0.3)
+        finally:
+            np.setbufsize(bufsize)
+        # the smallest array a task could allocate: one bool per row
+        assert len(peaks) == 1
+        assert peaks[0] < dsp._RESAMPLE_ROWS

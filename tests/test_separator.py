@@ -19,6 +19,7 @@ from asyncsep.model import NOISE_ID, SpatialModel, pooled_tensor
 from asyncsep.separator import MODES, separate
 
 from conftest import (
+    block_consistency,
     consistency_oracle,
     make_planted_tiles,
     make_synthetic_models,
@@ -123,23 +124,32 @@ class TestSeparate:
             assert result.metadata["consistency_rel_max"][m] <= 1e-6
 
     def test_locality_of_tv_filtering(self, rng):
-        # with the posteriors fixed, array a's output ignores array b's data
+        # array b's data reaches array a's images only through the joint
+        # posteriors: not at all in tv-local, only through the powers in
+        # tv-distributed
         spatial, states, _ = make_synthetic_models(
             rng, arrays=("a", "b"), window=WIN)
-        obs = self._obs(rng, spatial)
-        gamma = classify(obs, spatial, states)
-        powers = source_power_estimates(gamma, states)
-        ref = _kernels.mwf_filter(obs["a"].coeffs, spatial.covariances["a"],
-                                  powers.sigma2[:, :, :-1],
-                                  states.noise_spectrum)
-        scrambled = dict(obs)
-        scrambled["b"] = SpectrogramTensor(
-            obs["b"].coeffs[::-1].copy(), WIN, 16000.0)
-        again = _kernels.mwf_filter(scrambled["a"].coeffs,
-                                    spatial.covariances["a"],
-                                    powers.sigma2[:, :, :-1],
-                                    states.noise_spectrum)
-        assert np.array_equal(ref, again)
+        obs = self._obs(rng, spatial, n_frames=20)
+        scrambled = dict(obs, b=SpectrogramTensor(
+            obs["b"].coeffs[::-1].copy(), WIN, 16000.0))
+        sources = states.source_ids + [NOISE_ID]
+        local = separate(obs, spatial, states, "tv-local")
+        again = separate(scrambled, spatial, states, "tv-local")
+        for k in sources:
+            assert np.array_equal(local.images[("a", k)].coeffs,
+                                  again.images[("a", k)].coeffs)
+        joint = separate(scrambled, spatial, states, "tv-distributed")
+        powers = source_power_estimates(classify(scrambled, spatial, states),
+                                        states)
+        want = _kernels.mwf_filter(obs["a"].coeffs, spatial.covariances["a"],
+                                   powers.sigma2[:, :, :-1],
+                                   states.noise_spectrum)
+        for i, k in enumerate(sources):
+            assert np.array_equal(joint.images[("a", k)].coeffs, want[i])
+        # the scrambling reaches a through the joint powers
+        before = separate(obs, spatial, states, "tv-distributed")
+        assert not np.array_equal(before.images[("a", sources[0])].coeffs,
+                                  joint.images[("a", sources[0])].coeffs)
 
     def test_planted_scene_dominant_tiles_match(self, rng):
         spatial, states, win = make_synthetic_models(rng, noise_power=0.01)
@@ -240,7 +250,7 @@ def _planar_result(rng, n_src, C, N, n_bins):
 
 
 def _summation_bound(est, coeffs, want):
-    """A-priori bound on |_consistency - exact| for one input.
+    """A-priori bound on |block_consistency - exact| for one input.
 
     Per tile and channel, each real or imaginary component of the image
     sum minus the mixture is a recursive sum of K+2 terms, so its rounding
@@ -280,16 +290,16 @@ class TestConsistency:
         coeffs = est.sum(axis=0) + noise
         coeffs[rng.uniform(size=(N, n_bins)) < silent] = 0.0
         want = consistency_oracle(est, coeffs)
-        got = separator._consistency(est, coeffs)
+        got = block_consistency(est, coeffs)
         assert abs(got - want) <= _summation_bound(est, coeffs, want)
 
     def test_silent_mixture_tiles_count_as_zero(self, rng):
         est = _planar_result(rng, 3, 2, 40, 5)
         coeffs = np.zeros((40, 5, 2), complex)
-        assert separator._consistency(est, coeffs) == 0.0
+        assert block_consistency(est, coeffs) == 0.0
         coeffs = np.ascontiguousarray(est.sum(axis=0))
         coeffs[17, 3] = 0.0  # the images there do not sum to zero
-        assert separator._consistency(est, coeffs) == 0.0
+        assert block_consistency(est, coeffs) == 0.0
 
 
 def _perturbing_filter(monkeypatch, tile, delta):
@@ -361,7 +371,7 @@ def _serial_separate(obs, spatial, states, mode):
         est = _kernels.mwf_filter(merged.coeffs, spatial.covariances[merged_id],
                                   static.sigma2[:, :, :-1],
                                   states.noise_spectrum)
-        worst[merged_id] = separator._consistency(est, merged.coeffs)
+        worst[merged_id] = block_consistency(est, merged.coeffs)
         lo = 0
         for m in spatial.members(merged_id):
             c = obs[m].channels
@@ -383,7 +393,7 @@ def _serial_separate(obs, spatial, states, mode):
         est = _kernels.mwf_filter(obs[m].coeffs, spatial.covariances[m],
                                   powers.sigma2[:, :, :-1],
                                   states.noise_spectrum)
-        worst[m] = separator._consistency(est, obs[m].coeffs)
+        worst[m] = block_consistency(est, obs[m].coeffs)
         for k, sid in enumerate(sources):
             images[(m, sid)] = est[k]
     return images, worst
@@ -418,6 +428,49 @@ class TestFusedPassEqualsSerialStages:
         for key, want in images.items():
             assert np.array_equal(result.images[key].coeffs, want)
         assert result.metadata["consistency_rel_max"] == worst
+
+
+class TestPosteriorDump:
+    """The joint posteriors written by the fused pass, in every mode."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_classify_and_leaves_images(self, mode):
+        obs, spatial, states = _random_case(7, 3, 2, 3, 21)
+        gamma = np.full((21, F, states.n_states), np.nan)
+        dumped = separate(obs, spatial, states, mode, posteriors=gamma)
+        assert np.array_equal(gamma, classify(obs, spatial, states).gamma)
+        plain = separate(obs, spatial, states, mode)
+        assert dumped.metadata == plain.metadata
+        assert set(dumped.images) == set(plain.images)
+        for key, t in plain.images.items():
+            assert np.array_equal(dumped.images[key].coeffs, t.coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_arrays=st.integers(1, 3),
+           n_ch=st.integers(1, 3), n_src=st.integers(1, 3),
+           n_frames=st.integers(1, 30), mode=st.sampled_from(MODES),
+           workers=st.sampled_from([1, 3]))
+    def test_any_shape_and_worker_count(self, seed, n_arrays, n_ch, n_src,
+                                        n_frames, mode, workers):
+        obs, spatial, states = _random_case(seed, n_arrays, n_ch, n_src,
+                                            n_frames)
+        gamma = np.empty((n_frames, F, states.n_states))
+        real = _pool.worker_count
+        _pool.worker_count = lambda: workers
+        try:
+            separate(obs, spatial, states, mode, posteriors=gamma)
+        finally:
+            _pool.worker_count = real
+        assert np.array_equal(gamma, classify(obs, spatial, states).gamma)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((20, F, 2), np.float64), ((20, F + 1, 3), np.float64),
+        ((19, F, 3), np.float64), ((20, F, 3), np.float32)])
+    def test_wrong_buffer_rejected(self, shape, dtype):
+        obs, spatial, states = _random_case(5, 2, 2, 2, 20)
+        with pytest.raises(ValueError, match="posteriors must be"):
+            separate(obs, spatial, states, "static-local",
+                     posteriors=np.empty(shape, dtype=dtype))
 
 
 def _corrupt(obs, value):
@@ -502,6 +555,13 @@ class TestBlockPassAllocatesNoArrays:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_peak_traced_memory_of_the_pass(self, monkeypatch, mode):
+        self._check_peak(monkeypatch, mode, dump=False)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_peak_traced_memory_with_posteriors(self, monkeypatch, mode):
+        self._check_peak(monkeypatch, mode, dump=True)
+
+    def _check_peak(self, monkeypatch, mode, dump):
         # numpy's iterator buffers are not arrays: shrink them, and run
         # every block on the calling thread, where the setting holds
         win = WindowSpec(4096, 1024)
@@ -531,7 +591,8 @@ class TestBlockPassAllocatesNoArrays:
         bufsize = np.getbufsize()
         np.setbufsize(16)
         try:
-            result = separate(obs, spatial, states, mode)
+            gamma = np.empty((40, n_bins, 4)) if dump else None
+            result = separate(obs, spatial, states, mode, posteriors=gamma)
             istft(result.images[("a", "s0")])
         finally:
             np.setbufsize(bufsize)

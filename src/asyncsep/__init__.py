@@ -34,7 +34,7 @@ from .classifier import (
     posteriors,
     source_power_estimates,
 )
-from .separator import MODES, SeparationResult, separate
+from .separator import MODES, SeparationResult, separate, separate_recordings
 from .experiment import ExperimentReport, format_report, run_experiment
 
 __version__ = "0.1.0"
@@ -66,6 +66,7 @@ __all__ = [
     "MODES",
     "SeparationResult",
     "separate",
+    "separate_recordings",
     "sdr",
     "ExperimentReport",
     "run_experiment",

@@ -50,6 +50,10 @@ class Workspace:
       c      (2, frames, bins) complex and r (4, frames, bins) float:
              temporaries
       mask   (frames, bins) and flags (frames, bins, states): booleans
+      img    (images, image_channels, frames, bins) complex and
+      t      (images, image_channels, frames, length) float: one filter's
+             images of a block and their windowed frames, where the
+             separation pass analyzes and synthesizes signals
 
     Made by the calling thread before any block runs.  The kernels take
     the leading channels and frames of each buffer.
@@ -57,8 +61,12 @@ class Workspace:
 
     def __init__(self, frames: int, bins: int, channels: int = 0,
                  factor_channels: int = 0, sources: int = 0,
-                 states: int = 0):
+                 states: int = 0, images: int = 0, image_channels: int = 0,
+                 length: int = 0):
         B, F, Cf = frames, bins, factor_channels
+        self.img = np.empty((images, image_channels, B, F),
+                            dtype=np.complex128)
+        self.t = np.empty((images, image_channels, B, length))
         self.x = np.empty((channels, B, F), dtype=np.complex128)
         self.y = np.empty((channels, B, F), dtype=np.complex128)
         self.ll = np.empty((B, F, states))

@@ -1,8 +1,9 @@
 """Independent tasks on every core this process may run on.
 
 The separation pass, the iSTFT and the resampler split their work into
-tasks that write disjoint slices of buffers allocated beforehand, so the
-result does not depend on how many threads run them or in which order.
+tasks that write disjoint slices of buffers allocated beforehand, or, in
+the streamed separation pass, add into shared samples in task order, so
+the result does not depend on how many threads run them.
 numpy releases the interpreter lock inside its loops, so threads overlap
 the numeric work.  Each thread owns one workspace of scratch buffers, which the
 calling thread allocates before any task starts.  The tasks allocate no
@@ -31,7 +32,8 @@ def run(tasks, work, workspaces) -> None:
 
     One thread per workspace takes the tasks in list order until none is
     left; the calling thread is the first of them, so len(workspaces) - 1
-    threads are started.  After a task raises, no thread takes a new
+    threads are started.  As every earlier task has been taken when a
+    task starts, a task may wait for an earlier one without deadlock.  After a task raises, no thread takes a new
     task, and the first error is raised once every thread has finished.
     """
     tasks = list(tasks)

@@ -1,6 +1,7 @@
 """Command-line pipeline: simulate | train | separate | evaluate.
 
-Exit codes: 0 success, 2 configuration/path error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/path error, 3 numerical failure
+or memory exhausted.
 
 A typical round trip::
 
@@ -29,13 +30,14 @@ from . import __version__
 from .audio import read_wav, write_wav
 from .classifier import PosteriorMap, posterior_histogram, save_posteriors
 from .demo import demo_scene_path
-from .dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
-                  _resample_stacked, istft, stft)
+from .dsp import (SampledSignal, WindowSpec, _resample_stacked, stft,
+                  stft_frame_count)
 from .errors import ConfigError, NumericalError
 from .metrics import sdr
-from .model import load_models, model_summary, save_models, train_models
+from .model import (SpatialModel, load_models, model_summary, save_models,
+                    train_models)
 from .scene import load_scene, scene_to_dict, synthesize_scene
-from .separator import MODES, separate
+from .separator import MODES, separate_recordings
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,9 +75,9 @@ def _window_from_args(args) -> WindowSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _read_stft(wav: Path, window: WindowSpec, expected_rate=None,
-               channels: int | None = None) -> SpectrogramTensor:
-    """STFT of a WAV file; ConfigError naming it when it cannot be analyzed."""
+def _read_analyzable(wav: Path, window: WindowSpec, expected_rate=None,
+                     channels: int | None = None) -> SampledSignal:
+    """A WAV file that `window` can analyze; ConfigError naming it if not."""
     sig = read_wav(wav, expected_rate=expected_rate)
     if channels is not None and sig.channels != channels:
         raise ConfigError(f"{wav} has {sig.channels} channels, the model "
@@ -83,7 +85,7 @@ def _read_stft(wav: Path, window: WindowSpec, expected_rate=None,
     if sig.n_samples < window.length:
         raise ConfigError(f"{wav} holds {sig.n_samples} samples, fewer than "
                           f"one STFT window ({window.length})")
-    return stft(sig, window)
+    return sig
 
 
 def _image_name(array_id: str, source_id: str) -> str:
@@ -123,6 +125,11 @@ def _collect_images(images_dir: Path):
         if "__" not in name:
             continue
         m, _, k = name.partition("__")
+        try:
+            SpatialModel.check_id(m, "device")
+            SpatialModel.check_id(k, "source")
+        except ConfigError as exc:
+            raise ConfigError(f"{wav}: {exc}") from None
         pairs[(m, k)] = wav
     if not pairs:
         raise ConfigError(f"no <array>__<source>.wav files in {images_dir}")
@@ -138,8 +145,9 @@ def cmd_train(args) -> int:
     tensors = {}
     rate = None
     for key, wav in pairs.items():
-        tensors[key] = _read_stft(wav, window, expected_rate=rate)
-        rate = tensors[key].rate_hz
+        sig = _read_analyzable(wav, window, expected_rate=rate)
+        tensors[key] = stft(sig, window)
+        rate = sig.rate_hz
     spatial, states = train_models(tensors, noise_gain=args.noise_gain,
                                    include_pooled=args.pooled)
     save_models(args.model, spatial, states, window=window, rate_hz=rate)
@@ -161,14 +169,15 @@ def cmd_separate(args) -> int:
     if not rec_dir.is_dir():
         raise ConfigError(f"recordings directory not found: {rec_dir}")
     window = WindowSpec(meta["window_length"], meta["hop"])
-    observations = {}
+    recordings = {}
     for m in spatial.array_ids():
         wav = rec_dir / f"{m}.wav"
         if not wav.is_file():
             raise ConfigError(f"missing recording for array {m!r}: {wav}")
-        observations[m] = _read_stft(wav, window, meta["rate_hz"] or None,
-                                     spatial.channels(m))
-    frames = {m: obs.n_frames for m, obs in observations.items()}
+        recordings[m] = _read_analyzable(wav, window, meta["rate_hz"] or None,
+                                         spatial.channels(m))
+    frames = {m: stft_frame_count(rec.n_samples, window)
+              for m, rec in recordings.items()}
     if len(set(frames.values())) > 1:
         raise ConfigError(
             "recordings differ in length; STFT frames per array: "
@@ -178,18 +187,18 @@ def cmd_separate(args) -> int:
     if args.dump_posteriors:
         n_frames = next(iter(frames.values()))
         gamma = np.empty((n_frames, spatial.n_bins, states.n_states))
-    result = separate(observations, spatial, states, args.mode,
-                      posteriors=gamma)
+    result = separate_recordings(recordings, window, spatial, states,
+                                 args.mode, posteriors=gamma)
 
     out = Path(args.out)
-    for (m, k), tensor in result.images.items():
-        write_wav(out / _image_name(m, k), istft(tensor))
+    for (m, k), signal in result.images.items():
+        write_wav(out / _image_name(m, k), signal)
     if gamma is not None:
         pmap = PosteriorMap(gamma, None, states.state_ids)
         save_posteriors(pmap, args.dump_posteriors)
         print(posterior_histogram(pmap), end="")
     worst = max(result.metadata["consistency_rel_max"].values())
-    print(f"separated {len(observations)} arrays in mode {args.mode} "
+    print(f"separated {len(recordings)} arrays in mode {args.mode} "
           f"(worst tile consistency {worst:.2e}); estimates in {out}")
     return EXIT_OK
 
@@ -334,6 +343,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory in asyncsep {args.command}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

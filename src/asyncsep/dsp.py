@@ -161,6 +161,12 @@ def frame_count(n_samples: int, window: WindowSpec) -> int:
     return (n_samples - window.length) // window.hop + 1
 
 
+def stft_frame_count(n_samples: int, window: WindowSpec) -> int:
+    """Number of frames `stft` gives an n_samples signal."""
+    left, right = _analysis_padding(n_samples, window)
+    return frame_count(left + n_samples + right, window)
+
+
 def _analysis_padding(n_samples: int, window: WindowSpec) -> tuple[int, int]:
     """Zero-padding (left, right) so every input sample gets full window
     coverage and the last frame lands exactly on the padded tail."""
@@ -169,6 +175,32 @@ def _analysis_padding(n_samples: int, window: WindowSpec) -> tuple[int, int]:
     rem = (core - window.length) % window.hop
     right = window.length + (window.hop - rem) % window.hop
     return left, right
+
+
+def _padded_channels(samples: np.ndarray, window: WindowSpec) -> np.ndarray:
+    """(n, channels) samples -> (channels, padded) with the analysis padding."""
+    n, channels = samples.shape
+    left, right = _analysis_padding(n, window)
+    out = np.zeros((channels, left + n + right))
+    out[:, left:left + n] = samples.T
+    return out
+
+
+def _analyze(padded, n0: int, n1: int, window: WindowSpec, win, frames,
+             out) -> None:
+    """Spectra of frames n0:n1 of channel-major padded samples.
+
+    padded: (C, samples) from `_padded_channels`; frames: (C, n1 - n0,
+    length) float scratch that receives the windowed frames; out: (C,
+    n1 - n0, bins) complex receives their rfft.  `stft` and the
+    separation pass of `separator.separate_recordings` both analyze
+    through here.
+    """
+    hop, length = window.hop, window.length
+    span = padded[:, n0 * hop:(n1 - 1) * hop + length]
+    view = np.lib.stride_tricks.sliding_window_view(span, length, axis=-1)
+    np.multiply(view[:, ::hop], win, out=frames)
+    np.fft.rfft(frames, axis=-1, out=out)
 
 
 def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
@@ -190,18 +222,57 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
         raise ValueError(
             f"signal ({x.shape[0]} samples) shorter than one frame "
             f"({window.length} samples)")
-    left, right = _analysis_padding(x.shape[0], window)
-    padded = np.pad(x, ((left, right), (0, 0)))
-    n_frames = frame_count(padded.shape[0], window)
+    padded = _padded_channels(x, window)
+    n_frames = frame_count(padded.shape[1], window)
     win = window.window()
 
     n_bins = window.length // 2 + 1
     coeffs = np.empty((n_frames, n_bins, x.shape[1]), dtype=np.complex128)
+    frames = np.empty((1, n_frames, window.length))
     for c in range(x.shape[1]):
-        frames = np.lib.stride_tricks.sliding_window_view(
-            padded[:, c], window.length)[::window.hop]
-        coeffs[:, :, c] = np.fft.rfft(frames * win, axis=1)
+        _analyze(padded[c:c + 1], 0, n_frames, window, win, frames,
+                 coeffs[None, :, :, c])
     return SpectrogramTensor(coeffs, window, signal.rate_hz, x.shape[0])
+
+
+def _synthesis_norm(window: WindowSpec, n_frames: int):
+    """Summed squared window of n_frames frames, and where it is not ~0.
+
+    Both are (total,), total = (n_frames - 1) * hop + length: the extent
+    that `_overlap_add` writes.
+    """
+    hop = window.hop
+    total = (n_frames - 1) * hop + window.length
+    span = n_frames * hop
+    win2 = window.window() ** 2
+    denom = np.zeros(total)
+    for r in reversed(range(window.length // hop)):
+        wdst = denom[r * hop:r * hop + span].reshape(n_frames, hop)  # a view
+        wdst += win2[r * hop:(r + 1) * hop]
+    return denom, denom > 1e-12
+
+
+def _synthesize(coeffs, win, frames) -> None:
+    """Windowed inverse spectra: coeffs (..., b, bins) -> frames (..., b,
+    length) float."""
+    np.fft.irfft(coeffs, n=win.shape[0], axis=-1, out=frames)
+    frames *= win
+
+
+def _overlap_add(frames, f0: int, hop: int, out) -> None:
+    """Add the windowed frames f0, f0 + 1, ... into out, in frame order.
+
+    frames: (..., b, length) from `_synthesize`; out: (..., total).  Phase
+    r adds sample block r of every frame with one strided add; taking the
+    phases in descending order adds each sample's frames in ascending
+    order, so adding blocks of frames in ascending order adds every
+    sample's frames in ascending order, whatever the blocks.
+    """
+    b, length = frames.shape[-2:]
+    for r in reversed(range(length // hop)):
+        dst = out[..., (f0 + r) * hop:(f0 + b + r) * hop]
+        dst = dst.reshape(dst.shape[:-1] + (b, hop))  # a view
+        dst += frames[..., r * hop:(r + 1) * hop]
 
 
 def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
@@ -213,10 +284,7 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
 
     Each channel is one task on the thread pool (`_pool`): its frames are
     synthesized `_SYNTH_CHUNK` at a time into a buffer the calling thread
-    allocated and overlap-added one hop phase at a time: phase r adds
-    sample block r of every frame of the chunk with one strided add.
-    Taking the phases in descending order and the chunks in ascending
-    order adds each output sample's frames in ascending frame order.  The
+    allocated and overlap-added in frame order (`_overlap_add`).  The
     denominator and its mask are built once.  The samples are returned as
     a (length, channels) view of a channel-major buffer.
     """
@@ -226,23 +294,15 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
         raise ValueError(f"window/hop not COLA-compliant (deviation {dev:.2e})")
 
     n_frames, _, n_ch = spec.coeffs.shape
-    hop = window.hop
-    total = (n_frames - 1) * hop + window.length
-    span = n_frames * hop
     win = window.window()
-    win2 = win ** 2
-
-    denom = np.zeros(total)
-    for r in reversed(range(window.length // hop)):
-        wdst = denom[r * hop:r * hop + span].reshape(n_frames, hop)  # a view
-        wdst += win2[r * hop:(r + 1) * hop]
-    good = denom > 1e-12
-    out = np.zeros((n_ch, total))
+    denom, good = _synthesis_norm(window, n_frames)
+    out = np.zeros((n_ch, denom.shape[0]))
     chunks = [np.empty((min(_SYNTH_CHUNK, n_frames) or 1, window.length))
               for _ in range(min(_pool.worker_count(), n_ch))]
     _pool.run(range(n_ch),
               lambda c, chunk: _synthesize_channel(
-                  spec.coeffs[:, :, c], win, hop, denom, good, out[c], chunk),
+                  spec.coeffs[:, :, c], win, window.hop, denom, good, out[c],
+                  chunk),
               chunks)
 
     # strip the analysis padding
@@ -250,7 +310,7 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     if length is None:
         length = spec.n_samples
     if length is None:
-        length = max(total - 2 * window.length, 0)
+        length = max(out.shape[1] - 2 * window.length, 0)
     out = out[:, left:left + length]
     if out.shape[1] < length:
         out = np.pad(out, ((0, 0), (0, length - out.shape[1])))
@@ -263,15 +323,11 @@ def _synthesize_channel(coeffs, win, hop, denom, good, out, chunk) -> None:
     chunk: (frames, window length) float scratch.
     """
     n_frames = coeffs.shape[0]
-    length = win.shape[0]
     for f0 in range(0, n_frames, len(chunk)):
         f1 = min(f0 + len(chunk), n_frames)
         frames = chunk[:f1 - f0]
-        np.fft.irfft(coeffs[f0:f1], n=length, axis=-1, out=frames)
-        frames *= win
-        for r in reversed(range(length // hop)):
-            dst = out[(f0 + r) * hop:(f1 + r) * hop].reshape(f1 - f0, hop)
-            dst += frames[:, r * hop:(r + 1) * hop]
+        _synthesize(coeffs[f0:f1], win, frames)
+        _overlap_add(frames, f0, hop, out)
     np.divide(out, denom, out=out, where=good)
 
 
@@ -311,15 +367,14 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     (`_pool`); each forms its own stencils and weights.  The calling
     thread allocates the zero-padded input, the output and every thread's
     scratch first, so a row's value does not depend on the thread count.
+    The input is padded by one stencil on the left and one sample on the
+    right, however far the positions reach: the gather clips its indices
+    into the padded input, and a clipped index lands on a zero, so every
+    tap outside the input reads zero.
     """
     m = pos.shape[0]
-    # floor is monotone, so the extreme stencil starts are those of the
-    # extreme positions
-    lo = math.floor(pos.min()) - (order - 1) // 2
-    hi = math.floor(pos.max()) - (order - 1) // 2 + order
-    pad_left = max(-lo, 0) + 1
-    pad_right = max(hi - (x.shape[0] - 1), 0) + 1
-    padded = np.pad(x, ((pad_left, pad_right), (0, 0)))
+    pad_left = order + 1
+    padded = np.pad(x, ((pad_left, 1), (0, 0)))
 
     out = np.zeros((m, x.shape[1]))
     starts = range(0, m, _RESAMPLE_ROWS)
@@ -346,7 +401,9 @@ def _interpolate_rows(padded, pad_left, pos, order, out, r0, ws) -> None:
     np.add(t, pad_left, out=index, casting="unsafe")
     np.subtract(p, t, out=t)  # abscissae relative to the stencil starts
     _lagrange_weights(t, order, weights, diffs)
-    # one gather index for every tap: tap j reads the view shifted by j
+    # one gather index for every tap: tap j reads the view shifted by j;
+    # an index below 0 clips to padded[j], j <= order, and one past the
+    # end to the last sample, both zeros
     dst = out[r0:r1]
     for j in range(order + 1):
         np.take(padded[j:], index, axis=0, out=tap, mode="clip")

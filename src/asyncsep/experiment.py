@@ -9,7 +9,9 @@ mixture, so reference and estimate share a clock).
 
 Each scene is rendered once, on the nominal clock: the images and the
 mixtures do not depend on the clock offsets, which are applied to the
-synced mixtures per variant.
+synced mixtures per variant.  Each mode separates the recordings into
+image signals in one streamed pass (`separate_recordings`), so no
+spectrogram of a test recording or of its images is held.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .dsp import WindowSpec, _resample_stacked, istft, stft
+from .dsp import WindowSpec, _resample_stacked, stft
 from .metrics import sdr
 from .model import train_models
 from .scene import SceneSpec, apply_sro, scene_to_dict, synthesize_scene
-from .separator import MODES, separate
+from .separator import MODES, separate_recordings
 
 __all__ = ["ExperimentReport", "run_experiment", "format_report"]
 
@@ -43,8 +45,9 @@ class ExperimentReport:
     sdr_db: dict = field(default_factory=dict)       # variant -> mode -> "m/k" -> dB
     mode_means: dict = field(default_factory=dict)   # variant -> mode -> dB
     consistency: dict = field(default_factory=dict)  # variant -> mode -> worst rel
-    # stage -> seconds; "synthesize" renders the test scene once and
-    # "analyze[variant]" is that variant's clock-offset resampling + STFT
+    # stage -> seconds; "synthesize" renders the test scene once,
+    # "analyze[variant]" is that variant's clock-offset resampling and
+    # "mode[variant]" its separation (with the STFT) and scoring
     runtime_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -133,8 +136,7 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         t0 = time.perf_counter()
         recordings = {arr.id: apply_sro(synced[arr.id], arr.sro_hz)
                       for arr in spec_v.arrays}
-        observations = {m: stft(rec.signal, window)
-                        for m, rec in recordings.items()}
+        signals = {m: rec.signal for m, rec in recordings.items()}
         report.runtime_s[f"analyze[{variant}]"] = time.perf_counter() - t0
 
         # truth at the device clock of this variant; a device's images are
@@ -157,11 +159,10 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
 
         for mode in modes:
             t0 = time.perf_counter()
-            result = separate(observations, spatial, states, mode)
-            scores = {}
-            for (m, k), ref in refs.items():
-                est = istft(result.images[(m, k)], length=ref.n_samples)
-                scores[f"{m}/{k}"] = sdr(ref, est)
+            result = separate_recordings(signals, window, spatial, states,
+                                         mode)
+            scores = {f"{m}/{k}": sdr(ref, result.images[(m, k)])
+                      for (m, k), ref in refs.items()}
             report.sdr_db[variant][mode] = scores
             report.mode_means[variant][mode] = _mean(scores.values())
             report.consistency[variant][mode] = max(

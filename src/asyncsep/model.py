@@ -9,7 +9,8 @@ array's diagonal loading.  Each trained quantity is stored once.
 
 A spatial model entry is a device, or a merged array holding the channels
 of its member devices; its id joins their sorted ids with "+" ("a+b"), so
-device ids may not contain "+".  Only `SpatialModel.members` splits ids.
+device ids may not contain "+".  Only `SpatialModel.members` splits ids,
+and only `SpatialModel.check_id` says which ids are allowed.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class SpatialModel:
     fallback_bins: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_ids(self.covariances, self.source_ids)
         for aid, cov in self.covariances.items():
             if cov.ndim != 4 or cov.shape[0] != len(self.source_ids):
                 raise ValueError(
@@ -87,6 +89,33 @@ class SpatialModel:
     def members(array_id: str) -> list[str]:
         """The devices whose channels an entry holds, in channel order."""
         return array_id.split("+")
+
+    @staticmethod
+    def check_id(value, kind: str) -> None:
+        """Raise ConfigError unless `value` may name a `kind` of id.
+
+        kind is "device" or "source".  Ids name files, so every id is a
+        non-empty str that encodes as UTF-8, is printable and holds no
+        "/", "\\" or NUL.  A device id holds no "+", which joins merged
+        array ids, and no "__", at which `<array>__<source>.wav` names
+        are split.  No source is named NOISE_ID, the noise image's id.
+        """
+        if not isinstance(value, str) or not value:
+            reason = "must be a non-empty string"
+        elif not value.isprintable() or "/" in value or "\\" in value:
+            # NUL and the lone surrogates, the only code points UTF-8
+            # cannot encode, are not printable
+            reason = "must be printable and hold no '/', '\\' or NUL"
+        elif kind == "device" and "+" in value:
+            reason = "contains '+', which joins the ids of a merged array"
+        elif kind == "device" and "__" in value:
+            reason = ("contains '__', at which <array>__<source>.wav names "
+                      "are split")
+        elif kind == "source" and value == NOISE_ID:
+            reason = "is reserved for the noise image"
+        else:
+            return
+        raise ConfigError(f"{kind} id {value!r} {reason}")
 
     def array_ids(self) -> list[str]:
         """The devices: every entry that is not a merged array."""
@@ -142,6 +171,16 @@ class StateSpectrumModel:
         return var
 
 
+def _check_ids(array_ids, source_ids) -> None:
+    """`SpatialModel.check_id` over the devices of every entry and the
+    sources."""
+    for m in array_ids:
+        for d in SpatialModel.members(m):
+            SpatialModel.check_id(d, "device")
+    for k in source_ids:
+        SpatialModel.check_id(k, "source")
+
+
 def _gated_mean_covariance(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average per-frame outer products per bin, skipping silent frames.
 
@@ -188,15 +227,14 @@ def estimate_spatial_covariance(
 
     training_images maps (device id, source id) to a SpectrogramTensor, or
     to a sequence of tensors whose frames are pooled (useful for covering
-    motion by training on several perturbed variants of a scene).  A
-    device id may not contain "+", which joins merged-array ids.
+    motion by training on several perturbed variants of a scene).  Every
+    id must pass `SpatialModel.check_id`; ConfigError if not.
     """
     if not training_images:
         raise ConfigError("no training images given")
-    for m, _ in training_images:
-        if SpatialModel.members(m) != [m]:
-            raise ConfigError(f"device id {m!r} contains '+', which joins "
-                              f"the device ids of a merged array")
+    for m, k in training_images:
+        SpatialModel.check_id(m, "device")
+        SpatialModel.check_id(k, "source")
     return _estimate(training_images)
 
 
@@ -363,8 +401,10 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
     (K, F, C, C) complex128 covariances row-major; then the source ids,
     the (K, F) float64 ltas and the (F,) float64 noise spectrum; finally
     the u32 CRC-32 of all the bytes before it.  The state variances are
-    derived from ltas and are not stored.
+    derived from ltas and are not stored.  Ids outside
+    `SpatialModel.check_id` raise ConfigError before anything is written.
     """
+    _check_ids(spatial.covariances, spatial.source_ids)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with io.BytesIO() as fh:
@@ -488,6 +528,7 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
             if fh.tell() != len(body):
                 raise ConfigError(f"{len(body) - fh.tell()} unexpected bytes "
                                   f"after the model")
+        _check_ids(covariances, source_ids)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     intact = struct.pack("<I", zlib.crc32(body)) == trailer

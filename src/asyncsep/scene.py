@@ -33,6 +33,7 @@ are absolute, not relative to the direct path.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +43,7 @@ import yaml
 from .audio import read_wav
 from .dsp import SampledSignal, fractional_delay, lagrange_resample
 from .errors import ConfigError
+from .model import SpatialModel
 
 __all__ = [
     "EchoTap",
@@ -114,9 +116,13 @@ class SceneSpec:
                     f"array {arr.id!r}: sro_hz must be finite and below "
                     f"rate_hz in magnitude, got {arr.sro_hz}")
         ids = [a.id for a in self.arrays]
+        for m in ids:
+            SpatialModel.check_id(m, "device")
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate array ids")
         sids = [s.id for s in self.sources]
+        for k in sids:
+            SpatialModel.check_id(k, "source")
         if len(set(sids)) != len(sids):
             raise ConfigError("duplicate source ids")
         for src in self.sources:
@@ -235,7 +241,10 @@ def load_scene(path) -> SceneSpec:
         data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scene file {path}: {exc}") from exc
-    return scene_from_dict(data, base_dir=path.parent)
+    try:
+        return scene_from_dict(data, base_dir=path.parent)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def scene_to_dict(spec: SceneSpec) -> dict:
@@ -389,14 +398,41 @@ def apply_sro(recording: MultichannelRecording,
                                  recording.sro_hz + sro_hz)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def synthesis_bytes(spec: SceneSpec) -> int:
+    """The float64 samples `synthesize_scene` holds at once, in bytes.
+
+    Every source signal, every (array, source) image and every recording,
+    plus one more recording per array for its clock resampling.  Working
+    buffers come on top, so this is a lower bound.
+    """
+    channels = sum(a.channels for a in spec.arrays)
+    n_src = len(spec.sources)
+    return 8 * spec.n_samples * (n_src + (n_src + 2) * channels)
+
+
 def synthesize_scene(spec: SceneSpec, seed: int
                      ) -> tuple[SourceImageSet, dict[str, MultichannelRecording]]:
     """Render ground-truth images and per-device recordings for a scene.
 
     Returns images on the nominal clock and recordings with each array's
     sro_hz applied after mixing (one clock per device).  Deterministic
-    given (spec, seed).
+    given (spec, seed).  A scene whose samples (`synthesis_bytes`) exceed
+    the physical memory raises ConfigError before anything is allocated.
     """
+    need, have = synthesis_bytes(spec), _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"the scene needs at least {need / 2**30:.3g} GiB of samples "
+            f"({spec.duration_s:g} s at {spec.rate_hz:g} Hz), more than the "
+            f"{have / 2**30:.3g} GiB of physical memory")
     n = spec.n_samples
     signals = {}
     for idx, src in enumerate(spec.sources):

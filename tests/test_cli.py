@@ -697,3 +697,67 @@ def test_evaluate_report_equals_one_built_image_by_image(tmp_path,
                                SampledSignal(e.samples[:n], e.rate_hz))
     assert list(report["sdr_db"]) == list(want)
     assert report["sdr_db"] == want
+
+
+def _renamed_array(data, old, new):
+    for arr in data["arrays"]:
+        if arr["id"] == old:
+            arr["id"] = new
+    for source in data["sources"]:
+        source["coupling"][new] = source["coupling"].pop(old)
+
+
+@pytest.mark.parametrize("edit, bad_id", [
+    (lambda d: _renamed_array(d, "a", "sub/dir"), "'sub/dir'"),
+    (lambda d: _renamed_array(d, "a", "x__y"), "'x__y'"),
+    (lambda d: _renamed_array(d, "a", ""), "''"),
+    (lambda d: _renamed_array(d, "a", "a+b"), "'a+b'"),
+    (lambda d: _renamed_array(d, "a", "tab\there"), "'tab\\there'"),
+    (lambda d: d["sources"][1].update(id="noise"), "'noise'"),
+    (lambda d: d["sources"][1].update(id="s/2"), "'s/2'"),
+], ids=["slash", "double-underscore", "empty", "plus", "tab", "noise",
+        "source-slash"])
+def test_scene_with_a_bad_id_fails_with_config_error(tmp_path, scene_file,
+                                                     capsys, edit, bad_id):
+    _edited_scene(scene_file, edit)
+    out = tmp_path / "out"
+    assert main(["simulate", str(scene_file), str(out)]) == 2
+    _assert_clean_config_error(capsys, str(scene_file), bad_id)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, bad_id", [
+    ("__s1.wav", "device id ''"),
+    ("a__noise.wav", "source id 'noise'"),
+    ("a__s 1\x7f.wav", "source id 's 1\\x7f'"),
+], ids=["empty-device", "noise-source", "unprintable"])
+def test_image_file_with_a_bad_id_fails_with_config_error(
+        tmp_path, capsys, name, bad_id):
+    images = tmp_path / "images"
+    write_wav(images / "a__s1.wav",
+              SampledSignal(np.zeros((4096, 1)), 16000.0))
+    write_wav(images / name, SampledSignal(np.zeros((4096, 1)), 16000.0))
+    assert main(["train", str(images), str(tmp_path / "model.bin")]) == 2
+    _assert_clean_config_error(capsys, str(images / name), bad_id)
+
+
+def test_scene_too_large_for_memory_fails_with_config_error(
+        tmp_path, scene_file, capsys):
+    # refused from its size alone: nothing of it is allocated
+    _edited_scene(scene_file, lambda d: d.update(duration_s=1e12))
+    assert main(["simulate", str(scene_file), str(tmp_path / "out")]) == 2
+    _assert_clean_config_error(capsys, "physical memory")
+
+
+def test_memory_exhausted_exits_3_naming_the_command(tmp_path, scene_file,
+                                                     capsys, monkeypatch):
+    import asyncsep.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli, "synthesize_scene", exhausted)
+    assert main(["simulate", str(scene_file), str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "out of memory in asyncsep simulate" in err
+    assert "Traceback" not in err

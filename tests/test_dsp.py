@@ -418,3 +418,30 @@ class TestResamplingTasks:
         # the smallest array a task could allocate: one bool per row
         assert len(peaks) == 1
         assert peaks[0] < dsp._RESAMPLE_ROWS
+
+    def test_padding_does_not_grow_with_the_reach_of_the_positions(
+            self, monkeypatch):
+        # at -15900 Hz the positions reach 160 times past the input; they
+        # read zeros there without a zero-padded copy that long
+        import tracemalloc
+
+        monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+        x = SampledSignal(np.random.default_rng(4).standard_normal((1000, 1)),
+                          16000.0)
+        peaks = {}
+        for offset in (0.3, -15900.0):
+            tracemalloc.start()
+            try:
+                lagrange_resample(x, offset)
+                peaks[offset] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[-15900.0] <= 1.5 * peaks[0.3]
+
+
+class TestStftFrames:
+    @pytest.mark.parametrize("n", [512, 513, 639, 640, 641, 3000])
+    def test_frame_count_of_stft(self, rng, n):
+        win = WindowSpec(512, 128)
+        spec = stft(SampledSignal(rng.standard_normal((n, 1)), 1.0), win)
+        assert dsp.stft_frame_count(n, win) == spec.n_frames

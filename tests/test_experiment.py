@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from asyncsep.dsp import WindowSpec
+import asyncsep.experiment as experiment
+from asyncsep.demo import demo_scene, demo_train_scene
+from asyncsep.dsp import WindowSpec, istft, stft
 from asyncsep.experiment import _zero_sro, format_report, run_experiment
+from asyncsep.separator import MODES, SeparationResult, separate
 from asyncsep.scene import (
     ArraySpec,
     ChannelCoupling,
@@ -129,3 +132,25 @@ def test_resampled_synced_render_equals_direct_render():
         rec = apply_sro(synced[arr.id], arr.sro_hz)
         assert rec.sro_hz == direct[arr.id].sro_hz
         assert np.array_equal(rec.signal.samples, direct[arr.id].signal.samples)
+
+
+def _batch_separation(signals, window, spatial, states, mode):
+    """STFT -> separate -> iSTFT of every image: the path run_experiment
+    took before it streamed."""
+    result = separate({m: stft(sig, window) for m, sig in signals.items()},
+                      spatial, states, mode)
+    images = {key: istft(t, length=signals[key[0]].n_samples)
+              for key, t in result.images.items()}
+    return SeparationResult(images, mode, result.metadata)
+
+
+@pytest.mark.parametrize("seed", [2024, 2025])
+def test_report_equals_the_batch_path(monkeypatch, seed):
+    scene, train = demo_scene(), demo_train_scene()
+    scene.duration_s = train.duration_s = 3.0
+    streamed = run_experiment(scene, train, modes=MODES, seed=seed).to_dict()
+    monkeypatch.setattr(experiment, "separate_recordings", _batch_separation)
+    batched = run_experiment(scene, train, modes=MODES, seed=seed).to_dict()
+    streamed.pop("runtime_s")
+    batched.pop("runtime_s")
+    assert streamed == batched

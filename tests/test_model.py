@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
@@ -32,6 +32,16 @@ F = WIN.length // 2 + 1
 
 def tensor(coeffs):
     return SpectrogramTensor(np.asarray(coeffs, complex), WIN, 16000.0)
+
+
+def usable_device_id(s):
+    """The id rule for devices, written out independently of the library."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return (s != "" and s.isprintable() and "__" not in s
+            and not set(s) & set("/\\\0+"))
 
 
 def gated_covariance_oracle(coeffs):
@@ -342,11 +352,14 @@ class TestPersistence:
                st.integers(1, 4), min_size=1, max_size=3),
            merged=st.booleans(), rate=st.floats(0.0, 1e6),
            seed=st.integers(0, 2**32 - 1))
+    @example(n_src=1, hop=1, channels={"\ud800": 1}, merged=False, rate=0.0,
+             seed=0)
     def test_round_trip_of_random_layouts_is_bit_exact(
             self, n_src, hop, channels, merged, rate, seed):
         rng = np.random.default_rng(seed)
         window = WindowSpec(4 * hop, hop)
         n_bins = 2 * hop + 1
+        usable = all(map(usable_device_id, channels))
         if merged:  # one device is its own merged array
             channels["+".join(sorted(channels))] = sum(channels.values())
         covariances = {}
@@ -356,6 +369,15 @@ class TestPersistence:
             R = A @ A.conj().swapaxes(2, 3)
             covariances[m] = R / np.trace(R, axis1=2, axis2=3)[..., None, None]
         source_ids = [f"s{k}" for k in range(n_src)]
+        if not usable:
+            # ids outside the rule are refused, never written
+            with pytest.raises(ConfigError, match="device id"):
+                SpatialModel(covariances, source_ids)
+            bad = next(m for m in channels if not usable_device_id(m))
+            x = np.ones((2, n_bins, 1), complex)
+            with pytest.raises(ConfigError, match="device id"):
+                train_models({(bad, "s0"): SpectrogramTensor(x, window, 1.0)})
+            return
         spatial = SpatialModel(covariances, source_ids)
         states = StateSpectrumModel(source_ids,
                                     rng.uniform(0.0, 1.0, (n_src, n_bins)),

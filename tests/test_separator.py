@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from asyncsep import _kernels, _pool, separator
 from asyncsep.classifier import (PowerEstimate, classify,
                                  source_power_estimates)
-from asyncsep.dsp import SpectrogramTensor, WindowSpec, istft
-from asyncsep.errors import NumericalError
+from asyncsep.dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
+                          istft, stft, stft_frame_count)
+from asyncsep.errors import ConfigError, NumericalError
 from asyncsep.model import NOISE_ID, SpatialModel, pooled_tensor
-from asyncsep.separator import MODES, separate
+from asyncsep.separator import MODES, separate, separate_recordings
 
 from conftest import (
     block_consistency,
@@ -29,6 +30,7 @@ from conftest import (
 
 WIN = WindowSpec(16, 4)
 F = WIN.length // 2 + 1
+STREAM_WIN = WindowSpec(512, 128)
 
 
 def spatial_for(mats_by_source):
@@ -310,7 +312,7 @@ def _perturbing_filter(monkeypatch, tile, delta):
         real(f, x, n0, n1, ws)
         n, k = tile
         if n0 <= n < n1:
-            f.out[0, 0, n, k] += delta
+            f.sink.planes(n0, n1, ws)[0, 0, n - n0, k] += delta
 
     monkeypatch.setattr(separator, "_filter_block", perturbed)
 
@@ -324,6 +326,20 @@ class TestConsistencyFlagsPerturbedTile:
         _perturbing_filter(monkeypatch, tile, delta)
         worst = separate(obs, spatial, states, "tv-local").metadata[
             "consistency_rel_max"]
+        for m in ("a", "b"):
+            expected = delta / np.linalg.norm(obs[m].coeffs[tile])
+            assert worst[m] == pytest.approx(expected, rel=1e-9)
+
+    def test_streamed_path(self, rng, monkeypatch):
+        spatial, states, _ = make_synthetic_models(
+            rng, arrays=("a", "b"), window=STREAM_WIN)
+        recs = {m: SampledSignal(rng.standard_normal((3000, 2)), 16000.0)
+                for m in ("a", "b")}
+        obs = {m: stft(r, STREAM_WIN) for m, r in recs.items()}
+        tile, delta = (13, 40), 1e-3
+        _perturbing_filter(monkeypatch, tile, delta)
+        worst = separate_recordings(recs, STREAM_WIN, spatial, states,
+                                    "tv-local").metadata["consistency_rel_max"]
         for m in ("a", "b"):
             expected = delta / np.linalg.norm(obs[m].coeffs[tile])
             assert worst[m] == pytest.approx(expected, rel=1e-9)
@@ -496,13 +512,21 @@ class TestNonFiniteInput:
             separate(_corrupt(obs, 1e160), spatial, states, mode)
 
 
-def _separate_bounded(*args, timeout=120.0):
+def _separate_bounded(*args, timeout=120.0, run=separate, **kwargs):
     box = {}
-    t = threading.Thread(target=lambda: box.update(r=separate(*args)),
-                         daemon=True)
+
+    def target():
+        try:
+            box["r"] = run(*args, **kwargs)
+        except BaseException as exc:  # re-raised on the calling thread
+            box["e"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
     t.start()
     t.join(timeout)
-    assert not t.is_alive(), "separate did not finish"
+    assert not t.is_alive(), f"{run.__name__} did not finish"
+    if "e" in box:
+        raise box["e"]
     return box["r"]
 
 
@@ -599,3 +623,134 @@ class TestBlockPassAllocatesNoArrays:
         # the smallest array a block could allocate: one (8, F) bool plane
         assert len(peaks) == 2
         assert max(peaks) < 8 * n_bins
+
+
+def _length_for(window, n_frames, spare):
+    """A recording length of n_frames STFT frames that keeps them when cut
+    by `spare` samples."""
+    return next(n for n in range(window.length, 100 * window.length)
+                if stft_frame_count(n, window) == n_frames
+                and stft_frame_count(n - spare, window) == n_frames)
+
+
+def _stream_case(seed, n_frames, window=STREAM_WIN, spare=5):
+    """Three 2-channel devices with a merged entry, and recordings of
+    n_frames frames; c's recording is `spare` samples shorter than a's
+    and b's."""
+    rng = np.random.default_rng(seed)
+    spatial, states, _ = make_synthetic_models(
+        rng, arrays=("a", "b", "c"), window=window)
+    spatial = _with_pooled(rng, spatial, 3)
+    n = _length_for(window, n_frames, spare)
+    recs = {m: SampledSignal(rng.standard_normal((n - spare * (m == "c"), 2))
+                             * rng.uniform(0.01, 10.0), 16000.0)
+            for m in ("a", "b", "c")}
+    return spatial, states, recs
+
+
+class TestSeparateRecordings:
+    """The streamed pass equals STFT -> separate -> iSTFT bit for bit."""
+
+    # 7 frames, the fewest a 3x overlap gives one window; 16, whole
+    # blocks; 19, a part block
+    @pytest.mark.parametrize("window, n_frames, spare", [
+        (WindowSpec(384, 128), 7, 0), (STREAM_WIN, 16, 5),
+        (STREAM_WIN, 19, 5)], ids=["7", "16", "19"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_istft_of_separate(self, monkeypatch, mode, workers,
+                                      window, n_frames, spare):
+        spatial, states, recs = _stream_case(n_frames, n_frames, window,
+                                             spare)
+        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+        obs = {m: stft(r, window) for m, r in recs.items()}
+        shape = (n_frames, spatial.n_bins, states.n_states)
+        gamma_batch, gamma_stream = np.empty(shape), np.empty(shape)
+        batch = separate(obs, spatial, states, mode, posteriors=gamma_batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            stream = _separate_bounded(recs, window, spatial, states,
+                                       mode, run=separate_recordings,
+                                       posteriors=gamma_stream)
+        finally:
+            sys.setswitchinterval(interval)
+        assert stream.mode == mode
+        assert stream.metadata == batch.metadata
+        assert list(stream.images) == list(batch.images)
+        for (m, k), tensor in batch.images.items():
+            want = istft(tensor, length=recs[m].n_samples)
+            got = stream.images[(m, k)]
+            assert got.rate_hz == want.rate_hz
+            assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(gamma_stream, gamma_batch)
+
+    def test_unaligned_devices_rejected_where_filtered_jointly(self):
+        spatial, states, recs = _stream_case(0, 16)
+        recs["c"] = SampledSignal(recs["c"].samples[:-300], 16000.0)
+        with pytest.raises(ValueError, match="not aligned"):
+            separate_recordings(recs, STREAM_WIN, spatial, states,
+                                "tv-distributed")
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda r: r.update(a=SampledSignal(r["a"].samples[:, :1], 16000.0)),
+         ValueError, "1 channels"),
+        (lambda r: r.update(a=SampledSignal(r["a"].samples[:500], 16000.0)),
+         ValueError, "fewer than one frame"),
+        (lambda r: r["b"].samples.__setitem__((7, 1), np.nan),
+         NumericalError, "non-finite samples in array 'b'"),
+        (lambda r: r.update({"x/y": r.pop("c")}), ConfigError, "'x/y'"),
+        (lambda r: r.clear(), ValueError, "no observations"),
+    ], ids=["channels", "short", "nan", "id", "none"])
+    def test_bad_recordings_rejected(self, edit, error, match):
+        spatial, states, recs = _stream_case(0, 16)
+        edit(recs)
+        with pytest.raises(error, match=match):
+            separate_recordings(recs, STREAM_WIN, spatial, states)
+
+    def test_window_must_match_the_model(self):
+        spatial, states, recs = _stream_case(0, 16)
+        with pytest.raises(ValueError, match="model expects 257"):
+            separate_recordings(recs, WindowSpec(256, 64), spatial, states)
+
+    @pytest.mark.parametrize("failing_block", [0, 8, 16])
+    def test_a_failing_block_releases_the_blocks_after_it(
+            self, monkeypatch, failing_block):
+        # the blocks after it wait for its overlap-add; they must return
+        spatial, states, recs = _stream_case(1, 40)
+        real = separator._filter_block
+
+        def failing(f, x, n0, n1, ws):
+            if n0 == failing_block:
+                raise NumericalError(f"block {n0} failed")
+            real(f, x, n0, n1, ws)
+
+        monkeypatch.setattr(separator, "_filter_block", failing)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 3)
+        with pytest.raises(NumericalError, match=f"block {failing_block} "):
+            _separate_bounded(recs, STREAM_WIN, spatial, states,
+                              "tv-distributed", run=separate_recordings,
+                              timeout=60.0)
+
+    def test_peak_traced_memory_below_the_image_spectrograms(self,
+                                                             monkeypatch):
+        # the demo geometry at 15 s: three 2-channel devices, 3 sources
+        win = WindowSpec()
+        rng = np.random.default_rng(5)
+        spatial, states, _ = make_synthetic_models(
+            rng, arrays=("a1", "a2", "a3"), window=win)
+        n = 15 * 16000
+        recs = {m: SampledSignal(0.1 * rng.standard_normal((n, 2)), 16000.0)
+                for m in ("a1", "a2", "a3")}
+        # what separate allocates for its (K+1, C, N, F) image buffers
+        images_bytes = (4 * 6 * stft_frame_count(n, win) * spatial.n_bins
+                        * 16)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            result = separate_recordings(recs, win, spatial, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.images[("a1", "s0")].n_samples == n
+        assert peak <= 0.6 * images_bytes

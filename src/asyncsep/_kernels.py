@@ -39,8 +39,8 @@ _BLOCK = 8  # frames per block
 class Workspace:
     """Scratch planes of one thread for blocks of up to `frames` frames.
 
-      x, y   (channels, frames, bins) complex: the block's mixture planes
-             and the filter's solves
+      x      (channels, frames, bins) complex: the block's mixture planes
+      y      (filter_channels, frames, bins) complex: one filter's solves
       ll     (frames, bins, states): log-likelihoods, then posteriors
       p      (sources, frames, bins) complex: powers, real part only
       L      (factor_channels, factor_channels, frames, bins) complex: the
@@ -62,13 +62,13 @@ class Workspace:
     def __init__(self, frames: int, bins: int, channels: int = 0,
                  factor_channels: int = 0, sources: int = 0,
                  states: int = 0, images: int = 0, image_channels: int = 0,
-                 length: int = 0):
+                 length: int = 0, filter_channels: int = 0):
         B, F, Cf = frames, bins, factor_channels
         self.img = np.empty((images, image_channels, B, F),
                             dtype=np.complex128)
         self.t = np.empty((images, image_channels, B, length))
         self.x = np.empty((channels, B, F), dtype=np.complex128)
-        self.y = np.empty((channels, B, F), dtype=np.complex128)
+        self.y = np.empty((filter_channels, B, F), dtype=np.complex128)
         self.ll = np.empty((B, F, states))
         self.p = np.zeros((sources, B, F), dtype=np.complex128)
         self.L = np.empty((Cf, Cf, B, F), dtype=np.complex128)
@@ -273,7 +273,8 @@ def mwf_filter(X, Rbar, powers, noise_power, block=_BLOCK):
     noise_over_c = noise_power / C
     out = np.empty((K + 1, C, N, F), dtype=np.complex128)
     static = powers.shape[0] == 1
-    ws = Workspace(block, F, channels=C, factor_channels=C, sources=K)
+    ws = Workspace(block, F, channels=C, factor_channels=C, sources=K,
+                   filter_channels=C)
     for n0 in range(0, N, block):
         n1 = min(n0 + block, N)
         if n0 == 0 or not static:

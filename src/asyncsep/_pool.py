@@ -1,14 +1,24 @@
 """Independent tasks on every core this process may run on.
 
-The separation pass, the iSTFT and the resampler split their work into
-tasks that write disjoint slices of buffers allocated beforehand, or, in
+Every stage with numeric work splits it into tasks on this pool:
+  * scene synthesis: one task per source rendering, one per (array,
+    source) image and one per array's mixture;
+  * the STFT and the iSTFT: one task per channel and run of 64 frames
+    (`stft`), or per channel (`istft`);
+  * training: one task per (entry, source) and block of bins, which
+    forms the covariance and the long-term spectrum there;
+  * the resampler: one task per run of output samples;
+  * the separation pass: one task per block of frames;
+  * SDR scoring: one task per (reference, estimate) pair.
+Tasks write disjoint slices of buffers allocated beforehand, or, in
 the streamed separation pass, add into shared samples in task order, so
 the result does not depend on how many threads run them.
 numpy releases the interpreter lock inside its loops, so threads overlap
 the numeric work.  Each thread owns one workspace of scratch buffers, which the
-calling thread allocates before any task starts.  The tasks allocate no
-arrays of their own: a worker thread's malloc arena would keep freed
-block temporaries and raise the peak resident memory.
+calling thread allocates before any task starts, with every output.  The
+tasks allocate no arrays of their own: a worker thread's malloc arena
+would keep freed temporaries and raise the peak resident memory.  (A
+source read from a WAV file is the exception: its task reads the file.)
 """
 
 from __future__ import annotations
@@ -33,8 +43,11 @@ def run(tasks, work, workspaces) -> None:
     One thread per workspace takes the tasks in list order until none is
     left; the calling thread is the first of them, so len(workspaces) - 1
     threads are started.  As every earlier task has been taken when a
-    task starts, a task may wait for an earlier one without deadlock.  After a task raises, no thread takes a new
-    task, and the first error is raised once every thread has finished.
+    task starts, a task may wait for an earlier one without deadlock.
+    After a task raises, no thread takes a new task; once every thread
+    has finished, the error of the earliest failed task in list order is
+    raised.  Every task before it had started, so that error does not
+    depend on the number of threads.
     """
     tasks = list(tasks)
     if not tasks:
@@ -48,13 +61,13 @@ def run(tasks, work, workspaces) -> None:
             with lock:
                 if errors or next_task[0] == len(tasks):
                     return
-                task = tasks[next_task[0]]
+                index = next_task[0]
                 next_task[0] += 1
             try:
-                work(task, ws)
+                work(tasks[index], ws)
             except BaseException as exc:  # re-raised by the calling thread
                 with lock:
-                    errors.append(exc)
+                    errors.append((index, exc))
                 return
 
     threads = [threading.Thread(target=loop, args=(ws,), daemon=True)
@@ -67,4 +80,4 @@ def run(tasks, work, workspaces) -> None:
         for t in threads:
             t.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda e: e[0])[1]

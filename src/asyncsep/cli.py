@@ -33,7 +33,7 @@ from .demo import demo_scene_path
 from .dsp import (SampledSignal, WindowSpec, _resample_stacked, stft,
                   stft_frame_count)
 from .errors import ConfigError, NumericalError
-from .metrics import sdr
+from .metrics import _sdr_pairs
 from .model import (SpatialModel, load_models, model_summary, save_models,
                     train_models)
 from .scene import load_scene, scene_to_dict, synthesize_scene
@@ -258,7 +258,7 @@ def cmd_evaluate(args) -> int:
         refs.update(zip(keys, _resample_stacked([refs[key] for key in keys],
                                                 sro[m])))
 
-    scores = {}
+    scored = []
     for (m, k), (wav, est_path) in pairs.items():
         ref = refs[(m, k)]
         est = read_wav(est_path)
@@ -266,10 +266,11 @@ def cmd_evaluate(args) -> int:
         if not ref.samples[:n].any():
             raise ConfigError(f"truth image {wav} is silent over the scored "
                               f"span; SDR is undefined")
-        scores[f"{m}/{k}"] = sdr(SampledSignal(ref.samples[:n], ref.rate_hz),
-                                 SampledSignal(est.samples[:n], est.rate_hz))
-    if not scores:
+        scored.append((SampledSignal(ref.samples[:n], ref.rate_hz),
+                       SampledSignal(est.samples[:n], est.rate_hz)))
+    if not scored:
         raise ConfigError("no estimate/truth pairs found")
+    scores = dict(zip((f"{m}/{k}" for m, k in pairs), _sdr_pairs(scored)))
 
     finite = [v for v in scores.values() if math.isfinite(v)]
     report = {

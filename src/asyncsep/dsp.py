@@ -26,7 +26,7 @@ __all__ = [
     "long_term_average_spectrum",
 ]
 
-_SYNTH_CHUNK = 64  # frames synthesized at a time by `istft`
+_CHUNK = 64  # frames of one `stft` task, and synthesized at a time by `istft`
 _RESAMPLE_ROWS = 16384  # output samples per resampling task
 
 
@@ -216,6 +216,11 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
     Returns
     -------
     SpectrogramTensor with coeffs of shape (frames, length//2 + 1, channels).
+
+    Each channel's runs of `_CHUNK` frames are tasks on the thread pool
+    (`_pool`): a task windows its frames into its thread's scratch and
+    transforms them into its slice of the output, so the coefficients do
+    not depend on the thread count.
     """
     x = signal.samples
     if x.shape[0] < window.length:
@@ -228,11 +233,25 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
 
     n_bins = window.length // 2 + 1
     coeffs = np.empty((n_frames, n_bins, x.shape[1]), dtype=np.complex128)
-    frames = np.empty((1, n_frames, window.length))
-    for c in range(x.shape[1]):
-        _analyze(padded[c:c + 1], 0, n_frames, window, win, frames,
-                 coeffs[None, :, :, c])
+    tasks = [(c, n0) for c in range(x.shape[1])
+             for n0 in range(0, n_frames, _CHUNK)]
+    frames = [np.empty((1, min(_CHUNK, n_frames), window.length))
+              for _ in range(min(_pool.worker_count(), len(tasks)))]
+    _pool.run(tasks,
+              lambda task, ws: _analyze_chunk(padded, window, win, coeffs,
+                                              *task, ws),
+              frames)
     return SpectrogramTensor(coeffs, window, signal.rate_hz, x.shape[0])
+
+
+def _analyze_chunk(padded, window, win, coeffs, c, n0, frames) -> None:
+    """Frames n0 onwards, up to `_CHUNK`, of channel c of `stft`.
+
+    frames: (1, _CHUNK, window length) float scratch.
+    """
+    n1 = min(n0 + _CHUNK, coeffs.shape[0])
+    _analyze(padded[c:c + 1], n0, n1, window, win, frames[:, :n1 - n0],
+             coeffs[None, n0:n1, :, c])
 
 
 def _synthesis_norm(window: WindowSpec, n_frames: int):
@@ -283,7 +302,7 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     samples to machine precision on the analyzed extent.
 
     Each channel is one task on the thread pool (`_pool`): its frames are
-    synthesized `_SYNTH_CHUNK` at a time into a buffer the calling thread
+    synthesized `_CHUNK` at a time into a buffer the calling thread
     allocated and overlap-added in frame order (`_overlap_add`).  The
     denominator and its mask are built once.  The samples are returned as
     a (length, channels) view of a channel-major buffer.
@@ -297,7 +316,7 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     win = window.window()
     denom, good = _synthesis_norm(window, n_frames)
     out = np.zeros((n_ch, denom.shape[0]))
-    chunks = [np.empty((min(_SYNTH_CHUNK, n_frames) or 1, window.length))
+    chunks = [np.empty((min(_CHUNK, n_frames) or 1, window.length))
               for _ in range(min(_pool.worker_count(), n_ch))]
     _pool.run(range(n_ch),
               lambda c, chunk: _synthesize_channel(
@@ -476,26 +495,45 @@ def fractional_delay(samples: np.ndarray, delay: float, order: int = 4) -> np.nd
     x = np.asarray(samples, dtype=np.float64)
     squeeze = x.ndim == 1
     x = _as_2d(x)
-    n = x.shape[0]
-    if delay == 0.0:
-        out = x.copy()
-    else:
-        # output i reads x[i + first + j], j = 0..order, always at the
-        # abscissa -delay - first within its stencil
-        first = math.floor(-delay) - (order - 1) // 2
-        weights = _lagrange_weights(np.array([-delay - first]), order,
-                                    np.empty((order + 1, 1)),
-                                    np.empty((order + 2, 1)))[:, 0]
-        out = np.zeros_like(x)
-        for j in range(order + 1):
-            shift = first + j
-            lo, hi = max(0, -shift), min(n, n - shift)
-            if lo < hi:
-                out[lo:hi] += weights[j] * x[lo + shift:hi + shift]
-        # the stencil reaches the first samples a little ahead of the
-        # delay; keep the strictly causal region exactly zero
-        out[:math.floor(delay)] = 0.0
+    out = np.empty_like(x)
+    _delay(x, delay, order, out, _delay_scratch(x.shape, order))
     return out[:, 0] if squeeze else out
+
+
+def _delay_scratch(shape, order: int):
+    """Scratch of `_delay` for inputs of `shape`."""
+    return (np.empty(shape), np.empty(1), np.empty((order + 1, 1)),
+            np.empty((order + 2, 1)))
+
+
+def _delay(x, delay: float, order: int, out, ws) -> None:
+    """Write x delayed by `delay` samples into out, as `fractional_delay`.
+
+    x and out: (n, ...) float, with a valid, nonnegative delay; ws:
+    `_delay_scratch` of x's shape or longer.  Allocates no array.
+    """
+    if delay == 0.0:
+        np.copyto(out, x)
+        return
+    tap, t, weights, diffs = ws
+    n = x.shape[0]
+    tap = tap[:n]
+    # output i reads x[i + first + j], j = 0..order, always at the
+    # abscissa -delay - first within its stencil
+    first = math.floor(-delay) - (order - 1) // 2
+    t[0] = -delay - first
+    _lagrange_weights(t, order, weights, diffs)
+    out.fill(0.0)
+    for j in range(order + 1):
+        shift = first + j
+        lo, hi = max(0, -shift), min(n, n - shift)
+        if lo < hi:
+            np.multiply(x[lo + shift:hi + shift], weights[j, 0],
+                        out=tap[lo:hi])
+            out[lo:hi] += tap[lo:hi]
+    # the stencil reaches the first samples a little ahead of the
+    # delay; keep the strictly causal region exactly zero
+    out[:math.floor(delay)] = 0.0
 
 
 def long_term_average_spectrum(spec: SpectrogramTensor) -> np.ndarray:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .dsp import WindowSpec, _resample_stacked, stft
-from .metrics import sdr
+from .metrics import _sdr_pairs
 from .model import train_models
 from .scene import SceneSpec, apply_sro, scene_to_dict, synthesize_scene
 from .separator import MODES, separate_recordings
@@ -93,8 +93,14 @@ def unprocessed_sdr(refs, recordings) -> dict[str, float]:
 
     refs maps (array, source) to the truth image at that device's clock.
     """
-    return {f"{m}/{k}": sdr(ref, recordings[m].signal)
-            for (m, k), ref in refs.items()}
+    return _scores(refs, lambda m, k: recordings[m].signal)
+
+
+def _scores(refs, estimate) -> dict[str, float]:
+    """"m/k" -> SDR of estimate(m, k) against refs[(m, k)], scored on the
+    pool."""
+    pairs = [(ref, estimate(m, k)) for (m, k), ref in refs.items()]
+    return dict(zip((f"{m}/{k}" for m, k in refs), _sdr_pairs(pairs)))
 
 
 def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
@@ -117,12 +123,13 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         seed=seed)
 
     t0 = time.perf_counter()
-    train_images, _ = synthesize_scene(_zero_sro(train_scene), seed + 1)
+    train_images = synthesize_scene(_zero_sro(train_scene), seed + 1)[0]
     train_tensors = {key: stft(sig, window)
                      for key, sig in train_images.images.items()}
     spatial, states = train_models(
         train_tensors, noise_gain=noise_gain,
         include_pooled="static-pooled" in modes)
+    del train_images, train_tensors  # not held through the test scene
     report.runtime_s["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -161,13 +168,13 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
             t0 = time.perf_counter()
             result = separate_recordings(signals, window, spatial, states,
                                          mode)
-            scores = {f"{m}/{k}": sdr(ref, result.images[(m, k)])
-                      for (m, k), ref in refs.items()}
+            scores = _scores(refs, lambda m, k: result.images[(m, k)])
             report.sdr_db[variant][mode] = scores
             report.mode_means[variant][mode] = _mean(scores.values())
             report.consistency[variant][mode] = max(
                 result.metadata["consistency_rel_max"].values())
             report.runtime_s[f"{mode}[{variant}]"] = time.perf_counter() - t0
+            del result  # not held through the next mode's separation
     return report
 
 

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from .dsp import SpectrogramTensor, WindowSpec
 from .errors import ConfigError
 
@@ -50,6 +51,7 @@ _MAGIC = b"ASEPMODL"
 _FORMAT_VERSION = 4  # 2: CRC-32; 3: merged entries; 4: each quantity once
 _MAX_NDIM = 4  # the container stores (F,), (K, F) and (K, F, C, C) arrays
 _UNIT_TOL = 1e-9  # Hermitian, unit-trace and PSD slack a container may hold
+_BIN_BLOCK = 256  # bins of one training task, at most
 
 
 @dataclass
@@ -181,36 +183,123 @@ def _check_ids(array_ids, source_ids) -> None:
         SpatialModel.check_id(k, "source")
 
 
-def _gated_mean_covariance(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Scratch:
+    """One thread's scratch for `_entry_bins` tasks of up to `frames`
+    frames, `bins` bins and `channels` channels."""
+
+    def __init__(self, frames: int, bins: int, channels: int):
+        tiles = frames * bins
+        self.power = np.empty(tiles * channels)
+        self.imag = np.empty(tiles * channels)
+        self.conj = np.empty(tiles * channels, dtype=np.complex128)
+        self.energy = np.empty(tiles)
+        self.weight = np.empty(tiles)
+        self.keep = np.empty(tiles, dtype=bool)
+        self.herm = np.empty(bins * channels * channels, dtype=np.complex128)
+        self.trace = np.empty(bins, dtype=np.complex128)
+        self.r = np.empty((3, bins))
+        self.mask = np.empty((2, bins), dtype=bool)
+
+
+def _gated_mean_covariance(x, power, cov, fallback, identity, ws) -> None:
     """Average per-frame outer products per bin, skipping silent frames.
 
-    coeffs: (N, F, C).  Frames whose energy at a bin falls below the
-    silence gate relative to that bin's average are excluded.  Returns
-    ((F, C, C) covariances, (F,) bool mask of bins that had no usable
-    frames and fell back to identity/channels).
+    x: (N, b, C) coefficients of b bins and power: their |x|^2.  Frames
+    whose energy at a bin falls below the silence gate relative to that
+    bin's average are excluded.  Writes the (b, C, C) unit-trace
+    Hermitian covariances to cov and marks in fallback, (b,) bool, the
+    bins that had no usable frames and fell back to identity (the (C, C)
+    identity / C).  Its temporaries are slices of ws, a `_Scratch`.
     """
-    N, F, C = coeffs.shape
-    energy = (coeffs.real ** 2 + coeffs.imag ** 2).sum(axis=2)  # (N, F)
-    mean_energy = energy.mean(axis=0)  # (F,)
-    keep = energy >= SILENCE_GATE * mean_energy[None, :]
-    keep &= mean_energy[None, :] > 0.0
+    N, b, C = x.shape
+    energy = ws.energy[:N * b].reshape(N, b)
+    np.sum(power, axis=2, out=energy)
+    mean_energy, gate, counts = ws.r[:, :b]
+    np.sum(energy, axis=0, out=mean_energy)
+    mean_energy /= N
+    np.multiply(mean_energy, SILENCE_GATE, out=gate)
+    keep = ws.keep[:N * b].reshape(N, b)
+    np.greater_equal(energy, gate, out=keep)
+    flag = ws.mask[0, :b]
+    np.greater(mean_energy, 0.0, out=flag)
+    keep &= flag
 
-    w = keep.astype(np.float64)
-    cov = np.einsum("nf,nfc,nfd->fcd", w, coeffs, coeffs.conj())
-    counts = w.sum(axis=0)
+    w = ws.weight[:N * b].reshape(N, b)
+    np.copyto(w, keep)
+    conj = ws.conj[:N * b * C].reshape(N, b, C)
+    np.conjugate(x, out=conj)
+    np.einsum("nf,nfc,nfd->fcd", w, x, conj, out=cov)
+    np.sum(w, axis=0, out=counts)
 
-    fallback = counts == 0
-    good = ~fallback
-    cov[good] /= counts[good, None, None]
-    cov[fallback] = np.eye(C) / C
+    np.equal(counts, 0.0, out=fallback)
+    np.logical_not(fallback, out=flag)
+    np.divide(cov, counts[:, None, None], out=cov, where=flag[:, None, None])
+    np.copyto(cov, identity, where=fallback[:, None, None])
 
-    cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-    tr = np.einsum("fcc->f", cov).real
-    pos = tr > 0
-    cov[pos] /= tr[pos, None, None]
-    cov[~pos] = np.eye(C) / C
-    fallback |= ~pos
-    return cov, fallback
+    herm = ws.herm[:b * C * C].reshape(b, C, C)
+    np.conjugate(cov.transpose(0, 2, 1), out=herm)
+    np.add(cov, herm, out=herm)
+    np.multiply(0.5, herm, out=cov)
+    trace = ws.trace[:b]
+    np.einsum("fcc->f", cov, out=trace)
+    np.greater(trace.real, 0.0, out=flag)
+    np.divide(cov, trace.real[:, None, None], out=cov,
+              where=flag[:, None, None])
+    np.logical_not(flag, out=flag)
+    np.copyto(cov, identity, where=flag[:, None, None])
+    fallback |= flag
+
+
+def _entry_bins(job, f0: int, f1: int, ws) -> None:
+    """Bins f0:f1 of one (entry, source) job of `_statistics`."""
+    coeffs, cov, fallback, power, identity = job
+    x = coeffs[:, f0:f1]
+    N, b, C = x.shape
+    p = ws.power[:N * b * C].reshape(N, b, C)
+    q = ws.imag[:N * b * C].reshape(N, b, C)
+    np.square(x.real, out=p)
+    np.square(x.imag, out=q)
+    p += q
+    if power is not None:
+        np.sum(p, axis=(0, 2), out=power[f0:f1])
+    if cov is not None:
+        _gated_mean_covariance(x, p, cov[f0:f1], fallback[f0:f1], identity,
+                               ws)
+
+
+def _bin_blocks(n_bins: int) -> list[tuple[int, int]]:
+    """Near-equal blocks of about _BIN_BLOCK bins, and of two or more.
+
+    numpy sums the frames of a bin in frame order while a block holds
+    several bins, but pairwise in a block of one, which rounds
+    differently; only a single bin is its own block.
+    """
+    n = max(1, min(-(-n_bins // _BIN_BLOCK), n_bins // 2))
+    bounds = [n_bins * i // n for i in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _statistics(jobs) -> None:
+    """Fill the outputs of every job on the pool (`_pool`).
+
+    A job is (coeffs, cov, fallback, power, identity): the (N, F, C)
+    C-contiguous training frames of one (entry, source); the (F, C, C)
+    complex covariances and (F,) bool fallback mask to write, or None
+    for cov; an (F,) float that receives |coefficient|^2 summed over
+    frames and channels, or None; and the (C, C) fallback covariance.
+    Each job and block of bins is one task, which writes its bins only,
+    so the outputs do not depend on the thread count.
+    """
+    if not jobs:
+        return
+    blocks = _bin_blocks(jobs[0][0].shape[1])
+    tasks = [(job, f0, f1) for job in jobs for f0, f1 in blocks]
+    frames = max(job[0].shape[0] for job in jobs)
+    channels = max(job[0].shape[2] for job in jobs)
+    width = max(f1 - f0 for f0, f1 in blocks)
+    scratch = [_Scratch(frames, width, channels)
+               for _ in range(min(_pool.worker_count(), len(tasks)))]
+    _pool.run(tasks, lambda task, ws: _entry_bins(*task, ws), scratch)
 
 
 def _frames_of(tensors) -> np.ndarray:
@@ -219,6 +308,100 @@ def _frames_of(tensors) -> np.ndarray:
         return tensors.coeffs
     parts = [t.coeffs for t in tensors]
     return np.concatenate(parts, axis=0)
+
+
+def _coefficients(tensors, where) -> np.ndarray:
+    """C-contiguous (N, F, C) frames of one (entry, source); ConfigError
+    naming `where` when there are none."""
+    coeffs = np.ascontiguousarray(_frames_of(tensors))
+    if coeffs.shape[0] < 1:
+        raise ConfigError(f"{where!r}: no frames to train on")
+    return coeffs
+
+
+def _device_frames(training_images):
+    """Sorted device and source ids, and the frames of every pair."""
+    array_ids = sorted({m for (m, _) in training_images})
+    source_ids = sorted({k for (_, k) in training_images})
+    for m in array_ids:
+        for k in source_ids:
+            if (m, k) not in training_images:
+                raise ConfigError(f"missing training images for ({m!r}, {k!r})")
+    frames = {(m, k): _coefficients(training_images[(m, k)], (m, k))
+              for m in array_ids for k in source_ids}
+    if len({c.shape[1] for c in frames.values()}) > 1:
+        raise ValueError("inconsistent bin counts across arrays")
+    for m in array_ids:
+        if len({frames[(m, k)].shape[2] for k in source_ids}) > 1:
+            raise ValueError(f"array {m!r}: training images differ in "
+                             f"channel count")
+    return array_ids, source_ids, frames
+
+
+def _train(training_images, merged: bool):
+    """Covariances of every device, and with `merged` of the merged array
+    over them, and each device's (K, F) summed power with its frames
+    times channels, from one `_statistics` pass."""
+    array_ids, source_ids, frames = _device_frames(training_images)
+    entries = {m: [frames[(m, k)] for k in source_ids] for m in array_ids}
+    if merged and len(array_ids) > 1:  # one device is its own merge
+        entries["+".join(array_ids)] = [
+            _coefficients(_merged_images(training_images, array_ids, k),
+                          ("+".join(array_ids), k))
+            for k in source_ids]
+    K, F = len(source_ids), frames[(array_ids[0], source_ids[0])].shape[1]
+    covariances, fallback, jobs = {}, {}, []
+    power = np.empty((len(array_ids), K, F))
+    for i, (m, coeffs) in enumerate(entries.items()):
+        C = coeffs[0].shape[2]
+        covariances[m] = np.empty((K, F, C, C), dtype=np.complex128)
+        fallback[m] = np.zeros((K, F), dtype=bool)
+        identity = np.eye(C) / C
+        for k in range(K):
+            jobs.append((coeffs[k], covariances[m][k], fallback[m][k],
+                         power[i, k] if i < len(array_ids) else None,
+                         identity))
+    _statistics(jobs)
+    fallback_bins = {(m, k): np.flatnonzero(fell[k_idx])
+                     for m, fell in fallback.items()
+                     for k_idx, k in enumerate(source_ids)
+                     if fell[k_idx].any()}
+    counts = [[frames[(m, k)].shape[0] * frames[(m, k)].shape[2]
+               for k in source_ids] for m in array_ids]
+    return SpatialModel(covariances, source_ids, fallback_bins), power, counts
+
+
+def _state_model(source_ids, power, counts, noise_gain: float
+                 ) -> StateSpectrumModel:
+    """The state model from each device's summed power per source.
+
+    power: (M, K, F) summed |coefficient|^2; counts: the frames times
+    channels behind each sum.  The long-term average spectrum of a
+    source pools every device, in device order.
+    """
+    M, K, F = power.shape
+    ltas = np.zeros((K, F))
+    for k_idx in range(K):
+        total = np.zeros(F)
+        count = 0
+        for i in range(M):
+            total += power[i, k_idx]
+            count += counts[i][k_idx]
+        ltas[k_idx] = total / count
+
+    floor = VARIANCE_FLOOR * ltas.max(axis=1, keepdims=True)
+    ltas = np.maximum(ltas, floor)
+
+    return StateSpectrumModel(list(source_ids), ltas,
+                              noise_gain * ltas.mean(axis=0))
+
+
+def _check_training_ids(training_images) -> None:
+    if not training_images:
+        raise ConfigError("no training images given")
+    for m, k in training_images:
+        SpatialModel.check_id(m, "device")
+        SpatialModel.check_id(k, "source")
 
 
 def estimate_spatial_covariance(
@@ -230,37 +413,8 @@ def estimate_spatial_covariance(
     motion by training on several perturbed variants of a scene).  Every
     id must pass `SpatialModel.check_id`; ConfigError if not.
     """
-    if not training_images:
-        raise ConfigError("no training images given")
-    for m, k in training_images:
-        SpatialModel.check_id(m, "device")
-        SpatialModel.check_id(k, "source")
-    return _estimate(training_images)
-
-
-def _estimate(training_images) -> SpatialModel:
-    """The covariances of every (array, source) entry."""
-    array_ids = sorted({m for (m, _) in training_images})
-    source_ids = sorted({k for (_, k) in training_images})
-    for m in array_ids:
-        for k in source_ids:
-            if (m, k) not in training_images:
-                raise ConfigError(f"missing training images for ({m!r}, {k!r})")
-
-    covariances = {}
-    fallback_bins = {}
-    for m in array_ids:
-        per_source = []
-        for k in source_ids:
-            coeffs = _frames_of(training_images[(m, k)])
-            if coeffs.shape[0] < 1:
-                raise ConfigError(f"({m!r}, {k!r}): no frames to train on")
-            cov, fell = _gated_mean_covariance(coeffs)
-            per_source.append(cov)
-            if fell.any():
-                fallback_bins[(m, k)] = np.flatnonzero(fell)
-        covariances[m] = np.stack(per_source)
-    return SpatialModel(covariances, source_ids, fallback_bins)
+    _check_training_ids(training_images)
+    return _train(training_images, merged=False)[0]
 
 
 def build_state_model(training_images, spatial: SpatialModel,
@@ -271,23 +425,17 @@ def build_state_model(training_images, spatial: SpatialModel,
     arrays' images; the diffuse-noise spectrum is the across-source mean
     scaled by noise_gain.
     """
-    K = spatial.n_sources
-    F = spatial.n_bins
-    ltas = np.zeros((K, F))
-    for k_idx, k in enumerate(spatial.source_ids):
-        total = np.zeros(F)
-        count = 0
-        for m in spatial.array_ids():
-            coeffs = _frames_of(training_images[(m, k)])
-            total += (coeffs.real ** 2 + coeffs.imag ** 2).sum(axis=(0, 2))
-            count += coeffs.shape[0] * coeffs.shape[2]
-        ltas[k_idx] = total / count
-
-    floor = VARIANCE_FLOOR * ltas.max(axis=1, keepdims=True)
-    ltas = np.maximum(ltas, floor)
-
-    return StateSpectrumModel(list(spatial.source_ids), ltas,
-                              noise_gain * ltas.mean(axis=0))
+    devices, K = spatial.array_ids(), spatial.n_sources
+    power = np.empty((len(devices), K, spatial.n_bins))
+    jobs, counts = [], []
+    for i, m in enumerate(devices):
+        counts.append([])
+        for k_idx, k in enumerate(spatial.source_ids):
+            coeffs = _coefficients(training_images[(m, k)], (m, k))
+            jobs.append((coeffs, None, None, power[i, k_idx], None))
+            counts[-1].append(coeffs.shape[0] * coeffs.shape[2])
+    _statistics(jobs)
+    return _state_model(spatial.source_ids, power, counts, noise_gain)
 
 
 def pooled_tensor(tensors: dict[str, SpectrogramTensor],
@@ -330,15 +478,10 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
     if not (math.isfinite(noise_gain) and noise_gain >= 0.0):
         raise ConfigError(f"noise gain must be finite and non-negative, "
                           f"got {noise_gain}")
-    spatial = estimate_spatial_covariance(training_images)
-    states = build_state_model(training_images, spatial, noise_gain=noise_gain)
-    devices, mid = spatial.array_ids(), spatial.merged_id()
-    if include_pooled and len(devices) > 1:  # one device is its own merge
-        merged = _estimate({(mid, k): _merged_images(training_images, devices, k)
-                            for k in spatial.source_ids})
-        spatial.covariances.update(merged.covariances)
-        spatial.fallback_bins.update(merged.fallback_bins)
-    return spatial, states
+    _check_training_ids(training_images)
+    spatial, power, counts = _train(training_images, merged=include_pooled)
+    return spatial, _state_model(spatial.source_ids, power, counts,
+                                 noise_gain)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import _pool
 from .audio import read_wav
-from .dsp import SampledSignal, fractional_delay, lagrange_resample
+from .dsp import SampledSignal, _delay, _delay_scratch, lagrange_resample
 from .errors import ConfigError
 from .model import SpatialModel
 
@@ -196,6 +197,14 @@ def _coupling_from_dict(obj, where: str) -> ChannelCoupling:
     return ChannelCoupling(float(obj["delay"]), float(obj["gain"]), echoes)
 
 
+def _id_of(value, what: str) -> str:
+    """An id as written in the scene; ConfigError unless it is a string
+    (an empty `id:` loads as None, `id: 12` as an integer)."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def scene_from_dict(data: dict, base_dir: Path | None = None) -> SceneSpec:
     """Build a validated SceneSpec from parsed YAML/JSON data."""
     if not isinstance(data, dict):
@@ -204,7 +213,7 @@ def scene_from_dict(data: dict, base_dir: Path | None = None) -> SceneSpec:
     if version != 1:
         raise ConfigError(f"unsupported scene config version: {version}")
     try:
-        arrays = [ArraySpec(str(a["id"]), int(a["channels"]),
+        arrays = [ArraySpec(_id_of(a["id"], "array id"), int(a["channels"]),
                             float(a.get("sro_hz", 0.0)))
                   for a in data["arrays"]]
         raw_sources = data["sources"]
@@ -222,12 +231,13 @@ def scene_from_dict(data: dict, base_dir: Path | None = None) -> SceneSpec:
             p = Path(signal.get("path", ""))
             if not p.is_absolute():
                 signal["path"] = str(base_dir / p)
+        sid = _id_of(s["id"], "source id")
         coupling = {}
         for aid, taps in s["coupling"].items():
-            coupling[str(aid)] = [
-                _coupling_from_dict(t, f"source {s['id']!r}/array {aid!r}")
+            coupling[_id_of(aid, f"source {sid!r}: coupling key")] = [
+                _coupling_from_dict(t, f"source {sid!r}/array {aid!r}")
                 for t in taps]
-        sources.append(SourceSpec(str(s["id"]), signal, coupling))
+        sources.append(SourceSpec(sid, signal, coupling))
     return SceneSpec(rate_hz=rate, duration_s=duration, sources=sources,
                      arrays=arrays, noise_level=float(data.get("noise_level", 0.0)))
 
@@ -272,19 +282,38 @@ def scene_to_dict(spec: SceneSpec) -> dict:
 # source signal rendering
 # ---------------------------------------------------------------------------
 
-def _bandlimited_noise(n: int, rate: float, cutoff_hz: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    w = rng.standard_normal(n)
-    W = np.fft.rfft(w)
-    f = np.fft.rfftfreq(n, 1.0 / rate)
-    W[f > cutoff_hz] = 0.0
-    return np.fft.irfft(W, n)
+class _RenderScratch:
+    """One thread's scratch for rendering sources of n samples."""
+
+    def __init__(self, n: int):
+        bins = n // 2 + 1
+        self.a = np.empty(n + 1)
+        self.b = np.empty(n)
+        self.index = np.empty(n, dtype=np.intp)
+        self.active = np.empty(n, dtype=bool)
+        self.spectrum = np.empty(bins, dtype=np.complex128)
+        self.shape = np.empty(bins)
+        self.mask = np.empty((2, bins), dtype=bool)
 
 
-def _render_speech_noise(n: int, rate: float, rng: np.random.Generator,
-                         params: dict) -> np.ndarray:
+def _bandlimited_noise(n: int, cutoff_hz: float, rng: np.random.Generator,
+                       freqs: np.ndarray, out: np.ndarray, ws) -> None:
+    """White noise with its bins above cutoff_hz zeroed, into out (n,).
+
+    freqs: the rfft bin frequencies of n samples; ws: a `_RenderScratch`.
+    """
+    rng.standard_normal(out=out)
+    np.fft.rfft(out, out=ws.spectrum)
+    np.greater(freqs, cutoff_hz, out=ws.mask[0])
+    np.copyto(ws.spectrum, 0.0, where=ws.mask[0])
+    np.fft.irfft(ws.spectrum, n, out=out)
+
+
+def _render_speech_noise(n: int, rng: np.random.Generator, params: dict,
+                         freqs: np.ndarray, out: np.ndarray, ws) -> None:
     """Speech-like test source: tilted bandpass noise under a sparse,
-    syllabic-rate envelope with genuine silent gaps."""
+    syllabic-rate envelope with genuine silent gaps; written to out (n,)
+    through ws, a `_RenderScratch`."""
     band = params.get("band_hz", [120.0, 7200.0])
     tilt = float(params.get("tilt_hz", 500.0))
     mod = float(params.get("modulation_hz", 3.0))
@@ -293,59 +322,112 @@ def _render_speech_noise(n: int, rate: float, rng: np.random.Generator,
     if not 0.0 < activity <= 1.0:
         raise ConfigError("speech_noise activity must be in (0, 1]")
 
-    w = rng.standard_normal(n)
-    W = np.fft.rfft(w)
-    f = np.fft.rfftfreq(n, 1.0 / rate)
-    shape = 1.0 / np.sqrt(1.0 + (f / tilt) ** 2)
-    shape[(f < band[0]) | (f > band[1])] = 0.0
-    carrier = np.fft.irfft(W * shape, n)
-    carrier /= max(np.sqrt(np.mean(carrier ** 2)), 1e-30)
+    carrier, noise, env = out, ws.a[:n], ws.b
+    rng.standard_normal(out=noise)
+    np.fft.rfft(noise, out=ws.spectrum)
+    # the tilt 1 / sqrt(1 + (f / tilt)^2), zero outside the band
+    shape = ws.shape
+    np.divide(freqs, tilt, out=shape)
+    np.square(shape, out=shape)
+    np.add(shape, 1.0, out=shape)
+    np.sqrt(shape, out=shape)
+    np.divide(1.0, shape, out=shape)
+    outside, above = ws.mask
+    np.less(freqs, band[0], out=outside)
+    np.greater(freqs, band[1], out=above)
+    outside |= above
+    np.copyto(shape, 0.0, where=outside)
+    ws.spectrum *= shape
+    np.fft.irfft(ws.spectrum, n, out=carrier)
+    np.square(carrier, out=noise)
+    carrier /= max(np.sqrt(np.mean(noise)), 1e-30)
 
-    raw = _bandlimited_noise(n, rate, mod, rng)
-    thr = np.quantile(raw, 1.0 - activity)
-    env = np.maximum(raw - thr, 0.0)
+    raw = noise
+    _bandlimited_noise(n, mod, rng, freqs, raw, ws)
+    np.copyto(env, raw)  # partitioned in place by the quantile
+    thr = np.quantile(env, 1.0 - activity, overwrite_input=True)
+    np.subtract(raw, thr, out=env)
+    np.maximum(env, 0.0, out=env)
     peak = env.max()
     if peak > 0:
         env /= peak
-    sig = carrier * env
-    active = env > 0
-    if active.any():
-        r = np.sqrt(np.mean(sig[active] ** 2))
+    carrier *= env
+    active = ws.active
+    np.greater(env, 0, out=active)
+    count = int(np.count_nonzero(active))
+    if count:
+        # gather the active samples in order: each lands on its rank
+        # among them, every inactive one on the spare slot past them
+        index, kept = ws.index, ws.a[:count + 1]
+        np.copyto(index, active)
+        np.cumsum(index, out=index)
+        index -= 1
+        np.logical_not(active, out=active)
+        np.copyto(index, count, where=active)
+        np.put(kept, index, carrier)
+        kept = kept[:count]
+        np.square(kept, out=kept)
+        r = np.sqrt(np.mean(kept))
         if r > 0:
-            sig *= level / r
-    return sig
+            carrier *= level / r
 
 
-def render_source_signal(descriptor: dict, n: int, rate: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Render one mono source signal of n samples from its descriptor."""
+def _render_into(descriptor: dict, n: int, rate: float,
+                 rng: np.random.Generator, freqs: np.ndarray,
+                 out: np.ndarray, ws) -> None:
+    """Render one mono source signal of n samples into out (n,).
+
+    freqs: the rfft bin frequencies of n samples at rate; ws: a
+    `_RenderScratch`.  Only a wav source allocates: it reads its file.
+    """
     if not isinstance(descriptor, dict) or "type" not in descriptor:
         raise ConfigError("source signal descriptor needs a 'type' field")
     kind = descriptor["type"]
     if kind == "wav":
         sig = read_wav(descriptor.get("path", ""), expected_rate=rate)
         mono = sig.samples.mean(axis=1)
-        out = np.zeros(n)
+        out.fill(0.0)
         m = min(n, mono.shape[0])
         out[:m] = mono[:m]
-        return out
-    if kind == "white":
-        return float(descriptor.get("level", 0.1)) * rng.standard_normal(n)
-    if kind == "tone":
+    elif kind == "white":
+        rng.standard_normal(out=out)
+        out *= float(descriptor.get("level", 0.1))
+    elif kind == "tone":
         freq = float(descriptor.get("freq_hz", 440.0))
         level = float(descriptor.get("level", 0.1))
-        t = np.arange(n) / rate
-        return level * np.sin(2.0 * np.pi * freq * t)
-    if kind == "impulse":
+        # the sample times 0, 1/rate, ...: whole numbers add exactly
+        steps = ws.b
+        steps.fill(1.0)
+        steps[:1] = 0.0
+        np.cumsum(steps, out=out)
+        out /= rate
+        out *= 2.0 * np.pi * freq
+        np.sin(out, out=out)
+        out *= level
+    elif kind == "impulse":
         pos = int(descriptor.get("position", 0))
         if not 0 <= pos < n:
             raise ConfigError(f"impulse position {pos} outside signal")
-        out = np.zeros(n)
+        out.fill(0.0)
         out[pos] = float(descriptor.get("amplitude", 1.0))
-        return out
-    if kind == "speech_noise":
-        return _render_speech_noise(n, rate, rng, descriptor)
-    raise ConfigError(f"unknown source signal type: {kind!r}")
+    elif kind == "speech_noise":
+        _render_speech_noise(n, rng, descriptor, freqs, out, ws)
+    else:
+        raise ConfigError(f"unknown source signal type: {kind!r}")
+
+
+def render_source_signal(descriptor: dict, n: int, rate: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Render one mono source signal of n samples from its descriptor."""
+    out = np.empty(n)
+    _render_into(descriptor, n, rate, rng, _bin_freqs(n, rate), out,
+                 _RenderScratch(n))
+    return out
+
+
+def _bin_freqs(n: int, rate: float) -> np.ndarray:
+    """The rfft bin frequencies of n samples (none for none)."""
+    return np.fft.rfftfreq(n, 1.0 / rate) if n else np.empty(0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +438,35 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def _image_for(source_sig: np.ndarray, taps: list[ChannelCoupling],
-               rate: float) -> SampledSignal:
-    n = source_sig.shape[0]
-    out = np.zeros((n, len(taps)))
+def _render_image(source_sig: np.ndarray, taps: list[ChannelCoupling],
+                  out: np.ndarray, ws) -> None:
+    """Write one (array, source) image into out, (n, channels).
+
+    Channel c is the source delayed by its direct path times its gain,
+    plus each echo's delayed source times that echo's gain, in tap order.
+    ws: `dsp._delay_scratch` of the source's shape, plus one such signal.
+    """
+    delayed, scratch = ws
     for c, tap in enumerate(taps):
-        y = tap.gain * fractional_delay(source_sig, tap.delay, order=_ORDER)
+        y = out[:, c]
+        _delay(source_sig, tap.delay, _ORDER, delayed, scratch)
+        np.multiply(delayed, tap.gain, out=y)
         for echo in tap.echoes:
-            y += echo.gain * fractional_delay(source_sig, echo.delay,
-                                              order=_ORDER)
-        out[:, c] = y
-    return SampledSignal(out, rate)
+            _delay(source_sig, echo.delay, _ORDER, delayed, scratch)
+            delayed *= echo.gain
+            y += delayed
+
+
+def _mix(total: np.ndarray, parts, noise_level: float, rng, noise) -> None:
+    """Add the parts and, at a positive level, seeded white noise to
+    total, zeros of their shape; noise: float scratch of that size."""
+    for part in parts:
+        total += part
+    if noise_level > 0:
+        z = noise[:total.size].reshape(total.shape)
+        rng.standard_normal(out=z)
+        z *= noise_level
+        total += z
 
 
 def mix_images(images: SourceImageSet, array_id: str, noise_level: float,
@@ -377,11 +477,8 @@ def mix_images(images: SourceImageSet, array_id: str, noise_level: float,
         raise ValueError(f"no images for array {array_id!r}")
     first = images.images[keys[0]]
     total = np.zeros_like(first.samples)
-    for key in keys:
-        total = total + images.images[key].samples
-    if noise_level > 0:
-        rng = np.random.default_rng(seed)
-        total = total + noise_level * rng.standard_normal(total.shape)
+    _mix(total, [images.images[key].samples for key in keys], noise_level,
+         np.random.default_rng(seed), np.empty(total.size))
     return MultichannelRecording(SampledSignal(total, first.rate_hz), array_id)
 
 
@@ -426,6 +523,13 @@ def synthesize_scene(spec: SceneSpec, seed: int
     sro_hz applied after mixing (one clock per device).  Deterministic
     given (spec, seed).  A scene whose samples (`synthesis_bytes`) exceed
     the physical memory raises ConfigError before anything is allocated.
+
+    Three rounds of tasks run on the thread pool (`_pool`): one per source
+    rendering, each from its own random stream; one per (array, source)
+    image, whose delayed taps go through its thread's scratch; and one per
+    array's mixture.  The calling thread allocates every source signal,
+    image and mixture first, so the samples do not depend on the thread
+    count.
     """
     need, have = synthesis_bytes(spec), _physical_memory()
     if have is not None and need > have:
@@ -434,28 +538,47 @@ def synthesize_scene(spec: SceneSpec, seed: int
             f"({spec.duration_s:g} s at {spec.rate_hz:g} Hz), more than the "
             f"{have / 2**30:.3g} GiB of physical memory")
     n = spec.n_samples
-    signals = {}
-    for idx, src in enumerate(spec.sources):
-        rng = np.random.default_rng([seed, 101, idx])
-        signals[src.id] = render_source_signal(src.signal, n, spec.rate_hz, rng)
+    rate, workers = spec.rate_hz, _pool.worker_count()
 
-    images = {}
-    for src in spec.sources:
+    # each source draws from its own stream, so it renders alone
+    signals = np.empty((len(spec.sources), n))
+    rngs = [np.random.default_rng([seed, 101, idx])
+            for idx in range(len(spec.sources))]
+    freqs = _bin_freqs(n, rate)
+    _pool.run(range(len(spec.sources)),
+              lambda idx, ws: _render_into(spec.sources[idx].signal, n, rate,
+                                           rngs[idx], freqs, signals[idx],
+                                           ws),
+              [_RenderScratch(n)
+               for _ in range(min(workers, len(spec.sources)))])
+
+    images, tasks = {}, []
+    for src, sig in zip(spec.sources, signals):
         for arr in spec.arrays:
-            images[(arr.id, src.id)] = _image_for(
-                signals[src.id], src.coupling[arr.id], spec.rate_hz)
+            out = np.empty((n, arr.channels))
+            images[(arr.id, src.id)] = SampledSignal(out, rate)
+            tasks.append((sig, src.coupling[arr.id], out))
+    _pool.run(tasks, lambda task, ws: _render_image(*task, ws),
+              [(np.empty(n), _delay_scratch((n,), _ORDER))
+               for _ in range(min(workers, len(tasks)))])
     image_set = SourceImageSet(images)
 
+    mixes = [np.zeros((n, arr.channels)) for arr in spec.arrays]
+    rngs = [np.random.default_rng(_child_seed(seed, 202, a_idx))
+            for a_idx in range(len(spec.arrays))]
+    width = max((arr.channels for arr in spec.arrays), default=0)
+    _pool.run(range(len(spec.arrays)),
+              lambda a_idx, noise: _mix(
+                  mixes[a_idx],
+                  [images[(spec.arrays[a_idx].id, src.id)].samples
+                   for src in spec.sources],
+                  spec.noise_level, rngs[a_idx], noise),
+              [np.empty(n * width)
+               for _ in range(min(workers, len(spec.arrays)))])
+
     recordings = {}
-    for a_idx, arr in enumerate(spec.arrays):
-        if spec.sources:
-            rec = mix_images(image_set, arr.id, spec.noise_level,
-                             _child_seed(seed, 202, a_idx))
-        else:
-            base = np.zeros((n, arr.channels))
-            if spec.noise_level > 0:
-                rng = np.random.default_rng(_child_seed(seed, 202, a_idx))
-                base += spec.noise_level * rng.standard_normal(base.shape)
-            rec = MultichannelRecording(SampledSignal(base, spec.rate_hz), arr.id)
-        recordings[arr.id] = apply_sro(rec, arr.sro_hz)
+    for arr, total in zip(spec.arrays, mixes):
+        rec = MultichannelRecording(SampledSignal(total, rate), arr.id)
+        recordings[arr.id] = (apply_sro(rec, arr.sro_hz) if arr.sro_hz
+                              else rec)
     return image_set, recordings

@@ -356,19 +356,19 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
     filters = [f for u in units for f in u.filters]
     factor_channels = max((f.n_channels for f in filters
                            if f.static is None), default=0)
+    filter_channels = max((f.n_channels for f in filters), default=0)
     # every device is among some filter's channels, so the analysis of a
     # device's frames fits the synthesis scratch too
     images, image_channels = 0, 0
     if length:
-        images = spatial.n_sources + 1
-        image_channels = max(f.n_channels for f in filters)
+        images, image_channels = spatial.n_sources + 1, filter_channels
     workspaces = [
         _kernels.Workspace(_kernels._BLOCK, spatial.n_bins,
                            channels=max(u.channels for u in units),
                            factor_channels=factor_channels,
                            sources=spatial.n_sources, states=states.n_states,
                            images=images, image_channels=image_channels,
-                           length=length)
+                           length=length, filter_channels=filter_channels)
         for _ in range(min(_pool.worker_count(), len(tasks)))]
     _pool.run(tasks, lambda task, ws: _run_block(*task, ws, var), workspaces)
     return {f.cov_id: float(np.sqrt(max([0.0, *f.worst]))) for f in filters}

@@ -1,16 +1,59 @@
 """Shared fixtures and independent measurement oracles for the test suite."""
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from asyncsep import _kernels
+from asyncsep import _kernels, _pool
 from asyncsep.dsp import SampledSignal, SpectrogramTensor, WindowSpec
 from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
 from asyncsep.separator import _deviation_block
+
+
+@contextlib.contextmanager
+def pool_workers(n):
+    """Run the block with `_pool.worker_count` patched to n."""
+    real = _pool.worker_count
+    _pool.worker_count = lambda: n
+    try:
+        yield
+    finally:
+        _pool.worker_count = real
+
+
+def pool_run_peaks(monkeypatch, call):
+    """Traced allocation peak of every `_pool.run` that call() makes.
+
+    Every task runs on the calling thread, where tracemalloc and numpy's
+    buffer size hold; the iterator buffers, which are not arrays, shrink
+    to 16 elements.  Returns the peaks in call order, in bytes.
+    """
+    peaks = []
+    real_run = _pool.run
+
+    def measured(tasks, work, workspaces):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            real_run(tasks, work, workspaces)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(_pool, "run", measured)
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+    bufsize = np.getbufsize()
+    np.setbufsize(16)
+    try:
+        call()
+    finally:
+        np.setbufsize(bufsize)
+    return peaks
 
 
 @pytest.fixture

@@ -707,7 +707,20 @@ def _renamed_array(data, old, new):
         source["coupling"][new] = source["coupling"].pop(old)
 
 
+def _integer_coupling_keys(data):
+    """Array "12", coupled under the YAML integer key 12."""
+    _renamed_array(data, "a", "12")
+    for source in data["sources"]:
+        source["coupling"][12] = source["coupling"].pop("12")
+
+
 @pytest.mark.parametrize("edit, bad_id", [
+    (lambda d: _renamed_array(d, "a", None), "array id must be a string, "
+                                             "got None"),
+    (lambda d: _renamed_array(d, "a", 12), "array id must be a string, "
+                                           "got 12"),
+    (lambda d: d["sources"][1].update(id=None), "source id must be a string"),
+    (_integer_coupling_keys, "coupling key must be a string, got 12"),
     (lambda d: _renamed_array(d, "a", "sub/dir"), "'sub/dir'"),
     (lambda d: _renamed_array(d, "a", "x__y"), "'x__y'"),
     (lambda d: _renamed_array(d, "a", ""), "''"),
@@ -715,8 +728,9 @@ def _renamed_array(data, old, new):
     (lambda d: _renamed_array(d, "a", "tab\there"), "'tab\\there'"),
     (lambda d: d["sources"][1].update(id="noise"), "'noise'"),
     (lambda d: d["sources"][1].update(id="s/2"), "'s/2'"),
-], ids=["slash", "double-underscore", "empty", "plus", "tab", "noise",
-        "source-slash"])
+], ids=["empty-yaml-id", "integer-id", "empty-source-id",
+        "integer-coupling-key", "slash", "double-underscore", "empty", "plus",
+        "tab", "noise", "source-slash"])
 def test_scene_with_a_bad_id_fails_with_config_error(tmp_path, scene_file,
                                                      capsys, edit, bad_id):
     _edited_scene(scene_file, edit)

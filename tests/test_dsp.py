@@ -24,6 +24,8 @@ from conftest import (
     correlation_peak_lag,
     istft_oracle,
     lagrange_interpolate_oracle,
+    pool_run_peaks,
+    pool_workers,
 )
 
 
@@ -194,6 +196,41 @@ class TestIstftChunksAndWorkers:
         finally:
             _pool.worker_count = real
         assert np.array_equal(got, istft_oracle(spec).samples)
+
+
+class TestStftTasks:
+    """Runs of `dsp._CHUNK` frames per channel on the pool."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(16, 700), channels=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_for_any_worker_count_and_chunking(self, n, channels,
+                                                     seed):
+        # (16, 4) windows give 9 to 184 frames: one chunk, a chunk and a
+        # part, and several chunks
+        win = WindowSpec(16, 4)
+        sig = SampledSignal(
+            np.random.default_rng(seed).standard_normal((n, channels)),
+            16000.0)
+        with pool_workers(1):
+            one = stft(sig, win).coeffs
+        with pool_workers(3):
+            three = stft(sig, win).coeffs
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dsp, "_CHUNK", 10**6)  # every frame in one task
+            whole = stft(sig, win).coeffs
+        assert one.shape == (dsp.stft_frame_count(n, win), 9, channels)
+        assert np.array_equal(one, three)
+        assert np.array_equal(one, whole)
+
+    def test_tasks_allocate_no_arrays(self, monkeypatch):
+        win = WindowSpec()
+        x = np.random.default_rng(5).standard_normal((40 * win.hop, 3))
+        peaks = pool_run_peaks(
+            monkeypatch, lambda: stft(SampledSignal(x, 16000.0), win))
+        # the smallest array a task could allocate: one windowed frame
+        assert len(peaks) == 1
+        assert peaks[0] < 8 * win.length
 
 
 class TestLagrangeResample:
@@ -389,32 +426,11 @@ class TestResamplingTasks:
                                   lagrange_resample(sig, offset).samples)
 
     def test_tasks_allocate_no_arrays(self, monkeypatch):
-        # numpy's iterator buffers are not arrays: shrink them, and run
-        # every task on the calling thread, where the setting holds
-        import tracemalloc
-
         x = np.random.default_rng(2).standard_normal((5 * dsp._RESAMPLE_ROWS,
                                                       8))
-        peaks = []
-        real_run = _pool.run
-
-        def measured(tasks, work, workspaces):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                real_run(tasks, work, workspaces)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
-
-        monkeypatch.setattr(_pool, "run", measured)
-        monkeypatch.setattr(_pool, "worker_count", lambda: 1)
-        bufsize = np.getbufsize()
-        np.setbufsize(16)
-        try:
-            lagrange_resample(SampledSignal(x, 16000.0), 0.3)
-        finally:
-            np.setbufsize(bufsize)
+        peaks = pool_run_peaks(
+            monkeypatch, lambda: lagrange_resample(SampledSignal(x, 16000.0),
+                                                   0.3))
         # the smallest array a task could allocate: one bool per row
         assert len(peaks) == 1
         assert peaks[0] < dsp._RESAMPLE_ROWS

@@ -9,7 +9,8 @@ import asyncsep.experiment as experiment
 from asyncsep.demo import demo_scene, demo_train_scene
 from asyncsep.dsp import WindowSpec, istft, stft
 from asyncsep.experiment import _zero_sro, format_report, run_experiment
-from asyncsep.separator import MODES, SeparationResult, separate
+from asyncsep.separator import (MODES, SeparationResult, separate,
+                                separate_recordings)
 from asyncsep.scene import (
     ArraySpec,
     ChannelCoupling,
@@ -19,6 +20,8 @@ from asyncsep.scene import (
     scene_to_dict,
     synthesize_scene,
 )
+
+from conftest import pool_workers
 
 
 def taps(d0, d1, gain):
@@ -154,3 +157,60 @@ def test_report_equals_the_batch_path(monkeypatch, seed):
     streamed.pop("runtime_s")
     batched.pop("runtime_s")
     assert streamed == batched
+
+
+def test_report_equal_for_any_worker_count():
+    scene, train = demo_scene(), demo_train_scene()
+    scene.duration_s = train.duration_s = 2.0
+    reports = []
+    for workers in (1, 3):
+        with pool_workers(workers):
+            rep = run_experiment(scene, train, modes=MODES, seed=2024)
+        reports.append(rep.to_dict())
+        reports[-1].pop("runtime_s")
+    assert reports[0] == reports[1]
+    assert set(reports[0]["sdr_db"]) == {"sro", "synced"}
+
+
+def test_training_data_is_released_before_the_test_scene(monkeypatch):
+    # the training images and tensors are not held through test synthesis
+    # and separation
+    import weakref
+
+    held = []
+
+    def tracked_stft(signal, window):
+        spec = stft(signal, window)
+        held.append(weakref.ref(signal))
+        held.append(weakref.ref(spec))
+        return spec
+
+    def checked_synthesis(spec, seed):
+        if held:  # the test scene: training is over
+            assert all(ref() is None for ref in held)
+        return synthesize_scene(spec, seed)
+
+    monkeypatch.setattr(experiment, "stft", tracked_stft)
+    monkeypatch.setattr(experiment, "synthesize_scene", checked_synthesis)
+    run_experiment(tiny_scene(), tiny_scene(duration=1.0),
+                   modes=("tv-distributed",), seed=3, window=WIN,
+                   variants=("sro",))
+    assert len(held) == 8  # 2 arrays x 2 sources, a signal and a tensor each
+
+
+def test_each_result_is_released_before_the_next_separation(monkeypatch):
+    import weakref
+
+    held = []
+
+    def tracked(signals, *args, **kwargs):
+        assert all(ref() is None for ref in held)
+        result = separate_recordings(signals, *args, **kwargs)
+        held.extend(weakref.ref(img) for img in result.images.values())
+        return result
+
+    monkeypatch.setattr(experiment, "separate_recordings", tracked)
+    run_experiment(tiny_scene(), tiny_scene(duration=1.0),
+                   modes=("static-local", "tv-distributed"), seed=3,
+                   window=WIN, variants=("sro", "synced"))
+    assert len(held) == 4 * 6  # 2 arrays x (2 sources + noise) per pass

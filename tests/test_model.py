@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asyncsep import model
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
 from asyncsep.errors import ConfigError
 from asyncsep.model import (
@@ -24,7 +25,7 @@ from asyncsep.model import (
     train_models,
 )
 
-from conftest import rand_unit_psd, regularized_sum
+from conftest import pool_workers, rand_unit_psd, regularized_sum
 
 WIN = WindowSpec(16, 4)  # 9 bins, keeps model tests cheap
 F = WIN.length // 2 + 1
@@ -464,6 +465,70 @@ class TestPooled:
         imgs = {("a", "s"): [tensor(x), tensor(x)], ("b", "s"): tensor(x)}
         with pytest.raises(ConfigError, match="cannot merge"):
             train_models(imgs, include_pooled=True)
+
+
+class TestTrainingTasks:
+    """(entry, source, block of bins) tasks on the pool."""
+
+    WIN = WindowSpec(256, 64)  # 129 bins: three blocks
+
+    def _images(self, seed):
+        rng = np.random.default_rng(seed)
+        F = self.WIN.length // 2 + 1
+        imgs = {}
+        for m, C in (("a", 1), ("b", 2), ("c", 3)):
+            for k in ("s1", "s2"):
+                x = rng.standard_normal((30, F, C)) \
+                    + 1j * rng.standard_normal((30, F, C))
+                x[5:12] *= 1e-7  # frames below the gate
+                x[:, 7 + len(m) * C] = 0.0  # a silent bin: a fallback
+                imgs[(m, k)] = SpectrogramTensor(x, self.WIN, 16000.0)
+        return imgs
+
+    def _train(self, imgs, workers, pooled, block=None):
+        with pool_workers(workers), pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(model, "_BIN_BLOCK", block)
+            return train_models(imgs, noise_gain=0.5, include_pooled=pooled)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equal_for_any_worker_count_and_block(self, seed, pooled):
+        imgs = self._images(seed)
+        want_s, want_t = self._train(imgs, 1, pooled)
+        assert list(want_s.covariances) == (["a", "b", "c", "a+b+c"] if pooled
+                                            else ["a", "b", "c"])
+        assert want_s.fallback_bins
+        for workers, block in ((3, None), (1, 1), (3, 2), (3, 10**6)):
+            got_s, got_t = self._train(imgs, workers, pooled, block)
+            assert list(got_s.covariances) == list(want_s.covariances)
+            for m, cov in want_s.covariances.items():
+                assert np.array_equal(got_s.covariances[m], cov)
+            assert list(got_s.fallback_bins) == list(want_s.fallback_bins)
+            for key, bins in want_s.fallback_bins.items():
+                assert np.array_equal(got_s.fallback_bins[key], bins)
+            assert np.array_equal(got_t.ltas, want_t.ltas)
+            assert np.array_equal(got_t.noise_spectrum, want_t.noise_spectrum)
+
+    def test_state_model_alone_equals_training(self):
+        imgs = self._images(2)
+        spatial, states = train_models(imgs, noise_gain=0.5)
+        alone = build_state_model(imgs, spatial, noise_gain=0.5)
+        assert np.array_equal(alone.ltas, states.ltas)
+        assert np.array_equal(alone.noise_spectrum, states.noise_spectrum)
+        assert np.array_equal(
+            estimate_spatial_covariance(imgs).covariances["b"],
+            spatial.covariances["b"])
+
+    def test_unequal_bins_or_channels_refused(self, rng):
+        x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))
+        wide = SpectrogramTensor(np.ones((4, 9, 3), complex), WIN, 16000.0)
+        with pytest.raises(ValueError, match="channel count"):
+            train_models({("a", "s1"): tensor(x), ("a", "s2"): wide})
+        other = SpectrogramTensor(np.ones((4, 17, 2), complex),
+                                  WindowSpec(32, 8), 16000.0)
+        with pytest.raises(ValueError, match="bin counts"):
+            train_models({("a", "s"): tensor(x), ("b", "s"): other})
 
 
 @pytest.mark.parametrize("gain", [np.nan, np.inf, -1.0])

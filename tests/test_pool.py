@@ -69,3 +69,18 @@ def test_error_is_raised_after_every_thread_finishes():
 def test_worker_count_without_affinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert _pool.worker_count() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_earliest_failed_task_is_raised(workers):
+    # task 7 fails at once, task 3 after it; every task before a failed
+    # one has started, so task 3's error is raised whatever the count
+    def work(task, ws):
+        if task == 3:
+            time.sleep(0.1)
+            raise KeyError("task 3")
+        if task == 7:
+            raise ZeroDivisionError("task 7")
+
+    with pytest.raises(KeyError, match="task 3"):
+        _run_bounded(lambda: _pool.run(range(50), work, list(range(workers))))

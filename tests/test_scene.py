@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import yaml
 
-from asyncsep.dsp import SampledSignal
+from asyncsep.demo import demo_scene
+from asyncsep.dsp import SampledSignal, fractional_delay
 from asyncsep.errors import ConfigError
 from asyncsep.scene import (
     ArraySpec,
@@ -17,12 +18,14 @@ from asyncsep.scene import (
     apply_sro,
     load_scene,
     mix_images,
+    render_source_signal,
     scene_from_dict,
     scene_to_dict,
     synthesize_scene,
 )
 
-from conftest import bandlimited_noise, correlation_peak_lag
+from conftest import (bandlimited_noise, correlation_peak_lag, pool_run_peaks,
+                      pool_workers)
 
 
 def tap(delay, gain, echoes=()):
@@ -96,6 +99,124 @@ class TestSynthesize:
         images, recs = synthesize_scene(spec, 5)
         total = sum(images.images[("a", f"s{k}")].samples for k in range(3))
         assert np.allclose(recs["a"].signal.samples, total, atol=0, rtol=0)
+
+
+def short_demo(duration=0.5):
+    """The demo geometry, clock offsets and noise included, shortened."""
+    spec = demo_scene()
+    spec.duration_s = duration
+    return spec
+
+
+def speech_noise_oracle(n, rate, rng, band=(120.0, 7200.0), tilt=500.0,
+                        mod=3.0, activity=0.5, level=0.1):
+    """The speech-like source written with numpy temporaries."""
+    f = np.fft.rfftfreq(n, 1.0 / rate)
+    shape = 1.0 / np.sqrt(1.0 + (f / tilt) ** 2)
+    shape[(f < band[0]) | (f > band[1])] = 0.0
+    carrier = np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * shape, n)
+    carrier /= max(np.sqrt(np.mean(carrier ** 2)), 1e-30)
+    W = np.fft.rfft(rng.standard_normal(n))
+    W[f > mod] = 0.0
+    raw = np.fft.irfft(W, n)
+    env = np.maximum(raw - np.quantile(raw, 1.0 - activity), 0.0)
+    if env.max() > 0:
+        env /= env.max()
+    sig = carrier * env
+    if (env > 0).any():
+        r = np.sqrt(np.mean(sig[env > 0] ** 2))
+        if r > 0:
+            sig *= level / r
+    return sig
+
+
+class TestSourceRendering:
+    """Sources rendered through scratch equal the plain numpy formulas."""
+
+    @pytest.mark.parametrize("n", [2, 7, 4000, 16001])
+    @pytest.mark.parametrize("activity", [0.01, 0.45, 1.0])
+    def test_speech_noise(self, n, activity):
+        params = {"type": "speech_noise", "activity": activity,
+                  "band_hz": [200, 3000], "tilt_hz": 700.0, "level": 0.3}
+        got = render_source_signal(params, n, 16000.0,
+                                   np.random.default_rng(n))
+        want = speech_noise_oracle(n, 16000.0, np.random.default_rng(n),
+                                   band=(200, 3000), tilt=700.0,
+                                   activity=activity, level=0.3)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    def test_white_and_tone(self, n):
+        got = render_source_signal({"type": "white", "level": 0.2}, n,
+                                   8000.0, np.random.default_rng(3))
+        assert np.array_equal(
+            got, 0.2 * np.random.default_rng(3).standard_normal(n))
+        got = render_source_signal({"type": "tone", "freq_hz": 441.5,
+                                    "level": 0.7}, n, 8000.0, None)
+        t = np.arange(n) / 8000.0
+        assert np.array_equal(got, 0.7 * np.sin(2.0 * np.pi * 441.5 * t))
+
+
+class TestSynthesisTasks:
+    """Sources, images and mixtures rendered on the pool."""
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_equal_for_any_worker_count(self, seed):
+        spec = short_demo()
+        spec.sources[1].signal = {"type": "white", "level": 0.05}
+        spec.sources[2].signal = {"type": "impulse", "position": 4000}
+        out = {}
+        for workers in (1, 3):
+            with pool_workers(workers):
+                out[workers] = synthesize_scene(spec, seed)
+        (img1, rec1), (img3, rec3) = out[1], out[3]
+        assert list(img1.images) == list(img3.images)
+        assert len(img1.images) == 9
+        for key, sig in img1.images.items():
+            assert np.array_equal(sig.samples, img3.images[key].samples)
+        assert list(rec1) == list(rec3) == ["a1", "a2", "a3"]
+        for m, rec in rec1.items():
+            assert rec.sro_hz == rec3[m].sro_hz
+            assert np.array_equal(rec.signal.samples, rec3[m].signal.samples)
+
+    def test_images_equal_the_delayed_taps(self):
+        # each channel: gain times the delayed source plus each echo's
+        spec = short_demo(0.25)
+        spec.sources = spec.sources[:1]
+        spec.noise_level = 0.0
+        src = spec.sources[0]
+        src.signal = {"type": "white", "level": 0.1}
+        images, _ = synthesize_scene(spec, 5)
+        rng = np.random.default_rng([5, 101, 0])
+        x = 0.1 * rng.standard_normal(spec.n_samples)
+        for arr in spec.arrays:
+            got = images.images[(arr.id, src.id)].samples
+            for c, t in enumerate(src.coupling[arr.id]):
+                want = t.gain * fractional_delay(x, t.delay)
+                for e in t.echoes:
+                    want += e.gain * fractional_delay(x, e.delay)
+                assert np.array_equal(got[:, c], want)
+
+    def test_tasks_allocate_no_arrays(self, monkeypatch):
+        spec = short_demo(1.0)
+        spec.sources[1].signal = {"type": "tone", "freq_hz": 300.0}
+        spec.sources[2].signal = {"type": "white"}
+        for arr in spec.arrays:
+            arr.sro_hz = 0.0  # the resampler's tasks are measured elsewhere
+        peaks = pool_run_peaks(monkeypatch, lambda: synthesize_scene(spec, 1))
+        # sources, images and mixtures, where the smallest array a task
+        # could allocate is one bool per sample
+        assert len(peaks) == 3
+        assert max(peaks) < spec.n_samples
+
+    def test_first_failing_source_is_reported(self):
+        spec = short_demo(0.25)
+        spec.sources[1].signal = {"type": "warble"}
+        spec.sources[2].signal = {"type": "impulse", "position": 10**9}
+        for workers in (1, 3):
+            with pool_workers(workers):
+                with pytest.raises(ConfigError, match="unknown source signal"):
+                    synthesize_scene(spec, 0)
 
 
 class TestApplySro:
@@ -256,6 +377,35 @@ class TestSceneConfig:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ConfigError):
+            scene_from_dict(data)
+
+    @pytest.mark.parametrize("value", [None, 12])
+    def test_array_id_that_is_not_a_string_rejected(self, value):
+        # an empty `id:` loads as None; `id: 12` as an integer
+        data = self._dict()
+        data["arrays"][0]["id"] = value
+        data["sources"][0]["coupling"] = {
+            value: data["sources"][0]["coupling"]["a1"]}
+        with pytest.raises(ConfigError, match=f"array id must be a string, "
+                                              f"got {value!r}"):
+            scene_from_dict(data)
+
+    @pytest.mark.parametrize("value", [None, 12])
+    def test_source_id_that_is_not_a_string_rejected(self, value):
+        data = self._dict()
+        data["sources"][0]["id"] = value
+        with pytest.raises(ConfigError, match=f"source id must be a string, "
+                                              f"got {value!r}"):
+            scene_from_dict(data)
+
+    def test_integer_coupling_key_rejected(self):
+        # the array is "12"; the coupling key 12 used to be coerced to it
+        data = self._dict()
+        data["arrays"][0]["id"] = "12"
+        data["sources"][0]["coupling"] = {
+            12: data["sources"][0]["coupling"]["a1"]}
+        with pytest.raises(ConfigError, match="coupling key must be a string, "
+                                              "got 12"):
             scene_from_dict(data)
 
     def test_unknown_signal_type_rejected_at_render(self):

@@ -625,6 +625,38 @@ class TestBlockPassAllocatesNoArrays:
         assert max(peaks) < 8 * n_bins
 
 
+class TestWorkspaceSizes:
+    """The solves are sized by the widest filter, not the widest unit."""
+
+    @pytest.mark.parametrize("mode, solve_channels", [
+        ("static-local", 2), ("static-pooled", 6), ("tv-local", 2),
+        ("tv-distributed", 2)])
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_solves_hold_the_filter_channels(self, monkeypatch, mode,
+                                             solve_channels, streamed):
+        spatial, states, recs = _stream_case(0, 16)
+        shapes = []
+        real = _kernels.Workspace
+
+        def recording(*args, **kwargs):
+            ws = real(*args, **kwargs)
+            shapes.append((ws.x.shape[0], ws.y.shape[0]))
+            return ws
+
+        monkeypatch.setattr(_kernels, "Workspace", recording)
+        window = STREAM_WIN
+        gamma = np.empty((16, spatial.n_bins, states.n_states))
+        if streamed:
+            separate_recordings(recs, window, spatial, states, mode,
+                                posteriors=gamma)
+        else:
+            separate({m: stft(r, window) for m, r in recs.items()}, spatial,
+                     states, mode, posteriors=gamma)
+        # every pass classifies all 6 channels into the posteriors
+        pass_ws = [s for s in shapes if s[0]]
+        assert pass_ws and set(pass_ws) == {(6, solve_channels)}
+
+
 def _length_for(window, n_frames, spare):
     """A recording length of n_frames STFT frames that keeps them when cut
     by `spare` samples."""

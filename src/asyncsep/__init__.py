@@ -14,26 +14,13 @@ from .dsp import (
     fractional_delay,
     istft,
     lagrange_resample,
-    long_term_average_spectrum,
     stft,
 )
 from .errors import ConfigError, NumericalError
 from .metrics import sdr
-from .scene import SceneSpec, apply_sro, load_scene, mix_images, synthesize_scene
-from .model import (
-    SpatialModel,
-    StateSpectrumModel,
-    build_state_model,
-    estimate_spatial_covariance,
-    train_models,
-)
-from .classifier import (
-    PosteriorMap,
-    PowerEstimate,
-    classify,
-    posteriors,
-    source_power_estimates,
-)
+from .scene import SceneSpec, apply_sro, load_scene, synthesize_scene
+from .model import SpatialModel, StateSpectrumModel, train_models
+from .classifier import PosteriorMap
 from .separator import MODES, SeparationResult, separate, separate_recordings
 from .experiment import ExperimentReport, format_report, run_experiment
 
@@ -47,22 +34,14 @@ __all__ = [
     "istft",
     "lagrange_resample",
     "fractional_delay",
-    "long_term_average_spectrum",
     "SceneSpec",
     "synthesize_scene",
     "apply_sro",
-    "mix_images",
     "load_scene",
     "SpatialModel",
     "StateSpectrumModel",
-    "estimate_spatial_covariance",
-    "build_state_model",
     "train_models",
     "PosteriorMap",
-    "PowerEstimate",
-    "classify",
-    "posteriors",
-    "source_power_estimates",
     "MODES",
     "SeparationResult",
     "separate",

@@ -14,11 +14,12 @@ Tasks write disjoint slices of buffers allocated beforehand, or, in
 the streamed separation pass, add into shared samples in task order, so
 the result does not depend on how many threads run them.
 numpy releases the interpreter lock inside its loops, so threads overlap
-the numeric work.  Each thread owns one workspace of scratch buffers, which the
-calling thread allocates before any task starts, with every output.  The
-tasks allocate no arrays of their own: a worker thread's malloc arena
-would keep freed temporaries and raise the peak resident memory.  (A
-source read from a WAV file is the exception: its task reads the file.)
+the numeric work.  The caller allocates every output, and `run` has the
+calling thread build each thread's workspace of scratch buffers before
+any task starts.  The tasks allocate no arrays of their own: a worker
+thread's malloc arena would keep freed temporaries and raise the peak
+resident memory.  (A source read from a WAV file is the exception: its
+task reads the file.)
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def run(tasks, work, workspaces) -> None:
+def run(tasks, work, scratch) -> None:
     """Call work(task, workspace) once for every task.
 
-    One thread per workspace takes the tasks in list order until none is
-    left; the calling thread is the first of them, so len(workspaces) - 1
-    threads are started.  As every earlier task has been taken when a
-    task starts, a task may wait for an earlier one without deadlock.
+    The calling thread first builds min(worker_count(), len(tasks))
+    workspaces, each by calling scratch(), the factory of one thread's
+    scratch.  One thread per workspace then takes the tasks in list order
+    until none is left; the calling thread is the first of them.  As
+    every earlier task has been taken when a task starts, a task may
+    wait for an earlier one without deadlock.
     After a task raises, no thread takes a new task; once every thread
     has finished, the error of the earliest failed task in list order is
     raised.  Every task before it had started, so that error does not
@@ -52,6 +55,7 @@ def run(tasks, work, workspaces) -> None:
     tasks = list(tasks)
     if not tasks:
         return
+    workspaces = [scratch() for _ in range(min(worker_count(), len(tasks)))]
     lock = threading.Lock()
     next_task = [0]
     errors = []

@@ -77,11 +77,12 @@ def _window_from_args(args) -> WindowSpec:
 
 def _read_analyzable(wav: Path, window: WindowSpec, expected_rate=None,
                      channels: int | None = None) -> SampledSignal:
-    """A WAV file that `window` can analyze; ConfigError naming it if not."""
+    """A WAV file that `window` can analyze, of `channels` channels when
+    given; ConfigError naming it if not."""
     sig = read_wav(wav, expected_rate=expected_rate)
     if channels is not None and sig.channels != channels:
-        raise ConfigError(f"{wav} has {sig.channels} channels, the model "
-                          f"expects {channels}")
+        raise ConfigError(f"{wav} has {sig.channels} channels, not the "
+                          f"{channels} of its array")
     if sig.n_samples < window.length:
         raise ConfigError(f"{wav} holds {sig.n_samples} samples, fewer than "
                           f"one STFT window ({window.length})")
@@ -142,12 +143,15 @@ def cmd_train(args) -> int:
         raise ConfigError(f"images directory not found: {images_dir}")
     pairs = _collect_images(images_dir)
     window = _window_from_args(args)
-    tensors = {}
+    tensors, channels = {}, {}
     rate = None
-    for key, wav in pairs.items():
-        sig = _read_analyzable(wav, window, expected_rate=rate)
-        tensors[key] = stft(sig, window)
+    for (m, k), wav in pairs.items():
+        # a device's first image sets its channel count
+        sig = _read_analyzable(wav, window, expected_rate=rate,
+                               channels=channels.get(m))
+        tensors[(m, k)] = stft(sig, window)
         rate = sig.rate_hz
+        channels[m] = sig.channels
     spatial, states = train_models(tensors, noise_gain=args.noise_gain,
                                    include_pooled=args.pooled)
     save_models(args.model, spatial, states, window=window, rate_hz=rate)
@@ -262,6 +266,11 @@ def cmd_evaluate(args) -> int:
     for (m, k), (wav, est_path) in pairs.items():
         ref = refs[(m, k)]
         est = read_wav(est_path)
+        if (est.channels, est.rate_hz) != (ref.channels, ref.rate_hz):
+            raise ConfigError(
+                f"estimate {est_path} holds {est.channels} channels at "
+                f"{est.rate_hz:g} Hz, its truth image {wav} {ref.channels} "
+                f"at {ref.rate_hz:g} Hz")
         n = min(ref.n_samples, est.n_samples)
         if not ref.samples[:n].any():
             raise ConfigError(f"truth image {wav} is silent over the scored "

@@ -23,7 +23,6 @@ __all__ = [
     "istft",
     "lagrange_resample",
     "fractional_delay",
-    "long_term_average_spectrum",
 ]
 
 _CHUNK = 64  # frames of one `stft` task, and synthesized at a time by `istft`
@@ -235,12 +234,10 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
     coeffs = np.empty((n_frames, n_bins, x.shape[1]), dtype=np.complex128)
     tasks = [(c, n0) for c in range(x.shape[1])
              for n0 in range(0, n_frames, _CHUNK)]
-    frames = [np.empty((1, min(_CHUNK, n_frames), window.length))
-              for _ in range(min(_pool.worker_count(), len(tasks)))]
     _pool.run(tasks,
               lambda task, ws: _analyze_chunk(padded, window, win, coeffs,
                                               *task, ws),
-              frames)
+              lambda: np.empty((1, min(_CHUNK, n_frames), window.length)))
     return SpectrogramTensor(coeffs, window, signal.rate_hz, x.shape[0])
 
 
@@ -316,13 +313,11 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     win = window.window()
     denom, good = _synthesis_norm(window, n_frames)
     out = np.zeros((n_ch, denom.shape[0]))
-    chunks = [np.empty((min(_CHUNK, n_frames) or 1, window.length))
-              for _ in range(min(_pool.worker_count(), n_ch))]
     _pool.run(range(n_ch),
               lambda c, chunk: _synthesize_channel(
                   spec.coeffs[:, :, c], win, window.hop, denom, good, out[c],
                   chunk),
-              chunks)
+              lambda: np.empty((min(_CHUNK, n_frames) or 1, window.length)))
 
     # strip the analysis padding
     left = window.length
@@ -396,14 +391,11 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     padded = np.pad(x, ((pad_left, 1), (0, 0)))
 
     out = np.zeros((m, x.shape[1]))
-    starts = range(0, m, _RESAMPLE_ROWS)
     rows = min(_RESAMPLE_ROWS, m)
-    scratch = [_resample_scratch(rows, order, x.shape[1])
-               for _ in range(min(_pool.worker_count(), len(starts)))]
-    _pool.run(starts,
+    _pool.run(range(0, m, _RESAMPLE_ROWS),
               lambda r0, ws: _interpolate_rows(padded, pad_left, pos, order,
                                                out, r0, ws),
-              scratch)
+              lambda: _resample_scratch(rows, order, x.shape[1]))
     return out
 
 
@@ -534,11 +526,3 @@ def _delay(x, delay: float, order: int, out, ws) -> None:
     # the stencil reaches the first samples a little ahead of the
     # delay; keep the strictly causal region exactly zero
     out[:math.floor(delay)] = 0.0
-
-
-def long_term_average_spectrum(spec: SpectrogramTensor) -> np.ndarray:
-    """Mean of |coefficient|^2 over frames and channels, per frequency bin."""
-    if spec.n_frames < 1:
-        raise ValueError("spectrogram has no frames")
-    power = spec.coeffs.real ** 2 + spec.coeffs.imag ** 2
-    return power.mean(axis=(0, 2))

@@ -88,14 +88,6 @@ def _mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.inf
 
 
-def unprocessed_sdr(refs, recordings) -> dict[str, float]:
-    """Score the raw mixture as the estimate of every source image.
-
-    refs maps (array, source) to the truth image at that device's clock.
-    """
-    return _scores(refs, lambda m, k: recordings[m].signal)
-
-
 def _scores(refs, estimate) -> dict[str, float]:
     """"m/k" -> SDR of estimate(m, k) against refs[(m, k)], scored on the
     pool."""
@@ -160,7 +152,9 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         report.mode_means.setdefault(variant, {})
         report.consistency.setdefault(variant, {})
 
-        report.sdr_db[variant]["unprocessed"] = unprocessed_sdr(refs, recordings)
+        # the raw mixture as the estimate of every source image
+        report.sdr_db[variant]["unprocessed"] = _scores(
+            refs, lambda m, k: signals[m])
         report.mode_means[variant]["unprocessed"] = _mean(
             report.sdr_db[variant]["unprocessed"].values())
 

@@ -51,8 +51,7 @@ def _sdr_pairs(pairs) -> list[float]:
     _pool.run(range(len(refs)),
               lambda i, buf: _energies(refs[i], ests[i], layouts[i],
                                        energies[i], buf),
-              [np.empty(size)
-               for _ in range(min(_pool.worker_count(), len(refs)))])
+              lambda: np.empty(size))
     scores = []
     for ref_energy, err_energy in energies.tolist():
         if ref_energy == 0.0:

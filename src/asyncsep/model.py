@@ -32,10 +32,7 @@ from .errors import ConfigError
 __all__ = [
     "SpatialModel",
     "StateSpectrumModel",
-    "estimate_spatial_covariance",
-    "build_state_model",
     "train_models",
-    "pooled_tensor",
     "save_models",
     "load_models",
     "model_summary",
@@ -262,9 +259,7 @@ def _entry_bins(job, f0: int, f1: int, ws) -> None:
     p += q
     if power is not None:
         np.sum(p, axis=(0, 2), out=power[f0:f1])
-    if cov is not None:
-        _gated_mean_covariance(x, p, cov[f0:f1], fallback[f0:f1], identity,
-                               ws)
+    _gated_mean_covariance(x, p, cov[f0:f1], fallback[f0:f1], identity, ws)
 
 
 def _bin_blocks(n_bins: int) -> list[tuple[int, int]]:
@@ -284,9 +279,9 @@ def _statistics(jobs) -> None:
 
     A job is (coeffs, cov, fallback, power, identity): the (N, F, C)
     C-contiguous training frames of one (entry, source); the (F, C, C)
-    complex covariances and (F,) bool fallback mask to write, or None
-    for cov; an (F,) float that receives |coefficient|^2 summed over
-    frames and channels, or None; and the (C, C) fallback covariance.
+    complex covariances and (F,) bool fallback mask to write; an (F,)
+    float that receives |coefficient|^2 summed over frames and channels,
+    or None; and the (C, C) fallback covariance.
     Each job and block of bins is one task, which writes its bins only,
     so the outputs do not depend on the thread count.
     """
@@ -297,23 +292,18 @@ def _statistics(jobs) -> None:
     frames = max(job[0].shape[0] for job in jobs)
     channels = max(job[0].shape[2] for job in jobs)
     width = max(f1 - f0 for f0, f1 in blocks)
-    scratch = [_Scratch(frames, width, channels)
-               for _ in range(min(_pool.worker_count(), len(tasks)))]
-    _pool.run(tasks, lambda task, ws: _entry_bins(*task, ws), scratch)
-
-
-def _frames_of(tensors) -> np.ndarray:
-    """Concatenate the frames of one or more tensors into (N, F, C)."""
-    if isinstance(tensors, SpectrogramTensor):
-        return tensors.coeffs
-    parts = [t.coeffs for t in tensors]
-    return np.concatenate(parts, axis=0)
+    _pool.run(tasks, lambda task, ws: _entry_bins(*task, ws),
+              lambda: _Scratch(frames, width, channels))
 
 
 def _coefficients(tensors, where) -> np.ndarray:
-    """C-contiguous (N, F, C) frames of one (entry, source); ConfigError
-    naming `where` when there are none."""
-    coeffs = np.ascontiguousarray(_frames_of(tensors))
+    """C-contiguous (N, F, C) frames of one tensor, or of a sequence of
+    tensors one after another; ConfigError naming `where` when there are
+    none."""
+    if isinstance(tensors, SpectrogramTensor):
+        coeffs = np.ascontiguousarray(tensors.coeffs)
+    else:
+        coeffs = np.concatenate([t.coeffs for t in tensors], axis=0)
     if coeffs.shape[0] < 1:
         raise ConfigError(f"{where!r}: no frames to train on")
     return coeffs
@@ -336,39 +326,6 @@ def _device_frames(training_images):
             raise ValueError(f"array {m!r}: training images differ in "
                              f"channel count")
     return array_ids, source_ids, frames
-
-
-def _train(training_images, merged: bool):
-    """Covariances of every device, and with `merged` of the merged array
-    over them, and each device's (K, F) summed power with its frames
-    times channels, from one `_statistics` pass."""
-    array_ids, source_ids, frames = _device_frames(training_images)
-    entries = {m: [frames[(m, k)] for k in source_ids] for m in array_ids}
-    if merged and len(array_ids) > 1:  # one device is its own merge
-        entries["+".join(array_ids)] = [
-            _coefficients(_merged_images(training_images, array_ids, k),
-                          ("+".join(array_ids), k))
-            for k in source_ids]
-    K, F = len(source_ids), frames[(array_ids[0], source_ids[0])].shape[1]
-    covariances, fallback, jobs = {}, {}, []
-    power = np.empty((len(array_ids), K, F))
-    for i, (m, coeffs) in enumerate(entries.items()):
-        C = coeffs[0].shape[2]
-        covariances[m] = np.empty((K, F, C, C), dtype=np.complex128)
-        fallback[m] = np.zeros((K, F), dtype=bool)
-        identity = np.eye(C) / C
-        for k in range(K):
-            jobs.append((coeffs[k], covariances[m][k], fallback[m][k],
-                         power[i, k] if i < len(array_ids) else None,
-                         identity))
-    _statistics(jobs)
-    fallback_bins = {(m, k): np.flatnonzero(fell[k_idx])
-                     for m, fell in fallback.items()
-                     for k_idx, k in enumerate(source_ids)
-                     if fell[k_idx].any()}
-    counts = [[frames[(m, k)].shape[0] * frames[(m, k)].shape[2]
-               for k in source_ids] for m in array_ids]
-    return SpatialModel(covariances, source_ids, fallback_bins), power, counts
 
 
 def _state_model(source_ids, power, counts, noise_gain: float
@@ -396,73 +353,26 @@ def _state_model(source_ids, power, counts, noise_gain: float
                               noise_gain * ltas.mean(axis=0))
 
 
-def _check_training_ids(training_images) -> None:
-    if not training_images:
-        raise ConfigError("no training images given")
-    for m, k in training_images:
-        SpatialModel.check_id(m, "device")
-        SpatialModel.check_id(k, "source")
+def _merged_frames(training_images, devices: list[str], source_id: str
+                   ) -> np.ndarray:
+    """One source's (N, F, C) merged-array training frames.
 
-
-def estimate_spatial_covariance(
-        training_images: dict[tuple[str, str], SpectrogramTensor]) -> SpatialModel:
-    """Estimate unit-trace spatial covariances from training source images.
-
-    training_images maps (device id, source id) to a SpectrogramTensor, or
-    to a sequence of tensors whose frames are pooled (useful for covering
-    motion by training on several perturbed variants of a scene).  Every
-    id must pass `SpatialModel.check_id`; ConfigError if not.
+    The devices' tensors are concatenated channel-wise, element by element
+    of their sequences, and the elements frame-wise; ConfigError unless
+    the devices hold as many tensors, each of the same frame count.
     """
-    _check_training_ids(training_images)
-    return _train(training_images, merged=False)[0]
-
-
-def build_state_model(training_images, spatial: SpatialModel,
-                      noise_gain: float = 1.0) -> StateSpectrumModel:
-    """Build the high/low state variances from pooled long-term spectra.
-
-    The long-term average spectrum of each source is pooled over all
-    arrays' images; the diffuse-noise spectrum is the across-source mean
-    scaled by noise_gain.
-    """
-    devices, K = spatial.array_ids(), spatial.n_sources
-    power = np.empty((len(devices), K, spatial.n_bins))
-    jobs, counts = [], []
-    for i, m in enumerate(devices):
-        counts.append([])
-        for k_idx, k in enumerate(spatial.source_ids):
-            coeffs = _coefficients(training_images[(m, k)], (m, k))
-            jobs.append((coeffs, None, None, power[i, k_idx], None))
-            counts[-1].append(coeffs.shape[0] * coeffs.shape[2])
-    _statistics(jobs)
-    return _state_model(spatial.source_ids, power, counts, noise_gain)
-
-
-def pooled_tensor(tensors: dict[str, SpectrogramTensor],
-                  order: list[str]) -> SpectrogramTensor:
-    """Concatenate several arrays' tensors channel-wise (merged-array view).
-
-    The tensors must hold the same number of frames; ConfigError if not.
-    """
-    parts = [tensors[m] for m in order]
-    if len({t.n_frames for t in parts}) > 1:
-        raise ConfigError(f"cannot merge arrays {order} of unequal frame "
-                          f"counts {[t.n_frames for t in parts]}")
-    coeffs = np.concatenate([t.coeffs for t in parts], axis=2)
-    first = parts[0]
-    return SpectrogramTensor(coeffs, first.window, first.rate_hz, first.n_samples)
-
-
-def _merged_images(training_images, devices: list[str], source_id: str):
-    """One source's merged-array training images, element by element."""
     seqs = [training_images[(m, source_id)] for m in devices]
     seqs = [[t] if isinstance(t, SpectrogramTensor) else list(t) for t in seqs]
     if len({len(s) for s in seqs}) > 1:
         raise ConfigError(f"source {source_id!r}: the devices hold different "
                           f"numbers of training tensors, so they cannot merge")
-    merged = [pooled_tensor(dict(zip(devices, parts)), devices)
-              for parts in zip(*seqs)]
-    return merged[0] if len(merged) == 1 else merged
+    merged = []
+    for parts in zip(*seqs):
+        if len({t.n_frames for t in parts}) > 1:
+            raise ConfigError(f"cannot merge arrays {devices} of unequal "
+                              f"frame counts {[t.n_frames for t in parts]}")
+        merged.append(np.concatenate([t.coeffs for t in parts], axis=2))
+    return merged[0] if len(merged) == 1 else np.concatenate(merged, axis=0)
 
 
 def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
@@ -470,18 +380,56 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
                  ) -> tuple[SpatialModel, StateSpectrumModel]:
     """Estimate spatial covariances and the state model in one pass.
 
+    training_images maps (device id, source id) to a SpectrogramTensor, or
+    to a sequence of tensors whose frames are pooled (useful for covering
+    motion by training on several perturbed variants of a scene).  The
+    covariances are unit-trace; the long-term average spectrum of each
+    source is pooled over every device's images, and the diffuse-noise
+    spectrum is the across-source mean scaled by noise_gain.
+
     With include_pooled=True the merged array over every device is trained
     as one more entry, from the channel-concatenated images, for use by
-    the static-pooled filter variant.  noise_gain must be finite and not
+    the static-pooled filter variant.  Every id must pass
+    `SpatialModel.check_id`, and noise_gain must be finite and not
     negative; ConfigError if not.
     """
     if not (math.isfinite(noise_gain) and noise_gain >= 0.0):
         raise ConfigError(f"noise gain must be finite and non-negative, "
                           f"got {noise_gain}")
-    _check_training_ids(training_images)
-    spatial, power, counts = _train(training_images, merged=include_pooled)
-    return spatial, _state_model(spatial.source_ids, power, counts,
-                                 noise_gain)
+    if not training_images:
+        raise ConfigError("no training images given")
+    for m, k in training_images:
+        SpatialModel.check_id(m, "device")
+        SpatialModel.check_id(k, "source")
+    array_ids, source_ids, frames = _device_frames(training_images)
+    entries = {m: [frames[(m, k)] for k in source_ids] for m in array_ids}
+    if include_pooled and len(array_ids) > 1:  # one device is its own merge
+        entries["+".join(array_ids)] = [
+            _merged_frames(training_images, array_ids, k) for k in source_ids]
+
+    # one `_statistics` pass forms every entry's covariances and each
+    # device's (K, F) summed power
+    K, F = len(source_ids), frames[(array_ids[0], source_ids[0])].shape[1]
+    covariances, fallback, jobs = {}, {}, []
+    power = np.empty((len(array_ids), K, F))
+    for i, (m, coeffs) in enumerate(entries.items()):
+        C = coeffs[0].shape[2]
+        covariances[m] = np.empty((K, F, C, C), dtype=np.complex128)
+        fallback[m] = np.zeros((K, F), dtype=bool)
+        identity = np.eye(C) / C
+        for k in range(K):
+            jobs.append((coeffs[k], covariances[m][k], fallback[m][k],
+                         power[i, k] if i < len(array_ids) else None,
+                         identity))
+    _statistics(jobs)
+    fallback_bins = {(m, k): np.flatnonzero(fell[k_idx])
+                     for m, fell in fallback.items()
+                     for k_idx, k in enumerate(source_ids)
+                     if fell[k_idx].any()}
+    counts = [[frames[(m, k)].shape[0] * frames[(m, k)].shape[2]
+               for k in source_ids] for m in array_ids]
+    return (SpatialModel(covariances, source_ids, fallback_bins),
+            _state_model(source_ids, power, counts, noise_gain))
 
 
 # ---------------------------------------------------------------------------

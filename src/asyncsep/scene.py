@@ -59,7 +59,6 @@ __all__ = [
     "scene_to_dict",
     "synthesize_scene",
     "apply_sro",
-    "mix_images",
 ]
 
 _ORDER = 4  # Lagrange order of the fractional delays and clock resampling
@@ -469,19 +468,6 @@ def _mix(total: np.ndarray, parts, noise_level: float, rng, noise) -> None:
         total += z
 
 
-def mix_images(images: SourceImageSet, array_id: str, noise_level: float,
-               seed: int) -> MultichannelRecording:
-    """Sum one array's source images and add seeded white Gaussian noise."""
-    keys = [(m, k) for (m, k) in images.images if m == array_id]
-    if not keys:
-        raise ValueError(f"no images for array {array_id!r}")
-    first = images.images[keys[0]]
-    total = np.zeros_like(first.samples)
-    _mix(total, [images.images[key].samples for key in keys], noise_level,
-         np.random.default_rng(seed), np.empty(total.size))
-    return MultichannelRecording(SampledSignal(total, first.rate_hz), array_id)
-
-
 def apply_sro(recording: MultichannelRecording,
               sro_hz: float) -> MultichannelRecording:
     """Resample all channels of a device by its single clock offset."""
@@ -538,7 +524,7 @@ def synthesize_scene(spec: SceneSpec, seed: int
             f"({spec.duration_s:g} s at {spec.rate_hz:g} Hz), more than the "
             f"{have / 2**30:.3g} GiB of physical memory")
     n = spec.n_samples
-    rate, workers = spec.rate_hz, _pool.worker_count()
+    rate = spec.rate_hz
 
     # each source draws from its own stream, so it renders alone
     signals = np.empty((len(spec.sources), n))
@@ -549,8 +535,7 @@ def synthesize_scene(spec: SceneSpec, seed: int
               lambda idx, ws: _render_into(spec.sources[idx].signal, n, rate,
                                            rngs[idx], freqs, signals[idx],
                                            ws),
-              [_RenderScratch(n)
-               for _ in range(min(workers, len(spec.sources)))])
+              lambda: _RenderScratch(n))
 
     images, tasks = {}, []
     for src, sig in zip(spec.sources, signals):
@@ -559,8 +544,7 @@ def synthesize_scene(spec: SceneSpec, seed: int
             images[(arr.id, src.id)] = SampledSignal(out, rate)
             tasks.append((sig, src.coupling[arr.id], out))
     _pool.run(tasks, lambda task, ws: _render_image(*task, ws),
-              [(np.empty(n), _delay_scratch((n,), _ORDER))
-               for _ in range(min(workers, len(tasks)))])
+              lambda: (np.empty(n), _delay_scratch((n,), _ORDER)))
     image_set = SourceImageSet(images)
 
     mixes = [np.zeros((n, arr.channels)) for arr in spec.arrays]
@@ -573,8 +557,7 @@ def synthesize_scene(spec: SceneSpec, seed: int
                   [images[(spec.arrays[a_idx].id, src.id)].samples
                    for src in spec.sources],
                   spec.noise_level, rngs[a_idx], noise),
-              [np.empty(n * width)
-               for _ in range(min(workers, len(spec.arrays)))])
+              lambda: np.empty(n * width))
 
     recordings = {}
     for arr, total in zip(spec.arrays, mixes):

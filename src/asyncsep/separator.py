@@ -362,15 +362,14 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
     images, image_channels = 0, 0
     if length:
         images, image_channels = spatial.n_sources + 1, filter_channels
-    workspaces = [
-        _kernels.Workspace(_kernels._BLOCK, spatial.n_bins,
-                           channels=max(u.channels for u in units),
-                           factor_channels=factor_channels,
-                           sources=spatial.n_sources, states=states.n_states,
-                           images=images, image_channels=image_channels,
-                           length=length, filter_channels=filter_channels)
-        for _ in range(min(_pool.worker_count(), len(tasks)))]
-    _pool.run(tasks, lambda task, ws: _run_block(*task, ws, var), workspaces)
+    channels = max((u.channels for u in units), default=0)
+    _pool.run(tasks, lambda task, ws: _run_block(*task, ws, var),
+              lambda: _kernels.Workspace(
+                  _kernels._BLOCK, spatial.n_bins, channels=channels,
+                  factor_channels=factor_channels, sources=spatial.n_sources,
+                  states=states.n_states, images=images,
+                  image_channels=image_channels, length=length,
+                  filter_channels=filter_channels))
     return {f.cov_id: float(np.sqrt(max([0.0, *f.worst]))) for f in filters}
 
 

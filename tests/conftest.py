@@ -31,16 +31,20 @@ def pool_run_peaks(monkeypatch, call):
 
     Every task runs on the calling thread, where tracemalloc and numpy's
     buffer size hold; the iterator buffers, which are not arrays, shrink
-    to 16 elements.  Returns the peaks in call order, in bytes.
+    to 16 elements.  The one workspace is built before tracing starts, so
+    a peak counts only what the tasks allocate.  Returns the peaks in
+    call order, in bytes.
     """
     peaks = []
     real_run = _pool.run
 
-    def measured(tasks, work, workspaces):
+    def measured(tasks, work, scratch):
+        tasks = list(tasks)
+        workspace = scratch() if tasks else None
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            real_run(tasks, work, workspaces)
+            real_run(tasks, work, lambda: workspace)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()

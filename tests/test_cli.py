@@ -336,6 +336,41 @@ def test_recording_with_wrong_channel_count_fails_with_config_error(
     _assert_clean_config_error(capsys, str(wav), "1 channels")
 
 
+def test_training_image_with_another_channel_count_fails_with_config_error(
+        tmp_path, scene_file, capsys):
+    # a device's images must hold its channel count, as its recording must
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "1"]) == 0
+    wav = sim / "images" / "a__s2.wav"
+    sig = read_wav(wav)
+    write_wav(wav, SampledSignal(sig.samples[:, :1], sig.rate_hz))
+    capsys.readouterr()
+    assert main(["train", str(sim / "images"), str(tmp_path / "m.bin"),
+                 "--stft-len", "1024"]) == 2
+    _assert_clean_config_error(capsys, str(wav), "1 channels")
+    assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda sig: SampledSignal(sig.samples[:, :1], sig.rate_hz), "1 channels"),
+    (lambda sig: SampledSignal(sig.samples, sig.rate_hz / 2), "8000 Hz"),
+], ids=["mono", "half-rate"])
+def test_evaluate_estimate_unlike_its_truth_fails_with_config_error(
+        tmp_path, scene_file, capsys, edit, message):
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    est = tmp_path / "est"
+    for wav in (sim / "images").glob("*.wav"):
+        write_wav(est / wav.name, read_wav(wav))
+    write_wav(est / "a__s1.wav", edit(read_wav(est / "a__s1.wav")))
+    capsys.readouterr()
+    assert main(["evaluate", str(est), str(sim / "images"),
+                 str(tmp_path / "r.json")]) == 2
+    _assert_clean_config_error(capsys, str(est / "a__s1.wav"),
+                               str(sim / "images" / "a__s1.wav"), message)
+    assert not (tmp_path / "r.json").exists()
+
+
 def _container_field(raw, offset, value):
     return raw[:offset] + value + raw[offset + len(value):]
 

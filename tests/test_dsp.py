@@ -15,9 +15,9 @@ from asyncsep.dsp import (
     fractional_delay,
     istft,
     lagrange_resample,
-    long_term_average_spectrum,
     stft,
 )
+from asyncsep.model import train_models
 
 from conftest import (
     bandlimited_noise,
@@ -304,6 +304,11 @@ class TestFractionalDelay:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             fractional_delay(np.zeros(10), -1.0)
+
+
+def long_term_average_spectrum(spec: SpectrogramTensor) -> np.ndarray:
+    """The long-term average spectrum `train_models` forms of one source."""
+    return train_models({("a", "s"): spec})[1].ltas[0]
 
 
 class TestLongTermAverageSpectrum:

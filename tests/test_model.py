@@ -16,11 +16,8 @@ from asyncsep.model import (
     SILENCE_GATE,
     SpatialModel,
     StateSpectrumModel,
-    build_state_model,
-    estimate_spatial_covariance,
     load_models,
     model_summary,
-    pooled_tensor,
     save_models,
     train_models,
 )
@@ -70,7 +67,7 @@ def gated_covariance_oracle(coeffs):
 class TestEstimateSpatialCovariance:
     def test_single_frame_is_normalized_outer_product(self, rng):
         x = rng.standard_normal((1, F, 2)) + 1j * rng.standard_normal((1, F, 2))
-        model = estimate_spatial_covariance({("a", "s"): tensor(x)})
+        model = train_models({("a", "s"): tensor(x)})[0]
         for f in range(F):
             v = x[0, f]
             expected = np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -81,7 +78,7 @@ class TestEstimateSpatialCovariance:
         n_frames = 2500
         x = (rng.standard_normal((n_frames, F, 2))
              + 1j * rng.standard_normal((n_frames, F, 2))) / np.sqrt(2)
-        model = estimate_spatial_covariance({("a", "s"): tensor(x)})
+        model = train_models({("a", "s"): tensor(x)})[0]
         for f in range(F):
             dist = np.linalg.norm(model.covariances["a"][0, f] - np.eye(2) / 2)
             assert dist <= 0.1
@@ -91,7 +88,7 @@ class TestEstimateSpatialCovariance:
         amps = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         x = amps[:, None, None] * a[None, None, :]
         x = np.broadcast_to(x, (50, F, 3)).copy()
-        model = estimate_spatial_covariance({("a", "s"): tensor(x)})
+        model = train_models({("a", "s"): tensor(x)})[0]
         expected = np.outer(a, a.conj()) / np.vdot(a, a).real
         for f in range(F):
             assert np.abs(model.covariances["a"][0, f] - expected).max() <= 1e-6
@@ -99,18 +96,17 @@ class TestEstimateSpatialCovariance:
     def test_matches_brute_force_gated_oracle(self, rng):
         x = rng.standard_normal((12, F, 2)) + 1j * rng.standard_normal((12, F, 2))
         x[3:7] *= 1e-7  # frames far below the -60 dB gate
-        model = estimate_spatial_covariance({("a", "s"): tensor(x)})
+        model = train_models({("a", "s"): tensor(x)})[0]
         oracle = gated_covariance_oracle(x)
         assert np.abs(model.covariances["a"][0] - oracle).max() <= 1e-12
 
     def test_all_silent_bin_falls_back_to_identity_and_is_flagged(self, rng):
         x = rng.standard_normal((6, F, 2)) + 1j * rng.standard_normal((6, F, 2))
         x[:, 4, :] = 0.0
-        model = estimate_spatial_covariance({("a", "s"): tensor(x)})
+        model, states = train_models({("a", "s"): tensor(x)})
         assert np.allclose(model.covariances["a"][0, 4], np.eye(2) / 2)
         assert list(model.fallback_bins[("a", "s")]) == [4]
-        assert "fallbacks" in model_summary(
-            model, build_state_model({("a", "s"): tensor(x)}, model))
+        assert "fallbacks" in model_summary(model, states)
 
     def test_estimated_matrices_are_hermitian_psd_unit_trace(self, rng):
         imgs = {}
@@ -119,7 +115,7 @@ class TestEstimateSpatialCovariance:
                 x = rng.standard_normal((20, F, 2)) \
                     + 1j * rng.standard_normal((20, F, 2))
                 imgs[(m, k)] = tensor(x)
-        model = estimate_spatial_covariance(imgs)
+        model = train_models(imgs)[0]
         for m in ("a", "b"):
             cov = model.covariances[m]
             herm = np.abs(cov - cov.conj().transpose(0, 1, 3, 2)).max()
@@ -134,72 +130,64 @@ class TestEstimateSpatialCovariance:
     def test_frame_pooling_across_training_variants(self, rng):
         x1 = rng.standard_normal((8, F, 2)) + 1j * rng.standard_normal((8, F, 2))
         x2 = rng.standard_normal((8, F, 2)) + 1j * rng.standard_normal((8, F, 2))
-        pooled = estimate_spatial_covariance(
-            {("a", "s"): [tensor(x1), tensor(x2)]})
-        merged = estimate_spatial_covariance(
-            {("a", "s"): tensor(np.concatenate([x1, x2]))})
+        pooled = train_models({("a", "s"): [tensor(x1), tensor(x2)]})[0]
+        merged = train_models(
+            {("a", "s"): tensor(np.concatenate([x1, x2]))})[0]
         assert np.allclose(pooled.covariances["a"], merged.covariances["a"],
                            atol=1e-14)
 
     def test_missing_pair_rejected(self, rng):
         x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))
         with pytest.raises(ConfigError, match="missing training images"):
-            estimate_spatial_covariance({("a", "s1"): tensor(x),
-                                         ("b", "s2"): tensor(x)})
+            train_models({("a", "s1"): tensor(x), ("b", "s2"): tensor(x)})
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError, match="no training images"):
-            estimate_spatial_covariance({})
+            train_models({})
 
     def test_device_id_with_merge_separator_rejected(self, rng):
         # "a+b" names the merged array over devices a and b
         x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))
         with pytest.raises(ConfigError, match="'a\\+b' contains '\\+'"):
-            estimate_spatial_covariance({("a+b", "s"): tensor(x)})
+            train_models({("a+b", "s"): tensor(x)})
 
 
 class TestBuildStateModel:
-    def _model_for(self, coeffs_by_source, rng):
-        imgs = {("a", k): tensor(v) for k, v in coeffs_by_source.items()}
-        spatial = estimate_spatial_covariance(imgs)
-        return imgs, spatial
+    def _states_for(self, coeffs_by_source):
+        return train_models({("a", k): tensor(v)
+                             for k, v in coeffs_by_source.items()})[1]
 
     def test_unit_spectrum_gives_ten_and_tenth(self, rng):
         x = np.full((5, F, 1), 1.0 + 0.0j)
-        imgs, spatial = self._model_for({"s": x}, rng)
-        states = build_state_model(imgs, spatial)
+        states = self._states_for({"s": x})
         assert np.allclose(states.sigma_high[0], 10.0)
         assert np.allclose(states.sigma_low[0], 0.1)
 
     def test_high_low_ratio_is_hundred(self, rng):
         x = rng.standard_normal((10, F, 2)) + 1j * rng.standard_normal((10, F, 2))
-        imgs, spatial = self._model_for({"s": x}, rng)
-        states = build_state_model(imgs, spatial)
+        states = self._states_for({"s": x})
         ratio = states.sigma_high / states.sigma_low
         assert np.allclose(ratio, 100.0, rtol=1e-12)
 
     def test_noise_spectrum_is_mean_of_source_spectra(self, rng):
         imgs = {("a", "s1"): tensor(np.full((4, F, 1), 2.0 + 0.0j)),
                 ("a", "s2"): tensor(np.full((4, F, 1), 4.0 + 0.0j))}
-        spatial = estimate_spatial_covariance(imgs)
-        states = build_state_model(imgs, spatial)
+        states = train_models(imgs)[1]
         assert np.allclose(states.ltas[0], 4.0)
         assert np.allclose(states.ltas[1], 16.0)
         assert np.allclose(states.noise_spectrum, 10.0)
-        half = build_state_model(imgs, spatial, noise_gain=0.5)
+        half = train_models(imgs, noise_gain=0.5)[1]
         assert np.allclose(half.noise_spectrum, 5.0)
 
     def test_zero_bins_clamped_to_relative_floor(self, rng):
         x = np.zeros((4, F, 1), complex)
         x[:, 0, 0] = 1.0  # single active bin fixes the clamp scale
-        imgs, spatial = self._model_for({"s": x}, rng)
-        states = build_state_model(imgs, spatial)
+        states = self._states_for({"s": x})
         assert states.ltas[0, 0] == pytest.approx(1.0)
         assert np.all(states.ltas[0, 1:] == 1e-12 * states.ltas[0].max())
 
     def test_all_zero_source_still_yields_valid_model(self, rng):
-        imgs, spatial = self._model_for({"s": np.zeros((4, F, 1), complex)}, rng)
-        states = build_state_model(imgs, spatial)
+        states = self._states_for({"s": np.zeros((4, F, 1), complex)})
         assert np.isfinite(states.conditional_variances()).all()
         assert (states.ltas >= 0).all()
 
@@ -207,19 +195,16 @@ class TestBuildStateModel:
         # lambda pools frames and channels of every array's image
         imgs = {("a", "s"): tensor(np.full((4, F, 1), 1.0 + 0.0j)),
                 ("b", "s"): tensor(np.full((4, F, 1), 3.0 + 0.0j))}
-        spatial = estimate_spatial_covariance(imgs)
-        states = build_state_model(imgs, spatial)
+        states = train_models(imgs)[1]
         assert np.allclose(states.ltas[0], (1.0 + 9.0) / 2)
 
     def test_image_scaling_moves_spectra_not_covariances(self, rng):
         x = rng.standard_normal((15, F, 2)) + 1j * rng.standard_normal((15, F, 2))
         i1 = {("a", "s"): tensor(x)}
         i2 = {("a", "s"): tensor(3.0 * x)}
-        m1 = estimate_spatial_covariance(i1)
-        m2 = estimate_spatial_covariance(i2)
+        m1, s1 = train_models(i1)
+        m2, s2 = train_models(i2)
         assert np.allclose(m1.covariances["a"], m2.covariances["a"], atol=1e-12)
-        s1 = build_state_model(i1, m1)
-        s2 = build_state_model(i2, m2)
         assert np.allclose(s2.ltas, 9.0 * s1.ltas, rtol=1e-12)
 
 
@@ -428,22 +413,15 @@ class TestPooled:
             imgs[(m, "s")] = tensor(x)
         spatial, _ = train_models(imgs, include_pooled=True)
         merged = np.concatenate([raw["a"], raw["b"]], axis=2)
-        direct = estimate_spatial_covariance({("p", "s"): tensor(merged)})
+        direct = train_models({("p", "s"): tensor(merged)})[0]
         assert np.allclose(spatial.covariances["a+b"],
                            direct.covariances["p"], atol=1e-12)
-
-    def test_pooled_tensor_respects_order(self, rng):
-        ta = tensor(rng.standard_normal((4, F, 2)) * (1 + 0j))
-        tb = tensor(rng.standard_normal((4, F, 1)) * (1 + 0j))
-        merged = pooled_tensor({"a": ta, "b": tb}, ["b", "a"])
-        assert merged.channels == 3
-        assert np.array_equal(merged.coeffs[:, :, 0], tb.coeffs[:, :, 0])
 
     def test_pooled_tensor_refuses_unequal_frame_counts(self, rng):
         ta = tensor(rng.standard_normal((4, F, 2)) * (1 + 0j))
         tb = tensor(rng.standard_normal((5, F, 1)) * (1 + 0j))
         with pytest.raises(ConfigError, match="unequal frame counts"):
-            pooled_tensor({"a": ta, "b": tb}, ["a", "b"])
+            train_models({("a", "s"): ta, ("b", "s"): tb}, include_pooled=True)
 
     def test_sequences_merge_element_by_element(self, rng):
         # every element of a device's sequence trains the merged entry
@@ -454,9 +432,9 @@ class TestPooled:
         raw = {m: [x(6), x(9)] for m in ("a", "b")}
         imgs = {(m, "s"): [tensor(v) for v in vs] for m, vs in raw.items()}
         spatial, _ = train_models(imgs, include_pooled=True)
-        direct = estimate_spatial_covariance({("p", "s"): [
+        direct = train_models({("p", "s"): [
             tensor(np.concatenate([raw["a"][i], raw["b"][i]], axis=2))
-            for i in range(2)]})
+            for i in range(2)]})[0]
         assert np.allclose(spatial.covariances["a+b"],
                            direct.covariances["p"], atol=1e-12)
 
@@ -509,16 +487,6 @@ class TestTrainingTasks:
                 assert np.array_equal(got_s.fallback_bins[key], bins)
             assert np.array_equal(got_t.ltas, want_t.ltas)
             assert np.array_equal(got_t.noise_spectrum, want_t.noise_spectrum)
-
-    def test_state_model_alone_equals_training(self):
-        imgs = self._images(2)
-        spatial, states = train_models(imgs, noise_gain=0.5)
-        alone = build_state_model(imgs, spatial, noise_gain=0.5)
-        assert np.array_equal(alone.ltas, states.ltas)
-        assert np.array_equal(alone.noise_spectrum, states.noise_spectrum)
-        assert np.array_equal(
-            estimate_spatial_covariance(imgs).covariances["b"],
-            spatial.covariances["b"])
 
     def test_unequal_bins_or_channels_refused(self, rng):
         x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))

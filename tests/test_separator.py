@@ -16,7 +16,7 @@ from asyncsep.classifier import (PowerEstimate, classify,
 from asyncsep.dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
                           istft, stft, stft_frame_count)
 from asyncsep.errors import ConfigError, NumericalError
-from asyncsep.model import NOISE_ID, SpatialModel, pooled_tensor
+from asyncsep.model import NOISE_ID, SpatialModel
 from asyncsep.separator import MODES, separate, separate_recordings
 
 from conftest import (
@@ -25,6 +25,7 @@ from conftest import (
     make_planted_tiles,
     make_synthetic_models,
     mwf_apply,
+    pool_run_peaks,
     rand_unit_psd,
 )
 
@@ -383,11 +384,12 @@ def _serial_separate(obs, spatial, states, mode):
     images, worst = {}, {}
     if mode == "static-pooled":
         merged_id = spatial.merged_id()
-        merged = pooled_tensor(obs, spatial.members(merged_id))
-        est = _kernels.mwf_filter(merged.coeffs, spatial.covariances[merged_id],
+        merged = np.concatenate(
+            [obs[m].coeffs for m in spatial.members(merged_id)], axis=2)
+        est = _kernels.mwf_filter(merged, spatial.covariances[merged_id],
                                   static.sigma2[:, :, :-1],
                                   states.noise_spectrum)
-        worst[merged_id] = block_consistency(est, merged.coeffs)
+        worst[merged_id] = block_consistency(est, merged)
         lo = 0
         for m in spatial.members(merged_id):
             c = obs[m].channels
@@ -598,28 +600,10 @@ class TestBlockPassAllocatesNoArrays:
             rng.standard_normal((40, n_bins, 2))
             + 1j * rng.standard_normal((40, n_bins, 2)), win, 16000.0)
             for m in ("a", "b")}
-        peaks = []
-        real_run = _pool.run
-
-        def measured(tasks, work, workspaces):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                real_run(tasks, work, workspaces)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
-
-        monkeypatch.setattr(_pool, "run", measured)
-        monkeypatch.setattr(_pool, "worker_count", lambda: 1)
-        bufsize = np.getbufsize()
-        np.setbufsize(16)
-        try:
-            gamma = np.empty((40, n_bins, 4)) if dump else None
-            result = separate(obs, spatial, states, mode, posteriors=gamma)
-            istft(result.images[("a", "s0")])
-        finally:
-            np.setbufsize(bufsize)
+        gamma = np.empty((40, n_bins, 4)) if dump else None
+        peaks = pool_run_peaks(monkeypatch, lambda: istft(separate(
+            obs, spatial, states, mode, posteriors=gamma
+        ).images[("a", "s0")]))
         # the smallest array a block could allocate: one (8, F) bool plane
         assert len(peaks) == 2
         assert max(peaks) < 8 * n_bins

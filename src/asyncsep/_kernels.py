@@ -19,9 +19,11 @@ The powers have a frame axis of the block's length (time-varying) or 1
 the one diagonal-loading rule, shared by the filter and, through
 `_load_diagonal`, the classifier's state factors.
 
-`loglik_accumulate` and `mwf_filter` run the block kernels over a whole
-tensor, one block after another; `separator.separate` runs the same
-kernels in one fused pass per frame block on every core.
+The library runs the block kernels only in the fused pass of `separator`,
+one task per frame block on every core.  `loglik_accumulate` and
+`mwf_filter` run them over a whole tensor, one block after another; no
+library code calls them.  They stay as the serial references of the
+tests and because the pipeline benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ where information crosses array boundaries.
 
 Each stage has one block kernel that works on a block of frames:
 `_kernels.loglik_block` for the log-likelihoods, `posterior_block` for the
-softmax and its checks, and `power_block` for the powers.  `classify`,
-`posteriors` and `source_power_estimates` run them over a whole tensor,
-one block after another; `separator.separate` runs them inside its fused
-per-block pass and keeps full-size posteriors only in a buffer its caller
-passes.
+softmax and its checks, and `power_block` for the powers.  They run in
+the fused per-block pass of `separator`, on every core: `classify` runs
+that pass on one unit that classifies over every array and filters
+nothing, as `separator.separate` does to fill its `posteriors=` buffer,
+so no full-size log-likelihoods are held.  `source_power_estimates` runs
+`power_block` over a whole tensor, one block after another.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .model import SpatialModel, StateSpectrumModel
 
 __all__ = [
     "PosteriorMap",
-    "PowerEstimate",
     "classify",
-    "posteriors",
     "source_power_estimates",
     "state_factors",
     "save_posteriors",
@@ -43,22 +42,16 @@ _LOG_PI = float(np.log(np.pi))
 
 @dataclass
 class PosteriorMap:
-    """Posterior state probabilities and the log-likelihoods behind them.
+    """Posterior state probabilities.
 
-    gamma, log_likelihoods: (frames, bins, states); states are the
-    directional sources in model order plus the noise-only state last.
-    log_likelihoods is None where only the posteriors were kept, as for
-    the ones `separator.separate` writes.
+    gamma: (frames, bins, states); states are the directional sources in
+    model order plus the noise-only state last.
     """
 
     gamma: np.ndarray
-    log_likelihoods: np.ndarray | None
     state_ids: list[str]
 
     def __post_init__(self):
-        if self.log_likelihoods is not None and \
-                self.gamma.shape != self.log_likelihoods.shape:
-            raise ValueError("gamma and log_likelihoods must share a shape")
         _check_sums(self.gamma, np.empty(self.gamma.shape[:-1]))
 
 
@@ -72,14 +65,6 @@ def _check_sums(gamma, sums):
     np.abs(sums, out=sums)
     if not sums.max(initial=0.0) <= 1e-12:  # a NaN fails too
         raise ValueError("posteriors do not sum to 1")
-
-
-@dataclass
-class PowerEstimate:
-    """Per-tile source powers; the last source slot is the diffuse noise."""
-
-    sigma2: np.ndarray  # (frames or 1, bins, K+1); 1 = same every frame
-    source_ids: list[str]
 
 
 def state_factors(spatial: SpatialModel, states: StateSpectrumModel,
@@ -106,66 +91,25 @@ def state_factors(spatial: SpatialModel, states: StateSpectrumModel,
     return factors, logdets
 
 
-def _check_aligned(observations: dict[str, SpectrogramTensor],
-                   spatial: SpatialModel, array_ids: list[str]):
-    shapes = {}
-    for m in array_ids:
-        if m not in observations:
-            raise ValueError(f"no observations for array {m!r}")
-        t = observations[m]
-        if not np.isfinite(t.coeffs).all():
-            raise NumericalError(f"non-finite STFT coefficients in array {m!r}")
-        if t.channels != spatial.channels(m):
-            raise ValueError(
-                f"array {m!r}: {t.channels} channels, model expects "
-                f"{spatial.channels(m)}")
-        if t.n_bins != spatial.n_bins:
-            raise ValueError(
-                f"array {m!r}: {t.n_bins} bins, model expects {spatial.n_bins}")
-        shapes[m] = (t.n_frames, t.n_bins)
-    if len(set(shapes.values())) > 1:
-        raise ValueError(f"observations not aligned across arrays: {shapes}")
-
-
 def classify(observations: dict[str, SpectrogramTensor],
-             spatial: SpatialModel, states: StateSpectrumModel,
-             array_ids: list[str] | None = None) -> PosteriorMap:
-    """Posterior state probabilities from the listed arrays (default: all).
+             spatial: SpatialModel,
+             states: StateSpectrumModel) -> PosteriorMap:
+    """Joint posterior state probabilities over every array given.
 
     The per-array log-likelihoods add up tile by tile (conditional
-    independence across arrays), so restricting array_ids to a single
-    array gives the local classifier of the tv-local filter variant.
+    independence across arrays), so observations of a single array give
+    the local classifier of the tv-local filter variant.  Runs the fused
+    pass of `separator` on every core; the result does not depend on the
+    number of threads.  Non-finite observations raise NumericalError,
+    and observations unlike the model or misaligned ValueError.
     """
-    if array_ids is None:
-        array_ids = sorted(observations)
-    _check_aligned(observations, spatial, array_ids)
-    first = observations[array_ids[0]]
-    N, F = first.n_frames, first.n_bins
+    from .separator import _run_pass, _tensor_inputs, _unit
 
-    ll = np.zeros((N, F, states.n_states))
-    for m in array_ids:
-        factors, logdets = state_factors(spatial, states, m)
-        _kernels.loglik_accumulate(observations[m].coeffs, factors, logdets, ll)
-    return posteriors(ll, state_ids=states.state_ids)
-
-
-def posteriors(log_likelihoods: np.ndarray,
-               state_ids: list[str] | None = None) -> PosteriorMap:
-    """Stable softmax over the trailing state axis with uniform priors.
-
-    log_likelihoods: (frames, bins, states), left untouched.  Runs
-    `posterior_block` over blocks of frames.
-    """
-    ll = np.asarray(log_likelihoods, dtype=np.float64)
-    N, F, n_states = ll.shape
-    g = np.empty(ll.shape)
-    ws = _kernels.Workspace(_kernels._BLOCK, F, states=n_states)
-    for n0 in range(0, N, _kernels._BLOCK):
-        n1 = n0 + _kernels._BLOCK
-        posterior_block(ll[n0:n1], g[n0:n1], ws)
-    if state_ids is None:
-        state_ids = [str(s) for s in range(n_states)]
-    return PosteriorMap(g, ll, state_ids)
+    layout, source = _tensor_inputs(observations, spatial)
+    gamma = np.empty((layout[min(layout)][1], spatial.n_bins, states.n_states))
+    _run_pass([_unit(layout, spatial, states, sorted(layout), source, True,
+                     posteriors=gamma)], spatial, states)
+    return PosteriorMap(gamma, states.state_ids)
 
 
 def posterior_block(ll, out, ws):
@@ -196,12 +140,12 @@ def posterior_block(ll, out, ws):
 
 
 def source_power_estimates(gamma: PosteriorMap,
-                           states: StateSpectrumModel) -> PowerEstimate:
-    """Posterior-weighted source powers per tile (noise source last).
+                           states: StateSpectrumModel) -> np.ndarray:
+    """Posterior-weighted source powers per tile, (frames, bins, K+1).
 
-    The noise slot is pinned to the state-independent noise spectrum
-    rather than recomputed through the convex combination.  Runs
-    `power_block` over blocks of frames.
+    The last slot is the diffuse noise, pinned to the state-independent
+    noise spectrum rather than recomputed through the convex combination.
+    Runs `power_block` over blocks of frames.
     """
     var = states.conditional_variances()  # (S, K+1, F)
     g = gamma.gamma
@@ -213,7 +157,7 @@ def source_power_estimates(gamma: PosteriorMap,
         n1 = n0 + _kernels._BLOCK
         power_block(g[n0:n1], var, planes[:-1, n0:n1], ws)
     sigma2[:, :, -1] = states.noise_spectrum[None, :]
-    return PowerEstimate(sigma2, states.source_ids + [states.state_ids[-1]])
+    return sigma2
 
 
 def power_block(gamma, var, out, ws):

@@ -13,7 +13,9 @@ A typical round trip::
 
 Scene arguments accept a YAML path or the shorthands ``demo`` and
 ``demo-train`` for the bundled scene.  Estimate/truth WAV files pair up by
-their ``<array>__<source>.wav`` names.
+their ``<array>__<source>.wav`` names; ``evaluate`` needs an estimate for
+every truth image, of its length, channels and rate, and exits 2 without
+a report otherwise.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ def cmd_separate(args) -> int:
     for (m, k), signal in result.images.items():
         write_wav(out / _image_name(m, k), signal)
     if gamma is not None:
-        pmap = PosteriorMap(gamma, None, states.state_ids)
+        pmap = PosteriorMap(gamma, states.state_ids)
         save_posteriors(pmap, args.dump_posteriors)
         print(posterior_histogram(pmap), end="")
     worst = max(result.metadata["consistency_rel_max"].values())
@@ -240,11 +242,12 @@ def cmd_evaluate(args) -> int:
     sro.update(overrides)
     origin.update(dict.fromkeys(overrides, "--sro-override"))
 
-    pairs = {}
-    for key, wav in truth.items():
-        est_path = est_dir / _image_name(*key)
-        if est_path.is_file():
-            pairs[key] = (wav, est_path)
+    pairs = {key: (wav, est_dir / _image_name(*key))
+             for key, wav in truth.items()}
+    missing = [f"{est} (truth {wav})" for wav, est in pairs.values()
+               if not est.is_file()]
+    if missing:
+        raise ConfigError("missing estimates: " + ", ".join(missing))
     refs = {key: read_wav(wav) for key, (wav, _) in pairs.items()}
     # truth at the device clock: the images of one device, length and rate
     # are resampled in one call
@@ -266,19 +269,16 @@ def cmd_evaluate(args) -> int:
     for (m, k), (wav, est_path) in pairs.items():
         ref = refs[(m, k)]
         est = read_wav(est_path)
-        if (est.channels, est.rate_hz) != (ref.channels, ref.rate_hz):
+        shape = (est.n_samples, est.channels, est.rate_hz)
+        if shape != (ref.n_samples, ref.channels, ref.rate_hz):
             raise ConfigError(
-                f"estimate {est_path} holds {est.channels} channels at "
-                f"{est.rate_hz:g} Hz, its truth image {wav} {ref.channels} "
-                f"at {ref.rate_hz:g} Hz")
-        n = min(ref.n_samples, est.n_samples)
-        if not ref.samples[:n].any():
-            raise ConfigError(f"truth image {wav} is silent over the scored "
-                              f"span; SDR is undefined")
-        scored.append((SampledSignal(ref.samples[:n], ref.rate_hz),
-                       SampledSignal(est.samples[:n], est.rate_hz)))
-    if not scored:
-        raise ConfigError("no estimate/truth pairs found")
+                f"estimate {est_path} holds {est.n_samples} samples of "
+                f"{est.channels} channels at {est.rate_hz:g} Hz, its truth "
+                f"image {wav} {ref.n_samples} of {ref.channels} at "
+                f"{ref.rate_hz:g} Hz")
+        if not ref.samples.any():
+            raise ConfigError(f"truth image {wav} is silent; SDR is undefined")
+        scored.append((ref, est))
     scores = dict(zip((f"{m}/{k}" for m, k in pairs), _sdr_pairs(scored)))
 
     finite = [v for v in scores.values() if math.isfinite(v)]

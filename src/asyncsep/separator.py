@@ -23,9 +23,11 @@ array's filter then factorizes its loaded covariance (the static modes
 factorize once, before the pass), writes the K+1 images of the block,
 checks that they sum to the mixture and hands them to a sink.  No
 full-size log-likelihoods or powers are kept; the joint posteriors are
-kept only when the caller passes a buffer for them.  The blocks run on
-every core (`_pool`), and the result does not depend on the number of
-threads.
+kept only when the caller passes a buffer for them.  Outside
+tv-distributed, a unit that classifies over every array and has no
+filters fills that buffer; `classifier.classify` runs the pass on that
+unit alone.  The blocks run on every core (`_pool`), and the result does
+not depend on the number of threads.
 
 `separate` copies its blocks in from STFT tensors and its sink is each
 filter's (K+1, C, N, F) image buffer; the image tensors of its result
@@ -50,8 +52,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels, _pool, dsp
-from .classifier import (_check_aligned, posterior_block, power_block,
-                         state_factors)
+from .classifier import posterior_block, power_block, state_factors
 from .dsp import SampledSignal, SpectrogramTensor, WindowSpec
 from .errors import NumericalError
 from .model import NOISE_ID, SpatialModel, StateSpectrumModel
@@ -272,76 +273,88 @@ def _run_block(unit: _Unit, n0: int, ws, var) -> None:
         raise
 
 
+def _unit(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
+          cov_ids: list[str], source, classifies: bool, sink=None,
+          posteriors=None) -> _Unit:
+    """One unit of the block pass over the devices of `cov_ids`.
+
+    layout: device -> (channels, frames), for the devices given.
+    source(arrays) is the unit's source over its devices.  The unit sums
+    the log-likelihoods of cov_ids when it classifies, writes
+    `posteriors` when given, and has one filter per entry of cov_ids,
+    each with a new sink(channels, frames), unless sink is None.  The
+    filters of a unit that does not classify use the long-term spectra
+    (the static modes).
+    """
+    F, noise = spatial.n_bins, states.noise_spectrum
+    arrays = [m for c in cov_ids for m in spatial.members(c)]
+    for m in arrays:
+        if m not in layout:
+            raise ValueError(f"no observations for array {m!r}")
+    frames = {m: layout[m][1] for m in arrays}
+    if len(set(frames.values())) > 1:
+        raise ValueError(f"observations not aligned across arrays: "
+                         f"frames {frames}")
+    n_frames = frames[arrays[0]]
+    if posteriors is not None and (
+            posteriors.shape != (n_frames, F, states.n_states)
+            or posteriors.dtype != np.float64):
+        raise ValueError(
+            f"posteriors must be a float64 array of shape "
+            f"{(n_frames, F, states.n_states)}, got {posteriors.dtype} "
+            f"{posteriors.shape}")
+    loglik, filters, lo = [], [], 0
+    for cov_id in cov_ids:
+        members = spatial.members(cov_id)
+        C = sum(layout[m][0] for m in members)
+        channels = slice(lo, lo + C)
+        lo += C
+        if classifies:
+            factors, logdets = state_factors(spatial, states, cov_id)
+            loglik.append((channels, _kernels.inverse_factors(factors),
+                           logdets))
+        if sink is not None:
+            filters.append(_Filter(
+                cov_id, members, channels,
+                _kernels.filter_operands(spatial.covariances[cov_id]),
+                (noise, noise / C), sink(C, n_frames),
+                np.zeros(-(-n_frames // _kernels._BLOCK)), None))
+    for f in filters if not classifies else []:
+        # no per-tile powers: the long-term spectra hold for every frame,
+        # so factorize once
+        ws = _kernels.Workspace(1, F, factor_channels=f.n_channels,
+                                sources=spatial.n_sources)
+        ws.p.real[:, 0] = states.ltas
+        _kernels.mwf_factor(ws.p, f.Rt, *f.noise, ws.L, ws.dinv, ws)
+        f.static = (ws.p, ws.L, ws.dinv)
+    return _Unit(arrays, n_frames, lo, source(arrays), loglik, filters,
+                 posteriors)
+
+
 def _units(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
            mode: str, posteriors, source, sink) -> list[_Unit]:
     """The units of the block pass under one mode, with their sinks.
 
-    layout: device -> (channels, frames), for the devices given.
-    source(arrays) is a unit's source over those devices, and
-    sink(channels, frames) a new sink for one filter.  The unit that
-    classifies over every array writes `posteriors`: the one unit of
-    tv-distributed, or else one more unit that has no filters.
+    See `_unit`; sink(channels, frames) is a new sink for one filter.
+    The unit that classifies over every array writes `posteriors`: the
+    one unit of tv-distributed, or else one more unit that has no
+    filters, as `classifier.classify` runs it.
     """
-    K, F = spatial.n_sources, spatial.n_bins
-    noise = states.noise_spectrum
-    static = mode.startswith("static")
-
-    def unit(cov_ids, classifies, filtered=True, posteriors=None):
-        arrays = [m for c in cov_ids for m in spatial.members(c)]
-        for m in arrays:
-            if m not in layout:
-                raise ValueError(f"no observations for array {m!r}")
-        frames = {m: layout[m][1] for m in arrays}
-        if len(set(frames.values())) > 1:
-            raise ValueError(f"observations not aligned across arrays: "
-                             f"frames {frames}")
-        n_frames = frames[arrays[0]]
-        if posteriors is not None and (
-                posteriors.shape != (n_frames, F, states.n_states)
-                or posteriors.dtype != np.float64):
-            raise ValueError(
-                f"posteriors must be a float64 array of shape "
-                f"{(n_frames, F, states.n_states)}, got {posteriors.dtype} "
-                f"{posteriors.shape}")
-        loglik, filters, lo = [], [], 0
-        for cov_id in cov_ids:
-            members = spatial.members(cov_id)
-            C = sum(layout[m][0] for m in members)
-            channels = slice(lo, lo + C)
-            lo += C
-            if classifies:
-                factors, logdets = state_factors(spatial, states, cov_id)
-                loglik.append((channels, _kernels.inverse_factors(factors),
-                               logdets))
-            if filtered:
-                filters.append(_Filter(
-                    cov_id, members, channels,
-                    _kernels.filter_operands(spatial.covariances[cov_id]),
-                    (noise, noise / C), sink(C, n_frames),
-                    np.zeros(-(-n_frames // _kernels._BLOCK)), None))
-        for f in filters if static else []:
-            # the long-term spectra hold for every frame: factorize once
-            C = f.n_channels
-            ws = _kernels.Workspace(1, F, factor_channels=C, sources=K)
-            ws.p.real[:, 0] = states.ltas
-            _kernels.mwf_factor(ws.p, f.Rt, *f.noise, ws.L, ws.dinv, ws)
-            f.static = (ws.p, ws.L, ws.dinv)
-        return _Unit(arrays, n_frames, lo, source(arrays), loglik, filters,
-                     posteriors)
-
     array_ids = sorted(layout)
     if mode == "tv-distributed":
-        return [unit(array_ids, True, posteriors=posteriors)]
+        return [_unit(layout, spatial, states, array_ids, source, True, sink,
+                      posteriors)]
     filter_ids = array_ids
     if mode == "static-pooled":
         filter_ids = [spatial.merged_id()]
         if filter_ids[0] not in spatial.covariances:
             raise ValueError("static-pooled requires a model trained with "
                              "include_pooled (asyncsep train --pooled)")
-    units = [unit([m], not static) for m in filter_ids]
+    units = [_unit(layout, spatial, states, [m], source,
+                   not mode.startswith("static"), sink) for m in filter_ids]
     if posteriors is not None:
-        units.append(unit(array_ids, True, filtered=False,
-                          posteriors=posteriors))
+        units.append(_unit(layout, spatial, states, array_ids, source, True,
+                           posteriors=posteriors))
     return units
 
 
@@ -397,6 +410,28 @@ def _check_inputs(mode: str, array_ids) -> None:
         SpatialModel.check_id(m, "device")
 
 
+def _tensor_inputs(observations: dict[str, SpectrogramTensor],
+                   spatial: SpatialModel) -> tuple[dict, Callable]:
+    """The layout and unit sources of a pass over STFT tensors.
+
+    Each tensor must be finite and hold its array's channels and the
+    model's bins; that the frames agree is left to `_unit`.
+    """
+    for m, t in sorted(observations.items()):
+        if not np.isfinite(t.coeffs).all():
+            raise NumericalError(f"non-finite STFT coefficients in array {m!r}")
+        if t.channels != spatial.channels(m):
+            raise ValueError(
+                f"array {m!r}: {t.channels} channels, model expects "
+                f"{spatial.channels(m)}")
+        if t.n_bins != spatial.n_bins:
+            raise ValueError(
+                f"array {m!r}: {t.n_bins} bins, model expects {spatial.n_bins}")
+    layout = {m: (t.channels, t.n_frames) for m, t in observations.items()}
+    return layout, lambda arrays: partial(
+        _copy_in, [observations[m].coeffs for m in arrays])
+
+
 def separate(observations: dict[str, SpectrogramTensor],
              spatial: SpatialModel, states: StateSpectrumModel,
              mode: str = "tv-distributed", *,
@@ -409,20 +444,15 @@ def separate(observations: dict[str, SpectrogramTensor],
     ConfigError.
 
     posteriors: an optional (N, F, S) float64 buffer that receives the
-    joint state posteriors over every array in every mode, the `gamma`
-    of `classifier.classify`; the images do not depend on it.
+    joint state posteriors over every array, in every mode.  They come
+    from the unit `classifier.classify` runs, so they equal its `gamma`
+    bit for bit; the images do not depend on them.
     """
-    array_ids = sorted(observations)
-    _check_inputs(mode, array_ids)
-    for m in array_ids:
-        _check_aligned(observations, spatial, [m])
+    _check_inputs(mode, sorted(observations))
     K, F = spatial.n_sources, spatial.n_bins
-    units = _units(
-        {m: (t.channels, t.n_frames) for m, t in observations.items()},
-        spatial, states, mode, posteriors,
-        lambda arrays: partial(_copy_in,
-                               [observations[m].coeffs for m in arrays]),
-        lambda C, N: _Spectra(K + 1, C, N, F))
+    layout, source = _tensor_inputs(observations, spatial)
+    units = _units(layout, spatial, states, mode, posteriors, source,
+                   lambda C, N: _Spectra(K + 1, C, N, F))
     consistency = _run_pass(units, spatial, states)
 
     def image(f, k, m, lo, hi):  # an (N, F, C) view of the buffer

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from asyncsep import _kernels, _pool
+from asyncsep.classifier import PosteriorMap, posterior_block, state_factors
 from asyncsep.dsp import SampledSignal, SpectrogramTensor, WindowSpec
 from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
@@ -134,8 +135,6 @@ def make_planted_tiles(rng, spatial, states, window, n_frames=48, rate=16000.0):
     so the scene is W-disjoint by construction.  Returns (observations,
     planted state indices, top-quartile-energy mask).
     """
-    from asyncsep.classifier import state_factors
-
     F = window.length // 2 + 1
     K = len(states.source_ids)
     planted = rng.integers(0, K, size=(n_frames, F))
@@ -292,6 +291,48 @@ def state_log_likelihood(observations, spatial, states, n, f, s):
         logdet = len(x) * _LOG_PI + 2.0 * float(np.log(np.diag(L).real).sum())
         total += -quad - logdet
     return total
+
+
+# ---------------------------------------------------------------------------
+# serial references of the classifying pass
+#
+# The library classifies only inside the fused block pass of `separator`,
+# on every core.  These run the same kernels over whole tensors, one block
+# after another on the calling thread: the tests' reference for the pass.
+# ---------------------------------------------------------------------------
+
+def serial_log_likelihoods(observations, spatial, states):
+    """Joint (N, F, S) state log-likelihoods: `_kernels.loglik_accumulate`
+    of every array's `state_factors`, in array id order."""
+    first = observations[min(observations)]
+    ll = np.zeros((first.n_frames, spatial.n_bins, states.n_states))
+    for m in sorted(observations):
+        factors, logdets = state_factors(spatial, states, m)
+        _kernels.loglik_accumulate(observations[m].coeffs, factors, logdets,
+                                   ll)
+    return ll
+
+
+def serial_posteriors(log_likelihoods, state_ids=None):
+    """`posterior_block` over (N, F, S) log-likelihoods, a block of frames
+    at a time, into a new PosteriorMap; the input is left untouched."""
+    ll = np.asarray(log_likelihoods, dtype=np.float64)
+    N, F, n_states = ll.shape
+    g = np.empty(ll.shape)
+    ws = _kernels.Workspace(_kernels._BLOCK, F, states=n_states)
+    for n0 in range(0, N, _kernels._BLOCK):
+        n1 = n0 + _kernels._BLOCK
+        posterior_block(ll[n0:n1], g[n0:n1], ws)
+    if state_ids is None:
+        state_ids = [str(s) for s in range(n_states)]
+    return PosteriorMap(g, state_ids)
+
+
+def serial_classify(observations, spatial, states):
+    """The serial reference of `classifier.classify`."""
+    return serial_posteriors(
+        serial_log_likelihoods(observations, spatial, states),
+        states.state_ids)
 
 
 def softmax_oracle(log_likelihoods):

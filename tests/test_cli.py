@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io.wavfile import WavFileWarning
 
+from asyncsep import cli
 from asyncsep.audio import read_wav, write_wav
 from asyncsep.cli import main
 from asyncsep.dsp import SampledSignal
@@ -354,7 +355,8 @@ def test_training_image_with_another_channel_count_fails_with_config_error(
 @pytest.mark.parametrize("edit, message", [
     (lambda sig: SampledSignal(sig.samples[:, :1], sig.rate_hz), "1 channels"),
     (lambda sig: SampledSignal(sig.samples, sig.rate_hz / 2), "8000 Hz"),
-], ids=["mono", "half-rate"])
+    (lambda sig: SampledSignal(sig.samples[:100], sig.rate_hz), "100 samples"),
+], ids=["mono", "half-rate", "truncated"])
 def test_evaluate_estimate_unlike_its_truth_fails_with_config_error(
         tmp_path, scene_file, capsys, edit, message):
     sim = tmp_path / "sim"
@@ -368,6 +370,29 @@ def test_evaluate_estimate_unlike_its_truth_fails_with_config_error(
                  str(tmp_path / "r.json")]) == 2
     _assert_clean_config_error(capsys, str(est / "a__s1.wav"),
                                str(sim / "images" / "a__s1.wav"), message)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_evaluate_with_missing_estimates_fails_with_config_error(
+        tmp_path, scene_file, capsys, monkeypatch):
+    # every missing estimate is named with its truth image, before any
+    # WAV file is read
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    est = tmp_path / "est"
+    for wav in (sim / "images").glob("*.wav"):
+        write_wav(est / wav.name, read_wav(wav))
+    (est / "a__s1.wav").unlink()
+    (est / "b__s2.wav").unlink()
+    reads = []
+    monkeypatch.setattr(cli, "read_wav", lambda *a, **k: reads.append(a))
+    capsys.readouterr()
+    assert main(["evaluate", str(est), str(sim / "images"),
+                 str(tmp_path / "r.json")]) == 2
+    _assert_clean_config_error(
+        capsys, str(est / "a__s1.wav"), str(sim / "images" / "a__s1.wav"),
+        str(est / "b__s2.wav"), str(sim / "images" / "b__s2.wav"))
+    assert reads == []
     assert not (tmp_path / "r.json").exists()
 
 

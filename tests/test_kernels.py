@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from asyncsep import _kernels as kn
-from asyncsep.classifier import classify
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
 from asyncsep.model import SpatialModel, StateSpectrumModel
 
-from conftest import mwf_apply, rand_unit_psd, state_log_likelihood
+from conftest import (mwf_apply, rand_unit_psd, serial_log_likelihoods,
+                      state_log_likelihood)
 
 
 def _state_setup(rng, N, F, C, K, S):
@@ -113,7 +113,7 @@ class TestKernelProperties:
         states = StateSpectrumModel(ids, ltas, noise)
         window = WindowSpec(2 * (F - 1), (F - 1) // 2)  # 75% overlap
         obs = {"a": SpectrogramTensor(X, window, 16000.0)}
-        ll = classify(obs, spatial, states).log_likelihoods
+        ll = serial_log_likelihoods(obs, spatial, states)
         for n in range(N):
             for f in range(F):
                 for s in range(K + 1):

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncsep import _kernels, _pool, separator
-from asyncsep.classifier import (PowerEstimate, classify,
-                                 source_power_estimates)
+from asyncsep.classifier import source_power_estimates
 from asyncsep.dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
                           istft, stft, stft_frame_count)
 from asyncsep.errors import ConfigError, NumericalError
@@ -27,6 +26,7 @@ from conftest import (
     mwf_apply,
     pool_run_peaks,
     rand_unit_psd,
+    serial_classify,
 )
 
 WIN = WindowSpec(16, 4)
@@ -142,10 +142,10 @@ class TestSeparate:
             assert np.array_equal(local.images[("a", k)].coeffs,
                                   again.images[("a", k)].coeffs)
         joint = separate(scrambled, spatial, states, "tv-distributed")
-        powers = source_power_estimates(classify(scrambled, spatial, states),
-                                        states)
+        powers = source_power_estimates(
+            serial_classify(scrambled, spatial, states), states)
         want = _kernels.mwf_filter(obs["a"].coeffs, spatial.covariances["a"],
-                                   powers.sigma2[:, :, :-1],
+                                   powers[:, :, :-1],
                                    states.noise_spectrum)
         for i, k in enumerate(sources):
             assert np.array_equal(joint.images[("a", k)].coeffs, want[i])
@@ -371,15 +371,16 @@ def _with_pooled(rng, spatial, n_src):
 
 
 def _serial_separate(obs, spatial, states, mode):
-    """classify -> source_power_estimates -> mwf_filter, one array at a time.
+    """The serial stages one array at a time: log-likelihoods and
+    posteriors (`serial_classify`), `source_power_estimates`, then
+    `mwf_filter`.
 
     Returns the images by (array, source) and the worst image-sum
     deviation by filter, as `separate` reports them.
     """
     ids = sorted(obs)
-    static = PowerEstimate(
-        np.concatenate([states.ltas.T, states.noise_spectrum[:, None]],
-                       axis=1)[None], states.source_ids + [NOISE_ID])
+    static = np.concatenate([states.ltas.T, states.noise_spectrum[:, None]],
+                            axis=1)[None]
     sources = states.source_ids + [NOISE_ID]
     images, worst = {}, {}
     if mode == "static-pooled":
@@ -387,7 +388,7 @@ def _serial_separate(obs, spatial, states, mode):
         merged = np.concatenate(
             [obs[m].coeffs for m in spatial.members(merged_id)], axis=2)
         est = _kernels.mwf_filter(merged, spatial.covariances[merged_id],
-                                  static.sigma2[:, :, :-1],
+                                  static[:, :, :-1],
                                   states.noise_spectrum)
         worst[merged_id] = block_consistency(est, merged)
         lo = 0
@@ -398,18 +399,18 @@ def _serial_separate(obs, spatial, states, mode):
             lo += c
         return images, worst
     if mode == "tv-distributed":
-        shared = source_power_estimates(classify(obs, spatial, states, ids),
+        shared = source_power_estimates(serial_classify(obs, spatial, states),
                                         states)
     for m in ids:
         if mode == "static-local":
             powers = static
         elif mode == "tv-local":
             powers = source_power_estimates(
-                classify(obs, spatial, states, [m]), states)
+                serial_classify({m: obs[m]}, spatial, states), states)
         else:
             powers = shared
         est = _kernels.mwf_filter(obs[m].coeffs, spatial.covariances[m],
-                                  powers.sigma2[:, :, :-1],
+                                  powers[:, :, :-1],
                                   states.noise_spectrum)
         worst[m] = block_consistency(est, obs[m].coeffs)
         for k, sid in enumerate(sources):
@@ -456,7 +457,8 @@ class TestPosteriorDump:
         obs, spatial, states = _random_case(7, 3, 2, 3, 21)
         gamma = np.full((21, F, states.n_states), np.nan)
         dumped = separate(obs, spatial, states, mode, posteriors=gamma)
-        assert np.array_equal(gamma, classify(obs, spatial, states).gamma)
+        assert np.array_equal(gamma,
+                              serial_classify(obs, spatial, states).gamma)
         plain = separate(obs, spatial, states, mode)
         assert dumped.metadata == plain.metadata
         assert set(dumped.images) == set(plain.images)
@@ -479,7 +481,8 @@ class TestPosteriorDump:
             separate(obs, spatial, states, mode, posteriors=gamma)
         finally:
             _pool.worker_count = real
-        assert np.array_equal(gamma, classify(obs, spatial, states).gamma)
+        assert np.array_equal(gamma,
+                              serial_classify(obs, spatial, states).gamma)
 
     @pytest.mark.parametrize("shape, dtype", [
         ((20, F, 2), np.float64), ((20, F + 1, 3), np.float64),

@@ -17,7 +17,7 @@ from .dsp import (
     stft,
 )
 from .errors import ConfigError, NumericalError
-from .metrics import sdr
+from .metrics import at_device_clock, score_images, sdr
 from .scene import SceneSpec, apply_sro, load_scene, synthesize_scene
 from .model import SpatialModel, StateSpectrumModel, train_models
 from .classifier import PosteriorMap
@@ -47,6 +47,8 @@ __all__ = [
     "separate",
     "separate_recordings",
     "sdr",
+    "at_device_clock",
+    "score_images",
     "ExperimentReport",
     "run_experiment",
     "format_report",

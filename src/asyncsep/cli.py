@@ -15,7 +15,8 @@ Scene arguments accept a YAML path or the shorthands ``demo`` and
 ``demo-train`` for the bundled scene.  Estimate/truth WAV files pair up by
 their ``<array>__<source>.wav`` names; ``evaluate`` needs an estimate for
 every truth image, of its length, channels and rate, and exits 2 without
-a report otherwise.
+a report otherwise, or when ``--sro-override`` names an array with no
+truth image.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from . import __version__
 from .audio import read_wav, write_wav
 from .classifier import PosteriorMap, posterior_histogram, save_posteriors
 from .demo import demo_scene_path
-from .dsp import (SampledSignal, WindowSpec, _resample_stacked, stft,
-                  stft_frame_count)
+from .dsp import SampledSignal, WindowSpec, stft, stft_frame_count
 from .errors import ConfigError, NumericalError
-from .metrics import _sdr_pairs
+from .metrics import _finite_mean, at_device_clock, score_images
 from .model import (SpatialModel, load_models, model_summary, save_models,
                     train_models)
 from .scene import load_scene, scene_to_dict, synthesize_scene
@@ -54,13 +54,17 @@ def _resolve_scene(arg: str):
     return load_scene(arg)
 
 
-def _parse_sro_overrides(items) -> dict[str, float]:
+def _parse_sro_overrides(items, arrays) -> dict[str, float]:
+    """ARRAY=HZ flags as array -> Hz, each array one of arrays."""
     out = {}
     for item in items or []:
         if "=" not in item:
             raise ConfigError(
                 f"--sro-override expects ARRAY=HZ, got {item!r}")
         key, _, val = item.partition("=")
+        if key not in arrays:
+            raise ConfigError(f"--sro-override names unknown array {key!r} "
+                              f"(arrays: {', '.join(sorted(arrays))})")
         try:
             out[key] = float(val)
         except ValueError as exc:
@@ -97,12 +101,10 @@ def _image_name(array_id: str, source_id: str) -> str:
 
 def cmd_simulate(args) -> int:
     spec = _resolve_scene(args.scene)
-    overrides = _parse_sro_overrides(args.sro_override)
+    overrides = _parse_sro_overrides(args.sro_override,
+                                     {arr.id for arr in spec.arrays})
     for aid, sro in overrides.items():
-        try:
-            spec.array(aid).sro_hz = sro
-        except KeyError:
-            raise ConfigError(f"--sro-override names unknown array {aid!r}") from None
+        spec.array(aid).sro_hz = sro
     spec.validate()
     out = Path(args.out)
     images, recordings = synthesize_scene(spec, args.seed)
@@ -238,7 +240,7 @@ def cmd_evaluate(args) -> int:
     truth = _collect_images(truth_dir)
     manifest, sro = _load_manifest_sro(truth_dir)
     origin = dict.fromkeys(sro, str(manifest))
-    overrides = _parse_sro_overrides(args.sro_override)
+    overrides = _parse_sro_overrides(args.sro_override, {m for m, _ in truth})
     sro.update(overrides)
     origin.update(dict.fromkeys(overrides, "--sro-override"))
 
@@ -249,25 +251,17 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise ConfigError("missing estimates: " + ", ".join(missing))
     refs = {key: read_wav(wav) for key, (wav, _) in pairs.items()}
-    # truth at the device clock: the images of one device, length and rate
-    # are resampled in one call
-    groups = {}
     for (m, k), ref in refs.items():
-        if sro.get(m, 0.0) == 0.0:
-            continue
-        if abs(sro[m]) >= ref.rate_hz:
+        if abs(sro.get(m, 0.0)) >= ref.rate_hz:
             raise ConfigError(
                 f"clock offset {sro[m]} Hz of array {m!r} ({origin[m]}) is "
                 f"not below the sample rate of {pairs[(m, k)][0]} "
                 f"({ref.rate_hz} Hz)")
-        groups.setdefault((m, ref.n_samples, ref.rate_hz), []).append((m, k))
-    for (m, _, _), keys in groups.items():
-        refs.update(zip(keys, _resample_stacked([refs[key] for key in keys],
-                                                sro[m])))
+    refs = at_device_clock(refs, sro)
 
-    scored = []
-    for (m, k), (wav, est_path) in pairs.items():
-        ref = refs[(m, k)]
+    estimates = {}
+    for key, (wav, est_path) in pairs.items():
+        ref = refs[key]
         est = read_wav(est_path)
         shape = (est.n_samples, est.channels, est.rate_hz)
         if shape != (ref.n_samples, ref.channels, ref.rate_hz):
@@ -278,14 +272,12 @@ def cmd_evaluate(args) -> int:
                 f"{ref.rate_hz:g} Hz")
         if not ref.samples.any():
             raise ConfigError(f"truth image {wav} is silent; SDR is undefined")
-        scored.append((ref, est))
-    scores = dict(zip((f"{m}/{k}" for m, k in pairs), _sdr_pairs(scored)))
-
-    finite = [v for v in scores.values() if math.isfinite(v)]
+        estimates[key] = est
+    scores = score_images(refs, estimates)
     report = {
         "version": 1,
         "sdr_db": scores,
-        "mean_sdr_db": (sum(finite) / len(finite)) if finite else math.inf,
+        "mean_sdr_db": _finite_mean(scores.values()),
     }
     Path(args.report).parent.mkdir(parents=True, exist_ok=True)
     Path(args.report).write_text(json.dumps(report, indent=2))

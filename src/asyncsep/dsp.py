@@ -305,10 +305,6 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     a (length, channels) view of a channel-major buffer.
     """
     window = spec.window
-    dev = window.cola_deviation()
-    if dev > 1e-8:
-        raise ValueError(f"window/hop not COLA-compliant (deviation {dev:.2e})")
-
     n_frames, _, n_ch = spec.coeffs.shape
     win = window.window()
     denom, good = _synthesis_norm(window, n_frames)
@@ -451,22 +447,6 @@ def lagrange_resample(signal: SampledSignal, rate_offset_hz: float,
     ratio = signal.rate_hz / (signal.rate_hz + rate_offset_hz)
     pos = np.arange(n, dtype=np.float64) * ratio
     return SampledSignal(_interpolate_at(x, pos, order), signal.rate_hz)
-
-
-def _resample_stacked(signals: list[SampledSignal], rate_offset_hz: float,
-                      order: int = 4) -> list[SampledSignal]:
-    """`lagrange_resample` of equally long signals at one rate, in one call.
-
-    Their channels are resampled side by side, so the stencils and weights
-    are formed once; each result is a view of its own channels and equals
-    resampling that signal alone.
-    """
-    stacked = lagrange_resample(
-        SampledSignal(np.concatenate([s.samples for s in signals], axis=1),
-                      signals[0].rate_hz), rate_offset_hz, order)
-    bounds = np.cumsum([s.channels for s in signals])[:-1]
-    return [SampledSignal(part, stacked.rate_hz)
-            for part in np.split(stacked.samples, bounds, axis=1)]
 
 
 def fractional_delay(samples: np.ndarray, delay: float, order: int = 4) -> np.ndarray:

@@ -4,8 +4,9 @@ A run synthesizes a test and a training scene, trains the spatial and
 state models on the training images, separates the test mixtures under
 the requested filter variants both with and without the scene's clock
 offsets, and scores every estimated image against the ground truth at the
-device clock (the truth image is passed through the same resampler as the
-mixture, so reference and estimate share a clock).
+device clock: `metrics.at_device_clock` passes the truth images through
+the same resampler as the mixture, so reference and estimate share a
+clock, and `metrics.score_images` scores them.
 
 Each scene is rendered once, on the nominal clock: the images and the
 mixtures do not depend on the clock offsets, which are applied to the
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
-from .dsp import WindowSpec, _resample_stacked, stft
-from .metrics import _sdr_pairs
+from .dsp import WindowSpec, stft
+from .metrics import _finite_mean, at_device_clock, score_images
 from .model import train_models
 from .scene import SceneSpec, apply_sro, scene_to_dict, synthesize_scene
 from .separator import MODES, separate_recordings
@@ -83,18 +83,6 @@ def _zero_sro(spec: SceneSpec) -> SceneSpec:
     return out
 
 
-def _mean(values) -> float:
-    vals = [v for v in values if math.isfinite(v)]
-    return sum(vals) / len(vals) if vals else math.inf
-
-
-def _scores(refs, estimate) -> dict[str, float]:
-    """"m/k" -> SDR of estimate(m, k) against refs[(m, k)], scored on the
-    pool."""
-    pairs = [(ref, estimate(m, k)) for (m, k), ref in refs.items()]
-    return dict(zip((f"{m}/{k}" for m, k in refs), _sdr_pairs(pairs)))
-
-
 def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
                    modes=("tv-distributed",), seed: int = 0,
                    window: WindowSpec | None = None,
@@ -129,42 +117,36 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     # variant's recordings are these synced mixtures resampled
     test_images, synced = synthesize_scene(_zero_sro(scene), seed)
     report.runtime_s["synthesize"] = time.perf_counter() - t0
+    truth = {key: img for arr in scene.arrays  # array by array, as scored
+             for key, img in test_images.images.items() if key[0] == arr.id}
 
     for variant in variants:
-        spec_v = scene if variant == "sro" else _zero_sro(scene)
+        sro_hz = {arr.id: arr.sro_hz if variant == "sro" else 0.0
+                  for arr in scene.arrays}
         t0 = time.perf_counter()
-        recordings = {arr.id: apply_sro(synced[arr.id], arr.sro_hz)
-                      for arr in spec_v.arrays}
-        signals = {m: rec.signal for m, rec in recordings.items()}
+        signals = {m: apply_sro(synced[m], hz).signal
+                   for m, hz in sro_hz.items()}
         report.runtime_s[f"analyze[{variant}]"] = time.perf_counter() - t0
 
-        # truth at the device clock of this variant; a device's images are
-        # resampled in one call
-        refs = {}
-        for arr in spec_v.arrays:
-            keys = [key for key in test_images.images if key[0] == arr.id]
-            truths = [test_images.images[key] for key in keys]
-            if keys and arr.sro_hz != 0.0:
-                truths = _resample_stacked(truths, arr.sro_hz)
-            refs.update(zip(keys, truths))
+        refs = at_device_clock(truth, sro_hz)
 
         report.sdr_db.setdefault(variant, {})
         report.mode_means.setdefault(variant, {})
         report.consistency.setdefault(variant, {})
 
         # the raw mixture as the estimate of every source image
-        report.sdr_db[variant]["unprocessed"] = _scores(
-            refs, lambda m, k: signals[m])
-        report.mode_means[variant]["unprocessed"] = _mean(
+        report.sdr_db[variant]["unprocessed"] = score_images(
+            refs, {key: signals[key[0]] for key in refs})
+        report.mode_means[variant]["unprocessed"] = _finite_mean(
             report.sdr_db[variant]["unprocessed"].values())
 
         for mode in modes:
             t0 = time.perf_counter()
             result = separate_recordings(signals, window, spatial, states,
                                          mode)
-            scores = _scores(refs, lambda m, k: result.images[(m, k)])
+            scores = score_images(refs, result.images)
             report.sdr_db[variant][mode] = scores
-            report.mode_means[variant][mode] = _mean(scores.values())
+            report.mode_means[variant][mode] = _finite_mean(scores.values())
             report.consistency[variant][mode] = max(
                 result.metadata["consistency_rel_max"].values())
             report.runtime_s[f"{mode}[{variant}]"] = time.perf_counter() - t0

@@ -1,4 +1,9 @@
-"""Separation quality metrics."""
+"""Separation quality metrics, scored at each device's clock.
+
+Estimates stay on the clock of the device that recorded them, so
+`at_device_clock` moves the truth images there and `score_images` scores
+them; `run_experiment` and `asyncsep evaluate` both score through these.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,9 @@ import math
 import numpy as np
 
 from . import _pool
-from .dsp import SampledSignal
+from .dsp import SampledSignal, lagrange_resample
 
-__all__ = ["sdr"]
+__all__ = ["sdr", "at_device_clock", "score_images"]
 
 
 def sdr(reference: SampledSignal, estimate: SampledSignal) -> float:
@@ -20,6 +25,44 @@ def sdr(reference: SampledSignal, estimate: SampledSignal) -> float:
     raises ValueError for an all-zero reference (the ratio is undefined).
     """
     return _sdr_pairs([(reference, estimate)])[0]
+
+
+def at_device_clock(truth, sro_hz) -> dict:
+    """The truth images on their devices' clocks, in the key order of truth.
+
+    truth: (device, source) -> SampledSignal; sro_hz: device -> clock
+    offset in Hz, where a device with none or 0 keeps its images, the same
+    objects.  The images of one (device, length, rate) group are resampled
+    in one `lagrange_resample` call, their channels side by side, so the
+    weights are formed once; each equals resampling that image alone.
+    """
+    groups = {}
+    for (m, k), ref in truth.items():
+        if sro_hz.get(m, 0.0) != 0.0:
+            groups.setdefault((m, ref.n_samples, ref.rate_hz), []).append(
+                (m, k))
+    out = dict(truth)
+    for (m, _, rate), keys in groups.items():
+        stacked = lagrange_resample(
+            SampledSignal(np.concatenate([truth[key].samples for key in keys],
+                                         axis=1), rate), sro_hz[m])
+        bounds = np.cumsum([truth[key].channels for key in keys])[:-1]
+        out.update((key, SampledSignal(part, rate)) for key, part in
+                   zip(keys, np.split(stacked.samples, bounds, axis=1)))
+    return out
+
+
+def score_images(refs, estimates) -> dict[str, float]:
+    """"m/k" -> SDR of estimates[(m, k)] against refs[(m, k)], in the key
+    order of refs, scored on the pool (`_sdr_pairs`)."""
+    scores = _sdr_pairs([(ref, estimates[key]) for key, ref in refs.items()])
+    return dict(zip((f"{m}/{k}" for m, k in refs), scores))
+
+
+def _finite_mean(values) -> float:
+    """Mean of the finite values; +inf when none is finite."""
+    vals = [v for v in values if math.isfinite(v)]
+    return sum(vals) / len(vals) if vals else math.inf
 
 
 def _sdr_pairs(pairs) -> list[float]:

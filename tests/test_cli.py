@@ -722,6 +722,18 @@ def test_evaluate_offset_beyond_the_rate_fails_with_config_error(
     _assert_clean_config_error(capsys, "manifest.json", "'b'")
 
 
+def test_evaluate_override_of_an_array_without_truth_fails_with_config_error(
+        tmp_path, scene_file, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(sim / "images"), str(sim / "images"),
+                 str(tmp_path / "r.json"), "--sro-override", "a=0.2",
+                 "--sro-override", "zz=0.5"]) == 2
+    _assert_clean_config_error(capsys, "--sro-override", "'zz'")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_evaluate_report_equals_one_built_image_by_image(tmp_path,
                                                          scene_file):
     # the truth images of a device are resampled together, grouped by

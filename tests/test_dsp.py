@@ -414,21 +414,7 @@ def _resample_with(workers, signal, offset, order):
 
 
 class TestResamplingTasks:
-    """Channels stacked into one call; the tasks' scratch."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 2 * dsp._RESAMPLE_ROWS),
-           widths=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-           offset=rate_offsets, seed=st.integers(0, 2**32 - 1))
-    def test_stacked_equals_each_alone(self, n, widths, offset, seed):
-        rng = np.random.default_rng(seed)
-        signals = [SampledSignal(rng.standard_normal((n, c)), 16000.0)
-                   for c in widths]
-        got = dsp._resample_stacked(signals, offset)
-        assert len(got) == len(signals)
-        for sig, res in zip(signals, got):
-            assert np.array_equal(res.samples,
-                                  lagrange_resample(sig, offset).samples)
+    """The tasks' scratch."""
 
     def test_tasks_allocate_no_arrays(self, monkeypatch):
         x = np.random.default_rng(2).standard_normal((5 * dsp._RESAMPLE_ROWS,

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asyncsep.dsp import SampledSignal
-from asyncsep.metrics import _sdr_pairs, sdr
+from asyncsep import dsp, metrics
+from asyncsep.dsp import SampledSignal, lagrange_resample
+from asyncsep.metrics import (_finite_mean, _sdr_pairs, at_device_clock,
+                              score_images, sdr)
 
 from conftest import pool_workers
 
@@ -99,3 +103,85 @@ class TestScoredPairs:
             _sdr_pairs([(sig(x), sig(x)), (sig(0 * x), sig(x))])
         with pytest.raises(ValueError, match="shapes differ"):
             _sdr_pairs([(sig(0 * x), sig(x)), (sig(x), sig(x[:5]))])
+
+
+class TestAtDeviceClock:
+    """Truth moved to each device's clock, one resampling per group."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 2 * dsp._RESAMPLE_ROWS),
+           widths=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           offset=st.floats(-8000.0, 8000.0, exclude_min=True,
+                            exclude_max=True, allow_nan=False),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_equals_each_alone(self, n, widths, offset, seed):
+        rng = np.random.default_rng(seed)
+        signals = [SampledSignal(rng.standard_normal((n, c)), 16000.0)
+                   for c in widths]
+        got = at_device_clock({("a", f"s{i}"): s
+                               for i, s in enumerate(signals)},
+                              {"a": offset})
+        assert len(got) == len(signals)
+        for sig, res in zip(signals, got.values()):
+            assert np.array_equal(res.samples,
+                                  lagrange_resample(sig, offset).samples)
+
+    def _truth(self, rng):
+        """Devices interleaved, a of two lengths, c at another rate."""
+        def image(n, channels, rate=16000.0):
+            return SampledSignal(rng.standard_normal((n, channels)), rate)
+        return {("b", "s1"): image(300, 2), ("a", "s1"): image(300, 2),
+                ("a", "s2"): image(200, 1), ("z", "s1"): image(300, 2),
+                ("b", "s2"): image(300, 3), ("a", "s3"): image(300, 2),
+                ("c", "s1"): image(300, 1, 8000.0), ("zero", "s1"): image(9, 1)}
+
+    def test_key_order_is_kept(self, rng):
+        truth = self._truth(rng)
+        got = at_device_clock(truth, {"a": 0.3, "b": -0.2, "c": 0.1,
+                                      "zero": 0.0})
+        assert list(got) == list(truth)
+
+    def test_zero_offset_and_absent_devices_pass_through(self, rng):
+        truth = self._truth(rng)
+        got = at_device_clock(truth, {"a": 0.3, "zero": 0.0})
+        for key, ref in truth.items():
+            assert (got[key] is ref) == (key[0] != "a"), key
+        assert at_device_clock(truth, {}) == truth
+
+    def test_one_resampling_per_device_length_and_rate(self, rng,
+                                                       monkeypatch):
+        calls = []
+
+        def counted(signal, offset):
+            calls.append((signal.n_samples, signal.channels, signal.rate_hz,
+                          offset))
+            return lagrange_resample(signal, offset)
+
+        monkeypatch.setattr(metrics, "lagrange_resample", counted)
+        truth = self._truth(rng)
+        got = at_device_clock(truth, {"a": 0.3, "b": -0.2, "c": 0.1})
+        assert calls == [(300, 5, 16000.0, -0.2), (300, 4, 16000.0, 0.3),
+                         (200, 1, 16000.0, 0.3), (300, 1, 8000.0, 0.1)]
+        for (m, k), ref in truth.items():
+            offset = {"a": 0.3, "b": -0.2, "c": 0.1}.get(m, 0.0)
+            want = lagrange_resample(ref, offset) if offset else ref
+            assert np.array_equal(got[(m, k)].samples, want.samples)
+            assert got[(m, k)].rate_hz == ref.rate_hz
+
+
+class TestScoreImages:
+    def test_scores_in_the_key_order_of_the_references(self, rng):
+        keys = [("b", "s2"), ("a", "s1"), ("b", "s1")]
+        refs = {key: sig(rng.standard_normal((50, 2))) for key in keys}
+        estimates = {key: sig(ref.samples + 0.1 * rng.standard_normal((50, 2)))
+                     for key, ref in reversed(list(refs.items()))}
+        estimates[("a", "noise")] = sig(np.zeros((50, 2)))  # not scored
+        got = score_images(refs, estimates)
+        assert list(got) == ["b/s2", "a/s1", "b/s1"]
+        assert list(got.values()) == [sdr(refs[key], estimates[key])
+                                      for key in keys]
+
+    def test_finite_mean_skips_infinite_scores(self):
+        assert _finite_mean([1.0, math.inf, 2.0]) == 1.5
+        assert _finite_mean([math.inf]) == math.inf
+        assert _finite_mean([]) == math.inf

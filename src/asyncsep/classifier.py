@@ -67,14 +67,14 @@ def _check_sums(gamma, sums):
         raise ValueError("posteriors do not sum to 1")
 
 
-def state_factors(spatial: SpatialModel, states: StateSpectrumModel,
-                  array_id: str) -> tuple[np.ndarray, np.ndarray]:
+def state_factors(cov: np.ndarray, states: StateSpectrumModel
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of every state covariance of one array.
 
-    Returns (S, F, C, C) lower factors and (S, F) log det(pi * S_state),
-    with S_state the regularized power-weighted covariance sum.
+    cov: its (K, F, C, C) covariances.  Returns (S, F, C, C) lower factors
+    and (S, F) log det(pi * S_state), with S_state the regularized
+    power-weighted covariance sum.
     """
-    cov = spatial.covariances[array_id]  # (K, F, C, C)
     K, F, C, _ = cov.shape
     var = states.conditional_variances()[:, :K, :]  # (S, K, F)
     noise = states.noise_spectrum
@@ -103,12 +103,12 @@ def classify(observations: dict[str, SpectrogramTensor],
     number of threads.  Non-finite observations raise NumericalError,
     and observations unlike the model or misaligned ValueError.
     """
-    from .separator import _run_pass, _tensor_inputs, _unit
+    from .separator import _run_pass, _tensor_inputs, _units
 
     layout, source = _tensor_inputs(observations, spatial)
     gamma = np.empty((layout[min(layout)][1], spatial.n_bins, states.n_states))
-    _run_pass([_unit(layout, spatial, states, sorted(layout), source, True,
-                     posteriors=gamma)], spatial, states)
+    _run_pass(_units(layout, spatial, states, "tv-distributed", gamma, source,
+                     None), spatial, states)
     return PosteriorMap(gamma, states.state_ids)
 
 

@@ -168,8 +168,7 @@ def cmd_train(args) -> int:
 
 def cmd_separate(args) -> int:
     spatial, states, meta = load_models(args.model)
-    if args.mode == "static-pooled" and \
-            spatial.merged_id() not in spatial.covariances:
+    if args.mode == "static-pooled" and spatial.merged_covariances() is None:
         raise ConfigError(f"{args.model} holds no merged-array entry for "
                           f"static-pooled; train it with `asyncsep train "
                           f"--pooled`")
@@ -178,7 +177,7 @@ def cmd_separate(args) -> int:
         raise ConfigError(f"recordings directory not found: {rec_dir}")
     window = WindowSpec(meta["window_length"], meta["hop"])
     recordings = {}
-    for m in spatial.array_ids():
+    for m in spatial.covariances:
         wav = rec_dir / f"{m}.wav"
         if not wav.is_file():
             raise ConfigError(f"missing recording for array {m!r}: {wav}")

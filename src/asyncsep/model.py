@@ -7,10 +7,10 @@ variance pair (10 dB above / 10 dB below the average) is derived, and one
 diffuse-noise spectrum that is identical in every state and drives every
 array's diagonal loading.  Each trained quantity is stored once.
 
-A spatial model entry is a device, or a merged array holding the channels
-of its member devices; its id joins their sorted ids with "+" ("a+b"), so
-device ids may not contain "+".  Only `SpatialModel.members` splits ids,
-and only `SpatialModel.check_id` says which ids are allowed.
+The spatial model holds the covariances of each device and, in a field of
+its own, of the merged array, which outputs and the container name "a+b"
+(`_merged_label`); only the container reader reads that name.  Device ids
+hold no "+", and only `SpatialModel.check_id` says which ids are allowed.
 """
 
 from __future__ import annotations
@@ -55,15 +55,17 @@ _BIN_BLOCK = 256  # bins of one training task, at most
 class SpatialModel:
     """Trained spatial parameters of every array.
 
-    covariances: array id -> (K, F, C, C) complex, unit trace, Hermitian PSD
+    covariances: device id -> (K, F, C, C) complex, unit trace, Hermitian PSD
+    merged: the same over every channel of two or more devices, in device
+            id order, for the merged array; or None
     fallback_bins: (array id, source id) -> bins where training was silent
                    and the covariance fell back to identity/channels
-    An array id names a device or a merged array (see the module docstring).
     """
 
     covariances: dict[str, np.ndarray]
     source_ids: list[str]
     fallback_bins: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    merged: np.ndarray | None = None
 
     def __post_init__(self):
         _check_ids(self.covariances, self.source_ids)
@@ -75,6 +77,11 @@ class SpatialModel:
         f_counts = {c.shape[1] for c in self.covariances.values()}
         if len(f_counts) > 1:
             raise ValueError("inconsistent bin counts across arrays")
+        C = sum(map(self.channels, self.covariances))
+        if self.merged is not None and (len(self.covariances) < 2 or (
+                self.merged.shape != (self.n_sources, self.n_bins, C, C))):
+            raise ValueError(f"merged covariances must be (K, F, {C}, {C}) "
+                             f"over two or more devices")
 
     @property
     def n_sources(self) -> int:
@@ -85,19 +92,14 @@ class SpatialModel:
         return next(iter(self.covariances.values())).shape[1]
 
     @staticmethod
-    def members(array_id: str) -> list[str]:
-        """The devices whose channels an entry holds, in channel order."""
-        return array_id.split("+")
-
-    @staticmethod
     def check_id(value, kind: str) -> None:
         """Raise ConfigError unless `value` may name a `kind` of id.
 
         kind is "device" or "source".  Ids name files, so every id is a
         non-empty str that encodes as UTF-8, is printable and holds no
-        "/", "\\" or NUL.  A device id holds no "+", which joins merged
-        array ids, and no "__", at which `<array>__<source>.wav` names
-        are split.  No source is named NOISE_ID, the noise image's id.
+        "/", "\\" or NUL.  A device id holds no "+", which joins the
+        merged array's id, and no "__" nor a final "_", as it ends at the
+        first "__" of `<array>__<source>.wav`.  No source is NOISE_ID.
         """
         if not isinstance(value, str) or not value:
             reason = "must be a non-empty string"
@@ -106,23 +108,21 @@ class SpatialModel:
             # cannot encode, are not printable
             reason = "must be printable and hold no '/', '\\' or NUL"
         elif kind == "device" and "+" in value:
-            reason = "contains '+', which joins the ids of a merged array"
-        elif kind == "device" and "__" in value:
-            reason = ("contains '__', at which <array>__<source>.wav names "
-                      "are split")
+            reason = "contains '+', which joins the merged array's id"
+        elif kind == "device" and ("__" in value or value.endswith("_")):
+            reason = ("contains '__' or ends in '_', so <array>__<source>.wav "
+                      "names would split in the wrong place")
         elif kind == "source" and value == NOISE_ID:
             reason = "is reserved for the noise image"
         else:
             return
         raise ConfigError(f"{kind} id {value!r} {reason}")
 
-    def array_ids(self) -> list[str]:
-        """The devices: every entry that is not a merged array."""
-        return [a for a in self.covariances if self.members(a) == [a]]
-
-    def merged_id(self) -> str:
-        """Id of the merged array over every device; one device is its own."""
-        return "+".join(sorted(self.array_ids()))
+    def merged_covariances(self) -> np.ndarray | None:
+        """`merged`; one device is its own merged array."""
+        if len(self.covariances) == 1:
+            return next(iter(self.covariances.values()))
+        return self.merged
 
     def channels(self, array_id: str) -> int:
         return self.covariances[array_id].shape[2]
@@ -171,13 +171,24 @@ class StateSpectrumModel:
 
 
 def _check_ids(array_ids, source_ids) -> None:
-    """`SpatialModel.check_id` over the devices of every entry and the
-    sources."""
+    """`SpatialModel.check_id` over the devices and the sources."""
     for m in array_ids:
-        for d in SpatialModel.members(m):
-            SpatialModel.check_id(d, "device")
+        SpatialModel.check_id(m, "device")
     for k in source_ids:
         SpatialModel.check_id(k, "source")
+
+
+def _merged_label(devices) -> str:
+    """The id that outputs and the container give the merged array over
+    `devices`; one device's is its own id."""
+    return "+".join(sorted(devices))
+
+
+def _entries(spatial: SpatialModel):
+    """(id, covariances) of every device, then of the merged array."""
+    yield from spatial.covariances.items()
+    if spatial.merged is not None:
+        yield _merged_label(spatial.covariances), spatial.merged
 
 
 class _Scratch:
@@ -353,26 +364,18 @@ def _state_model(source_ids, power, counts, noise_gain: float
                               noise_gain * ltas.mean(axis=0))
 
 
-def _merged_frames(training_images, devices: list[str], source_id: str
-                   ) -> np.ndarray:
-    """One source's (N, F, C) merged-array training frames.
-
-    The devices' tensors are concatenated channel-wise, element by element
-    of their sequences, and the elements frame-wise; ConfigError unless
-    the devices hold as many tensors, each of the same frame count.
-    """
+def _merged_frames(training_images, frames, devices: list[str],
+                   source_id: str) -> np.ndarray:
+    """One source's (N, F, C) merged-array training frames: the devices'
+    `frames` side by side; ConfigError unless the devices hold as many
+    tensors, each of the same frame count."""
     seqs = [training_images[(m, source_id)] for m in devices]
-    seqs = [[t] if isinstance(t, SpectrogramTensor) else list(t) for t in seqs]
-    if len({len(s) for s in seqs}) > 1:
-        raise ConfigError(f"source {source_id!r}: the devices hold different "
-                          f"numbers of training tensors, so they cannot merge")
-    merged = []
-    for parts in zip(*seqs):
-        if len({t.n_frames for t in parts}) > 1:
-            raise ConfigError(f"cannot merge arrays {devices} of unequal "
-                              f"frame counts {[t.n_frames for t in parts]}")
-        merged.append(np.concatenate([t.coeffs for t in parts], axis=2))
-    return merged[0] if len(merged) == 1 else np.concatenate(merged, axis=0)
+    counts = [[s.n_frames] if isinstance(s, SpectrogramTensor)
+              else [t.n_frames for t in s] for s in seqs]
+    if any(c != counts[0] for c in counts):
+        raise ConfigError(f"source {source_id!r}: cannot merge arrays "
+                          f"{devices} of unequal frame counts {counts}")
+    return np.concatenate([frames[(m, source_id)] for m in devices], axis=2)
 
 
 def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
@@ -387,9 +390,9 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
     source is pooled over every device's images, and the diffuse-noise
     spectrum is the across-source mean scaled by noise_gain.
 
-    With include_pooled=True the merged array over every device is trained
-    as one more entry, from the channel-concatenated images, for use by
-    the static-pooled filter variant.  Every id must pass
+    With include_pooled=True the merged array over two or more devices
+    is trained from the images concatenated channel-wise, for use by the
+    static-pooled filter variant.  Every id must pass
     `SpatialModel.check_id`, and noise_gain must be finite and not
     negative; ConfigError if not.
     """
@@ -404,8 +407,9 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
     array_ids, source_ids, frames = _device_frames(training_images)
     entries = {m: [frames[(m, k)] for k in source_ids] for m in array_ids}
     if include_pooled and len(array_ids) > 1:  # one device is its own merge
-        entries["+".join(array_ids)] = [
-            _merged_frames(training_images, array_ids, k) for k in source_ids]
+        entries[_merged_label(array_ids)] = [
+            _merged_frames(training_images, frames, array_ids, k)
+            for k in source_ids]
 
     # one `_statistics` pass forms every entry's covariances and each
     # device's (K, F) summed power
@@ -428,7 +432,9 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
                      if fell[k_idx].any()}
     counts = [[frames[(m, k)].shape[0] * frames[(m, k)].shape[2]
                for k in source_ids] for m in array_ids]
-    return (SpatialModel(covariances, source_ids, fallback_bins),
+    by_device = {m: covariances.pop(m) for m in array_ids}  # rest: merged
+    return (SpatialModel(by_device, source_ids, fallback_bins,
+                         covariances.get(_merged_label(array_ids))),
             _state_model(source_ids, power, counts, noise_gain))
 
 
@@ -487,27 +493,29 @@ def save_models(path, spatial: SpatialModel, states: StateSpectrumModel,
     """Write both models to the versioned binary container.
 
     Layout (little-endian): magic, u32 version, u32 M, u32 K, u32 F,
-    u32 window length, u32 hop, f64 rate; per array, devices and merged
-    arrays alike, a length-prefixed id, u32 channel count and the
-    (K, F, C, C) complex128 covariances row-major; then the source ids,
-    the (K, F) float64 ltas and the (F,) float64 noise spectrum; finally
-    the u32 CRC-32 of all the bytes before it.  The state variances are
-    derived from ltas and are not stored.  Ids outside
-    `SpatialModel.check_id` raise ConfigError before anything is written.
+    u32 window length, u32 hop, f64 rate; per array, each device and
+    the merged array if trained, a length-prefixed id (`_merged_label`),
+    u32 channel count and the (K, F, C, C) complex128 covariances
+    row-major; then the source ids, the (K, F) float64 ltas and the (F,)
+    float64 noise spectrum; finally the u32 CRC-32 of all the bytes
+    before it.  The state variances are derived from ltas and are not
+    stored.  Ids outside `SpatialModel.check_id` raise ConfigError before
+    anything is written.
     """
     _check_ids(spatial.covariances, spatial.source_ids)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with io.BytesIO() as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _FORMAT_VERSION, len(spatial.covariances),
+        entries = list(_entries(spatial))
+        fh.write(struct.pack("<III", _FORMAT_VERSION, len(entries),
                              spatial.n_sources))
         fh.write(struct.pack("<III", spatial.n_bins, window.length,
                              window.hop))
         fh.write(struct.pack("<d", rate_hz))
-        for m, cov in spatial.covariances.items():
+        for m, cov in entries:
             _write_str(fh, m)
-            fh.write(struct.pack("<I", spatial.channels(m)))
+            fh.write(struct.pack("<I", cov.shape[2]))
             _write_array(fh, cov)
         for k in spatial.source_ids:
             _write_str(fh, k)
@@ -526,32 +534,31 @@ def _psd(cov: np.ndarray) -> bool:
     return True
 
 
-def _check_container(path, intact, K, F, win_len, hop, rate_hz, channels,
-                     covariances, ltas, noise):
+def _check_container(path, intact, K, F, win_len, hop, rate_hz, devices,
+                     channels, covariances, ltas, noise):
     """Check a parsed container; ConfigError naming the file if it fails.
 
     First the structure against the header, so a cut or a broken shape is
-    reported as such; a merged array must merge stored devices in sorted
-    order and hold their channels.  The window is built last of these: F
-    is then bounded by the arrays read, so a corrupt length cannot size an
-    allocation.  Then the checksum (`intact`).  Last the values, as a
-    container written with bad values has a valid checksum: the spectra
-    and the rate must be finite and not negative, and covariances
-    Hermitian with unit trace and positive semi-definite, to within
-    _UNIT_TOL.
+    reported as such; an array that is not one of `devices` must be their
+    `_merged_label` and hold their channels.  The window is built last of
+    these: F is then bounded by the arrays read, so a corrupt length
+    cannot size an allocation.  Then the checksum (`intact`).  Last the
+    values, as a container written with bad values has a valid checksum:
+    the spectra and the rate must be finite and not negative, and
+    covariances Hermitian with unit trace and positive semi-definite, to
+    within _UNIT_TOL.
     """
     if F != win_len // 2 + 1:
         raise ConfigError(f"{path}: {F} bins do not match window length "
                           f"{win_len}")
     expected = []
     for m, C in channels.items():
-        members = SpatialModel.members(m)
-        if C < 1 or len(members) > 1 and (
-                members != sorted(set(members) & set(channels))
-                or C != sum(channels[d] for d in members)):
+        if C < 1 or m not in devices and (
+                m != _merged_label(devices)
+                or C != sum(channels[d] for d in devices)):
             raise ConfigError(f"{path}: array {m!r} of {C} channels is "
-                              f"neither a device nor the merge of stored "
-                              f"devices in id order")
+                              f"neither a device nor the merge of every "
+                              f"stored device in id order")
         expected.append((f"array {m!r} covariances", covariances[m],
                          (K, F, C, C)))
     expected += [("ltas", ltas, (K, F)), ("noise spectrum", noise, (F,))]
@@ -619,13 +626,16 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
             if fh.tell() != len(body):
                 raise ConfigError(f"{len(body) - fh.tell()} unexpected bytes "
                                   f"after the model")
-        _check_ids(covariances, source_ids)
+        devices = [m for m in covariances if "+" not in m]  # the rest merge
+        _check_ids(devices, source_ids)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     intact = struct.pack("<I", zlib.crc32(body)) == trailer
     _check_container(path, intact, n_src, n_bins, win_len, hop, rate_hz,
-                     channels, covariances, ltas, noise)
-    spatial = SpatialModel(covariances, source_ids)
+                     devices, channels, covariances, ltas, noise)
+    by_device = {m: covariances.pop(m) for m in devices}  # rest: merged
+    spatial = SpatialModel(by_device, source_ids,
+                           merged=covariances.get(_merged_label(devices)))
     states = StateSpectrumModel(source_ids, ltas, noise)
     meta = {"window_length": win_len, "hop": hop, "rate_hz": rate_hz,
             "n_bins": n_bins}
@@ -635,11 +645,11 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
 def model_summary(spatial: SpatialModel, states: StateSpectrumModel) -> str:
     """Human-readable description of a trained model pair."""
     lines = ["trained separation model",
-             f"  arrays:  {', '.join(spatial.array_ids())}",
+             f"  arrays:  {', '.join(spatial.covariances)}",
              f"  sources: {', '.join(spatial.source_ids)}",
              f"  bins:    {spatial.n_bins}"]
-    for m in spatial.covariances:
-        lines.append(f"  array {m}: {spatial.channels(m)} channels")
+    for m, cov in _entries(spatial):
+        lines.append(f"  array {m}: {cov.shape[2]} channels")
     for k_idx, k in enumerate(states.source_ids):
         lt = states.ltas[k_idx]
         lines.append(

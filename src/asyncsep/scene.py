@@ -415,15 +415,6 @@ def _render_into(descriptor: dict, n: int, rate: float,
         raise ConfigError(f"unknown source signal type: {kind!r}")
 
 
-def render_source_signal(descriptor: dict, n: int, rate: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Render one mono source signal of n samples from its descriptor."""
-    out = np.empty(n)
-    _render_into(descriptor, n, rate, rng, _bin_freqs(n, rate), out,
-                 _RenderScratch(n))
-    return out
-
-
 def _bin_freqs(n: int, rate: float) -> np.ndarray:
     """The rfft bin frequencies of n samples (none for none)."""
     return np.fft.rfftfreq(n, 1.0 / rate) if n else np.empty(0)

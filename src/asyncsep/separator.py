@@ -4,8 +4,8 @@ Four filter variants share one per-tile kernel:
 
   static-local     time-invariant powers (long-term spectra), each array
                    filtered with its own microphones only
-  static-pooled    static-local on the merged array over every device, id
-                   "a+b+..." (only meaningful when clocks are shared)
+  static-pooled    static-local on the merged array over every device, the
+                   model's `merged` (only meaningful when clocks are shared)
   tv-local         per-tile powers from each array's own classifier
   tv-distributed   per-tile powers from the joint classifier over all
                    arrays (the proposed operating mode)
@@ -55,7 +55,7 @@ from . import _kernels, _pool, dsp
 from .classifier import posterior_block, power_block, state_factors
 from .dsp import SampledSignal, SpectrogramTensor, WindowSpec
 from .errors import NumericalError
-from .model import NOISE_ID, SpatialModel, StateSpectrumModel
+from .model import NOISE_ID, SpatialModel, StateSpectrumModel, _merged_label
 
 __all__ = [
     "MODES",
@@ -152,8 +152,7 @@ class _Signals:
 class _Filter:
     """One filter of the block pass: where its images go and what it needs."""
 
-    cov_id: str        # key of the spatial covariances
-    arrays: list[str]  # its member devices, in channel order
+    arrays: list[str]  # its devices, in channel order
     channels: slice    # those channels among the block's mixture planes
     Rt: np.ndarray     # (C, C, K, F) covariance planes
     noise: tuple       # (noise power, noise power / C), each (F,)
@@ -274,20 +273,20 @@ def _run_block(unit: _Unit, n0: int, ws, var) -> None:
 
 
 def _unit(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
-          cov_ids: list[str], source, classifies: bool, sink=None,
+          entries: list[tuple], source, classifies: bool, sink=None,
           posteriors=None) -> _Unit:
-    """One unit of the block pass over the devices of `cov_ids`.
+    """One unit of the block pass over the devices of `entries`.
 
-    layout: device -> (channels, frames), for the devices given.
-    source(arrays) is the unit's source over its devices.  The unit sums
-    the log-likelihoods of cov_ids when it classifies, writes
-    `posteriors` when given, and has one filter per entry of cov_ids,
-    each with a new sink(channels, frames), unless sink is None.  The
-    filters of a unit that does not classify use the long-term spectra
-    (the static modes).
+    entries: (devices, (K, F, C, C) covariances over their channels) pairs;
+    layout: device -> (channels, frames), for those devices.  source(arrays)
+    is the unit's source over its devices.  The unit sums the entries'
+    log-likelihoods when it classifies, writes `posteriors` when given, and
+    has one filter per entry, each with a new sink(channels, frames),
+    unless sink is None.  The filters of a unit that does not classify use
+    the long-term spectra (the static modes).
     """
     F, noise = spatial.n_bins, states.noise_spectrum
-    arrays = [m for c in cov_ids for m in spatial.members(c)]
+    arrays = [m for devices, _ in entries for m in devices]
     for m in arrays:
         if m not in layout:
             raise ValueError(f"no observations for array {m!r}")
@@ -304,19 +303,17 @@ def _unit(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
             f"{(n_frames, F, states.n_states)}, got {posteriors.dtype} "
             f"{posteriors.shape}")
     loglik, filters, lo = [], [], 0
-    for cov_id in cov_ids:
-        members = spatial.members(cov_id)
-        C = sum(layout[m][0] for m in members)
+    for devices, cov in entries:
+        C = sum(layout[m][0] for m in devices)
         channels = slice(lo, lo + C)
         lo += C
         if classifies:
-            factors, logdets = state_factors(spatial, states, cov_id)
+            factors, logdets = state_factors(cov, states)
             loglik.append((channels, _kernels.inverse_factors(factors),
                            logdets))
         if sink is not None:
             filters.append(_Filter(
-                cov_id, members, channels,
-                _kernels.filter_operands(spatial.covariances[cov_id]),
+                devices, channels, _kernels.filter_operands(cov),
                 (noise, noise / C), sink(C, n_frames),
                 np.zeros(-(-n_frames // _kernels._BLOCK)), None))
     for f in filters if not classifies else []:
@@ -338,22 +335,23 @@ def _units(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
     See `_unit`; sink(channels, frames) is a new sink for one filter.
     The unit that classifies over every array writes `posteriors`: the
     one unit of tv-distributed, or else one more unit that has no
-    filters, as `classifier.classify` runs it.
+    filters.  `classifier.classify` runs tv-distributed with no sink.
     """
-    array_ids = sorted(layout)
+    every = [([m], spatial.covariances[m]) for m in sorted(layout)]
     if mode == "tv-distributed":
-        return [_unit(layout, spatial, states, array_ids, source, True, sink,
+        return [_unit(layout, spatial, states, every, source, True, sink,
                       posteriors)]
-    filter_ids = array_ids
+    filters = every
     if mode == "static-pooled":
-        filter_ids = [spatial.merged_id()]
-        if filter_ids[0] not in spatial.covariances:
+        merged = spatial.merged_covariances()
+        if merged is None:
             raise ValueError("static-pooled requires a model trained with "
                              "include_pooled (asyncsep train --pooled)")
-    units = [_unit(layout, spatial, states, [m], source,
-                   not mode.startswith("static"), sink) for m in filter_ids]
+        filters = [(sorted(spatial.covariances), merged)]
+    units = [_unit(layout, spatial, states, [entry], source,
+                   not mode.startswith("static"), sink) for entry in filters]
     if posteriors is not None:
-        units.append(_unit(layout, spatial, states, array_ids, source, True,
+        units.append(_unit(layout, spatial, states, every, source, True,
                            posteriors=posteriors))
     return units
 
@@ -383,7 +381,8 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
                   states=states.n_states, images=images,
                   image_channels=image_channels, length=length,
                   filter_channels=filter_channels))
-    return {f.cov_id: float(np.sqrt(max([0.0, *f.worst]))) for f in filters}
+    return {_merged_label(f.arrays): float(np.sqrt(max([0.0, *f.worst])))
+            for f in filters}
 
 
 def _images(units: list[_Unit], spatial: SpatialModel, image) -> dict:

@@ -8,12 +8,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from asyncsep import _kernels, _pool
+from asyncsep import _kernels, _pool, scene
 from asyncsep.classifier import PosteriorMap, posterior_block, state_factors
 from asyncsep.dsp import SampledSignal, SpectrogramTensor, WindowSpec
 from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
 from asyncsep.separator import _deviation_block
+
+
+def render_source_signal(descriptor: dict, n: int, rate: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Render one mono source signal of n samples from its descriptor,
+    as scene synthesis renders each source."""
+    out = np.empty(n)
+    scene._render_into(descriptor, n, rate, rng, scene._bin_freqs(n, rate),
+                       out, scene._RenderScratch(n))
+    return out
 
 
 @contextlib.contextmanager
@@ -139,9 +149,9 @@ def make_planted_tiles(rng, spatial, states, window, n_frames=48, rate=16000.0):
     K = len(states.source_ids)
     planted = rng.integers(0, K, size=(n_frames, F))
     obs = {}
-    for m in spatial.array_ids():
+    for m in spatial.covariances:
         C = spatial.channels(m)
-        L, _ = state_factors(spatial, states, m)
+        L, _ = state_factors(spatial.covariances[m], states)
         z = (rng.standard_normal((n_frames, F, C))
              + 1j * rng.standard_normal((n_frames, F, C))) / np.sqrt(2.0)
         Lsel = L[planted, np.arange(F)[None, :]]
@@ -307,7 +317,7 @@ def serial_log_likelihoods(observations, spatial, states):
     first = observations[min(observations)]
     ll = np.zeros((first.n_frames, spatial.n_bins, states.n_states))
     for m in sorted(observations):
-        factors, logdets = state_factors(spatial, states, m)
+        factors, logdets = state_factors(spatial.covariances[m], states)
         _kernels.loglik_accumulate(observations[m].coeffs, factors, logdets,
                                    ll)
     return ll

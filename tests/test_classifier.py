@@ -309,7 +309,7 @@ class TestOracleRecovery:
         obs, planted, top = make_planted_tiles(rng, spatial, states, win,
                                                n_frames=40)
         joint = classify(obs, spatial, states).gamma.argmax(axis=2)
-        m = spatial.array_ids()[0]
+        m = next(iter(spatial.covariances))
         single = classify({m: obs[m]}, spatial, states).gamma.argmax(axis=2)
         assert (joint[top] == planted[top]).mean() >= \
             (single[top] == planted[top]).mean()
@@ -322,7 +322,7 @@ def _random_case(seed, n_arrays, n_ch, n_src, n_frames):
         n_src=n_src, window=WIN)
     obs = obs_from({m: (rng.standard_normal((n_frames, F, n_ch))
                         + 1j * rng.standard_normal((n_frames, F, n_ch)))
-                    * rng.uniform(0.01, 10.0) for m in spatial.array_ids()})
+                    * rng.uniform(0.01, 10.0) for m in spatial.covariances})
     return obs, spatial, states
 
 

@@ -657,6 +657,23 @@ def test_device_named_pooled_separates_in_every_mode(tmp_path, capsys):
         assert set(scores) == {"a/s1", "a/s2", "pooled/s1", "pooled/s2"}
 
 
+def test_source_id_starting_with_underscore_round_trips(tmp_path):
+    # "a___b.wav" splits at its first "__": array a, source _b
+    scene = yaml.safe_load(yaml.safe_dump(SCENE))
+    scene["sources"][0]["id"] = "_b"
+    scene_file = tmp_path / "scene.yaml"
+    scene_file.write_text(yaml.safe_dump(scene))
+    sim, est, model = tmp_path / "sim", tmp_path / "est", tmp_path / "m.bin"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "1"]) == 0
+    assert main(["train", str(sim / "images"), str(model),
+                 "--stft-len", "1024"]) == 0
+    assert "sources: _b, s2\n" in model.with_suffix(".txt").read_text()
+    assert main(["separate", str(model), str(sim / "recordings"),
+                 str(est)]) == 0
+    assert {p.name for p in est.glob("*.wav")} == {
+        f"{m}__{k}.wav" for m in ("a", "b") for k in ("_b", "s2", "noise")}
+
+
 def _with_chunk(raw: bytes, chunk: bytes) -> bytes:
     """A WAV file with `chunk` appended and its RIFF size rewritten."""
     out = bytearray(raw + chunk)
@@ -797,12 +814,18 @@ def _integer_coupling_keys(data):
     (lambda d: _renamed_array(d, "a", "x__y"), "'x__y'"),
     (lambda d: _renamed_array(d, "a", ""), "''"),
     (lambda d: _renamed_array(d, "a", "a+b"), "'a+b'"),
+    # "ü___ .wav" would read back as array ü and source "_ "
+    (lambda d: (_renamed_array(d, "a", "ü_"),
+                d["sources"][0].update(id=" ")), "'ü_'"),
+    # "___s0.wav" would read back as array "" and source "_s0"
+    (lambda d: (_renamed_array(d, "a", "_"),
+                d["sources"][0].update(id="s0")), "'_'"),
     (lambda d: _renamed_array(d, "a", "tab\there"), "'tab\\there'"),
     (lambda d: d["sources"][1].update(id="noise"), "'noise'"),
     (lambda d: d["sources"][1].update(id="s/2"), "'s/2'"),
 ], ids=["empty-yaml-id", "integer-id", "empty-source-id",
         "integer-coupling-key", "slash", "double-underscore", "empty", "plus",
-        "tab", "noise", "source-slash"])
+        "trailing-underscore", "underscore", "tab", "noise", "source-slash"])
 def test_scene_with_a_bad_id_fails_with_config_error(tmp_path, scene_file,
                                                      capsys, edit, bad_id):
     _edited_scene(scene_file, edit)

@@ -1,7 +1,10 @@
 """Tests for spatial covariance estimation and the state spectrum model."""
 
+import io
 import re
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +42,7 @@ def usable_device_id(s):
     except UnicodeEncodeError:
         return False
     return (s != "" and s.isprintable() and "__" not in s
-            and not set(s) & set("/\\\0+"))
+            and not s.endswith("_") and not set(s) & set("/\\\0+"))
 
 
 def gated_covariance_oracle(coeffs):
@@ -151,6 +154,17 @@ class TestEstimateSpatialCovariance:
         with pytest.raises(ConfigError, match="'a\\+b' contains '\\+'"):
             train_models({("a+b", "s"): tensor(x)})
 
+    @pytest.mark.parametrize("device, source", [("ü_", " "),
+                                                ("_", "s0")])
+    def test_device_id_ending_in_underscore_rejected(self, rng, device,
+                                                     source):
+        # <device>__<source>.wav would read back as another pair:
+        # "ü___ .wav" as ("ü", "_ "), "___s0.wav" as ("", "_s0")
+        x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"device id {device!r} contains '__' or ends in '_'")):
+            train_models({(device, source): tensor(x)})
+
 
 class TestBuildStateModel:
     def _states_for(self, coeffs_by_source):
@@ -255,9 +269,9 @@ class TestRegularizedSum:
 
 
 class TestPersistence:
-    def _trained(self, rng, pooled=False):
+    def _trained(self, rng, pooled=False, devices=("a", "b")):
         imgs = {}
-        for m in ("a", "b"):
+        for m in devices:
             for k in ("s1", "s2"):
                 x = rng.standard_normal((10, F, 2)) \
                     + 1j * rng.standard_normal((10, F, 2))
@@ -272,10 +286,11 @@ class TestPersistence:
         assert meta["window_length"] == WIN.length and meta["hop"] == WIN.hop
         assert meta["rate_hz"] == 16000.0
         assert spatial2.source_ids == spatial.source_ids
-        assert spatial2.members(spatial2.merged_id()) == ["a", "b"]
+        assert list(spatial2.covariances) == ["a", "b"]
         for m in spatial.covariances:
             assert np.array_equal(spatial.covariances[m],
                                   spatial2.covariances[m])
+        assert np.array_equal(spatial.merged, spatial2.merged)
         for attr in ("ltas", "sigma_high", "sigma_low", "noise_spectrum"):
             assert np.array_equal(getattr(states, attr), getattr(states2, attr))
 
@@ -346,25 +361,28 @@ class TestPersistence:
         window = WindowSpec(4 * hop, hop)
         n_bins = 2 * hop + 1
         usable = all(map(usable_device_id, channels))
-        if merged:  # one device is its own merged array
-            channels["+".join(sorted(channels))] = sum(channels.values())
-        covariances = {}
-        for m, C in channels.items():
+
+        def unit_psd(C):
             shape = (n_src, n_bins, C, C)
             A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             R = A @ A.conj().swapaxes(2, 3)
-            covariances[m] = R / np.trace(R, axis1=2, axis2=3)[..., None, None]
+            return R / np.trace(R, axis1=2, axis2=3)[..., None, None]
+
+        covariances = {m: unit_psd(C) for m, C in channels.items()}
+        # one device is its own merged array
+        merged = (unit_psd(sum(channels.values()))
+                  if merged and len(channels) > 1 else None)
         source_ids = [f"s{k}" for k in range(n_src)]
         if not usable:
             # ids outside the rule are refused, never written
             with pytest.raises(ConfigError, match="device id"):
-                SpatialModel(covariances, source_ids)
+                SpatialModel(covariances, source_ids, merged=merged)
             bad = next(m for m in channels if not usable_device_id(m))
             x = np.ones((2, n_bins, 1), complex)
             with pytest.raises(ConfigError, match="device id"):
                 train_models({(bad, "s0"): SpectrogramTensor(x, window, 1.0)})
             return
-        spatial = SpatialModel(covariances, source_ids)
+        spatial = SpatialModel(covariances, source_ids, merged=merged)
         states = StateSpectrumModel(source_ids,
                                     rng.uniform(0.0, 1.0, (n_src, n_bins)),
                                     rng.uniform(0.0, 1.0, n_bins))
@@ -379,27 +397,69 @@ class TestPersistence:
         for m in channels:
             assert spatial2.covariances[m].dtype == np.complex128
             assert np.array_equal(spatial2.covariances[m], covariances[m])
+        if merged is None:
+            assert spatial2.merged is None
+        else:
+            assert spatial2.merged.dtype == np.complex128
+            assert np.array_equal(spatial2.merged, merged)
         for attr in ("ltas", "sigma_high", "sigma_low", "noise_spectrum"):
             assert np.array_equal(getattr(states2, attr),
                                   getattr(states, attr))
 
-    @pytest.mark.parametrize("merged_id, channels", [
-        ("a+c", 4),  # c is not stored
-        ("b+a", 4),  # not in sorted id order
-        ("a+a", 4),  # a device twice
-        ("a+b", 3),  # a and b hold 4 channels
-    ])
+    @pytest.mark.parametrize("merged_id, channels, devices", [
+        ("a+c", 4, "ab"),   # c is not stored
+        ("b+a", 4, "ab"),   # not in sorted id order
+        ("a+a", 4, "ab"),   # a device twice
+        ("a+b", 3, "ab"),   # a and b hold 4 channels
+        ("a+b", 4, "abc"),  # c is stored but not merged
+    ], ids=["a+c-4", "b+a-4", "a+a-4", "a+b-3", "a+b-4-abc"])
     def test_merged_entry_must_merge_stored_devices(self, rng, tmp_path,
-                                                    merged_id, channels):
-        spatial, states = self._trained(rng)
+                                                    merged_id, channels,
+                                                    devices):
+        spatial, states = self._trained(rng, devices=tuple(devices))
         cov = np.broadcast_to(np.eye(channels) / channels,
                               (2, F, channels, channels))
-        spatial.covariances[merged_id] = cov.astype(complex)
         path = tmp_path / "model.bin"
         save_models(path, spatial, states, window=WIN)
+        path.write_bytes(_with_entry(path.read_bytes(), merged_id,
+                                     cov.astype(complex)))
         with pytest.raises(ConfigError, match=re.escape(
                 f"array {merged_id!r} of {channels} channels is neither")):
             load_models(path)
+
+
+    @pytest.mark.parametrize("devices, channels", [
+        ("ab", 3),  # a and b hold 4 channels
+        ("ab", 5),
+        ("a", 2),   # one device is its own merged array
+    ])
+    def test_merged_covariances_must_hold_the_devices_channels(
+            self, rng, devices, channels):
+        spatial, _ = self._trained(rng, devices=tuple(devices))
+        merged = np.broadcast_to(np.eye(channels) / channels,
+                                 (2, F, channels, channels)).astype(complex)
+        C = 2 * len(devices)
+        with pytest.raises(ValueError, match=re.escape(
+                f"merged covariances must be (K, F, {C}, {C}) over two or "
+                f"more devices")):
+            SpatialModel(spatial.covariances, spatial.source_ids,
+                         merged=merged)
+
+
+def _with_entry(raw: bytes, entry_id: str, cov: np.ndarray) -> bytes:
+    """A container with one more array, `entry_id` holding `cov`, after
+    the others, and its CRC-32 recomputed; the sources must be s1, s2."""
+    body = raw[:-4]
+    at = body.index(struct.pack("<I", 2) + b"s1")  # the first source id
+    (n_arrays,) = struct.unpack("<I", body[12:16])
+    with io.BytesIO() as fh:
+        model._write_str(fh, entry_id)
+        fh.write(struct.pack("<I", cov.shape[2]))
+        model._write_array(fh, cov)
+        entry = fh.getvalue()
+    body = (body[:12] + struct.pack("<I", n_arrays + 1) + body[16:at] + entry
+            + body[at:])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestPooled:
@@ -414,7 +474,7 @@ class TestPooled:
         spatial, _ = train_models(imgs, include_pooled=True)
         merged = np.concatenate([raw["a"], raw["b"]], axis=2)
         direct = train_models({("p", "s"): tensor(merged)})[0]
-        assert np.allclose(spatial.covariances["a+b"],
+        assert np.allclose(spatial.merged,
                            direct.covariances["p"], atol=1e-12)
 
     def test_pooled_tensor_refuses_unequal_frame_counts(self, rng):
@@ -435,7 +495,7 @@ class TestPooled:
         direct = train_models({("p", "s"): [
             tensor(np.concatenate([raw["a"][i], raw["b"][i]], axis=2))
             for i in range(2)]})[0]
-        assert np.allclose(spatial.covariances["a+b"],
+        assert np.allclose(spatial.merged,
                            direct.covariances["p"], atol=1e-12)
 
     def test_sequences_of_unequal_length_refused(self, rng):
@@ -474,14 +534,16 @@ class TestTrainingTasks:
     def test_equal_for_any_worker_count_and_block(self, seed, pooled):
         imgs = self._images(seed)
         want_s, want_t = self._train(imgs, 1, pooled)
-        assert list(want_s.covariances) == (["a", "b", "c", "a+b+c"] if pooled
-                                            else ["a", "b", "c"])
+        assert list(want_s.covariances) == ["a", "b", "c"]
+        assert (want_s.merged is not None) == pooled
         assert want_s.fallback_bins
         for workers, block in ((3, None), (1, 1), (3, 2), (3, 10**6)):
             got_s, got_t = self._train(imgs, workers, pooled, block)
             assert list(got_s.covariances) == list(want_s.covariances)
             for m, cov in want_s.covariances.items():
                 assert np.array_equal(got_s.covariances[m], cov)
+            if pooled:
+                assert np.array_equal(got_s.merged, want_s.merged)
             assert list(got_s.fallback_bins) == list(want_s.fallback_bins)
             for key, bins in want_s.fallback_bins.items():
                 assert np.array_equal(got_s.fallback_bins[key], bins)

@@ -18,14 +18,13 @@ from asyncsep.scene import (
     apply_sro,
     _mix,
     load_scene,
-    render_source_signal,
     scene_from_dict,
     scene_to_dict,
     synthesize_scene,
 )
 
 from conftest import (bandlimited_noise, correlation_peak_lag, pool_run_peaks,
-                      pool_workers)
+                      pool_workers, render_source_signal)
 
 
 def tap(delay, gain, echoes=()):

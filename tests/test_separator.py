@@ -95,7 +95,7 @@ class TestMwfApply:
 class TestSeparate:
     def _obs(self, rng, spatial, n_frames=6):
         out = {}
-        for m in spatial.array_ids():
+        for m in spatial.covariances:
             C = spatial.channels(m)
             x = rng.standard_normal((n_frames, F, C)) \
                 + 1j * rng.standard_normal((n_frames, F, C))
@@ -159,7 +159,7 @@ class TestSeparate:
         obs, planted, top = make_planted_tiles(rng, spatial, states, win,
                                                n_frames=40)
         result = separate(obs, spatial, states, "tv-distributed")
-        m = spatial.array_ids()[0]
+        m = next(iter(spatial.covariances))
         norms = np.stack([np.abs(result.images[(m, k)].coeffs).sum(axis=2)
                           for k in states.source_ids])
         dom = norms.argmax(axis=0)
@@ -227,11 +227,12 @@ class TestStaticPooled:
         # "pooled" is an ordinary device id; the merged array is "a+pooled"
         from asyncsep.model import load_models, save_models
         spatial, states, obs = self._trained(rng, ids=("a", "pooled"))
-        assert list(spatial.covariances) == ["a", "pooled", "a+pooled"]
+        assert list(spatial.covariances) == ["a", "pooled"]
+        assert spatial.merged is not None
         save_models(tmp_path / "m.bin", spatial, states, WindowSpec(512, 128),
                     16000.0)
         spatial, states, _ = load_models(tmp_path / "m.bin")
-        assert spatial.array_ids() == ["a", "pooled"]
+        assert list(spatial.covariances) == ["a", "pooled"]
         for mode in MODES:
             result = separate(obs, spatial, states, mode)
             assert set(result.images) == {
@@ -243,6 +244,32 @@ class TestStaticPooled:
                 rel = (np.abs(total - obs[m].coeffs).max()
                        / np.abs(obs[m].coeffs).max())
                 assert rel <= 1e-6
+
+
+    def test_one_device_is_its_own_merged_array(self, rng, tmp_path):
+        # with or without include_pooled: static-pooled is static-local,
+        # and the container is the same
+        from asyncsep.model import save_models, train_models
+
+        def frames(n):
+            x = rng.standard_normal((n, F, 2)) + 1j * rng.standard_normal(
+                (n, F, 2))
+            return SpectrogramTensor(x, WIN, 16000.0)
+
+        imgs = {("a", k): frames(12) for k in ("s1", "s2")}
+        obs = {"a": frames(6)}
+        for pooled in (False, True):
+            spatial, states = train_models(imgs, include_pooled=pooled)
+            assert spatial.merged is None
+            local = separate(obs, spatial, states, "static-local")
+            merged = separate(obs, spatial, states, "static-pooled")
+            assert list(merged.images) == list(local.images)
+            for key, image in local.images.items():
+                assert np.array_equal(merged.images[key].coeffs, image.coeffs)
+            assert merged.metadata == local.metadata
+            save_models(tmp_path / f"{pooled}.bin", spatial, states, WIN)
+        assert (tmp_path / "True.bin").read_bytes() == \
+            (tmp_path / "False.bin").read_bytes()
 
 
 def _planar_result(rng, n_src, C, N, n_bins):
@@ -347,8 +374,7 @@ class TestConsistencyFlagsPerturbedTile:
 
     def test_pooled_path(self, rng, monkeypatch):
         spatial, states, obs = TestStaticPooled()._trained(rng)
-        members = spatial.members(spatial.merged_id())
-        merged = np.concatenate([obs[m].coeffs for m in members], axis=2)
+        merged = np.concatenate([obs[m].coeffs for m in ("a", "b")], axis=2)
         tile, delta = (90, 40), 1e-6
         _perturbing_filter(monkeypatch, tile, delta)
         worst = separate(obs, spatial, states, "static-pooled").metadata[
@@ -358,16 +384,17 @@ class TestConsistencyFlagsPerturbedTile:
 
 
 def _with_pooled(rng, spatial, n_src):
-    """Set the merged-array entry over every array, id "a0+a1+..." (a0 alone
-    for one array: a device is its own merged array)."""
-    order = sorted(spatial.array_ids())
-    C = sum(spatial.channels(m) for m in order)
+    """The model with random merged covariances over every array; one
+    array is its own merged array, and its model is returned as it is."""
+    if len(spatial.covariances) == 1:
+        return spatial
+    C = sum(map(spatial.channels, spatial.covariances))
     F = spatial.n_bins
-    cov = dict(spatial.covariances)
-    cov["+".join(order)] = np.stack(
+    merged = np.stack(
         [np.broadcast_to(rand_unit_psd(rng, C), (F, C, C)).copy()
          for _ in range(n_src)])
-    return SpatialModel(cov, spatial.source_ids)
+    return SpatialModel(spatial.covariances, spatial.source_ids,
+                        merged=merged)
 
 
 def _serial_separate(obs, spatial, states, mode):
@@ -384,15 +411,13 @@ def _serial_separate(obs, spatial, states, mode):
     sources = states.source_ids + [NOISE_ID]
     images, worst = {}, {}
     if mode == "static-pooled":
-        merged_id = spatial.merged_id()
-        merged = np.concatenate(
-            [obs[m].coeffs for m in spatial.members(merged_id)], axis=2)
-        est = _kernels.mwf_filter(merged, spatial.covariances[merged_id],
+        merged = np.concatenate([obs[m].coeffs for m in ids], axis=2)
+        est = _kernels.mwf_filter(merged, spatial.merged_covariances(),
                                   static[:, :, :-1],
                                   states.noise_spectrum)
-        worst[merged_id] = block_consistency(est, merged)
+        worst["+".join(ids)] = block_consistency(est, merged)
         lo = 0
-        for m in spatial.members(merged_id):
+        for m in ids:
             c = obs[m].channels
             for k, sid in enumerate(sources):
                 images[(m, sid)] = est[k, :, :, lo:lo + c]
@@ -425,7 +450,7 @@ def _random_case(seed, n_arrays, n_ch, n_src, n_frames):
         n_src=n_src, window=WIN)
     spatial = _with_pooled(rng, spatial, n_src)
     obs = {}
-    for m in spatial.array_ids():
+    for m in spatial.covariances:
         x = (rng.standard_normal((n_frames, F, n_ch))
              + 1j * rng.standard_normal((n_frames, F, n_ch)))
         obs[m] = SpectrogramTensor(x * rng.uniform(0.01, 10.0), WIN, 16000.0)

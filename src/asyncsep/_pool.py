@@ -3,16 +3,17 @@
 Every stage with numeric work splits it into tasks on this pool:
   * scene synthesis: one task per source rendering, one per (array,
     source) image and one per array's mixture;
-  * the STFT and the iSTFT: one task per channel and run of 64 frames
-    (`stft`), or per channel (`istft`);
+  * the STFT and the iSTFT: one task per run of frames of every
+    channel, about 64 channel frames (`dsp._chunk`);
   * training: one task per (entry, source) and block of bins, which
     forms the covariance and the long-term spectrum there;
   * the resampler: one task per run of output samples;
   * the separation pass: one task per block of frames;
   * SDR scoring: one task per (reference, estimate) pair.
 Tasks write disjoint slices of buffers allocated beforehand, or, in
-the streamed separation pass, add into shared samples in task order, so
-the result does not depend on how many threads run them.
+the iSTFT and the streamed separation pass, add into shared samples in
+task order (`dsp._Writer`), so the result does not depend on how many
+threads run them.
 numpy releases the interpreter lock inside its loops, so threads overlap
 the numeric work.  The caller allocates every output, and `run` has the
 calling thread build each thread's workspace of scratch buffers before

@@ -101,14 +101,17 @@ def classify(observations: dict[str, SpectrogramTensor],
     the local classifier of the tv-local filter variant.  Runs the fused
     pass of `separator` on every core; the result does not depend on the
     number of threads.  Non-finite observations raise NumericalError,
-    and observations unlike the model or misaligned ValueError.
+    observations unlike the model, misaligned or none ValueError, and
+    device ids outside `SpatialModel.check_id` ConfigError.
     """
-    from .separator import _run_pass, _tensor_inputs, _units
+    from .separator import _check_inputs, _run_pass, _tensor_readers, _units
 
-    layout, source = _tensor_inputs(observations, spatial)
-    gamma = np.empty((layout[min(layout)][1], spatial.n_bins, states.n_states))
-    _run_pass(_units(layout, spatial, states, "tv-distributed", gamma, source,
-                     None), spatial, states)
+    _check_inputs("tv-distributed", sorted(observations))
+    readers = _tensor_readers(observations, spatial)
+    gamma = np.empty((readers[min(readers)].n_frames, spatial.n_bins,
+                      states.n_states))
+    _run_pass(_units(readers, spatial, states, "tv-distributed", gamma, None),
+              spatial, states)
     return PosteriorMap(gamma, states.state_ids)
 
 

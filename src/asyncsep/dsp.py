@@ -4,11 +4,19 @@ Conventions used throughout the package:
   * time-domain signals are float64 arrays of shape (num_samples, num_channels)
   * STFT tensors are complex128 arrays of shape (num_frames, num_bins, num_channels)
   * the one-sided spectrum keeps bins 0..length//2 inclusive
+
+The framing rule exists once, in two private classes: `_Reader` holds a
+recording with the analysis padding and analyzes any run of its frames,
+and `_Writer` synthesizes runs of frames, overlap-adds them in frame
+order and cuts the padding off again.  `stft` reads through a reader,
+`istft` writes through a writer, and the streamed pass of
+`separator.separate_recordings` uses both.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +33,7 @@ __all__ = [
     "fractional_delay",
 ]
 
-_CHUNK = 64  # frames of one `stft` task, and synthesized at a time by `istft`
+_CHUNK = 64  # channel frames of one `stft` or `istft` task (`_chunk`)
 _RESAMPLE_ROWS = 16384  # output samples per resampling task
 
 
@@ -166,6 +174,12 @@ def stft_frame_count(n_samples: int, window: WindowSpec) -> int:
     return frame_count(left + n_samples + right, window)
 
 
+def _chunk(channels: int) -> int:
+    """Frames of every channel in one `stft` or `istft` task: about
+    `_CHUNK` channel frames, and at least one frame."""
+    return max(1, _CHUNK // max(channels, 1))
+
+
 def _analysis_padding(n_samples: int, window: WindowSpec) -> tuple[int, int]:
     """Zero-padding (left, right) so every input sample gets full window
     coverage and the last frame lands exactly on the padded tail."""
@@ -176,30 +190,34 @@ def _analysis_padding(n_samples: int, window: WindowSpec) -> tuple[int, int]:
     return left, right
 
 
-def _padded_channels(samples: np.ndarray, window: WindowSpec) -> np.ndarray:
-    """(n, channels) samples -> (channels, padded) with the analysis padding."""
-    n, channels = samples.shape
-    left, right = _analysis_padding(n, window)
-    out = np.zeros((channels, left + n + right))
-    out[:, left:left + n] = samples.T
-    return out
+class _Reader:
+    """Frame blocks of one recording, analyzed as `stft` does.
 
-
-def _analyze(padded, n0: int, n1: int, window: WindowSpec, win, frames,
-             out) -> None:
-    """Spectra of frames n0:n1 of channel-major padded samples.
-
-    padded: (C, samples) from `_padded_channels`; frames: (C, n1 - n0,
-    length) float scratch that receives the windowed frames; out: (C,
-    n1 - n0, bins) complex receives their rfft.  `stft` and the
-    separation pass of `separator.separate_recordings` both analyze
-    through here.
+    Holds the (n, C) samples channel-major with the analysis padding:
+    channels and n_frames give the (C, N) of its spectrogram, and `read`
+    windows and transforms any run of its frames.
     """
-    hop, length = window.hop, window.length
-    span = padded[:, n0 * hop:(n1 - 1) * hop + length]
-    view = np.lib.stride_tricks.sliding_window_view(span, length, axis=-1)
-    np.multiply(view[:, ::hop], win, out=frames)
-    np.fft.rfft(frames, axis=-1, out=out)
+
+    def __init__(self, samples: np.ndarray, window: WindowSpec):
+        n, self.channels = samples.shape
+        left, right = _analysis_padding(n, window)
+        self.padded = np.zeros((self.channels, left + n + right))
+        self.padded[:, left:left + n] = samples.T
+        self.n_frames = stft_frame_count(n, window)
+        self.window, self.win = window, window.window()
+
+    def read(self, n0: int, n1: int, scratch, out) -> None:
+        """Spectra of frames n0:n1 into out, (C, n1 - n0, bins) complex.
+
+        scratch: float, (C', b, length) with C' >= C and b >= n1 - n0; its
+        leading planes receive the windowed frames.
+        """
+        hop, length = self.window.hop, self.window.length
+        span = self.padded[:, n0 * hop:(n1 - 1) * hop + length]
+        view = np.lib.stride_tricks.sliding_window_view(span, length, axis=-1)
+        frames = scratch[:self.channels, :n1 - n0]
+        np.multiply(view[:, ::hop], self.win, out=frames)
+        np.fft.rfft(frames, axis=-1, out=out)
 
 
 def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
@@ -216,79 +234,118 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
     -------
     SpectrogramTensor with coeffs of shape (frames, length//2 + 1, channels).
 
-    Each channel's runs of `_CHUNK` frames are tasks on the thread pool
-    (`_pool`): a task windows its frames into its thread's scratch and
-    transforms them into its slice of the output, so the coefficients do
-    not depend on the thread count.
+    Runs of `_chunk` frames are tasks on the thread pool (`_pool`): a
+    task reads its frames of every channel through one `_Reader`, into
+    its thread's scratch and its slice of the output, so the coefficients
+    do not depend on the thread count.
     """
     x = signal.samples
     if x.shape[0] < window.length:
         raise ValueError(
             f"signal ({x.shape[0]} samples) shorter than one frame "
             f"({window.length} samples)")
-    padded = _padded_channels(x, window)
-    n_frames = frame_count(padded.shape[1], window)
-    win = window.window()
-
-    n_bins = window.length // 2 + 1
-    coeffs = np.empty((n_frames, n_bins, x.shape[1]), dtype=np.complex128)
-    tasks = [(c, n0) for c in range(x.shape[1])
-             for n0 in range(0, n_frames, _CHUNK)]
-    _pool.run(tasks,
-              lambda task, ws: _analyze_chunk(padded, window, win, coeffs,
-                                              *task, ws),
-              lambda: np.empty((1, min(_CHUNK, n_frames), window.length)))
+    reader = _Reader(x, window)
+    n_frames, chunk = reader.n_frames, _chunk(x.shape[1])
+    coeffs = np.empty((n_frames, window.length // 2 + 1, x.shape[1]),
+                      dtype=np.complex128)
+    planes = coeffs.transpose(2, 0, 1)
+    _pool.run(range(0, n_frames, chunk),
+              lambda n0, frames: reader.read(
+                  n0, min(n0 + chunk, n_frames), frames,
+                  planes[:, n0:n0 + chunk]),
+              lambda: np.empty((x.shape[1], min(chunk, n_frames),
+                                window.length)))
     return SpectrogramTensor(coeffs, window, signal.rate_hz, x.shape[0])
-
-
-def _analyze_chunk(padded, window, win, coeffs, c, n0, frames) -> None:
-    """Frames n0 onwards, up to `_CHUNK`, of channel c of `stft`.
-
-    frames: (1, _CHUNK, window length) float scratch.
-    """
-    n1 = min(n0 + _CHUNK, coeffs.shape[0])
-    _analyze(padded[c:c + 1], n0, n1, window, win, frames[:, :n1 - n0],
-             coeffs[None, n0:n1, :, c])
-
-
-def _synthesis_norm(window: WindowSpec, n_frames: int):
-    """Summed squared window of n_frames frames, and where it is not ~0.
-
-    Both are (total,), total = (n_frames - 1) * hop + length: the extent
-    that `_overlap_add` writes.
-    """
-    hop = window.hop
-    total = (n_frames - 1) * hop + window.length
-    span = n_frames * hop
-    win2 = window.window() ** 2
-    denom = np.zeros(total)
-    for r in reversed(range(window.length // hop)):
-        wdst = denom[r * hop:r * hop + span].reshape(n_frames, hop)  # a view
-        wdst += win2[r * hop:(r + 1) * hop]
-    return denom, denom > 1e-12
-
-
-def _synthesize(coeffs, win, frames) -> None:
-    """Windowed inverse spectra: coeffs (..., b, bins) -> frames (..., b,
-    length) float."""
-    np.fft.irfft(coeffs, n=win.shape[0], axis=-1, out=frames)
-    frames *= win
 
 
 def _overlap_add(frames, f0: int, hop: int, out) -> None:
     """Add the windowed frames f0, f0 + 1, ... into out, in frame order.
 
-    frames: (..., b, length) from `_synthesize`; out: (..., total).  Phase
-    r adds sample block r of every frame with one strided add; taking the
-    phases in descending order adds each sample's frames in ascending
-    order, so adding blocks of frames in ascending order adds every
-    sample's frames in ascending order, whatever the blocks.
+    frames: (..., b, length); out: (..., total).  Phase r adds sample
+    block r of every frame with one strided add; taking the phases in
+    descending order adds each sample's frames in ascending order, so
+    adding blocks of frames in ascending order adds every sample's frames
+    in ascending order, whatever the blocks.
     """
     b, length = frames.shape[-2:]
     for r in reversed(range(length // hop)):
         dst = out[..., (f0 + r) * hop:(f0 + b + r) * hop]
         dst = dst.reshape(dst.shape[:-1] + (b, hop))  # a view
         dst += frames[..., r * hop:(r + 1) * hop]
+
+
+class _Writer:
+    """Weighted overlap-add of frame blocks into signals, in frame order.
+
+    out: (*rows, total) samples of n_frames frames, analysis padding
+    included.  `put` synthesizes a block's spectra in the caller's
+    scratch; once the previous block has added its frames, the block adds
+    its own (`_overlap_add`) and divides the samples no later block
+    reaches by the summed squared window.  Blocks may be put from several
+    threads: each waits its turn, which cannot deadlock when the blocks
+    are pool tasks in frame order.  After a block fails, or `abort`, the
+    blocks waiting for it return.
+    """
+
+    def __init__(self, rows: tuple, n_frames: int, window: WindowSpec):
+        self.window, self.win = window, window.window()
+        self.n_frames = n_frames
+        # the summed squared window of the frames, and where it is not ~0
+        self.denom = np.zeros((n_frames - 1) * window.hop + window.length)
+        _overlap_add(np.broadcast_to(self.win ** 2, (n_frames, window.length)),
+                     0, window.hop, self.denom)
+        self.good = self.denom > 1e-12
+        self.out = np.zeros(rows + self.denom.shape)
+        self._added = 0  # frames added so far
+        self._failed = False
+        self._turn = threading.Condition()
+
+    def put(self, n0: int, n1: int, planes, scratch) -> None:
+        """Add frames n0:n1, planes (*rows, n1 - n0, bins) complex.
+
+        scratch: float, at least (*rows, n1 - n0, length) on every axis;
+        its leading part receives the windowed frames.
+        """
+        hop = self.window.hop
+        frames = scratch[tuple(map(slice, self.out.shape[:-1]))
+                         + (slice(n1 - n0),)]
+        try:
+            np.fft.irfft(planes, n=self.win.shape[0], axis=-1, out=frames)
+            frames *= self.win
+            with self._turn:
+                self._turn.wait_for(lambda: self._added == n0 or self._failed)
+                if self._failed:
+                    return
+            _overlap_add(frames, n0, hop, self.out)
+        except BaseException:  # release the blocks that wait for this one
+            self.abort()
+            raise
+        with self._turn:
+            self._added = n1
+            self._turn.notify_all()
+        # the next block adds from frame n1's first sample on
+        span = slice(n0 * hop, self.out.shape[-1] if n1 == self.n_frames
+                     else n1 * hop)
+        done = self.out[..., span]
+        np.divide(done, self.denom[span], out=done, where=self.good[span])
+
+    def abort(self) -> None:
+        with self._turn:
+            self._failed = True
+            self._turn.notify_all()
+
+    def samples(self, length: int | None = None) -> np.ndarray:
+        """The (*rows, length) samples past the analysis padding, zeros
+        where the frames end sooner; by default, all but one window
+        length at either end."""
+        left = self.window.length
+        if length is None:
+            length = max(self.out.shape[-1] - 2 * left, 0)
+        out = self.out[..., left:left + length]
+        if out.shape[-1] < length:
+            out = np.pad(out, [(0, 0)] * (out.ndim - 1)
+                         + [(0, length - out.shape[-1])])
+        return out
 
 
 def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
@@ -298,47 +355,23 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     squared window, so an unmodified tensor reconstructs the original
     samples to machine precision on the analyzed extent.
 
-    Each channel is one task on the thread pool (`_pool`): its frames are
-    synthesized `_CHUNK` at a time into a buffer the calling thread
-    allocated and overlap-added in frame order (`_overlap_add`).  The
-    denominator and its mask are built once.  The samples are returned as
-    a (length, channels) view of a channel-major buffer.
+    Runs of `_chunk` frames are tasks on the thread pool (`_pool`): a
+    task synthesizes its frames of every channel in its thread's scratch
+    and one `_Writer` overlap-adds them in frame order.  The samples are
+    returned as a (length, channels) view of a channel-major buffer.
     """
     window = spec.window
     n_frames, _, n_ch = spec.coeffs.shape
-    win = window.window()
-    denom, good = _synthesis_norm(window, n_frames)
-    out = np.zeros((n_ch, denom.shape[0]))
-    _pool.run(range(n_ch),
-              lambda c, chunk: _synthesize_channel(
-                  spec.coeffs[:, :, c], win, window.hop, denom, good, out[c],
-                  chunk),
-              lambda: np.empty((min(_CHUNK, n_frames) or 1, window.length)))
-
-    # strip the analysis padding
-    left = window.length
+    writer = _Writer((n_ch,), n_frames, window)
+    planes, chunk = spec.coeffs.transpose(2, 0, 1), _chunk(n_ch)
+    _pool.run(range(0, n_frames, chunk),
+              lambda n0, frames: writer.put(
+                  n0, min(n0 + chunk, n_frames), planes[:, n0:n0 + chunk],
+                  frames),
+              lambda: np.empty((n_ch, min(chunk, n_frames), window.length)))
     if length is None:
         length = spec.n_samples
-    if length is None:
-        length = max(out.shape[1] - 2 * window.length, 0)
-    out = out[:, left:left + length]
-    if out.shape[1] < length:
-        out = np.pad(out, ((0, 0), (0, length - out.shape[1])))
-    return SampledSignal(out.T, spec.rate_hz)
-
-
-def _synthesize_channel(coeffs, win, hop, denom, good, out, chunk) -> None:
-    """Overlap-add one channel's (N, F) frames into `out` and normalise it.
-
-    chunk: (frames, window length) float scratch.
-    """
-    n_frames = coeffs.shape[0]
-    for f0 in range(0, n_frames, len(chunk)):
-        f1 = min(f0 + len(chunk), n_frames)
-        frames = chunk[:f1 - f0]
-        _synthesize(coeffs[f0:f1], win, frames)
-        _overlap_add(frames, f0, hop, out)
-    np.divide(out, denom, out=out, where=good)
+    return SampledSignal(writer.samples(length).T, spec.rate_hz)
 
 
 def _lagrange_weights(t, order: int, out, diffs):

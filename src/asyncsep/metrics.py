@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _pool
 from .dsp import SampledSignal, lagrange_resample
+from .errors import NumericalError
 
 __all__ = ["sdr", "at_device_clock", "score_images"]
 
@@ -22,9 +23,10 @@ def sdr(reference: SampledSignal, estimate: SampledSignal) -> float:
 
     10 * log10 of reference energy over error energy, summed over all
     samples and channels.  Returns +inf when the estimate is exact;
-    raises ValueError for an all-zero reference (the ratio is undefined).
+    raises ValueError for an all-zero reference (the ratio is undefined)
+    and NumericalError when either energy is not finite.
     """
-    return _sdr_pairs([(reference, estimate)])[0]
+    return _sdr_pairs([(reference, estimate)], ["the pair"])[0]
 
 
 def at_device_clock(truth, sro_hz) -> dict:
@@ -55,8 +57,9 @@ def at_device_clock(truth, sro_hz) -> dict:
 def score_images(refs, estimates) -> dict[str, float]:
     """"m/k" -> SDR of estimates[(m, k)] against refs[(m, k)], in the key
     order of refs, scored on the pool (`_sdr_pairs`)."""
-    scores = _sdr_pairs([(ref, estimates[key]) for key, ref in refs.items()])
-    return dict(zip((f"{m}/{k}" for m, k in refs), scores))
+    names = [f"{m}/{k}" for m, k in refs]
+    return dict(zip(names, _sdr_pairs(
+        [(ref, estimates[key]) for key, ref in refs.items()], names)))
 
 
 def _finite_mean(values) -> float:
@@ -65,16 +68,17 @@ def _finite_mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.inf
 
 
-def _sdr_pairs(pairs) -> list[float]:
-    """`sdr` of every (reference, estimate) pair, in order.
+def _sdr_pairs(pairs, names=None) -> list[float]:
+    """`sdr` of every (reference, estimate) pair, in order; names, by
+    default "pair <index>", label the pairs in errors.
 
     Each pair is one task on the thread pool (`_pool`); it sums the
     squared reference and the squared error through its thread's
     scratch, laid out as numpy lays out `ref ** 2` and `est - ref`, so
     every sum adds in the same order as those temporaries would and the
     scores do not depend on the thread count.  Shapes are checked before
-    any task runs; an all-zero reference raises ValueError after, for the
-    first such pair.
+    any task runs; after, the first pair whose energies are not finite
+    raises NumericalError, or whose reference is all zero ValueError.
     """
     refs, ests = [], []
     for reference, estimate in pairs:
@@ -96,7 +100,12 @@ def _sdr_pairs(pairs) -> list[float]:
                                        energies[i], buf),
               lambda: np.empty(size))
     scores = []
-    for ref_energy, err_energy in energies.tolist():
+    names = names or [f"pair {i}" for i in range(len(refs))]
+    for name, (ref_energy, err_energy) in zip(names, energies.tolist()):
+        if not (math.isfinite(ref_energy) and math.isfinite(err_energy)):
+            raise NumericalError(
+                f"SDR of {name} undefined: reference energy {ref_energy}, "
+                f"error energy {err_energy}")
         if ref_energy == 0.0:
             raise ValueError("SDR undefined for an all-zero reference")
         scores.append(math.inf if err_energy == 0.0

@@ -619,6 +619,8 @@ def load_models(path) -> tuple[SpatialModel, StateSpectrumModel, dict]:
             channels = {}
             for _ in range(n_arrays):
                 m = _read_str(fh)
+                if m in covariances:
+                    raise ConfigError(f"array {m!r} is stored twice")
                 (channels[m],) = _unpack(fh, "<I")
                 covariances[m] = _read_array(fh)
             source_ids = [_read_str(fh) for _ in range(n_src)]

@@ -17,11 +17,12 @@ noise image that absorbs the diagonal loading, so the images of a tile
 always sum to the observed mixture coefficient.
 
 Separation is one fused pass per block of frames.  A block reads its
-mixture planes from a source, and for the tv modes sums the classifying
-arrays' log-likelihoods, takes the softmax and forms the powers; every
-array's filter then factorizes its loaded covariance (the static modes
-factorize once, before the pass), writes the K+1 images of the block,
-checks that they sum to the mixture and hands them to a sink.  No
+mixture planes through one reader per device, in channel order, and for
+the tv modes sums the classifying arrays' log-likelihoods, takes the
+softmax and forms the powers; every array's filter then factorizes its
+loaded covariance (the static modes factorize once, before the pass),
+writes the K+1 images of the block, checks that they sum to the mixture
+and hands them to a sink.  No
 full-size log-likelihoods or powers are kept; the joint posteriors are
 kept only when the caller passes a buffer for them.  Outside
 tv-distributed, a unit that classifies over every array and has no
@@ -29,25 +30,21 @@ filters fills that buffer; `classifier.classify` runs the pass on that
 unit alone.  The blocks run on every core (`_pool`), and the result does
 not depend on the number of threads.
 
-`separate` copies its blocks in from STFT tensors and its sink is each
-filter's (K+1, C, N, F) image buffer; the image tensors of its result
-are (N, F, C) views into them.  `separate_recordings` frames, windows
-and transforms each block from the recordings itself, and its sink
-synthesizes the block's images and overlap-adds them into each filter's
-(K+1, C, samples) signal buffer, so no spectrogram of a whole recording
-is ever held.  Blocks of one filter add in frame order: a block waits
-until the previous block has added its frames, which cannot deadlock as
-the pool hands out tasks in order.  Every sample then adds its frames in
-ascending order, as `dsp.istft` does, and the image signals equal
-`istft` of `separate`'s images bit for bit.
+`separate` and `classify` read their blocks from STFT tensors
+(`_TensorReader`), and the sink of `separate` is each filter's (K+1, C,
+N, F) image buffer; the image tensors of its result are (N, F, C) views
+into them.  `separate_recordings` reads each block from the recordings
+through a `dsp._Reader`, which frames them as `dsp.stft` does, and its
+sink is a `dsp._Writer`, the overlap-add of `dsp.istft`, into each
+filter's (K+1, C, samples) signal buffer, so no spectrogram of a whole
+recording is ever held.  The writer adds a filter's blocks in frame
+order, so the image signals equal `istft` of `separate`'s images bit
+for bit.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -93,59 +90,33 @@ class _Spectra:
     def planes(self, n0, n1, ws):
         return self.out[:, :, n0:n1]
 
-    def put(self, n0, n1, ws):
+    def put(self, n0, n1, planes, scratch):
         pass
 
     def abort(self):
         pass
 
 
-class _Signals:
-    """Sink of `separate_recordings`: the images overlap-added into one
-    (K+1, C, samples) buffer, in frame order.
-
-    A block's images are synthesized in its thread's scratch; once the
-    previous block has added its frames, the block adds its own and
-    divides the samples no later block reaches by the summed squared
-    window.  After a block fails, the blocks waiting for it return.
-    """
-
-    def __init__(self, images: int, channels: int, n_frames: int,
-                 window: WindowSpec):
-        self.hop, self.win = window.hop, window.window()
-        self.n_frames = n_frames
-        self.denom, self.good = dsp._synthesis_norm(window, n_frames)
-        self.out = np.zeros((images, channels, self.denom.shape[0]))
-        self._added = 0  # frames added so far
-        self._failed = False
-        self._turn = threading.Condition()
+class _ImageWriter(dsp._Writer):
+    """Sink of `separate_recordings`: a `dsp._Writer` of one filter's
+    (K+1, C) image signals, which synthesizes a block's images from its
+    thread's image planes."""
 
     def planes(self, n0, n1, ws):
         K1, C = self.out.shape[:2]
         return ws.img[:K1, :C, :n1 - n0]
 
-    def put(self, n0, n1, ws):
-        K1, C = self.out.shape[:2]
-        frames = ws.t[:K1, :C, :n1 - n0]
-        dsp._synthesize(self.planes(n0, n1, ws), self.win, frames)
-        with self._turn:
-            self._turn.wait_for(lambda: self._added == n0 or self._failed)
-            if self._failed:
-                return
-        dsp._overlap_add(frames, n0, self.hop, self.out)
-        with self._turn:
-            self._added = n1
-            self._turn.notify_all()
-        # the next block adds from frame n1's first sample on
-        span = slice(n0 * self.hop, self.out.shape[2] if n1 == self.n_frames
-                     else n1 * self.hop)
-        done = self.out[:, :, span]
-        np.divide(done, self.denom[span], out=done, where=self.good[span])
 
-    def abort(self):
-        with self._turn:
-            self._failed = True
-            self._turn.notify_all()
+class _TensorReader:
+    """Reader of `separate` and `classify`: frame blocks of one array's
+    (N, F, C) STFT coefficients, as `dsp._Reader` reads a recording's."""
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+        self.n_frames, _, self.channels = coeffs.shape
+
+    def read(self, n0, n1, scratch, out) -> None:
+        np.copyto(out, np.transpose(self.coeffs[n0:n1], (2, 0, 1)))
 
 
 @dataclass
@@ -156,7 +127,7 @@ class _Filter:
     channels: slice    # those channels among the block's mixture planes
     Rt: np.ndarray     # (C, C, K, F) covariance planes
     noise: tuple       # (noise power, noise power / C), each (F,)
-    sink: _Spectra | _Signals  # takes the (K+1, C, b, F) images of a block
+    sink: _Spectra | _ImageWriter  # takes the (K+1, C, b, F) images of a block
     worst: np.ndarray  # per block, the worst squared image-sum deviation
     static: tuple | None  # (p, L, dinv) factorized for every frame, or None
 
@@ -169,33 +140,12 @@ class _Filter:
 class _Unit:
     """Devices whose frame blocks are processed together."""
 
-    arrays: list[str]  # their channel planes, stacked in this order
+    readers: list      # one per device; their channel planes, stacked
     n_frames: int
     channels: int      # of the stacked planes
-    source: Callable   # source(x, n0, n1, ws) writes the block's planes
     loglik: list       # (channel slice, Linv, logdets) per classifying array
     filters: list[_Filter]
     posteriors: np.ndarray | None  # (N, F, S) joint posteriors, or None
-
-
-def _copy_in(tensors, x, n0, n1, ws) -> None:
-    """Source of `separate`: frames n0:n1 of (N, F, C) STFT coefficients."""
-    lo = 0
-    for coeffs in tensors:
-        hi = lo + coeffs.shape[2]
-        np.copyto(x[lo:hi], np.transpose(coeffs[n0:n1], (2, 0, 1)))
-        lo = hi
-
-
-def _analyze_in(padded, window, win, x, n0, n1, ws) -> None:
-    """Source of `separate_recordings`: frames n0:n1 analyzed from (C,
-    samples) channel-major recordings with the analysis padding."""
-    lo = 0
-    for p in padded:
-        hi = lo + p.shape[0]
-        dsp._analyze(p, n0, n1, window, win, ws.t[0, :p.shape[0], :n1 - n0],
-                     x[lo:hi])
-        lo = hi
 
 
 def _deviation_block(planes: np.ndarray, x: np.ndarray, ws) -> float:
@@ -249,8 +199,12 @@ def _run_block(unit: _Unit, n0: int, ws, var) -> None:
     n1 = min(n0 + _kernels._BLOCK, unit.n_frames)
     b = n1 - n0
     x = ws.x[:unit.channels, :b]
+    frames = ws.t[0] if len(ws.t) else None  # none in a pass over tensors
     try:
-        unit.source(x, n0, n1, ws)
+        lo = 0
+        for reader in unit.readers:
+            reader.read(n0, n1, frames, x[lo:lo + reader.channels])
+            lo += reader.channels
         if unit.loglik:
             ll = ws.ll[:b]
             ll.fill(0.0)
@@ -263,34 +217,35 @@ def _run_block(unit: _Unit, n0: int, ws, var) -> None:
                 power_block(ll, var, ws.p.real[:, :b], ws)
         for f in unit.filters:
             _filter_block(f, x[f.channels], n0, n1, ws)
+            planes = f.sink.planes(n0, n1, ws)
             f.worst[n0 // _kernels._BLOCK] = _deviation_block(
-                f.sink.planes(n0, n1, ws), x[f.channels], ws)
-            f.sink.put(n0, n1, ws)
+                planes, x[f.channels], ws)
+            f.sink.put(n0, n1, planes, ws.t)
     except BaseException:
         for f in unit.filters:  # release the blocks that wait for this one
             f.sink.abort()
         raise
 
 
-def _unit(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
-          entries: list[tuple], source, classifies: bool, sink=None,
+def _unit(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
+          entries: list[tuple], classifies: bool, sink=None,
           posteriors=None) -> _Unit:
     """One unit of the block pass over the devices of `entries`.
 
     entries: (devices, (K, F, C, C) covariances over their channels) pairs;
-    layout: device -> (channels, frames), for those devices.  source(arrays)
-    is the unit's source over its devices.  The unit sums the entries'
-    log-likelihoods when it classifies, writes `posteriors` when given, and
-    has one filter per entry, each with a new sink(channels, frames),
-    unless sink is None.  The filters of a unit that does not classify use
-    the long-term spectra (the static modes).
+    readers: device -> its frame blocks (`dsp._Reader` or `_TensorReader`).
+    The unit sums the entries' log-likelihoods when it classifies, writes
+    `posteriors` when given, and has one filter per entry, each with a
+    new sink(channels, frames), unless sink is None.  The filters of a
+    unit that does not classify use the long-term spectra (the static
+    modes).
     """
     F, noise = spatial.n_bins, states.noise_spectrum
     arrays = [m for devices, _ in entries for m in devices]
     for m in arrays:
-        if m not in layout:
+        if m not in readers:
             raise ValueError(f"no observations for array {m!r}")
-    frames = {m: layout[m][1] for m in arrays}
+    frames = {m: readers[m].n_frames for m in arrays}
     if len(set(frames.values())) > 1:
         raise ValueError(f"observations not aligned across arrays: "
                          f"frames {frames}")
@@ -304,7 +259,7 @@ def _unit(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
             f"{posteriors.shape}")
     loglik, filters, lo = [], [], 0
     for devices, cov in entries:
-        C = sum(layout[m][0] for m in devices)
+        C = sum(readers[m].channels for m in devices)
         channels = slice(lo, lo + C)
         lo += C
         if classifies:
@@ -324,12 +279,12 @@ def _unit(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
         ws.p.real[:, 0] = states.ltas
         _kernels.mwf_factor(ws.p, f.Rt, *f.noise, ws.L, ws.dinv, ws)
         f.static = (ws.p, ws.L, ws.dinv)
-    return _Unit(arrays, n_frames, lo, source(arrays), loglik, filters,
+    return _Unit([readers[m] for m in arrays], n_frames, lo, loglik, filters,
                  posteriors)
 
 
-def _units(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
-           mode: str, posteriors, source, sink) -> list[_Unit]:
+def _units(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
+           mode: str, posteriors, sink) -> list[_Unit]:
     """The units of the block pass under one mode, with their sinks.
 
     See `_unit`; sink(channels, frames) is a new sink for one filter.
@@ -337,9 +292,9 @@ def _units(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
     one unit of tv-distributed, or else one more unit that has no
     filters.  `classifier.classify` runs tv-distributed with no sink.
     """
-    every = [([m], spatial.covariances[m]) for m in sorted(layout)]
+    every = [([m], spatial.covariances[m]) for m in sorted(readers)]
     if mode == "tv-distributed":
-        return [_unit(layout, spatial, states, every, source, True, sink,
+        return [_unit(readers, spatial, states, every, True, sink,
                       posteriors)]
     filters = every
     if mode == "static-pooled":
@@ -348,10 +303,10 @@ def _units(layout: dict, spatial: SpatialModel, states: StateSpectrumModel,
             raise ValueError("static-pooled requires a model trained with "
                              "include_pooled (asyncsep train --pooled)")
         filters = [(sorted(spatial.covariances), merged)]
-    units = [_unit(layout, spatial, states, [entry], source,
+    units = [_unit(readers, spatial, states, [entry],
                    not mode.startswith("static"), sink) for entry in filters]
     if posteriors is not None:
-        units.append(_unit(layout, spatial, states, every, source, True,
+        units.append(_unit(readers, spatial, states, every, True,
                            posteriors=posteriors))
     return units
 
@@ -409,26 +364,34 @@ def _check_inputs(mode: str, array_ids) -> None:
         SpatialModel.check_id(m, "device")
 
 
-def _tensor_inputs(observations: dict[str, SpectrogramTensor],
-                   spatial: SpatialModel) -> tuple[dict, Callable]:
-    """The layout and unit sources of a pass over STFT tensors.
+def _check_array(m: str, channels: int, spatial: SpatialModel) -> None:
+    """ValueError unless the model holds array m, with `channels`."""
+    if m not in spatial.covariances:
+        raise ValueError(f"array {m!r} is not in the model, which holds "
+                         f"{', '.join(spatial.covariances)}")
+    if channels != spatial.channels(m):
+        raise ValueError(f"array {m!r}: {channels} channels, model expects "
+                         f"{spatial.channels(m)}")
 
-    Each tensor must be finite and hold its array's channels and the
-    model's bins; that the frames agree is left to `_unit`.
+
+def _tensor_readers(observations: dict[str, SpectrogramTensor],
+                    spatial: SpatialModel) -> dict:
+    """The readers of a pass over STFT tensors, by device.
+
+    Each tensor must be of an array of the model, finite and hold that
+    array's channels and the model's bins; that the frames agree is left
+    to `_unit`.
     """
+    readers = {}
     for m, t in sorted(observations.items()):
+        _check_array(m, t.channels, spatial)
         if not np.isfinite(t.coeffs).all():
             raise NumericalError(f"non-finite STFT coefficients in array {m!r}")
-        if t.channels != spatial.channels(m):
-            raise ValueError(
-                f"array {m!r}: {t.channels} channels, model expects "
-                f"{spatial.channels(m)}")
         if t.n_bins != spatial.n_bins:
             raise ValueError(
                 f"array {m!r}: {t.n_bins} bins, model expects {spatial.n_bins}")
-    layout = {m: (t.channels, t.n_frames) for m, t in observations.items()}
-    return layout, lambda arrays: partial(
-        _copy_in, [observations[m].coeffs for m in arrays])
+        readers[m] = _TensorReader(t.coeffs)
+    return readers
 
 
 def separate(observations: dict[str, SpectrogramTensor],
@@ -449,9 +412,8 @@ def separate(observations: dict[str, SpectrogramTensor],
     """
     _check_inputs(mode, sorted(observations))
     K, F = spatial.n_sources, spatial.n_bins
-    layout, source = _tensor_inputs(observations, spatial)
-    units = _units(layout, spatial, states, mode, posteriors, source,
-                   lambda C, N: _Spectra(K + 1, C, N, F))
+    units = _units(_tensor_readers(observations, spatial), spatial, states,
+                   mode, posteriors, lambda C, N: _Spectra(K + 1, C, N, F))
     consistency = _run_pass(units, spatial, states)
 
     def image(f, k, m, lo, hi):  # an (N, F, C) view of the buffer
@@ -477,11 +439,11 @@ def separate_recordings(recordings: dict[str, SampledSignal],
     ...)).images[key], length=n)`, with the same metadata.  Each block is
     analyzed, separated and synthesized in one task (see the module
     docstring), so neither the recordings' spectrograms nor the images'
-    are held.  Recordings must hold the model's channels and at least
-    one window; in the modes that filter devices jointly, their frame
-    counts must agree.  ValueError if not, NumericalError for non-finite
-    samples and ConfigError for device ids outside
-    `SpatialModel.check_id`.
+    are held.  Recordings must be of the model's arrays and hold their
+    channels and at least one window; in the modes that filter devices
+    jointly, their frame counts must agree.  ValueError if not,
+    NumericalError for non-finite samples and ConfigError for device ids
+    outside `SpatialModel.check_id`.
 
     posteriors: as for `separate`.
     """
@@ -491,37 +453,26 @@ def separate_recordings(recordings: dict[str, SampledSignal],
     if window.length // 2 + 1 != F:
         raise ValueError(f"window length {window.length} gives "
                          f"{window.length // 2 + 1} bins, model expects {F}")
-    layout = {}
+    readers = {}
     for m in array_ids:
         rec = recordings[m]
-        if rec.channels != spatial.channels(m):
-            raise ValueError(f"array {m!r}: {rec.channels} channels, model "
-                             f"expects {spatial.channels(m)}")
+        _check_array(m, rec.channels, spatial)
         if rec.n_samples < window.length:
             raise ValueError(f"array {m!r}: {rec.n_samples} samples, fewer "
                              f"than one frame ({window.length})")
         if not np.isfinite(rec.samples).all():
             raise NumericalError(f"non-finite samples in array {m!r}")
-        layout[m] = (rec.channels, dsp.stft_frame_count(rec.n_samples, window))
-    padded = {}
-
-    def source(arrays):
-        for m in arrays:
-            if m not in padded:
-                padded[m] = dsp._padded_channels(recordings[m].samples, window)
-        return partial(_analyze_in, [padded[m] for m in arrays], window,
-                       window.window())
+        readers[m] = dsp._Reader(rec.samples, window)
 
     K = spatial.n_sources
-    units = _units(layout, spatial, states, mode, posteriors, source,
-                   lambda C, N: _Signals(K + 1, C, N, window))
+    units = _units(readers, spatial, states, mode, posteriors,
+                   lambda C, N: _ImageWriter((K + 1, C), N, window))
     consistency = _run_pass(units, spatial, states, window.length)
 
-    def image(f, k, m, lo, hi):  # the recording's span, past the padding
+    def image(f, k, m, lo, hi):  # the recording's samples
         rec = recordings[m]
-        return SampledSignal(
-            f.sink.out[k, lo:hi, window.length:window.length + rec.n_samples].T,
-            rec.rate_hz)
+        return SampledSignal(f.sink.samples(rec.n_samples)[k, lo:hi].T,
+                             rec.rate_hz)
 
     return SeparationResult(_images(units, spatial, image), mode,
                             metadata={"consistency_rel_max": consistency})

@@ -17,7 +17,7 @@ from asyncsep.classifier import (
     state_factors,
 )
 from asyncsep.dsp import SpectrogramTensor, WindowSpec
-from asyncsep.errors import NumericalError
+from asyncsep.errors import ConfigError, NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
 
 from conftest import (
@@ -130,6 +130,18 @@ class TestStateLogLikelihood:
         x = np.full((2, F, 2), np.nan, complex)
         with pytest.raises(NumericalError, match="non-finite"):
             classify(obs_from({"a": x}), spatial, states)
+
+    def test_observations_of_an_array_not_in_the_model_rejected(self, rng):
+        spatial, states, _ = make_synthetic_models(
+            rng, arrays=("a",), n_ch=2, n_src=2, window=WIN)
+        obs = obs_from({m: np.zeros((3, F, 2)) for m in ("a", "zz")})
+        with pytest.raises(ValueError,
+                           match="array 'zz' is not in the model"):
+            classify(obs, spatial, states)
+        with pytest.raises(ValueError, match="no observations given"):
+            classify({}, spatial, states)
+        with pytest.raises(ConfigError, match="'a/b'"):
+            classify(obs_from({"a/b": np.zeros((3, F, 2))}), spatial, states)
 
     def test_misaligned_observations_rejected(self, rng):
         spatial, states, _ = make_synthetic_models(

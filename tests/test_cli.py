@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import struct
 import warnings
 import zlib
@@ -20,6 +21,8 @@ from asyncsep.audio import read_wav, write_wav
 from asyncsep.cli import main
 from asyncsep.dsp import SampledSignal
 from asyncsep.model import _MAGIC, load_models
+
+from test_model import _with_entry
 
 
 SCENE = {
@@ -272,6 +275,36 @@ def test_model_inconsistent_with_header_fails_with_config_error(
     assert main(["separate", str(model), str(recordings),
                  str(tmp_path / "est")]) == 2
     _assert_clean_config_error(capsys, str(model))
+
+
+def test_model_storing_an_array_twice_fails_with_config_error(
+        tmp_path, trained_container, capsys):
+    model, recordings = trained_container
+    spatial, _, _ = load_models(model)
+    model.write_bytes(_with_entry(model.read_bytes(), "a",
+                                  spatial.covariances["b"]))
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings),
+                 str(tmp_path / "est")]) == 2
+    _assert_clean_config_error(capsys, str(model), "'a' is stored twice")
+
+
+def test_evaluate_non_finite_estimate_fails_with_numerical_error(
+        tmp_path, scene_file, capsys):
+    # one NaN made every score NaN and the mean +inf, written with exit 0
+    sim, est, report = tmp_path / "sim", tmp_path / "est", tmp_path / "r.json"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    shutil.copytree(sim / "images", est)
+    sig = read_wav(est / "b__s2.wav")
+    sig.samples[100, 1] = np.nan
+    write_wav(est / "b__s2.wav", sig)
+    capsys.readouterr()
+    assert main(["evaluate", str(est), str(sim / "images"),
+                 str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "b/s2" in err
+    assert "Traceback" not in err
+    assert not report.exists()
 
 
 def test_evaluate_against_silent_truth_fails_with_config_error(

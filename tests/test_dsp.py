@@ -199,7 +199,8 @@ class TestIstftChunksAndWorkers:
 
 
 class TestStftTasks:
-    """Runs of `dsp._CHUNK` frames per channel on the pool."""
+    """Runs of frames of every channel on the pool, about `dsp._CHUNK`
+    channel frames each (`dsp._chunk`), for `stft` and `istft`."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(16, 700), channels=st.integers(1, 8),
@@ -213,15 +214,25 @@ class TestStftTasks:
             np.random.default_rng(seed).standard_normal((n, channels)),
             16000.0)
         with pool_workers(1):
-            one = stft(sig, win).coeffs
+            one = stft(sig, win)
         with pool_workers(3):
-            three = stft(sig, win).coeffs
+            three = stft(sig, win)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(dsp, "_CHUNK", 10**6)  # every frame in one task
-            whole = stft(sig, win).coeffs
-        assert one.shape == (dsp.stft_frame_count(n, win), 9, channels)
-        assert np.array_equal(one, three)
-        assert np.array_equal(one, whole)
+            whole = stft(sig, win)
+            whole_back = istft(one).samples
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dsp, "_CHUNK", 1)  # one frame per task
+            single = stft(sig, win)
+            single_back = istft(one).samples
+        assert one.coeffs.shape == (dsp.stft_frame_count(n, win), 9,
+                                    channels)
+        for other in (three, whole, single):
+            assert np.array_equal(one.coeffs, other.coeffs)
+        with pool_workers(3):
+            back = istft(one).samples
+        assert np.array_equal(back, whole_back)
+        assert np.array_equal(back, single_back)
 
     def test_tasks_allocate_no_arrays(self, monkeypatch):
         win = WindowSpec()
@@ -229,6 +240,14 @@ class TestStftTasks:
         peaks = pool_run_peaks(
             monkeypatch, lambda: stft(SampledSignal(x, 16000.0), win))
         # the smallest array a task could allocate: one windowed frame
+        assert len(peaks) == 1
+        assert peaks[0] < 8 * win.length
+
+    def test_istft_tasks_allocate_no_arrays(self, monkeypatch):
+        win = WindowSpec()
+        x = np.random.default_rng(5).standard_normal((40 * win.hop, 3))
+        spec = stft(SampledSignal(x, 16000.0), win)
+        peaks = pool_run_peaks(monkeypatch, lambda: istft(spec))
         assert len(peaks) == 1
         assert peaks[0] < 8 * win.length
 

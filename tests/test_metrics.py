@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from asyncsep import dsp, metrics
 from asyncsep.dsp import SampledSignal, lagrange_resample
+from asyncsep.errors import NumericalError
 from asyncsep.metrics import (_finite_mean, _sdr_pairs, at_device_clock,
                               score_images, sdr)
 
@@ -55,6 +56,17 @@ def test_zero_reference_rejected():
 def test_shape_mismatch_rejected(rng):
     with pytest.raises(ValueError, match="shapes differ"):
         sdr(sig(np.ones(10)), sig(np.ones(11)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["reference", "estimate"])
+def test_non_finite_sample_rejected(rng, bad, where):
+    # a NaN made every score NaN and an inf one a perfect score
+    x = rng.standard_normal((100, 2))
+    y = x + 0.1 * rng.standard_normal((100, 2))
+    (x if where == "reference" else y)[37, 1] = bad
+    with pytest.raises(NumericalError, match="SDR of the pair undefined"):
+        sdr(sig(x), sig(y))
 
 
 def _two_pass(ref, est):
@@ -180,6 +192,14 @@ class TestScoreImages:
         assert list(got) == ["b/s2", "a/s1", "b/s1"]
         assert list(got.values()) == [sdr(refs[key], estimates[key])
                                       for key in keys]
+
+    def test_non_finite_pair_is_named_by_its_key(self, rng):
+        refs = {(m, k): sig(rng.standard_normal((50, 2)))
+                for m in ("a", "b") for k in ("s1", "s2")}
+        estimates = {key: sig(ref.samples + 0.1) for key, ref in refs.items()}
+        estimates[("b", "s1")].samples[7, 0] = np.nan
+        with pytest.raises(NumericalError, match="SDR of b/s1 undefined"):
+            score_images(refs, estimates)
 
     def test_finite_mean_skips_infinite_scores(self):
         assert _finite_mean([1.0, math.inf, 2.0]) == 1.5

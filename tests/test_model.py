@@ -445,6 +445,17 @@ class TestPersistence:
             SpatialModel(spatial.covariances, spatial.source_ids,
                          merged=merged)
 
+    def test_array_stored_twice_rejected(self, rng, tmp_path):
+        # a second "a" entry replaced the first one's covariances
+        spatial, states = self._trained(rng)
+        path = tmp_path / "model.bin"
+        save_models(path, spatial, states, window=WIN)
+        path.write_bytes(_with_entry(path.read_bytes(), "a",
+                                     spatial.covariances["b"]))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: array 'a' is stored twice")):
+            load_models(path)
+
 
 def _with_entry(raw: bytes, entry_id: str, cov: np.ndarray) -> bytes:
     """A container with one more array, `entry_id` holding `cov`, after

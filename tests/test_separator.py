@@ -102,6 +102,15 @@ class TestSeparate:
             out[m] = SpectrogramTensor(x, WIN, 16000.0)
         return out
 
+    def test_observations_of_an_array_not_in_the_model_rejected(self, rng):
+        spatial, states, _ = make_synthetic_models(
+            rng, arrays=("a", "b"), window=WIN)
+        obs = self._obs(rng, spatial)
+        obs["zz"] = obs["a"]
+        with pytest.raises(ValueError,
+                           match="array 'zz' is not in the model"):
+            separate(obs, spatial, states)
+
     def test_single_array_distributed_equals_local(self, rng):
         spatial, states, _ = make_synthetic_models(
             rng, arrays=("solo",), window=WIN)
@@ -745,7 +754,9 @@ class TestSeparateRecordings:
          NumericalError, "non-finite samples in array 'b'"),
         (lambda r: r.update({"x/y": r.pop("c")}), ConfigError, "'x/y'"),
         (lambda r: r.clear(), ValueError, "no observations"),
-    ], ids=["channels", "short", "nan", "id", "none"])
+        (lambda r: r.update(zz=r["a"]), ValueError,
+         "array 'zz' is not in the model"),
+    ], ids=["channels", "short", "nan", "id", "none", "unknown"])
     def test_bad_recordings_rejected(self, edit, error, match):
         spatial, states, recs = _stream_case(0, 16)
         edit(recs)

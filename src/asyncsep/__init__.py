@@ -18,7 +18,7 @@ from .dsp import (
 )
 from .errors import ConfigError, NumericalError
 from .metrics import at_device_clock, score_images, sdr
-from .scene import SceneSpec, apply_sro, load_scene, synthesize_scene
+from .scene import SceneSpec, load_scene, synthesize_scene
 from .model import SpatialModel, StateSpectrumModel, train_models
 from .classifier import PosteriorMap
 from .separator import MODES, SeparationResult, separate, separate_recordings
@@ -36,7 +36,6 @@ __all__ = [
     "fractional_delay",
     "SceneSpec",
     "synthesize_scene",
-    "apply_sro",
     "load_scene",
     "SpatialModel",
     "StateSpectrumModel",

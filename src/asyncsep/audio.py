@@ -20,7 +20,8 @@ def read_wav(path, expected_rate: float | None = None) -> SampledSignal:
 
     Integer samples are scaled to [-1, 1).  If expected_rate is given,
     a mismatching file rate raises ConfigError, and so does a damaged
-    file, including one that ends before its header says it does.
+    file, including one that ends before its header says it does or
+    whose header rate is 0.
     """
     path = Path(path)
     if not path.is_file():
@@ -53,6 +54,8 @@ def read_wav(path, expected_rate: float | None = None) -> SampledSignal:
         raise ConfigError(
             f"unsupported WAV sample format {data.dtype} in {path}; "
             f"use 16-bit PCM or 32-bit float")
+    if not rate > 0:
+        raise ConfigError(f"{path}: sample rate {rate} Hz is not positive")
     if expected_rate is not None and rate != expected_rate:
         raise ConfigError(
             f"{path}: sample rate {rate} Hz does not match expected "
@@ -61,8 +64,15 @@ def read_wav(path, expected_rate: float | None = None) -> SampledSignal:
 
 
 def write_wav(path, signal: SampledSignal) -> None:
-    """Write a SampledSignal as a 32-bit float WAV file."""
+    """Write a SampledSignal as a 32-bit float WAV file; ConfigError, before
+    any directory is made, for a rate its header cannot hold exactly."""
     path = Path(path)
+    rate = float(signal.rate_hz)
+    top = 0xFFFFFFFF // (4 * max(signal.channels, 1))  # bytes per second
+    if not (1 <= rate <= top and rate.is_integer()):
+        raise ConfigError(
+            f"cannot write {path}: the WAV header of {signal.channels} "
+            f"channels holds a whole number of Hz from 1 to {top}, not "
+            f"{rate}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    wavfile.write(str(path), int(round(signal.rate_hz)),
-                  signal.samples.astype(np.float32))
+    wavfile.write(str(path), int(rate), signal.samples.astype(np.float32))

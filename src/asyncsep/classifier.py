@@ -3,8 +3,9 @@
 For every time-frequency tile the log-likelihood of each latent state
 (one dominant source, or noise only) is accumulated over all arrays under
 the local Gaussian model, turned into posterior probabilities with uniform
-priors, and reduced to per-source power estimates.  This is the only place
-where information crosses array boundaries.
+priors, and reduced to per-source power estimates.  Information crosses
+array boundaries in one place only: `separator._run_block`, the fused
+pass, sums the arrays' log-likelihoods of each tile.
 
 Each stage has one block kernel that works on a block of frames:
 `_kernels.loglik_block` for the log-likelihoods, `posterior_block` for the

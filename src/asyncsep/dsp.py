@@ -11,6 +11,9 @@ and `_Writer` synthesizes runs of frames, overlap-adds them in frame
 order and cuts the padding off again.  `stft` reads through a reader,
 `istft` writes through a writer, and the streamed pass of
 `separator.separate_recordings` uses both.
+
+Every fractional delay and clock resampling interpolates with one
+Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
 ]
 
 _CHUNK = 64  # channel frames of one `stft` or `istft` task (`_chunk`)
+_ORDER = 4  # Lagrange order of every fractional delay and clock resampling
 _RESAMPLE_ROWS = 16384  # output samples per resampling task
 
 
@@ -374,18 +378,18 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     return SampledSignal(writer.samples(length).T, spec.rate_hz)
 
 
-def _lagrange_weights(t, order: int, out, diffs):
-    """Lagrange basis weights on the stencil nodes 0..order at abscissae t.
+def _lagrange_weights(t, out, diffs):
+    """Lagrange basis weights on the stencil nodes 0.._ORDER at abscissae t.
 
-    t: (r,); out: (order + 1, r) receives weight j in row j, the product
+    t: (r,); out: (_ORDER + 1, r) receives weight j in row j, the product
     over l != j of (t - l) / (j - l) taken in ascending l; diffs:
-    (order + 2, r) float scratch.
+    (_ORDER + 2, r) float scratch.
     """
-    for l in range(order + 1):
+    for l in range(_ORDER + 1):
         np.subtract(t, l, out=diffs[l])
-    q = diffs[order + 1]
-    for j in range(order + 1):
-        others = [l for l in range(order + 1) if l != j]
+    q = diffs[_ORDER + 1]
+    for j in range(_ORDER + 1):
+        others = [l for l in range(_ORDER + 1) if l != j]
         np.divide(diffs[others[0]], j - others[0], out=out[j])
         for l in others[1:]:
             np.divide(diffs[l], j - l, out=q)
@@ -393,18 +397,11 @@ def _lagrange_weights(t, order: int, out, diffs):
     return out
 
 
-def _resample_scratch(rows: int, order: int, channels: int):
-    """One thread's scratch for `_interpolate_rows` tasks of up to `rows`."""
-    return (np.empty(rows), np.empty(rows, dtype=np.int64),
-            np.empty((order + 2, rows)), np.empty((order + 1, rows)),
-            np.empty((rows, channels)))
-
-
-def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
+def _interpolate_at(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Evaluate x at continuous positions by local Lagrange interpolation.
 
     x: (n, channels); pos: (m,) positions in samples.  Positions outside
-    the input read zeros.  Uses order+1 support points around each position.
+    the input read zeros.  Uses _ORDER + 1 points around each position.
 
     Runs of `_RESAMPLE_ROWS` output rows are tasks on the thread pool
     (`_pool`); each forms its own stencils and weights.  The calling
@@ -416,20 +413,21 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray, order: int) -> np.ndarray:
     tap outside the input reads zero.
     """
     m = pos.shape[0]
-    pad_left = order + 1
-    padded = np.pad(x, ((pad_left, 1), (0, 0)))
-
+    padded = np.pad(x, ((_ORDER + 1, 1), (0, 0)))
     out = np.zeros((m, x.shape[1]))
     rows = min(_RESAMPLE_ROWS, m)
     _pool.run(range(0, m, _RESAMPLE_ROWS),
-              lambda r0, ws: _interpolate_rows(padded, pad_left, pos, order,
-                                               out, r0, ws),
-              lambda: _resample_scratch(rows, order, x.shape[1]))
+              lambda r0, ws: _interpolate_rows(padded, pos, out, r0, ws),
+              lambda: (np.empty(rows), np.empty(rows, dtype=np.int64),
+                       np.empty((_ORDER + 2, rows)),
+                       np.empty((_ORDER + 1, rows)),
+                       np.empty((rows, x.shape[1]))))
     return out
 
 
-def _interpolate_rows(padded, pad_left, pos, order, out, r0, ws) -> None:
-    """Rows r0 onwards, up to `_RESAMPLE_ROWS`, of `_interpolate_at`."""
+def _interpolate_rows(padded, pos, out, r0, ws) -> None:
+    """Rows r0 onwards, up to `_RESAMPLE_ROWS`, of `_interpolate_at`;
+    padded: x with _ORDER + 1 zeros before it."""
     r1 = min(r0 + _RESAMPLE_ROWS, pos.shape[0])
     r = r1 - r0
     t, index, diffs, weights, tap = ws
@@ -437,35 +435,33 @@ def _interpolate_rows(padded, pad_left, pos, order, out, r0, ws) -> None:
     diffs, weights = diffs[:, :r], weights[:, :r]
     p = pos[r0:r1]
     np.floor(p, out=t)
-    t -= (order - 1) // 2  # the stencil starts, whole numbers
-    np.add(t, pad_left, out=index, casting="unsafe")
+    t -= (_ORDER - 1) // 2  # the stencil starts, whole numbers
+    np.add(t, _ORDER + 1, out=index, casting="unsafe")
     np.subtract(p, t, out=t)  # abscissae relative to the stencil starts
-    _lagrange_weights(t, order, weights, diffs)
+    _lagrange_weights(t, weights, diffs)
     # one gather index for every tap: tap j reads the view shifted by j;
-    # an index below 0 clips to padded[j], j <= order, and one past the
+    # an index below 0 clips to padded[j], j <= _ORDER, and one past the
     # end to the last sample, both zeros
     dst = out[r0:r1]
-    for j in range(order + 1):
+    for j in range(_ORDER + 1):
         np.take(padded[j:], index, axis=0, out=tap, mode="clip")
         tap *= weights[j][:, None]
         dst += tap
 
 
-def lagrange_resample(signal: SampledSignal, rate_offset_hz: float,
-                      order: int = 4) -> SampledSignal:
+def lagrange_resample(signal: SampledSignal,
+                      rate_offset_hz: float) -> SampledSignal:
     """Resample by a small clock-rate offset using local Lagrange interpolation.
 
     Output sample tau takes the value of the input at continuous position
-    tau * rate / (rate + rate_offset_hz).  Output length equals input
-    length; positions past the input tail read zeros.
+    tau * rate / (rate + rate_offset_hz), interpolated over _ORDER + 1
+    points.  Output length equals input length; positions past the input
+    tail read zeros.
 
     Parameters
     ----------
     rate_offset_hz : deviation of the actual clock from the nominal rate.
-    order : polynomial order (order+1 support points per output sample).
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     if not math.isfinite(rate_offset_hz):
         raise ValueError(f"rate_offset_hz must be finite, got {rate_offset_hz}")
     if abs(rate_offset_hz) >= signal.rate_hz:
@@ -474,25 +470,20 @@ def lagrange_resample(signal: SampledSignal, rate_offset_hz: float,
             f"sample rate ({signal.rate_hz})")
 
     x = signal.samples
-    n = x.shape[0]
-    if n == 0:
-        return SampledSignal(x.copy(), signal.rate_hz)
     ratio = signal.rate_hz / (signal.rate_hz + rate_offset_hz)
-    pos = np.arange(n, dtype=np.float64) * ratio
-    return SampledSignal(_interpolate_at(x, pos, order), signal.rate_hz)
+    pos = np.arange(x.shape[0], dtype=np.float64) * ratio
+    return SampledSignal(_interpolate_at(x, pos), signal.rate_hz)
 
 
-def fractional_delay(samples: np.ndarray, delay: float, order: int = 4) -> np.ndarray:
+def fractional_delay(samples: np.ndarray, delay: float) -> np.ndarray:
     """Delay a signal by a (possibly fractional) number of samples.
 
     A constant delay puts every output sample at the same abscissa within
-    its stencil, so this is a fixed (order+1)-tap Lagrange fractional-delay
-    FIR: the stencil and weights of :func:`lagrange_resample`, computed
-    once.  Output length equals input length; the first floor(delay)
-    samples are exactly zero.
+    its stencil, so this is a fixed (_ORDER + 1)-tap Lagrange
+    fractional-delay FIR: the stencil and weights of
+    :func:`lagrange_resample`, computed once.  Output length equals input
+    length; the first floor(delay) samples are exactly zero.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     if not math.isfinite(delay):
         raise ValueError(f"delay must be finite, got {delay}")
     if delay < 0:
@@ -501,17 +492,17 @@ def fractional_delay(samples: np.ndarray, delay: float, order: int = 4) -> np.nd
     squeeze = x.ndim == 1
     x = _as_2d(x)
     out = np.empty_like(x)
-    _delay(x, delay, order, out, _delay_scratch(x.shape, order))
+    _delay(x, delay, out, _delay_scratch(x.shape))
     return out[:, 0] if squeeze else out
 
 
-def _delay_scratch(shape, order: int):
+def _delay_scratch(shape):
     """Scratch of `_delay` for inputs of `shape`."""
-    return (np.empty(shape), np.empty(1), np.empty((order + 1, 1)),
-            np.empty((order + 2, 1)))
+    return (np.empty(shape), np.empty(1), np.empty((_ORDER + 1, 1)),
+            np.empty((_ORDER + 2, 1)))
 
 
-def _delay(x, delay: float, order: int, out, ws) -> None:
+def _delay(x, delay: float, out, ws) -> None:
     """Write x delayed by `delay` samples into out, as `fractional_delay`.
 
     x and out: (n, ...) float, with a valid, nonnegative delay; ws:
@@ -523,13 +514,13 @@ def _delay(x, delay: float, order: int, out, ws) -> None:
     tap, t, weights, diffs = ws
     n = x.shape[0]
     tap = tap[:n]
-    # output i reads x[i + first + j], j = 0..order, always at the
+    # output i reads x[i + first + j], j = 0.._ORDER, always at the
     # abscissa -delay - first within its stencil
-    first = math.floor(-delay) - (order - 1) // 2
+    first = math.floor(-delay) - (_ORDER - 1) // 2
     t[0] = -delay - first
-    _lagrange_weights(t, order, weights, diffs)
+    _lagrange_weights(t, weights, diffs)
     out.fill(0.0)
-    for j in range(order + 1):
+    for j in range(_ORDER + 1):
         shift = first + j
         lo, hi = max(0, -shift), min(n, n - shift)
         if lo < hi:

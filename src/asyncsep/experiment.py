@@ -22,10 +22,10 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .dsp import WindowSpec, stft
+from .dsp import WindowSpec, lagrange_resample, stft
 from .metrics import _finite_mean, at_device_clock, score_images
 from .model import train_models
-from .scene import SceneSpec, apply_sro, scene_to_dict, synthesize_scene
+from .scene import SceneSpec, scene_to_dict, synthesize_scene
 from .separator import MODES, separate_recordings
 
 __all__ = ["ExperimentReport", "run_experiment", "format_report"]
@@ -124,8 +124,8 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         sro_hz = {arr.id: arr.sro_hz if variant == "sro" else 0.0
                   for arr in scene.arrays}
         t0 = time.perf_counter()
-        signals = {m: apply_sro(synced[m], hz).signal
-                   for m, hz in sro_hz.items()}
+        signals = {m: lagrange_resample(synced[m].signal, hz) if hz
+                   else synced[m].signal for m, hz in sro_hz.items()}
         report.runtime_s[f"analyze[{variant}]"] = time.perf_counter() - t0
 
         refs = at_device_clock(truth, sro_hz)

@@ -27,7 +27,8 @@ Signal descriptors: ``wav`` (path, mixed down to mono, rate must match),
 ``white`` (level), ``tone`` (freq_hz, level), ``impulse`` (position,
 amplitude), ``speech_noise`` (level, activity, band_hz, tilt_hz,
 modulation_hz).  Delays are in samples and may be fractional; echo delays
-are absolute, not relative to the direct path.
+are absolute, not relative to the direct path.  Every delay and clock
+offset is rendered with `dsp`'s one Lagrange stencil (`dsp._ORDER`).
 """
 
 from __future__ import annotations
@@ -58,10 +59,7 @@ __all__ = [
     "scene_from_dict",
     "scene_to_dict",
     "synthesize_scene",
-    "apply_sro",
 ]
-
-_ORDER = 4  # Lagrange order of the fractional delays and clock resampling
 
 
 @dataclass
@@ -108,9 +106,14 @@ class SceneSpec:
             raise ConfigError("duration_s must be positive and finite")
         if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
             raise ConfigError("rate_hz must be positive and finite")
+        if self.n_samples < 1:
+            raise ConfigError("duration_s is shorter than one sample")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
             raise ConfigError("noise_level must be nonnegative and finite")
         for arr in self.arrays:
+            if arr.channels < 1:
+                raise ConfigError(f"array {arr.id!r}: channels must be at "
+                                  f"least 1, got {arr.channels}")
             if not (math.isfinite(arr.sro_hz) and abs(arr.sro_hz) < self.rate_hz):
                 raise ConfigError(
                     f"array {arr.id!r}: sro_hz must be finite and below "
@@ -439,10 +442,10 @@ def _render_image(source_sig: np.ndarray, taps: list[ChannelCoupling],
     delayed, scratch = ws
     for c, tap in enumerate(taps):
         y = out[:, c]
-        _delay(source_sig, tap.delay, _ORDER, delayed, scratch)
+        _delay(source_sig, tap.delay, delayed, scratch)
         np.multiply(delayed, tap.gain, out=y)
         for echo in tap.echoes:
-            _delay(source_sig, echo.delay, _ORDER, delayed, scratch)
+            _delay(source_sig, echo.delay, delayed, scratch)
             delayed *= echo.gain
             y += delayed
 
@@ -457,19 +460,6 @@ def _mix(total: np.ndarray, parts, noise_level: float, rng, noise) -> None:
         rng.standard_normal(out=z)
         z *= noise_level
         total += z
-
-
-def apply_sro(recording: MultichannelRecording,
-              sro_hz: float) -> MultichannelRecording:
-    """Resample all channels of a device by its single clock offset."""
-    if sro_hz == 0.0:
-        return MultichannelRecording(
-            SampledSignal(recording.signal.samples.copy(),
-                          recording.signal.rate_hz),
-            recording.array_id, recording.sro_hz)
-    resampled = lagrange_resample(recording.signal, sro_hz, order=_ORDER)
-    return MultichannelRecording(resampled, recording.array_id,
-                                 recording.sro_hz + sro_hz)
 
 
 def _physical_memory() -> int | None:
@@ -499,7 +489,8 @@ def synthesize_scene(spec: SceneSpec, seed: int
     Returns images on the nominal clock and recordings with each array's
     sro_hz applied after mixing (one clock per device).  Deterministic
     given (spec, seed).  A scene whose samples (`synthesis_bytes`) exceed
-    the physical memory raises ConfigError before anything is allocated.
+    the physical memory raises ConfigError before anything is allocated,
+    and so does a negative seed.
 
     Three rounds of tasks run on the thread pool (`_pool`): one per source
     rendering, each from its own random stream; one per (array, source)
@@ -508,6 +499,8 @@ def synthesize_scene(spec: SceneSpec, seed: int
     image and mixture first, so the samples do not depend on the thread
     count.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     need, have = synthesis_bytes(spec), _physical_memory()
     if have is not None and need > have:
         raise ConfigError(
@@ -535,7 +528,7 @@ def synthesize_scene(spec: SceneSpec, seed: int
             images[(arr.id, src.id)] = SampledSignal(out, rate)
             tasks.append((sig, src.coupling[arr.id], out))
     _pool.run(tasks, lambda task, ws: _render_image(*task, ws),
-              lambda: (np.empty(n), _delay_scratch((n,), _ORDER)))
+              lambda: (np.empty(n), _delay_scratch((n,))))
     image_set = SourceImageSet(images)
 
     mixes = [np.zeros((n, arr.channels)) for arr in spec.arrays]
@@ -552,7 +545,9 @@ def synthesize_scene(spec: SceneSpec, seed: int
 
     recordings = {}
     for arr, total in zip(spec.arrays, mixes):
-        rec = MultichannelRecording(SampledSignal(total, rate), arr.id)
-        recordings[arr.id] = (apply_sro(rec, arr.sro_hz) if arr.sro_hz
-                              else rec)
+        signal = SampledSignal(total, rate)
+        if arr.sro_hz:  # all channels of a device share its one clock
+            signal = lagrange_resample(signal, arr.sro_hz)
+        recordings[arr.id] = MultichannelRecording(signal, arr.id,
+                                                   arr.sro_hz)
     return image_set, recordings

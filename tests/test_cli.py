@@ -163,6 +163,12 @@ def _edited_scene(scene_file, edit):
     scene_file.write_text(yaml.safe_dump(data))
 
 
+def _no_channels(data):
+    data["arrays"][0]["channels"] = 0
+    for src in data["sources"]:
+        src["coupling"]["a"] = []
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["sources"][0]["coupling"]["a"][1].update(delay=math.nan),
     lambda d: d["sources"][1]["coupling"]["b"][0].update(gain=math.inf),
@@ -170,10 +176,13 @@ def _edited_scene(scene_file, edit):
     lambda d: d["arrays"][1].update(sro_hz=-16000.0),
     lambda d: d.update(duration_s=math.nan),
     lambda d: d.update(noise_level=math.inf),
+    lambda d: d.update(duration_s=1e-5),  # 0.16 samples round to none
+    _no_channels,
 ], ids=["nan-delay", "inf-gain", "nan-sro", "sro-at-rate", "nan-duration",
-        "inf-noise"])
+        "inf-noise", "shorter-than-a-sample", "no-channels"])
 def test_non_finite_scene_values_fail_with_config_error(tmp_path, scene_file,
                                                         capsys, edit):
+    # and the other values a scene cannot be rendered from
     _edited_scene(scene_file, edit)
     assert main(["simulate", str(scene_file), str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -356,6 +365,46 @@ def test_damaged_recording_fails_with_config_error(
     assert main(["separate", str(model), str(recordings),
                  str(tmp_path / "est")]) == 2
     _assert_clean_config_error(capsys, str(wav), message)
+
+
+def _zero_rate(raw):
+    return raw[:24] + bytes(4) + raw[28:]  # the header's sample rate
+
+
+def test_training_image_with_rate_0_fails_with_config_error(
+        tmp_path, scene_file, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "1"]) == 0
+    wav = sim / "images" / "b__s2.wav"
+    wav.write_bytes(_zero_rate(wav.read_bytes()))
+    capsys.readouterr()
+    assert main(["train", str(sim / "images"), str(tmp_path / "m.bin"),
+                 "--stft-len", "1024"]) == 2
+    _assert_clean_config_error(capsys, str(wav), "rate 0 Hz is not positive")
+
+
+@pytest.mark.parametrize("update", [
+    {"rate_hz": 0.4},
+    {"rate_hz": 16000.5},
+    {"rate_hz": 1e9, "duration_s": 1e-8},  # 8e9 bytes per second
+], ids=["0.4", "16000.5", "1e9"])
+def test_scene_at_a_rate_no_wav_holds_fails_with_config_error(
+        tmp_path, scene_file, capsys, update):
+    # a WAV header holds whole Hz, and 32-bit header fields: refused
+    # before any directory is made
+    _edited_scene(scene_file, lambda d: d.update(update))
+    out = tmp_path / "out"
+    assert main(["simulate", str(scene_file), str(out)]) == 2
+    _assert_clean_config_error(capsys, str(out / "recordings" / "a.wav"),
+                               f"not {update['rate_hz']}")
+    assert not out.exists()
+
+
+def test_negative_seed_fails_with_config_error(tmp_path, scene_file, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(scene_file), str(out), "--seed", "-1"]) == 2
+    _assert_clean_config_error(capsys, "seed must be nonnegative, got -1")
+    assert not out.exists()
 
 
 def test_recording_with_wrong_channel_count_fails_with_config_error(

@@ -256,26 +256,28 @@ class TestLagrangeResample:
     def test_zero_offset_is_identity(self, rng):
         x = rng.standard_normal((500, 2))
         sig = SampledSignal(x, 16000.0)
-        out = lagrange_resample(sig, 0.0, order=4)
+        out = lagrange_resample(sig, 0.0)
         assert np.array_equal(out.samples, x)
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     @pytest.mark.parametrize("offset", [-7.0, 3.0, 40.0])
-    def test_linear_ramp_is_exact(self, order, offset):
-        # Lagrange interpolation reproduces polynomials up to its order
+    def test_linear_ramp_is_exact(self, degree, offset):
+        # Lagrange interpolation reproduces polynomials up to its order,
+        # 4: the ramp and its powers up to the fourth
         n = 2000
         rate = 16000.0
-        ramp = np.arange(n, dtype=float)
-        out = lagrange_resample(SampledSignal(ramp, rate), offset, order=order)
-        pos = np.arange(n) * (rate / (rate + offset))
-        valid = slice(order + 1, n - order - 1)
-        assert np.abs(out.samples[valid, 0] - pos[valid]).max() <= 1e-9 * n
+        ramp = np.arange(n, dtype=float) / n
+        out = lagrange_resample(SampledSignal(ramp ** degree, rate), offset)
+        pos = np.arange(n) * (rate / (rate + offset)) / n
+        valid = slice(dsp._ORDER + 1, n - dsp._ORDER - 1)
+        assert np.abs(out.samples[valid, 0] - pos[valid] ** degree).max() \
+            <= 1e-9
 
     def test_terminal_drift_of_positive_offset(self, rng):
         # +0.3 Hz at 16 kHz over 15 s accumulates 0.3 * 15 = 4.5 samples
         n, rate = 240000, 16000.0
         x = bandlimited_noise(rng, n, 0.3)
-        r = lagrange_resample(SampledSignal(x, rate), 0.3, order=4)
+        r = lagrange_resample(SampledSignal(x, rate), 0.3)
         tail = slice(n - 2048, n)
         lag = correlation_peak_lag(r.samples[tail, 0], x[tail], max_lag=20)
         assert abs(abs(lag) - 4.5) <= 0.1
@@ -287,7 +289,7 @@ class TestLagrangeResample:
         x = bandlimited_noise(rng, n, 0.2)
         inv = -eps * rate / (rate + eps)
         back = lagrange_resample(
-            lagrange_resample(SampledSignal(x, rate), eps, 4), inv, 4)
+            lagrange_resample(SampledSignal(x, rate), eps), inv)
         interior = slice(16, n - 32)
         assert np.abs(back.samples[interior, 0] - x[interior]).max() <= 1e-3
 
@@ -296,16 +298,33 @@ class TestLagrangeResample:
         with pytest.raises(ValueError, match="below the"):
             lagrange_resample(sig, 100.0)
 
-    def test_bad_order_rejected(self):
-        sig = SampledSignal(np.zeros(100), 100.0)
-        with pytest.raises(ValueError, match="order"):
-            lagrange_resample(sig, 0.1, order=0)
+    @staticmethod
+    def _two_channels(rng, n):
+        # channel 1 is channel 0 three samples later
+        base = bandlimited_noise(rng, n, 0.3)
+        return np.stack([base, np.roll(base, 3)], axis=1)
+
+    def test_channels_share_one_clock(self, rng):
+        # the inter-channel lag survives resampling: one clock per device
+        x = self._two_channels(rng, 240000)
+        out = lagrange_resample(SampledSignal(x, 16000.0), 0.3).samples
+        seg = slice(120000, 136384)
+        before = correlation_peak_lag(x[seg, 1], x[seg, 0], 10)
+        after = correlation_peak_lag(out[seg, 1], out[seg, 0], 10)
+        assert abs(before - 3.0) <= 0.05
+        assert abs(after - before) <= 0.05
+
+    def test_commutes_with_channel_selection(self, rng):
+        x = self._two_channels(rng, 20000)
+        both = lagrange_resample(SampledSignal(x, 16000.0), 0.3).samples
+        alone = lagrange_resample(SampledSignal(x[:, 1], 16000.0), 0.3).samples
+        assert np.array_equal(both[:, 1], alone[:, 0])
 
 
 class TestFractionalDelay:
     def test_integer_delay_shifts_exactly(self, rng):
         x = rng.standard_normal(200)
-        y = fractional_delay(x, 3.0, order=4)
+        y = fractional_delay(x, 3.0)
         assert np.allclose(y[3:], x[:-3], atol=1e-12)
         assert np.allclose(y[:3], 0.0)
 
@@ -316,7 +335,7 @@ class TestFractionalDelay:
     def test_half_sample_delay_measured_by_correlation(self):
         x = np.zeros(4000)
         x[1000] = 1.0
-        y = fractional_delay(x, 10.5, order=4)
+        y = fractional_delay(x, 10.5)
         lag = correlation_peak_lag(y, x, max_lag=50)
         assert abs(lag - 10.5) <= 0.05
 
@@ -356,11 +375,6 @@ class TestLongTermAverageSpectrum:
 
 
 class TestInterpolationArguments:
-    @pytest.mark.parametrize("order", [0, -1])
-    def test_fractional_delay_bad_order_rejected(self, order):
-        with pytest.raises(ValueError, match="order"):
-            fractional_delay(np.ones(10), 1.5, order=order)
-
     @pytest.mark.parametrize("delay", [np.nan, np.inf])
     def test_fractional_delay_non_finite_delay_rejected(self, delay):
         with pytest.raises(ValueError, match="finite"):
@@ -395,39 +409,38 @@ rate_offsets = st.floats(-8000.0, 8000.0, exclude_min=True, exclude_max=True,
 class TestInterpolationMatchesPerSampleOracle:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4096), frac=st.floats(0.0, 2.0),
-           order=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    def test_fractional_delay(self, n, frac, order, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_fractional_delay(self, n, frac, seed):
         x = np.random.default_rng(seed).standard_normal(n)
         delay = frac * n
-        got = fractional_delay(x, delay, order=order)
+        got = fractional_delay(x, delay)
         want = lagrange_interpolate_oracle(
-            x[:, None], np.arange(n) - delay, order)[:, 0]
+            x[:, None], np.arange(n) - delay, dsp._ORDER)[:, 0]
         want[:int(np.floor(delay))] = 0.0  # the documented causal head
         assert got.shape == (n,)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(x).max()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3 * dsp._RESAMPLE_ROWS + 5), offset=rate_offsets,
-           channels=st.integers(1, 8), order=st.integers(1, 6),
-           seed=st.integers(0, 2**32 - 1))
-    def test_lagrange_resample(self, n, offset, channels, order, seed):
+           channels=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_lagrange_resample(self, n, offset, channels, seed):
         # runs of output rows are pool tasks: one and three threads agree
         rate = 16000.0
         x = np.random.default_rng(seed).standard_normal((n, channels))
         sig = SampledSignal(x, rate)
-        got = _resample_with(1, sig, offset, order)
-        assert np.array_equal(got, _resample_with(3, sig, offset, order))
+        got = _resample_with(1, sig, offset)
+        assert np.array_equal(got, _resample_with(3, sig, offset))
         pos = np.arange(n, dtype=np.float64) * (rate / (rate + offset))
-        want = lagrange_interpolate_oracle(x, pos, order)
+        want = lagrange_interpolate_oracle(x, pos, dsp._ORDER)
         assert got.shape == x.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _resample_with(workers, signal, offset, order):
+def _resample_with(workers, signal, offset):
     real = _pool.worker_count
     _pool.worker_count = lambda: workers
     try:
-        return lagrange_resample(signal, offset, order=order).samples
+        return lagrange_resample(signal, offset).samples
     finally:
         _pool.worker_count = real
 

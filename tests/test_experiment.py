@@ -7,7 +7,8 @@ import pytest
 
 import asyncsep.experiment as experiment
 from asyncsep.demo import demo_scene, demo_train_scene
-from asyncsep.dsp import WindowSpec, istft, stft
+from asyncsep.dsp import WindowSpec, istft, lagrange_resample, stft
+from asyncsep.errors import ConfigError
 from asyncsep.experiment import _zero_sro, format_report, run_experiment
 from asyncsep.separator import (MODES, SeparationResult, separate,
                                 separate_recordings)
@@ -16,7 +17,6 @@ from asyncsep.scene import (
     ChannelCoupling,
     SceneSpec,
     SourceSpec,
-    apply_sro,
     scene_to_dict,
     synthesize_scene,
 )
@@ -127,14 +127,21 @@ def test_each_scene_is_rendered_once(monkeypatch):
     assert len(set(renders)) == 2
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        run_experiment(tiny_scene(), tiny_scene(duration=1.0), seed=-1,
+                       window=WIN)
+
+
 def test_resampled_synced_render_equals_direct_render():
     scene = tiny_scene()
     _, direct = synthesize_scene(scene, 11)
     _, synced = synthesize_scene(_zero_sro(scene), 11)
     for arr in scene.arrays:
-        rec = apply_sro(synced[arr.id], arr.sro_hz)
-        assert rec.sro_hz == direct[arr.id].sro_hz
-        assert np.array_equal(rec.signal.samples, direct[arr.id].signal.samples)
+        resampled = lagrange_resample(synced[arr.id].signal, arr.sro_hz)
+        assert direct[arr.id].sro_hz == arr.sro_hz
+        assert np.array_equal(resampled.samples,
+                              direct[arr.id].signal.samples)
 
 
 def _batch_separation(signals, window, spatial, states, mode):

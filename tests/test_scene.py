@@ -11,11 +11,9 @@ from asyncsep.scene import (
     ArraySpec,
     ChannelCoupling,
     EchoTap,
-    MultichannelRecording,
     SceneSpec,
     SourceImageSet,
     SourceSpec,
-    apply_sro,
     _mix,
     load_scene,
     scene_from_dict,
@@ -23,8 +21,8 @@ from asyncsep.scene import (
     synthesize_scene,
 )
 
-from conftest import (bandlimited_noise, correlation_peak_lag, pool_run_peaks,
-                      pool_workers, render_source_signal)
+from conftest import (correlation_peak_lag, pool_run_peaks, pool_workers,
+                      render_source_signal)
 
 
 def tap(delay, gain, echoes=()):
@@ -216,46 +214,6 @@ class TestSynthesisTasks:
             with pool_workers(workers):
                 with pytest.raises(ConfigError, match="unknown source signal"):
                     synthesize_scene(spec, 0)
-
-
-class TestApplySro:
-    def _recording(self, rng, n=240000, channels=2):
-        base = bandlimited_noise(rng, n, 0.3)
-        x = np.stack([base, np.roll(base, 3)], axis=1)[:, :channels]
-        return MultichannelRecording(SampledSignal(x, 16000.0), "a")
-
-    def test_zero_offset_is_identity(self, rng):
-        rec = self._recording(rng, n=5000)
-        out = apply_sro(rec, 0.0)
-        assert np.array_equal(out.signal.samples, rec.signal.samples)
-
-    def test_both_channels_share_the_clock(self, rng):
-        # the inter-channel lag survives resampling: one clock per device
-        rec = self._recording(rng)
-        out = apply_sro(rec, 0.3)
-        seg = slice(120000, 136384)
-        before = correlation_peak_lag(rec.signal.samples[seg, 1],
-                                      rec.signal.samples[seg, 0], 10)
-        after = correlation_peak_lag(out.signal.samples[seg, 1],
-                                     out.signal.samples[seg, 0], 10)
-        assert abs(before - 3.0) <= 0.05
-        assert abs(after - before) <= 0.05
-
-    def test_terminal_drift(self, rng):
-        rec = self._recording(rng)
-        out = apply_sro(rec, 0.3)
-        tail = slice(240000 - 2048, 240000)
-        lag = correlation_peak_lag(out.signal.samples[tail, 0],
-                                   rec.signal.samples[tail, 0], 20)
-        assert abs(abs(lag) - 4.5) <= 0.1
-
-    def test_commutes_with_channel_selection(self, rng):
-        rec = self._recording(rng, n=20000)
-        both = apply_sro(rec, 0.3).signal.samples[:, 1]
-        single = MultichannelRecording(
-            SampledSignal(rec.signal.samples[:, 1], 16000.0), "a")
-        alone = apply_sro(single, 0.3).signal.samples[:, 0]
-        assert np.array_equal(both, alone)
 
 
 def _mixed(images: SourceImageSet, noise_level: float, seed: int):

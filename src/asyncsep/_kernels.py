@@ -52,10 +52,12 @@ class Workspace:
       c      (2, frames, bins) complex and r (4, frames, bins) float:
              temporaries
       mask   (frames, bins) and flags (frames, bins, states): booleans
+      winners (frames, bins) integers: the state that wins each tile
       img    (images, image_channels, frames, bins) complex and
       t      (images, image_channels, frames, length) float: one filter's
              images of a block and their windowed frames, where the
-             separation pass analyzes and synthesizes signals
+             separation pass analyzes and synthesizes signals; a
+             `dsp._Reader` takes t[:2] for a block's samples and frames
 
     Made by the calling thread before any block runs.  The kernels take
     the leading channels and frames of each buffer.
@@ -79,6 +81,7 @@ class Workspace:
         self.r = np.empty((4, B, F))
         self.mask = np.empty((B, F), dtype=bool)
         self.flags = np.empty((B, F, states), dtype=bool)
+        self.winners = np.empty((B, F), dtype=np.intp)
 
 
 def _loading(trace, noise_over_c, out, positive):

@@ -19,14 +19,18 @@ the numeric work.  The caller allocates every output, and `run` has the
 calling thread build each thread's workspace of scratch buffers before
 any task starts.  The tasks allocate no arrays of their own: a worker
 thread's malloc arena would keep freed temporaries and raise the peak
-resident memory.  (A source read from a WAV file is the exception: its
-task reads the file.)
+resident memory.  A block of the streamed pass reads and converts its
+WAV samples in its thread's scratch (`audio.WavSource`), and the
+destinations its writer hands spans to convert them in their own
+(`audio.WavSink`).  (A scene source read from a WAV file is the
+exception: its task reads the whole file.)
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Sequence
 
 __all__ = ["run", "worker_count"]
 
@@ -53,7 +57,8 @@ def run(tasks, work, scratch) -> None:
     raised.  Every task before it had started, so that error does not
     depend on the number of threads.
     """
-    tasks = list(tasks)
+    if not isinstance(tasks, Sequence):  # a range is not copied
+        tasks = list(tasks)
     if not tasks:
         return
     workspaces = [scratch() for _ in range(min(worker_count(), len(tasks)))]

@@ -19,6 +19,8 @@ so no full-size log-likelihoods are held.  `source_power_estimates` runs
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,13 +189,83 @@ def save_posteriors(pmap: PosteriorMap, path) -> None:
     np.save(path, pmap.gamma)
 
 
+class PosteriorFile:
+    """Posteriors of shape (N, F, S), streamed into a `.npy` file by block.
+
+    The bytes equal `save_posteriors` of the whole tensor, ".npy"
+    appended to the path as np.save appends it.  Takes the blocks of
+    the separation pass (`separator._unit`) in any order, each written
+    at its place, and counts the tiles each state wins, for
+    `histogram`.  `close` checks every frame was put; `discard` removes
+    the file.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, path, shape: tuple, state_ids: list[str]):
+        path = os.fspath(path)
+        self.path = Path(path if path.endswith(".npy") else path + ".npy")
+        self.shape, self.state_ids = tuple(shape), list(state_ids)
+        self.wins = [0] * self.shape[2]  # the tiles each state won so far
+        self._lock = threading.Lock()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = open(self.path, "wb")
+        np.lib.format.write_array_header_1_0(self._fh, {
+            "descr": np.lib.format.dtype_to_descr(self.dtype),
+            "fortran_order": False, "shape": self.shape})
+        self._fh.flush()
+        self._offset = self._fh.tell()
+
+    def put(self, n0: int, gamma, ws) -> None:
+        """Write frames n0 onwards, gamma (b, F, S) C-contiguous, and count
+        its winners through ws (`_kernels.Workspace`); allocates no
+        array."""
+        b, F, S = gamma.shape
+        data = memoryview(gamma).cast("B")
+        at, done = self._offset + n0 * F * S * self.dtype.itemsize, 0
+        while done < len(data):
+            done += os.pwrite(self._fh.fileno(), data[done:], at + done)
+        winners, hits = ws.winners[:b], ws.mask[:b]
+        np.argmax(gamma, axis=2, out=winners)
+        for s in range(S):
+            np.equal(winners, s, out=hits)
+            won = np.count_nonzero(hits)
+            with self._lock:
+                self.wins[s] += won
+
+    def histogram(self) -> str:
+        """`posterior_histogram` of the posteriors put."""
+        return _histogram(self.wins, self.state_ids)
+
+    def close(self) -> None:
+        """Close the file; ValueError unless every frame was put, each
+        tile counted once."""
+        self._fh.close()
+        N, F, _ = self.shape
+        if sum(self.wins) != N * F:
+            raise ValueError(f"{self.path}: {sum(self.wins)} of {N * F} "
+                             f"tiles of posteriors written")
+
+    def discard(self) -> None:
+        """Close and remove the file."""
+        self._fh.close()
+        self.path.unlink(missing_ok=True)
+
+
 def posterior_histogram(pmap: PosteriorMap, width: int = 50) -> str:
     """Text histogram of which state wins each tile."""
     winners = pmap.gamma.argmax(axis=2)
-    n_tiles = winners.size
+    return _histogram([int((winners == s).sum())
+                       for s in range(len(pmap.state_ids))],
+                      pmap.state_ids, width)
+
+
+def _histogram(wins, state_ids, width: int = 50) -> str:
+    """The histogram of tiles won per state, wins in state order."""
+    n_tiles = sum(int(w) for w in wins)
     lines = []
-    for s, sid in enumerate(pmap.state_ids):
-        share = float((winners == s).sum()) / n_tiles
+    for sid, won in zip(state_ids, wins):
+        share = float(won) / n_tiles
         bar = "#" * int(round(share * width))
         lines.append(f"{sid:>12s} |{bar:<{width}s}| {share * 100:5.1f}%")
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ truth image.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -30,16 +31,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import read_wav, write_wav
-from .classifier import PosteriorMap, posterior_histogram, save_posteriors
+from .audio import (WavSink, WavSource, read_header, read_wav, wav_rate,
+                    write_wav)
+from .classifier import PosteriorFile
 from .demo import demo_scene_path
-from .dsp import SampledSignal, WindowSpec, stft, stft_frame_count
+from .dsp import WindowSpec, stft, stft_frame_count
 from .errors import ConfigError, NumericalError
 from .metrics import _finite_mean, at_device_clock, score_images
 from .model import (SpatialModel, load_models, model_summary, save_models,
                     train_models)
 from .scene import load_scene, scene_to_dict, synthesize_scene
-from .separator import MODES, separate_recordings
+from .separator import MODES, _separate_sources
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,18 +83,18 @@ def _window_from_args(args) -> WindowSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _read_analyzable(wav: Path, window: WindowSpec, expected_rate=None,
-                     channels: int | None = None) -> SampledSignal:
-    """A WAV file that `window` can analyze, of `channels` channels when
-    given; ConfigError naming it if not."""
-    sig = read_wav(wav, expected_rate=expected_rate)
-    if channels is not None and sig.channels != channels:
-        raise ConfigError(f"{wav} has {sig.channels} channels, not the "
+def _check_analyzable(wav: Path, found, window: WindowSpec,
+                      channels: int | None = None):
+    """found, the samples or the header of wav, of `channels` channels
+    when given and analyzable with `window`; ConfigError naming wav if
+    not."""
+    if channels is not None and found.channels != channels:
+        raise ConfigError(f"{wav} has {found.channels} channels, not the "
                           f"{channels} of its array")
-    if sig.n_samples < window.length:
-        raise ConfigError(f"{wav} holds {sig.n_samples} samples, fewer than "
-                          f"one STFT window ({window.length})")
-    return sig
+    if found.n_samples < window.length:
+        raise ConfigError(f"{wav} holds {found.n_samples} samples, fewer "
+                          f"than one STFT window ({window.length})")
+    return found
 
 
 def _image_name(array_id: str, source_id: str) -> str:
@@ -107,6 +109,9 @@ def cmd_simulate(args) -> int:
         spec.array(aid).sro_hz = sro
     spec.validate()
     out = Path(args.out)
+    for arr in spec.arrays:  # its images have its channels, too
+        wav_rate(out / "recordings" / f"{arr.id}.wav", spec.rate_hz,
+                 arr.channels)
     images, recordings = synthesize_scene(spec, args.seed)
     for m, rec in recordings.items():
         write_wav(out / "recordings" / f"{m}.wav", rec.signal)
@@ -151,8 +156,8 @@ def cmd_train(args) -> int:
     rate = None
     for (m, k), wav in pairs.items():
         # a device's first image sets its channel count
-        sig = _read_analyzable(wav, window, expected_rate=rate,
-                               channels=channels.get(m))
+        sig = _check_analyzable(wav, read_wav(wav, expected_rate=rate),
+                                window, channels.get(m))
         tensors[(m, k)] = stft(sig, window)
         rate = sig.rate_hz
         channels[m] = sig.channels
@@ -167,6 +172,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    """Separate WAV recordings into WAV estimates, streamed by frame block.
+
+    The recordings are checked from their headers before any output is
+    made, and their float samples scanned for non-finite values before
+    any estimate is; the pass then reads each block from the files and
+    writes each finished span of the estimates, and each block of
+    posteriors, to its file, so memory does not grow with the
+    recordings' length.  A failure removes every output made.
+    """
     spatial, states, meta = load_models(args.model)
     if args.mode == "static-pooled" and spatial.merged_covariances() is None:
         raise ConfigError(f"{args.model} holds no merged-array entry for "
@@ -176,37 +190,55 @@ def cmd_separate(args) -> int:
     if not rec_dir.is_dir():
         raise ConfigError(f"recordings directory not found: {rec_dir}")
     window = WindowSpec(meta["window_length"], meta["hop"])
-    recordings = {}
+    headers = {}
     for m in spatial.covariances:
         wav = rec_dir / f"{m}.wav"
         if not wav.is_file():
             raise ConfigError(f"missing recording for array {m!r}: {wav}")
-        recordings[m] = _read_analyzable(wav, window, meta["rate_hz"] or None,
-                                         spatial.channels(m))
-    frames = {m: stft_frame_count(rec.n_samples, window)
-              for m, rec in recordings.items()}
+        headers[m] = _check_analyzable(
+            wav, read_header(wav, meta["rate_hz"] or None), window,
+            spatial.channels(m))
+    frames = {m: stft_frame_count(h.n_samples, window)
+              for m, h in headers.items()}
     if len(set(frames.values())) > 1:
         raise ConfigError(
             "recordings differ in length; STFT frames per array: "
             + ", ".join(f"{m}={n}" for m, n in frames.items()))
 
-    gamma = None
-    if args.dump_posteriors:
-        n_frames = next(iter(frames.values()))
-        gamma = np.empty((n_frames, spatial.n_bins, states.n_states))
-    result = separate_recordings(recordings, window, spatial, states,
-                                 args.mode, posteriors=gamma)
-
     out = Path(args.out)
-    for (m, k), signal in result.images.items():
-        write_wav(out / _image_name(m, k), signal)
+    outputs = []  # every file made, removed if the command fails
+
+    def image(m, sid):
+        h = headers[m]
+        sink = WavSink(out / _image_name(m, sid), h.rate, h.channels,
+                       h.n_samples)
+        outputs.append(sink)
+        return sink
+
+    gamma = None
+    try:
+        with contextlib.ExitStack() as stack:
+            sources = {m: stack.enter_context(WavSource(h))
+                       for m, h in headers.items()}
+            if args.dump_posteriors:
+                gamma = PosteriorFile(
+                    args.dump_posteriors,
+                    (next(iter(frames.values())), spatial.n_bins,
+                     states.n_states), states.state_ids)
+                outputs.append(gamma)
+            consistency = _separate_sources(sources, window, spatial, states,
+                                            args.mode, gamma, image)
+        for done in outputs:
+            done.close()
+    except BaseException:
+        for made in outputs:
+            made.discard()
+        raise
     if gamma is not None:
-        pmap = PosteriorMap(gamma, states.state_ids)
-        save_posteriors(pmap, args.dump_posteriors)
-        print(posterior_histogram(pmap), end="")
-    worst = max(result.metadata["consistency_rel_max"].values())
-    print(f"separated {len(recordings)} arrays in mode {args.mode} "
-          f"(worst tile consistency {worst:.2e}); estimates in {out}")
+        print(gamma.histogram(), end="")
+    print(f"separated {len(headers)} arrays in mode {args.mode} "
+          f"(worst tile consistency {max(consistency.values()):.2e}); "
+          f"estimates in {out}")
     return EXIT_OK
 
 
@@ -230,6 +262,12 @@ def _load_manifest_sro(truth_dir: Path) -> tuple[Path | None, dict]:
 
 
 def cmd_evaluate(args) -> int:
+    """Score estimates against truth images, one pair at a time.
+
+    Every header and shape is checked before any pair is read; each pair
+    is then read, its truth moved to the device clock and scored, so one
+    pair is held at a time.
+    """
     est_dir = Path(args.estimates)
     truth_dir = Path(args.truth)
     if not est_dir.is_dir():
@@ -249,30 +287,30 @@ def cmd_evaluate(args) -> int:
                if not est.is_file()]
     if missing:
         raise ConfigError("missing estimates: " + ", ".join(missing))
-    refs = {key: read_wav(wav) for key, (wav, _) in pairs.items()}
-    for (m, k), ref in refs.items():
-        if abs(sro.get(m, 0.0)) >= ref.rate_hz:
+    heads = {key: read_header(wav) for key, (wav, _) in pairs.items()}
+    for (m, k), ref in heads.items():
+        if abs(sro.get(m, 0.0)) >= ref.rate:
             raise ConfigError(
                 f"clock offset {sro[m]} Hz of array {m!r} ({origin[m]}) is "
                 f"not below the sample rate of {pairs[(m, k)][0]} "
-                f"({ref.rate_hz} Hz)")
-    refs = at_device_clock(refs, sro)
-
-    estimates = {}
+                f"({float(ref.rate)} Hz)")
     for key, (wav, est_path) in pairs.items():
-        ref = refs[key]
-        est = read_wav(est_path)
-        shape = (est.n_samples, est.channels, est.rate_hz)
-        if shape != (ref.n_samples, ref.channels, ref.rate_hz):
+        ref, est = heads[key], read_header(est_path)
+        if (est.n_samples, est.channels, est.rate) != \
+                (ref.n_samples, ref.channels, ref.rate):
             raise ConfigError(
                 f"estimate {est_path} holds {est.n_samples} samples of "
-                f"{est.channels} channels at {est.rate_hz:g} Hz, its truth "
+                f"{est.channels} channels at {est.rate:g} Hz, its truth "
                 f"image {wav} {ref.n_samples} of {ref.channels} at "
-                f"{ref.rate_hz:g} Hz")
-        if not ref.samples.any():
+                f"{ref.rate:g} Hz")
+
+    scores = {}
+    for key, (wav, est_path) in pairs.items():
+        ref = at_device_clock({key: read_wav(wav)}, sro)
+        if not ref[key].samples.any():
             raise ConfigError(f"truth image {wav} is silent; SDR is undefined")
-        estimates[key] = est
-    scores = score_images(refs, estimates)
+        scores.update(score_images(ref, {key: read_wav(est_path)}))
+        del ref
     report = {
         "version": 1,
         "sdr_db": scores,

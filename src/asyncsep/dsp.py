@@ -5,12 +5,14 @@ Conventions used throughout the package:
   * STFT tensors are complex128 arrays of shape (num_frames, num_bins, num_channels)
   * the one-sided spectrum keeps bins 0..length//2 inclusive
 
-The framing rule exists once, in two private classes: `_Reader` holds a
-recording with the analysis padding and analyzes any run of its frames,
-and `_Writer` synthesizes runs of frames, overlap-adds them in frame
-order and cuts the padding off again.  `stft` reads through a reader,
-`istft` writes through a writer, and the streamed pass of
-`separator.separate_recordings` uses both.
+The framing rule exists once, in two private classes: `_Reader` frames
+any run of a recording's frames, with the analysis padding, from a
+sample source (an array, or a WAV file's data chunk), and `_Writer`
+synthesizes runs of frames, overlap-adds them in frame order and hands
+each finished span past the padding to a destination (an array, or WAV
+files).  Neither holds more than a block of samples of its own.  `stft`
+reads through a reader, `istft` writes through a writer, and the
+streamed pass of `separator` uses both.
 
 Every fractional delay and clock resampling interpolates with one
 Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.
@@ -194,33 +196,68 @@ def _analysis_padding(n_samples: int, window: WindowSpec) -> tuple[int, int]:
     return left, right
 
 
+class _ArraySource:
+    """An (n, C) array as the sample source of a `_Reader`."""
+
+    def __init__(self, samples: np.ndarray):
+        self.samples = samples
+        self.n_samples, self.channels = samples.shape
+
+    def read(self, start: int, stop: int, raw, out) -> None:
+        """Samples start:stop into out, (C, stop - start) float; raw,
+        the scratch of a source that converts, is not used."""
+        np.copyto(out, self.samples[start:stop].T)
+
+    def all_finite(self) -> bool:
+        return bool(np.isfinite(self.samples).all())
+
+
 class _Reader:
     """Frame blocks of one recording, analyzed as `stft` does.
 
-    Holds the (n, C) samples channel-major with the analysis padding:
-    channels and n_frames give the (C, N) of its spectrogram, and `read`
-    windows and transforms any run of its frames.
+    source: the recording's (n, C) samples, an object with n_samples,
+    channels and read(start, stop, raw, out), which writes samples
+    start:stop into out, (C, stop - start) float, through raw, uint8
+    scratch: an `_ArraySource` or an `audio.WavSource`.  channels and
+    n_frames give the (C, N) of the spectrogram, and `read` windows and
+    transforms any run of its frames.  The analysis padding is virtual:
+    a run reads its span of samples and zeros where the span passes the
+    recording's ends, so no copy of the recording is held.
     """
 
-    def __init__(self, samples: np.ndarray, window: WindowSpec):
-        n, self.channels = samples.shape
-        left, right = _analysis_padding(n, window)
-        self.padded = np.zeros((self.channels, left + n + right))
-        self.padded[:, left:left + n] = samples.T
-        self.n_frames = stft_frame_count(n, window)
+    def __init__(self, source, window: WindowSpec):
+        self.source, self.channels = source, source.channels
+        self.left = _analysis_padding(source.n_samples, window)[0]
+        self.n_frames = stft_frame_count(source.n_samples, window)
         self.window, self.win = window, window.window()
 
     def read(self, n0: int, n1: int, scratch, out) -> None:
         """Spectra of frames n0:n1 into out, (C, n1 - n0, bins) complex.
 
-        scratch: float, (C', b, length) with C' >= C and b >= n1 - n0; its
-        leading planes receive the windowed frames.
+        scratch: contiguous float, (2, C', b, length) with C' >= C and
+        b >= n1 - n0.  Plane 1 receives the span of samples the frames
+        cover, plane 0 the source's raw bytes, then the windowed frames.
         """
         hop, length = self.window.hop, self.window.length
-        span = self.padded[:, n0 * hop:(n1 - 1) * hop + length]
-        view = np.lib.stride_tricks.sliding_window_view(span, length, axis=-1)
-        frames = scratch[:self.channels, :n1 - n0]
-        np.multiply(view[:, ::hop], self.win, out=frames)
+        C, n = self.channels, self.source.n_samples
+        s0 = n0 * hop - self.left  # the span's first sample in the recording
+        count = (n1 - n0 - 1) * hop + length
+        span = scratch[1].reshape(-1)[:C * count].reshape(C, count)
+        a = min(max(-s0, 0), count)  # the span holds samples a:b
+        b = min(max(n - s0, a), count)
+        span[:, :a] = 0.0
+        span[:, b:] = 0.0
+        if a < b:
+            self.source.read(s0 + a, s0 + b,
+                             scratch[0].reshape(-1).view(np.uint8),
+                             span[:, a:b])
+        # the frames as a strided view of the span (numpy's
+        # sliding_window_view keeps a little memory per call)
+        view = np.ndarray((C, n1 - n0, length), buffer=span,
+                          strides=(span.strides[0], hop * span.itemsize,
+                                   span.itemsize))
+        frames = scratch[0, :C, :n1 - n0]
+        np.multiply(view, self.win, out=frames)
         np.fft.rfft(frames, axis=-1, out=out)
 
 
@@ -248,16 +285,16 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
         raise ValueError(
             f"signal ({x.shape[0]} samples) shorter than one frame "
             f"({window.length} samples)")
-    reader = _Reader(x, window)
+    reader = _Reader(_ArraySource(x), window)
     n_frames, chunk = reader.n_frames, _chunk(x.shape[1])
     coeffs = np.empty((n_frames, window.length // 2 + 1, x.shape[1]),
                       dtype=np.complex128)
     planes = coeffs.transpose(2, 0, 1)
     _pool.run(range(0, n_frames, chunk),
-              lambda n0, frames: reader.read(
-                  n0, min(n0 + chunk, n_frames), frames,
+              lambda n0, scratch: reader.read(
+                  n0, min(n0 + chunk, n_frames), scratch,
                   planes[:, n0:n0 + chunk]),
-              lambda: np.empty((x.shape[1], min(chunk, n_frames),
+              lambda: np.empty((2, x.shape[1], min(chunk, n_frames),
                                 window.length)))
     return SpectrogramTensor(coeffs, window, signal.rate_hz, x.shape[0])
 
@@ -278,28 +315,51 @@ def _overlap_add(frames, f0: int, hop: int, out) -> None:
         dst += frames[..., r * hop:(r + 1) * hop]
 
 
+class _Samples:
+    """Destination of a `_Writer`: (*rows, length) samples in one array,
+    zeros where no frame reaches."""
+
+    def __init__(self, rows: tuple, length: int):
+        self.out = np.zeros(rows + (length,))
+
+    def write(self, start: int, samples) -> None:
+        """Samples start, start + 1, ... of every row, (*rows, k) float;
+        those past the length are dropped."""
+        dst = self.out[..., start:start + samples.shape[-1]]
+        np.copyto(dst, samples[..., :dst.shape[-1]])
+
+
 class _Writer:
     """Weighted overlap-add of frame blocks into signals, in frame order.
 
-    out: (*rows, total) samples of n_frames frames, analysis padding
-    included.  `put` synthesizes a block's spectra in the caller's
-    scratch; once the previous block has added its frames, the block adds
-    its own (`_overlap_add`) and divides the samples no later block
-    reaches by the summed squared window.  Blocks may be put from several
+    Synthesizes the (*rows) signals of n_frames frames, analysis padding
+    included, and hands the samples past the left padding to `dest`, an
+    object with write(start, samples), in order: `_Samples`, or a sink of
+    WAV files.  `put` synthesizes a block of up to `block` frames in the
+    caller's scratch; once the previous block is done, it adds the frames
+    (`_overlap_add`) to the partial sums the previous block left, divides
+    the samples no later block reaches by the summed squared window and
+    writes them to dest.  Only those partial sums, one window length less
+    a hop per row, stay between blocks.  Blocks may be put from several
     threads: each waits its turn, which cannot deadlock when the blocks
     are pool tasks in frame order.  After a block fails, or `abort`, the
     blocks waiting for it return.
     """
 
-    def __init__(self, rows: tuple, n_frames: int, window: WindowSpec):
+    def __init__(self, rows: tuple, n_frames: int, window: WindowSpec,
+                 block: int, dest):
+        hop, length = window.hop, window.length
         self.window, self.win = window, window.window()
-        self.n_frames = n_frames
-        # the summed squared window of the frames, and where it is not ~0
-        self.denom = np.zeros((n_frames - 1) * window.hop + window.length)
-        _overlap_add(np.broadcast_to(self.win ** 2, (n_frames, window.length)),
-                     0, window.hop, self.denom)
-        self.good = self.denom > 1e-12
-        self.out = np.zeros(rows + self.denom.shape)
+        self.n_frames, self.dest = n_frames, dest
+        self.buf = np.zeros(rows + ((block - 1) * hop + length,))
+        self.carry = np.zeros(rows + (length - hop,))
+        # the summed squared window of min(n_frames, R + 2) frames, R per
+        # window, holds every sample's denominator (`_divide`)
+        few = min(n_frames, length // hop + 2)
+        self.denom = np.zeros(max((few - 1) * hop + length, 0))
+        _overlap_add(np.broadcast_to(self.win ** 2, (few, length)), 0, hop,
+                     self.denom)
+        self.good = self.denom > 1e-12  # where the sum is not ~0
         self._added = 0  # frames added so far
         self._failed = False
         self._turn = threading.Condition()
@@ -310,46 +370,79 @@ class _Writer:
         scratch: float, at least (*rows, n1 - n0, length) on every axis;
         its leading part receives the windowed frames.
         """
-        hop = self.window.hop
-        frames = scratch[tuple(map(slice, self.out.shape[:-1]))
+        hop, length = self.window.hop, self.window.length
+        frames = scratch[tuple(map(slice, self.buf.shape[:-1]))
                          + (slice(n1 - n0),)]
         try:
-            np.fft.irfft(planes, n=self.win.shape[0], axis=-1, out=frames)
+            np.fft.irfft(planes, n=length, axis=-1, out=frames)
             frames *= self.win
             with self._turn:
                 self._turn.wait_for(lambda: self._added == n0 or self._failed)
                 if self._failed:
                     return
-            _overlap_add(frames, n0, hop, self.out)
+            self._add(frames, n0, n1)
         except BaseException:  # release the blocks that wait for this one
             self.abort()
             raise
         with self._turn:
             self._added = n1
             self._turn.notify_all()
+
+    def _add(self, frames, n0: int, n1: int) -> None:
+        """Add frames n0:n1 and write out the samples they finish."""
+        hop, length = self.window.hop, self.window.length
+        carry = length - hop
+        reach = (n1 - n0 - 1) * hop + length  # samples the block touches
+        buf = self.buf[..., :reach]
+        np.copyto(buf[..., :carry], self.carry)
+        buf[..., carry:] = 0.0
+        _overlap_add(frames, 0, hop, buf)
         # the next block adds from frame n1's first sample on
-        span = slice(n0 * hop, self.out.shape[-1] if n1 == self.n_frames
-                     else n1 * hop)
-        done = self.out[..., span]
-        np.divide(done, self.denom[span], out=done, where=self.good[span])
+        done = buf[..., :reach if n1 == self.n_frames else (n1 - n0) * hop]
+        self._divide(done, n0 * hop)
+        left = length  # the analysis padding
+        skip = max(left - n0 * hop, 0)
+        if skip < done.shape[-1]:
+            self.dest.write(n0 * hop + skip - left, done[..., skip:])
+        if n1 < self.n_frames:
+            np.copyto(self.carry, buf[..., (n1 - n0) * hop:][..., :carry])
+
+    def _divide(self, done, p0: int) -> None:
+        """Divide samples p0, p0 + 1, ... by their summed squared window
+        where it is not ~0.
+
+        A sample's sum adds the windows of the frames that reach it, in
+        frame order, so it depends only on how far the sample is from the
+        first and the last frame.  With more than R + 2 frames: samples
+        before frame R + 1 have the sum of `denom` at the same place,
+        samples at or after frame n_frames - 3 that of `denom` as far
+        from its end, and the samples in between, which all R frames of
+        a window reach, that of `denom`'s hop from sample R * hop on.
+        """
+        hop, length = self.window.hop, self.window.length
+        R, n_frames = length // hop, self.n_frames
+        head = (R + 1) * hop if n_frames > R + 2 else len(self.denom)
+        tail = max((n_frames - 3) * hop, head)
+        shift = max(n_frames - R - 2, 0) * hop
+        p1 = p0 + done.shape[-1]
+        for a, b, at in ((p0, min(p1, head), 0),
+                         (max(p0, tail), p1, shift)):
+            if a < b:
+                seg = done[..., a - p0:b - p0]
+                np.divide(seg, self.denom[a - at:b - at], out=seg,
+                          where=self.good[a - at:b - at])
+        a, b = max(p0, head), min(p1, tail)
+        if a < b:  # whole hops, at whole hops from `head`
+            seg = done[..., a - p0:b - p0]
+            seg = seg.reshape(seg.shape[:-1] + ((b - a) // hop, hop))
+            period = slice(R * hop, (R + 1) * hop)
+            np.divide(seg, self.denom[period], out=seg,
+                      where=self.good[period])
 
     def abort(self) -> None:
         with self._turn:
             self._failed = True
             self._turn.notify_all()
-
-    def samples(self, length: int | None = None) -> np.ndarray:
-        """The (*rows, length) samples past the analysis padding, zeros
-        where the frames end sooner; by default, all but one window
-        length at either end."""
-        left = self.window.length
-        if length is None:
-            length = max(self.out.shape[-1] - 2 * left, 0)
-        out = self.out[..., left:left + length]
-        if out.shape[-1] < length:
-            out = np.pad(out, [(0, 0)] * (out.ndim - 1)
-                         + [(0, length - out.shape[-1])])
-        return out
 
 
 def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
@@ -357,7 +450,9 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
 
     Uses the analysis window again for synthesis and divides by the summed
     squared window, so an unmodified tensor reconstructs the original
-    samples to machine precision on the analyzed extent.
+    samples to machine precision on the analyzed extent.  By default the
+    output has the tensor's n_samples, or, without them, all but one
+    window length at either end of the frames' extent.
 
     Runs of `_chunk` frames are tasks on the thread pool (`_pool`): a
     task synthesizes its frames of every channel in its thread's scratch
@@ -366,16 +461,20 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     """
     window = spec.window
     n_frames, _, n_ch = spec.coeffs.shape
-    writer = _Writer((n_ch,), n_frames, window)
-    planes, chunk = spec.coeffs.transpose(2, 0, 1), _chunk(n_ch)
+    if length is None:
+        length = spec.n_samples
+    if length is None:
+        length = max((n_frames - 1) * window.hop - window.length, 0)
+    chunk = _chunk(n_ch)
+    dest = _Samples((n_ch,), length)
+    writer = _Writer((n_ch,), n_frames, window, chunk, dest)
+    planes = spec.coeffs.transpose(2, 0, 1)
     _pool.run(range(0, n_frames, chunk),
               lambda n0, frames: writer.put(
                   n0, min(n0 + chunk, n_frames), planes[:, n0:n0 + chunk],
                   frames),
               lambda: np.empty((n_ch, min(chunk, n_frames), window.length)))
-    if length is None:
-        length = spec.n_samples
-    return SampledSignal(writer.samples(length).T, spec.rate_hz)
+    return SampledSignal(dest.out.T, spec.rate_hz)
 
 
 def _lagrange_weights(t, out, diffs):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .dsp import WindowSpec, lagrange_resample, stft
 from .metrics import _finite_mean, at_device_clock, score_images
 from .model import train_models
-from .scene import SceneSpec, scene_to_dict, synthesize_scene
+from .scene import SceneSpec, check_seed, scene_to_dict, synthesize_scene
 from .separator import MODES, separate_recordings
 
 __all__ = ["ExperimentReport", "run_experiment", "format_report"]
@@ -96,6 +96,7 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+    check_seed(seed)  # before the training scene, drawn with seed + 1
     if window is None:
         window = WindowSpec()
     report = ExperimentReport(

@@ -482,6 +482,12 @@ def synthesis_bytes(spec: SceneSpec) -> int:
     return 8 * spec.n_samples * (n_src + (n_src + 2) * channels)
 
 
+def check_seed(seed: int) -> None:
+    """ConfigError unless seed may seed a scene: nonnegative."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
 def synthesize_scene(spec: SceneSpec, seed: int
                      ) -> tuple[SourceImageSet, dict[str, MultichannelRecording]]:
     """Render ground-truth images and per-device recordings for a scene.
@@ -499,8 +505,7 @@ def synthesize_scene(spec: SceneSpec, seed: int
     image and mixture first, so the samples do not depend on the thread
     count.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
     need, have = synthesis_bytes(spec), _physical_memory()
     if have is not None and need > have:
         raise ConfigError(

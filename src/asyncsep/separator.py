@@ -33,17 +33,23 @@ not depend on the number of threads.
 `separate` and `classify` read their blocks from STFT tensors
 (`_TensorReader`), and the sink of `separate` is each filter's (K+1, C,
 N, F) image buffer; the image tensors of its result are (N, F, C) views
-into them.  `separate_recordings` reads each block from the recordings
-through a `dsp._Reader`, which frames them as `dsp.stft` does, and its
-sink is a `dsp._Writer`, the overlap-add of `dsp.istft`, into each
-filter's (K+1, C, samples) signal buffer, so no spectrogram of a whole
+into them.  The streamed pass (`_separate_sources`) reads each block
+from the recordings through a `dsp._Reader`, which frames them as
+`dsp.stft` does, and its sink is a `dsp._Writer`, the overlap-add of
+`dsp.istft`, which hands each finished span of a filter's images to one
+destination per (device, source) image; no spectrogram of a whole
 recording is ever held.  The writer adds a filter's blocks in frame
 order, so the image signals equal `istft` of `separate`'s images bit
-for bit.
+for bit.  `separate_recordings` streams from arrays into arrays; `asyncsep
+separate` streams from WAV files into WAV files, and its posteriors into
+a `.npy` file, so it holds a fixed number of blocks whatever the length.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,13 +104,27 @@ class _Spectra:
 
 
 class _ImageWriter(dsp._Writer):
-    """Sink of `separate_recordings`: a `dsp._Writer` of one filter's
-    (K+1, C) image signals, which synthesizes a block's images from its
-    thread's image planes."""
+    """Sink of the streamed pass: a `dsp._Writer` of one filter's (K+1, C)
+    image signals, which synthesizes a block's images from its thread's
+    image planes."""
 
     def planes(self, n0, n1, ws):
-        K1, C = self.out.shape[:2]
+        K1, C = self.buf.shape[:2]
         return ws.img[:K1, :C, :n1 - n0]
+
+
+class _ImageParts:
+    """Destination of an `_ImageWriter`: parts (k, lo, hi, dest) send
+    image k's rows lo:hi, one device's channels, to dest, a destination
+    of that image's (hi - lo, samples) signal (`dsp._Samples`,
+    `audio.WavSink`)."""
+
+    def __init__(self, parts: list):
+        self.parts = parts
+
+    def write(self, start, samples) -> None:
+        for k, lo, hi, dest in self.parts:
+            dest.write(start, samples[k, lo:hi])
 
 
 class _TensorReader:
@@ -128,8 +148,9 @@ class _Filter:
     Rt: np.ndarray     # (C, C, K, F) covariance planes
     noise: tuple       # (noise power, noise power / C), each (F,)
     sink: _Spectra | _ImageWriter  # takes the (K+1, C, b, F) images of a block
-    worst: np.ndarray  # per block, the worst squared image-sum deviation
     static: tuple | None  # (p, L, dinv) factorized for every frame, or None
+    worst: float = 0.0  # the worst squared image-sum deviation so far
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def n_channels(self) -> int:
@@ -145,7 +166,7 @@ class _Unit:
     channels: int      # of the stacked planes
     loglik: list       # (channel slice, Linv, logdets) per classifying array
     filters: list[_Filter]
-    posteriors: np.ndarray | None  # (N, F, S) joint posteriors, or None
+    posteriors: object  # takes the (N, F, S) joint posteriors, or None
 
 
 def _deviation_block(planes: np.ndarray, x: np.ndarray, ws) -> float:
@@ -199,11 +220,10 @@ def _run_block(unit: _Unit, n0: int, ws, var) -> None:
     n1 = min(n0 + _kernels._BLOCK, unit.n_frames)
     b = n1 - n0
     x = ws.x[:unit.channels, :b]
-    frames = ws.t[0] if len(ws.t) else None  # none in a pass over tensors
     try:
         lo = 0
         for reader in unit.readers:
-            reader.read(n0, n1, frames, x[lo:lo + reader.channels])
+            reader.read(n0, n1, ws.t, x[lo:lo + reader.channels])
             lo += reader.channels
         if unit.loglik:
             ll = ws.ll[:b]
@@ -211,15 +231,19 @@ def _run_block(unit: _Unit, n0: int, ws, var) -> None:
             for channels, Linv, logdets in unit.loglik:
                 _kernels.loglik_block(x[channels], Linv, logdets, ll, ws)
             posterior_block(ll, ll, ws)
-            if unit.posteriors is not None:
+            if isinstance(unit.posteriors, np.ndarray):
                 np.copyto(unit.posteriors[n0:n1], ll)
+            elif unit.posteriors is not None:
+                unit.posteriors.put(n0, ll, ws)
             if unit.filters:
                 power_block(ll, var, ws.p.real[:, :b], ws)
         for f in unit.filters:
             _filter_block(f, x[f.channels], n0, n1, ws)
             planes = f.sink.planes(n0, n1, ws)
-            f.worst[n0 // _kernels._BLOCK] = _deviation_block(
-                planes, x[f.channels], ws)
+            worst = _deviation_block(planes, x[f.channels], ws)
+            with f.lock:
+                if worst > f.worst:  # never for a NaN, as in `max`
+                    f.worst = worst
             f.sink.put(n0, n1, planes, ws.t)
     except BaseException:
         for f in unit.filters:  # release the blocks that wait for this one
@@ -235,10 +259,12 @@ def _unit(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
     entries: (devices, (K, F, C, C) covariances over their channels) pairs;
     readers: device -> its frame blocks (`dsp._Reader` or `_TensorReader`).
     The unit sums the entries' log-likelihoods when it classifies, writes
-    `posteriors` when given, and has one filter per entry, each with a
-    new sink(channels, frames), unless sink is None.  The filters of a
-    unit that does not classify use the long-term spectra (the static
-    modes).
+    `posteriors` when given, an (N, F, S) float64 array or an object of
+    that shape and dtype whose put(n0, block, ws) takes the posteriors of
+    frames n0 onwards (`classifier.PosteriorFile`), and has one filter
+    per entry, each with a new sink(devices, channels, frames), unless
+    sink is None.  The filters of a unit that does not classify use the
+    long-term spectra (the static modes).
     """
     F, noise = spatial.n_bins, states.noise_spectrum
     arrays = [m for devices, _ in entries for m in devices]
@@ -269,8 +295,7 @@ def _unit(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
         if sink is not None:
             filters.append(_Filter(
                 devices, channels, _kernels.filter_operands(cov),
-                (noise, noise / C), sink(C, n_frames),
-                np.zeros(-(-n_frames // _kernels._BLOCK)), None))
+                (noise, noise / C), sink(devices, C, n_frames), None))
     for f in filters if not classifies else []:
         # no per-tile powers: the long-term spectra hold for every frame,
         # so factorize once
@@ -287,7 +312,8 @@ def _units(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
            mode: str, posteriors, sink) -> list[_Unit]:
     """The units of the block pass under one mode, with their sinks.
 
-    See `_unit`; sink(channels, frames) is a new sink for one filter.
+    See `_unit`; sink(devices, channels, frames) is a new sink for one
+    filter.
     The unit that classifies over every array writes `posteriors`: the
     one unit of tv-distributed, or else one more unit that has no
     filters.  `classifier.classify` runs tv-distributed with no sink.
@@ -317,8 +343,14 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
     deviation per filter.  length: the window length when the pass
     analyzes and synthesizes signals, else 0."""
     var = states.conditional_variances()
-    tasks = [(u, n0) for u in units
-             for n0 in range(0, u.n_frames, _kernels._BLOCK)]
+    # task i is block i - starts[j] of unit j, for the last starts[j] <= i
+    starts = list(itertools.accumulate(
+        [0] + [-(-u.n_frames // _kernels._BLOCK) for u in units]))
+
+    def work(i, ws):
+        j = bisect.bisect_right(starts, i) - 1
+        _run_block(units[j], (i - starts[j]) * _kernels._BLOCK, ws, var)
+
     filters = [f for u in units for f in u.filters]
     factor_channels = max((f.n_channels for f in filters
                            if f.static is None), default=0)
@@ -326,18 +358,17 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
     # every device is among some filter's channels, so the analysis of a
     # device's frames fits the synthesis scratch too
     images, image_channels = 0, 0
-    if length:
-        images, image_channels = spatial.n_sources + 1, filter_channels
+    if length:  # the readers take two planes of frames, too
+        images, image_channels = max(spatial.n_sources + 1, 2), filter_channels
     channels = max((u.channels for u in units), default=0)
-    _pool.run(tasks, lambda task, ws: _run_block(*task, ws, var),
+    _pool.run(range(starts[-1]), work,
               lambda: _kernels.Workspace(
                   _kernels._BLOCK, spatial.n_bins, channels=channels,
                   factor_channels=factor_channels, sources=spatial.n_sources,
                   states=states.n_states, images=images,
                   image_channels=image_channels, length=length,
                   filter_channels=filter_channels))
-    return {_merged_label(f.arrays): float(np.sqrt(max([0.0, *f.worst])))
-            for f in filters}
+    return {_merged_label(f.arrays): float(np.sqrt(f.worst)) for f in filters}
 
 
 def _images(units: list[_Unit], spatial: SpatialModel, image) -> dict:
@@ -413,7 +444,8 @@ def separate(observations: dict[str, SpectrogramTensor],
     _check_inputs(mode, sorted(observations))
     K, F = spatial.n_sources, spatial.n_bins
     units = _units(_tensor_readers(observations, spatial), spatial, states,
-                   mode, posteriors, lambda C, N: _Spectra(K + 1, C, N, F))
+                   mode, posteriors,
+                   lambda devices, C, N: _Spectra(K + 1, C, N, F))
     consistency = _run_pass(units, spatial, states)
 
     def image(f, k, m, lo, hi):  # an (N, F, C) view of the buffer
@@ -447,7 +479,39 @@ def separate_recordings(recordings: dict[str, SampledSignal],
 
     posteriors: as for `separate`.
     """
-    array_ids = sorted(recordings)
+    images = {}
+
+    def image(m, sid):
+        rec = recordings[m]
+        dest = images[(m, sid)] = dsp._Samples((rec.channels,),
+                                               rec.n_samples)
+        return dest
+
+    consistency = _separate_sources(
+        {m: dsp._ArraySource(rec.samples) for m, rec in recordings.items()},
+        window, spatial, states, mode, posteriors, image)
+    return SeparationResult(
+        {(m, sid): SampledSignal(dest.out.T, recordings[m].rate_hz)
+         for (m, sid), dest in images.items()}, mode,
+        metadata={"consistency_rel_max": consistency})
+
+
+def _separate_sources(sources: dict, window: WindowSpec,
+                      spatial: SpatialModel, states: StateSpectrumModel,
+                      mode: str, posteriors, image) -> dict:
+    """The streamed pass from sample sources to image destinations.
+
+    sources: device -> its (n, C) samples, a sample source of
+    `dsp._Reader` with all_finite(); posteriors: as `_unit` takes them;
+    image(device, source id) -> the destination of that image's (C, n)
+    signal, an object with write(start, samples) (`dsp._Samples`,
+    `audio.WavSink`), called for every image, noise included, in the
+    order of `separate`'s images, once the sources are checked.  Checks
+    and errors as for `separate_recordings`, whose inputs are checked
+    before any destination is made.  Returns the worst image-sum
+    deviation per filter.
+    """
+    array_ids = sorted(sources)
     _check_inputs(mode, array_ids)
     F = spatial.n_bins
     if window.length // 2 + 1 != F:
@@ -455,24 +519,25 @@ def separate_recordings(recordings: dict[str, SampledSignal],
                          f"{window.length // 2 + 1} bins, model expects {F}")
     readers = {}
     for m in array_ids:
-        rec = recordings[m]
-        _check_array(m, rec.channels, spatial)
-        if rec.n_samples < window.length:
-            raise ValueError(f"array {m!r}: {rec.n_samples} samples, fewer "
-                             f"than one frame ({window.length})")
-        if not np.isfinite(rec.samples).all():
+        source = sources[m]
+        _check_array(m, source.channels, spatial)
+        if source.n_samples < window.length:
+            raise ValueError(f"array {m!r}: {source.n_samples} samples, "
+                             f"fewer than one frame ({window.length})")
+        if not source.all_finite():
             raise NumericalError(f"non-finite samples in array {m!r}")
-        readers[m] = dsp._Reader(rec.samples, window)
+        readers[m] = dsp._Reader(source, window)
 
-    K = spatial.n_sources
-    units = _units(readers, spatial, states, mode, posteriors,
-                   lambda C, N: _ImageWriter((K + 1, C), N, window))
-    consistency = _run_pass(units, spatial, states, window.length)
+    K, ids = spatial.n_sources, spatial.source_ids + [NOISE_ID]
 
-    def image(f, k, m, lo, hi):  # the recording's samples
-        rec = recordings[m]
-        return SampledSignal(f.sink.samples(rec.n_samples)[k, lo:hi].T,
-                             rec.rate_hz)
+    def sink(devices, C, N):
+        parts, lo = [], 0
+        for m in devices:
+            hi = lo + spatial.channels(m)
+            parts += [(k, lo, hi, image(m, sid)) for k, sid in enumerate(ids)]
+            lo = hi
+        return _ImageWriter((K + 1, C), N, window, _kernels._BLOCK,
+                            _ImageParts(parts))
 
-    return SeparationResult(_images(units, spatial, image), mode,
-                            metadata={"consistency_rel_max": consistency})
+    units = _units(readers, spatial, states, mode, posteriors, sink)
+    return _run_pass(units, spatial, states, window.length)

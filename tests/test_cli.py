@@ -6,22 +6,29 @@ import json
 import math
 import shutil
 import struct
+import tracemalloc
 import warnings
 import zlib
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 from scipy.io.wavfile import WavFileWarning
 
-from asyncsep import cli
+from asyncsep import _kernels, _pool, cli, separator
 from asyncsep.audio import read_wav, write_wav
+from asyncsep.classifier import PosteriorMap, posterior_histogram
 from asyncsep.cli import main
-from asyncsep.dsp import SampledSignal
-from asyncsep.model import _MAGIC, load_models
+from asyncsep.dsp import SampledSignal, WindowSpec, stft_frame_count
+from asyncsep.errors import NumericalError
+from asyncsep.metrics import _finite_mean, at_device_clock, score_images
+from asyncsep.model import _MAGIC, SpatialModel, load_models, save_models
+from asyncsep.separator import MODES, separate_recordings
 
+from conftest import make_synthetic_models, pool_run_peaks, rand_unit_psd
 from test_model import _with_entry
 
 
@@ -389,9 +396,15 @@ def test_training_image_with_rate_0_fails_with_config_error(
     {"rate_hz": 1e9, "duration_s": 1e-8},  # 8e9 bytes per second
 ], ids=["0.4", "16000.5", "1e9"])
 def test_scene_at_a_rate_no_wav_holds_fails_with_config_error(
-        tmp_path, scene_file, capsys, update):
+        tmp_path, scene_file, capsys, monkeypatch, update):
     # a WAV header holds whole Hz, and 32-bit header fields: refused
-    # before any directory is made
+    # before the scene is rendered or any directory is made
+    import asyncsep.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("rendered before the rate was checked")
+
+    monkeypatch.setattr(cli, "synthesize_scene", never)
     _edited_scene(scene_file, lambda d: d.update(update))
     out = tmp_path / "out"
     assert main(["simulate", str(scene_file), str(out)]) == 2
@@ -952,3 +965,265 @@ def test_memory_exhausted_exits_3_naming_the_command(tmp_path, scene_file,
     err = capsys.readouterr().err
     assert "out of memory in asyncsep simulate" in err
     assert "Traceback" not in err
+
+
+# `asyncsep separate` streams WAV files to WAV files, and `evaluate`
+# scores one pair at a time
+
+STREAM_WINDOW = WindowSpec(256, 64)
+
+
+def _stream_models(rng, ids, channels, window=STREAM_WINDOW):
+    """Synthetic models of 2 sources over `ids`, with a merged entry
+    over two or more devices."""
+    spatial, states, _ = make_synthetic_models(
+        rng, arrays=ids, n_ch=channels, n_src=2, window=window)
+    if len(ids) > 1:
+        C, F = channels * len(ids), spatial.n_bins
+        merged = np.stack([np.broadcast_to(rand_unit_psd(rng, C),
+                                           (F, C, C)).copy()
+                           for _ in range(2)])
+        spatial = SpatialModel(spatial.covariances, spatial.source_ids,
+                               merged=merged)
+    return spatial, states
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(devices=st.integers(1, 3), channels=st.integers(1, 2),
+       kind=st.sampled_from(["pcm16", "float32"]),
+       frames=st.integers(0, 40), tail=st.integers(1, 63),
+       seed=st.integers(0, 2**32 - 1))
+def test_streamed_separate_equals_the_library_byte_for_byte(
+        tmp_path, devices, channels, kind, frames, tail, seed):
+    # each example rewrites every file it reads
+    rng = np.random.default_rng(seed)
+    ids = ["a", "b", "c"][:devices]
+    model = tmp_path / "model.bin"
+    save_models(model, *_stream_models(rng, ids, channels), STREAM_WINDOW,
+                rate_hz=16000.0)
+    spatial, states, _ = load_models(model)
+    # a length that is no whole number of hops
+    n = STREAM_WINDOW.length + frames * STREAM_WINDOW.hop + tail
+    rec_dir = tmp_path / "recordings"
+    rec_dir.mkdir(exist_ok=True)
+    for m in ids:
+        x = 0.2 * rng.standard_normal((n, channels))
+        if kind == "pcm16":
+            wavfile.write(rec_dir / f"{m}.wav", 16000,
+                          np.clip(np.round(x * 32768), -32768,
+                                  32767).astype(np.int16))
+        else:
+            write_wav(rec_dir / f"{m}.wav", SampledSignal(x, 16000.0))
+    recordings = {m: read_wav(rec_dir / f"{m}.wav") for m in ids}
+    for mode in MODES[1:] if devices == 1 else MODES:  # pooled needs two
+        out, post, ref = (tmp_path / mode, tmp_path / f"{mode}-post",
+                          tmp_path / f"{mode}-ref")
+        for d in (out, ref):
+            shutil.rmtree(d, ignore_errors=True)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(["separate", str(model), str(rec_dir), str(out),
+                         "--mode", mode, "--dump-posteriors", str(post)]) == 0
+        gamma = np.empty((stft_frame_count(n, STREAM_WINDOW), spatial.n_bins,
+                          states.n_states))
+        result = separate_recordings(recordings, STREAM_WINDOW, spatial,
+                                     states, mode, posteriors=gamma)
+        for (m, k), signal in result.images.items():
+            write_wav(ref / f"{m}__{k}.wav", signal)
+        np.save(ref / "post", gamma)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in ref.glob("*.wav"))
+        for wav in ref.glob("*.wav"):
+            assert (out / wav.name).read_bytes() == wav.read_bytes(), wav.name
+        # np.save appends ".npy", and so does the dump
+        assert (tmp_path / f"{mode}-post.npy").read_bytes() == \
+            (ref / "post.npy").read_bytes()
+        assert text.getvalue().startswith(posterior_histogram(
+            PosteriorMap(gamma, states.state_ids)))
+
+
+@pytest.mark.parametrize("offsets", [{}, {"a": 0.7, "b": -0.4}],
+                         ids=["same-clocks", "offsets"])
+def test_evaluate_report_equals_scoring_every_pair_at_once(
+        tmp_path, small_scene, offsets):
+    est = tmp_path / "est"
+    assert _separate_in_process(small_scene / "model.bin",
+                                small_scene / "sim" / "recordings",
+                                est)[0] == 0
+    images, report = small_scene / "sim" / "images", tmp_path / "r.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["evaluate", str(est), str(images), str(report),
+                     *[f"--sro-override={m}={v}" for m, v in offsets.items()]
+                     ]) == 0
+    truth = {tuple(wav.stem.split("__")): read_wav(wav)
+             for wav in sorted(images.glob("*__*.wav"))}
+    scores = score_images(at_device_clock(truth, offsets),
+                          {(m, k): read_wav(est / f"{m}__{k}.wav")
+                           for m, k in truth})
+    got = json.loads(report.read_text())
+    assert list(got["sdr_db"]) == list(scores)
+    assert got["sdr_db"] == scores
+    assert got["mean_sdr_db"] == _finite_mean(scores.values())
+
+
+def _traced_peak(argv) -> int:
+    """Exit 0 of `asyncsep argv`, and its traced allocation peak."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0, argv
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+
+def test_separate_and_evaluate_memory_does_not_grow_with_length(
+        tmp_path, monkeypatch):
+    # the same scene at 2 s and 8 s, separated with the posterior dump
+    # and scored against clock-offset truth, on one thread
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+    workspaces = []
+    real = _kernels.Workspace
+
+    def recorded(*args, **kwargs):
+        ws = real(*args, **kwargs)
+        workspaces.append(sum(a.nbytes for a in vars(ws).values()))
+        return ws
+
+    monkeypatch.setattr(_kernels, "Workspace", recorded)
+    scene = json.loads(json.dumps(SCENE))
+    scene["arrays"][1]["sro_hz"] = 0.5
+    peaks = {}
+    for seconds in (2.0, 8.0):
+        scene["duration_s"] = seconds
+        path, sim = tmp_path / f"{seconds}.yaml", tmp_path / f"sim{seconds}"
+        path.write_text(yaml.safe_dump(scene))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(path), str(sim), "--seed", "1"]) == 0
+            if seconds == 2.0:
+                assert main(["train", str(sim / "images"),
+                             str(tmp_path / "model.bin"),
+                             "--stft-len", "256"]) == 0
+        est = tmp_path / f"est{seconds}"
+        peaks[seconds] = (
+            _traced_peak(["separate", str(tmp_path / "model.bin"),
+                          str(sim / "recordings"), str(est),
+                          "--dump-posteriors",
+                          str(tmp_path / f"post{seconds}.npy")]),
+            _traced_peak(["evaluate", str(est), str(sim / "images"),
+                          str(tmp_path / f"r{seconds}.json")]))
+    block = max(workspaces)  # the scratch of one thread's blocks
+    assert peaks[8.0][0] - peaks[2.0][0] < block
+    # evaluate holds one pair: a truth image, its resampled copy and the
+    # estimate, each 6 s longer at 8 s; all 4 pairs would take 8 images
+    image = 6 * 16000 * 2 * 8
+    assert peaks[8.0][1] - peaks[2.0][1] < 5 * image
+
+
+def test_non_finite_recording_exits_3_leaving_no_output(
+        tmp_path, trained_container, capsys):
+    model, recordings = trained_container
+    sig = read_wav(recordings / "b.wav")
+    sig.samples[700, 1] = np.nan
+    write_wav(recordings / "b.wav", sig)
+    est, post = tmp_path / "est", tmp_path / "post.npy"
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings), str(est),
+                 "--dump-posteriors", str(post)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "'b'" in err
+    assert not est.exists() and not post.exists()
+
+
+def test_failure_in_the_pass_removes_every_output(
+        tmp_path, trained_container, capsys, monkeypatch):
+    # the estimates and posteriors of earlier blocks are on disk by then
+    model, recordings = trained_container
+    real, blocks = separator._deviation_block, []
+
+    def failing(*args):
+        blocks.append(1)
+        if len(blocks) == 9:
+            raise NumericalError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(separator, "_deviation_block", failing)
+    est, post = tmp_path / "est", tmp_path / "post.npy"
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings), str(est),
+                 "--dump-posteriors", str(post)]) == 3
+    assert "injected" in capsys.readouterr().err
+    assert list(est.iterdir()) == [] and not post.exists()
+
+
+def test_data_chunk_longer_than_the_file_exits_2_before_any_output(
+        tmp_path, trained_container, capsys):
+    # the RIFF size still matches the file: only the data chunk claims more
+    model, recordings = trained_container
+    wav = recordings / "b.wav"
+    raw = wav.read_bytes()
+    at = raw.index(b"data") + 4
+    claim = 8 * (len(raw) // 8)  # whole stereo float32 frames
+    wav.write_bytes(raw[:at] + struct.pack("<I", claim) + raw[at + 4:])
+    est, post = tmp_path / "est", tmp_path / "post.npy"
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings), str(est),
+                 "--dump-posteriors", str(post)]) == 2
+    _assert_clean_config_error(capsys, str(wav), "Reached EOF prematurely")
+    assert not est.exists() and not post.exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_streamed_pass_tasks_allocate_no_arrays(tmp_path, monkeypatch,
+                                                mode):
+    # PCM16 in, float32 out: the blocks convert in their scratch
+    rng, window = np.random.default_rng(5), WindowSpec(4096, 1024)
+    model, rec_dir = tmp_path / "model.bin", tmp_path / "recordings"
+    spatial, states = _stream_models(rng, ["a", "b"], 2, window)
+    save_models(model, spatial, states, window, rate_hz=16000.0)
+    rec_dir.mkdir()
+    for m in ("a", "b"):
+        wavfile.write(rec_dir / f"{m}.wav", 16000, rng.integers(
+            -3000, 3000, (40 * window.hop + 17, 2), dtype=np.int16))
+    with contextlib.redirect_stdout(io.StringIO()):
+        peaks = pool_run_peaks(monkeypatch, lambda: main([
+            "separate", str(model), str(rec_dir), str(tmp_path / "est"),
+            "--mode", mode, "--dump-posteriors", str(tmp_path / "p.npy")]))
+    # the smallest array a block could allocate: one (8, F) bool plane
+    assert len(peaks) == 1
+    assert peaks[0] < 8 * spatial.n_bins
+
+
+def test_streamed_separate_on_more_threads_than_cores(tmp_path, monkeypatch):
+    # the threads share the winner counts, the worst deviations and the
+    # writers' turns; a lost update changes the histogram, and close()
+    # refuses counts that do not add up to every tile
+    import sys
+
+    rng = np.random.default_rng(9)
+    model, rec_dir = tmp_path / "model.bin", tmp_path / "recordings"
+    save_models(model, *_stream_models(rng, ["a", "b", "c"], 2),
+                STREAM_WINDOW, rate_hz=16000.0)
+    for m in ("a", "b", "c"):
+        write_wav(rec_dir / f"{m}.wav", SampledSignal(
+            0.2 * rng.standard_normal((300 * STREAM_WINDOW.hop + 5, 2)),
+            16000.0))
+    outputs = {}
+    for workers in (1, 8):
+        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+        out, text = tmp_path / f"est{workers}", io.StringIO()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with contextlib.redirect_stdout(text):
+                assert main(["separate", str(model), str(rec_dir), str(out),
+                             "--dump-posteriors",
+                             str(tmp_path / f"p{workers}.npy")]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        files["post"] = (tmp_path / f"p{workers}.npy").read_bytes()
+        outputs[workers] = (text.getvalue().replace(str(out), "est"), files)
+    assert outputs[8] == outputs[1]

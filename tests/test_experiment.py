@@ -127,7 +127,15 @@ def test_each_scene_is_rendered_once(monkeypatch):
     assert len(set(renders)) == 2
 
 
-def test_negative_seed_rejected():
+def test_negative_seed_rejected(monkeypatch):
+    # refused before the training scene, valid at seed + 1, is drawn
+    import asyncsep.experiment as experiment
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    monkeypatch.setattr(experiment, "synthesize_scene", never)
+    monkeypatch.setattr(experiment, "train_models", never)
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         run_experiment(tiny_scene(), tiny_scene(duration=1.0), seed=-1,
                        window=WIN)

@@ -8,7 +8,8 @@ Every stage with numeric work splits it into tasks on this pool:
   * training: one task per (entry, source) and block of bins, which
     forms the covariance and the long-term spectrum there;
   * the resampler: one task per run of output samples;
-  * the separation pass: one task per block of frames;
+  * the separation pass: one task per block of frames, which in
+    `run_experiment` also scores the spans it finishes;
   * SDR scoring: one task per (reference, estimate) pair.
 Tasks write disjoint slices of buffers allocated beforehand, or, in
 the iSTFT and the streamed separation pass, add into shared samples in

@@ -101,6 +101,47 @@ def _image_name(array_id: str, source_id: str) -> str:
     return f"{array_id}__{source_id}.wav"
 
 
+class _Outputs:
+    """The files a command has made, each with how to remove it."""
+
+    def __init__(self):
+        self._made = []
+
+    def file(self, path: Path) -> Path:
+        """path, removed if the command fails."""
+        self._made.append(lambda: path.unlink(missing_ok=True))
+        return path
+
+    def stream(self, out):
+        """out, an output with discard() (`WavSink`, `PosteriorFile`),
+        discarded if the command fails."""
+        self._made.append(out.discard)
+        return out
+
+    def discard(self) -> None:
+        for remove in reversed(self._made):
+            with contextlib.suppress(OSError):
+                remove()
+
+
+@contextlib.contextmanager
+def _making():
+    """The block that makes a command's outputs.  If it fails, every
+    output made is removed, and an OSError, such as a directory that
+    cannot be made where a file is, becomes a ConfigError naming the
+    path."""
+    made = _Outputs()
+    try:
+        yield made
+    except BaseException as exc:
+        made.discard()
+        if isinstance(exc, OSError):
+            where = "an output" if exc.filename is None else exc.filename
+            raise ConfigError(f"cannot write {where}: "
+                              f"{exc.strerror or exc}") from None
+        raise
+
+
 def cmd_simulate(args) -> int:
     spec = _resolve_scene(args.scene)
     overrides = _parse_sro_overrides(args.sro_override,
@@ -113,16 +154,18 @@ def cmd_simulate(args) -> int:
         wav_rate(out / "recordings" / f"{arr.id}.wav", spec.rate_hz,
                  arr.channels)
     images, recordings = synthesize_scene(spec, args.seed)
-    for m, rec in recordings.items():
-        write_wav(out / "recordings" / f"{m}.wav", rec.signal)
-    for (m, k), img in images.images.items():
-        write_wav(out / "images" / _image_name(m, k), img)
     manifest = {
         "version": 1,
         "seed": args.seed,
         "scene": scene_to_dict(spec),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    with _making() as made:
+        for m, rec in recordings.items():
+            write_wav(made.file(out / "recordings" / f"{m}.wav"), rec.signal)
+        for (m, k), img in images.images.items():
+            write_wav(made.file(out / "images" / _image_name(m, k)), img)
+        made.file(out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2))
     print(f"wrote {len(recordings)} recordings and {len(images.images)} "
           f"ground-truth images to {out}")
     return EXIT_OK
@@ -163,9 +206,11 @@ def cmd_train(args) -> int:
         channels[m] = sig.channels
     spatial, states = train_models(tensors, noise_gain=args.noise_gain,
                                    include_pooled=args.pooled)
-    save_models(args.model, spatial, states, window=window, rate_hz=rate)
     summary = model_summary(spatial, states)
-    Path(args.model).with_suffix(".txt").write_text(summary)
+    with _making() as made:
+        save_models(made.file(Path(args.model)), spatial, states,
+                    window=window, rate_hz=rate)
+        made.file(Path(args.model).with_suffix(".txt")).write_text(summary)
     print(summary, end="")
     print(f"model written to {args.model}")
     return EXIT_OK
@@ -206,34 +251,28 @@ def cmd_separate(args) -> int:
             + ", ".join(f"{m}={n}" for m, n in frames.items()))
 
     out = Path(args.out)
-    outputs = []  # every file made, removed if the command fails
+    outputs = []  # every file made, closed once the pass is done
 
     def image(m, sid):
         h = headers[m]
-        sink = WavSink(out / _image_name(m, sid), h.rate, h.channels,
-                       h.n_samples)
-        outputs.append(sink)
-        return sink
+        outputs.append(made.stream(WavSink(
+            out / _image_name(m, sid), h.rate, h.channels, h.n_samples)))
+        return outputs[-1]
 
     gamma = None
-    try:
-        with contextlib.ExitStack() as stack:
-            sources = {m: stack.enter_context(WavSource(h))
-                       for m, h in headers.items()}
-            if args.dump_posteriors:
-                gamma = PosteriorFile(
-                    args.dump_posteriors,
-                    (next(iter(frames.values())), spatial.n_bins,
-                     states.n_states), states.state_ids)
-                outputs.append(gamma)
-            consistency = _separate_sources(sources, window, spatial, states,
-                                            args.mode, gamma, image)
+    with _making() as made, contextlib.ExitStack() as stack:
+        sources = {m: stack.enter_context(WavSource(h))
+                   for m, h in headers.items()}
+        if args.dump_posteriors:
+            gamma = made.stream(PosteriorFile(
+                args.dump_posteriors,
+                (next(iter(frames.values())), spatial.n_bins,
+                 states.n_states), states.state_ids))
+            outputs.append(gamma)
+        consistency = _separate_sources(sources, window, spatial, states,
+                                        args.mode, gamma, image)
         for done in outputs:
             done.close()
-    except BaseException:
-        for made in outputs:
-            made.discard()
-        raise
     if gamma is not None:
         print(gamma.histogram(), end="")
     print(f"separated {len(headers)} arrays in mode {args.mode} "
@@ -316,8 +355,10 @@ def cmd_evaluate(args) -> int:
         "sdr_db": scores,
         "mean_sdr_db": _finite_mean(scores.values()),
     }
-    Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.report).write_text(json.dumps(report, indent=2))
+    with _making() as made:
+        path = made.file(Path(args.report))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(report, indent=2))
     print(f"{'image':>16s}  {'SDR (dB)':>9s}")
     for key in sorted(scores):
         print(f"{key:>16s}  {scores[key]:9.2f}")

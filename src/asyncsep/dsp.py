@@ -20,6 +20,7 @@ Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ __all__ = [
 _CHUNK = 64  # channel frames of one `stft` or `istft` task (`_chunk`)
 _ORDER = 4  # Lagrange order of every fractional delay and clock resampling
 _RESAMPLE_ROWS = 16384  # output samples per resampling task
+_RUNS = 8  # most runs of consecutive stencils `_gather` reads as slices
 
 
 def _as_2d(samples) -> np.ndarray:
@@ -329,6 +331,12 @@ class _Samples:
         np.copyto(dst, samples[..., :dst.shape[-1]])
 
 
+def _longest_span(window: WindowSpec, block: int) -> int:
+    """The most samples a `_Writer` of `block`-frame blocks hands its
+    destination in one write: those of a last block."""
+    return (block - 1) * window.hop + window.length
+
+
 class _Writer:
     """Weighted overlap-add of frame blocks into signals, in frame order.
 
@@ -501,6 +509,7 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
     x: (n, channels); pos: (m,) positions in samples.  Positions outside
     the input read zeros.  Uses _ORDER + 1 points around each position.
+    Returns (m, channels), a view of a channel-major buffer.
 
     Runs of `_RESAMPLE_ROWS` output rows are tasks on the thread pool
     (`_pool`); each forms its own stencils and weights.  The calling
@@ -509,43 +518,107 @@ def _interpolate_at(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
     The input is padded by one stencil on the left and one sample on the
     right, however far the positions reach: the gather clips its indices
     into the padded input, and a clipped index lands on a zero, so every
-    tap outside the input reads zero.
+    tap outside the input reads zero.  Both are channel-major, so each
+    weight multiplies a run of samples of one channel.
     """
-    m = pos.shape[0]
-    padded = np.pad(x, ((_ORDER + 1, 1), (0, 0)))
-    out = np.zeros((m, x.shape[1]))
+    m, C = pos.shape[0], x.shape[1]
+    padded = np.zeros((C, x.shape[0] + _ORDER + 2))
+    padded[:, _ORDER + 1:_ORDER + 1 + x.shape[0]] = x.T
+    out = np.zeros((C, m))
     rows = min(_RESAMPLE_ROWS, m)
     _pool.run(range(0, m, _RESAMPLE_ROWS),
               lambda r0, ws: _interpolate_rows(padded, pos, out, r0, ws),
               lambda: (np.empty(rows), np.empty(rows, dtype=np.int64),
                        np.empty((_ORDER + 2, rows)),
-                       np.empty((_ORDER + 1, rows)),
-                       np.empty((rows, x.shape[1]))))
-    return out
+                       np.empty((_ORDER + 1, rows)), np.empty((C, rows))))
+    return out.T
 
 
 def _interpolate_rows(padded, pos, out, r0, ws) -> None:
     """Rows r0 onwards, up to `_RESAMPLE_ROWS`, of `_interpolate_at`;
-    padded: x with _ORDER + 1 zeros before it."""
+    padded: x with _ORDER + 1 zeros before it, channel-major, and out
+    (C, m)."""
     r1 = min(r0 + _RESAMPLE_ROWS, pos.shape[0])
     r = r1 - r0
     t, index, diffs, weights, tap = ws
-    t, index, tap = t[:r], index[:r], tap[:r]
-    diffs, weights = diffs[:, :r], weights[:, :r]
-    p = pos[r0:r1]
+    index, weights = index[:r], weights[:, :r]
+    _stencils(pos[r0:r1], t[:r], index, weights, diffs[:, :r])
+    runs = _runs(index, padded.shape[1], diffs[0])
+    _gather(padded, index, weights, tap[:, :r], out[:, r0:r1], runs)
+
+
+def _stencils(p, t, index, weights, diffs) -> None:
+    """The stencils of positions p >= 0, (r,): index, (r,) int, receives
+    each stencil's first sample in the input padded by _ORDER + 1 zeros
+    before it, and weights, (_ORDER + 1, r), its Lagrange weights; t and
+    diffs are float scratch, (r,) and (_ORDER + 2, r)."""
     np.floor(p, out=t)
     t -= (_ORDER - 1) // 2  # the stencil starts, whole numbers
     np.add(t, _ORDER + 1, out=index, casting="unsafe")
     np.subtract(p, t, out=t)  # abscissae relative to the stencil starts
     _lagrange_weights(t, weights, diffs)
-    # one gather index for every tap: tap j reads the view shifted by j;
-    # an index below 0 clips to padded[j], j <= _ORDER, and one past the
-    # end to the last sample, both zeros
-    dst = out[r0:r1]
-    for j in range(_ORDER + 1):
-        np.take(padded[j:], index, axis=0, out=tap, mode="clip")
-        tap *= weights[j][:, None]
-        dst += tap
+
+
+def _runs(index, size: int, step) -> list[int]:
+    """Bounds [0, ..., inside] of the runs of rows whose stencils, in an
+    input of `size` samples, start at consecutive samples and hold no
+    sample past its end; `_gather` reads their taps as slices, and the
+    rows from `inside` on through a gather.  index: (r,) nondecreasing
+    stencil starts; step: float scratch, (r,).  With more than `_RUNS`
+    runs, none is taken.  Allocates no array.
+    """
+    inside = bisect.bisect_left(index, size - _ORDER)
+    cuts = [0]
+    if inside > 1:
+        ends = step[:inside - 1]
+        np.subtract(index[1:inside], index[:inside - 1], out=ends)
+        np.not_equal(ends, 1.0, out=ends)  # 1.0 where a run ends
+        count = np.count_nonzero(ends)
+        if count >= _RUNS:
+            return [0]
+        for _ in range(count):  # argmax finds the next 1.0
+            cuts.append(cuts[-1] + int(np.argmax(ends[cuts[-1]:])) + 1)
+    return cuts + [inside] if inside else [0]
+
+
+def _gather(padded, index, weights, tap, dst, runs) -> None:
+    """Add the interpolated rows of stencils (index, weights) into dst.
+
+    padded: (C, n) input, channel-major; index: (r,) stencil starts in
+    it; weights: (_ORDER + 1, r); tap and dst: (C, r), tap scratch;
+    runs: `_runs` of index.  Tap j of each row is added in ascending j.
+    A run reads tap j as the slice of padded shifted by j; the other rows
+    share one gather index for every tap, tap j reading the view shifted
+    by j, and an index past the end clips to the last sample, a zero in
+    `_interpolate_at`'s padded input.  Both multiply the same samples by
+    the same weights, so the rows do not depend on the runs.
+    """
+    for r0, r1 in zip(runs[:-1], runs[1:]):
+        s, part = int(index[r0]), slice(r0, r1)
+        for j in range(_ORDER + 1):
+            np.multiply(padded[:, s + j:s + j + r1 - r0], weights[j, part],
+                        out=tap[:, part])
+            dst[:, part] += tap[:, part]
+    rest = slice(runs[-1], index.shape[0])
+    if rest.start < rest.stop:
+        index, tap, dst = index[rest], tap[:, rest], dst[:, rest]
+        for j in range(_ORDER + 1):
+            for c in range(padded.shape[0]):  # contiguous rows, not copied
+                np.take(padded[c, j:], index, out=tap[c], mode="clip")
+            tap *= weights[j, rest]
+            dst += tap
+
+
+def _clock_ratio(rate_hz: float, rate_offset_hz: float) -> float:
+    """Input samples per output sample of `lagrange_resample`; ValueError
+    unless the offset is finite and smaller than the rate."""
+    if not math.isfinite(rate_offset_hz):
+        raise ValueError(f"rate_offset_hz must be finite, got {rate_offset_hz}")
+    if abs(rate_offset_hz) >= rate_hz:
+        raise ValueError(
+            f"|rate_offset_hz| ({abs(rate_offset_hz)}) must be below the "
+            f"sample rate ({rate_hz})")
+    return rate_hz / (rate_hz + rate_offset_hz)
 
 
 def lagrange_resample(signal: SampledSignal,
@@ -561,15 +634,8 @@ def lagrange_resample(signal: SampledSignal,
     ----------
     rate_offset_hz : deviation of the actual clock from the nominal rate.
     """
-    if not math.isfinite(rate_offset_hz):
-        raise ValueError(f"rate_offset_hz must be finite, got {rate_offset_hz}")
-    if abs(rate_offset_hz) >= signal.rate_hz:
-        raise ValueError(
-            f"|rate_offset_hz| ({abs(rate_offset_hz)}) must be below the "
-            f"sample rate ({signal.rate_hz})")
-
+    ratio = _clock_ratio(signal.rate_hz, rate_offset_hz)
     x = signal.samples
-    ratio = signal.rate_hz / (signal.rate_hz + rate_offset_hz)
     pos = np.arange(x.shape[0], dtype=np.float64) * ratio
     return SampledSignal(_interpolate_at(x, pos), signal.rate_hz)
 

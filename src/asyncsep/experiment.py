@@ -4,15 +4,20 @@ A run synthesizes a test and a training scene, trains the spatial and
 state models on the training images, separates the test mixtures under
 the requested filter variants both with and without the scene's clock
 offsets, and scores every estimated image against the ground truth at the
-device clock: `metrics.at_device_clock` passes the truth images through
-the same resampler as the mixture, so reference and estimate share a
-clock, and `metrics.score_images` scores them.
+device clock, without resampling any estimate.
 
 Each scene is rendered once, on the nominal clock: the images and the
 mixtures do not depend on the clock offsets, which are applied to the
-synced mixtures per variant.  Each mode separates the recordings into
-image signals in one streamed pass (`separate_recordings`), so no
-spectrogram of a test recording or of its images is held.
+synced mixtures per variant.  Each mode runs one streamed pass from the
+recordings (`separator._separate_sources`) whose destinations score
+each finished span of an image as the pass writes it (`metrics._Scores`),
+against the span of its truth image on the device clock, and discard the
+noise images.  So no spectrogram, no image signal and no resampled truth
+image is held.  The unprocessed scores are made span by span through the
+first mode's destinations, fed the recordings' spans with the estimates'.
+The scores equal
+`score_images(at_device_clock(truth, offsets), images)` of the held image
+signals bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +27,15 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .dsp import WindowSpec, lagrange_resample, stft
-from .metrics import _finite_mean, at_device_clock, score_images
+import numpy as np
+
+from . import _kernels, _pool
+from .dsp import (SampledSignal, WindowSpec, _ArraySource, _longest_span,
+                  lagrange_resample, stft)
+from .metrics import _finite_mean, _Scores
 from .model import train_models
 from .scene import SceneSpec, check_seed, scene_to_dict, synthesize_scene
-from .separator import MODES, separate_recordings
+from .separator import MODES, _separate_sources
 
 __all__ = ["ExperimentReport", "run_experiment", "format_report"]
 
@@ -47,7 +56,9 @@ class ExperimentReport:
     consistency: dict = field(default_factory=dict)  # variant -> mode -> worst rel
     # stage -> seconds; "synthesize" renders the test scene once,
     # "analyze[variant]" is that variant's clock-offset resampling and
-    # "mode[variant]" its separation (with the STFT) and scoring
+    # "mode[variant]" its streamed pass, which analyzes, separates,
+    # synthesizes and scores each block; the first mode's pass also
+    # scores the unprocessed recordings, span by span
     runtime_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -72,6 +83,12 @@ def _digest(scene: SceneSpec, train_scene: SceneSpec, seed: int,
         "noise_gain": noise_gain,
     }, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _channel_major(signal: SampledSignal) -> SampledSignal:
+    """signal with its samples copied into a channel-major buffer."""
+    return SampledSignal(np.ascontiguousarray(signal.samples.T).T,
+                         signal.rate_hz)
 
 
 def _zero_sro(spec: SceneSpec) -> SceneSpec:
@@ -118,40 +135,52 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     # variant's recordings are these synced mixtures resampled
     test_images, synced = synthesize_scene(_zero_sro(scene), seed)
     report.runtime_s["synthesize"] = time.perf_counter() - t0
-    truth = {key: img for arr in scene.arrays  # array by array, as scored
-             for key, img in test_images.images.items() if key[0] == arr.id}
+    # held channel-major, one signal copied at a time, as the pass reads
+    # the recordings and the scoring reads the truth by channel
+    images = test_images.images
+    del test_images
+    truth = {key: _channel_major(images.pop(key)) for arr in scene.arrays
+             for key in list(images) if key[0] == arr.id}  # as scored
+    for m in synced:
+        synced[m] = _channel_major(synced[m].signal)
 
-    for variant in variants:
+    rows = _longest_span(window, _kernels._BLOCK)  # of a scored span
+    for i, variant in enumerate(variants):
         sro_hz = {arr.id: arr.sro_hz if variant == "sro" else 0.0
                   for arr in scene.arrays}
         t0 = time.perf_counter()
-        signals = {m: lagrange_resample(synced[m].signal, hz) if hz
-                   else synced[m].signal for m, hz in sro_hz.items()}
+        signals = {m: lagrange_resample(synced[m], hz) if hz
+                   else synced[m] for m, hz in sro_hz.items()}
+        if i == len(variants) - 1:
+            del synced  # no later variant resamples the mixtures
         report.runtime_s[f"analyze[{variant}]"] = time.perf_counter() - t0
 
-        refs = at_device_clock(truth, sro_hz)
-
-        report.sdr_db.setdefault(variant, {})
-        report.mode_means.setdefault(variant, {})
+        sdr = report.sdr_db.setdefault(variant, {"unprocessed": None})
         report.consistency.setdefault(variant, {})
+        # the raw mixtures as the estimates of every source image: scored
+        # in the first mode's pass, against the same truth spans, or
+        # alone, one device a task, when there is no mode
+        if not modes:
+            scores = _Scores(truth, sro_hz, rows)
+            _pool.run(sorted(signals),
+                      lambda m, _: scores.feed(m, signals[m].samples),
+                      lambda: None)
+            sdr["unprocessed"] = scores.scores()
 
-        # the raw mixture as the estimate of every source image
-        report.sdr_db[variant]["unprocessed"] = score_images(
-            refs, {key: signals[key[0]] for key in refs})
-        report.mode_means[variant]["unprocessed"] = _finite_mean(
-            report.sdr_db[variant]["unprocessed"].values())
-
-        for mode in modes:
+        sources = {m: _ArraySource(sig.samples) for m, sig in signals.items()}
+        for j, mode in enumerate(modes):
             t0 = time.perf_counter()
-            result = separate_recordings(signals, window, spatial, states,
-                                         mode)
-            scores = score_images(refs, result.images)
-            report.sdr_db[variant][mode] = scores
-            report.mode_means[variant][mode] = _finite_mean(scores.values())
-            report.consistency[variant][mode] = max(
-                result.metadata["consistency_rel_max"].values())
+            scores = _Scores(truth, sro_hz, rows, None if j else {
+                m: sig.samples for m, sig in signals.items()})
+            consistency = _separate_sources(sources, window, spatial, states,
+                                            mode, None, scores.destination)
+            if not j:
+                sdr["unprocessed"] = scores.scores(unprocessed=True)
+            sdr[mode] = scores.scores()
+            report.consistency[variant][mode] = max(consistency.values())
             report.runtime_s[f"{mode}[{variant}]"] = time.perf_counter() - t0
-            del result  # not held through the next mode's separation
+        report.mode_means[variant] = {
+            name: _finite_mean(values.values()) for name, values in sdr.items()}
     return report
 
 

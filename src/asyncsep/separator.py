@@ -42,7 +42,8 @@ recording is ever held.  The writer adds a filter's blocks in frame
 order, so the image signals equal `istft` of `separate`'s images bit
 for bit.  `separate_recordings` streams from arrays into arrays; `asyncsep
 separate` streams from WAV files into WAV files, and its posteriors into
-a `.npy` file, so it holds a fixed number of blocks whatever the length.
+a `.npy` file, so it holds a fixed number of blocks whatever the length;
+`run_experiment` streams from arrays into scores (`metrics._Scores`).
 """
 
 from __future__ import annotations
@@ -505,8 +506,9 @@ def _separate_sources(sources: dict, window: WindowSpec,
     `dsp._Reader` with all_finite(); posteriors: as `_unit` takes them;
     image(device, source id) -> the destination of that image's (C, n)
     signal, an object with write(start, samples) (`dsp._Samples`,
-    `audio.WavSink`), called for every image, noise included, in the
-    order of `separate`'s images, once the sources are checked.  Checks
+    `audio.WavSink`, `metrics._ImageScore`), called for every image,
+    noise included, in the order of `separate`'s images, once the
+    sources are checked.  Checks
     and errors as for `separate_recordings`, whose inputs are checked
     before any destination is made.  Returns the worst image-sum
     deviation per filter.

@@ -1227,3 +1227,71 @@ def test_streamed_separate_on_more_threads_than_cores(tmp_path, monkeypatch):
         files["post"] = (tmp_path / f"p{workers}.npy").read_bytes()
         outputs[workers] = (text.getvalue().replace(str(out), "est"), files)
     assert outputs[8] == outputs[1]
+
+
+def _refused(capsys, argv, path):
+    """asyncsep argv exits 2 with a clean error naming path."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    _assert_clean_config_error(capsys, "cannot write", str(path))
+
+
+def test_simulate_into_an_unmakeable_path_exits_2_leaving_no_output(
+        tmp_path, scene_file, capsys):
+    # the recordings are written before a file stands where the images go
+    out = tmp_path / "sim"
+    out.mkdir()
+    (out / "images").write_text("")
+    _refused(capsys, ["simulate", str(scene_file), str(out)], out / "images")
+    assert sorted(p.name for p in out.iterdir()) == ["images", "recordings"]
+    assert list((out / "recordings").iterdir()) == []
+
+
+def test_train_into_an_unmakeable_path_exits_2_leaving_no_output(
+        tmp_path, trained_container, capsys):
+    # the model is written before its summary finds a directory in its way
+    images = trained_container[1].parent / "images"
+    model = tmp_path / "other.bin"
+    (tmp_path / "other.txt").mkdir()
+    _refused(capsys, ["train", str(images), str(model)],
+             tmp_path / "other.txt")
+    assert not model.exists()
+
+
+def test_separate_into_an_unmakeable_path_exits_2_leaving_no_output(
+        tmp_path, trained_container, capsys):
+    model, recordings = trained_container
+    afile, post = tmp_path / "afile", tmp_path / "post.npy"
+    afile.write_text("")
+    _refused(capsys, ["separate", str(model), str(recordings), str(afile),
+                      "--dump-posteriors", str(post)], afile)
+    assert not post.exists()
+    # a's estimates are made before a directory stands where b's noise
+    # image goes
+    est = tmp_path / "est"
+    (est / "b__noise.wav").mkdir(parents=True)
+    _refused(capsys, ["separate", str(model), str(recordings), str(est),
+                      "--dump-posteriors", str(post)], est / "b__noise.wav")
+    assert [p.name for p in est.iterdir()] == ["b__noise.wav"]
+    assert not post.exists()
+
+
+def test_posteriors_into_an_unmakeable_path_exit_2_leaving_no_output(
+        tmp_path, trained_container, capsys):
+    model, recordings = trained_container
+    afile, est = tmp_path / "afile", tmp_path / "est"
+    afile.write_text("")
+    _refused(capsys, ["separate", str(model), str(recordings), str(est),
+                      "--dump-posteriors", str(afile / "p.npy")], afile)
+    assert not est.exists()
+
+
+def test_evaluate_into_an_unmakeable_path_exits_2_leaving_no_output(
+        tmp_path, trained_container, capsys):
+    model, recordings = trained_container
+    est, afile = tmp_path / "est", tmp_path / "afile"
+    assert _separate_in_process(model, recordings, est)[0] == 0
+    afile.write_text("")
+    _refused(capsys, ["evaluate", str(est), str(recordings.parent / "images"),
+                      str(afile / "report.json")], afile)
+    assert afile.read_text() == ""

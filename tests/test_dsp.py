@@ -451,12 +451,15 @@ class TestResamplingTasks:
     def test_tasks_allocate_no_arrays(self, monkeypatch):
         x = np.random.default_rng(2).standard_normal((5 * dsp._RESAMPLE_ROWS,
                                                       8))
-        peaks = pool_run_peaks(
-            monkeypatch, lambda: lagrange_resample(SampledSignal(x, 16000.0),
-                                                   0.3))
-        # the smallest array a task could allocate: one bool per row
-        assert len(peaks) == 1
-        assert peaks[0] < dsp._RESAMPLE_ROWS
+        # at -0.3 Hz the last rows reach past the input, through the gather
+        for offset in (0.3, -0.3):
+            peaks = pool_run_peaks(
+                monkeypatch, lambda: lagrange_resample(
+                    SampledSignal(x, 16000.0), offset))
+            monkeypatch.undo()  # the next call measures the real pool
+            # the smallest array a task could allocate: one bool per row
+            assert len(peaks) == 1
+            assert peaks[0] < dsp._RESAMPLE_ROWS
 
     def test_padding_does_not_grow_with_the_reach_of_the_positions(
             self, monkeypatch):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import asyncsep.experiment as experiment
+from asyncsep import _pool
 from asyncsep.demo import demo_scene, demo_train_scene
 from asyncsep.dsp import WindowSpec, istft, lagrange_resample, stft
 from asyncsep.errors import ConfigError
 from asyncsep.experiment import _zero_sro, format_report, run_experiment
-from asyncsep.separator import (MODES, SeparationResult, separate,
-                                separate_recordings)
+from asyncsep.metrics import _Scores, at_device_clock, score_images
+from asyncsep.model import train_models
+from asyncsep.separator import MODES, _separate_sources, separate
 from asyncsep.scene import (
     ArraySpec,
     ChannelCoupling,
@@ -97,6 +99,21 @@ def test_unprocessed_mixture_is_reported():
     assert rep.mode_means["sro"]["unprocessed"] < 6.0
 
 
+def test_unprocessed_without_a_mode_equals_the_pass_scores():
+    # the first mode's pass scores the recordings too; with no mode they
+    # are fed alone
+    scene, train = tiny_scene(), tiny_scene(duration=1.0)
+    kwargs = dict(seed=2, window=WIN, variants=("sro", "synced"))
+    alone = run_experiment(scene, train, modes=(), **kwargs)
+    in_pass = run_experiment(scene, train, modes=("tv-local",), **kwargs)
+    for variant in ("sro", "synced"):
+        assert list(alone.sdr_db[variant]) == ["unprocessed"]
+        assert alone.sdr_db[variant]["unprocessed"] == \
+            in_pass.sdr_db[variant]["unprocessed"]
+        assert alone.mode_means[variant]["unprocessed"] == \
+            in_pass.mode_means[variant]["unprocessed"]
+
+
 def test_consistency_recorded_for_each_mode():
     rep = run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                          modes=("static-local", "tv-distributed"), seed=2,
@@ -152,26 +169,52 @@ def test_resampled_synced_render_equals_direct_render():
                               direct[arr.id].signal.samples)
 
 
-def _batch_separation(signals, window, spatial, states, mode):
-    """STFT -> separate -> iSTFT of every image: the path run_experiment
-    took before it streamed."""
-    result = separate({m: stft(sig, window) for m, sig in signals.items()},
-                      spatial, states, mode)
-    images = {key: istft(t, length=signals[key[0]].n_samples)
-              for key, t in result.images.items()}
-    return SeparationResult(images, mode, result.metadata)
+def _batch_report(scene, train, seed, modes):
+    """sdr_db and consistency of `run_experiment` the batch way: whole
+    truth images at the device clock (`at_device_clock`), scored by
+    `score_images` against `istft(separate(stft(...)))`."""
+    window = WindowSpec()
+    train_images = synthesize_scene(_zero_sro(train), seed + 1)[0]
+    spatial, states = train_models(
+        {key: stft(sig, window) for key, sig in train_images.images.items()},
+        include_pooled="static-pooled" in modes)
+    images, synced = synthesize_scene(_zero_sro(scene), seed)
+    truth = {key: img for arr in scene.arrays
+             for key, img in images.images.items() if key[0] == arr.id}
+    sdr_db, consistency = {}, {}
+    for variant in ("sro", "synced"):
+        sro = {arr.id: arr.sro_hz if variant == "sro" else 0.0
+               for arr in scene.arrays}
+        signals = {m: lagrange_resample(synced[m].signal, hz) if hz
+                   else synced[m].signal for m, hz in sro.items()}
+        refs = at_device_clock(truth, sro)
+        sdr_db[variant] = {"unprocessed": score_images(
+            refs, {key: signals[key[0]] for key in refs})}
+        consistency[variant] = {}
+        for mode in modes:
+            result = separate({m: stft(sig, window)
+                               for m, sig in signals.items()},
+                              spatial, states, mode)
+            sdr_db[variant][mode] = score_images(refs, {
+                key: istft(result.images[key],
+                           length=signals[key[0]].n_samples)
+                for key in refs})
+            consistency[variant][mode] = max(
+                result.metadata["consistency_rel_max"].values())
+    return sdr_db, consistency
 
 
 @pytest.mark.parametrize("seed", [2024, 2025])
-def test_report_equals_the_batch_path(monkeypatch, seed):
+def test_report_equals_the_batch_path(seed):
     scene, train = demo_scene(), demo_train_scene()
     scene.duration_s = train.duration_s = 3.0
-    streamed = run_experiment(scene, train, modes=MODES, seed=seed).to_dict()
-    monkeypatch.setattr(experiment, "separate_recordings", _batch_separation)
-    batched = run_experiment(scene, train, modes=MODES, seed=seed).to_dict()
-    streamed.pop("runtime_s")
-    batched.pop("runtime_s")
-    assert streamed == batched
+    streamed = run_experiment(scene, train, modes=MODES, seed=seed)
+    sdr_db, consistency = _batch_report(scene, train, seed, MODES)
+    assert streamed.sdr_db == sdr_db
+    assert list(streamed.sdr_db["sro"]) == ["unprocessed", *MODES]
+    assert list(streamed.sdr_db["sro"]["tv-local"]) == \
+        list(sdr_db["sro"]["tv-local"])
+    assert streamed.consistency == consistency
 
 
 def test_report_equal_for_any_worker_count():
@@ -214,18 +257,64 @@ def test_training_data_is_released_before_the_test_scene(monkeypatch):
 
 
 def test_each_result_is_released_before_the_next_separation(monkeypatch):
+    # no destination of a mode's pass, nor what it scored, is held
+    # through the next mode's pass
     import weakref
 
     held = []
 
-    def tracked(signals, *args, **kwargs):
+    def tracked(sources, window, spatial, states, mode, posteriors, image):
         assert all(ref() is None for ref in held)
-        result = separate_recordings(signals, *args, **kwargs)
-        held.extend(weakref.ref(img) for img in result.images.values())
-        return result
 
-    monkeypatch.setattr(experiment, "separate_recordings", tracked)
+        def kept(m, sid):
+            dest = image(m, sid)
+            held.append(weakref.ref(dest))
+            return dest
+
+        return _separate_sources(sources, window, spatial, states, mode,
+                                 posteriors, kept)
+
+    monkeypatch.setattr(experiment, "_separate_sources", tracked)
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("static-local", "tv-distributed"), seed=3,
                    window=WIN, variants=("sro", "synced"))
     assert len(held) == 4 * 6  # 2 arrays x (2 sources + noise) per pass
+
+
+def test_mode_loop_memory_does_not_grow_with_length(monkeypatch):
+    # the traced peak of each mode, from its scorer's construction to the
+    # end of its pass, above what run_experiment holds then, on the demo
+    # at 2 s and 8 s; one image signal of the 6 s between them is 1.5 MB,
+    # where holding the (K+1) x 6 image signals grew it by 18 MB
+    import tracemalloc
+
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+    bases, peaks = [], []
+
+    def scores(*args):
+        tracemalloc.reset_peak()
+        bases.append(tracemalloc.get_traced_memory()[0])
+        return _Scores(*args)
+
+    def measured(*args):
+        consistency = _separate_sources(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - bases[-1])
+        return consistency
+
+    monkeypatch.setattr(experiment, "_Scores", scores)
+    monkeypatch.setattr(experiment, "_separate_sources", measured)
+    worst = {}
+    for seconds in (2.0, 8.0):
+        scene, train = demo_scene(), demo_train_scene()
+        scene.duration_s, train.duration_s = seconds, 2.0
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            run_experiment(scene, train, modes=MODES, seed=2024,
+                           variants=("sro",))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == len(MODES)
+        worst[seconds] = max(peaks)
+    image = 6.0 * scene.rate_hz * 2 * 8  # 6 s of a 2-channel image
+    assert abs(worst[8.0] - worst[2.0]) < image, worst

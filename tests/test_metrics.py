@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from asyncsep import dsp, metrics
 from asyncsep.dsp import SampledSignal, lagrange_resample
 from asyncsep.errors import NumericalError
-from asyncsep.metrics import (_finite_mean, _sdr_pairs, at_device_clock,
-                              score_images, sdr)
+from asyncsep.metrics import (_finite_mean, _Scores, _sdr_pairs,
+                              at_device_clock, score_images, sdr)
 
 from conftest import pool_workers
 
@@ -69,11 +69,26 @@ def test_non_finite_sample_rejected(rng, bad, where):
         sdr(sig(x), sig(y))
 
 
-def _two_pass(ref, est):
-    """SDR through the temporaries `ref ** 2` and `(est - ref) ** 2`."""
-    ref_energy = float(np.sum(ref ** 2))
-    err_energy = float(np.sum((est - ref) ** 2))
-    return 10.0 * math.log10(ref_energy / err_energy)
+def _chunk_sums(x, order):
+    """sum(x), x (n, C), over chunks of `metrics._CHUNK` samples: each
+    chunk's channels summed by np.sum, in one contiguous temporary laid
+    out in order "C" or "F", or one channel after another ("channels");
+    the sums added in order."""
+    total = 0.0
+    for a in range(0, x.shape[0], metrics._CHUNK):
+        chunk = x[a:a + metrics._CHUNK]
+        parts = ([chunk[:, c] for c in range(x.shape[1])]
+                 if order == "channels" else [chunk])
+        for part in parts:
+            total += float(np.sum(np.array(part, order="F" if order == "F"
+                                           else "C")))
+    return total
+
+
+def _chunked(ref, est):
+    """SDR as `_Energies` sums it, channel by channel in each chunk."""
+    return 10.0 * math.log10(_chunk_sums(ref ** 2, "channels")
+                             / _chunk_sums((est - ref) ** 2, "channels"))
 
 
 def _layouts(x):
@@ -90,18 +105,22 @@ class TestScoredPairs:
     """`_sdr_pairs`: every pair one task on the pool."""
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_equals_the_temporaries_for_every_layout(self, workers):
-        rng = np.random.default_rng(1)
-        ref = rng.standard_normal((4000, 3))
-        est = ref + 0.1 * rng.standard_normal((4000, 3))
-        # on these values a sum in column-major order rounds differently
+    def test_equals_the_chunked_sums_for_every_layout(self, workers):
+        rng = np.random.default_rng(3)
+        n = 2 * metrics._CHUNK + 808  # two whole chunks and a part
+        ref = rng.standard_normal((n, 3))
+        est = ref + 0.1 * rng.standard_normal((n, 3))
+        # on these values a sum that followed the samples' layout, row-
+        # or column-major, would round differently
         for x in (ref ** 2, (est - ref) ** 2):
-            assert np.sum(x) != np.sum(np.asfortranarray(x))
+            for order in ("C", "F"):
+                assert _chunk_sums(x, order) != _chunk_sums(x, "channels")
         pairs = [(r, e) for r in _layouts(ref) for e in _layouts(est)]
         pairs.append((ref[:, :1], est[:, 1:2]))
         with pool_workers(workers):
             got = _sdr_pairs([(sig(r), sig(e)) for r, e in pairs])
-        assert got == [_two_pass(r, e) for r, e in pairs]
+        assert got == [_chunked(r, e) for r, e in pairs]
+        assert len(set(got[:-1])) == 1  # the layout does not matter
         assert got[0] == sdr(sig(ref), sig(est))
 
     def test_exact_estimate_and_empty_list(self, rng):
@@ -205,3 +224,76 @@ class TestScoreImages:
         assert _finite_mean([1.0, math.inf, 2.0]) == 1.5
         assert _finite_mean([math.inf]) == math.inf
         assert _finite_mean([]) == math.inf
+
+
+def _bits(x):
+    """The float64 samples of x as integers: equal bits compare equal."""
+    return x.view(np.int64)
+
+
+class TestSpanScores:
+    """`_Scores`: estimates scored span by span at the device clock."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2 * metrics._CHUNK + 700),
+           widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           offset=st.sampled_from([0.0, 0.3, -0.3, 7000.0, -7000.0,
+                                   -14000.0]),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_spans_equal_the_whole_images(self, n, widths, offset, cuts,
+                                          seed):
+        rng = np.random.default_rng(seed)
+        truth = {("a", f"s{i}"): sig(rng.standard_normal((n, c)))
+                 for i, c in enumerate(widths)}
+        truth[("a", "s0")].samples[n // 2 + 1:] = 0.0  # a silent tail
+        refs = at_device_clock(truth, {"a": offset})
+        # the estimates channel-major, with 3 samples past the end, as a
+        # writer hands them over
+        ests = {key: rng.standard_normal((ref.channels, n + 3))
+                for key, ref in truth.items()}
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        rows = max(b - a for a, b in spans)
+        scores = _Scores(truth, {"a": offset}, rows)
+        noise = scores.destination("a", "noise")
+        for a, b in spans:
+            stop = b + 3 if b == n else b
+            for key, est in ests.items():
+                image = scores.images[key]
+                assert np.array_equal(
+                    _bits(image.clock.rows(image.k, a, b)),
+                    _bits(refs[key].samples[a:b].T))
+                scores.destination(*key).write(a, est[:, a:stop])
+                noise.write(a, est[:, a:stop])
+        want = score_images(refs, {key: sig(est[:, :n].T)
+                                   for key, est in ests.items()})
+        assert scores.scores() == want
+        assert list(want.values()) == _sdr_pairs(
+            [(refs[key], sig(est[:, :n].T)) for key, est in ests.items()])
+
+    def test_recordings_fed_as_every_estimate(self, rng):
+        n = metrics._CHUNK + 10
+        truth = {(m, k): sig(rng.standard_normal((n, 2)))
+                 for m in ("b", "a") for k in ("s1", "s2")}
+        recordings = {m: rng.standard_normal((n, 2)) for m in ("a", "b")}
+        offsets = {"a": 0.3, "b": 0.0}
+        scores = _Scores(truth, offsets, 1000)
+        for m, x in recordings.items():
+            scores.feed(m, x)
+        assert scores.scores() == score_images(
+            at_device_clock(truth, offsets),
+            {(m, k): sig(recordings[m]) for m, k in truth})
+        assert list(scores.scores()) == ["b/s1", "b/s2", "a/s1", "a/s2"]
+
+    def test_spans_out_of_order_or_missing_are_refused(self, rng):
+        truth = {("a", "s1"): sig(rng.standard_normal((100, 1)))}
+        scores = _Scores(truth, {"a": 0.3}, 50)
+        dest = scores.destination("a", "s1")
+        with pytest.raises(ValueError, match="more than the 50"):
+            dest.write(0, np.ones((1, 60)))
+        dest.write(0, np.ones((1, 50)))
+        with pytest.raises(ValueError, match="from 60 on scored after 50"):
+            dest.write(60, np.ones((1, 40)))
+        with pytest.raises(ValueError, match="holds 50 of 100 samples"):
+            scores.scores()

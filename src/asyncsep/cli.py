@@ -102,21 +102,36 @@ def _image_name(array_id: str, source_id: str) -> str:
 
 
 class _Outputs:
-    """The files a command has made, each with how to remove it."""
+    """The outputs a command makes, each removed if the command fails.
+
+    An OSError from making one, such as a directory that cannot be made
+    where a file is, becomes a ConfigError naming the path; an OSError
+    from anything else, reading an input included, is left as it is.
+    """
 
     def __init__(self):
         self._made = []
 
-    def file(self, path: Path) -> Path:
-        """path, removed if the command fails."""
+    def file(self, path: Path, write) -> None:
+        """Make the file at path with write(path)."""
         self._made.append(lambda: path.unlink(missing_ok=True))
-        return path
+        self._make(path, lambda: write(path))
 
-    def stream(self, out):
-        """out, an output with discard() (`WavSink`, `PosteriorFile`),
-        discarded if the command fails."""
+    def stream(self, path, open_):
+        """open_(), an output at path with discard() (`WavSink`,
+        `PosteriorFile`), discarded if the command fails."""
+        out = self._make(path, open_)
         self._made.append(out.discard)
         return out
+
+    @staticmethod
+    def _make(path, make):
+        try:
+            return make()
+        except OSError as exc:
+            where = path if exc.filename is None else exc.filename
+            raise ConfigError(f"cannot write {where}: "
+                              f"{exc.strerror or exc}") from None
 
     def discard(self) -> None:
         for remove in reversed(self._made):
@@ -126,19 +141,13 @@ class _Outputs:
 
 @contextlib.contextmanager
 def _making():
-    """The block that makes a command's outputs.  If it fails, every
-    output made is removed, and an OSError, such as a directory that
-    cannot be made where a file is, becomes a ConfigError naming the
-    path."""
+    """The block that makes a command's outputs (`_Outputs`); if it
+    fails, every output made is removed."""
     made = _Outputs()
     try:
         yield made
-    except BaseException as exc:
+    except BaseException:
         made.discard()
-        if isinstance(exc, OSError):
-            where = "an output" if exc.filename is None else exc.filename
-            raise ConfigError(f"cannot write {where}: "
-                              f"{exc.strerror or exc}") from None
         raise
 
 
@@ -161,11 +170,13 @@ def cmd_simulate(args) -> int:
     }
     with _making() as made:
         for m, rec in recordings.items():
-            write_wav(made.file(out / "recordings" / f"{m}.wav"), rec.signal)
+            made.file(out / "recordings" / f"{m}.wav",
+                      lambda path: write_wav(path, rec.signal))
         for (m, k), img in images.images.items():
-            write_wav(made.file(out / "images" / _image_name(m, k)), img)
-        made.file(out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2))
+            made.file(out / "images" / _image_name(m, k),
+                      lambda path: write_wav(path, img))
+        made.file(out / "manifest.json",
+                  lambda path: path.write_text(json.dumps(manifest, indent=2)))
     print(f"wrote {len(recordings)} recordings and {len(images.images)} "
           f"ground-truth images to {out}")
     return EXIT_OK
@@ -208,9 +219,10 @@ def cmd_train(args) -> int:
                                    include_pooled=args.pooled)
     summary = model_summary(spatial, states)
     with _making() as made:
-        save_models(made.file(Path(args.model)), spatial, states,
-                    window=window, rate_hz=rate)
-        made.file(Path(args.model).with_suffix(".txt")).write_text(summary)
+        made.file(Path(args.model), lambda path: save_models(
+            path, spatial, states, window=window, rate_hz=rate))
+        made.file(Path(args.model).with_suffix(".txt"),
+                  lambda path: path.write_text(summary))
     print(summary, end="")
     print(f"model written to {args.model}")
     return EXIT_OK
@@ -254,9 +266,9 @@ def cmd_separate(args) -> int:
     outputs = []  # every file made, closed once the pass is done
 
     def image(m, sid):
-        h = headers[m]
-        outputs.append(made.stream(WavSink(
-            out / _image_name(m, sid), h.rate, h.channels, h.n_samples)))
+        h, path = headers[m], out / _image_name(m, sid)
+        outputs.append(made.stream(path, lambda: WavSink(
+            path, h.rate, h.channels, h.n_samples)))
         return outputs[-1]
 
     gamma = None
@@ -264,7 +276,7 @@ def cmd_separate(args) -> int:
         sources = {m: stack.enter_context(WavSource(h))
                    for m, h in headers.items()}
         if args.dump_posteriors:
-            gamma = made.stream(PosteriorFile(
+            gamma = made.stream(args.dump_posteriors, lambda: PosteriorFile(
                 args.dump_posteriors,
                 (next(iter(frames.values())), spatial.n_bins,
                  states.n_states), states.state_ids))
@@ -356,9 +368,11 @@ def cmd_evaluate(args) -> int:
         "mean_sdr_db": _finite_mean(scores.values()),
     }
     with _making() as made:
-        path = made.file(Path(args.report))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2))
+        def write(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(report, indent=2))
+
+        made.file(Path(args.report), write)
     print(f"{'image':>16s}  {'SDR (dB)':>9s}")
     for key in sorted(scores):
         print(f"{key:>16s}  {scores[key]:9.2f}")

@@ -20,7 +20,6 @@ Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -42,7 +41,6 @@ __all__ = [
 _CHUNK = 64  # channel frames of one `stft` or `istft` task (`_chunk`)
 _ORDER = 4  # Lagrange order of every fractional delay and clock resampling
 _RESAMPLE_ROWS = 16384  # output samples per resampling task
-_RUNS = 8  # most runs of consecutive stencils `_gather` reads as slices
 
 
 def _as_2d(samples) -> np.ndarray:
@@ -543,8 +541,7 @@ def _interpolate_rows(padded, pos, out, r0, ws) -> None:
     t, index, diffs, weights, tap = ws
     index, weights = index[:r], weights[:, :r]
     _stencils(pos[r0:r1], t[:r], index, weights, diffs[:, :r])
-    runs = _runs(index, padded.shape[1], diffs[0])
-    _gather(padded, index, weights, tap[:, :r], out[:, r0:r1], runs)
+    _gather(padded, index, weights, tap[:, :r], out[:, r0:r1])
 
 
 def _stencils(p, t, index, weights, diffs) -> None:
@@ -559,54 +556,20 @@ def _stencils(p, t, index, weights, diffs) -> None:
     _lagrange_weights(t, weights, diffs)
 
 
-def _runs(index, size: int, step) -> list[int]:
-    """Bounds [0, ..., inside] of the runs of rows whose stencils, in an
-    input of `size` samples, start at consecutive samples and hold no
-    sample past its end; `_gather` reads their taps as slices, and the
-    rows from `inside` on through a gather.  index: (r,) nondecreasing
-    stencil starts; step: float scratch, (r,).  With more than `_RUNS`
-    runs, none is taken.  Allocates no array.
-    """
-    inside = bisect.bisect_left(index, size - _ORDER)
-    cuts = [0]
-    if inside > 1:
-        ends = step[:inside - 1]
-        np.subtract(index[1:inside], index[:inside - 1], out=ends)
-        np.not_equal(ends, 1.0, out=ends)  # 1.0 where a run ends
-        count = np.count_nonzero(ends)
-        if count >= _RUNS:
-            return [0]
-        for _ in range(count):  # argmax finds the next 1.0
-            cuts.append(cuts[-1] + int(np.argmax(ends[cuts[-1]:])) + 1)
-    return cuts + [inside] if inside else [0]
-
-
-def _gather(padded, index, weights, tap, dst, runs) -> None:
+def _gather(padded, index, weights, tap, dst) -> None:
     """Add the interpolated rows of stencils (index, weights) into dst.
 
     padded: (C, n) input, channel-major; index: (r,) stencil starts in
-    it; weights: (_ORDER + 1, r); tap and dst: (C, r), tap scratch;
-    runs: `_runs` of index.  Tap j of each row is added in ascending j.
-    A run reads tap j as the slice of padded shifted by j; the other rows
-    share one gather index for every tap, tap j reading the view shifted
-    by j, and an index past the end clips to the last sample, a zero in
-    `_interpolate_at`'s padded input.  Both multiply the same samples by
-    the same weights, so the rows do not depend on the runs.
+    it; weights: (_ORDER + 1, r); tap and dst: (C, r), tap scratch.  One
+    gather index serves every tap: tap j reads the view shifted by j, and
+    is added in ascending j.  An index past the end clips to the last
+    sample, a zero in `_interpolate_at`'s padded input.
     """
-    for r0, r1 in zip(runs[:-1], runs[1:]):
-        s, part = int(index[r0]), slice(r0, r1)
-        for j in range(_ORDER + 1):
-            np.multiply(padded[:, s + j:s + j + r1 - r0], weights[j, part],
-                        out=tap[:, part])
-            dst[:, part] += tap[:, part]
-    rest = slice(runs[-1], index.shape[0])
-    if rest.start < rest.stop:
-        index, tap, dst = index[rest], tap[:, rest], dst[:, rest]
-        for j in range(_ORDER + 1):
-            for c in range(padded.shape[0]):  # contiguous rows, not copied
-                np.take(padded[c, j:], index, out=tap[c], mode="clip")
-            tap *= weights[j, rest]
-            dst += tap
+    for j in range(_ORDER + 1):
+        for c in range(padded.shape[0]):  # contiguous rows, not copied
+            np.take(padded[c, j:], index, out=tap[c], mode="clip")
+        tap *= weights[j]
+        dst += tap
 
 
 def _clock_ratio(rate_hz: float, rate_offset_hz: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, _pool
+from . import _kernels
 from .dsp import (SampledSignal, WindowSpec, _ArraySource, _longest_span,
                   lagrange_resample, stft)
 from .metrics import _finite_mean, _Scores
@@ -159,12 +159,11 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         report.consistency.setdefault(variant, {})
         # the raw mixtures as the estimates of every source image: scored
         # in the first mode's pass, against the same truth spans, or
-        # alone, one device a task, when there is no mode
+        # alone when there is no mode
         if not modes:
             scores = _Scores(truth, sro_hz, rows)
-            _pool.run(sorted(signals),
-                      lambda m, _: scores.feed(m, signals[m].samples),
-                      lambda: None)
+            for m, sig in signals.items():
+                scores.feed(m, sig.samples)
             sdr["unprocessed"] = scores.scores()
 
         sources = {m: _ArraySource(sig.samples) for m, sig in signals.items()}

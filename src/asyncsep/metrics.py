@@ -244,7 +244,7 @@ class _DeviceClock:
             for x, c0, c1 in zip(self.images, self.bounds, self.bounds[1:]):
                 np.copyto(window[c0:c1, s0:s1], x[s0 - lo:s1 - lo].T)
             dsp._gather(window, index, self.weights[:, :g], self.tap[:, :g],
-                        out[:, :g], dsp._runs(index, width, self.diffs[0]))
+                        out[:, :g])
         self.span = (a, b)
 
     def rows(self, k: int, a: int, b: int) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Tests for the command-line pipeline and its exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import shutil
 import struct
 import tracemalloc
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1295,3 +1298,41 @@ def test_evaluate_into_an_unmakeable_path_exits_2_leaving_no_output(
     _refused(capsys, ["evaluate", str(est), str(recordings.parent / "images"),
                       str(afile / "report.json")], afile)
     assert afile.read_text() == ""
+
+
+def test_a_failing_input_is_not_reported_as_an_output(
+        tmp_path, trained_container, monkeypatch, capsys):
+    model, recordings = trained_container
+    est, post = tmp_path / "est", tmp_path / "post.npy"
+    argv = ["separate", str(model), str(recordings), str(est),
+            "--dump-posteriors", str(post)]
+    # a read that fails once the estimates are being written: the error
+    # is left as it is, and every output made is removed
+    preadv = os.preadv
+
+    def failing(fd, buffers, offset):
+        if any(est.glob("*.wav")):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", failing)
+    with pytest.raises(OSError) as info:
+        main(argv)
+    assert info.value.errno == errno.EIO
+    assert list(est.iterdir()) == [] and not post.exists()
+    monkeypatch.undo()
+    # a recording removed after its header was checked
+    checked = cli._check_analyzable
+
+    def removing(wav, *args):
+        header = checked(wav, *args)
+        wav.unlink()
+        return header
+
+    monkeypatch.setattr(cli, "_check_analyzable", removing)
+    with pytest.raises(FileNotFoundError) as info:
+        main(argv)
+    assert Path(info.value.filename) == recordings / "a.wav"
+    assert not est.exists() or list(est.iterdir()) == []
+    assert not post.exists()
+    assert "cannot write" not in capsys.readouterr().err

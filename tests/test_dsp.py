@@ -451,7 +451,7 @@ class TestResamplingTasks:
     def test_tasks_allocate_no_arrays(self, monkeypatch):
         x = np.random.default_rng(2).standard_normal((5 * dsp._RESAMPLE_ROWS,
                                                       8))
-        # at -0.3 Hz the last rows reach past the input, through the gather
+        # at -0.3 Hz the last rows reach past the input
         for offset in (0.3, -0.3):
             peaks = pool_run_peaks(
                 monkeypatch, lambda: lagrange_resample(

@@ -5,15 +5,16 @@ Every stage with numeric work splits it into tasks on this pool:
     source) image and one per array's mixture;
   * the STFT and the iSTFT: one task per run of frames of every
     channel, about 64 channel frames (`dsp._chunk`);
-  * training: one task per (entry, source) and block of bins, which
-    forms the covariance and the long-term spectrum there;
+  * training: two passes of one task per (devices read together,
+    source) and block of frames; each adds its sums to that pair's in
+    frame order (`Turns`);
   * the resampler: one task per run of output samples;
   * the separation pass: one task per block of frames, which in
     `run_experiment` also scores the spans it finishes;
   * SDR scoring: one task per (reference, estimate) pair.
 Tasks write disjoint slices of buffers allocated beforehand, or, in
-the iSTFT and the streamed separation pass, add into shared samples in
-task order (`dsp._Writer`), so the result does not depend on how many
+the iSTFT, the streamed separation pass and training, add into shared
+sums in task order (`Turns`), so the result does not depend on how many
 threads run them.
 numpy releases the interpreter lock inside its loops, so threads overlap
 the numeric work.  The caller allocates every output, and `run` has the
@@ -33,7 +34,7 @@ import os
 import threading
 from collections.abc import Sequence
 
-__all__ = ["run", "worker_count"]
+__all__ = ["run", "worker_count", "Turns"]
 
 
 def worker_count() -> int:
@@ -92,3 +93,37 @@ def run(tasks, work, scratch) -> None:
             t.join()
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
+
+
+class Turns:
+    """Sections of tasks that run one at a time, in order, per key.
+
+    A key's turn starts at 0; a task whose section covers at:to waits
+    (`wait`) until the turn is at, runs its section and moves the turn on
+    (`advance`).  This cannot deadlock when the sections of a key are
+    taken in order, as `run` takes its tasks.  After `abort`, which a
+    task that fails calls, the tasks that wait return False.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._at = {}
+        self._failed = False
+
+    def wait(self, key, at: int) -> bool:
+        """Wait for key's turn to reach at; False once aborted."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._failed or self._at.get(key, 0) == at)
+            return not self._failed
+
+    def advance(self, key, to: int) -> None:
+        """Move key's turn on to `to`, past the section just run."""
+        with self._cond:
+            self._at[key] = to
+            self._cond.notify_all()
+
+    def abort(self) -> None:
+        with self._cond:
+            self._failed = True
+            self._cond.notify_all()

@@ -35,11 +35,11 @@ from .audio import (WavSink, WavSource, read_header, read_wav, wav_rate,
                     write_wav)
 from .classifier import PosteriorFile
 from .demo import demo_scene_path
-from .dsp import WindowSpec, stft, stft_frame_count
+from .dsp import WindowSpec, stft_frame_count
 from .errors import ConfigError, NumericalError
 from .metrics import _finite_mean, at_device_clock, score_images
-from .model import (SpatialModel, load_models, model_summary, save_models,
-                    train_models)
+from .model import (SpatialModel, _train_sources, load_models, model_summary,
+                    save_models)
 from .scene import load_scene, scene_to_dict, synthesize_scene
 from .separator import MODES, _separate_sources
 
@@ -201,22 +201,37 @@ def _collect_images(images_dir: Path):
 
 
 def cmd_train(args) -> int:
+    """Train both models from WAV images, streamed by frame block.
+
+    The images are checked from their headers, then their float samples
+    scanned for non-finite values (exit 3); training then reads blocks
+    of frames from the files (`model._train_sources`), so memory does
+    not grow with the images' length.  Nothing is written on failure.
+    """
     images_dir = Path(args.images)
     if not images_dir.is_dir():
         raise ConfigError(f"images directory not found: {images_dir}")
     pairs = _collect_images(images_dir)
     window = _window_from_args(args)
-    tensors, channels = {}, {}
+    headers, channels = {}, {}
     rate = None
     for (m, k), wav in pairs.items():
-        # a device's first image sets its channel count
-        sig = _check_analyzable(wav, read_wav(wav, expected_rate=rate),
-                                window, channels.get(m))
-        tensors[(m, k)] = stft(sig, window)
-        rate = sig.rate_hz
-        channels[m] = sig.channels
-    spatial, states = train_models(tensors, noise_gain=args.noise_gain,
-                                   include_pooled=args.pooled)
+        # the first image sets the rate, a device's first its channels
+        headers[(m, k)] = _check_analyzable(
+            wav, read_header(wav, expected_rate=rate), window,
+            channels.get(m))
+        rate = headers[(m, k)].rate
+        channels[m] = headers[(m, k)].channels
+    with contextlib.ExitStack() as stack:
+        sources = {key: stack.enter_context(WavSource(h))
+                   for key, h in headers.items()}
+        for key, source in sources.items():
+            if not source.all_finite():
+                raise NumericalError(f"non-finite samples in training "
+                                     f"image {pairs[key]}")
+        spatial, states = _train_sources(sources, window,
+                                         noise_gain=args.noise_gain,
+                                         include_pooled=args.pooled)
     summary = model_summary(spatial, states)
     with _making() as made:
         made.file(Path(args.model), lambda path: save_models(

@@ -21,7 +21,6 @@ Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,17 +217,18 @@ class _Reader:
     source: the recording's (n, C) samples, an object with n_samples,
     channels and read(start, stop, raw, out), which writes samples
     start:stop into out, (C, stop - start) float, through raw, uint8
-    scratch: an `_ArraySource` or an `audio.WavSource`.  channels and
-    n_frames give the (C, N) of the spectrogram, and `read` windows and
-    transforms any run of its frames.  The analysis padding is virtual:
-    a run reads its span of samples and zeros where the span passes the
-    recording's ends, so no copy of the recording is held.
+    scratch: an `_ArraySource` or an `audio.WavSource`.  channels,
+    n_frames and n_bins give the (C, N, F) of the spectrogram, and `read`
+    windows and transforms any run of its frames.  The analysis padding
+    is virtual: a run reads its span of samples and zeros where the span
+    passes the recording's ends, so no copy of the recording is held.
     """
 
     def __init__(self, source, window: WindowSpec):
         self.source, self.channels = source, source.channels
         self.left = _analysis_padding(source.n_samples, window)[0]
         self.n_frames = stft_frame_count(source.n_samples, window)
+        self.n_bins = window.length // 2 + 1
         self.window, self.win = window, window.window()
 
     def read(self, n0: int, n1: int, scratch, out) -> None:
@@ -259,6 +259,21 @@ class _Reader:
         frames = scratch[0, :C, :n1 - n0]
         np.multiply(view, self.win, out=frames)
         np.fft.rfft(frames, axis=-1, out=out)
+
+
+class _TensorReader:
+    """Frame blocks of one (N, F, C) STFT tensor's coefficients, read as
+    `_Reader` reads a recording's; it reads no samples, so it has no
+    window and takes no scratch."""
+
+    window = None
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+        self.n_frames, self.n_bins, self.channels = coeffs.shape
+
+    def read(self, n0, n1, scratch, out) -> None:
+        np.copyto(out, np.transpose(self.coeffs[n0:n1], (2, 0, 1)))
 
 
 def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
@@ -347,9 +362,9 @@ class _Writer:
     the samples no later block reaches by the summed squared window and
     writes them to dest.  Only those partial sums, one window length less
     a hop per row, stay between blocks.  Blocks may be put from several
-    threads: each waits its turn, which cannot deadlock when the blocks
-    are pool tasks in frame order.  After a block fails, or `abort`, the
-    blocks waiting for it return.
+    threads: each waits its turn (`_pool.Turns`), which cannot deadlock
+    when the blocks are pool tasks in frame order.  After a block fails,
+    or `abort`, the blocks waiting for it return.
     """
 
     def __init__(self, rows: tuple, n_frames: int, window: WindowSpec,
@@ -366,9 +381,7 @@ class _Writer:
         _overlap_add(np.broadcast_to(self.win ** 2, (few, length)), 0, hop,
                      self.denom)
         self.good = self.denom > 1e-12  # where the sum is not ~0
-        self._added = 0  # frames added so far
-        self._failed = False
-        self._turn = threading.Condition()
+        self._turns = _pool.Turns()  # at the frames added so far
 
     def put(self, n0: int, n1: int, planes, scratch) -> None:
         """Add frames n0:n1, planes (*rows, n1 - n0, bins) complex.
@@ -382,17 +395,13 @@ class _Writer:
         try:
             np.fft.irfft(planes, n=length, axis=-1, out=frames)
             frames *= self.win
-            with self._turn:
-                self._turn.wait_for(lambda: self._added == n0 or self._failed)
-                if self._failed:
-                    return
+            if not self._turns.wait(None, n0):
+                return
             self._add(frames, n0, n1)
         except BaseException:  # release the blocks that wait for this one
             self.abort()
             raise
-        with self._turn:
-            self._added = n1
-            self._turn.notify_all()
+        self._turns.advance(None, n1)
 
     def _add(self, frames, n0: int, n1: int) -> None:
         """Add frames n0:n1 and write out the samples they finish."""
@@ -446,9 +455,7 @@ class _Writer:
                       where=self.good[period])
 
     def abort(self) -> None:
-        with self._turn:
-            self._failed = True
-            self._turn.notify_all()
+        self._turns.abort()
 
 
 def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:

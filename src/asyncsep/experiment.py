@@ -1,7 +1,8 @@
 """End-to-end experiment harness: synthesize, train, separate, score.
 
 A run synthesizes a test and a training scene, trains the spatial and
-state models on the training images, separates the test mixtures under
+state models on the training images, read a block of frames at a time
+(`model._train_sources`), separates the test mixtures under
 the requested filter variants both with and without the scene's clock
 offsets, and scores every estimated image against the ground truth at the
 device clock, without resampling any estimate.
@@ -31,9 +32,9 @@ import numpy as np
 
 from . import _kernels
 from .dsp import (SampledSignal, WindowSpec, _ArraySource, _longest_span,
-                  lagrange_resample, stft)
+                  lagrange_resample)
 from .metrics import _finite_mean, _Scores
-from .model import train_models
+from .model import _train_sources
 from .scene import SceneSpec, check_seed, scene_to_dict, synthesize_scene
 from .separator import MODES, _separate_sources
 
@@ -122,12 +123,11 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
 
     t0 = time.perf_counter()
     train_images = synthesize_scene(_zero_sro(train_scene), seed + 1)[0]
-    train_tensors = {key: stft(sig, window)
-                     for key, sig in train_images.images.items()}
-    spatial, states = train_models(
-        train_tensors, noise_gain=noise_gain,
-        include_pooled="static-pooled" in modes)
-    del train_images, train_tensors  # not held through the test scene
+    spatial, states = _train_sources(
+        {key: _ArraySource(sig.samples)
+         for key, sig in train_images.images.items()}, window,
+        noise_gain=noise_gain, include_pooled="static-pooled" in modes)
+    del train_images  # not held through the test scene
     report.runtime_s["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -7,6 +7,15 @@ variance pair (10 dB above / 10 dB below the average) is derived, and one
 diffuse-noise spectrum that is identical in every state and drives every
 array's diagonal loading.  Each trained quantity is stored once.
 
+Training (`_train`) reads the images a block of frames at a time through
+frame readers, from STFT tensors (`train_models`) or from samples, in
+arrays or WAV files (`_train_sources`), so no spectrogram of a whole
+image is held, and the merged array reads its devices' frames side by
+side.  A first pass sums each bin's energy, which sets the silence gate;
+a second sums the gated outer products.  Every sum adds its frames in
+frame order, so the model does not depend on the block size or the
+number of threads, and is the same from a tensor as from its samples.
+
 The spatial model holds the covariances of each device and, in a field of
 its own, of the merged array, which outputs and the container name "a+b"
 (`_merged_label`); only the container reader reads that name.  Device ids
@@ -25,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _pool
+from . import _pool, dsp
 from .dsp import SpectrogramTensor, WindowSpec
 from .errors import ConfigError
 
@@ -48,7 +57,7 @@ _MAGIC = b"ASEPMODL"
 _FORMAT_VERSION = 4  # 2: CRC-32; 3: merged entries; 4: each quantity once
 _MAX_NDIM = 4  # the container stores (F,), (K, F) and (K, F, C, C) arrays
 _UNIT_TOL = 1e-9  # Hermitian, unit-trace and PSD slack a container may hold
-_BIN_BLOCK = 256  # bins of one training task, at most
+_FRAME_BLOCK = 16  # frames of one training task, at most
 
 
 @dataclass
@@ -191,154 +200,6 @@ def _entries(spatial: SpatialModel):
         yield _merged_label(spatial.covariances), spatial.merged
 
 
-class _Scratch:
-    """One thread's scratch for `_entry_bins` tasks of up to `frames`
-    frames, `bins` bins and `channels` channels."""
-
-    def __init__(self, frames: int, bins: int, channels: int):
-        tiles = frames * bins
-        self.power = np.empty(tiles * channels)
-        self.imag = np.empty(tiles * channels)
-        self.conj = np.empty(tiles * channels, dtype=np.complex128)
-        self.energy = np.empty(tiles)
-        self.weight = np.empty(tiles)
-        self.keep = np.empty(tiles, dtype=bool)
-        self.herm = np.empty(bins * channels * channels, dtype=np.complex128)
-        self.trace = np.empty(bins, dtype=np.complex128)
-        self.r = np.empty((3, bins))
-        self.mask = np.empty((2, bins), dtype=bool)
-
-
-def _gated_mean_covariance(x, power, cov, fallback, identity, ws) -> None:
-    """Average per-frame outer products per bin, skipping silent frames.
-
-    x: (N, b, C) coefficients of b bins and power: their |x|^2.  Frames
-    whose energy at a bin falls below the silence gate relative to that
-    bin's average are excluded.  Writes the (b, C, C) unit-trace
-    Hermitian covariances to cov and marks in fallback, (b,) bool, the
-    bins that had no usable frames and fell back to identity (the (C, C)
-    identity / C).  Its temporaries are slices of ws, a `_Scratch`.
-    """
-    N, b, C = x.shape
-    energy = ws.energy[:N * b].reshape(N, b)
-    np.sum(power, axis=2, out=energy)
-    mean_energy, gate, counts = ws.r[:, :b]
-    np.sum(energy, axis=0, out=mean_energy)
-    mean_energy /= N
-    np.multiply(mean_energy, SILENCE_GATE, out=gate)
-    keep = ws.keep[:N * b].reshape(N, b)
-    np.greater_equal(energy, gate, out=keep)
-    flag = ws.mask[0, :b]
-    np.greater(mean_energy, 0.0, out=flag)
-    keep &= flag
-
-    w = ws.weight[:N * b].reshape(N, b)
-    np.copyto(w, keep)
-    conj = ws.conj[:N * b * C].reshape(N, b, C)
-    np.conjugate(x, out=conj)
-    np.einsum("nf,nfc,nfd->fcd", w, x, conj, out=cov)
-    np.sum(w, axis=0, out=counts)
-
-    np.equal(counts, 0.0, out=fallback)
-    np.logical_not(fallback, out=flag)
-    np.divide(cov, counts[:, None, None], out=cov, where=flag[:, None, None])
-    np.copyto(cov, identity, where=fallback[:, None, None])
-
-    herm = ws.herm[:b * C * C].reshape(b, C, C)
-    np.conjugate(cov.transpose(0, 2, 1), out=herm)
-    np.add(cov, herm, out=herm)
-    np.multiply(0.5, herm, out=cov)
-    trace = ws.trace[:b]
-    np.einsum("fcc->f", cov, out=trace)
-    np.greater(trace.real, 0.0, out=flag)
-    np.divide(cov, trace.real[:, None, None], out=cov,
-              where=flag[:, None, None])
-    np.logical_not(flag, out=flag)
-    np.copyto(cov, identity, where=flag[:, None, None])
-    fallback |= flag
-
-
-def _entry_bins(job, f0: int, f1: int, ws) -> None:
-    """Bins f0:f1 of one (entry, source) job of `_statistics`."""
-    coeffs, cov, fallback, power, identity = job
-    x = coeffs[:, f0:f1]
-    N, b, C = x.shape
-    p = ws.power[:N * b * C].reshape(N, b, C)
-    q = ws.imag[:N * b * C].reshape(N, b, C)
-    np.square(x.real, out=p)
-    np.square(x.imag, out=q)
-    p += q
-    if power is not None:
-        np.sum(p, axis=(0, 2), out=power[f0:f1])
-    _gated_mean_covariance(x, p, cov[f0:f1], fallback[f0:f1], identity, ws)
-
-
-def _bin_blocks(n_bins: int) -> list[tuple[int, int]]:
-    """Near-equal blocks of about _BIN_BLOCK bins, and of two or more.
-
-    numpy sums the frames of a bin in frame order while a block holds
-    several bins, but pairwise in a block of one, which rounds
-    differently; only a single bin is its own block.
-    """
-    n = max(1, min(-(-n_bins // _BIN_BLOCK), n_bins // 2))
-    bounds = [n_bins * i // n for i in range(n + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _statistics(jobs) -> None:
-    """Fill the outputs of every job on the pool (`_pool`).
-
-    A job is (coeffs, cov, fallback, power, identity): the (N, F, C)
-    C-contiguous training frames of one (entry, source); the (F, C, C)
-    complex covariances and (F,) bool fallback mask to write; an (F,)
-    float that receives |coefficient|^2 summed over frames and channels,
-    or None; and the (C, C) fallback covariance.
-    Each job and block of bins is one task, which writes its bins only,
-    so the outputs do not depend on the thread count.
-    """
-    if not jobs:
-        return
-    blocks = _bin_blocks(jobs[0][0].shape[1])
-    tasks = [(job, f0, f1) for job in jobs for f0, f1 in blocks]
-    frames = max(job[0].shape[0] for job in jobs)
-    channels = max(job[0].shape[2] for job in jobs)
-    width = max(f1 - f0 for f0, f1 in blocks)
-    _pool.run(tasks, lambda task, ws: _entry_bins(*task, ws),
-              lambda: _Scratch(frames, width, channels))
-
-
-def _coefficients(tensors, where) -> np.ndarray:
-    """C-contiguous (N, F, C) frames of one tensor, or of a sequence of
-    tensors one after another; ConfigError naming `where` when there are
-    none."""
-    if isinstance(tensors, SpectrogramTensor):
-        coeffs = np.ascontiguousarray(tensors.coeffs)
-    else:
-        coeffs = np.concatenate([t.coeffs for t in tensors], axis=0)
-    if coeffs.shape[0] < 1:
-        raise ConfigError(f"{where!r}: no frames to train on")
-    return coeffs
-
-
-def _device_frames(training_images):
-    """Sorted device and source ids, and the frames of every pair."""
-    array_ids = sorted({m for (m, _) in training_images})
-    source_ids = sorted({k for (_, k) in training_images})
-    for m in array_ids:
-        for k in source_ids:
-            if (m, k) not in training_images:
-                raise ConfigError(f"missing training images for ({m!r}, {k!r})")
-    frames = {(m, k): _coefficients(training_images[(m, k)], (m, k))
-              for m in array_ids for k in source_ids}
-    if len({c.shape[1] for c in frames.values()}) > 1:
-        raise ValueError("inconsistent bin counts across arrays")
-    for m in array_ids:
-        if len({frames[(m, k)].shape[2] for k in source_ids}) > 1:
-            raise ValueError(f"array {m!r}: training images differ in "
-                             f"channel count")
-    return array_ids, source_ids, frames
-
-
 def _state_model(source_ids, power, counts, noise_gain: float
                  ) -> StateSpectrumModel:
     """The state model from each device's summed power per source.
@@ -364,24 +225,311 @@ def _state_model(source_ids, power, counts, noise_gain: float
                               noise_gain * ltas.mean(axis=0))
 
 
-def _merged_frames(training_images, frames, devices: list[str],
-                   source_id: str) -> np.ndarray:
-    """One source's (N, F, C) merged-array training frames: the devices'
-    `frames` side by side; ConfigError unless the devices hold as many
-    tensors, each of the same frame count."""
-    seqs = [training_images[(m, source_id)] for m in devices]
-    counts = [[s.n_frames] if isinstance(s, SpectrogramTensor)
-              else [t.n_frames for t in s] for s in seqs]
-    if any(c != counts[0] for c in counts):
-        raise ConfigError(f"source {source_id!r}: cannot merge arrays "
-                          f"{devices} of unequal frame counts {counts}")
-    return np.concatenate([frames[(m, source_id)] for m in devices], axis=2)
+class _Sums:
+    """What training sums over the frames of one (group, source).
+
+    A group is the devices whose frames training reads side by side, in
+    channel order: one device, or every device when the merged entry is
+    trained.  parts: the frame readers of each part of the source's
+    images, one per device of the group; the parts' frames are pooled in
+    order.  entries: (entry id, its channels among the group's) of every
+    entry trained from these frames, the devices first.
+    Pass 1 sums each entry's frame energies per bin (`energy`); pass 2
+    the gated outer products, the upper triangle of each entry's (C, C)
+    as (C (C + 1) / 2, F) rows (`products`), and the frames kept per bin
+    (`counts`).  Tasks add their blocks' frames in frame order, one task
+    at a time (`_pool.Turns`).
+    """
+
+    def __init__(self, parts: list[list], entries: list[tuple[str, slice]],
+                 bins: int):
+        self.parts, self.entries = parts, entries
+        self.channels = entries[-1][1].stop
+        self.n_frames = sum(p[0].n_frames for p in parts)
+        E = len(entries)
+        self.energy = np.zeros((E, bins))
+        self.gate = np.empty((E, bins))
+        self.counts = np.zeros((E, bins))
+        self.products = [
+            np.zeros((C * (C + 1) // 2, bins), dtype=np.complex128)
+            for C in (ch.stop - ch.start for _, ch in entries)]
+
+    def blocks(self):
+        """(part, n0, n1, at) of every block of frames n0:n1 of a part,
+        at the block's first frame among the pooled ones."""
+        at = 0
+        for i, part in enumerate(self.parts):
+            n = part[0].n_frames
+            for n0 in range(0, n, _FRAME_BLOCK):
+                yield i, n0, min(n0 + _FRAME_BLOCK, n), at + n0
+            at += n
+
+    def gate_frames(self) -> None:
+        """Set the silence gate of pass 2 from pass 1's energies: the
+        -60 dB gate below each bin's mean frame energy, and no frame
+        where that mean is 0."""
+        np.divide(self.energy, self.n_frames, out=self.gate)
+        silent = self.gate <= 0.0
+        self.gate *= SILENCE_GATE
+        self.gate[silent] = np.inf
+
+
+class _Scratch:
+    """One thread's scratch for training tasks of up to `block` frames
+    of `bins` bins, over groups of up to `channels` channels and
+    `entries` entries; samples: the shape of the readers' scratch."""
+
+    def __init__(self, block: int, bins: int, channels: int, entries: int,
+                 samples: tuple):
+        self.samples = np.empty(samples)
+        self.x = np.empty((channels, block, bins), dtype=np.complex128)
+        self.xw = np.empty((channels, block, bins), dtype=np.complex128)
+        self.t = np.empty((block, bins), dtype=np.complex128)
+        self.p = np.empty((2, block, bins))
+        self.energy = np.empty((entries, block, bins))
+        self.keep = np.empty((entries, block, bins), dtype=bool)
+        self.w = np.empty((block, bins))
+
+
+def _add_frames(acc, frames) -> None:
+    """Add frames[0], frames[1], ... to acc, one after another, so a sum
+    over frames does not depend on how they are split into blocks."""
+    for row in frames:
+        acc += row
+
+
+def _frame_energies(sums: _Sums, i: int, n0: int, n1: int, ws):
+    """Read frames n0:n1 of part i of a (group, source) into ws.x and
+    return them, (C, b, F), and each entry's energy per frame and bin,
+    (E, b, F): the sum of |x|^2 over its channels in channel order."""
+    b = n1 - n0
+    x = ws.x[:sums.channels, :b]
+    lo = 0
+    for reader in sums.parts[i]:
+        reader.read(n0, n1, ws.samples, x[lo:lo + reader.channels])
+        lo += reader.channels
+    p, q = ws.p[0, :b], ws.p[1, :b]
+    energy = ws.energy[:len(sums.entries), :b]
+    for e, (_, ch) in enumerate(sums.entries):
+        np.square(x[ch.start].real, out=energy[e])
+        np.square(x[ch.start].imag, out=q)
+        energy[e] += q
+        for c in range(ch.start + 1, ch.stop):
+            np.square(x[c].real, out=p)
+            np.square(x[c].imag, out=q)
+            p += q
+            energy[e] += p
+    return x, energy
+
+
+def _energy_block(sums: _Sums, i: int, n0: int, n1: int, ws):
+    """Pass 1 over one block: its frame energies, then, in the caller's
+    turn, their sums."""
+    _, energy = _frame_energies(sums, i, n0, n1, ws)
+
+    def add():
+        for acc, e in zip(sums.energy, energy):
+            _add_frames(acc, e)
+    return add
+
+
+def _product_block(sums: _Sums, i: int, n0: int, n1: int, ws):
+    """Pass 2 over one block: which frames pass each entry's gate, then,
+    in the caller's turn, their outer products and counts."""
+    b = n1 - n0
+    x, energy = _frame_energies(sums, i, n0, n1, ws)
+    keep = ws.keep[:len(sums.entries), :b]
+    np.greater_equal(energy, sums.gate[:, None], out=keep)
+
+    def add():
+        w, t = ws.w[:b], ws.t[:b]
+        for e, (_, ch) in enumerate(sums.entries):
+            np.copyto(w, keep[e])
+            _add_frames(sums.counts[e], w)
+            xe, xw = x[ch], ws.xw[:ch.stop - ch.start, :b]
+            np.conjugate(xe, out=xw)
+            xw *= w
+            rows = iter(sums.products[e])
+            for c in range(len(xe)):
+                for d in range(c, len(xe)):
+                    np.multiply(xe[c], xw[d], out=t)
+                    _add_frames(next(rows), t)
+    return add
+
+
+def _sum_frames(all_sums: list[_Sums], block) -> None:
+    """One pass over every block of every (group, source) on the pool.
+
+    block(sums, part, n0, n1, ws) reads and works on one block and
+    returns what adds it to its sums, which runs in that (group,
+    source)'s turn, so each sum adds its frames in frame order whatever
+    the block size and the thread count.  The tasks take the blocks of
+    the (group, source) pairs in turn, so that pairs overlap.
+    """
+    turns = _pool.Turns()
+    queues = [[(j, *blk) for blk in sums.blocks()]
+              for j, sums in enumerate(all_sums)]
+    tasks = [q[r] for r in range(max(map(len, queues)))
+             for q in queues if r < len(q)]
+
+    def work(task, ws):
+        j, i, n0, n1, at = task
+        try:
+            add = block(all_sums[j], i, n0, n1, ws)
+            if not turns.wait(j, at):
+                return
+            add()
+        except BaseException:  # release the tasks that wait for this one
+            turns.abort()
+            raise
+        turns.advance(j, at + n1 - n0)
+
+    readers = [r for sums in all_sums for part in sums.parts for r in part]
+    windows = [r.window.length for r in readers if r.window is not None]
+    rows = min(_FRAME_BLOCK, max(r.n_frames for r in readers))
+    samples = ((2, max(r.channels for r in readers), rows, max(windows))
+               if windows else (0,))
+    _pool.run(tasks, work, lambda: _Scratch(
+        rows, all_sums[0].energy.shape[1],
+        max(s.channels for s in all_sums),
+        max(len(s.entries) for s in all_sums), samples))
+
+
+def _covariances(products, counts, C: int, cov, fallback) -> None:
+    """An entry's (F, C, C) unit-trace covariances from its summed outer
+    products, into cov, and in fallback, (F,) bool, the bins that kept
+    no frame or summed to no power and fell back to the identity / C."""
+    rows = iter(products)
+    for c in range(C):
+        for d in range(c, C):
+            row = next(rows)
+            cov[:, c, d] = row
+            cov[:, d, c] = row.conj()
+    np.equal(counts, 0.0, out=fallback)
+    kept = ~fallback
+    np.divide(cov, counts[:, None, None], out=cov, where=kept[:, None, None])
+    trace = cov[:, 0, 0].real.copy()
+    for c in range(1, C):
+        trace += cov[:, c, c].real
+    powered = trace > 0.0
+    np.divide(cov, trace[:, None, None], out=cov, where=powered[:, None, None])
+    fallback |= ~powered
+    cov[fallback] = np.eye(C) / C
+
+
+def _pairs(readers) -> tuple[list[str], list[str]]:
+    """Sorted device and source ids of readers, (device, source) -> a
+    list of frame readers; ConfigError unless every pair is there and
+    has frames, ValueError unless the bins agree everywhere and the
+    channels of each device."""
+    array_ids = sorted({m for (m, _) in readers})
+    source_ids = sorted({k for (_, k) in readers})
+    for m in array_ids:
+        for k in source_ids:
+            if (m, k) not in readers:
+                raise ConfigError(f"missing training images for ({m!r}, {k!r})")
+    for m in array_ids:
+        for k in source_ids:
+            if sum(r.n_frames for r in readers[(m, k)]) < 1:
+                raise ConfigError(f"{(m, k)!r}: no frames to train on")
+    if len({r.n_bins for rs in readers.values() for r in rs}) > 1:
+        raise ValueError("inconsistent bin counts across arrays")
+    for m in array_ids:
+        if len({r.channels for k in source_ids for r in readers[(m, k)]}) > 1:
+            raise ValueError(f"array {m!r}: training images differ in "
+                             f"channel count")
+    return array_ids, source_ids
+
+
+def _groups(readers, array_ids, source_ids, merged: bool):
+    """The entries of every group training reads (`_Sums`), and the parts
+    of each of its sources: one group per device, or with the merged
+    entry, one group of every device, whose images must then be of as
+    many parts, each of the same frame count on every device (ConfigError
+    if not)."""
+    channels = {m: readers[(m, source_ids[0])][0].channels for m in array_ids}
+    if not merged:
+        return [([(m, slice(0, channels[m]))],
+                 {k: [[r] for r in readers[(m, k)]] for k in source_ids})
+                for m in array_ids]
+    entries, lo = [], 0
+    for m in array_ids:
+        entries.append((m, slice(lo, lo + channels[m])))
+        lo += channels[m]
+    entries.append((_merged_label(array_ids), slice(0, lo)))
+    parts = {}
+    for k in source_ids:
+        counts = [[r.n_frames for r in readers[(m, k)]] for m in array_ids]
+        if any(c != counts[0] for c in counts):
+            raise ConfigError(f"source {k!r}: cannot merge arrays "
+                              f"{array_ids} of unequal frame counts {counts}")
+        parts[k] = [list(p) for p in zip(*(readers[(m, k)]
+                                           for m in array_ids))]
+    return [(entries, parts)]
+
+
+def _train(readers, noise_gain: float, include_pooled: bool
+           ) -> tuple[SpatialModel, StateSpectrumModel]:
+    """The training core: both models from frame readers.
+
+    readers: (device id, source id) -> a list of frame readers of that
+    image (`dsp._Reader`, `dsp._TensorReader`), whose frames are pooled
+    in order.  Two passes over blocks of frames (`_sum_frames`): the
+    first sums every bin's energy, which sets the silence gate and, of a
+    device's entry, the long-term spectrum; the second sums the gated
+    outer products.  The merged entry reads its devices' frames side by
+    side.  See `train_models` for the rules and the errors.
+    """
+    if not (math.isfinite(noise_gain) and noise_gain >= 0.0):
+        raise ConfigError(f"noise gain must be finite and non-negative, "
+                          f"got {noise_gain}")
+    if not readers:
+        raise ConfigError("no training images given")
+    for m, k in readers:
+        SpatialModel.check_id(m, "device")
+        SpatialModel.check_id(k, "source")
+    array_ids, source_ids = _pairs(readers)
+    groups = _groups(readers, array_ids, source_ids,
+                     include_pooled and len(array_ids) > 1)
+    F = next(iter(readers.values()))[0].n_bins
+    all_sums = [_Sums(parts[k], entries, F)
+                for entries, parts in groups for k in source_ids]
+    _sum_frames(all_sums, _energy_block)
+    for sums in all_sums:
+        sums.gate_frames()
+    _sum_frames(all_sums, _product_block)
+
+    K, M = len(source_ids), len(array_ids)
+    covariances, fallback = {}, {}
+    power = np.empty((M, K, F))
+    counts = np.empty((M, K), dtype=np.int64)
+    for j, sums in enumerate(all_sums):
+        k = j % K  # the sums run over the groups, then the sources
+        for e, (m, ch) in enumerate(sums.entries):
+            C = ch.stop - ch.start
+            if m not in covariances:
+                covariances[m] = np.empty((K, F, C, C), dtype=np.complex128)
+                fallback[m] = np.empty((K, F), dtype=bool)
+            _covariances(sums.products[e], sums.counts[e], C,
+                         covariances[m][k], fallback[m][k])
+            if m in array_ids:
+                i = array_ids.index(m)
+                power[i, k] = sums.energy[e]
+                counts[i, k] = sums.n_frames * C
+    fallback_bins = {(m, k): np.flatnonzero(fell[k_idx])
+                     for m, fell in fallback.items()
+                     for k_idx, k in enumerate(source_ids)
+                     if fell[k_idx].any()}
+    by_device = {m: covariances.pop(m) for m in array_ids}  # rest: merged
+    return (SpatialModel(by_device, source_ids, fallback_bins,
+                         covariances.get(_merged_label(array_ids))),
+            _state_model(source_ids, power, counts, noise_gain))
 
 
 def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
                  noise_gain: float = 1.0, include_pooled: bool = False,
                  ) -> tuple[SpatialModel, StateSpectrumModel]:
-    """Estimate spatial covariances and the state model in one pass.
+    """Estimate spatial covariances and the state model.
 
     training_images maps (device id, source id) to a SpectrogramTensor, or
     to a sequence of tensors whose frames are pooled (useful for covering
@@ -391,51 +539,37 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
     spectrum is the across-source mean scaled by noise_gain.
 
     With include_pooled=True the merged array over two or more devices
-    is trained from the images concatenated channel-wise, for use by the
-    static-pooled filter variant.  Every id must pass
-    `SpatialModel.check_id`, and noise_gain must be finite and not
-    negative; ConfigError if not.
+    is trained from the images side by side, channel-wise, for use by
+    the static-pooled filter variant; a device's sequence must then hold
+    as many tensors as every other's, each of the same frame count.
+    Every id must pass `SpatialModel.check_id`, and noise_gain must be
+    finite and not negative; ConfigError if not.  The tensors are read a
+    block of frames at a time (`_train`), so nothing of their size is
+    copied.
     """
-    if not (math.isfinite(noise_gain) and noise_gain >= 0.0):
-        raise ConfigError(f"noise gain must be finite and non-negative, "
-                          f"got {noise_gain}")
-    if not training_images:
-        raise ConfigError("no training images given")
-    for m, k in training_images:
-        SpatialModel.check_id(m, "device")
-        SpatialModel.check_id(k, "source")
-    array_ids, source_ids, frames = _device_frames(training_images)
-    entries = {m: [frames[(m, k)] for k in source_ids] for m in array_ids}
-    if include_pooled and len(array_ids) > 1:  # one device is its own merge
-        entries[_merged_label(array_ids)] = [
-            _merged_frames(training_images, frames, array_ids, k)
-            for k in source_ids]
+    return _train({key: [dsp._TensorReader(t.coeffs) for t in (
+        [v] if isinstance(v, SpectrogramTensor) else v)]
+        for key, v in training_images.items()}, noise_gain, include_pooled)
 
-    # one `_statistics` pass forms every entry's covariances and each
-    # device's (K, F) summed power
-    K, F = len(source_ids), frames[(array_ids[0], source_ids[0])].shape[1]
-    covariances, fallback, jobs = {}, {}, []
-    power = np.empty((len(array_ids), K, F))
-    for i, (m, coeffs) in enumerate(entries.items()):
-        C = coeffs[0].shape[2]
-        covariances[m] = np.empty((K, F, C, C), dtype=np.complex128)
-        fallback[m] = np.zeros((K, F), dtype=bool)
-        identity = np.eye(C) / C
-        for k in range(K):
-            jobs.append((coeffs[k], covariances[m][k], fallback[m][k],
-                         power[i, k] if i < len(array_ids) else None,
-                         identity))
-    _statistics(jobs)
-    fallback_bins = {(m, k): np.flatnonzero(fell[k_idx])
-                     for m, fell in fallback.items()
-                     for k_idx, k in enumerate(source_ids)
-                     if fell[k_idx].any()}
-    counts = [[frames[(m, k)].shape[0] * frames[(m, k)].shape[2]
-               for k in source_ids] for m in array_ids]
-    by_device = {m: covariances.pop(m) for m in array_ids}  # rest: merged
-    return (SpatialModel(by_device, source_ids, fallback_bins,
-                         covariances.get(_merged_label(array_ids))),
-            _state_model(source_ids, power, counts, noise_gain))
+
+def _train_sources(sources: dict, window: WindowSpec, noise_gain: float = 1.0,
+                   include_pooled: bool = False
+                   ) -> tuple[SpatialModel, StateSpectrumModel]:
+    """`train_models` of the images' `dsp.stft`s, bit for bit, with no
+    spectrogram held.
+
+    sources: (device id, source id) -> the image's (n, C) samples, a
+    sample source of `dsp._Reader` (`dsp._ArraySource`,
+    `audio.WavSource`) of at least one window; ValueError if shorter.
+    """
+    for key, source in sources.items():
+        if source.n_samples < window.length:
+            raise ValueError(f"training image {key!r} ({source.n_samples} "
+                             f"samples) shorter than one frame "
+                             f"({window.length} samples)")
+    return _train({key: [dsp._Reader(source, window)]
+                   for key, source in sources.items()},
+                  noise_gain, include_pooled)
 
 
 # ---------------------------------------------------------------------------

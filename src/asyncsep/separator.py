@@ -31,14 +31,14 @@ unit alone.  The blocks run on every core (`_pool`), and the result does
 not depend on the number of threads.
 
 `separate` and `classify` read their blocks from STFT tensors
-(`_TensorReader`), and the sink of `separate` is each filter's (K+1, C,
-N, F) image buffer; the image tensors of its result are (N, F, C) views
-into them.  The streamed pass (`_separate_sources`) reads each block
-from the recordings through a `dsp._Reader`, which frames them as
-`dsp.stft` does, and its sink is a `dsp._Writer`, the overlap-add of
-`dsp.istft`, which hands each finished span of a filter's images to one
-destination per (device, source) image; no spectrogram of a whole
-recording is ever held.  The writer adds a filter's blocks in frame
+(`dsp._TensorReader`), and the sink of `separate` is each filter's
+(K+1, C, N, F) image buffer; the image tensors of its result are
+(N, F, C) views into them.  The streamed pass (`_separate_sources`)
+reads each block from the recordings through a `dsp._Reader`, which
+frames them as `dsp.stft` does, and its sink is a `dsp._Writer`, the
+overlap-add of `dsp.istft`, which hands each finished span of a
+filter's images to one destination per (device, source) image; no
+spectrogram of a whole recording is ever held.  The writer adds a filter's blocks in frame
 order, so the image signals equal `istft` of `separate`'s images bit
 for bit.  `separate_recordings` streams from arrays into arrays; `asyncsep
 separate` streams from WAV files into WAV files, and its posteriors into
@@ -126,18 +126,6 @@ class _ImageParts:
     def write(self, start, samples) -> None:
         for k, lo, hi, dest in self.parts:
             dest.write(start, samples[k, lo:hi])
-
-
-class _TensorReader:
-    """Reader of `separate` and `classify`: frame blocks of one array's
-    (N, F, C) STFT coefficients, as `dsp._Reader` reads a recording's."""
-
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs
-        self.n_frames, _, self.channels = coeffs.shape
-
-    def read(self, n0, n1, scratch, out) -> None:
-        np.copyto(out, np.transpose(self.coeffs[n0:n1], (2, 0, 1)))
 
 
 @dataclass
@@ -258,7 +246,8 @@ def _unit(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
     """One unit of the block pass over the devices of `entries`.
 
     entries: (devices, (K, F, C, C) covariances over their channels) pairs;
-    readers: device -> its frame blocks (`dsp._Reader` or `_TensorReader`).
+    readers: device -> its frame blocks (`dsp._Reader` or
+    `dsp._TensorReader`).
     The unit sums the entries' log-likelihoods when it classifies, writes
     `posteriors` when given, an (N, F, S) float64 array or an object of
     that shape and dtype whose put(n0, block, ws) takes the posteriors of
@@ -422,7 +411,7 @@ def _tensor_readers(observations: dict[str, SpectrogramTensor],
         if t.n_bins != spatial.n_bins:
             raise ValueError(
                 f"array {m!r}: {t.n_bins} bins, model expects {spatial.n_bins}")
-        readers[m] = _TensorReader(t.coeffs)
+        readers[m] = dsp._TensorReader(t.coeffs)
     return readers
 
 

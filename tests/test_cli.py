@@ -22,9 +22,11 @@ from scipy.io import wavfile
 from scipy.io.wavfile import WavFileWarning
 
 from asyncsep import _kernels, _pool, cli, separator
+from asyncsep import model as model_module
 from asyncsep.audio import read_wav, write_wav
 from asyncsep.classifier import PosteriorMap, posterior_histogram
 from asyncsep.cli import main
+from asyncsep.demo import demo_scene_path
 from asyncsep.dsp import SampledSignal, WindowSpec, stft_frame_count
 from asyncsep.errors import NumericalError
 from asyncsep.metrics import _finite_mean, at_device_clock, score_images
@@ -324,6 +326,25 @@ def test_evaluate_non_finite_estimate_fails_with_numerical_error(
     assert err.startswith("numerical failure: ") and "b/s2" in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+def test_train_on_a_non_finite_image_fails_with_numerical_error(
+        tmp_path, scene_file, capsys):
+    # one NaN gave a model of NaN spectra, written with exit 0, which
+    # separate then refused
+    sim, model = tmp_path / "sim", tmp_path / "model.bin"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    wav = sim / "images" / "a__s1.wav"
+    sig = read_wav(wav)
+    sig.samples[100, 0] = np.nan
+    write_wav(wav, sig)
+    capsys.readouterr()
+    assert main(["train", str(sim / "images"), str(model), "--pooled",
+                 "--stft-len", "256"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and str(wav) in err
+    assert "Traceback" not in err
+    assert not model.exists() and not model.with_suffix(".txt").exists()
 
 
 def test_evaluate_against_silent_truth_fails_with_config_error(
@@ -1123,6 +1144,34 @@ def test_separate_and_evaluate_memory_does_not_grow_with_length(
     # estimate, each 6 s longer at 8 s; all 4 pairs would take 8 images
     image = 6 * 16000 * 2 * 8
     assert peaks[8.0][1] - peaks[2.0][1] < 5 * image
+
+
+def test_train_memory_does_not_grow_with_length(tmp_path, monkeypatch):
+    # train --pooled on demo-train at 2 s and 8 s, on one thread: the
+    # images are read a block of frames at a time, where holding their
+    # spectrograms and the merged copy grew it by 116 MB
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+    workspaces = []
+    real = model_module._Scratch
+
+    def recorded(*args, **kwargs):
+        ws = real(*args, **kwargs)
+        workspaces.append(sum(a.nbytes for a in vars(ws).values()))
+        return ws
+
+    monkeypatch.setattr(model_module, "_Scratch", recorded)
+    scene = yaml.safe_load(Path(demo_scene_path(train=True)).read_text())
+    peaks = {}
+    for seconds in (2.0, 8.0):
+        scene["duration_s"] = seconds
+        path, sim = tmp_path / f"{seconds}.yaml", tmp_path / f"sim{seconds}"
+        path.write_text(yaml.safe_dump(scene))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(path), str(sim), "--seed", "1"]) == 0
+        peaks[seconds] = _traced_peak(["train", str(sim / "images"),
+                                       str(tmp_path / f"m{seconds}.bin"),
+                                       "--pooled"])
+    assert abs(peaks[8.0] - peaks[2.0]) < max(workspaces), peaks
 
 
 def test_non_finite_recording_exits_3_leaving_no_output(

@@ -12,7 +12,7 @@ from asyncsep.dsp import WindowSpec, istft, lagrange_resample, stft
 from asyncsep.errors import ConfigError
 from asyncsep.experiment import _zero_sro, format_report, run_experiment
 from asyncsep.metrics import _Scores, at_device_clock, score_images
-from asyncsep.model import train_models
+from asyncsep.model import _train_sources, train_models
 from asyncsep.separator import MODES, _separate_sources, separate
 from asyncsep.scene import (
     ArraySpec,
@@ -152,7 +152,7 @@ def test_negative_seed_rejected(monkeypatch):
         raise AssertionError("ran before the seed was checked")
 
     monkeypatch.setattr(experiment, "synthesize_scene", never)
-    monkeypatch.setattr(experiment, "train_models", never)
+    monkeypatch.setattr(experiment, "_train_sources", never)
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         run_experiment(tiny_scene(), tiny_scene(duration=1.0), seed=-1,
                        window=WIN)
@@ -231,29 +231,30 @@ def test_report_equal_for_any_worker_count():
 
 
 def test_training_data_is_released_before_the_test_scene(monkeypatch):
-    # the training images and tensors are not held through test synthesis
-    # and separation
+    # the training images and the sources training reads them through
+    # are not held through test synthesis and separation
     import weakref
 
     held = []
 
-    def tracked_stft(signal, window):
-        spec = stft(signal, window)
-        held.append(weakref.ref(signal))
-        held.append(weakref.ref(spec))
-        return spec
+    def tracked_training(sources, *args, **kwargs):
+        held.extend(weakref.ref(source) for source in sources.values())
+        return _train_sources(sources, *args, **kwargs)
 
     def checked_synthesis(spec, seed):
         if held:  # the test scene: training is over
             assert all(ref() is None for ref in held)
-        return synthesize_scene(spec, seed)
+            return synthesize_scene(spec, seed)
+        images, recordings = synthesize_scene(spec, seed)
+        held.extend(weakref.ref(sig) for sig in images.images.values())
+        return images, recordings
 
-    monkeypatch.setattr(experiment, "stft", tracked_stft)
+    monkeypatch.setattr(experiment, "_train_sources", tracked_training)
     monkeypatch.setattr(experiment, "synthesize_scene", checked_synthesis)
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("tv-distributed",), seed=3, window=WIN,
                    variants=("sro",))
-    assert len(held) == 8  # 2 arrays x 2 sources, a signal and a tensor each
+    assert len(held) == 8  # 2 arrays x 2 sources, a signal and a source each
 
 
 def test_each_result_is_released_before_the_next_separation(monkeypatch):

@@ -1,9 +1,12 @@
 """Tests for spatial covariance estimation and the state spectrum model."""
 
+import contextlib
 import io
 import re
 import struct
+import sys
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 
@@ -12,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncsep import model
-from asyncsep.dsp import SpectrogramTensor, WindowSpec
+from asyncsep import dsp, model
+from asyncsep.audio import WavSource, read_header, write_wav
+from asyncsep.dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
+                          _ArraySource, stft)
 from asyncsep.errors import ConfigError
 from asyncsep.model import (
     SILENCE_GATE,
@@ -25,7 +30,8 @@ from asyncsep.model import (
     train_models,
 )
 
-from conftest import pool_workers, rand_unit_psd, regularized_sum
+from conftest import (pool_run_peaks, pool_workers, rand_unit_psd,
+                      regularized_sum)
 
 WIN = WindowSpec(16, 4)  # 9 bins, keeps model tests cheap
 F = WIN.length // 2 + 1
@@ -517,49 +523,153 @@ class TestPooled:
 
 
 class TestTrainingTasks:
-    """(entry, source, block of bins) tasks on the pool."""
+    """Two passes of (group, source, block of frames) tasks on the pool,
+    from tensors, arrays or WAV files."""
 
-    WIN = WindowSpec(256, 64)  # 129 bins: three blocks
+    WIN = WindowSpec(256, 64)  # 129 bins
+    N = 2000  # samples: 37 frames, three blocks of 16
 
-    def _images(self, seed):
+    def _signals(self, seed):
+        """float32-exact images, so a float32 WAV file holds them."""
         rng = np.random.default_rng(seed)
-        F = self.WIN.length // 2 + 1
-        imgs = {}
+        signals = {}
         for m, C in (("a", 1), ("b", 2), ("c", 3)):
             for k in ("s1", "s2"):
-                x = rng.standard_normal((30, F, C)) \
-                    + 1j * rng.standard_normal((30, F, C))
-                x[5:12] *= 1e-7  # frames below the gate
-                x[:, 7 + len(m) * C] = 0.0  # a silent bin: a fallback
-                imgs[(m, k)] = SpectrogramTensor(x, self.WIN, 16000.0)
-        return imgs
+                x = rng.standard_normal((self.N, C))
+                x[700:1300] *= 1e-7  # frames below the gate
+                signals[(m, k)] = x.astype(np.float32).astype(float)
+        signals[("c", "s2")][:] = 0.0  # every bin falls back
+        return signals
 
-    def _train(self, imgs, workers, pooled, block=None):
-        with pool_workers(workers), pytest.MonkeyPatch.context() as mp:
+    def _train(self, path, signals, tmp_path, workers, pooled, block):
+        with pool_workers(workers), pytest.MonkeyPatch.context() as mp, \
+                contextlib.ExitStack() as stack:
             if block is not None:
-                mp.setattr(model, "_BIN_BLOCK", block)
-            return train_models(imgs, noise_gain=0.5, include_pooled=pooled)
+                mp.setattr(model, "_FRAME_BLOCK", block)
+            kwargs = dict(noise_gain=0.5, include_pooled=pooled)
+            if path == "tensor":
+                return train_models({
+                    key: stft(SampledSignal(x, 16000.0), self.WIN)
+                    for key, x in signals.items()}, **kwargs)
+            if path == "array":
+                sources = {key: _ArraySource(x) for key, x in signals.items()}
+            else:
+                sources = {}
+                for key, x in signals.items():
+                    wav = tmp_path / f"{key[0]}__{key[1]}.wav"
+                    write_wav(wav, SampledSignal(x, 16000.0))
+                    sources[key] = stack.enter_context(
+                        WavSource(read_header(wav)))
+            return model._train_sources(sources, self.WIN, **kwargs)
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_equal_for_any_worker_count_and_block(self, seed, pooled):
-        imgs = self._images(seed)
-        want_s, want_t = self._train(imgs, 1, pooled)
+    def test_equal_for_any_worker_count_and_block(self, seed, pooled,
+                                                  tmp_path):
+        signals = self._signals(seed)
+        want_s, want_t = self._train("tensor", signals, tmp_path, 1, pooled,
+                                     None)
         assert list(want_s.covariances) == ["a", "b", "c"]
         assert (want_s.merged is not None) == pooled
-        assert want_s.fallback_bins
-        for workers, block in ((3, None), (1, 1), (3, 2), (3, 10**6)):
-            got_s, got_t = self._train(imgs, workers, pooled, block)
-            assert list(got_s.covariances) == list(want_s.covariances)
-            for m, cov in want_s.covariances.items():
-                assert np.array_equal(got_s.covariances[m], cov)
+        assert list(want_s.fallback_bins) == [("c", "s2")]
+        for path in ("tensor", "array", "wav"):
+            for workers, block in ((1, None), (3, None), (1, 1), (3, 1),
+                                   (1, 2), (3, 2), (1, 10**6), (3, 10**6)):
+                got_s, got_t = self._train(path, signals, tmp_path,
+                                           workers, pooled, block)
+                assert list(got_s.covariances) == list(want_s.covariances)
+                for m, cov in want_s.covariances.items():
+                    assert np.array_equal(got_s.covariances[m], cov)
+                if pooled:
+                    assert np.array_equal(got_s.merged, want_s.merged)
+                assert list(got_s.fallback_bins) == \
+                    list(want_s.fallback_bins)
+                for key, bins in want_s.fallback_bins.items():
+                    assert np.array_equal(got_s.fallback_bins[key], bins)
+                assert np.array_equal(got_t.ltas, want_t.ltas)
+                assert np.array_equal(got_t.noise_spectrum,
+                                      want_t.noise_spectrum)
+
+    def test_on_more_threads_than_cores(self, tmp_path):
+        # the threads share each (group, source)'s sums and turns; a lost
+        # or reordered add changes the bits
+        signals = self._signals(3)
+        want_s, want_t = self._train("array", signals, tmp_path, 1, True, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got_s, got_t = self._train("array", signals, tmp_path, 8, True,
+                                       2)
+        finally:
+            sys.setswitchinterval(interval)
+        for m, cov in want_s.covariances.items():
+            assert np.array_equal(got_s.covariances[m], cov)
+        assert np.array_equal(got_s.merged, want_s.merged)
+        assert np.array_equal(got_t.ltas, want_t.ltas)
+
+    def test_a_failed_task_releases_the_tasks_that_wait(self, monkeypatch):
+        # later blocks of the failed block's (group, source) wait for its
+        # turn; they return, and its error is raised
+        real, calls, errors = dsp._TensorReader.read, [], []
+
+        def failing(self, *args):
+            calls.append(1)
+            if len(calls) == 7:
+                raise RuntimeError("injected")
+            return real(self, *args)
+
+        monkeypatch.setattr(dsp._TensorReader, "read", failing)
+        monkeypatch.setattr(model, "_FRAME_BLOCK", 1)
+        imgs = {key: stft(SampledSignal(x, 16000.0), self.WIN)
+                for key, x in self._signals(4).items()}
+
+        def run():
+            try:
+                with pool_workers(3):
+                    train_models(imgs, include_pooled=True)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert [str(e) for e in errors] == ["injected"]
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_tasks_allocate_no_arrays(self, rng, monkeypatch, pooled):
+        window = WindowSpec(4096, 1024)  # 45 frames of 2049 bins
+        sources = {(m, k): _ArraySource(rng.standard_normal((40 * 1024, C)))
+                   for m, C in (("a", 1), ("b", 2), ("c", 3))
+                   for k in ("s1", "s2")}
+        peaks = pool_run_peaks(monkeypatch, lambda: model._train_sources(
+            sources, window, include_pooled=pooled))
+        assert len(peaks) == 2  # one per pass
+        # the smallest array a task could allocate: one (8, F) bool plane
+        assert max(peaks) < 8 * 2049, peaks
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_sequences_equal_for_any_worker_count_and_block(self, rng,
+                                                            pooled):
+        # the parts of a sequence are pooled in order, whatever the blocks
+        def x(n, C):
+            return rng.standard_normal((n, F, C)) \
+                + 1j * rng.standard_normal((n, F, C))
+
+        imgs = {(m, k): [tensor(x(n, C)) for n in (5, 0, 19)]
+                for m, C in (("a", 1), ("b", 2)) for k in ("s1", "s2")}
+        results = []
+        for workers, block in ((1, None), (3, 1), (1, 2), (3, 10**6)):
+            with pool_workers(workers), pytest.MonkeyPatch.context() as mp:
+                if block is not None:
+                    mp.setattr(model, "_FRAME_BLOCK", block)
+                results.append(train_models(imgs, include_pooled=pooled))
+        for spatial, states in results[1:]:
+            for m, cov in results[0][0].covariances.items():
+                assert np.array_equal(spatial.covariances[m], cov)
             if pooled:
-                assert np.array_equal(got_s.merged, want_s.merged)
-            assert list(got_s.fallback_bins) == list(want_s.fallback_bins)
-            for key, bins in want_s.fallback_bins.items():
-                assert np.array_equal(got_s.fallback_bins[key], bins)
-            assert np.array_equal(got_t.ltas, want_t.ltas)
-            assert np.array_equal(got_t.noise_spectrum, want_t.noise_spectrum)
+                assert np.array_equal(spatial.merged, results[0][0].merged)
+            assert np.array_equal(states.ltas, results[0][1].ltas)
 
     def test_unequal_bins_or_channels_refused(self, rng):
         x = rng.standard_normal((4, F, 2)) + 1j * rng.standard_normal((4, F, 2))

@@ -8,7 +8,8 @@ Every stage with numeric work splits it into tasks on this pool:
   * training: two passes of one task per (devices read together,
     source) and block of frames; each adds its sums to that pair's in
     frame order (`Turns`);
-  * the resampler: one task per run of output samples;
+  * reading a device clock (`dsp._Clock`): one task per run of output
+    samples, or per device group in `asyncsep evaluate`;
   * the separation pass: one task per block of frames, which in
     `run_experiment` also scores the spans it finishes;
   * SDR scoring: one task per (reference, estimate) pair.

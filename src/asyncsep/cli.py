@@ -31,13 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import (WavSink, WavSource, read_header, read_wav, wav_rate,
-                    write_wav)
+from .audio import WavSink, WavSource, read_header, wav_rate, write_wav
 from .classifier import PosteriorFile
 from .demo import demo_scene_path
-from .dsp import WindowSpec, stft_frame_count
+from .dsp import _RESAMPLE_ROWS, WindowSpec, stft_frame_count
 from .errors import ConfigError, NumericalError
-from .metrics import _finite_mean, at_device_clock, score_images
+from .metrics import _finite_mean, _score, _Scores
 from .model import (SpatialModel, _train_sources, load_models, model_summary,
                     save_models)
 from .scene import load_scene, scene_to_dict, synthesize_scene
@@ -328,11 +327,14 @@ def _load_manifest_sro(truth_dir: Path) -> tuple[Path | None, dict]:
 
 
 def cmd_evaluate(args) -> int:
-    """Score estimates against truth images, one pair at a time.
+    """Score estimates against truth images, a span at a time.
 
-    Every header and shape is checked before any pair is read; each pair
-    is then read, its truth moved to the device clock and scored, so one
-    pair is held at a time.
+    Every header and shape is checked before any sample is read; then
+    each estimate is scored span by span against its truth read through
+    its device's clock (`metrics._Scores`), so memory does not grow with
+    the images' length.  The first image in key order whose truth is
+    silent (exit 2) or whose score is not finite (exit 3) ends the command
+    without a report.
     """
     est_dir = Path(args.estimates)
     truth_dir = Path(args.truth)
@@ -360,8 +362,9 @@ def cmd_evaluate(args) -> int:
                 f"clock offset {sro[m]} Hz of array {m!r} ({origin[m]}) is "
                 f"not below the sample rate of {pairs[(m, k)][0]} "
                 f"({float(ref.rate)} Hz)")
+    est_heads = {key: read_header(est) for key, (_, est) in pairs.items()}
     for key, (wav, est_path) in pairs.items():
-        ref, est = heads[key], read_header(est_path)
+        ref, est = heads[key], est_heads[key]
         if (est.n_samples, est.channels, est.rate) != \
                 (ref.n_samples, ref.channels, ref.rate):
             raise ConfigError(
@@ -370,13 +373,17 @@ def cmd_evaluate(args) -> int:
                 f"image {wav} {ref.n_samples} of {ref.channels} at "
                 f"{ref.rate:g} Hz")
 
+    with contextlib.ExitStack() as stack:
+        enter = stack.enter_context
+        images = _Scores({key: (enter(WavSource(h)), float(h.rate))
+                          for key, h in heads.items()}, sro, _RESAMPLE_ROWS)
+        images.feed({key: enter(WavSource(h)) for key, h in est_heads.items()})
     scores = {}
-    for key, (wav, est_path) in pairs.items():
-        ref = at_device_clock({key: read_wav(wav)}, sro)
-        if not ref[key].samples.any():
+    for (m, k), (wav, _) in pairs.items():
+        ref, err = images.images[(m, k)].energies.totals()
+        if ref == 0.0:
             raise ConfigError(f"truth image {wav} is silent; SDR is undefined")
-        scores.update(score_images(ref, {key: read_wav(est_path)}))
-        del ref
+        scores[f"{m}/{k}"] = _score(f"{m}/{k}", ref, err)
     report = {
         "version": 1,
         "sdr_db": scores,

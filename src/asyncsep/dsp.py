@@ -15,7 +15,10 @@ reads through a reader, `istft` writes through a writer, and the
 streamed pass of `separator` uses both.
 
 Every fractional delay and clock resampling interpolates with one
-Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.
+Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.  One
+sample source, `_Clock`, reads sources at a device's clock a span at a
+time; `lagrange_resample`, `metrics.at_device_clock` and the scoring of
+`asyncsep evaluate` and `run_experiment` all read through it.
 """
 
 from __future__ import annotations
@@ -509,48 +512,6 @@ def _lagrange_weights(t, out, diffs):
     return out
 
 
-def _interpolate_at(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Evaluate x at continuous positions by local Lagrange interpolation.
-
-    x: (n, channels); pos: (m,) positions in samples.  Positions outside
-    the input read zeros.  Uses _ORDER + 1 points around each position.
-    Returns (m, channels), a view of a channel-major buffer.
-
-    Runs of `_RESAMPLE_ROWS` output rows are tasks on the thread pool
-    (`_pool`); each forms its own stencils and weights.  The calling
-    thread allocates the zero-padded input, the output and every thread's
-    scratch first, so a row's value does not depend on the thread count.
-    The input is padded by one stencil on the left and one sample on the
-    right, however far the positions reach: the gather clips its indices
-    into the padded input, and a clipped index lands on a zero, so every
-    tap outside the input reads zero.  Both are channel-major, so each
-    weight multiplies a run of samples of one channel.
-    """
-    m, C = pos.shape[0], x.shape[1]
-    padded = np.zeros((C, x.shape[0] + _ORDER + 2))
-    padded[:, _ORDER + 1:_ORDER + 1 + x.shape[0]] = x.T
-    out = np.zeros((C, m))
-    rows = min(_RESAMPLE_ROWS, m)
-    _pool.run(range(0, m, _RESAMPLE_ROWS),
-              lambda r0, ws: _interpolate_rows(padded, pos, out, r0, ws),
-              lambda: (np.empty(rows), np.empty(rows, dtype=np.int64),
-                       np.empty((_ORDER + 2, rows)),
-                       np.empty((_ORDER + 1, rows)), np.empty((C, rows))))
-    return out.T
-
-
-def _interpolate_rows(padded, pos, out, r0, ws) -> None:
-    """Rows r0 onwards, up to `_RESAMPLE_ROWS`, of `_interpolate_at`;
-    padded: x with _ORDER + 1 zeros before it, channel-major, and out
-    (C, m)."""
-    r1 = min(r0 + _RESAMPLE_ROWS, pos.shape[0])
-    r = r1 - r0
-    t, index, diffs, weights, tap = ws
-    index, weights = index[:r], weights[:, :r]
-    _stencils(pos[r0:r1], t[:r], index, weights, diffs[:, :r])
-    _gather(padded, index, weights, tap[:, :r], out[:, r0:r1])
-
-
 def _stencils(p, t, index, weights, diffs) -> None:
     """The stencils of positions p >= 0, (r,): index, (r,) int, receives
     each stencil's first sample in the input padded by _ORDER + 1 zeros
@@ -569,8 +530,7 @@ def _gather(padded, index, weights, tap, dst) -> None:
     padded: (C, n) input, channel-major; index: (r,) stencil starts in
     it; weights: (_ORDER + 1, r); tap and dst: (C, r), tap scratch.  One
     gather index serves every tap: tap j reads the view shifted by j, and
-    is added in ascending j.  An index past the end clips to the last
-    sample, a zero in `_interpolate_at`'s padded input.
+    is added in ascending j.  Every tap, index + j, lies in padded.
     """
     for j in range(_ORDER + 1):
         for c in range(padded.shape[0]):  # contiguous rows, not copied
@@ -579,35 +539,116 @@ def _gather(padded, index, weights, tap, dst) -> None:
         dst += tap
 
 
-def _clock_ratio(rate_hz: float, rate_offset_hz: float) -> float:
-    """Input samples per output sample of `lagrange_resample`; ValueError
-    unless the offset is finite and smaller than the rate."""
-    if not math.isfinite(rate_offset_hz):
-        raise ValueError(f"rate_offset_hz must be finite, got {rate_offset_hz}")
-    if abs(rate_offset_hz) >= rate_hz:
-        raise ValueError(
-            f"|rate_offset_hz| ({abs(rate_offset_hz)}) must be below the "
-            f"sample rate ({rate_hz})")
-    return rate_hz / (rate_hz + rate_offset_hz)
+class _Clock:
+    """A sample source of one device's samples on its clock.
+
+    sources: sample sources of one length (`_ArraySource`,
+    `audio.WavSource`), their channels stacked; sro_hz: the clock offset
+    at `rate`, finite and smaller than the rate, or ValueError.  Sample
+    tau is theirs at position tau * rate / (rate + sro_hz), interpolated
+    over _ORDER + 1 samples (`_stencils`, `_gather`) with zeros past
+    either end, or without an offset their sample tau.  `read` reads only
+    the window its span's stencils touch, in the caller's scratch, so
+    threads may read one clock at once.
+    """
+
+    def __init__(self, sources, rate: float, sro_hz: float):
+        if not math.isfinite(sro_hz):
+            raise ValueError(f"rate_offset_hz must be finite, got {sro_hz}")
+        if abs(sro_hz) >= rate:
+            raise ValueError(f"|rate_offset_hz| ({abs(sro_hz)}) must be "
+                             f"below the sample rate ({rate})")
+        # input samples per output sample
+        self.ratio = rate / (rate + sro_hz) if sro_hz != 0.0 else None
+        self.sources, self.n_samples = sources, sources[0].n_samples
+        self.bounds = np.cumsum([0] + [s.channels for s in sources]).tolist()
+        self.channels = self.bounds[-1]
+
+    def scratch(self, rows: int) -> np.ndarray:
+        """The raw scratch of `read` for up to `rows` samples: 8 bytes per
+        float of its planes and window, then per sample a source reads."""
+        floats, width, C = 0, rows, self.channels
+        if self.ratio is not None:
+            # a span's stencils start at most (rows - 1) * ratio + 1
+            # samples apart, and none past the last sample `_stencils` pads
+            width = min(math.ceil((rows - 1) * self.ratio) + _ORDER + 3,
+                        self.n_samples + _ORDER + 1)
+            floats = (2 * _ORDER + 6 + C) * rows + C * width
+        widest = max(s.channels for s in self.sources)
+        return np.empty(floats + widest * width).view(np.uint8)
+
+    def read(self, start: int, stop: int, raw, out) -> None:
+        """Samples start:stop into out, (C, stop - start) float; raw:
+        `scratch` of as many samples or more.  Allocates no array."""
+        r, n, C = stop - start, self.n_samples, self.channels
+        if self.ratio is None or r <= 0:
+            self._read(start, stop, raw, out)
+            return
+        # positions, abscissae, stencil starts, differences, weights, taps
+        f = raw[:8 * (2 * _ORDER + 6 + C) * r].view(np.float64)
+        pos, t, index = f[:r], f[r:2 * r], f[2 * r:3 * r].view(np.int64)
+        diffs = f[3 * r:(_ORDER + 5) * r].reshape(_ORDER + 2, r)
+        weights = f[(_ORDER + 5) * r:(2 * _ORDER + 6) * r].reshape(-1, r)
+        tap = f[(2 * _ORDER + 6) * r:].reshape(C, r)
+        pos.fill(1.0)
+        pos[0] = start
+        np.add.accumulate(pos, out=pos)  # start, start + 1, ..., in place
+        pos *= self.ratio  # = np.arange(n) * ratio, rows start:stop
+        _stencils(pos, t, index, weights, diffs)
+        out.fill(0.0)
+        # the rows with a tap at or before the sources' last sample
+        g = int(np.searchsorted(index, n + _ORDER, side="right"))
+        if not g:
+            return
+        base = int(index[0])
+        width = int(index[g - 1]) - base + _ORDER + 1
+        index = index[:g]
+        index -= base
+        # window column i holds the sources' sample i - lo, or a zero
+        at, lo = f.nbytes + 8 * C * width, _ORDER + 1 - base
+        window = raw[f.nbytes:at].view(np.float64).reshape(C, width)
+        s0 = min(max(lo, 0), width)
+        s1 = min(max(n + lo, s0), width)
+        window[:, :s0] = 0.0
+        window[:, s1:] = 0.0
+        if s0 < s1:
+            self._read(s0 - lo, s1 - lo, raw[at:], window[:, s0:s1])
+        _gather(window, index, weights[:, :g], tap[:, :g], out[:, :g])
+
+    def _read(self, start: int, stop: int, raw, out) -> None:
+        for source, c0, c1 in zip(self.sources, self.bounds,
+                                  self.bounds[1:]):
+            source.read(start, stop, raw, out[c0:c1])
+
+
+def _resampled(clock: _Clock) -> np.ndarray:
+    """Every sample of clock, (C, n), read as tasks on the thread pool
+    (`_pool`) of `_RESAMPLE_ROWS` samples, each in its thread's scratch,
+    so a sample does not depend on the thread count."""
+    n = clock.n_samples
+    out = np.empty((clock.channels, n))
+    _pool.run(range(0, n, _RESAMPLE_ROWS),
+              lambda r0, raw: clock.read(
+                  r0, min(r0 + _RESAMPLE_ROWS, n), raw,
+                  out[:, r0:r0 + _RESAMPLE_ROWS]),
+              lambda: clock.scratch(min(_RESAMPLE_ROWS, n)))
+    return out
 
 
 def lagrange_resample(signal: SampledSignal,
                       rate_offset_hz: float) -> SampledSignal:
     """Resample by a small clock-rate offset using local Lagrange interpolation.
 
+    rate_offset_hz: deviation of the actual clock from the nominal rate.
     Output sample tau takes the value of the input at continuous position
     tau * rate / (rate + rate_offset_hz), interpolated over _ORDER + 1
     points.  Output length equals input length; positions past the input
-    tail read zeros.
-
-    Parameters
-    ----------
-    rate_offset_hz : deviation of the actual clock from the nominal rate.
+    tail read zeros.  The input is read through a `_Clock`; the samples
+    are returned as a (length, channels) view of a channel-major buffer.
     """
-    ratio = _clock_ratio(signal.rate_hz, rate_offset_hz)
-    x = signal.samples
-    pos = np.arange(x.shape[0], dtype=np.float64) * ratio
-    return SampledSignal(_interpolate_at(x, pos), signal.rate_hz)
+    clock = _Clock([_ArraySource(signal.samples)], signal.rate_hz,
+                   rate_offset_hz)
+    return SampledSignal(_resampled(clock).T, signal.rate_hz)
 
 
 def fractional_delay(samples: np.ndarray, delay: float) -> np.ndarray:

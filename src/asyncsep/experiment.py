@@ -11,12 +11,12 @@ Each scene is rendered once, on the nominal clock: the images and the
 mixtures do not depend on the clock offsets, which are applied to the
 synced mixtures per variant.  Each mode runs one streamed pass from the
 recordings (`separator._separate_sources`) whose destinations score
-each finished span of an image as the pass writes it (`metrics._Scores`),
-against the span of its truth image on the device clock, and discard the
-noise images.  So no spectrogram, no image signal and no resampled truth
-image is held.  The unprocessed scores are made span by span through the
-first mode's destinations, fed the recordings' spans with the estimates'.
-The scores equal
+each finished span of an image as the pass writes it (`metrics._Scores`)
+against the same span of its truth image, read through the device's
+clock (`dsp._Clock`), and discard the noise images.  So no spectrogram,
+no image signal and no resampled truth image is held.  The unprocessed
+scores are made span by span through the first mode's destinations, fed
+the recordings' spans with the estimates'.  The scores equal
 `score_images(at_device_clock(truth, offsets), images)` of the held image
 signals bit for bit.
 """
@@ -139,7 +139,8 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     # the recordings and the scoring reads the truth by channel
     images = test_images.images
     del test_images
-    truth = {key: _channel_major(images.pop(key)) for arr in scene.arrays
+    truth = {key: (_ArraySource(_channel_major(images.pop(key)).samples),
+                   scene.rate_hz) for arr in scene.arrays
              for key in list(images) if key[0] == arr.id}  # as scored
     for m in synced:
         synced[m] = _channel_major(synced[m].signal)
@@ -162,8 +163,8 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         # alone when there is no mode
         if not modes:
             scores = _Scores(truth, sro_hz, rows)
-            for m, sig in signals.items():
-                scores.feed(m, sig.samples)
+            scores.feed({key: _ArraySource(signals[key[0]].samples)
+                         for key in truth})
             sdr["unprocessed"] = scores.scores()
 
         sources = {m: _ArraySource(sig.samples) for m, sig in signals.items()}

@@ -1,13 +1,12 @@
 """Separation quality metrics, scored at each device's clock.
 
-Estimates stay on the clock of the device that recorded them, so
-`at_device_clock` moves the truth images there and `score_images` scores
-them; `asyncsep evaluate` scores through these.  `run_experiment` scores
-inside its streamed pass instead (`_Scores`): each finished span of an
-estimate against the same span of its truth image on the device clock,
-so it holds neither image signals nor resampled truth, with the same
-scores bit for bit.  One rule sums the SDR energies (`_Energies`), for
-whole images and spans alike.
+Estimates stay on the clock of the device that recorded them, so the
+truth images are read there through `dsp._Clock`: `at_device_clock`
+moves whole images and `score_images` scores them, while `_Scores`
+scores each span of an estimate against the same span of its truth as it
+arrives, for `asyncsep evaluate` and `run_experiment`'s streamed pass,
+with the same scores bit for bit.  One rule sums the SDR energies
+(`_Energies`), for whole images and spans alike.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import math
 
 import numpy as np
 
-from . import _pool, dsp
-from .dsp import _ORDER, SampledSignal, lagrange_resample
+from . import _pool
+from .dsp import SampledSignal, _ArraySource, _Clock, _resampled
 from .errors import NumericalError
 
 __all__ = ["sdr", "at_device_clock", "score_images"]
@@ -41,24 +40,29 @@ def at_device_clock(truth, sro_hz) -> dict:
 
     truth: (device, source) -> SampledSignal; sro_hz: device -> clock
     offset in Hz, where a device with none or 0 keeps its images, the same
-    objects.  The images of one (device, length, rate) group are resampled
-    in one `lagrange_resample` call, their channels side by side, so the
-    weights are formed once; each equals resampling that image alone.
+    objects.  The images of one (device, length, rate) group are read
+    through one `dsp._Clock`, their channels stacked, so the weights are
+    formed once; each equals resampling that image alone.
     """
-    groups = {}
-    for (m, k), ref in truth.items():
-        if sro_hz.get(m, 0.0) != 0.0:
-            groups.setdefault((m, ref.n_samples, ref.rate_hz), []).append(
-                (m, k))
+    moved = {key: (_ArraySource(ref.samples), ref.rate_hz)
+             for key, ref in truth.items() if sro_hz.get(key[0], 0.0)}
     out = dict(truth)
-    for (m, _, rate), keys in groups.items():
-        stacked = lagrange_resample(
-            SampledSignal(np.concatenate([truth[key].samples for key in keys],
-                                         axis=1), rate), sro_hz[m])
-        bounds = np.cumsum([truth[key].channels for key in keys])[:-1]
-        out.update((key, SampledSignal(part, rate)) for key, part in
-                   zip(keys, np.split(stacked.samples, bounds, axis=1)))
+    for clock, keys in _clocks(moved, sro_hz):
+        planes = _resampled(clock)
+        for key, c0, c1 in zip(keys, clock.bounds, clock.bounds[1:]):
+            out[key] = SampledSignal(planes[c0:c1].T, truth[key].rate_hz)
     return out
+
+
+def _clocks(truth, sro_hz) -> list:
+    """(`dsp._Clock` over the images, keys) of every (device, length,
+    rate) group of truth, (device, source) -> (sample source, rate)."""
+    groups = {}
+    for (m, k), (source, rate) in truth.items():
+        groups.setdefault((m, source.n_samples, rate), []).append((m, k))
+    return [(_Clock([truth[key][0] for key in keys], rate,
+                    sro_hz.get(m, 0.0)), keys)
+            for (m, _, rate), keys in groups.items()]
 
 
 def score_images(refs, estimates) -> dict[str, float]:
@@ -178,97 +182,38 @@ def _sdr_pairs(pairs, names=None) -> list[float]:
     return [_score(name, *pair) for name, pair in zip(names, energies.tolist())]
 
 
-class _DeviceClock:
-    """Truth images of one device on its clock, a span of samples at a time.
+class _Spans:
+    """The truth images of one clock, a span of up to `rows` samples at a
+    time: `rows(k, a, b)` gives source k at samples a:b, a view of scratch
+    the next span reuses.  Each span is read once for every image, so they
+    share its weights.  Allocates no array."""
 
-    images: (n, C_k) truth images of one length; sro_hz: the device's clock
-    offset at `rate`; rows: the most samples one span holds.  `rows(k, a,
-    b)` gives image k at samples a:b of the device clock, channel-major,
-    equal to rows a:b of `at_device_clock`'s image bit for bit: the
-    positions, stencils and weights are those of `lagrange_resample`
-    (`dsp._stencils`), and the images are gathered (`dsp._gather`) from a
-    window of their samples padded with zeros as `dsp._interpolate_at`
-    pads them.  Like `at_device_clock`, which resamples a device's images
-    side by side, the clock forms the weights and gathers every image
-    once per span, their channels stacked, so each numpy call works on
-    every channel.  Rows whose every tap lies past the images are +0.0,
-    as the padded gather makes them.  Without an offset, rows are views
-    of the images.
-    """
-
-    def __init__(self, images: list, rate: float, sro_hz: float, rows: int):
-        self.images, self.rows_max = images, rows
-        self.n_samples = images[0].shape[0]
-        self.ratio = dsp._clock_ratio(rate, sro_hz) if sro_hz != 0.0 else None
-        self.span = None  # the (a, b) gathered into out
-        if self.ratio is None:
-            return
-        # the images' channels, stacked
-        self.bounds = np.cumsum([0] + [x.shape[1] for x in images]).tolist()
-        C = self.bounds[-1]
-        # a span's stencils start at most (rows - 1) * ratio + 1 samples
-        # apart, and none past the images' last padded sample
-        width = min(math.ceil((rows - 1) * self.ratio) + _ORDER + 3,
-                    self.n_samples + _ORDER + 1)
-        self.steps = np.arange(rows, dtype=np.float64)
-        self.pos, self.t = np.empty(rows), np.empty(rows)
-        self.index = np.empty(rows, dtype=np.int64)
-        self.diffs = np.empty((_ORDER + 2, rows))
-        self.weights = np.empty((_ORDER + 1, rows))
-        self.tap, self.out = np.empty((C, rows)), np.empty((C, rows))
-        self.window = np.empty((C, width))
-
-    def _gather(self, a: int, b: int) -> None:
-        """Every image at samples a:b into out."""
-        r, n = b - a, self.n_samples
-        pos, index = self.pos[:r], self.index[:r]
-        np.add(self.steps[:r], a, out=pos)
-        pos *= self.ratio  # = np.arange(n) * ratio, rows a:b
-        dsp._stencils(pos, self.t[:r], index, self.weights[:, :r],
-                      self.diffs[:, :r])
-        out = self.out[:, :r]
-        out.fill(0.0)
-        # the rows with a tap at or before the padded images' last sample
-        g = int(np.searchsorted(index, n + _ORDER, side="right"))
-        if g:
-            base = int(index[0])
-            width = int(index[g - 1]) - base + _ORDER + 1
-            index = index[:g]
-            index -= base
-            # window i: sample base + i of the padded images, x[i - lo]
-            window, lo = self.window[:, :width], _ORDER + 1 - base
-            s0 = min(max(lo, 0), width)  # the window holds x in s0:s1
-            s1 = min(max(n + lo, s0), width)
-            window[:, :s0] = 0.0
-            window[:, s1:] = 0.0
-            for x, c0, c1 in zip(self.images, self.bounds, self.bounds[1:]):
-                np.copyto(window[c0:c1, s0:s1], x[s0 - lo:s1 - lo].T)
-            dsp._gather(window, index, self.weights[:, :g], self.tap[:, :g],
-                        out[:, :g])
-        self.span = (a, b)
+    def __init__(self, clock, rows: int):
+        self.clock, self.rows_max = clock, rows
+        self.n_samples, self.raw = clock.n_samples, clock.scratch(rows)
+        self.out = np.empty((clock.channels, rows))
+        self.span = None  # the (a, b) read into out
 
     def rows(self, k: int, a: int, b: int) -> np.ndarray:
-        """Image k at device samples a:b, (C_k, b - a); a view of scratch
-        that the next span reuses.  Allocates no array."""
-        if self.ratio is None:
-            return self.images[k][a:b].T
         if b - a > self.rows_max:
             raise ValueError(f"span of {b - a} samples, more than the "
                              f"{self.rows_max} this clock holds")
         if self.span != (a, b):
-            self._gather(a, b)
-        return self.out[self.bounds[k]:self.bounds[k + 1], :b - a]
+            self.clock.read(a, b, self.raw, self.out[:, :b - a])
+            self.span = (a, b)
+        c0, c1 = self.clock.bounds[k:k + 2]
+        return self.out[c0:c1, :b - a]
 
 
 class _ImageScore:
     """Destination of one image signal (`dsp._Writer`) that scores it
-    against its truth image k of `clock` as its spans arrive.  Given its
-    device's (n, C) recording, it also scores the recording's same span,
-    the unprocessed estimate, against the same truth rows."""
+    against its truth image, source k of `spans`, as its spans arrive.
+    Given its device's (n, C) recording, it also scores the recording's
+    same span, the unprocessed estimate, against the same truth rows."""
 
-    def __init__(self, clock: _DeviceClock, k: int, recording=None):
-        C = clock.images[k].shape[1]
-        self.clock, self.k, self.written = clock, k, 0
+    def __init__(self, spans: _Spans, k: int, recording=None):
+        C = spans.clock.sources[k].channels
+        self.spans, self.k, self.written = spans, k, 0
         self.energies = _Energies(C, _energy_scratch(C))
         self.recording = recording
         if recording is not None:
@@ -277,13 +222,13 @@ class _ImageScore:
     def write(self, start: int, samples) -> None:
         """Samples start, start + 1, ... of the estimate, (C, k) float;
         those past the truth's length are dropped.  Allocates no array."""
-        k = min(samples.shape[-1], self.clock.n_samples - start)
+        k = min(samples.shape[-1], self.spans.n_samples - start)
         if k <= 0:
             return
         if start != self.written:
             raise ValueError(f"samples from {start} on scored after "
                              f"{self.written}")
-        ref = self.clock.rows(self.k, start, start + k)
+        ref = self.spans.rows(self.k, start, start + k)
         self.energies.add(ref, samples[:, :k])
         if self.recording is not None:
             self.unprocessed.add(ref, self.recording[start:start + k].T)
@@ -301,48 +246,52 @@ class _Scores:
     """Scores of image signals written span by span against the truth at
     each device's clock.
 
-    truth: (device, source) -> SampledSignal; sro_hz: device -> clock
+    truth: (device, source) -> (sample source, rate) of the truth image
+    (`dsp._ArraySource`, `audio.WavSource`); sro_hz: device -> clock
     offset in Hz; rows: the most samples a span holds; recordings:
     device -> (n, C) samples, whose spans each destination also scores,
     as the unprocessed estimates (`scores(unprocessed=True)`), or None.
     `destination(m, k)` takes the estimate of image (m, k), for
     `separator`'s streamed pass (a key not in truth is discarded), and
-    `feed` a device's samples as the estimate of its every image.
-    `scores()` equals
-    `score_images(at_device_clock(truth, sro_hz), estimates)` bit for
-    bit: the truth's spans are `at_device_clock`'s, with the weights
-    formed once per device span (`_DeviceClock`), and the energies sum
-    as `_sdr_pairs` sums them (`_Energies`).  Spans of different devices
-    may be written from different threads; those of one device in turn.
+    `feed` reads every image's estimate from a sample source.  Each
+    (device, length, rate) group is read through one clock (`_Spans`).
+    `scores()` equals `score_images(at_device_clock(truth, sro_hz),
+    estimates)` bit for bit.  Spans of different groups may be written
+    from different threads; those of one group in turn.
     """
 
     def __init__(self, truth: dict, sro_hz: dict, rows: int,
                  recordings: dict | None = None):
-        groups = {}
-        for (m, k), ref in truth.items():
-            groups.setdefault((m, ref.n_samples, ref.rate_hz), []).append(
-                (m, k))
-        self.images = {}
-        for (m, _, rate), keys in groups.items():
-            clock = _DeviceClock([truth[key].samples for key in keys], rate,
-                                 sro_hz.get(m, 0.0), rows)
-            recording = None if recordings is None else recordings[m]
-            self.images.update((key, _ImageScore(clock, i, recording))
+        self.groups, self.images = [], {}
+        for clock, keys in _clocks(truth, sro_hz):
+            spans = _Spans(clock, rows)
+            recording = None if recordings is None else recordings[keys[0][0]]
+            self.groups.append((spans, keys))
+            self.images.update((key, _ImageScore(spans, i, recording))
                                for i, key in enumerate(keys))
-        self.rows = rows
-        self.order = list(truth)
+        self.rows, self.order = rows, list(truth)
 
     def destination(self, m: str, k: str):
         return self.images.get((m, k), _Discard())
 
-    def feed(self, m: str, samples: np.ndarray) -> None:
-        """Device m's (n, C) samples as the estimate of its every image,
-        in spans of `rows`."""
-        dests = [dest for (a, _), dest in self.images.items() if a == m]
-        for s0 in range(0, samples.shape[0], self.rows):
-            span = samples[s0:s0 + self.rows].T
-            for dest in dests:
-                dest.write(s0, span)
+    def feed(self, estimates: dict) -> None:
+        """Score every image's estimate, estimates: (device, source) ->
+        sample source.  Each group is a task on the pool (`_pool`) that
+        reads its estimates a span at a time in its thread's scratch."""
+        widest = max(source.channels for source in estimates.values())
+
+        def work(i, scratch):
+            (spans, keys), (buf, raw) = self.groups[i], scratch
+            for s0 in range(0, spans.n_samples, self.rows):
+                s1 = min(s0 + self.rows, spans.n_samples)
+                for key in keys:
+                    est = buf[:estimates[key].channels, :s1 - s0]
+                    estimates[key].read(s0, s1, raw, est)
+                    self.images[key].write(s0, est)
+
+        _pool.run(range(len(self.groups)), work,
+                  lambda: (np.empty((widest, self.rows)),
+                           np.empty(widest * self.rows).view(np.uint8)))
 
     def scores(self, unprocessed: bool = False) -> dict[str, float]:
         """"m/k" -> SDR of the estimates, or of the recordings, in the key
@@ -350,10 +299,10 @@ class _Scores:
         out = {}
         for m, k in self.order:
             image = self.images[(m, k)]
-            if image.written != image.clock.n_samples:
+            if image.written != image.spans.n_samples:
                 raise ValueError(f"estimate of {m}/{k} holds "
                                  f"{image.written} of "
-                                 f"{image.clock.n_samples} samples")
+                                 f"{image.spans.n_samples} samples")
             energies = image.unprocessed if unprocessed else image.energies
             out[f"{m}/{k}"] = _score(f"{m}/{k}", *energies.totals())
         return out

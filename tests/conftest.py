@@ -3,14 +3,18 @@
 import contextlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.io import wavfile
 
 from asyncsep import _kernels, _pool, scene
+from asyncsep.audio import WavSource, read_header, read_wav
 from asyncsep.classifier import PosteriorMap, posterior_block, state_factors
-from asyncsep.dsp import SampledSignal, SpectrogramTensor, WindowSpec
+from asyncsep.dsp import (_ORDER, SampledSignal, SpectrogramTensor,
+                          WindowSpec, _ArraySource)
 from asyncsep.errors import NumericalError
 from asyncsep.model import SpatialModel, StateSpectrumModel
 from asyncsep.separator import _deviation_block
@@ -223,6 +227,53 @@ def lagrange_interpolate_oracle(x, pos, order):
             w *= (t - l) / (j - l)
         out += w[:, None] * padded[start + j + pad_left]
     return out
+
+
+def serial_lagrange_resample(x, rate, offset):
+    """`lagrange_resample` of x (n, C) by offset Hz at rate, written out
+    as one pass over a padded copy: the input padded with zeros by one
+    stencil before it and one sample after, every row's stencil and
+    weights formed at once, and the taps gathered from the copy with the
+    library's operations in the library's order, so the rows equal its
+    bit for bit."""
+    n, C = x.shape
+    pos = np.arange(n, dtype=np.float64) * (rate / (rate + offset))
+    start = np.floor(pos) - (_ORDER - 1) // 2
+    index = (start + _ORDER + 1).astype(np.int64)
+    t = pos - start
+    padded = np.zeros((C, n + _ORDER + 2))
+    padded[:, _ORDER + 1:_ORDER + 1 + n] = x.T
+    out = np.zeros((C, n))
+    for j in range(_ORDER + 1):
+        others = [l for l in range(_ORDER + 1) if l != j]
+        w = (t - others[0]) / (j - others[0])
+        for l in others[1:]:
+            w *= (t - l) / (j - l)
+        for c in range(C):
+            out[c] += np.take(padded[c, j:], index, mode="clip") * w
+    return out.T
+
+
+@contextlib.contextmanager
+def sample_sources(signals, kind, directory):
+    """Sample sources of the (n, C) float signals, and the samples each
+    reads: kind "array" reads the signals (`dsp._ArraySource`), "float32"
+    and "pcm16" WAV files of them written in directory
+    (`audio.WavSource`), which read what `read_wav` reads back."""
+    with contextlib.ExitStack() as stack:
+        sources, samples = [], []
+        for i, x in enumerate(signals):
+            if kind == "array":
+                sources.append(_ArraySource(x))
+                samples.append(x)
+                continue
+            path = Path(directory) / f"{i}.wav"
+            wavfile.write(path, 16000, x.astype(np.float32) if kind == "float32"
+                          else np.clip(np.round(x * 8000.0), -32768,
+                                       32767).astype(np.int16))
+            sources.append(stack.enter_context(WavSource(read_header(path))))
+            samples.append(read_wav(path).samples)
+        yield sources, samples
 
 
 # ---------------------------------------------------------------------------

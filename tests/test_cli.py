@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.io.wavfile import WavFileWarning
 
-from asyncsep import _kernels, _pool, cli, separator
+from asyncsep import _kernels, _pool, cli, dsp, separator
 from asyncsep import model as model_module
 from asyncsep.audio import read_wav, write_wav
 from asyncsep.classifier import PosteriorMap, posterior_histogram
@@ -360,6 +360,35 @@ def test_evaluate_against_silent_truth_fails_with_config_error(
     _assert_clean_config_error(capsys, "a__s1.wav")
 
 
+@pytest.mark.parametrize("silent, nan, code, named", [
+    ("a__s1", "b__s2", 2, "a__s1.wav"),
+    ("b__s1", "a__s2", 3, "a/s2"),
+], ids=["silent-first", "non-finite-first"])
+def test_evaluate_reports_the_first_bad_image_in_key_order(
+        tmp_path, scene_file, capsys, silent, nan, code, named):
+    # a silent truth and a non-finite estimate on different devices, b's
+    # truth on a clock offset: the first in key order is reported, and
+    # neither the other nor a report is written
+    sim, est, report = tmp_path / "sim", tmp_path / "est", tmp_path / "r.json"
+    assert main(["simulate", str(scene_file), str(sim), "--seed", "3"]) == 0
+    shutil.copytree(sim / "images", est)
+    truth = read_wav(sim / "images" / f"{silent}.wav")
+    write_wav(sim / "images" / f"{silent}.wav",
+              SampledSignal(np.zeros_like(truth.samples), truth.rate_hz))
+    sig = read_wav(est / f"{nan}.wav")
+    sig.samples[100, 1] = np.nan
+    write_wav(est / f"{nan}.wav", sig)
+    capsys.readouterr()
+    assert main(["evaluate", str(est), str(sim / "images"), str(report),
+                 "--sro-override", "b=0.5"]) == code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    other = {2: "numerical failure", 3: "is silent"}[code]
+    assert other not in err
+    assert err.startswith("error: " if code == 2 else "numerical failure: ")
+    assert not report.exists()
+
+
 def _cut(n):
     return lambda raw: raw[:n]
 
@@ -504,7 +533,7 @@ def test_evaluate_with_missing_estimates_fails_with_config_error(
     (est / "a__s1.wav").unlink()
     (est / "b__s2.wav").unlink()
     reads = []
-    monkeypatch.setattr(cli, "read_wav", lambda *a, **k: reads.append(a))
+    monkeypatch.setattr(cli, "WavSource", lambda *a, **k: reads.append(a))
     capsys.readouterr()
     assert main(["evaluate", str(est), str(sim / "images"),
                  str(tmp_path / "r.json")]) == 2
@@ -1144,6 +1173,38 @@ def test_separate_and_evaluate_memory_does_not_grow_with_length(
     # estimate, each 6 s longer at 8 s; all 4 pairs would take 8 images
     image = 6 * 16000 * 2 * 8
     assert peaks[8.0][1] - peaks[2.0][1] < 5 * image
+
+
+def test_evaluate_memory_does_not_grow_with_length(tmp_path, monkeypatch):
+    # evaluate of the same scene at 2 s and 8 s, noisy truth as the
+    # estimates, one device on a clock offset, on one thread: the truth
+    # and the estimates are read a span at a time, so the peaks differ by
+    # less than one clock's span scratch, where holding a pair grew them
+    # by its 6 s of truth, resampled truth and estimate
+    monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+    scene = json.loads(json.dumps(SCENE))
+    scene["arrays"][1]["sro_hz"] = 0.5
+    peaks = {}
+    for seconds in (2.0, 8.0):
+        scene["duration_s"] = seconds
+        path, sim = tmp_path / f"{seconds}.yaml", tmp_path / f"sim{seconds}"
+        path.write_text(yaml.safe_dump(scene))
+        est = tmp_path / f"est{seconds}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(path), str(sim), "--seed", "1"]) == 0
+        for wav in (sim / "images").glob("*.wav"):
+            sig = read_wav(wav)
+            write_wav(est / wav.name, SampledSignal(
+                sig.samples + 0.01, sig.rate_hz))
+        peaks[seconds] = _traced_peak(["evaluate", str(est),
+                                       str(sim / "images"),
+                                       str(tmp_path / f"r{seconds}.json")])
+    # device b's clock over its two 2-channel images, and its span
+    clock = dsp._Clock([dsp._ArraySource(np.empty((8 * 16000, 2)))] * 2,
+                       16000.0, 0.5)
+    span = (clock.scratch(dsp._RESAMPLE_ROWS).nbytes
+            + 8 * clock.channels * dsp._RESAMPLE_ROWS)
+    assert abs(peaks[8.0] - peaks[2.0]) < span, (peaks, span)
 
 
 def test_train_memory_does_not_grow_with_length(tmp_path, monkeypatch):

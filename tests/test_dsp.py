@@ -1,5 +1,7 @@
 """Tests for the time-frequency and resampling primitives."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from conftest import (
     lagrange_interpolate_oracle,
     pool_run_peaks,
     pool_workers,
+    sample_sources,
+    serial_lagrange_resample,
 )
 
 
@@ -421,9 +425,14 @@ class TestInterpolationMatchesPerSampleOracle:
         assert np.abs(got - want).max() <= 1e-9 * np.abs(x).max()
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 3 * dsp._RESAMPLE_ROWS + 5), offset=rate_offsets,
-           channels=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_lagrange_resample(self, n, offset, channels, seed):
+    @given(n=st.integers(1, 3 * dsp._RESAMPLE_ROWS + 5),
+           # rows past the input's end at +-7000 and -14000 Hz
+           offset=st.one_of(rate_offsets,
+                            st.sampled_from([7000.0, -7000.0, -14000.0])),
+           channels=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["array", "float32", "pcm16"]),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_lagrange_resample(self, n, offset, channels, seed, kind, cuts):
         # runs of output rows are pool tasks: one and three threads agree
         rate = 16000.0
         x = np.random.default_rng(seed).standard_normal((n, channels))
@@ -434,6 +443,33 @@ class TestInterpolationMatchesPerSampleOracle:
         want = lagrange_interpolate_oracle(x, pos, dsp._ORDER)
         assert got.shape == x.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(_bits(got), _bits(_serial(x, rate, offset)))
+        # a clock over sources of any kind, the channels split among
+        # them, read in any partition of spans
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        parts = [x[:, :1], x[:, 1:]] if channels > 1 else [x]
+        with tempfile.TemporaryDirectory() as tmp, \
+                sample_sources(parts, kind, tmp) as (sources, samples):
+            clock = dsp._Clock(sources, rate, offset)
+            raw = clock.scratch(max(b - a for a, b in spans))
+            out = np.empty((channels, n))
+            for a, b in spans:
+                clock.read(a, b, raw, out[:, a:b])
+        assert np.array_equal(
+            _bits(out.T),
+            _bits(_serial(np.concatenate(samples, axis=1), rate, offset)))
+
+
+def _bits(x):
+    """The float64 samples of x as integers: equal bits compare equal."""
+    return x.view(np.int64)
+
+
+def _serial(x, rate, offset):
+    """The resampled x as the one-pass reference forms it; without an
+    offset, x itself."""
+    return serial_lagrange_resample(x, rate, offset) if offset else x
 
 
 def _resample_with(workers, signal, offset):

@@ -1,6 +1,7 @@
 """Tests for the SDR metric."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsep import dsp, metrics
-from asyncsep.dsp import SampledSignal, lagrange_resample
+from asyncsep.dsp import SampledSignal, _ArraySource, lagrange_resample
 from asyncsep.errors import NumericalError
 from asyncsep.metrics import (_finite_mean, _Scores, _sdr_pairs,
                               at_device_clock, score_images, sdr)
 
-from conftest import pool_workers
+from conftest import pool_workers, sample_sources, serial_lagrange_resample
 
 
 def sig(x):
@@ -183,12 +184,12 @@ class TestAtDeviceClock:
                                                        monkeypatch):
         calls = []
 
-        def counted(signal, offset):
-            calls.append((signal.n_samples, signal.channels, signal.rate_hz,
-                          offset))
-            return lagrange_resample(signal, offset)
+        def counted(sources, rate, offset):
+            clock = dsp._Clock(sources, rate, offset)
+            calls.append((clock.n_samples, clock.channels, rate, offset))
+            return clock
 
-        monkeypatch.setattr(metrics, "lagrange_resample", counted)
+        monkeypatch.setattr(metrics, "_Clock", counted)
         truth = self._truth(rng)
         got = at_device_clock(truth, {"a": 0.3, "b": -0.2, "c": 0.1})
         assert calls == [(300, 5, 16000.0, -0.2), (300, 4, 16000.0, 0.3),
@@ -231,6 +232,12 @@ def _bits(x):
     return x.view(np.int64)
 
 
+def _sources(truth):
+    """truth, (device, source) -> SampledSignal, as `_Scores` takes it."""
+    return {key: (_ArraySource(ref.samples), ref.rate_hz)
+            for key, ref in truth.items()}
+
+
 class TestSpanScores:
     """`_Scores`: estimates scored span by span at the device clock."""
 
@@ -240,32 +247,40 @@ class TestSpanScores:
            offset=st.sampled_from([0.0, 0.3, -0.3, 7000.0, -7000.0,
                                    -14000.0]),
            cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
-           seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["array", "float32", "pcm16"]))
     def test_spans_equal_the_whole_images(self, n, widths, offset, cuts,
-                                          seed):
+                                          seed, kind):
         rng = np.random.default_rng(seed)
-        truth = {("a", f"s{i}"): sig(rng.standard_normal((n, c)))
-                 for i, c in enumerate(widths)}
-        truth[("a", "s0")].samples[n // 2 + 1:] = 0.0  # a silent tail
-        refs = at_device_clock(truth, {"a": offset})
-        # the estimates channel-major, with 3 samples past the end, as a
-        # writer hands them over
-        ests = {key: rng.standard_normal((ref.channels, n + 3))
-                for key, ref in truth.items()}
-        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        rows = max(b - a for a, b in spans)
-        scores = _Scores(truth, {"a": offset}, rows)
-        noise = scores.destination("a", "noise")
-        for a, b in spans:
-            stop = b + 3 if b == n else b
-            for key, est in ests.items():
-                image = scores.images[key]
-                assert np.array_equal(
-                    _bits(image.clock.rows(image.k, a, b)),
-                    _bits(refs[key].samples[a:b].T))
-                scores.destination(*key).write(a, est[:, a:stop])
-                noise.write(a, est[:, a:stop])
+        signals = [rng.standard_normal((n, c)) for c in widths]
+        signals[0][n // 2 + 1:] = 0.0  # a silent tail
+        with tempfile.TemporaryDirectory() as tmp, \
+                sample_sources(signals, kind, tmp) as (sources, samples):
+            truth = {("a", f"s{i}"): sig(x) for i, x in enumerate(samples)}
+            refs = at_device_clock(truth, {"a": offset})
+            for key, x in zip(truth, samples):  # the one-pass reference
+                assert np.array_equal(_bits(refs[key].samples), _bits(
+                    serial_lagrange_resample(x, 16000.0, offset)
+                    if offset else x))
+            # the estimates channel-major, with 3 samples past the end, as
+            # a writer hands them over
+            ests = {key: rng.standard_normal((ref.channels, n + 3))
+                    for key, ref in truth.items()}
+            bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+            spans = list(zip(bounds[:-1], bounds[1:]))
+            rows = max(b - a for a, b in spans)
+            scores = _Scores({key: (source, 16000.0) for key, source in
+                              zip(truth, sources)}, {"a": offset}, rows)
+            noise = scores.destination("a", "noise")
+            for a, b in spans:
+                stop = b + 3 if b == n else b
+                for key, est in ests.items():
+                    image = scores.images[key]
+                    assert np.array_equal(
+                        _bits(image.spans.rows(image.k, a, b)),
+                        _bits(refs[key].samples[a:b].T))
+                    scores.destination(*key).write(a, est[:, a:stop])
+                    noise.write(a, est[:, a:stop])
         want = score_images(refs, {key: sig(est[:, :n].T)
                                    for key, est in ests.items()})
         assert scores.scores() == want
@@ -278,9 +293,8 @@ class TestSpanScores:
                  for m in ("b", "a") for k in ("s1", "s2")}
         recordings = {m: rng.standard_normal((n, 2)) for m in ("a", "b")}
         offsets = {"a": 0.3, "b": 0.0}
-        scores = _Scores(truth, offsets, 1000)
-        for m, x in recordings.items():
-            scores.feed(m, x)
+        scores = _Scores(_sources(truth), offsets, 1000)
+        scores.feed({(m, k): _ArraySource(recordings[m]) for m, k in truth})
         assert scores.scores() == score_images(
             at_device_clock(truth, offsets),
             {(m, k): sig(recordings[m]) for m, k in truth})
@@ -288,7 +302,7 @@ class TestSpanScores:
 
     def test_spans_out_of_order_or_missing_are_refused(self, rng):
         truth = {("a", "s1"): sig(rng.standard_normal((100, 1)))}
-        scores = _Scores(truth, {"a": 0.3}, 50)
+        scores = _Scores(_sources(truth), {"a": 0.3}, 50)
         dest = scores.destination("a", "s1")
         with pytest.raises(ValueError, match="more than the 50"):
             dest.write(0, np.ones((1, 60)))

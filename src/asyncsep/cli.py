@@ -39,7 +39,8 @@ from .errors import ConfigError, NumericalError
 from .metrics import _finite_mean, _score, _Scores
 from .model import (SpatialModel, _train_sources, load_models, model_summary,
                     save_models)
-from .scene import load_scene, scene_to_dict, synthesize_scene
+from .scene import (_number, load_scene, scene_from_dict, scene_to_dict,
+                    synthesize_scene)
 from .separator import MODES, _separate_sources
 
 EXIT_OK = 0
@@ -66,10 +67,7 @@ def _parse_sro_overrides(items, arrays) -> dict[str, float]:
         if key not in arrays:
             raise ConfigError(f"--sro-override names unknown array {key!r} "
                               f"(arrays: {', '.join(sorted(arrays))})")
-        try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad SRO value in {item!r}") from exc
+        out[key] = _number(val, f"SRO value in {item!r}")
         if not math.isfinite(out[key]):
             raise ConfigError(f"SRO value must be finite in {item!r}")
     return out
@@ -202,10 +200,10 @@ def _collect_images(images_dir: Path):
 def cmd_train(args) -> int:
     """Train both models from WAV images, streamed by frame block.
 
-    The images are checked from their headers, then their float samples
-    scanned for non-finite values (exit 3); training then reads blocks
-    of frames from the files (`model._train_sources`), so memory does
-    not grow with the images' length.  Nothing is written on failure.
+    The images are checked from their headers; training then scans their
+    float samples for non-finite values (exit 3) and reads blocks of
+    frames from the files (`model._train_sources`), so memory does not
+    grow with the images' length.  Nothing is written on failure.
     """
     images_dir = Path(args.images)
     if not images_dir.is_dir():
@@ -224,13 +222,10 @@ def cmd_train(args) -> int:
     with contextlib.ExitStack() as stack:
         sources = {key: stack.enter_context(WavSource(h))
                    for key, h in headers.items()}
-        for key, source in sources.items():
-            if not source.all_finite():
-                raise NumericalError(f"non-finite samples in training "
-                                     f"image {pairs[key]}")
         spatial, states = _train_sources(sources, window,
                                          noise_gain=args.noise_gain,
-                                         include_pooled=args.pooled)
+                                         include_pooled=args.pooled,
+                                         names=pairs)
     summary = model_summary(spatial, states)
     with _making() as made:
         made.file(Path(args.model), lambda path: save_models(
@@ -312,17 +307,13 @@ def _load_manifest_sro(truth_dir: Path) -> tuple[Path | None, dict]:
     for cand in (truth_dir / "manifest.json", truth_dir.parent / "manifest.json"):
         if cand.is_file():
             try:
-                data = json.loads(cand.read_text())
-                sro = {a["id"]: float(a.get("sro_hz", 0.0))
-                       for a in data["scene"]["arrays"]}
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                scene = scene_from_dict(json.loads(cand.read_text())["scene"])
+            except ConfigError as exc:
+                raise ConfigError(f"{cand}: {exc}") from None
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"{cand} is not a simulation manifest: "
                                   f"{type(exc).__name__}: {exc}") from None
-            for m, v in sro.items():
-                if not math.isfinite(v):
-                    raise ConfigError(f"{cand}: clock offset of array {m!r} "
-                                      f"must be finite, got {v}")
-            return cand, sro
+            return cand, {a.id: a.sro_hz for a in scene.arrays}
     return None, {}
 
 

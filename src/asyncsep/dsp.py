@@ -8,11 +8,14 @@ Conventions used throughout the package:
 The framing rule exists once, in two private classes: `_Reader` frames
 any run of a recording's frames, with the analysis padding, from a
 sample source (an array, or a WAV file's data chunk), and `_Writer`
-synthesizes runs of frames, overlap-adds them in frame order and hands
-each finished span past the padding to a destination (an array, or WAV
-files).  Neither holds more than a block of samples of its own.  `stft`
-reads through a reader, `istft` writes through a writer, and the
-streamed pass of `separator` uses both.
+synthesizes runs of frames, overlap-adds them and their squared window
+in frame order, divides each finished span by that window sum and hands
+it past the padding to a destination (an array, or WAV files).  Neither
+holds more than a block of samples of its own.  `stft` reads through a
+reader, `istft` writes through a writer, and the streamed pass of
+`separator` uses both.  Which frames reach a sample is decided only by
+`_overlap_add`; a run's span, the padding and a read past a source's
+ends each have one helper too.
 
 Every fractional delay and clock resampling interpolates with one
 Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.  One
@@ -192,10 +195,25 @@ def _analysis_padding(n_samples: int, window: WindowSpec) -> tuple[int, int]:
     """Zero-padding (left, right) so every input sample gets full window
     coverage and the last frame lands exactly on the padded tail."""
     left = window.length
-    core = n_samples + left + window.length
-    rem = (core - window.length) % window.hop
-    right = window.length + (window.hop - rem) % window.hop
-    return left, right
+    return left, window.length + -(n_samples + left) % window.hop
+
+
+def _span(window: WindowSpec, frames: int) -> int:
+    """The samples a run of `frames` frames covers."""
+    return (frames - 1) * window.hop + window.length
+
+
+def _read_padded(read, n: int, start: int, raw, out) -> None:
+    """Samples start, start + 1, ... of a sample source of n samples into
+    out, (C, width) float, and zeros where they pass the source's ends;
+    read: the source's read(start, stop, raw, out)."""
+    width = out.shape[-1]
+    a = min(max(-start, 0), width)  # out holds the source's samples a:b
+    b = min(max(n - start, a), width)
+    out[:, :a] = 0.0
+    out[:, b:] = 0.0
+    if a < b:
+        read(start + a, start + b, raw, out[:, a:b])
 
 
 class _ArraySource:
@@ -241,19 +259,12 @@ class _Reader:
         b >= n1 - n0.  Plane 1 receives the span of samples the frames
         cover, plane 0 the source's raw bytes, then the windowed frames.
         """
-        hop, length = self.window.hop, self.window.length
-        C, n = self.channels, self.source.n_samples
-        s0 = n0 * hop - self.left  # the span's first sample in the recording
-        count = (n1 - n0 - 1) * hop + length
+        hop, length, C = self.window.hop, self.window.length, self.channels
+        count = _span(self.window, n1 - n0)
         span = scratch[1].reshape(-1)[:C * count].reshape(C, count)
-        a = min(max(-s0, 0), count)  # the span holds samples a:b
-        b = min(max(n - s0, a), count)
-        span[:, :a] = 0.0
-        span[:, b:] = 0.0
-        if a < b:
-            self.source.read(s0 + a, s0 + b,
-                             scratch[0].reshape(-1).view(np.uint8),
-                             span[:, a:b])
+        _read_padded(self.source.read, self.source.n_samples,
+                     n0 * hop - self.left,
+                     scratch[0].reshape(-1).view(np.uint8), span)
         # the frames as a strided view of the span (numpy's
         # sliding_window_view keeps a little memory per call)
         view = np.ndarray((C, n1 - n0, length), buffer=span,
@@ -305,8 +316,7 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
             f"({window.length} samples)")
     reader = _Reader(_ArraySource(x), window)
     n_frames, chunk = reader.n_frames, _chunk(x.shape[1])
-    coeffs = np.empty((n_frames, window.length // 2 + 1, x.shape[1]),
-                      dtype=np.complex128)
+    coeffs = np.empty((n_frames, reader.n_bins, x.shape[1]), np.complex128)
     planes = coeffs.transpose(2, 0, 1)
     _pool.run(range(0, n_frames, chunk),
               lambda n0, scratch: reader.read(
@@ -317,8 +327,8 @@ def stft(signal: SampledSignal, window: WindowSpec) -> SpectrogramTensor:
     return SpectrogramTensor(coeffs, window, signal.rate_hz, x.shape[0])
 
 
-def _overlap_add(frames, f0: int, hop: int, out) -> None:
-    """Add the windowed frames f0, f0 + 1, ... into out, in frame order.
+def _overlap_add(frames, hop: int, out) -> None:
+    """Add the windowed frames 0, 1, ... into out, in frame order.
 
     frames: (..., b, length); out: (..., total).  Phase r adds sample
     block r of every frame with one strided add; taking the phases in
@@ -328,7 +338,7 @@ def _overlap_add(frames, f0: int, hop: int, out) -> None:
     """
     b, length = frames.shape[-2:]
     for r in reversed(range(length // hop)):
-        dst = out[..., (f0 + r) * hop:(f0 + b + r) * hop]
+        dst = out[..., r * hop:(b + r) * hop]
         dst = dst.reshape(dst.shape[:-1] + (b, hop))  # a view
         dst += frames[..., r * hop:(r + 1) * hop]
 
@@ -347,12 +357,6 @@ class _Samples:
         np.copyto(dst, samples[..., :dst.shape[-1]])
 
 
-def _longest_span(window: WindowSpec, block: int) -> int:
-    """The most samples a `_Writer` of `block`-frame blocks hands its
-    destination in one write: those of a last block."""
-    return (block - 1) * window.hop + window.length
-
-
 class _Writer:
     """Weighted overlap-add of frame blocks into signals, in frame order.
 
@@ -361,29 +365,29 @@ class _Writer:
     object with write(start, samples), in order: `_Samples`, or a sink of
     WAV files.  `put` synthesizes a block of up to `block` frames in the
     caller's scratch; once the previous block is done, it adds the frames
-    (`_overlap_add`) to the partial sums the previous block left, divides
-    the samples no later block reaches by the summed squared window and
-    writes them to dest.  Only those partial sums, one window length less
-    a hop per row, stay between blocks.  Blocks may be put from several
-    threads: each waits its turn (`_pool.Turns`), which cannot deadlock
-    when the blocks are pool tasks in frame order.  After a block fails,
-    or `abort`, the blocks waiting for it return.
+    to the partial sums the previous block left, and their squared window
+    to the window's own partial sum, one row (`_overlap_add` both), then
+    divides the samples no later block reaches by that sum where it is
+    not ~0 and writes them to dest.  Only the partial sums, one window
+    length less a hop per row, stay between blocks.  Blocks may be put
+    from several threads: each waits its turn (`_pool.Turns`), which
+    cannot deadlock when the blocks are pool tasks in frame order.  After
+    a block fails, or `abort`, the blocks waiting for it return.
     """
 
     def __init__(self, rows: tuple, n_frames: int, window: WindowSpec,
                  block: int, dest):
-        hop, length = window.hop, window.length
         self.window, self.win = window, window.window()
+        self.win2 = self.win ** 2  # each frame's part of the window sum
         self.n_frames, self.dest = n_frames, dest
-        self.buf = np.zeros(rows + ((block - 1) * hop + length,))
-        self.carry = np.zeros(rows + (length - hop,))
-        # the summed squared window of min(n_frames, R + 2) frames, R per
-        # window, holds every sample's denominator (`_divide`)
-        few = min(n_frames, length // hop + 2)
-        self.denom = np.zeros(max((few - 1) * hop + length, 0))
-        _overlap_add(np.broadcast_to(self.win ** 2, (few, length)), 0, hop,
-                     self.denom)
-        self.good = self.denom > 1e-12  # where the sum is not ~0
+        self.left = _analysis_padding(0, window)[0]  # for any length
+        span, carry = _span(window, block), window.length - window.hop
+        # the partial sums of a block's frames and of their squared
+        # window, and those the previous block left
+        self.buf = np.zeros(rows + (span,))
+        self.carry = np.zeros(rows + (carry,))
+        self.wsum, self.wcarry = np.zeros(span), np.zeros(carry)
+        self.where = np.empty(span, dtype=bool)  # scratch: where it is not ~0
         self._turns = _pool.Turns()  # at the frames added so far
 
     def put(self, n0: int, n1: int, planes, scratch) -> None:
@@ -392,11 +396,10 @@ class _Writer:
         scratch: float, at least (*rows, n1 - n0, length) on every axis;
         its leading part receives the windowed frames.
         """
-        hop, length = self.window.hop, self.window.length
         frames = scratch[tuple(map(slice, self.buf.shape[:-1]))
                          + (slice(n1 - n0),)]
         try:
-            np.fft.irfft(planes, n=length, axis=-1, out=frames)
+            np.fft.irfft(planes, n=self.window.length, axis=-1, out=frames)
             frames *= self.win
             if not self._turns.wait(None, n0):
                 return
@@ -408,54 +411,25 @@ class _Writer:
 
     def _add(self, frames, n0: int, n1: int) -> None:
         """Add frames n0:n1 and write out the samples they finish."""
-        hop, length = self.window.hop, self.window.length
-        carry = length - hop
-        reach = (n1 - n0 - 1) * hop + length  # samples the block touches
-        buf = self.buf[..., :reach]
-        np.copyto(buf[..., :carry], self.carry)
-        buf[..., carry:] = 0.0
-        _overlap_add(frames, 0, hop, buf)
+        hop, b = self.window.hop, n1 - n0
+        reach = _span(self.window, b)  # samples the block touches
         # the next block adds from frame n1's first sample on
-        done = buf[..., :reach if n1 == self.n_frames else (n1 - n0) * hop]
-        self._divide(done, n0 * hop)
-        left = length  # the analysis padding
-        skip = max(left - n0 * hop, 0)
-        if skip < done.shape[-1]:
-            self.dest.write(n0 * hop + skip - left, done[..., skip:])
-        if n1 < self.n_frames:
-            np.copyto(self.carry, buf[..., (n1 - n0) * hop:][..., :carry])
-
-    def _divide(self, done, p0: int) -> None:
-        """Divide samples p0, p0 + 1, ... by their summed squared window
-        where it is not ~0.
-
-        A sample's sum adds the windows of the frames that reach it, in
-        frame order, so it depends only on how far the sample is from the
-        first and the last frame.  With more than R + 2 frames: samples
-        before frame R + 1 have the sum of `denom` at the same place,
-        samples at or after frame n_frames - 3 that of `denom` as far
-        from its end, and the samples in between, which all R frames of
-        a window reach, that of `denom`'s hop from sample R * hop on.
-        """
-        hop, length = self.window.hop, self.window.length
-        R, n_frames = length // hop, self.n_frames
-        head = (R + 1) * hop if n_frames > R + 2 else len(self.denom)
-        tail = max((n_frames - 3) * hop, head)
-        shift = max(n_frames - R - 2, 0) * hop
-        p1 = p0 + done.shape[-1]
-        for a, b, at in ((p0, min(p1, head), 0),
-                         (max(p0, tail), p1, shift)):
-            if a < b:
-                seg = done[..., a - p0:b - p0]
-                np.divide(seg, self.denom[a - at:b - at], out=seg,
-                          where=self.good[a - at:b - at])
-        a, b = max(p0, head), min(p1, tail)
-        if a < b:  # whole hops, at whole hops from `head`
-            seg = done[..., a - p0:b - p0]
-            seg = seg.reshape(seg.shape[:-1] + ((b - a) // hop, hop))
-            period = slice(R * hop, (R + 1) * hop)
-            np.divide(seg, self.denom[period], out=seg,
-                      where=self.good[period])
+        done = reach if n1 == self.n_frames else b * hop
+        squares = np.broadcast_to(self.win2, frames.shape[-2:])
+        for buf, carry, add in ((self.buf, self.carry, frames),
+                                (self.wsum, self.wcarry, squares)):
+            buf, k = buf[..., :reach], carry.shape[-1]
+            np.copyto(buf[..., :k], carry)
+            buf[..., k:] = 0.0
+            _overlap_add(add, hop, buf)
+            if n1 < self.n_frames:
+                np.copyto(carry, buf[..., done:done + k])
+        out, where = self.buf[..., :done], self.where[:done]
+        np.greater(self.wsum[:done], 1e-12, out=where)
+        np.divide(out, self.wsum[:done], out=out, where=where)
+        skip = max(self.left - n0 * hop, 0)
+        if skip < done:
+            self.dest.write(n0 * hop + skip - self.left, out[..., skip:])
 
     def abort(self) -> None:
         self._turns.abort()
@@ -480,7 +454,7 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
     if length is None:
         length = spec.n_samples
     if length is None:
-        length = max((n_frames - 1) * window.hop - window.length, 0)
+        length = max(_span(window, n_frames) - 2 * window.length, 0)
     chunk = _chunk(n_ch)
     dest = _Samples((n_ch,), length)
     writer = _Writer((n_ch,), n_frames, window, chunk, dest)
@@ -604,15 +578,10 @@ class _Clock:
         width = int(index[g - 1]) - base + _ORDER + 1
         index = index[:g]
         index -= base
-        # window column i holds the sources' sample i - lo, or a zero
-        at, lo = f.nbytes + 8 * C * width, _ORDER + 1 - base
+        # window column i holds the sources' sample base - _ORDER - 1 + i
+        at = f.nbytes + 8 * C * width
         window = raw[f.nbytes:at].view(np.float64).reshape(C, width)
-        s0 = min(max(lo, 0), width)
-        s1 = min(max(n + lo, s0), width)
-        window[:, :s0] = 0.0
-        window[:, s1:] = 0.0
-        if s0 < s1:
-            self._read(s0 - lo, s1 - lo, raw[at:], window[:, s0:s1])
+        _read_padded(self._read, n, base - _ORDER - 1, raw[at:], window)
         _gather(window, index, weights[:, :g], tap[:, :g], out[:, :g])
 
     def _read(self, start: int, stop: int, raw, out) -> None:

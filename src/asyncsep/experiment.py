@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dsp import (SampledSignal, WindowSpec, _ArraySource, _longest_span,
+from .dsp import (SampledSignal, WindowSpec, _ArraySource, _span,
                   lagrange_resample)
 from .metrics import _finite_mean, _Scores
 from .model import _train_sources
@@ -109,11 +109,14 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     """Run the full pipeline and report SDR per variant, mode and image.
 
     The test scene is drawn with `seed`, the training scene with
-    `seed + 1`.  Fully deterministic for fixed inputs.
+    `seed + 1`.  Fully deterministic for fixed inputs.  A mode outside
+    `MODES` or a variant outside `VARIANTS` raises ValueError.
     """
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+    for kind, names, known in (("mode", modes, MODES),
+                               ("variant", variants, VARIANTS)):
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {kind} {name!r}")
     check_seed(seed)  # before the training scene, drawn with seed + 1
     if window is None:
         window = WindowSpec()
@@ -145,7 +148,7 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     for m in synced:
         synced[m] = _channel_major(synced[m].signal)
 
-    rows = _longest_span(window, _kernels._BLOCK)  # of a scored span
+    rows = _span(window, _kernels._BLOCK)  # the longest write: a last block
     for i, variant in enumerate(variants):
         sro_hz = {arr.id: arr.sro_hz if variant == "sro" else 0.0
                   for arr in scene.arrays}

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _pool, dsp
 from .dsp import SpectrogramTensor, WindowSpec
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "SpatialModel",
@@ -468,7 +468,7 @@ def _groups(readers, array_ids, source_ids, merged: bool):
     return [(entries, parts)]
 
 
-def _train(readers, noise_gain: float, include_pooled: bool
+def _train(readers, noise_gain: float, include_pooled: bool, names=None
            ) -> tuple[SpatialModel, StateSpectrumModel]:
     """The training core: both models from frame readers.
 
@@ -478,7 +478,9 @@ def _train(readers, noise_gain: float, include_pooled: bool
     first sums every bin's energy, which sets the silence gate and, of a
     device's entry, the long-term spectrum; the second sums the gated
     outer products.  The merged entry reads its devices' frames side by
-    side.  See `train_models` for the rules and the errors.
+    side.  See `train_models` for the rules and the errors; an image of
+    non-finite energy, as one non-finite value makes it, is named
+    names[key], or "device/source".
     """
     if not (math.isfinite(noise_gain) and noise_gain >= 0.0):
         raise ConfigError(f"noise gain must be finite and non-negative, "
@@ -495,7 +497,12 @@ def _train(readers, noise_gain: float, include_pooled: bool
     all_sums = [_Sums(parts[k], entries, F)
                 for entries, parts in groups for k in source_ids]
     _sum_frames(all_sums, _energy_block)
-    for sums in all_sums:
+    for j, sums in enumerate(all_sums):  # the devices' entries first
+        for (m, _), energy in zip(sums.entries, sums.energy):
+            if not np.isfinite(energy).all():
+                k = source_ids[j % len(source_ids)]
+                raise NumericalError(f"non-finite values in training image "
+                                     f"{(names or {}).get((m, k), f'{m}/{k}')}")
         sums.gate_frames()
     _sum_frames(all_sums, _product_block)
 
@@ -543,9 +550,9 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
     the static-pooled filter variant; a device's sequence must then hold
     as many tensors as every other's, each of the same frame count.
     Every id must pass `SpatialModel.check_id`, and noise_gain must be
-    finite and not negative; ConfigError if not.  The tensors are read a
-    block of frames at a time (`_train`), so nothing of their size is
-    copied.
+    finite and not negative; ConfigError if not.  A tensor holding a
+    non-finite value raises NumericalError.  The tensors are read a block
+    of frames at a time (`_train`), so nothing of their size is copied.
     """
     return _train({key: [dsp._TensorReader(t.coeffs) for t in (
         [v] if isinstance(v, SpectrogramTensor) else v)]
@@ -553,7 +560,7 @@ def train_models(training_images: dict[tuple[str, str], SpectrogramTensor],
 
 
 def _train_sources(sources: dict, window: WindowSpec, noise_gain: float = 1.0,
-                   include_pooled: bool = False
+                   include_pooled: bool = False, names=None
                    ) -> tuple[SpatialModel, StateSpectrumModel]:
     """`train_models` of the images' `dsp.stft`s, bit for bit, with no
     spectrogram held.
@@ -561,6 +568,7 @@ def _train_sources(sources: dict, window: WindowSpec, noise_gain: float = 1.0,
     sources: (device id, source id) -> the image's (n, C) samples, a
     sample source of `dsp._Reader` (`dsp._ArraySource`,
     `audio.WavSource`) of at least one window; ValueError if shorter.
+    names: as `_train` takes them.
     """
     for key, source in sources.items():
         if source.n_samples < window.length:
@@ -569,7 +577,7 @@ def _train_sources(sources: dict, window: WindowSpec, noise_gain: float = 1.0,
                              f"({window.length} samples)")
     return _train({key: [dsp._Reader(source, window)]
                    for key, source in sources.items()},
-                  noise_gain, include_pooled)
+                  noise_gain, include_pooled, names)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,7 @@ class SceneSpec:
         if len(set(sids)) != len(sids):
             raise ConfigError("duplicate source ids")
         for src in self.sources:
+            _signal_numbers(src.signal, f"source {src.id!r}")
             for arr in self.arrays:
                 taps = src.coupling.get(arr.id)
                 if taps is None:
@@ -139,9 +140,8 @@ class SceneSpec:
                         f"source {src.id!r} / array {arr.id!r}: "
                         f"{len(taps)} channel couplings, expected {arr.channels}")
                 for tap in taps:
-                    values = [tap.delay, tap.gain]
-                    for e in tap.echoes:
-                        values += [e.delay, e.gain]
+                    values = [tap.delay, tap.gain] + [
+                        v for e in tap.echoes for v in (e.delay, e.gain)]
                     if not all(math.isfinite(v) for v in values):
                         raise ConfigError(
                             f"source {src.id!r}: delays and gains must be finite")
@@ -188,23 +188,68 @@ class MultichannelRecording:
 # scene file handling
 # ---------------------------------------------------------------------------
 
+def _of(kind, value, what: str):
+    """value as written in the scene; ConfigError naming `what` unless it
+    is a `kind` (an empty `id:` loads as None, `id: 12` as an integer)."""
+    if not isinstance(value, kind):
+        name = {str: "string", dict: "mapping"}.get(kind, "list")
+        raise ConfigError(f"{what} must be a {name}, got {value!r}")
+    return value
+
+
+def _number(value, what: str, whole: bool = False):
+    """value as a float, or a whole one as an int; ConfigError naming
+    `what` if it is not."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if whole and not number.is_integer():
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(number) if whole else number
+
+
+# the numbers each signal type reads, and their defaults (`_render_into`)
+_SIGNALS = {"white": {"level": 0.1}, "tone": {"freq_hz": 440.0, "level": 0.1},
+            "impulse": {"position": 0, "amplitude": 1.0},
+            "speech_noise": {"band_hz": (120.0, 7200.0), "tilt_hz": 500.0,
+                             "modulation_hz": 3.0, "activity": 0.5,
+                             "level": 0.1}}
+
+
+def _signal_numbers(descriptor, where: str = "source") -> dict:
+    """The numbers a signal descriptor's type reads, defaults filled in,
+    or none for a type not in `_SIGNALS`; ConfigError naming the field
+    unless each is finite, a position whole, a band two numbers and an
+    activity in (0, 1]."""
+    kind = descriptor.get("type") if isinstance(descriptor, dict) else None
+    numbers = {}
+    for name, default in _SIGNALS.get(str(kind), {}).items():
+        value, what = descriptor.get(name, default), f"{where}: signal {name}"
+        band = isinstance(default, tuple)
+        if band and not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"{what} must be two numbers, got {value!r}")
+        got = [_number(v, what, name == "position")
+               for v in (value if band else [value])]
+        if not all(map(math.isfinite, got)):
+            raise ConfigError(f"{what} must be finite, got {value!r}")
+        if name == "activity" and not 0.0 < got[0] <= 1.0:
+            raise ConfigError(f"{what} must be in (0, 1], got {value!r}")
+        numbers[name] = got if band else got[0]
+    return numbers
+
+
 def _coupling_from_dict(obj, where: str) -> ChannelCoupling:
     if not isinstance(obj, dict) or "delay" not in obj or "gain" not in obj:
         raise ConfigError(f"{where}: channel coupling needs 'delay' and 'gain'")
     echoes = []
-    for e in obj.get("echoes", []) or []:
+    for e in _of((list, tuple), obj.get("echoes") or [], f"{where}: echoes"):
         if not isinstance(e, dict) or "delay" not in e or "gain" not in e:
             raise ConfigError(f"{where}: echo taps need 'delay' and 'gain'")
-        echoes.append(EchoTap(float(e["delay"]), float(e["gain"])))
-    return ChannelCoupling(float(obj["delay"]), float(obj["gain"]), echoes)
-
-
-def _id_of(value, what: str) -> str:
-    """An id as written in the scene; ConfigError unless it is a string
-    (an empty `id:` loads as None, `id: 12` as an integer)."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{what} must be a string, got {value!r}")
-    return value
+        echoes.append(EchoTap(_number(e["delay"], f"{where}: echo delay"),
+                              _number(e["gain"], f"{where}: echo gain")))
+    return ChannelCoupling(_number(obj["delay"], f"{where}: delay"),
+                           _number(obj["gain"], f"{where}: gain"), echoes)
 
 
 def scene_from_dict(data: dict, base_dir: Path | None = None) -> SceneSpec:
@@ -215,33 +260,39 @@ def scene_from_dict(data: dict, base_dir: Path | None = None) -> SceneSpec:
     if version != 1:
         raise ConfigError(f"unsupported scene config version: {version}")
     try:
-        arrays = [ArraySpec(_id_of(a["id"], "array id"), int(a["channels"]),
-                            float(a.get("sro_hz", 0.0)))
-                  for a in data["arrays"]]
+        arrays = []
+        for a in data["arrays"]:
+            aid = _of(str, a["id"], "array id")
+            arrays.append(ArraySpec(
+                aid, _number(a["channels"], f"array {aid!r}: channels", True),
+                _number(a.get("sro_hz", 0.0), f"array {aid!r}: sro_hz")))
         raw_sources = data["sources"]
-        rate = float(data["rate_hz"])
-        duration = float(data["duration_s"])
+        rate = _number(data["rate_hz"], "rate_hz")
+        duration = _number(data["duration_s"], "duration_s")
+        noise = _number(data.get("noise_level", 0.0), "noise_level")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"scene config missing or malformed field: {exc}") from exc
 
     sources = []
-    for s in raw_sources:
-        if "id" not in s or "signal" not in s or "coupling" not in s:
+    for s in _of((list, tuple), raw_sources, "sources"):
+        if not (isinstance(s, dict) and {"id", "signal", "coupling"} <= set(s)):
             raise ConfigError("each source needs 'id', 'signal' and 'coupling'")
-        signal = dict(s["signal"])
+        sid = _of(str, s["id"], "source id")
+        signal = dict(_of(dict, s["signal"], f"source {sid!r}: signal"))
         if signal.get("type") == "wav" and base_dir is not None:
             p = Path(signal.get("path", ""))
             if not p.is_absolute():
                 signal["path"] = str(base_dir / p)
-        sid = _id_of(s["id"], "source id")
         coupling = {}
-        for aid, taps in s["coupling"].items():
-            coupling[_id_of(aid, f"source {sid!r}: coupling key")] = [
-                _coupling_from_dict(t, f"source {sid!r}/array {aid!r}")
-                for t in taps]
+        for aid, taps in _of(dict, s["coupling"],
+                             f"source {sid!r}: coupling").items():
+            where = f"source {sid!r}/array {aid!r}"
+            coupling[_of(str, aid, f"source {sid!r}: coupling key")] = [
+                _coupling_from_dict(t, where)
+                for t in _of((list, tuple), taps, f"{where}: couplings")]
         sources.append(SourceSpec(sid, signal, coupling))
     return SceneSpec(rate_hz=rate, duration_s=duration, sources=sources,
-                     arrays=arrays, noise_level=float(data.get("noise_level", 0.0)))
+                     arrays=arrays, noise_level=noise)
 
 
 def load_scene(path) -> SceneSpec:
@@ -315,14 +366,10 @@ def _render_speech_noise(n: int, rng: np.random.Generator, params: dict,
                          freqs: np.ndarray, out: np.ndarray, ws) -> None:
     """Speech-like test source: tilted bandpass noise under a sparse,
     syllabic-rate envelope with genuine silent gaps; written to out (n,)
-    through ws, a `_RenderScratch`."""
-    band = params.get("band_hz", [120.0, 7200.0])
-    tilt = float(params.get("tilt_hz", 500.0))
-    mod = float(params.get("modulation_hz", 3.0))
-    activity = float(params.get("activity", 0.5))
-    level = float(params.get("level", 0.1))
-    if not 0.0 < activity <= 1.0:
-        raise ConfigError("speech_noise activity must be in (0, 1]")
+    through ws, a `_RenderScratch`; params: its `_signal_numbers`."""
+    band, tilt, mod = (params[k] for k in ("band_hz", "tilt_hz",
+                                           "modulation_hz"))
+    activity, level = params["activity"], params["level"]
 
     carrier, noise, env = out, ws.a[:n], ws.b
     rng.standard_normal(out=noise)
@@ -384,7 +431,7 @@ def _render_into(descriptor: dict, n: int, rate: float,
     """
     if not isinstance(descriptor, dict) or "type" not in descriptor:
         raise ConfigError("source signal descriptor needs a 'type' field")
-    kind = descriptor["type"]
+    kind, numbers = descriptor["type"], _signal_numbers(descriptor)
     if kind == "wav":
         sig = read_wav(descriptor.get("path", ""), expected_rate=rate)
         mono = sig.samples.mean(axis=1)
@@ -393,27 +440,25 @@ def _render_into(descriptor: dict, n: int, rate: float,
         out[:m] = mono[:m]
     elif kind == "white":
         rng.standard_normal(out=out)
-        out *= float(descriptor.get("level", 0.1))
+        out *= numbers["level"]
     elif kind == "tone":
-        freq = float(descriptor.get("freq_hz", 440.0))
-        level = float(descriptor.get("level", 0.1))
         # the sample times 0, 1/rate, ...: whole numbers add exactly
         steps = ws.b
         steps.fill(1.0)
         steps[:1] = 0.0
         np.cumsum(steps, out=out)
         out /= rate
-        out *= 2.0 * np.pi * freq
+        out *= 2.0 * np.pi * numbers["freq_hz"]
         np.sin(out, out=out)
-        out *= level
+        out *= numbers["level"]
     elif kind == "impulse":
-        pos = int(descriptor.get("position", 0))
+        pos = numbers["position"]
         if not 0 <= pos < n:
             raise ConfigError(f"impulse position {pos} outside signal")
         out.fill(0.0)
-        out[pos] = float(descriptor.get("amplitude", 1.0))
+        out[pos] = numbers["amplitude"]
     elif kind == "speech_noise":
-        _render_speech_noise(n, rng, descriptor, freqs, out, ws)
+        _render_speech_noise(n, rng, numbers, freqs, out, ws)
     else:
         raise ConfigError(f"unknown source signal type: {kind!r}")
 

@@ -190,8 +190,20 @@ def _no_channels(data):
     lambda d: d.update(noise_level=math.inf),
     lambda d: d.update(duration_s=1e-5),  # 0.16 samples round to none
     _no_channels,
+    lambda d: d["arrays"][0].update(sro_hz="abc"),
+    lambda d: d.update(rate_hz="abc"),
+    lambda d: d.update(noise_level="abc"),
+    lambda d: d["sources"][0]["coupling"]["a"][1].update(delay="abc"),
+    lambda d: d["arrays"][0].update(channels="two"),
+    lambda d: d["arrays"][0].update(channels=2.7),
+    lambda d: d["sources"][0].update(coupling=[1, 2]),
+    lambda d: d["sources"][0]["coupling"]["a"][0].update(echoes=3),
+    lambda d: d["sources"][1]["signal"].update(level="abc"),
 ], ids=["nan-delay", "inf-gain", "nan-sro", "sro-at-rate", "nan-duration",
-        "inf-noise", "shorter-than-a-sample", "no-channels"])
+        "inf-noise", "shorter-than-a-sample", "no-channels", "text-sro",
+        "text-rate", "text-noise", "text-delay", "text-channels",
+        "fractional-channels", "coupling-list", "echoes-number",
+        "text-speech-level"])
 def test_non_finite_scene_values_fail_with_config_error(tmp_path, scene_file,
                                                         capsys, edit):
     # and the other values a scene cannot be rendered from
@@ -199,6 +211,7 @@ def test_non_finite_scene_values_fail_with_config_error(tmp_path, scene_file,
     assert main(["simulate", str(scene_file), str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override", ["a=nan", "a=inf", "a=16000", "zz=0.3"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsep import _pool, dsp
+from asyncsep import _kernels, _pool, dsp
 from asyncsep.dsp import (
     SampledSignal,
     SpectrogramTensor,
@@ -155,13 +155,32 @@ class TestIstft:
         assert istft(spec, length=4000).n_samples == 4000
 
 
+def _written(spec, n, block):
+    """The n samples of spec synthesized by a `dsp._Writer` of
+    `block`-frame blocks, put in frame order on this thread."""
+    C, n_frames = spec.channels, spec.n_frames
+    dest = dsp._Samples((C,), n)
+    writer = dsp._Writer((C,), n_frames, spec.window, block, dest)
+    planes = spec.coeffs.transpose(2, 0, 1)
+    scratch = np.empty((C, block, spec.window.length))
+    for n0 in range(0, n_frames, block):
+        n1 = min(n0 + block, n_frames)
+        writer.put(n0, n1, planes[:, n0:n1], scratch)
+    return dest.out.T
+
+
 class TestIstftMatchesFrameLoopOracle:
-    @settings(max_examples=120, deadline=None)
+    # n_frames runs past R + 2 frames, R = length / hop, of every window;
+    # a writer's blocks hold 1, 2, 3, a pass's or more than all frames
+    @settings(max_examples=200, deadline=None)
     @given(channels=st.integers(1, 3), n_frames=st.integers(0, 40),
-           window=st.sampled_from([(64, 16), (96, 32), (512, 128)]),
+           window=st.sampled_from([(64, 16), (96, 32), (512, 128), (64, 8)]),
            length=st.sampled_from(["default", "shorter", "longer"]),
+           block=st.sampled_from(["istft", 1, 2, 3, _kernels._BLOCK,
+                                  "more"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_planar_view(self, channels, n_frames, window, length, seed):
+    def test_planar_view(self, channels, n_frames, window, length, block,
+                         seed):
         # the filter's images are (N, F, C) views of (C, N, F) planes
         win = WindowSpec(*window)
         F = win.length // 2 + 1
@@ -173,7 +192,11 @@ class TestIstftMatchesFrameLoopOracle:
         extent = max((n_frames - 1) * win.hop - win.length, 0)
         n = {"default": None, "shorter": extent // 2,
              "longer": extent + win.length + 7}[length]
-        got = istft(spec, n).samples
+        if block == "istft":
+            got = istft(spec, n).samples
+        else:
+            got = _written(spec, extent if n is None else n,
+                           n_frames + 1 if block == "more" else block)
         want = istft_oracle(spec, n).samples
         assert got.shape == want.shape
         assert np.array_equal(got, want)

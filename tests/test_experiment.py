@@ -127,6 +127,15 @@ def test_unknown_mode_rejected():
         run_experiment(tiny_scene(), tiny_scene(), modes=("fancy",), seed=0)
 
 
+def test_unknown_variant_rejected_before_training(monkeypatch):
+    # "sync" was run as the synced variant, under its own key
+    import asyncsep.experiment as experiment
+
+    monkeypatch.setattr(experiment, "synthesize_scene", None)  # not reached
+    with pytest.raises(ValueError, match="unknown variant 'sync'"):
+        run_experiment(tiny_scene(), tiny_scene(), variants=("sync",), seed=0)
+
+
 def test_each_scene_is_rendered_once(monkeypatch):
     import asyncsep.experiment as experiment
 

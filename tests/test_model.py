@@ -19,7 +19,7 @@ from asyncsep import dsp, model
 from asyncsep.audio import WavSource, read_header, write_wav
 from asyncsep.dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
                           _ArraySource, stft)
-from asyncsep.errors import ConfigError
+from asyncsep.errors import ConfigError, NumericalError
 from asyncsep.model import (
     SILENCE_GATE,
     SpatialModel,
@@ -561,6 +561,15 @@ class TestTrainingTasks:
                     sources[key] = stack.enter_context(
                         WavSource(read_header(wav)))
             return model._train_sources(sources, self.WIN, **kwargs)
+
+    @pytest.mark.parametrize("path", ["tensor", "array"])
+    def test_non_finite_image_refused(self, tmp_path, path):
+        # one NaN sample gave non-finite spectra, and every bin of its
+        # image fell back, with no error
+        signals = self._signals(0)
+        signals[("a", "s1")][100, 0] = np.nan
+        with pytest.raises(NumericalError, match="training image a/s1$"):
+            self._train(path, signals, tmp_path, 1, False, None)
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])

@@ -326,10 +326,26 @@ class TestSceneConfig:
         (("noise_level",), float("nan")),
         (("noise_level",), float("inf")),
         (("rate_hz",), float("inf")),
+        (("arrays", 0, "sro_hz"), "abc"),
+        (("rate_hz",), "abc"),
+        (("noise_level",), "abc"),
+        (("sources", 0, "coupling", "a1", 0, "delay"), "abc"),
+        (("arrays", 0, "channels"), "two"),
+        (("arrays", 0, "channels"), 2.7),
+        (("sources", 0, "coupling"), [1, 2]),
+        (("sources", 0, "coupling", "a1", 0, "echoes"), 3),
+        (("sources", 0, "signal"), {"type": "speech_noise", "level": "abc"}),
+        (("sources", 0, "signal"), {"type": "speech_noise",
+                                    "band_hz": [120.0]}),
+        (("sources", 0, "signal"), {"type": "impulse", "position": 2.5}),
+        (("sources", 0, "signal"), {"type": "tone", "freq_hz": float("nan")}),
     ], ids=["nan-delay", "inf-delay", "nan-gain", "nan-echo-delay",
             "inf-echo-gain", "nan-sro", "sro-at-rate", "sro-above-rate",
             "nan-duration", "inf-duration", "nan-noise", "inf-noise",
-            "inf-rate"])
+            "inf-rate", "text-sro", "text-rate", "text-noise", "text-delay",
+            "text-channels", "fractional-channels", "coupling-list",
+            "echoes-number", "text-signal-level", "one-band-edge",
+            "fractional-position", "nan-tone-freq"])
     def test_unsynthesizable_values_rejected(self, path, value):
         data = self._dict()
         node = data

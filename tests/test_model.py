@@ -562,14 +562,15 @@ class TestTrainingTasks:
                         WavSource(read_header(wav)))
             return model._train_sources(sources, self.WIN, **kwargs)
 
+    @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("path", ["tensor", "array"])
-    def test_non_finite_image_refused(self, tmp_path, path):
+    def test_non_finite_image_refused(self, tmp_path, path, pooled):
         # one NaN sample gave non-finite spectra, and every bin of its
-        # image fell back, with no error
+        # image fell back, with no error; the merged entry names the device
         signals = self._signals(0)
-        signals[("a", "s1")][100, 0] = np.nan
-        with pytest.raises(NumericalError, match="training image a/s1$"):
-            self._train(path, signals, tmp_path, 1, False, None)
+        signals[("b", "s2")][100, 1] = np.nan
+        with pytest.raises(NumericalError, match="training image b/s2$"):
+            self._train(path, signals, tmp_path, 1, pooled, None)
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])

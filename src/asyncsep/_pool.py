@@ -5,18 +5,18 @@ Every stage with numeric work splits it into tasks on this pool:
     source) image and one per array's mixture;
   * the STFT and the iSTFT: one task per run of frames of every
     channel, about 64 channel frames (`dsp._chunk`);
-  * training: two passes of one task per (devices read together,
-    source) and block of frames; each adds its sums to that pair's in
-    frame order (`Turns`);
+  * training: one task per (devices read together, source), which
+    makes both passes over that pair's frames in frame order;
   * reading a device clock (`dsp._Clock`): one task per run of output
     samples, or per device group in `asyncsep evaluate`;
   * the separation pass: one task per block of frames, which in
     `run_experiment` also scores the spans it finishes;
-  * SDR scoring: one task per (reference, estimate) pair.
+  * SDR scoring (`metrics._Scores`): one task per (device, length,
+    rate) group of images.
 Tasks write disjoint slices of buffers allocated beforehand, or, in
-the iSTFT, the streamed separation pass and training, add into shared
-sums in task order (`Turns`), so the result does not depend on how many
-threads run them.
+the iSTFT and the streamed separation pass, add into shared sums in
+task order (`Turns`), so the result does not depend on how many threads
+run them.
 numpy releases the interpreter lock inside its loops, so threads overlap
 the numeric work.  The caller allocates every output, and `run` has the
 calling thread build each thread's workspace of scratch buffers before
@@ -97,31 +97,30 @@ def run(tasks, work, scratch) -> None:
 
 
 class Turns:
-    """Sections of tasks that run one at a time, in order, per key.
+    """Sections of tasks that run one at a time, in order.
 
-    A key's turn starts at 0; a task whose section covers at:to waits
+    The turn starts at 0; a task whose section covers at:to waits
     (`wait`) until the turn is at, runs its section and moves the turn on
-    (`advance`).  This cannot deadlock when the sections of a key are
-    taken in order, as `run` takes its tasks.  After `abort`, which a
-    task that fails calls, the tasks that wait return False.
+    (`advance`).  This cannot deadlock when the sections are taken in
+    order, as `run` takes its tasks.  After `abort`, which a task that
+    fails calls, the tasks that wait return False.
     """
 
     def __init__(self):
         self._cond = threading.Condition()
-        self._at = {}
+        self._at = 0
         self._failed = False
 
-    def wait(self, key, at: int) -> bool:
-        """Wait for key's turn to reach at; False once aborted."""
+    def wait(self, at: int) -> bool:
+        """Wait for the turn to reach at; False once aborted."""
         with self._cond:
-            self._cond.wait_for(
-                lambda: self._failed or self._at.get(key, 0) == at)
+            self._cond.wait_for(lambda: self._failed or self._at == at)
             return not self._failed
 
-    def advance(self, key, to: int) -> None:
-        """Move key's turn on to `to`, past the section just run."""
+    def advance(self, to: int) -> None:
+        """Move the turn on to `to`, past the section just run."""
         with self._cond:
-            self._at[key] = to
+            self._at = to
             self._cond.notify_all()
 
     def abort(self) -> None:

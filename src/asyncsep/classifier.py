@@ -36,8 +36,6 @@ __all__ = [
     "classify",
     "source_power_estimates",
     "state_factors",
-    "save_posteriors",
-    "posterior_histogram",
 ]
 
 _LOG_PI = float(np.log(np.pi))
@@ -182,22 +180,14 @@ def power_block(gamma, var, out, ws):
     return out
 
 
-def save_posteriors(pmap: PosteriorMap, path) -> None:
-    """Dump gamma as a binary tensor (.npy) for offline inspection."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.save(path, pmap.gamma)
-
-
 class PosteriorFile:
     """Posteriors of shape (N, F, S), streamed into a `.npy` file by block.
 
-    The bytes equal `save_posteriors` of the whole tensor, ".npy"
-    appended to the path as np.save appends it.  Takes the blocks of
-    the separation pass (`separator._unit`) in any order, each written
-    at its place, and counts the tiles each state wins, for
-    `histogram`.  `close` checks every frame was put; `discard` removes
-    the file.
+    The bytes equal `np.save` of the whole tensor, ".npy" appended to
+    the path as np.save appends it.  Takes the blocks of the separation
+    pass (`separator._unit`) in any order, each written at its place,
+    and counts the tiles each state wins, for `histogram`.  `close`
+    checks every frame was put; `discard` removes the file.
     """
 
     dtype = np.dtype(np.float64)
@@ -234,7 +224,7 @@ class PosteriorFile:
                 self.wins[s] += won
 
     def histogram(self) -> str:
-        """`posterior_histogram` of the posteriors put."""
+        """Text histogram of which state wins each tile put."""
         return _histogram(self.wins, self.state_ids)
 
     def close(self) -> None:
@@ -250,14 +240,6 @@ class PosteriorFile:
         """Close and remove the file."""
         self._fh.close()
         self.path.unlink(missing_ok=True)
-
-
-def posterior_histogram(pmap: PosteriorMap, width: int = 50) -> str:
-    """Text histogram of which state wins each tile."""
-    winners = pmap.gamma.argmax(axis=2)
-    return _histogram([int((winners == s).sum())
-                       for s in range(len(pmap.state_ids))],
-                      pmap.state_ids, width)
 
 
 def _histogram(wins, state_ids, width: int = 50) -> str:

@@ -401,13 +401,13 @@ class _Writer:
         try:
             np.fft.irfft(planes, n=self.window.length, axis=-1, out=frames)
             frames *= self.win
-            if not self._turns.wait(None, n0):
+            if not self._turns.wait(n0):
                 return
             self._add(frames, n0, n1)
         except BaseException:  # release the blocks that wait for this one
             self.abort()
             raise
-        self._turns.advance(None, n1)
+        self._turns.advance(n1)
 
     def _add(self, frames, n0: int, n1: int) -> None:
         """Add frames n0:n1 and write out the samples they finish."""

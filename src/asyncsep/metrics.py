@@ -2,11 +2,11 @@
 
 Estimates stay on the clock of the device that recorded them, so the
 truth images are read there through `dsp._Clock`: `at_device_clock`
-moves whole images and `score_images` scores them, while `_Scores`
-scores each span of an estimate against the same span of its truth as it
-arrives, for `asyncsep evaluate` and `run_experiment`'s streamed pass,
-with the same scores bit for bit.  One rule sums the SDR energies
-(`_Energies`), for whole images and spans alike.
+moves whole images.  `_Scores` scores each span of an estimate against
+the same span of its truth as it arrives, for `score_images`, `asyncsep
+evaluate` and `run_experiment`'s streamed pass.  One rule sums the SDR
+energies (`_Energies`), for whole images and spans alike, so `sdr` of a
+pair and every score of `_Scores` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +30,22 @@ def sdr(reference: SampledSignal, estimate: SampledSignal) -> float:
     10 * log10 of reference energy over error energy, summed over all
     samples and channels.  Returns +inf when the estimate is exact;
     raises ValueError for an all-zero reference (the ratio is undefined)
-    and NumericalError when either energy is not finite.
+    and NumericalError when either energy is not finite.  The energies
+    are summed on the calling thread (`_Energies`).
     """
-    return _sdr_pairs([(reference, estimate)], ["the pair"])[0]
+    ref, est = _same_shape(reference, estimate)
+    energies = _Energies(ref.shape[1], _energy_scratch(ref.shape[1]))
+    energies.add(ref.T, est.T)
+    return _score("the pair", *energies.totals())
+
+
+def _same_shape(reference, estimate) -> tuple:
+    """The samples of both; ValueError unless their shapes agree."""
+    ref, est = reference.samples, estimate.samples
+    if ref.shape != est.shape:
+        raise ValueError(
+            f"reference {ref.shape} and estimate {est.shape} shapes differ")
+    return ref, est
 
 
 def at_device_clock(truth, sro_hz) -> dict:
@@ -67,10 +80,17 @@ def _clocks(truth, sro_hz) -> list:
 
 def score_images(refs, estimates) -> dict[str, float]:
     """"m/k" -> SDR of estimates[(m, k)] against refs[(m, k)], in the key
-    order of refs, scored on the pool (`_sdr_pairs`)."""
-    names = [f"{m}/{k}" for m, k in refs]
-    return dict(zip(names, _sdr_pairs(
-        [(ref, estimates[key]) for key, ref in refs.items()], names)))
+    order of refs, each equal to `sdr` of the pair.
+
+    The shapes of every pair are checked first (ValueError); the images
+    are then scored as they stand, with no clock offset, by `_Scores`.
+    """
+    for key, ref in refs.items():
+        _same_shape(ref, estimates[key])
+    scores = _Scores({key: (_ArraySource(ref.samples), ref.rate_hz)
+                      for key, ref in refs.items()}, {}, _CHUNK)
+    scores.feed({key: _ArraySource(estimates[key].samples) for key in refs})
+    return scores.scores()
 
 
 def _finite_mean(values) -> float:
@@ -89,7 +109,7 @@ class _Energies:
     channel-major in contiguous rows of scratch, np.sum adds each row,
     and the row sums add in chunk order, channel by channel.  So the
     energies depend neither on the layout of the samples nor on how they
-    were split among calls, and `_sdr_pairs` and the span-by-span
+    were split among calls, and `sdr` and the span-by-span
     scoring of `_Scores` agree bit for bit.  scratch: `_energy_scratch`
     of `channels` or more.
     """
@@ -148,38 +168,6 @@ def _score(name: str, ref_energy: float, err_energy: float) -> float:
         raise ValueError("SDR undefined for an all-zero reference")
     return (math.inf if err_energy == 0.0
             else 10.0 * math.log10(ref_energy / err_energy))
-
-
-def _sdr_pairs(pairs, names=None) -> list[float]:
-    """`sdr` of every (reference, estimate) pair, in order; names, by
-    default "pair <index>", label the pairs in errors.
-
-    Each pair is one task on the thread pool (`_pool`); it sums its
-    energies through `_Energies` in its thread's scratch of one chunk,
-    so the scores do not depend on the thread count.  Shapes are checked
-    before any task runs; after, the first pair whose energies are not
-    finite raises NumericalError, or whose reference is all zero
-    ValueError.
-    """
-    refs, ests = [], []
-    for reference, estimate in pairs:
-        ref, est = reference.samples, estimate.samples
-        if ref.shape != est.shape:
-            raise ValueError(
-                f"reference {ref.shape} and estimate {est.shape} shapes differ")
-        refs.append(ref)
-        ests.append(est)
-    energies = np.empty((len(refs), 2))
-
-    def work(i, scratch):
-        acc = _Energies(refs[i].shape[1], scratch)
-        acc.add(refs[i].T, ests[i].T)
-        energies[i] = acc.totals()
-
-    channels = max((ref.shape[1] for ref in refs), default=0)
-    _pool.run(range(len(refs)), work, lambda: _energy_scratch(channels))
-    names = names or [f"pair {i}" for i in range(len(refs))]
-    return [_score(name, *pair) for name, pair in zip(names, energies.tolist())]
 
 
 class _Spans:
@@ -278,7 +266,7 @@ class _Scores:
         """Score every image's estimate, estimates: (device, source) ->
         sample source.  Each group is a task on the pool (`_pool`) that
         reads its estimates a span at a time in its thread's scratch."""
-        widest = max(source.channels for source in estimates.values())
+        widest = max((s.channels for s in estimates.values()), default=0)
 
         def work(i, scratch):
             (spans, keys), (buf, raw) = self.groups[i], scratch

@@ -11,10 +11,12 @@ Training (`_train`) reads the images a block of frames at a time through
 frame readers, from STFT tensors (`train_models`) or from samples, in
 arrays or WAV files (`_train_sources`), so no spectrogram of a whole
 image is held, and the merged array reads its devices' frames side by
-side.  A first pass sums each bin's energy, which sets the silence gate;
-a second sums the gated outer products.  Every sum adds its frames in
-frame order, so the model does not depend on the block size or the
-number of threads, and is the same from a tensor as from its samples.
+side.  Each (group, source) is one task on the pool, which makes two
+passes over its own blocks of frames: the first sums each bin's energy,
+which sets the silence gate; the second sums the gated outer products.
+Every sum adds its frames in frame order, so the model does not depend
+on the block size or the number of threads, and is the same from a
+tensor as from its samples.
 
 The spatial model holds the covariances of each device and, in a field of
 its own, of the merged array, which outputs and the container name "a+b"
@@ -230,20 +232,20 @@ class _Sums:
 
     A group is the devices whose frames training reads side by side, in
     channel order: one device, or every device when the merged entry is
-    trained.  parts: the frame readers of each part of the source's
-    images, one per device of the group; the parts' frames are pooled in
-    order.  entries: (entry id, its channels among the group's) of every
-    entry trained from these frames, the devices first.
-    Pass 1 sums each entry's frame energies per bin (`energy`); pass 2
-    the gated outer products, the upper triangle of each entry's (C, C)
-    as (C (C + 1) / 2, F) rows (`products`), and the frames kept per bin
-    (`counts`).  Tasks add their blocks' frames in frame order, one task
-    at a time (`_pool.Turns`).
+    trained.  source: the source id; parts: the frame readers of each
+    part of the source's images, one per device of the group; the parts'
+    frames are pooled in order.  entries: (entry id, its channels among
+    the group's) of every entry trained from these frames, the devices
+    first.  Pass 1 sums each entry's frame energies per bin (`energy`);
+    pass 2 the gated outer products, the upper triangle of each entry's
+    (C, C) as (C (C + 1) / 2, F) rows (`products`), and the frames kept
+    per bin (`counts`), over `blocks`.  One task runs both passes
+    (`_sum_frames`).
     """
 
-    def __init__(self, parts: list[list], entries: list[tuple[str, slice]],
-                 bins: int):
-        self.parts, self.entries = parts, entries
+    def __init__(self, source: str, parts: list[list],
+                 entries: list[tuple[str, slice]], bins: int):
+        self.source, self.parts, self.entries = source, parts, entries
         self.channels = entries[-1][1].stop
         self.n_frames = sum(p[0].n_frames for p in parts)
         E = len(entries)
@@ -253,41 +255,33 @@ class _Sums:
         self.products = [
             np.zeros((C * (C + 1) // 2, bins), dtype=np.complex128)
             for C in (ch.stop - ch.start for _, ch in entries)]
-
-    def blocks(self):
-        """(part, n0, n1, at) of every block of frames n0:n1 of a part,
-        at the block's first frame among the pooled ones."""
-        at = 0
-        for i, part in enumerate(self.parts):
-            n = part[0].n_frames
-            for n0 in range(0, n, _FRAME_BLOCK):
-                yield i, n0, min(n0 + _FRAME_BLOCK, n), at + n0
-            at += n
-
-    def gate_frames(self) -> None:
-        """Set the silence gate of pass 2 from pass 1's energies: the
-        -60 dB gate below each bin's mean frame energy, and no frame
-        where that mean is 0."""
-        np.divide(self.energy, self.n_frames, out=self.gate)
-        silent = self.gate <= 0.0
-        self.gate *= SILENCE_GATE
-        self.gate[silent] = np.inf
+        # (part, n0, n1) of every block of frames n0:n1 of a part
+        self.blocks = [(i, n0, min(n0 + _FRAME_BLOCK, p[0].n_frames))
+                       for i, p in enumerate(parts)
+                       for n0 in range(0, p[0].n_frames, _FRAME_BLOCK)]
 
 
 class _Scratch:
-    """One thread's scratch for training tasks of up to `block` frames
-    of `bins` bins, over groups of up to `channels` channels and
-    `entries` entries; samples: the shape of the readers' scratch."""
+    """One thread's scratch for the training tasks of all_sums: blocks of
+    up to `_FRAME_BLOCK` frames, the readers' samples included."""
 
-    def __init__(self, block: int, bins: int, channels: int, entries: int,
-                 samples: tuple):
-        self.samples = np.empty(samples)
+    def __init__(self, all_sums: list[_Sums]):
+        readers = [r for sums in all_sums for part in sums.parts
+                   for r in part]
+        windows = [r.window.length for r in readers if r.window is not None]
+        block = min(_FRAME_BLOCK, max(r.n_frames for r in readers))
+        channels = max(s.channels for s in all_sums)
+        entries = max(len(s.entries) for s in all_sums)
+        bins = all_sums[0].energy.shape[1]
+        self.samples = np.empty(
+            (2, max(r.channels for r in readers), block, max(windows))
+            if windows else (0,))
         self.x = np.empty((channels, block, bins), dtype=np.complex128)
         self.xw = np.empty((channels, block, bins), dtype=np.complex128)
         self.t = np.empty((block, bins), dtype=np.complex128)
         self.p = np.empty((2, block, bins))
         self.energy = np.empty((entries, block, bins))
-        self.keep = np.empty((entries, block, bins), dtype=bool)
+        self.flags = np.empty((entries, bins), dtype=bool)
         self.w = np.empty((block, bins))
 
 
@@ -322,77 +316,59 @@ def _frame_energies(sums: _Sums, i: int, n0: int, n1: int, ws):
     return x, energy
 
 
-def _energy_block(sums: _Sums, i: int, n0: int, n1: int, ws):
-    """Pass 1 over one block: its frame energies, then, in the caller's
-    turn, their sums."""
+def _add_energies(sums: _Sums, i: int, n0: int, n1: int, ws) -> None:
+    """Pass 1 over one block: add its frame energies to the sums."""
     _, energy = _frame_energies(sums, i, n0, n1, ws)
-
-    def add():
-        for acc, e in zip(sums.energy, energy):
-            _add_frames(acc, e)
-    return add
+    for acc, e in zip(sums.energy, energy):
+        _add_frames(acc, e)
 
 
-def _product_block(sums: _Sums, i: int, n0: int, n1: int, ws):
-    """Pass 2 over one block: which frames pass each entry's gate, then,
-    in the caller's turn, their outer products and counts."""
+def _add_products(sums: _Sums, i: int, n0: int, n1: int, ws) -> None:
+    """Pass 2 over one block: add the outer products of the frames that
+    pass each entry's gate, and their counts, to the sums."""
     b = n1 - n0
     x, energy = _frame_energies(sums, i, n0, n1, ws)
-    keep = ws.keep[:len(sums.entries), :b]
-    np.greater_equal(energy, sums.gate[:, None], out=keep)
-
-    def add():
-        w, t = ws.w[:b], ws.t[:b]
-        for e, (_, ch) in enumerate(sums.entries):
-            np.copyto(w, keep[e])
-            _add_frames(sums.counts[e], w)
-            xe, xw = x[ch], ws.xw[:ch.stop - ch.start, :b]
-            np.conjugate(xe, out=xw)
-            xw *= w
-            rows = iter(sums.products[e])
-            for c in range(len(xe)):
-                for d in range(c, len(xe)):
-                    np.multiply(xe[c], xw[d], out=t)
-                    _add_frames(next(rows), t)
-    return add
+    w, t = ws.w[:b], ws.t[:b]
+    for e, (_, ch) in enumerate(sums.entries):
+        np.greater_equal(energy[e], sums.gate[e], out=w)
+        _add_frames(sums.counts[e], w)
+        xe, xw = x[ch], ws.xw[:ch.stop - ch.start, :b]
+        np.conjugate(xe, out=xw)
+        xw *= w
+        rows = iter(sums.products[e])
+        for c in range(len(xe)):
+            for d in range(c, len(xe)):
+                np.multiply(xe[c], xw[d], out=t)
+                _add_frames(next(rows), t)
 
 
-def _sum_frames(all_sums: list[_Sums], block) -> None:
-    """One pass over every block of every (group, source) on the pool.
+def _gate(sums: _Sums, flags, names) -> None:
+    """Check pass 1's energies and set the silence gate of pass 2; flags:
+    (E, F) bool scratch.  An entry of non-finite energy, as one
+    non-finite value makes it, raises NumericalError naming its image,
+    names[(device, source)] or "device/source", the devices' first.  The
+    gate is -60 dB below each bin's mean frame energy, and no frame
+    passes where that mean is 0."""
+    np.isfinite(sums.energy, out=flags)
+    for (m, _), finite in zip(sums.entries, flags):
+        if not finite.all():
+            name = (names or {}).get((m, sums.source), f"{m}/{sums.source}")
+            raise NumericalError(f"non-finite values in training image {name}")
+    np.divide(sums.energy, sums.n_frames, out=sums.gate)
+    np.less_equal(sums.gate, 0.0, out=flags)
+    sums.gate *= SILENCE_GATE
+    np.copyto(sums.gate, np.inf, where=flags)
 
-    block(sums, part, n0, n1, ws) reads and works on one block and
-    returns what adds it to its sums, which runs in that (group,
-    source)'s turn, so each sum adds its frames in frame order whatever
-    the block size and the thread count.  The tasks take the blocks of
-    the (group, source) pairs in turn, so that pairs overlap.
-    """
-    turns = _pool.Turns()
-    queues = [[(j, *blk) for blk in sums.blocks()]
-              for j, sums in enumerate(all_sums)]
-    tasks = [q[r] for r in range(max(map(len, queues)))
-             for q in queues if r < len(q)]
 
-    def work(task, ws):
-        j, i, n0, n1, at = task
-        try:
-            add = block(all_sums[j], i, n0, n1, ws)
-            if not turns.wait(j, at):
-                return
-            add()
-        except BaseException:  # release the tasks that wait for this one
-            turns.abort()
-            raise
-        turns.advance(j, at + n1 - n0)
-
-    readers = [r for sums in all_sums for part in sums.parts for r in part]
-    windows = [r.window.length for r in readers if r.window is not None]
-    rows = min(_FRAME_BLOCK, max(r.n_frames for r in readers))
-    samples = ((2, max(r.channels for r in readers), rows, max(windows))
-               if windows else (0,))
-    _pool.run(tasks, work, lambda: _Scratch(
-        rows, all_sums[0].energy.shape[1],
-        max(s.channels for s in all_sums),
-        max(len(s.entries) for s in all_sums), samples))
+def _sum_frames(sums: _Sums, ws, names) -> None:
+    """One task: both passes over the blocks of one (group, source) in
+    frame order, the gate (`_gate`) set between them, so each sum adds its
+    frames in frame order whatever the block size and the thread count."""
+    for i, n0, n1 in sums.blocks:
+        _add_energies(sums, i, n0, n1, ws)
+    _gate(sums, ws.flags[:len(sums.entries)], names)
+    for i, n0, n1 in sums.blocks:
+        _add_products(sums, i, n0, n1, ws)
 
 
 def _covariances(products, counts, C: int, cov, fallback) -> None:
@@ -474,13 +450,14 @@ def _train(readers, noise_gain: float, include_pooled: bool, names=None
 
     readers: (device id, source id) -> a list of frame readers of that
     image (`dsp._Reader`, `dsp._TensorReader`), whose frames are pooled
-    in order.  Two passes over blocks of frames (`_sum_frames`): the
+    in order.  Each (group, source) is one task on the pool
+    (`_sum_frames`), which runs two passes over its blocks of frames: the
     first sums every bin's energy, which sets the silence gate and, of a
     device's entry, the long-term spectrum; the second sums the gated
     outer products.  The merged entry reads its devices' frames side by
     side.  See `train_models` for the rules and the errors; an image of
-    non-finite energy, as one non-finite value makes it, is named
-    names[key], or "device/source".
+    non-finite energy is named names[key], or "device/source", the first
+    in (group, source) order.
     """
     if not (math.isfinite(noise_gain) and noise_gain >= 0.0):
         raise ConfigError(f"noise gain must be finite and non-negative, "
@@ -494,24 +471,17 @@ def _train(readers, noise_gain: float, include_pooled: bool, names=None
     groups = _groups(readers, array_ids, source_ids,
                      include_pooled and len(array_ids) > 1)
     F = next(iter(readers.values()))[0].n_bins
-    all_sums = [_Sums(parts[k], entries, F)
+    all_sums = [_Sums(k, parts[k], entries, F)
                 for entries, parts in groups for k in source_ids]
-    _sum_frames(all_sums, _energy_block)
-    for j, sums in enumerate(all_sums):  # the devices' entries first
-        for (m, _), energy in zip(sums.entries, sums.energy):
-            if not np.isfinite(energy).all():
-                k = source_ids[j % len(source_ids)]
-                raise NumericalError(f"non-finite values in training image "
-                                     f"{(names or {}).get((m, k), f'{m}/{k}')}")
-        sums.gate_frames()
-    _sum_frames(all_sums, _product_block)
+    _pool.run(all_sums, lambda sums, ws: _sum_frames(sums, ws, names),
+              lambda: _Scratch(all_sums))
 
     K, M = len(source_ids), len(array_ids)
     covariances, fallback = {}, {}
     power = np.empty((M, K, F))
     counts = np.empty((M, K), dtype=np.int64)
-    for j, sums in enumerate(all_sums):
-        k = j % K  # the sums run over the groups, then the sources
+    for sums in all_sums:
+        k = source_ids.index(sums.source)
         for e, (m, ch) in enumerate(sums.entries):
             C = ch.stop - ch.start
             if m not in covariances:

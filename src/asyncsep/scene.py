@@ -219,12 +219,16 @@ _SIGNALS = {"white": {"level": 0.1}, "tone": {"freq_hz": 440.0, "level": 0.1},
 
 def _signal_numbers(descriptor, where: str = "source") -> dict:
     """The numbers a signal descriptor's type reads, defaults filled in,
-    or none for a type not in `_SIGNALS`; ConfigError naming the field
-    unless each is finite, a position whole, a band two numbers and an
-    activity in (0, 1]."""
+    none for "wav"; ConfigError naming the source unless the type is
+    "wav" or in `_SIGNALS`, and naming the field unless each number is
+    finite, a position whole, a band two numbers and an activity in
+    (0, 1]."""
     kind = descriptor.get("type") if isinstance(descriptor, dict) else None
+    if not (isinstance(kind, str) and (kind == "wav" or kind in _SIGNALS)):
+        raise ConfigError(f"{where}: unknown source signal type {kind!r}, "
+                          f"not one of {', '.join(['wav', *_SIGNALS])}")
     numbers = {}
-    for name, default in _SIGNALS.get(str(kind), {}).items():
+    for name, default in _SIGNALS.get(kind, {}).items():
         value, what = descriptor.get(name, default), f"{where}: signal {name}"
         band = isinstance(default, tuple)
         if band and not (isinstance(value, (list, tuple)) and len(value) == 2):
@@ -429,9 +433,8 @@ def _render_into(descriptor: dict, n: int, rate: float,
     freqs: the rfft bin frequencies of n samples at rate; ws: a
     `_RenderScratch`.  Only a wav source allocates: it reads its file.
     """
-    if not isinstance(descriptor, dict) or "type" not in descriptor:
-        raise ConfigError("source signal descriptor needs a 'type' field")
-    kind, numbers = descriptor["type"], _signal_numbers(descriptor)
+    numbers = _signal_numbers(descriptor)
+    kind = descriptor["type"]
     if kind == "wav":
         sig = read_wav(descriptor.get("path", ""), expected_rate=rate)
         mono = sig.samples.mean(axis=1)
@@ -457,10 +460,8 @@ def _render_into(descriptor: dict, n: int, rate: float,
             raise ConfigError(f"impulse position {pos} outside signal")
         out.fill(0.0)
         out[pos] = numbers["amplitude"]
-    elif kind == "speech_noise":
+    else:  # speech_noise
         _render_speech_noise(n, rng, numbers, freqs, out, ws)
-    else:
-        raise ConfigError(f"unknown source signal type: {kind!r}")
 
 
 def _bin_freqs(n: int, rate: float) -> np.ndarray:

@@ -12,7 +12,8 @@ from scipy.io import wavfile
 
 from asyncsep import _kernels, _pool, scene
 from asyncsep.audio import WavSource, read_header, read_wav
-from asyncsep.classifier import PosteriorMap, posterior_block, state_factors
+from asyncsep.classifier import (PosteriorMap, _histogram, posterior_block,
+                                 state_factors)
 from asyncsep.dsp import (_ORDER, SampledSignal, SpectrogramTensor,
                           WindowSpec, _ArraySource)
 from asyncsep.errors import NumericalError
@@ -73,6 +74,23 @@ def pool_run_peaks(monkeypatch, call):
     finally:
         np.setbufsize(bufsize)
     return peaks
+
+
+def save_posteriors(pmap: PosteriorMap, path) -> None:
+    """Dump gamma as a binary tensor (.npy), the reference for the bytes
+    of `classifier.PosteriorFile`."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.save(path, pmap.gamma)
+
+
+def posterior_histogram(pmap: PosteriorMap, width: int = 50) -> str:
+    """Text histogram of which state wins each tile of a whole tensor, the
+    reference for `classifier.PosteriorFile.histogram`."""
+    winners = pmap.gamma.argmax(axis=2)
+    return _histogram([int((winners == s).sum())
+                       for s in range(len(pmap.state_ids))],
+                      pmap.state_ids, width)
 
 
 @pytest.fixture

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from asyncsep.classifier import (
     classify,
-    posterior_histogram,
-    save_posteriors,
     source_power_estimates,
     state_factors,
 )
@@ -24,7 +22,9 @@ from conftest import (
     make_planted_tiles,
     make_synthetic_models,
     pool_workers,
+    posterior_histogram,
     rand_unit_psd,
+    save_posteriors,
     serial_classify,
     serial_log_likelihoods,
     serial_posteriors,

@@ -24,7 +24,7 @@ from scipy.io.wavfile import WavFileWarning
 from asyncsep import _kernels, _pool, cli, dsp, separator
 from asyncsep import model as model_module
 from asyncsep.audio import read_wav, write_wav
-from asyncsep.classifier import PosteriorMap, posterior_histogram
+from asyncsep.classifier import PosteriorMap
 from asyncsep.cli import main
 from asyncsep.demo import demo_scene_path
 from asyncsep.dsp import SampledSignal, WindowSpec, stft_frame_count
@@ -33,7 +33,8 @@ from asyncsep.metrics import _finite_mean, at_device_clock, score_images
 from asyncsep.model import _MAGIC, SpatialModel, load_models, save_models
 from asyncsep.separator import MODES, separate_recordings
 
-from conftest import make_synthetic_models, pool_run_peaks, rand_unit_psd
+from conftest import (make_synthetic_models, pool_run_peaks,
+                      posterior_histogram, rand_unit_psd)
 from test_model import _with_entry
 
 
@@ -199,11 +200,13 @@ def _no_channels(data):
     lambda d: d["sources"][0].update(coupling=[1, 2]),
     lambda d: d["sources"][0]["coupling"]["a"][0].update(echoes=3),
     lambda d: d["sources"][1]["signal"].update(level="abc"),
+    lambda d: d["sources"][1]["signal"].update(type="warble"),
+    lambda d: d["sources"][1]["signal"].pop("type"),
 ], ids=["nan-delay", "inf-gain", "nan-sro", "sro-at-rate", "nan-duration",
         "inf-noise", "shorter-than-a-sample", "no-channels", "text-sro",
         "text-rate", "text-noise", "text-delay", "text-channels",
         "fractional-channels", "coupling-list", "echoes-number",
-        "text-speech-level"])
+        "text-speech-level", "unknown-signal-type", "no-signal-type"])
 def test_non_finite_scene_values_fail_with_config_error(tmp_path, scene_file,
                                                         capsys, edit):
     # and the other values a scene cannot be rendered from

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from asyncsep import dsp, metrics
 from asyncsep.dsp import SampledSignal, _ArraySource, lagrange_resample
 from asyncsep.errors import NumericalError
-from asyncsep.metrics import (_finite_mean, _Scores, _sdr_pairs,
-                              at_device_clock, score_images, sdr)
+from asyncsep.metrics import (_finite_mean, _Scores, at_device_clock,
+                              score_images, sdr)
 
 from conftest import pool_workers, sample_sources, serial_lagrange_resample
 
@@ -102,8 +102,17 @@ def _layouts(x):
             padded[:, 3:3 + x.shape[0]].T]
 
 
+def _scored(pairs):
+    """`score_images` of (reference, estimate) pairs spread over three
+    devices, so over three tasks, as a list in pair order."""
+    keys = [(f"d{i % 3}", f"s{i}") for i in range(len(pairs))]
+    return list(score_images({key: r for key, (r, _) in zip(keys, pairs)},
+                             {key: e for key, (_, e) in zip(keys, pairs)}
+                             ).values())
+
+
 class TestScoredPairs:
-    """`_sdr_pairs`: every pair one task on the pool."""
+    """`score_images` of many pairs, scored on the pool by device."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_equals_the_chunked_sums_for_every_layout(self, workers):
@@ -119,22 +128,22 @@ class TestScoredPairs:
         pairs = [(r, e) for r in _layouts(ref) for e in _layouts(est)]
         pairs.append((ref[:, :1], est[:, 1:2]))
         with pool_workers(workers):
-            got = _sdr_pairs([(sig(r), sig(e)) for r, e in pairs])
+            got = _scored([(sig(r), sig(e)) for r, e in pairs])
         assert got == [_chunked(r, e) for r, e in pairs]
         assert len(set(got[:-1])) == 1  # the layout does not matter
         assert got[0] == sdr(sig(ref), sig(est))
 
     def test_exact_estimate_and_empty_list(self, rng):
         x = rng.standard_normal((10, 2))
-        assert _sdr_pairs([(sig(x), sig(x))]) == [math.inf]
-        assert _sdr_pairs([]) == []
+        assert _scored([(sig(x), sig(x))]) == [math.inf]
+        assert _scored([]) == []
 
     def test_first_zero_reference_is_reported(self, rng):
         x = rng.standard_normal((10, 1))
         with pytest.raises(ValueError, match="all-zero reference"):
-            _sdr_pairs([(sig(x), sig(x)), (sig(0 * x), sig(x))])
+            _scored([(sig(x), sig(x)), (sig(0 * x), sig(x))])
         with pytest.raises(ValueError, match="shapes differ"):
-            _sdr_pairs([(sig(0 * x), sig(x)), (sig(x), sig(x[:5]))])
+            _scored([(sig(0 * x), sig(x)), (sig(x), sig(x[:5]))])
 
 
 class TestAtDeviceClock:
@@ -284,8 +293,8 @@ class TestSpanScores:
         want = score_images(refs, {key: sig(est[:, :n].T)
                                    for key, est in ests.items()})
         assert scores.scores() == want
-        assert list(want.values()) == _sdr_pairs(
-            [(refs[key], sig(est[:, :n].T)) for key, est in ests.items()])
+        assert list(want.values()) == [
+            sdr(refs[key], sig(est[:, :n].T)) for key, est in ests.items()]
 
     def test_recordings_fed_as_every_estimate(self, rng):
         n = metrics._CHUNK + 10

@@ -523,8 +523,8 @@ class TestPooled:
 
 
 class TestTrainingTasks:
-    """Two passes of (group, source, block of frames) tasks on the pool,
-    from tensors, arrays or WAV files."""
+    """One task per (group, source) on the pool, each of two passes over
+    its blocks of frames, from tensors, arrays or WAV files."""
 
     WIN = WindowSpec(256, 64)  # 129 bins
     N = 2000  # samples: 37 frames, three blocks of 16
@@ -566,11 +566,17 @@ class TestTrainingTasks:
     @pytest.mark.parametrize("path", ["tensor", "array"])
     def test_non_finite_image_refused(self, tmp_path, path, pooled):
         # one NaN sample gave non-finite spectra, and every bin of its
-        # image fell back, with no error; the merged entry names the device
+        # image fell back, with no error; the merged entry names the
+        # device.  Of two, the first in (group, source) order is named:
+        # b/s2 before c/s1 by device, and c/s1 first in the merged group
         signals = self._signals(0)
         signals[("b", "s2")][100, 1] = np.nan
-        with pytest.raises(NumericalError, match="training image b/s2$"):
-            self._train(path, signals, tmp_path, 1, pooled, None)
+        signals[("c", "s1")][1500, 2] = np.nan
+        first = "c/s1" if pooled else "b/s2"
+        for workers in (1, 3):
+            with pytest.raises(NumericalError,
+                               match=f"training image {first}$"):
+                self._train(path, signals, tmp_path, workers, pooled, None)
 
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -583,8 +589,10 @@ class TestTrainingTasks:
         assert (want_s.merged is not None) == pooled
         assert list(want_s.fallback_bins) == [("c", "s2")]
         for path in ("tensor", "array", "wav"):
-            for workers, block in ((1, None), (3, None), (1, 1), (3, 1),
-                                   (1, 2), (3, 2), (1, 10**6), (3, 10**6)):
+            # 7 workers: more than the (group, source) pairs
+            for workers, block in ((1, None), (3, None), (7, None), (1, 1),
+                                   (3, 1), (1, 2), (3, 2), (7, 2),
+                                   (1, 10**6), (3, 10**6)):
                 got_s, got_t = self._train(path, signals, tmp_path,
                                            workers, pooled, block)
                 assert list(got_s.covariances) == list(want_s.covariances)
@@ -601,8 +609,8 @@ class TestTrainingTasks:
                                       want_t.noise_spectrum)
 
     def test_on_more_threads_than_cores(self, tmp_path):
-        # the threads share each (group, source)'s sums and turns; a lost
-        # or reordered add changes the bits
+        # each (group, source)'s sums are its task's alone; a lost or
+        # reordered add changes the bits
         signals = self._signals(3)
         want_s, want_t = self._train("array", signals, tmp_path, 1, True, 2)
         interval = sys.getswitchinterval()
@@ -618,8 +626,8 @@ class TestTrainingTasks:
         assert np.array_equal(got_t.ltas, want_t.ltas)
 
     def test_a_failed_task_releases_the_tasks_that_wait(self, monkeypatch):
-        # later blocks of the failed block's (group, source) wait for its
-        # turn; they return, and its error is raised
+        # a read that fails ends its (group, source)'s task; the other
+        # tasks return, and its error is raised
         real, calls, errors = dsp._TensorReader.read, [], []
 
         def failing(self, *args):
@@ -654,7 +662,7 @@ class TestTrainingTasks:
                    for k in ("s1", "s2")}
         peaks = pool_run_peaks(monkeypatch, lambda: model._train_sources(
             sources, window, include_pooled=pooled))
-        assert len(peaks) == 2  # one per pass
+        assert len(peaks) == 1  # one task per (group, source)
         # the smallest array a task could allocate: one (8, F) bool plane
         assert max(peaks) < 8 * 2049, peaks
 

@@ -1,5 +1,7 @@
 """Tests for scene synthesis, clock-offset injection and the config schema."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -384,12 +386,20 @@ class TestSceneConfig:
                                               "got 12"):
             scene_from_dict(data)
 
-    def test_unknown_signal_type_rejected_at_render(self):
-        data = self._dict()
-        data["sources"][0]["signal"] = {"type": "warble"}
-        spec = scene_from_dict(data)
-        with pytest.raises(ConfigError, match="unknown source signal"):
-            synthesize_scene(spec, 0)
+    def test_unknown_signal_type_rejected_at_parse(self, tmp_path):
+        # refused when parsed, before any source renders, naming the
+        # source and, from a file, the file
+        p = tmp_path / "scene.yaml"
+        for signal in ({"type": "warble"}, {"level": 0.1}):
+            data = self._dict()
+            data["sources"][0]["signal"] = signal
+            with pytest.raises(ConfigError, match="^source 's1': unknown "
+                                                  "source signal type"):
+                scene_from_dict(data)
+            p.write_text(yaml.safe_dump(data))
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{p}: source 's1': unknown source signal type")):
+                load_scene(p)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -2,7 +2,8 @@
 
 Every stage with numeric work splits it into tasks on this pool:
   * scene synthesis: one task per source rendering, one per (array,
-    source) image and one per array's mixture;
+    source) image that `synthesize_scene` reads whole, and one per
+    array's mixture, which reads its images a chunk at a time;
   * the STFT and the iSTFT: one task per run of frames of every
     channel, about 64 channel frames (`dsp._chunk`);
   * training: one task per (devices read together, source), which

@@ -18,7 +18,9 @@ reader, `istft` writes through a writer, and the streamed pass of
 ends each have one helper too.
 
 Every fractional delay and clock resampling interpolates with one
-Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.  One
+Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.  A
+constant delay (`_Delay`) forms its weights once and renders any span of
+the delayed signal on its own, bit for bit as the whole.  One
 sample source, `_Clock`, reads sources at a device's clock a span at a
 time; `lagrange_resample`, `metrics.at_device_clock` and the scoring of
 `asyncsep evaluate` and `run_experiment` all read through it.
@@ -357,6 +359,14 @@ class _Samples:
         np.copyto(dst, samples[..., :dst.shape[-1]])
 
 
+class _Discard:
+    """Destination of a `_Writer` row that is not kept; a writer need not
+    synthesize a row that only goes here."""
+
+    def write(self, start: int, samples) -> None:
+        pass
+
+
 class _Writer:
     """Weighted overlap-add of frame blocks into signals, in frame order.
 
@@ -540,7 +550,9 @@ class _Clock:
 
     def scratch(self, rows: int) -> np.ndarray:
         """The raw scratch of `read` for up to `rows` samples: 8 bytes per
-        float of its planes and window, then per sample a source reads."""
+        float of its planes and window, then per sample a source reads 8
+        per channel, and at least 16 (what `scene._ImageSource` renders
+        a span in)."""
         floats, width, C = 0, rows, self.channels
         if self.ratio is not None:
             # a span's stencils start at most (rows - 1) * ratio + 1
@@ -548,7 +560,7 @@ class _Clock:
             width = min(math.ceil((rows - 1) * self.ratio) + _ORDER + 3,
                         self.n_samples + _ORDER + 1)
             floats = (2 * _ORDER + 6 + C) * rows + C * width
-        widest = max(s.channels for s in self.sources)
+        widest = max(2, *(s.channels for s in self.sources))
         return np.empty(floats + widest * width).view(np.uint8)
 
     def read(self, start: int, stop: int, raw, out) -> None:
@@ -626,8 +638,8 @@ def fractional_delay(samples: np.ndarray, delay: float) -> np.ndarray:
     A constant delay puts every output sample at the same abscissa within
     its stencil, so this is a fixed (_ORDER + 1)-tap Lagrange
     fractional-delay FIR: the stencil and weights of
-    :func:`lagrange_resample`, computed once.  Output length equals input
-    length; the first floor(delay) samples are exactly zero.
+    :func:`lagrange_resample`, computed once (`_Delay`).  Output length
+    equals input length; the first floor(delay) samples are exactly zero.
     """
     if not math.isfinite(delay):
         raise ValueError(f"delay must be finite, got {delay}")
@@ -637,41 +649,46 @@ def fractional_delay(samples: np.ndarray, delay: float) -> np.ndarray:
     squeeze = x.ndim == 1
     x = _as_2d(x)
     out = np.empty_like(x)
-    _delay(x, delay, out, _delay_scratch(x.shape))
+    _Delay(delay).read(x, 0, out, np.empty_like(x))
     return out[:, 0] if squeeze else out
 
 
-def _delay_scratch(shape):
-    """Scratch of `_delay` for inputs of `shape`."""
-    return (np.empty(shape), np.empty(1), np.empty((_ORDER + 1, 1)),
-            np.empty((_ORDER + 2, 1)))
+class _Delay:
+    """A constant delay of `delay` samples, valid and nonnegative, as
+    `fractional_delay` applies it; its weights are formed once, and
+    `read` renders any span of a delayed signal."""
 
+    def __init__(self, delay: float):
+        self.delay, self.zeros = delay, math.floor(delay)
+        # output i reads x[i + first + j], j = 0.._ORDER, always at the
+        # abscissa -delay - first within its stencil
+        self.first = math.floor(-delay) - (_ORDER - 1) // 2
+        weights = _lagrange_weights(np.array([-delay - self.first]),
+                                    np.empty((_ORDER + 1, 1)),
+                                    np.empty((_ORDER + 2, 1)))
+        self.weights = weights[:, 0].tolist()
 
-def _delay(x, delay: float, out, ws) -> None:
-    """Write x delayed by `delay` samples into out, as `fractional_delay`.
+    def read(self, x, start: int, out, tap) -> None:
+        """Samples start, start + 1, ... of x delayed, into out.
 
-    x and out: (n, ...) float, with a valid, nonnegative delay; ws:
-    `_delay_scratch` of x's shape or longer.  Allocates no array.
-    """
-    if delay == 0.0:
-        np.copyto(out, x)
-        return
-    tap, t, weights, diffs = ws
-    n = x.shape[0]
-    tap = tap[:n]
-    # output i reads x[i + first + j], j = 0.._ORDER, always at the
-    # abscissa -delay - first within its stencil
-    first = math.floor(-delay) - (_ORDER - 1) // 2
-    t[0] = -delay - first
-    _lagrange_weights(t, weights, diffs)
-    out.fill(0.0)
-    for j in range(_ORDER + 1):
-        shift = first + j
-        lo, hi = max(0, -shift), min(n, n - shift)
-        if lo < hi:
-            np.multiply(x[lo + shift:hi + shift], weights[j, 0],
-                        out=tap[lo:hi])
-            out[lo:hi] += tap[lo:hi]
-    # the stencil reaches the first samples a little ahead of the
-    # delay; keep the strictly causal region exactly zero
-    out[:math.floor(delay)] = 0.0
+        x: (n, ...) float; out and tap: (r, ...) float with start + r <= n,
+        tap scratch.  Each sample is what the whole delayed signal holds
+        there, bit for bit: the taps past x's ends are skipped, and the
+        strictly causal samples are exactly zero.  Allocates no array.
+        """
+        r, n = out.shape[0], x.shape[0]
+        if self.delay == 0.0:
+            np.copyto(out, x[start:start + r])
+            return
+        out.fill(0.0)
+        for j, weight in enumerate(self.weights):
+            shift = self.first + j
+            lo = max(start, -shift) - start
+            hi = min(start + r, n - shift) - start
+            if lo < hi:
+                np.multiply(x[start + lo + shift:start + hi + shift], weight,
+                            out=tap[lo:hi])
+                out[lo:hi] += tap[lo:hi]
+        # the stencil reaches the first samples a little ahead of the
+        # delay; keep the strictly causal region exactly zero
+        out[:max(self.zeros - start, 0)] = 0.0

@@ -1,23 +1,33 @@
 """End-to-end experiment harness: synthesize, train, separate, score.
 
-A run synthesizes a test and a training scene, trains the spatial and
-state models on the training images, read a block of frames at a time
-(`model._train_sources`), separates the test mixtures under
-the requested filter variants both with and without the scene's clock
-offsets, and scores every estimated image against the ground truth at the
-device clock, without resampling any estimate.
+A run renders a test and a training scene, trains the spatial and state
+models on the training images, read a block of frames at a time
+(`model._train_sources`), separates the test mixtures under the
+requested filter variants both with and without the scene's clock
+offsets, and scores every estimated image against the ground truth at
+the device clock, without resampling any estimate.
 
-Each scene is rendered once, on the nominal clock: the images and the
-mixtures do not depend on the clock offsets, which are applied to the
-synced mixtures per variant.  Each mode runs one streamed pass from the
-recordings (`separator._separate_sources`) whose destinations score
-each finished span of an image as the pass writes it (`metrics._Scores`)
-against the same span of its truth image, read through the device's
-clock (`dsp._Clock`), and discard the noise images.  So no spectrogram,
-no image signal and no resampled truth image is held.  The unprocessed
-scores are made span by span through the first mode's destinations, fed
-the recordings' spans with the estimates'.  The scores equal
-`score_images(at_device_clock(truth, offsets), images)` of the held image
+Each scene is rendered once, on the nominal clock, and held as sample
+sources: its source signals, whole, and one `scene._ImageSource` per
+(array, source) image, which renders any span of that image from them.
+Training reads the training scene's images through them; its mixtures
+are never made.  The test scene's mixtures do not depend on the clock
+offsets: they are rendered once, synced and channel-major
+(`scene._mixtures`), and each variant resamples them.  Each mode runs
+one streamed pass from the recordings (`separator._separate_sources`)
+whose destinations score each finished span of an image as the pass
+writes it (`metrics._Scores`) against the same span of its truth image,
+rendered and read through the device's clock (`dsp._Clock`), and
+discard the noise images, which the pass then does not synthesize.  The
+unprocessed scores are made span by span through the first mode's
+destinations, fed the recordings' spans with the estimates'.
+
+So a run holds, of the test scene, the source signals, the synced
+mixtures and the resampled `sro` recordings: 8 bytes per sample for
+each source, for each channel and for each channel of a device with a
+clock offset (104 bytes per sample on the demo).  No spectrogram, no
+image signal and no resampled truth image is held.  The scores equal
+`score_images(at_device_clock(truth, offsets), images)` of whole image
 signals bit for bit.
 """
 
@@ -28,14 +38,13 @@ import json
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _kernels
 from .dsp import (SampledSignal, WindowSpec, _ArraySource, _span,
                   lagrange_resample)
 from .metrics import _finite_mean, _Scores
 from .model import _train_sources
-from .scene import SceneSpec, check_seed, scene_to_dict, synthesize_scene
+from .scene import (SceneSpec, _image_sources, _mixtures, check_seed,
+                    scene_to_dict)
 from .separator import MODES, _separate_sources
 
 __all__ = ["ExperimentReport", "run_experiment", "format_report"]
@@ -86,21 +95,6 @@ def _digest(scene: SceneSpec, train_scene: SceneSpec, seed: int,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _channel_major(signal: SampledSignal) -> SampledSignal:
-    """signal with its samples copied into a channel-major buffer."""
-    return SampledSignal(np.ascontiguousarray(signal.samples.T).T,
-                         signal.rate_hz)
-
-
-def _zero_sro(spec: SceneSpec) -> SceneSpec:
-    import copy
-
-    out = copy.deepcopy(spec)
-    for arr in out.arrays:
-        arr.sro_hz = 0.0
-    return out
-
-
 def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
                    modes=("tv-distributed",), seed: int = 0,
                    window: WindowSpec | None = None,
@@ -125,28 +119,20 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         seed=seed)
 
     t0 = time.perf_counter()
-    train_images = synthesize_scene(_zero_sro(train_scene), seed + 1)[0]
     spatial, states = _train_sources(
-        {key: _ArraySource(sig.samples)
-         for key, sig in train_images.images.items()}, window,
+        _image_sources(train_scene, seed + 1), window,
         noise_gain=noise_gain, include_pooled="static-pooled" in modes)
-    del train_images  # not held through the test scene
     report.runtime_s["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # the mixture noise seeds do not depend on the clock offsets, so each
     # variant's recordings are these synced mixtures resampled
-    test_images, synced = synthesize_scene(_zero_sro(scene), seed)
+    images = _image_sources(scene, seed)
+    synced = {arr.id: SampledSignal(mix.T, scene.rate_hz) for arr, mix in
+              zip(scene.arrays, _mixtures(scene, seed, images))}
     report.runtime_s["synthesize"] = time.perf_counter() - t0
-    # held channel-major, one signal copied at a time, as the pass reads
-    # the recordings and the scoring reads the truth by channel
-    images = test_images.images
-    del test_images
-    truth = {key: (_ArraySource(_channel_major(images.pop(key)).samples),
-                   scene.rate_hz) for arr in scene.arrays
-             for key in list(images) if key[0] == arr.id}  # as scored
-    for m in synced:
-        synced[m] = _channel_major(synced[m].signal)
+    truth = {(arr.id, src.id): (images[(arr.id, src.id)], scene.rate_hz)
+             for arr in scene.arrays for src in scene.sources}  # as scored
 
     rows = _span(window, _kernels._BLOCK)  # the longest write: a last block
     for i, variant in enumerate(variants):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import _pool
-from .dsp import SampledSignal, _ArraySource, _Clock, _resampled
+from .dsp import SampledSignal, _ArraySource, _Clock, _Discard, _resampled
 from .errors import NumericalError
 
 __all__ = ["sdr", "at_device_clock", "score_images"]
@@ -223,24 +223,19 @@ class _ImageScore:
         self.written += k
 
 
-class _Discard:
-    """Destination of an image signal that is not scored."""
-
-    def write(self, start: int, samples) -> None:
-        pass
-
-
 class _Scores:
     """Scores of image signals written span by span against the truth at
     each device's clock.
 
     truth: (device, source) -> (sample source, rate) of the truth image
-    (`dsp._ArraySource`, `audio.WavSource`); sro_hz: device -> clock
-    offset in Hz; rows: the most samples a span holds; recordings:
-    device -> (n, C) samples, whose spans each destination also scores,
-    as the unprocessed estimates (`scores(unprocessed=True)`), or None.
+    (`dsp._ArraySource`, `audio.WavSource`, `scene._ImageSource`);
+    sro_hz: device -> clock offset in Hz; rows: the most samples a span
+    holds; recordings: device -> (n, C) samples, whose spans each
+    destination also scores, as the unprocessed estimates
+    (`scores(unprocessed=True)`), or None.
     `destination(m, k)` takes the estimate of image (m, k), for
-    `separator`'s streamed pass (a key not in truth is discarded), and
+    `separator`'s streamed pass (a key not in truth goes to a
+    `dsp._Discard`, which the pass need not synthesize), and
     `feed` reads every image's estimate from a sample source.  Each
     (device, length, rate) group is read through one clock (`_Spans`).
     `scores()` equals `score_images(at_device_clock(truth, sro_hz),

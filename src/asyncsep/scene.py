@@ -6,6 +6,15 @@ sample-clock offsets.  Synthesis renders every source image exactly, mixes
 them with seeded white noise, and finally resamples each array by its own
 clock offset, so the ground-truth images stay on the nominal clock.
 
+One renderer serves every caller.  The source signals are rendered
+whole (`_image_sources`); each (array, source) image is a sample source
+over its signal (`_ImageSource`) that renders any span of the image on
+its own, and each array's mixture adds its images' spans in source order
+and then draws its noise, a chunk at a time (`_mixtures`).
+`synthesize_scene` reads every image whole and mixes those;
+`run_experiment` holds only the sources, reads the images span by span
+and mixes them without ever holding one whole.
+
 Scene files are YAML::
 
     version: 1
@@ -43,7 +52,7 @@ import yaml
 
 from . import _pool
 from .audio import read_wav
-from .dsp import SampledSignal, _delay, _delay_scratch, lagrange_resample
+from .dsp import SampledSignal, _ArraySource, _Delay, lagrange_resample
 from .errors import ConfigError
 from .model import SpatialModel
 
@@ -60,6 +69,8 @@ __all__ = [
     "scene_to_dict",
     "synthesize_scene",
 ]
+
+_CHUNK = 16384  # samples of one chunk of a mixture (`_mix_into`)
 
 
 @dataclass
@@ -477,35 +488,116 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def _render_image(source_sig: np.ndarray, taps: list[ChannelCoupling],
-                  out: np.ndarray, ws) -> None:
-    """Write one (array, source) image into out, (n, channels).
+class _ImageSource:
+    """One (array, source) image as a sample source (`dsp._ArraySource`'s
+    read(start, stop, raw, out)), rendered span by span from its source
+    signal, (n,).
 
     Channel c is the source delayed by its direct path times its gain,
     plus each echo's delayed source times that echo's gain, in tap order.
-    ws: `dsp._delay_scratch` of the source's shape, plus one such signal.
+    Every tap's weights are formed once, here (`dsp._Delay`), and a span
+    holds what the whole image holds there, bit for bit.
     """
-    delayed, scratch = ws
-    for c, tap in enumerate(taps):
-        y = out[:, c]
-        _delay(source_sig, tap.delay, delayed, scratch)
-        np.multiply(delayed, tap.gain, out=y)
-        for echo in tap.echoes:
-            _delay(source_sig, echo.delay, delayed, scratch)
-            delayed *= echo.gain
-            y += delayed
+
+    def __init__(self, signal: np.ndarray, taps: list[ChannelCoupling]):
+        self.signal = signal
+        self.n_samples, self.channels = signal.shape[0], len(taps)
+        self.taps = [[(t.gain, _Delay(t.delay))]
+                     + [(e.gain, _Delay(e.delay)) for e in t.echoes]
+                     for t in taps]
+
+    def read(self, start: int, stop: int, raw, out) -> None:
+        """Samples start:stop into out, (C, stop - start) float, rendered
+        in raw, scratch of 16 bytes or more: raw.nbytes // 16 samples at a
+        time, the whole span when raw holds 16 bytes per sample.
+        Allocates no array."""
+        floats = raw[:raw.nbytes // 16 * 16].view(np.float64)
+        piece = max(floats.shape[0] // 2, 1)
+        for a in range(start, stop, piece):
+            b = min(a + piece, stop)
+            delayed, tap = floats[:b - a], floats[piece:piece + b - a]
+            for y, taps in zip(out[:, a - start:b - start], self.taps):
+                for i, (gain, delay) in enumerate(taps):
+                    delay.read(self.signal, a, delayed, tap)
+                    if not i:
+                        np.multiply(delayed, gain, out=y)
+                    else:
+                        delayed *= gain
+                        y += delayed
 
 
-def _mix(total: np.ndarray, parts, noise_level: float, rng, noise) -> None:
-    """Add the parts and, at a positive level, seeded white noise to
-    total, zeros of their shape; noise: float scratch of that size."""
-    for part in parts:
-        total += part
-    if noise_level > 0:
-        z = noise[:total.size].reshape(total.shape)
-        rng.standard_normal(out=z)
-        z *= noise_level
-        total += z
+def _mix_into(out, parts, noise_level: float, rng, ws) -> None:
+    """One array's mixture into out, (C, n) float, a chunk of up to
+    `_CHUNK` samples at a time: its images' samples, read from parts,
+    their sample sources, added in order to zeros, then at a positive
+    level its seeded white noise, drawn in sample order (channels
+    fastest), times the level.  So the samples do not depend on the chunk
+    size.  ws: `_mix_scratch`.  Allocates no array."""
+    C, n = out.shape
+    span, raw, noise = ws
+    for s0 in range(0, n, _CHUNK):
+        s1 = min(s0 + _CHUNK, n)
+        total, part_span = out[:, s0:s1], span[:C, :s1 - s0]
+        total.fill(0.0)
+        for part in parts:
+            part.read(s0, s1, raw, part_span)
+            total += part_span
+        if noise_level > 0:
+            z = noise[:(s1 - s0) * C].reshape(s1 - s0, C)
+            rng.standard_normal(out=z)
+            z *= noise_level
+            total += z.T
+
+
+def _mix_scratch(channels: int, n: int):
+    """The scratch of `_mix_into` for arrays of up to `channels` channels
+    and n samples."""
+    rows = min(_CHUNK, n)
+    return (np.empty((channels, rows)), np.empty(2 * rows).view(np.uint8),
+            np.empty(channels * rows))
+
+
+def _image_sources(spec: SceneSpec, seed: int) -> dict:
+    """Every (array, source) image of a scene as an `_ImageSource`, keyed
+    (array id, source id) in source order, then array order.
+
+    The source signals are rendered whole, one task per source on the
+    thread pool (`_pool`), each from its own random stream, so they do
+    not depend on the thread count; the image sources hold them.
+    """
+    n, rate = spec.n_samples, spec.rate_hz
+    signals = np.empty((len(spec.sources), n))
+    rngs = [np.random.default_rng([seed, 101, idx])
+            for idx in range(len(spec.sources))]
+    freqs = _bin_freqs(n, rate)
+    _pool.run(range(len(spec.sources)),
+              lambda idx, ws: _render_into(spec.sources[idx].signal, n, rate,
+                                           rngs[idx], freqs, signals[idx],
+                                           ws),
+              lambda: _RenderScratch(n))
+    return {(arr.id, src.id): _ImageSource(sig, src.coupling[arr.id])
+            for src, sig in zip(spec.sources, signals)
+            for arr in spec.arrays}
+
+
+def _mixtures(spec: SceneSpec, seed: int, images: dict) -> list:
+    """Every array's mixture of the images, sample sources keyed as
+    `_image_sources` keys them, with its noise, as a (C, n) channel-major
+    array, in array order; one task per array on the pool (`_mix_into`),
+    each drawing its noise from its own stream."""
+    n = spec.n_samples
+    mixes = [np.empty((arr.channels, n)) for arr in spec.arrays]
+    rngs = [np.random.default_rng(_child_seed(seed, 202, a_idx))
+            for a_idx in range(len(spec.arrays))]
+    _pool.run(range(len(spec.arrays)),
+              lambda a_idx, ws: _mix_into(
+                  mixes[a_idx],
+                  [images[(spec.arrays[a_idx].id, src.id)]
+                   for src in spec.sources],
+                  spec.noise_level, rngs[a_idx], ws),
+              lambda: _mix_scratch(
+                  max((a.channels for a in spec.arrays), default=0), n))
+    return mixes
 
 
 def _physical_memory() -> int | None:
@@ -519,9 +611,11 @@ def _physical_memory() -> int | None:
 def synthesis_bytes(spec: SceneSpec) -> int:
     """The float64 samples `synthesize_scene` holds at once, in bytes.
 
-    Every source signal, every (array, source) image and every recording,
+    Every source signal, every (array, source) image and every mixture,
     plus one more recording per array for its clock resampling.  Working
-    buffers come on top, so this is a lower bound.
+    buffers come on top, so this is a lower bound.  `run_experiment`
+    holds less of a scene: its sources, mixtures and resampled
+    recordings, but no image (see the `experiment` module).
     """
     channels = sum(a.channels for a in spec.arrays)
     n_src = len(spec.sources)
@@ -545,11 +639,13 @@ def synthesize_scene(spec: SceneSpec, seed: int
     and so does a negative seed.
 
     Three rounds of tasks run on the thread pool (`_pool`): one per source
-    rendering, each from its own random stream; one per (array, source)
-    image, whose delayed taps go through its thread's scratch; and one per
-    array's mixture.  The calling thread allocates every source signal,
+    rendering, each from its own random stream (`_image_sources`); one
+    per (array, source) image, which reads its `_ImageSource` whole in
+    its thread's scratch; and one per array's mixture of those images
+    (`_mixtures`).  The calling thread allocates every source signal,
     image and mixture first, so the samples do not depend on the thread
-    count.
+    count.  Images and recordings are (n, C) views of channel-major
+    buffers.
     """
     check_seed(seed)
     need, have = synthesis_bytes(spec), _physical_memory()
@@ -558,47 +654,22 @@ def synthesize_scene(spec: SceneSpec, seed: int
             f"the scene needs at least {need / 2**30:.3g} GiB of samples "
             f"({spec.duration_s:g} s at {spec.rate_hz:g} Hz), more than the "
             f"{have / 2**30:.3g} GiB of physical memory")
-    n = spec.n_samples
-    rate = spec.rate_hz
-
-    # each source draws from its own stream, so it renders alone
-    signals = np.empty((len(spec.sources), n))
-    rngs = [np.random.default_rng([seed, 101, idx])
-            for idx in range(len(spec.sources))]
-    freqs = _bin_freqs(n, rate)
-    _pool.run(range(len(spec.sources)),
-              lambda idx, ws: _render_into(spec.sources[idx].signal, n, rate,
-                                           rngs[idx], freqs, signals[idx],
-                                           ws),
-              lambda: _RenderScratch(n))
-
-    images, tasks = {}, []
-    for src, sig in zip(spec.sources, signals):
-        for arr in spec.arrays:
-            out = np.empty((n, arr.channels))
-            images[(arr.id, src.id)] = SampledSignal(out, rate)
-            tasks.append((sig, src.coupling[arr.id], out))
-    _pool.run(tasks, lambda task, ws: _render_image(*task, ws),
-              lambda: (np.empty(n), _delay_scratch((n,))))
-    image_set = SourceImageSet(images)
-
-    mixes = [np.zeros((n, arr.channels)) for arr in spec.arrays]
-    rngs = [np.random.default_rng(_child_seed(seed, 202, a_idx))
-            for a_idx in range(len(spec.arrays))]
-    width = max((arr.channels for arr in spec.arrays), default=0)
-    _pool.run(range(len(spec.arrays)),
-              lambda a_idx, noise: _mix(
-                  mixes[a_idx],
-                  [images[(spec.arrays[a_idx].id, src.id)].samples
-                   for src in spec.sources],
-                  spec.noise_level, rngs[a_idx], noise),
-              lambda: np.empty(n * width))
+    n, rate = spec.n_samples, spec.rate_hz
+    sources = _image_sources(spec, seed)
+    images = {key: np.empty((src.channels, n))
+              for key, src in sources.items()}
+    _pool.run(list(images),
+              lambda key, raw: sources[key].read(0, n, raw, images[key]),
+              lambda: np.empty(2 * n).view(np.uint8))
+    mixes = _mixtures(spec, seed, {key: _ArraySource(x.T)
+                                   for key, x in images.items()})
 
     recordings = {}
     for arr, total in zip(spec.arrays, mixes):
-        signal = SampledSignal(total, rate)
+        signal = SampledSignal(total.T, rate)
         if arr.sro_hz:  # all channels of a device share its one clock
             signal = lagrange_resample(signal, arr.sro_hz)
         recordings[arr.id] = MultichannelRecording(signal, arr.id,
                                                    arr.sro_hz)
-    return image_set, recordings
+    return SourceImageSet({key: SampledSignal(x.T, rate)
+                           for key, x in images.items()}), recordings

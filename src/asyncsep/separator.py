@@ -43,7 +43,8 @@ order, so the image signals equal `istft` of `separate`'s images bit
 for bit.  `separate_recordings` streams from arrays into arrays; `asyncsep
 separate` streams from WAV files into WAV files, and its posteriors into
 a `.npy` file, so it holds a fixed number of blocks whatever the length;
-`run_experiment` streams from arrays into scores (`metrics._Scores`).
+`run_experiment` streams from arrays into scores (`metrics._Scores`),
+and synthesizes no noise image, which it does not score.
 """
 
 from __future__ import annotations
@@ -105,13 +106,21 @@ class _Spectra:
 
 
 class _ImageWriter(dsp._Writer):
-    """Sink of the streamed pass: a `dsp._Writer` of one filter's (K+1, C)
-    image signals, which synthesizes a block's images from its thread's
-    image planes."""
+    """Sink of the streamed pass: a `dsp._Writer` of the first `rows` of
+    one filter's (K+1, C) image signals, which synthesizes them from a
+    block's images in its thread's image planes.  The rows past them, the
+    noise image where every destination discards it, are not synthesized;
+    the image-sum check still reads all K+1 planes."""
+
+    def __init__(self, images: int, rows: int, channels: int, *args):
+        super().__init__((rows, channels), *args)
+        self.images = images
 
     def planes(self, n0, n1, ws):
-        K1, C = self.buf.shape[:2]
-        return ws.img[:K1, :C, :n1 - n0]
+        return ws.img[:self.images, :self.buf.shape[1], :n1 - n0]
+
+    def put(self, n0, n1, planes, scratch):
+        super().put(n0, n1, planes[:self.buf.shape[0]], scratch)
 
 
 class _ImageParts:
@@ -497,7 +506,8 @@ def _separate_sources(sources: dict, window: WindowSpec,
     signal, an object with write(start, samples) (`dsp._Samples`,
     `audio.WavSink`, `metrics._ImageScore`), called for every image,
     noise included, in the order of `separate`'s images, once the
-    sources are checked.  Checks
+    sources are checked; a filter whose noise images all go to a
+    `dsp._Discard` does not synthesize them (`_ImageWriter`).  Checks
     and errors as for `separate_recordings`, whose inputs are checked
     before any destination is made.  Returns the worst image-sum
     deviation per filter.
@@ -527,7 +537,9 @@ def _separate_sources(sources: dict, window: WindowSpec,
             hi = lo + spatial.channels(m)
             parts += [(k, lo, hi, image(m, sid)) for k, sid in enumerate(ids)]
             lo = hi
-        return _ImageWriter((K + 1, C), N, window, _kernels._BLOCK,
+        parts = [p for p in parts if not isinstance(p[3], dsp._Discard)]
+        rows = K + 1 if any(p[0] == K for p in parts) else K
+        return _ImageWriter(K + 1, rows, C, N, window, _kernels._BLOCK,
                             _ImageParts(parts))
 
     units = _units(readers, spatial, states, mode, posteriors, sink)

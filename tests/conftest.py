@@ -31,6 +31,20 @@ def render_source_signal(descriptor: dict, n: int, rate: float,
     return out
 
 
+def whole_mix(total: np.ndarray, parts, noise_level: float, rng,
+              noise) -> None:
+    """Add the whole images, parts, and, at a positive level, seeded white
+    noise to total, zeros of their shape; noise: float scratch of that
+    size.  The reference for the chunked mixtures of `scene._mix_into`."""
+    for part in parts:
+        total += part
+    if noise_level > 0:
+        z = noise[:total.size].reshape(total.shape)
+        rng.standard_normal(out=z)
+        z *= noise_level
+        total += z
+
+
 @contextlib.contextmanager
 def pool_workers(n):
     """Run the block with `_pool.worker_count` patched to n."""
@@ -45,11 +59,13 @@ def pool_workers(n):
 def pool_run_peaks(monkeypatch, call):
     """Traced allocation peak of every `_pool.run` that call() makes.
 
-    Every task runs on the calling thread, where tracemalloc and numpy's
-    buffer size hold; the iterator buffers, which are not arrays, shrink
-    to 16 elements.  The one workspace is built before tracing starts, so
-    a peak counts only what the tasks allocate.  Returns the peaks in
-    call order, in bytes.
+    call() runs twice, on one worker thread: once untraced, so that
+    numpy's one-time growth of its dispatch caches does not count, then
+    measured.  Every task runs on the calling thread, where tracemalloc
+    and numpy's buffer size hold; the iterator buffers, which are not
+    arrays, shrink to 16 elements.  The one workspace is built before
+    tracing starts, so a peak counts only what the tasks allocate.
+    Returns the peaks of the measured call, in call order, in bytes.
     """
     peaks = []
     real_run = _pool.run
@@ -65,11 +81,12 @@ def pool_run_peaks(monkeypatch, call):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(_pool, "run", measured)
     monkeypatch.setattr(_pool, "worker_count", lambda: 1)
     bufsize = np.getbufsize()
     np.setbufsize(16)
     try:
+        call()
+        monkeypatch.setattr(_pool, "run", measured)
         call()
     finally:
         np.setbufsize(bufsize)

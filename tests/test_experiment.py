@@ -1,5 +1,6 @@
 """Tests for the end-to-end experiment harness."""
 
+import copy
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from asyncsep import _pool
 from asyncsep.demo import demo_scene, demo_train_scene
 from asyncsep.dsp import WindowSpec, istft, lagrange_resample, stft
 from asyncsep.errors import ConfigError
-from asyncsep.experiment import _zero_sro, format_report, run_experiment
+from asyncsep.experiment import format_report, run_experiment
 from asyncsep.metrics import _Scores, at_device_clock, score_images
 from asyncsep.model import _train_sources, train_models
 from asyncsep.separator import MODES, _separate_sources, separate
@@ -19,6 +20,8 @@ from asyncsep.scene import (
     ChannelCoupling,
     SceneSpec,
     SourceSpec,
+    _image_sources,
+    _mixtures,
     scene_to_dict,
     synthesize_scene,
 )
@@ -43,6 +46,14 @@ def tiny_scene(duration=1.5, sro=(0.25, -0.25)):
 
 
 WIN = WindowSpec(1024, 256)
+
+
+def _zero_sro(spec: SceneSpec) -> SceneSpec:
+    """spec with every clock offset 0."""
+    out = copy.deepcopy(spec)
+    for arr in out.arrays:
+        arr.sro_hz = 0.0
+    return out
 
 
 def test_report_is_deterministic():
@@ -131,26 +142,33 @@ def test_unknown_variant_rejected_before_training(monkeypatch):
     # "sync" was run as the synced variant, under its own key
     import asyncsep.experiment as experiment
 
-    monkeypatch.setattr(experiment, "synthesize_scene", None)  # not reached
+    monkeypatch.setattr(experiment, "_image_sources", None)  # not reached
     with pytest.raises(ValueError, match="unknown variant 'sync'"):
         run_experiment(tiny_scene(), tiny_scene(), variants=("sync",), seed=0)
 
 
 def test_each_scene_is_rendered_once(monkeypatch):
+    # and only the test scene is mixed
     import asyncsep.experiment as experiment
 
-    renders = []
+    renders, mixes = [], []
 
-    def counting(spec, seed, *args, **kwargs):
+    def counting(spec, seed):
         renders.append((json.dumps(scene_to_dict(spec), sort_keys=True), seed))
-        return synthesize_scene(spec, seed, *args, **kwargs)
+        return _image_sources(spec, seed)
 
-    monkeypatch.setattr(experiment, "synthesize_scene", counting)
+    def mixing(spec, seed, images):
+        mixes.append(seed)
+        return _mixtures(spec, seed, images)
+
+    monkeypatch.setattr(experiment, "_image_sources", counting)
+    monkeypatch.setattr(experiment, "_mixtures", mixing)
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("tv-distributed",), seed=3, window=WIN,
                    variants=("sro", "synced"))
     assert len(renders) == 2
     assert len(set(renders)) == 2
+    assert mixes == [3]
 
 
 def test_negative_seed_rejected(monkeypatch):
@@ -160,7 +178,7 @@ def test_negative_seed_rejected(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("ran before the seed was checked")
 
-    monkeypatch.setattr(experiment, "synthesize_scene", never)
+    monkeypatch.setattr(experiment, "_image_sources", never)
     monkeypatch.setattr(experiment, "_train_sources", never)
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         run_experiment(tiny_scene(), tiny_scene(duration=1.0), seed=-1,
@@ -240,8 +258,8 @@ def test_report_equal_for_any_worker_count():
 
 
 def test_training_data_is_released_before_the_test_scene(monkeypatch):
-    # the training images and the sources training reads them through
-    # are not held through test synthesis and separation
+    # the training image sources, and the source signals they hold, are
+    # not held through test synthesis and separation
     import weakref
 
     held = []
@@ -253,17 +271,17 @@ def test_training_data_is_released_before_the_test_scene(monkeypatch):
     def checked_synthesis(spec, seed):
         if held:  # the test scene: training is over
             assert all(ref() is None for ref in held)
-            return synthesize_scene(spec, seed)
-        images, recordings = synthesize_scene(spec, seed)
-        held.extend(weakref.ref(sig) for sig in images.images.values())
-        return images, recordings
+            return _image_sources(spec, seed)
+        sources = _image_sources(spec, seed)
+        held.append(weakref.ref(next(iter(sources.values())).signal.base))
+        return sources
 
     monkeypatch.setattr(experiment, "_train_sources", tracked_training)
-    monkeypatch.setattr(experiment, "synthesize_scene", checked_synthesis)
+    monkeypatch.setattr(experiment, "_image_sources", checked_synthesis)
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("tv-distributed",), seed=3, window=WIN,
                    variants=("sro",))
-    assert len(held) == 8  # 2 arrays x 2 sources, a signal and a source each
+    assert len(held) == 5  # the signals, and 2 arrays x 2 sources
 
 
 def test_each_result_is_released_before_the_next_separation(monkeypatch):
@@ -289,6 +307,34 @@ def test_each_result_is_released_before_the_next_separation(monkeypatch):
                    modes=("static-local", "tv-distributed"), seed=3,
                    window=WIN, variants=("sro", "synced"))
     assert len(held) == 4 * 6  # 2 arrays x (2 sources + noise) per pass
+
+
+def test_discarded_noise_images_are_not_synthesized(monkeypatch):
+    # each filter's writer synthesizes the K source images it scores, not
+    # the noise image; separate_recordings still writes K + 1
+    import asyncsep.separator as separator
+
+    rows = []
+
+    class Recorded(separator._ImageWriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows.append(self.buf.shape[:2])
+
+    monkeypatch.setattr(separator, "_ImageWriter", Recorded)
+    run_experiment(tiny_scene(), tiny_scene(duration=1.0),
+                   modes=("static-pooled", "tv-local"), seed=3, window=WIN,
+                   variants=("sro",))
+    assert rows == [(2, 4), (2, 2), (2, 2)]  # K = 2; pooled, then a and b
+    rows.clear()
+    images, recordings = synthesize_scene(tiny_scene(), 3)
+    spatial, states = train_models(
+        {key: stft(sig, WIN) for key, sig in images.images.items()})
+    result = separator.separate_recordings(
+        {m: rec.signal for m, rec in recordings.items()}, WIN, spatial,
+        states, "tv-local")
+    assert rows == [(3, 2), (3, 2)]
+    assert len(result.images) == 6
 
 
 def test_mode_loop_memory_does_not_grow_with_length(monkeypatch):
@@ -328,3 +374,31 @@ def test_mode_loop_memory_does_not_grow_with_length(monkeypatch):
         worst[seconds] = max(peaks)
     image = 6.0 * scene.rate_hz * 2 * 8  # 6 s of a 2-channel image
     assert abs(worst[8.0] - worst[2.0]) < image, worst
+
+
+def test_run_memory_grows_by_what_it_holds():
+    # the traced peak of a whole run, on the demo with its test scene at
+    # 2 s and at 8 s: the 6 s between them may add at most what the run
+    # holds per sample (the experiment module's docstring), 8 bytes for
+    # each source, each channel and each channel with a clock offset,
+    # with 10% to spare; holding the test scene's images and their
+    # channel-major copies added about 3.6 MB per second
+    import tracemalloc
+
+    peaks = {}
+    for seconds in (2.0, 8.0):
+        scene, train = demo_scene(), demo_train_scene()
+        scene.duration_s, train.duration_s = seconds, 2.0
+        with pool_workers(1):
+            tracemalloc.start()
+            try:
+                run_experiment(scene, train, seed=2024)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    per_sample = 8 * (len(scene.sources)
+                      + sum(a.channels for a in scene.arrays)
+                      + sum(a.channels for a in scene.arrays if a.sro_hz))
+    assert per_sample == 104
+    held = 6.0 * scene.rate_hz * per_sample
+    assert peaks[8.0] - peaks[2.0] <= 1.1 * held, peaks

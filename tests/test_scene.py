@@ -1,14 +1,20 @@
 """Tests for scene synthesis, clock-offset injection and the config schema."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asyncsep import scene
 from asyncsep.demo import demo_scene
-from asyncsep.dsp import SampledSignal, fractional_delay
+from asyncsep.dsp import SampledSignal, _ArraySource, _Clock, fractional_delay
 from asyncsep.errors import ConfigError
+from asyncsep.metrics import at_device_clock
 from asyncsep.scene import (
     ArraySpec,
     ChannelCoupling,
@@ -16,7 +22,9 @@ from asyncsep.scene import (
     SceneSpec,
     SourceImageSet,
     SourceSpec,
-    _mix,
+    _ImageSource,
+    _mix_into,
+    _mix_scratch,
     load_scene,
     scene_from_dict,
     scene_to_dict,
@@ -24,7 +32,7 @@ from asyncsep.scene import (
 )
 
 from conftest import (correlation_peak_lag, pool_run_peaks, pool_workers,
-                      render_source_signal)
+                      render_source_signal, whole_mix)
 
 
 def tap(delay, gain, echoes=()):
@@ -207,6 +215,12 @@ class TestSynthesisTasks:
         # could allocate is one bool per sample
         assert len(peaks) == 3
         assert max(peaks) < spec.n_samples
+        # as `run_experiment` renders: the sources, then the mixtures of
+        # their image sources, read a chunk at a time, noise included
+        peaks = pool_run_peaks(monkeypatch, lambda: scene._mixtures(
+            spec, 1, scene._image_sources(spec, 1)))
+        assert len(peaks) == 2
+        assert max(peaks) < spec.n_samples
 
     def test_first_failing_source_is_reported(self):
         spec = short_demo(0.25)
@@ -218,13 +232,79 @@ class TestSynthesisTasks:
                     synthesize_scene(spec, 0)
 
 
+_DELAYS = st.one_of(st.just(0.0), st.integers(0, 320).map(float),
+                   st.floats(0.0, 320.0, allow_nan=False))
+_GAINS = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _image_sources(draw):
+    """An `_ImageSource` of 1-4 channels over a white source signal of
+    1-300 samples: integer, fractional and zero delays and echoes, some
+    past the signal's end; and the whole image, (C, n)."""
+    n, channels = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    taps = [ChannelCoupling(draw(_DELAYS), draw(_GAINS), [
+        EchoTap(draw(_DELAYS), draw(_GAINS))
+        for _ in range(draw(st.integers(0, 2)))]) for _ in range(channels)]
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))
+                              ).standard_normal(n)
+    whole = np.empty((channels, n))
+    _ImageSource(x, taps).read(0, n, np.empty(2 * n).view(np.uint8), whole)
+    for c, t in enumerate(taps):  # as each channel was rendered whole
+        want = t.gain * fractional_delay(x, t.delay)
+        for e in t.echoes:
+            want += e.gain * fractional_delay(x, e.delay)
+        assert np.array_equal(whole[c], want)
+    return _ImageSource(x, taps), whole
+
+
+def _spans(n: int):
+    """Spans a:b of n samples, 0 <= a <= b <= n."""
+    return st.lists(st.tuples(st.integers(0, n), st.integers(0, n)).map(
+        sorted), min_size=1, max_size=6)
+
+
+class TestImageSources:
+    """A span of an image source holds what the whole image holds there,
+    bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_image_sources(), data=st.data())
+    def test_span_reads_equal_the_whole_image(self, case, data):
+        # spans across the causal zeros and both ends, rendered in raw
+        # scratch of any size, a piece at a time
+        source, whole = case
+        for a, b in data.draw(_spans(source.n_samples)):
+            raw = np.empty(data.draw(st.integers(2, 2 * (b - a) + 3))
+                           ).view(np.uint8)
+            out = np.full((source.channels, b - a), np.nan)
+            source.read(a, b, raw, out)
+            assert np.array_equal(out, whole[:, a:b])
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_image_sources(), data=st.data(),
+           sro=st.one_of(st.just(0.0), st.floats(-3000.0, 3000.0)))
+    def test_read_through_a_clock_equals_the_moved_whole_image(
+            self, case, data, sro):
+        source, whole = case
+        want = at_device_clock({("a", "s"): SampledSignal(whole.T, 16000.0)},
+                               {"a": sro})[("a", "s")].samples.T
+        clock = _Clock([source], 16000.0, sro)
+        for a, b in data.draw(_spans(source.n_samples)):
+            out = np.full((source.channels, b - a), np.nan)
+            clock.read(a, b, clock.scratch(b - a), out)
+            assert np.array_equal(out, want[:, a:b])
+
+
 def _mixed(images: SourceImageSet, noise_level: float, seed: int):
-    """The samples `_mix` makes of every image, as a scene mixes an array."""
-    parts = [sig.samples for sig in images.images.values()]
-    total = np.zeros_like(parts[0])
-    _mix(total, parts, noise_level, np.random.default_rng(seed),
-         np.empty(total.size))
-    return total
+    """The samples `_mix_into` makes of every image, as a scene mixes an
+    array, (n, C)."""
+    parts = [_ArraySource(sig.samples) for sig in images.images.values()]
+    n, C = parts[0].samples.shape
+    total = np.empty((C, n))
+    _mix_into(total, parts, noise_level, np.random.default_rng(seed),
+              _mix_scratch(C, n))
+    return total.T
 
 
 class TestMixImages:
@@ -254,6 +334,36 @@ class TestMixImages:
         for key, sig in images.images.items():
             expected += sig.samples
         assert np.allclose(mixed, expected, rtol=0, atol=1e-15)
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 400), channels=st.integers(1, 4),
+           k=st.integers(1, 3), noise=st.sampled_from([0.0, 0.05]),
+           chunk=st.integers(1, 450), seed=st.integers(0, 2**32 - 1),
+           spans=st.booleans())
+    def test_chunks_equal_the_whole_mix(self, n, channels, k, noise, chunk,
+                                        seed, spans):
+        # read from arrays or from image sources, the mixture of chunks
+        # of any size equals the mixture of the whole images
+        rng = np.random.default_rng(seed)
+        images = [SampledSignal(rng.standard_normal((n, channels)), 16000.0)
+                  for _ in range(k)]
+        parts = [_ArraySource(sig.samples) for sig in images]
+        if spans:
+            x = rng.standard_normal(n)
+            taps = [ChannelCoupling(float(c) + 0.3, 0.5, [EchoTap(7.0, 0.25)])
+                    for c in range(channels)]
+            parts.append(_ImageSource(x, taps))
+            whole = np.empty((channels, n))
+            parts[-1].read(0, n, np.empty(2 * n).view(np.uint8), whole)
+            images.append(SampledSignal(whole.T, 16000.0))
+        want = np.zeros((n, channels))
+        whole_mix(want, [sig.samples for sig in images], noise,
+                  np.random.default_rng(seed + 1), np.empty(want.size))
+        got = np.full((channels, n), np.nan)
+        with mock.patch.object(scene, "_CHUNK", chunk):
+            _mix_into(got, parts, noise, np.random.default_rng(seed + 1),
+                      _mix_scratch(channels, n))
+        assert np.array_equal(got.T, want)
 
     def test_noise_is_seeded(self, rng):
         images = self._image_set(rng, k=1)

@@ -7,7 +7,10 @@ readers go through it: `read_wav` reads the whole data chunk, and
 does.  One writer, `WavSink`, writes a float32 WAV file a span at a time
 under the header scipy's `wavfile.write` gives the same samples, as the
 sizes are known before the first sample; `write_wav` writes through it.
-`wav_rate` is the rule of which rates such a header holds.
+`wav_rate` is the rule of which rates such a header holds.  `read_wav`
+and `WavSink` convert `dsp._SPAN` frames at a time.  No reader checks
+the samples: a non-finite float sample is refused by the pass that
+reads it (the separation pass, training's energies, the SDR sums).
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SampledSignal
+from .dsp import _SPAN, SampledSignal
 from .errors import ConfigError
 
 __all__ = ["read_wav", "write_wav"]
 
-_SPAN = 16384  # frames converted at once by `read_wav`, `WavSink` and the scan
 # (format tag, bits) -> sample type and the full scale of an integer type
 _FORMATS = {(1, 16): ("i2", 32768.0), (1, 32): ("i4", 2147483648.0),
             (3, 32): ("f4", None), (3, 64): ("f8", None)}
@@ -190,22 +192,6 @@ class WavSource:
         np.copyto(out, buf.view(h.dtype).reshape(stop - start, h.channels).T)
         if h.scale is not None:
             out /= h.scale
-
-    def all_finite(self) -> bool:
-        """Whether every sample is finite, scanned `_SPAN` samples at a
-        time; integer samples always are."""
-        if self.header.scale is not None:
-            return True
-        raw = np.empty(_SPAN * self.channels * self.header.dtype.itemsize,
-                       dtype=np.uint8)
-        out = np.empty((self.channels, _SPAN))
-        finite = np.empty(out.shape, dtype=bool)
-        for s0 in range(0, self.n_samples, _SPAN):
-            k = min(_SPAN, self.n_samples - s0)
-            self.read(s0, s0 + k, raw, out[:, :k])
-            if not np.isfinite(out[:, :k], out=finite[:, :k]).all():
-                return False
-        return True
 
     def close(self) -> None:
         if self._fd >= 0:

@@ -34,7 +34,7 @@ from . import __version__
 from .audio import WavSink, WavSource, read_header, wav_rate, write_wav
 from .classifier import PosteriorFile
 from .demo import demo_scene_path
-from .dsp import _RESAMPLE_ROWS, WindowSpec, stft_frame_count
+from .dsp import _SPAN, WindowSpec, stft_frame_count
 from .errors import ConfigError, NumericalError
 from .metrics import _finite_mean, _score, _Scores
 from .model import (SpatialModel, _train_sources, load_models, model_summary,
@@ -99,7 +99,9 @@ def _image_name(array_id: str, source_id: str) -> str:
 
 
 class _Outputs:
-    """The outputs a command makes, each removed if the command fails.
+    """The outputs a command makes, each removed if the command fails,
+    and then every directory that was missing when one was made, deepest
+    first, once it is empty.
 
     An OSError from making one, such as a directory that cannot be made
     where a file is, becomes a ConfigError naming the path; an OSError
@@ -111,8 +113,10 @@ class _Outputs:
 
     def file(self, path: Path, write) -> None:
         """Make the file at path with write(path)."""
-        self._made.append(lambda: path.unlink(missing_ok=True))
-        self._make(path, lambda: write(path))
+        try:
+            self._make(path, lambda: write(path))
+        finally:
+            self._made.append(lambda: path.unlink(missing_ok=True))
 
     def stream(self, path, open_):
         """open_(), an output at path with discard() (`WavSink`,
@@ -121,8 +125,10 @@ class _Outputs:
         self._made.append(out.discard)
         return out
 
-    @staticmethod
-    def _make(path, make):
+    def _make(self, path, make):
+        # its missing directories, removed after it, deepest first
+        missing = [d for d in Path(path).parents if not d.exists()]
+        self._made += [d.rmdir for d in reversed(missing)]
         try:
             return make()
         except OSError as exc:
@@ -200,10 +206,11 @@ def _collect_images(images_dir: Path):
 def cmd_train(args) -> int:
     """Train both models from WAV images, streamed by frame block.
 
-    The images are checked from their headers; training then scans their
-    float samples for non-finite values (exit 3) and reads blocks of
-    frames from the files (`model._train_sources`), so memory does not
-    grow with the images' length.  Nothing is written on failure.
+    The images are checked from their headers; training then reads
+    blocks of frames from the files (`model._train_sources`), so memory
+    does not grow with the images' length, and a non-finite sample is
+    found in its first pass's energies (exit 3).  Nothing is written on
+    failure.
     """
     images_dir = Path(args.images)
     if not images_dir.is_dir():
@@ -241,11 +248,11 @@ def cmd_separate(args) -> int:
     """Separate WAV recordings into WAV estimates, streamed by frame block.
 
     The recordings are checked from their headers before any output is
-    made, and their float samples scanned for non-finite values before
-    any estimate is; the pass then reads each block from the files and
-    writes each finished span of the estimates, and each block of
-    posteriors, to its file, so memory does not grow with the
-    recordings' length.  A failure removes every output made.
+    made; the pass then reads each block from the files, checks its
+    samples (a non-finite one exits 3) and writes each finished span of
+    the estimates, and each block of posteriors, to its file, so memory
+    does not grow with the recordings' length.  A failure removes every
+    output made, and the directories made for them (`_Outputs`).
     """
     spatial, states, meta = load_models(args.model)
     if args.mode == "static-pooled" and spatial.merged_covariances() is None:
@@ -367,7 +374,7 @@ def cmd_evaluate(args) -> int:
     with contextlib.ExitStack() as stack:
         enter = stack.enter_context
         images = _Scores({key: (enter(WavSource(h)), float(h.rate))
-                          for key, h in heads.items()}, sro, _RESAMPLE_ROWS)
+                          for key, h in heads.items()}, sro, _SPAN)
         images.feed({key: enter(WavSource(h)) for key, h in est_heads.items()})
     scores = {}
     for (m, k), (wav, _) in pairs.items():

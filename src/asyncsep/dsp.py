@@ -47,7 +47,7 @@ __all__ = [
 
 _CHUNK = 64  # channel frames of one `stft` or `istft` task (`_chunk`)
 _ORDER = 4  # Lagrange order of every fractional delay and clock resampling
-_RESAMPLE_ROWS = 16384  # output samples per resampling task
+_SPAN = 16384  # samples resampled, mixed or converted from WAV at once
 
 
 def _as_2d(samples) -> np.ndarray:
@@ -230,9 +230,6 @@ class _ArraySource:
         the scratch of a source that converts, is not used."""
         np.copyto(out, self.samples[start:stop].T)
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.samples).all())
-
 
 class _Reader:
     """Frame blocks of one recording, analyzed as `stft` does.
@@ -246,6 +243,8 @@ class _Reader:
     is virtual: a run reads its span of samples and zeros where the span
     passes the recording's ends, so no copy of the recording is held.
     """
+
+    holds = "samples"  # as the pass names them when they are not finite
 
     def __init__(self, source, window: WindowSpec):
         self.source, self.channels = source, source.channels
@@ -273,8 +272,9 @@ class _Reader:
                           strides=(span.strides[0], hop * span.itemsize,
                                    span.itemsize))
         frames = scratch[0, :C, :n1 - n0]
-        np.multiply(view, self.win, out=frames)
-        np.fft.rfft(frames, axis=-1, out=out)
+        with np.errstate(invalid="ignore"):  # inf gives NaN, not a warning
+            np.multiply(view, self.win, out=frames)
+            np.fft.rfft(frames, axis=-1, out=out)
 
 
 class _TensorReader:
@@ -282,7 +282,7 @@ class _TensorReader:
     `_Reader` reads a recording's; it reads no samples, so it has no
     window and takes no scratch."""
 
-    window = None
+    window, holds = None, "STFT coefficients"
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
@@ -604,15 +604,14 @@ class _Clock:
 
 def _resampled(clock: _Clock) -> np.ndarray:
     """Every sample of clock, (C, n), read as tasks on the thread pool
-    (`_pool`) of `_RESAMPLE_ROWS` samples, each in its thread's scratch,
+    (`_pool`) of `_SPAN` samples, each in its thread's scratch,
     so a sample does not depend on the thread count."""
     n = clock.n_samples
     out = np.empty((clock.channels, n))
-    _pool.run(range(0, n, _RESAMPLE_ROWS),
-              lambda r0, raw: clock.read(
-                  r0, min(r0 + _RESAMPLE_ROWS, n), raw,
-                  out[:, r0:r0 + _RESAMPLE_ROWS]),
-              lambda: clock.scratch(min(_RESAMPLE_ROWS, n)))
+    _pool.run(range(0, n, _SPAN),
+              lambda r0, raw: clock.read(r0, min(r0 + _SPAN, n), raw,
+                                         out[:, r0:r0 + _SPAN]),
+              lambda: clock.scratch(min(_SPAN, n)))
     return out
 
 

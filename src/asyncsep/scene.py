@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import _pool
+from . import _pool, dsp
 from .audio import read_wav
 from .dsp import SampledSignal, _ArraySource, _Delay, lagrange_resample
 from .errors import ConfigError
@@ -69,8 +69,6 @@ __all__ = [
     "scene_to_dict",
     "synthesize_scene",
 ]
-
-_CHUNK = 16384  # samples of one chunk of a mixture (`_mix_into`)
 
 
 @dataclass
@@ -528,15 +526,15 @@ class _ImageSource:
 
 def _mix_into(out, parts, noise_level: float, rng, ws) -> None:
     """One array's mixture into out, (C, n) float, a chunk of up to
-    `_CHUNK` samples at a time: its images' samples, read from parts,
+    `dsp._SPAN` samples at a time: its images' samples, read from parts,
     their sample sources, added in order to zeros, then at a positive
     level its seeded white noise, drawn in sample order (channels
     fastest), times the level.  So the samples do not depend on the chunk
     size.  ws: `_mix_scratch`.  Allocates no array."""
     C, n = out.shape
     span, raw, noise = ws
-    for s0 in range(0, n, _CHUNK):
-        s1 = min(s0 + _CHUNK, n)
+    for s0 in range(0, n, dsp._SPAN):
+        s1 = min(s0 + dsp._SPAN, n)
         total, part_span = out[:, s0:s1], span[:C, :s1 - s0]
         total.fill(0.0)
         for part in parts:
@@ -552,7 +550,7 @@ def _mix_into(out, parts, noise_level: float, rng, ws) -> None:
 def _mix_scratch(channels: int, n: int):
     """The scratch of `_mix_into` for arrays of up to `channels` channels
     and n samples."""
-    rows = min(_CHUNK, n)
+    rows = min(dsp._SPAN, n)
     return (np.empty((channels, rows)), np.empty(2 * rows).view(np.uint8),
             np.empty(channels * rows))
 

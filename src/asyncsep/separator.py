@@ -17,8 +17,11 @@ noise image that absorbs the diagonal loading, so the images of a tile
 always sum to the observed mixture coefficient.
 
 Separation is one fused pass per block of frames.  A block reads its
-mixture planes through one reader per device, in channel order, and for
-the tv modes sums the classifying arrays' log-likelihoods, takes the
+mixture planes through one reader per device, in channel order, and
+checks each device's planes as they are read: a non-finite value raises
+NumericalError naming the device before the block waits for anything,
+so the first such block in task order decides the error.  For the tv
+modes it then sums the classifying arrays' log-likelihoods, takes the
 softmax and forms the powers; every array's filter then factorizes its
 loaded covariance (the static modes factorize once, before the pass),
 writes the K+1 images of the block, checks that they sum to the mixture
@@ -159,6 +162,7 @@ class _Filter:
 class _Unit:
     """Devices whose frame blocks are processed together."""
 
+    devices: list[str]
     readers: list      # one per device; their channel planes, stacked
     n_frames: int
     channels: int      # of the stacked planes
@@ -220,9 +224,14 @@ def _run_block(unit: _Unit, n0: int, ws, var) -> None:
     x = ws.x[:unit.channels, :b]
     try:
         lo = 0
-        for reader in unit.readers:
-            reader.read(n0, n1, ws.t, x[lo:lo + reader.channels])
+        for m, reader in zip(unit.devices, unit.readers):
+            planes = x[lo:lo + reader.channels]
             lo += reader.channels
+            reader.read(n0, n1, ws.t, planes)
+            for plane in planes:
+                if not np.isfinite(plane, out=ws.mask[:b]).all():
+                    raise NumericalError(
+                        f"non-finite {reader.holds} in array {m!r}")
         if unit.loglik:
             ll = ws.ll[:b]
             ll.fill(0.0)
@@ -303,8 +312,8 @@ def _unit(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
         ws.p.real[:, 0] = states.ltas
         _kernels.mwf_factor(ws.p, f.Rt, *f.noise, ws.L, ws.dinv, ws)
         f.static = (ws.p, ws.L, ws.dinv)
-    return _Unit([readers[m] for m in arrays], n_frames, lo, loglik, filters,
-                 posteriors)
+    return _Unit(arrays, [readers[m] for m in arrays], n_frames, lo, loglik,
+                 filters, posteriors)
 
 
 def _units(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
@@ -370,19 +379,23 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
     return {_merged_label(f.arrays): float(np.sqrt(f.worst)) for f in filters}
 
 
+def _parts(devices: list[str], spatial: SpatialModel):
+    """(k, source id, device, lo, hi) for every image of a filter over
+    `devices`, device by device: rows lo:hi of its image k are that
+    device's channels."""
+    bounds = list(itertools.accumulate(
+        [spatial.channels(m) for m in devices], initial=0))
+    for m, lo, hi in zip(devices, bounds, bounds[1:]):
+        for k, sid in enumerate(spatial.source_ids + [NOISE_ID]):
+            yield k, sid, m, lo, hi
+
+
 def _images(units: list[_Unit], spatial: SpatialModel, image) -> dict:
     """(device, source) -> image(filter, k, device, lo, hi) for every
-    filter's devices, hi - lo their channels among the filter's."""
-    images = {}
-    for u in units:
-        for f in u.filters:
-            lo = 0
-            for m in f.arrays:
-                hi = lo + spatial.channels(m)
-                for k, sid in enumerate(spatial.source_ids + [NOISE_ID]):
-                    images[(m, sid)] = image(f, k, m, lo, hi)
-                lo = hi
-    return images
+    filter's images (`_parts`)."""
+    return {(m, sid): image(f, k, m, lo, hi)
+            for u in units for f in u.filters
+            for k, sid, m, lo, hi in _parts(f.arrays, spatial)}
 
 
 def _check_inputs(mode: str, array_ids) -> None:
@@ -408,15 +421,13 @@ def _tensor_readers(observations: dict[str, SpectrogramTensor],
                     spatial: SpatialModel) -> dict:
     """The readers of a pass over STFT tensors, by device.
 
-    Each tensor must be of an array of the model, finite and hold that
-    array's channels and the model's bins; that the frames agree is left
-    to `_unit`.
+    Each tensor must be of an array of the model and hold that array's
+    channels and the model's bins; that the frames agree is left to
+    `_unit`, and that they are finite to the pass (`_run_block`).
     """
     readers = {}
     for m, t in sorted(observations.items()):
         _check_array(m, t.channels, spatial)
-        if not np.isfinite(t.coeffs).all():
-            raise NumericalError(f"non-finite STFT coefficients in array {m!r}")
         if t.n_bins != spatial.n_bins:
             raise ValueError(
                 f"array {m!r}: {t.n_bins} bins, model expects {spatial.n_bins}")
@@ -501,16 +512,17 @@ def _separate_sources(sources: dict, window: WindowSpec,
     """The streamed pass from sample sources to image destinations.
 
     sources: device -> its (n, C) samples, a sample source of
-    `dsp._Reader` with all_finite(); posteriors: as `_unit` takes them;
-    image(device, source id) -> the destination of that image's (C, n)
-    signal, an object with write(start, samples) (`dsp._Samples`,
-    `audio.WavSink`, `metrics._ImageScore`), called for every image,
-    noise included, in the order of `separate`'s images, once the
-    sources are checked; a filter whose noise images all go to a
-    `dsp._Discard` does not synthesize them (`_ImageWriter`).  Checks
-    and errors as for `separate_recordings`, whose inputs are checked
-    before any destination is made.  Returns the worst image-sum
-    deviation per filter.
+    `dsp._Reader`; posteriors: as `_unit` takes them; image(device,
+    source id) -> the destination of that image's (C, n) signal, an
+    object with write(start, samples) (`dsp._Samples`, `audio.WavSink`,
+    `metrics._ImageScore`), called for every image, noise included, in
+    the order of `separate`'s images, once the sources' shapes are
+    checked; a filter whose noise images all go to a `dsp._Discard` does
+    not synthesize them (`_ImageWriter`).  Checks and errors as for
+    `separate_recordings`; the pass finds non-finite samples as it reads
+    them, after the destinations are made, so a caller that must leave
+    nothing behind on failure discards them.  Returns the worst
+    image-sum deviation per filter.
     """
     array_ids = sorted(sources)
     _check_inputs(mode, array_ids)
@@ -525,18 +537,13 @@ def _separate_sources(sources: dict, window: WindowSpec,
         if source.n_samples < window.length:
             raise ValueError(f"array {m!r}: {source.n_samples} samples, "
                              f"fewer than one frame ({window.length})")
-        if not source.all_finite():
-            raise NumericalError(f"non-finite samples in array {m!r}")
         readers[m] = dsp._Reader(source, window)
 
-    K, ids = spatial.n_sources, spatial.source_ids + [NOISE_ID]
+    K = spatial.n_sources
 
     def sink(devices, C, N):
-        parts, lo = [], 0
-        for m in devices:
-            hi = lo + spatial.channels(m)
-            parts += [(k, lo, hi, image(m, sid)) for k, sid in enumerate(ids)]
-            lo = hi
+        parts = [(k, lo, hi, image(m, sid))
+                 for k, sid, m, lo, hi in _parts(devices, spatial)]
         parts = [p for p in parts if not isinstance(p[3], dsp._Discard)]
         rows = K + 1 if any(p[0] == K for p in parts) else K
         return _ImageWriter(K + 1, rows, C, N, window, _kernels._BLOCK,

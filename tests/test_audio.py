@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from asyncsep import audio
+from asyncsep import audio, dsp
 from asyncsep.audio import (WavSink, WavSource, read_header, read_wav,
                             write_wav)
 from asyncsep.dsp import SampledSignal
@@ -105,15 +105,6 @@ class TestReadWav:
                 out = np.full((channels, b - a), np.nan)
                 source.read(a, b, raw, out)
                 assert np.array_equal(out, whole[a:b].T)
-            assert source.all_finite()
-
-    def test_non_finite_float_samples_found(self, tmp_path):
-        x = np.zeros((3 * audio._SPAN + 5, 2), dtype=np.float32)
-        x[-1, 1] = np.inf
-        path = tmp_path / "x.wav"
-        wavfile.write(path, 16000, x)
-        with WavSource(read_header(path)) as source:
-            assert not source.all_finite()
 
     @pytest.mark.parametrize("edit, message", [
         # the data chunk claims 8 bytes more than the file holds
@@ -219,7 +210,7 @@ class TestWavSink:
     def test_writes_allocate_no_arrays(self, tmp_path):
         import tracemalloc
 
-        x = np.random.default_rng(1).standard_normal((3, 5 * audio._SPAN))
+        x = np.random.default_rng(1).standard_normal((3, 5 * dsp._SPAN))
         sink = WavSink(tmp_path / "x.wav", 16000, 3, x.shape[1])
         bufsize = np.setbufsize(16)  # numpy's casting buffers are not arrays
         tracemalloc.start()

@@ -448,7 +448,7 @@ class TestInterpolationMatchesPerSampleOracle:
         assert np.abs(got - want).max() <= 1e-9 * np.abs(x).max()
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 3 * dsp._RESAMPLE_ROWS + 5),
+    @given(n=st.integers(1, 3 * dsp._SPAN + 5),
            # rows past the input's end at +-7000 and -14000 Hz
            offset=st.one_of(rate_offsets,
                             st.sampled_from([7000.0, -7000.0, -14000.0])),
@@ -508,8 +508,7 @@ class TestResamplingTasks:
     """The tasks' scratch."""
 
     def test_tasks_allocate_no_arrays(self, monkeypatch):
-        x = np.random.default_rng(2).standard_normal((5 * dsp._RESAMPLE_ROWS,
-                                                      8))
+        x = np.random.default_rng(2).standard_normal((5 * dsp._SPAN, 8))
         # at -0.3 Hz the last rows reach past the input
         for offset in (0.3, -0.3):
             peaks = pool_run_peaks(
@@ -518,7 +517,7 @@ class TestResamplingTasks:
             monkeypatch.undo()  # the next call measures the real pool
             # the smallest array a task could allocate: one bool per row
             assert len(peaks) == 1
-            assert peaks[0] < dsp._RESAMPLE_ROWS
+            assert peaks[0] < dsp._SPAN
 
     def test_padding_does_not_grow_with_the_reach_of_the_positions(
             self, monkeypatch):

@@ -150,7 +150,7 @@ class TestAtDeviceClock:
     """Truth moved to each device's clock, one resampling per group."""
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 2 * dsp._RESAMPLE_ROWS),
+    @given(n=st.integers(1, 2 * dsp._SPAN),
            widths=st.lists(st.integers(1, 3), min_size=1, max_size=4),
            offset=st.floats(-8000.0, 8000.0, exclude_min=True,
                             exclude_max=True, allow_nan=False),

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsep import scene
+from asyncsep import dsp, scene
 from asyncsep.demo import demo_scene
 from asyncsep.dsp import SampledSignal, _ArraySource, _Clock, fractional_delay
 from asyncsep.errors import ConfigError
@@ -360,7 +360,7 @@ class TestMixImages:
         whole_mix(want, [sig.samples for sig in images], noise,
                   np.random.default_rng(seed + 1), np.empty(want.size))
         got = np.full((channels, n), np.nan)
-        with mock.patch.object(scene, "_CHUNK", chunk):
+        with mock.patch.object(dsp, "_SPAN", chunk):
             _mix_into(got, parts, noise, np.random.default_rng(seed + 1),
                       _mix_scratch(channels, n))
         assert np.array_equal(got.T, want)

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -534,7 +535,47 @@ def _corrupt(obs, value):
     return dict(obs, a1=SpectrogramTensor(bad, WIN, 16000.0))
 
 
+# a position at either end, or anywhere (taken modulo the length)
+_POSITIONS = st.one_of(st.just(0), st.just(-1), st.integers(0, 2**20))
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
 class TestNonFiniteInput:
+    """One non-finite value anywhere is refused in every mode, naming its
+    device, on one worker and on several, without a warning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(device=st.sampled_from(["a0", "a1"]), frame=_POSITIONS,
+           bin=st.integers(0, F - 1), channel=st.integers(0, 1),
+           value=_NON_FINITE, mode=st.sampled_from(MODES),
+           workers=st.sampled_from([1, 3]))
+    def test_any_coefficient(self, device, frame, bin, channel, value, mode,
+                             workers):
+        obs, spatial, states = _random_case(5, 2, 2, 2, 20)
+        bad = obs[device].coeffs.copy()
+        bad[frame % len(bad), bin, channel] = value
+        obs[device] = SpectrogramTensor(bad, WIN, 16000.0)
+        with mock.patch.object(_pool, "worker_count", lambda: workers), \
+                pytest.raises(NumericalError, match=f"^non-finite STFT "
+                              f"coefficients in array '{device}'$"):
+            separate(obs, spatial, states, mode)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(device=st.sampled_from(["a", "b", "c"]), at=_POSITIONS,
+           channel=st.integers(0, 1), value=_NON_FINITE,
+           mode=st.sampled_from(MODES), workers=st.sampled_from([1, 3]))
+    def test_any_sample(self, device, at, channel, value, mode, workers):
+        # 19 frames: two whole blocks and a part block
+        spatial, states, recs = _stream_case(0, 19)
+        x = recs[device].samples
+        x[at % len(x), channel] = value
+        with mock.patch.object(_pool, "worker_count", lambda: workers), \
+                pytest.raises(NumericalError, match=f"^non-finite samples "
+                              f"in array '{device}'$"):
+            separate_recordings(recs, STREAM_WIN, spatial, states, mode)
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_observations(self, mode, value):

@@ -359,30 +359,23 @@ class _Samples:
         np.copyto(dst, samples[..., :dst.shape[-1]])
 
 
-class _Discard:
-    """Destination of a `_Writer` row that is not kept; a writer need not
-    synthesize a row that only goes here."""
-
-    def write(self, start: int, samples) -> None:
-        pass
-
-
 class _Writer:
     """Weighted overlap-add of frame blocks into signals, in frame order.
 
     Synthesizes the (*rows) signals of n_frames frames, analysis padding
-    included, and hands the samples past the left padding to `dest`, an
-    object with write(start, samples), in order: `_Samples`, or a sink of
-    WAV files.  `put` synthesizes a block of up to `block` frames in the
-    caller's scratch; once the previous block is done, it adds the frames
-    to the partial sums the previous block left, and their squared window
-    to the window's own partial sum, one row (`_overlap_add` both), then
-    divides the samples no later block reaches by that sum where it is
-    not ~0 and writes them to dest.  Only the partial sums, one window
-    length less a hop per row, stay between blocks.  Blocks may be put
-    from several threads: each waits its turn (`_pool.Turns`), which
-    cannot deadlock when the blocks are pool tasks in frame order.  After
-    a block fails, or `abort`, the blocks waiting for it return.
+    included, and hands the samples past the left padding, in order, to
+    `write`: to `dest`, an object with write(start, samples) (`_Samples`,
+    or a sink of WAV files), unless a subclass routes them itself.  `put`
+    synthesizes a block of up to `block` frames in the caller's scratch;
+    once the previous block is done, it adds the frames to the partial
+    sums the previous block left, and their squared window to the
+    window's own partial sum, one row (`_overlap_add` both), then divides
+    the samples no later block reaches by that sum where it is not ~0 and
+    writes them.  Only the partial sums, one window length less a hop per
+    row, stay between blocks.  Blocks may be put from several threads:
+    each waits its turn (`_pool.Turns`), which cannot deadlock when the
+    blocks are pool tasks in frame order.  After a block fails, or
+    `abort`, the blocks waiting for it return.
     """
 
     def __init__(self, rows: tuple, n_frames: int, window: WindowSpec,
@@ -439,7 +432,11 @@ class _Writer:
         np.divide(out, self.wsum[:done], out=out, where=where)
         skip = max(self.left - n0 * hop, 0)
         if skip < done:
-            self.dest.write(n0 * hop + skip - self.left, out[..., skip:])
+            self.write(n0 * hop + skip - self.left, out[..., skip:])
+
+    def write(self, start: int, samples) -> None:
+        """Hand the finished samples start, start + 1, ... to dest."""
+        self.dest.write(start, samples)
 
     def abort(self) -> None:
         self._turns.abort()

@@ -95,6 +95,34 @@ def _digest(scene: SceneSpec, train_scene: SceneSpec, seed: int,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _check_scenes(scene: SceneSpec, train_scene: SceneSpec, modes) -> None:
+    """ValueError unless models trained on train_scene can separate and
+    score scene: the same rate, arrays among the training arrays with
+    their channels (every training array under static-pooled, whose
+    filter spans them all) and sources among the training sources."""
+    if scene.rate_hz != train_scene.rate_hz:
+        raise ValueError(f"test scene at {scene.rate_hz} Hz, training scene "
+                         f"at {train_scene.rate_hz} Hz")
+    trained = {arr.id: arr.channels for arr in train_scene.arrays}
+    for arr in scene.arrays:
+        if arr.id not in trained:
+            raise ValueError(f"array {arr.id!r} is not in the training "
+                             f"scene, which holds {', '.join(trained)}")
+        if arr.channels != trained[arr.id]:
+            raise ValueError(f"array {arr.id!r}: {arr.channels} channels, "
+                             f"{trained[arr.id]} in the training scene")
+    tested = [arr.id for arr in scene.arrays]
+    missing = [m for m in trained if m not in tested]
+    if missing and "static-pooled" in modes:
+        raise ValueError(f"static-pooled filters every training array; the "
+                         f"test scene lacks {', '.join(missing)}")
+    sources = [src.id for src in train_scene.sources]
+    for src in scene.sources:
+        if src.id not in sources:
+            raise ValueError(f"source {src.id!r} is not in the training "
+                             f"scene, which holds {', '.join(sources)}")
+
+
 def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
                    modes=("tv-distributed",), seed: int = 0,
                    window: WindowSpec | None = None,
@@ -104,13 +132,16 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
 
     The test scene is drawn with `seed`, the training scene with
     `seed + 1`.  Fully deterministic for fixed inputs.  A mode outside
-    `MODES` or a variant outside `VARIANTS` raises ValueError.
+    `MODES`, a variant outside `VARIANTS` or a test scene that the
+    training scene's models cannot separate (`_check_scenes`) raises
+    ValueError before anything is rendered.
     """
     for kind, names, known in (("mode", modes, MODES),
                                ("variant", variants, VARIANTS)):
         for name in names:
             if name not in known:
                 raise ValueError(f"unknown {kind} {name!r}")
+    _check_scenes(scene, train_scene, modes)
     check_seed(seed)  # before the training scene, drawn with seed + 1
     if window is None:
         window = WindowSpec()

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import _pool
-from .dsp import SampledSignal, _ArraySource, _Clock, _Discard, _resampled
+from .dsp import SampledSignal, _ArraySource, _Clock, _resampled
 from .errors import NumericalError
 
 __all__ = ["sdr", "at_device_clock", "score_images"]
@@ -82,11 +82,14 @@ def score_images(refs, estimates) -> dict[str, float]:
     """"m/k" -> SDR of estimates[(m, k)] against refs[(m, k)], in the key
     order of refs, each equal to `sdr` of the pair.
 
-    The shapes of every pair are checked first (ValueError); the images
-    are then scored as they stand, with no clock offset, by `_Scores`.
+    Every pair is checked first: a missing estimate or shapes that
+    differ raise ValueError.  The images are then scored as they stand,
+    with no clock offset, by `_Scores`.
     """
-    for key, ref in refs.items():
-        _same_shape(ref, estimates[key])
+    for (m, k), ref in refs.items():
+        if (m, k) not in estimates:
+            raise ValueError(f"no estimate of {m}/{k}")
+        _same_shape(ref, estimates[(m, k)])
     scores = _Scores({key: (_ArraySource(ref.samples), ref.rate_hz)
                       for key, ref in refs.items()}, {}, _CHUNK)
     scores.feed({key: _ArraySource(estimates[key].samples) for key in refs})
@@ -234,8 +237,8 @@ class _Scores:
     destination also scores, as the unprocessed estimates
     (`scores(unprocessed=True)`), or None.
     `destination(m, k)` takes the estimate of image (m, k), for
-    `separator`'s streamed pass (a key not in truth goes to a
-    `dsp._Discard`, which the pass need not synthesize), and
+    `separator`'s streamed pass (None for a key not in truth, which the
+    pass then need not synthesize), and
     `feed` reads every image's estimate from a sample source.  Each
     (device, length, rate) group is read through one clock (`_Spans`).
     `scores()` equals `score_images(at_device_clock(truth, sro_hz),
@@ -255,7 +258,7 @@ class _Scores:
         self.rows, self.order = rows, list(truth)
 
     def destination(self, m: str, k: str):
-        return self.images.get((m, k), _Discard())
+        return self.images.get((m, k))
 
     def feed(self, estimates: dict) -> None:
         """Score every image's estimate, estimates: (device, source) ->

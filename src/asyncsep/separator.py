@@ -39,20 +39,19 @@ not depend on the number of threads.
 (N, F, C) views into them.  The streamed pass (`_separate_sources`)
 reads each block from the recordings through a `dsp._Reader`, which
 frames them as `dsp.stft` does, and its sink is a `dsp._Writer`, the
-overlap-add of `dsp.istft`, which hands each finished span of a
-filter's images to one destination per (device, source) image; no
-spectrogram of a whole recording is ever held.  The writer adds a filter's blocks in frame
-order, so the image signals equal `istft` of `separate`'s images bit
-for bit.  `separate_recordings` streams from arrays into arrays; `asyncsep
-separate` streams from WAV files into WAV files, and its posteriors into
-a `.npy` file, so it holds a fixed number of blocks whatever the length;
-`run_experiment` streams from arrays into scores (`metrics._Scores`),
-and synthesizes no noise image, which it does not score.
+overlap-add of `dsp.istft`, which hands each finished span of the
+images kept to their destinations (`_ImageWriter`); no spectrogram of a
+whole recording is ever held.  The writer adds a filter's blocks in
+frame order, so the image signals equal `istft` of `separate`'s images
+bit for bit.  `separate_recordings` streams from arrays into arrays;
+`asyncsep separate` streams from WAV files into WAV files, and its
+posteriors into a `.npy` file, so it holds a fixed number of blocks
+whatever the length; `run_experiment` streams from arrays into scores
+(`metrics._Scores`), keeps no noise image and so synthesizes none.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -109,31 +108,28 @@ class _Spectra:
 
 
 class _ImageWriter(dsp._Writer):
-    """Sink of the streamed pass: a `dsp._Writer` of the first `rows` of
-    one filter's (K+1, C) image signals, which synthesizes them from a
-    block's images in its thread's image planes.  The rows past them, the
-    noise image where every destination discards it, are not synthesized;
-    the image-sum check still reads all K+1 planes."""
+    """Sink of the streamed pass: a `dsp._Writer` of one filter's images,
+    synthesized from a block's K+1 images in its thread's image planes,
+    which routes each finished span itself.  parts: (k, lo, hi, dest)
+    sends image k's rows lo:hi, one device's channels, to dest, a
+    destination of that image's (hi - lo, samples) signal (`dsp._Samples`,
+    `audio.WavSink`, `metrics._ImageScore`), or to nowhere when dest is
+    None.  The noise image, the last, is synthesized only when a part
+    keeps it; the image-sum check still reads all K+1 planes."""
 
-    def __init__(self, images: int, rows: int, channels: int, *args):
-        super().__init__((rows, channels), *args)
+    def __init__(self, images: int, channels: int, n_frames: int,
+                 window: WindowSpec, parts):
         self.images = images
+        self.parts = [p for p in parts if p[3] is not None]
+        noise = any(k == images - 1 for k, *_ in self.parts)
+        super().__init__((images if noise else images - 1, channels),
+                         n_frames, window, _kernels._BLOCK, None)
 
     def planes(self, n0, n1, ws):
         return ws.img[:self.images, :self.buf.shape[1], :n1 - n0]
 
     def put(self, n0, n1, planes, scratch):
         super().put(n0, n1, planes[:self.buf.shape[0]], scratch)
-
-
-class _ImageParts:
-    """Destination of an `_ImageWriter`: parts (k, lo, hi, dest) send
-    image k's rows lo:hi, one device's channels, to dest, a destination
-    of that image's (hi - lo, samples) signal (`dsp._Samples`,
-    `audio.WavSink`)."""
-
-    def __init__(self, parts: list):
-        self.parts = parts
 
     def write(self, start, samples) -> None:
         for k, lo, hi, dest in self.parts:
@@ -351,14 +347,6 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
     deviation per filter.  length: the window length when the pass
     analyzes and synthesizes signals, else 0."""
     var = states.conditional_variances()
-    # task i is block i - starts[j] of unit j, for the last starts[j] <= i
-    starts = list(itertools.accumulate(
-        [0] + [-(-u.n_frames // _kernels._BLOCK) for u in units]))
-
-    def work(i, ws):
-        j = bisect.bisect_right(starts, i) - 1
-        _run_block(units[j], (i - starts[j]) * _kernels._BLOCK, ws, var)
-
     filters = [f for u in units for f in u.filters]
     factor_channels = max((f.n_channels for f in filters
                            if f.static is None), default=0)
@@ -369,7 +357,9 @@ def _run_pass(units: list[_Unit], spatial: SpatialModel,
     if length:  # the readers take two planes of frames, too
         images, image_channels = max(spatial.n_sources + 1, 2), filter_channels
     channels = max((u.channels for u in units), default=0)
-    _pool.run(range(starts[-1]), work,
+    _pool.run([(u, n0) for u in units
+               for n0 in range(0, u.n_frames, _kernels._BLOCK)],
+              lambda task, ws: _run_block(*task, ws, var),
               lambda: _kernels.Workspace(
                   _kernels._BLOCK, spatial.n_bins, channels=channels,
                   factor_channels=factor_channels, sources=spatial.n_sources,
@@ -388,14 +378,6 @@ def _parts(devices: list[str], spatial: SpatialModel):
     for m, lo, hi in zip(devices, bounds, bounds[1:]):
         for k, sid in enumerate(spatial.source_ids + [NOISE_ID]):
             yield k, sid, m, lo, hi
-
-
-def _images(units: list[_Unit], spatial: SpatialModel, image) -> dict:
-    """(device, source) -> image(filter, k, device, lo, hi) for every
-    filter's images (`_parts`)."""
-    return {(m, sid): image(f, k, m, lo, hi)
-            for u in units for f in u.filters
-            for k, sid, m, lo, hi in _parts(f.arrays, spatial)}
 
 
 def _check_inputs(mode: str, array_ids) -> None:
@@ -457,13 +439,13 @@ def separate(observations: dict[str, SpectrogramTensor],
                    mode, posteriors,
                    lambda devices, C, N: _Spectra(K + 1, C, N, F))
     consistency = _run_pass(units, spatial, states)
-
-    def image(f, k, m, lo, hi):  # an (N, F, C) view of the buffer
-        t = observations[m]
-        return SpectrogramTensor(f.sink.out[k, lo:hi].transpose(1, 2, 0),
-                                 t.window, t.rate_hz, t.n_samples)
-
-    return SeparationResult(_images(units, spatial, image), mode,
+    images = {  # (N, F, C) views of the buffers
+        (m, sid): SpectrogramTensor(
+            f.sink.out[k, lo:hi].transpose(1, 2, 0), observations[m].window,
+            observations[m].rate_hz, observations[m].n_samples)
+        for u in units for f in u.filters
+        for k, sid, m, lo, hi in _parts(f.arrays, spatial)}
+    return SeparationResult(images, mode,
                             metadata={"consistency_rel_max": consistency})
 
 
@@ -515,10 +497,11 @@ def _separate_sources(sources: dict, window: WindowSpec,
     `dsp._Reader`; posteriors: as `_unit` takes them; image(device,
     source id) -> the destination of that image's (C, n) signal, an
     object with write(start, samples) (`dsp._Samples`, `audio.WavSink`,
-    `metrics._ImageScore`), called for every image, noise included, in
-    the order of `separate`'s images, once the sources' shapes are
-    checked; a filter whose noise images all go to a `dsp._Discard` does
-    not synthesize them (`_ImageWriter`).  Checks and errors as for
+    `metrics._ImageScore`), or None for an image nobody keeps; it is
+    called for every image, noise included, in the order of `separate`'s
+    images, once the sources' shapes are checked.  A filter none of
+    whose noise images is kept does not synthesize them
+    (`_ImageWriter`).  Checks and errors as for
     `separate_recordings`; the pass finds non-finite samples as it reads
     them, after the destinations are made, so a caller that must leave
     nothing behind on failure discards them.  Returns the worst
@@ -539,15 +522,10 @@ def _separate_sources(sources: dict, window: WindowSpec,
                              f"fewer than one frame ({window.length})")
         readers[m] = dsp._Reader(source, window)
 
-    K = spatial.n_sources
-
     def sink(devices, C, N):
-        parts = [(k, lo, hi, image(m, sid))
-                 for k, sid, m, lo, hi in _parts(devices, spatial)]
-        parts = [p for p in parts if not isinstance(p[3], dsp._Discard)]
-        rows = K + 1 if any(p[0] == K for p in parts) else K
-        return _ImageWriter(K + 1, rows, C, N, window, _kernels._BLOCK,
-                            _ImageParts(parts))
+        return _ImageWriter(spatial.n_sources + 1, C, N, window, [
+            (k, lo, hi, image(m, sid))
+            for k, sid, m, lo, hi in _parts(devices, spatial)])
 
     units = _units(readers, spatial, states, mode, posteriors, sink)
     return _run_pass(units, spatial, states, window.length)

@@ -147,6 +147,58 @@ def test_unknown_variant_rejected_before_training(monkeypatch):
         run_experiment(tiny_scene(), tiny_scene(), variants=("sync",), seed=0)
 
 
+def _edited(spec: SceneSpec, edit) -> SceneSpec:
+    """A copy of spec after edit(copy), checked again."""
+    out = copy.deepcopy(spec)
+    edit(out)
+    out.validate()
+    return out
+
+
+def _rename_array(spec: SceneSpec, old: str, new: str) -> None:
+    spec.array(old).id = new
+    for src in spec.sources:
+        src.coupling[new] = src.coupling.pop(old)
+
+
+@pytest.mark.parametrize("edit, modes, match", [
+    (lambda s: setattr(s, "rate_hz", 8000.0), ("tv-distributed",),
+     "test scene at 8000.0 Hz, training scene at 16000.0 Hz"),
+    (lambda s: _rename_array(s, "b", "zz"), ("tv-local",),
+     "array 'zz' is not in the training scene, which holds a, b"),
+    (lambda s: (setattr(s.array("a"), "channels", 1),
+                [src.coupling["a"].pop() for src in s.sources]),
+     ("static-local",), "array 'a': 1 channels, 2 in the training scene"),
+    (lambda s: s.arrays.pop(), ("tv-local", "static-pooled"),
+     "static-pooled filters every training array; the test scene lacks b"),
+    (lambda s: setattr(s.sources[1], "id", "zz"), ("tv-distributed",),
+     "source 'zz' is not in the training scene, which holds s1, s2"),
+], ids=["rate", "array", "channels", "pooled", "source"])
+def test_incompatible_scenes_refused_before_rendering(monkeypatch, edit,
+                                                      modes, match):
+    # each pair failed late, after training and a pass, or ran silently
+    calls = []
+    monkeypatch.setattr(experiment, "_image_sources",
+                        lambda *args: calls.append(args))
+    scene = _edited(tiny_scene(), edit)
+    with pytest.raises(ValueError, match=match):
+        run_experiment(scene, tiny_scene(duration=1.0), modes=modes, seed=0,
+                       window=WIN)
+    assert calls == []
+
+
+def test_subsets_of_the_training_arrays_and_sources_run():
+    # the model's other images go nowhere; every mode but static-pooled
+    scene = _edited(tiny_scene(), lambda s: (s.arrays.pop(),
+                                             s.sources.pop(0)))
+    rep = run_experiment(scene, tiny_scene(duration=1.0),
+                         modes=("static-local", "tv-local", "tv-distributed"),
+                         seed=2, window=WIN, variants=("sro",))
+    for scores in rep.sdr_db["sro"].values():
+        assert list(scores) == ["a/s2"]
+        assert np.isfinite(list(scores.values())).all()
+
+
 def test_each_scene_is_rendered_once(monkeypatch):
     # and only the test scene is mixed
     import asyncsep.experiment as experiment
@@ -289,14 +341,17 @@ def test_each_result_is_released_before_the_next_separation(monkeypatch):
     # through the next mode's pass
     import weakref
 
-    held = []
+    held, nowhere = [], []
 
     def tracked(sources, window, spatial, states, mode, posteriors, image):
         assert all(ref() is None for ref in held)
 
         def kept(m, sid):
             dest = image(m, sid)
-            held.append(weakref.ref(dest))
+            if dest is None:  # a noise image, not scored
+                nowhere.append((m, sid))
+            else:
+                held.append(weakref.ref(dest))
             return dest
 
         return _separate_sources(sources, window, spatial, states, mode,
@@ -306,7 +361,8 @@ def test_each_result_is_released_before_the_next_separation(monkeypatch):
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("static-local", "tv-distributed"), seed=3,
                    window=WIN, variants=("sro", "synced"))
-    assert len(held) == 4 * 6  # 2 arrays x (2 sources + noise) per pass
+    assert len(held) == 4 * 4  # 2 arrays x 2 sources per pass
+    assert nowhere == 4 * [("a", "noise"), ("b", "noise")]
 
 
 def test_discarded_noise_images_are_not_synthesized(monkeypatch):

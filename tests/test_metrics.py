@@ -230,6 +230,15 @@ class TestScoreImages:
         with pytest.raises(NumericalError, match="SDR of b/s1 undefined"):
             score_images(refs, estimates)
 
+    def test_missing_estimate_is_named_by_its_key(self, rng):
+        refs = {(m, k): sig(rng.standard_normal((50, 2)))
+                for m in ("a", "b") for k in ("s1", "s2")}
+        estimates = {key: sig(ref.samples) for key, ref in refs.items()
+                     if key != ("b", "s1")}
+        estimates[("b", "s2")] = sig(np.zeros((40, 2)))  # checked later
+        with pytest.raises(ValueError, match="no estimate of b/s1"):
+            score_images(refs, estimates)
+
     def test_finite_mean_skips_infinite_scores(self):
         assert _finite_mean([1.0, math.inf, 2.0]) == 1.5
         assert _finite_mean([math.inf]) == math.inf
@@ -280,7 +289,7 @@ class TestSpanScores:
             rows = max(b - a for a, b in spans)
             scores = _Scores({key: (source, 16000.0) for key, source in
                               zip(truth, sources)}, {"a": offset}, rows)
-            noise = scores.destination("a", "noise")
+            assert scores.destination("a", "noise") is None
             for a, b in spans:
                 stop = b + 3 if b == n else b
                 for key, est in ests.items():
@@ -289,7 +298,6 @@ class TestSpanScores:
                         _bits(image.spans.rows(image.k, a, b)),
                         _bits(refs[key].samples[a:b].T))
                     scores.destination(*key).write(a, est[:, a:stop])
-                    noise.write(a, est[:, a:stop])
         want = score_images(refs, {key: sig(est[:, :n].T)
                                    for key, est in ests.items()})
         assert scores.scores() == want

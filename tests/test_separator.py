@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncsep import _kernels, _pool, separator
+from asyncsep import _kernels, _pool, dsp, separator
 from asyncsep.classifier import source_power_estimates
 from asyncsep.dsp import (SampledSignal, SpectrogramTensor, WindowSpec,
                           istft, stft, stft_frame_count)
@@ -742,6 +742,9 @@ def _stream_case(seed, n_frames, window=STREAM_WIN, spare=5):
     return spatial, states, recs
 
 
+_ALL_KEPT = {}  # mode -> separate_recordings' images of _stream_case(0, 19)
+
+
 class TestSeparateRecordings:
     """The streamed pass equals STFT -> separate -> iSTFT bit for bit."""
 
@@ -827,6 +830,45 @@ class TestSeparateRecordings:
             _separate_bounded(recs, STREAM_WIN, spatial, states,
                               "tv-distributed", run=separate_recordings,
                               timeout=60.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dropped=st.sets(st.sampled_from(
+               [(m, k) for m in "abc" for k in ("s0", "s1", "s2", NOISE_ID)])),
+           mode=st.sampled_from(MODES), workers=st.sampled_from([1, 3]))
+    def test_images_kept_by_nobody_are_dropped(self, dropped, mode, workers):
+        # every kept image equals the all-kept run; a writer synthesizes
+        # the noise row exactly when some part keeps a noise image
+        spatial, states, recs = _stream_case(0, 19)
+        K = spatial.n_sources
+        if mode not in _ALL_KEPT:
+            _ALL_KEPT[mode] = separate_recordings(recs, STREAM_WIN, spatial,
+                                                  states, mode).images
+        kept, writers = {}, []
+
+        def image(m, k):
+            if (m, k) in dropped:
+                return None
+            kept[(m, k)] = dsp._Samples((2,), recs[m].n_samples)
+            return kept[(m, k)]
+
+        class Recorded(separator._ImageWriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                writers.append(self)
+
+        with mock.patch.object(_pool, "worker_count", lambda: workers), \
+                mock.patch.object(separator, "_ImageWriter", Recorded):
+            separator._separate_sources(
+                {m: dsp._ArraySource(r.samples) for m, r in recs.items()},
+                STREAM_WIN, spatial, states, mode, None, image)
+        assert set(kept) == set(_ALL_KEPT[mode]) - dropped
+        for key, dest in kept.items():
+            assert np.array_equal(dest.out, _ALL_KEPT[mode][key].samples.T)
+        groups = ["abc"] if mode == "static-pooled" else list("abc")
+        assert len(writers) == len(groups)
+        for w, devices in zip(writers, groups):
+            noise = any((m, NOISE_ID) not in dropped for m in devices)
+            assert w.buf.shape[0] == (K + 1 if noise else K)
 
     def test_peak_traced_memory_below_the_image_spectrograms(self,
                                                              monkeypatch):

@@ -44,11 +44,14 @@ class Workspace:
       x      (channels, frames, bins) complex: the block's mixture planes
       y      (filter_channels, frames, bins) complex: one filter's solves
       ll     (frames, bins, states): log-likelihoods, then posteriors
+      own    (frames, bins, states), or no frames unless `own`: one
+             array's own log-likelihoods, then posteriors, where a pass
+             also sums them in ll
       p      (sources, frames, bins) complex: powers, real part only
       L      (factor_channels, factor_channels, frames, bins) complex: the
              loaded covariance, then its Cholesky factor
-      dinv   (factor_channels, frames, bins) complex, real part only: the
-             reciprocals of the factor's diagonal
+      dinv   (factor_channels, frames, bins) complex: the reciprocals of
+             the factor's diagonal
       c      (2, frames, bins) complex and r (4, frames, bins) float:
              temporaries
       mask   (frames, bins) and flags (frames, bins, states): booleans
@@ -60,23 +63,40 @@ class Workspace:
              `dsp._Reader` takes t[:2] for a block's samples and frames
 
     Made by the calling thread before any block runs.  The kernels take
-    the leading channels and frames of each buffer.
+    the leading channels and frames of each buffer.  Where there are
+    frames (length), y, L, dinv and own share memory with t: a filter's
+    solves and factor are spent once its images are formed, its frames
+    are synthesized only then, and an array's own posteriors are spent
+    once its powers are formed, before its filter starts.
     """
 
     def __init__(self, frames: int, bins: int, channels: int = 0,
                  factor_channels: int = 0, sources: int = 0,
                  states: int = 0, images: int = 0, image_channels: int = 0,
-                 length: int = 0, filter_channels: int = 0):
+                 length: int = 0, filter_channels: int = 0,
+                 own: bool = False):
         B, F, Cf = frames, bins, factor_channels
         self.img = np.empty((images, image_channels, B, F),
                             dtype=np.complex128)
-        self.t = np.empty((images, image_channels, B, length))
+        Cy = filter_channels
+        sizes = (images * image_channels * B * length,  # floats: t,
+                 2 * (Cy + Cf * Cf + Cf) * B * F,  # y, L and dinv,
+                 B * F * states if own else 0)  # and own
+        if length:
+            shared = np.empty(max(sizes))
+            t, solved, mine = (shared[:n] for n in sizes)
+        else:
+            t, solved, mine = (np.empty(n) for n in sizes)
+        self.t = t.reshape(images, image_channels, B, length)
+        solved = solved.view(np.complex128)
+        self.y = solved[:Cy * B * F].reshape(Cy, B, F)
+        self.L = solved[Cy * B * F:(Cy + Cf * Cf) * B * F].reshape(
+            Cf, Cf, B, F)
+        self.dinv = solved[(Cy + Cf * Cf) * B * F:].reshape(Cf, B, F)
+        self.own = mine.reshape(B if own else 0, F, states)
         self.x = np.empty((channels, B, F), dtype=np.complex128)
-        self.y = np.empty((filter_channels, B, F), dtype=np.complex128)
         self.ll = np.empty((B, F, states))
         self.p = np.zeros((sources, B, F), dtype=np.complex128)
-        self.L = np.empty((Cf, Cf, B, F), dtype=np.complex128)
-        self.dinv = np.zeros((Cf, B, F), dtype=np.complex128)
         self.c = np.empty((2, B, F), dtype=np.complex128)
         self.r = np.empty((4, B, F))
         self.mask = np.empty((B, F), dtype=bool)
@@ -181,11 +201,12 @@ def mwf_factor(p, Rt, noise_power, noise_over_c, L, dinv, ws):
     noise_power:  (F,) diffuse-noise power, and noise_over_c that over C
     L:            (C, C, b, F) receives S = sum_k p_k Rbar_k, loaded, and
                   then its lower factor in the strictly lower triangle
-    dinv:         (C, b, F) with zero imaginary part; receives the
-                  reciprocals of the factor's real diagonal
+    dinv:         (C, b, F) complex; receives the reciprocals of the
+                  factor's real diagonal, with zero imaginary part
     """
     C = Rt.shape[0]
     K, b, _ = p.shape
+    dinv.imag[...] = 0.0
     t = ws.c[0, :b]
     trace, load = ws.r[0, :b], ws.r[1, :b]
     for i in range(C):

@@ -10,8 +10,9 @@ Every stage with numeric work splits it into tasks on this pool:
     makes both passes over that pair's frames in frame order;
   * reading a device clock (`dsp._Clock`): one task per run of output
     samples, or per device group in `asyncsep evaluate`;
-  * the separation pass: one task per block of frames, which in
-    `run_experiment` also scores the spans it finishes;
+  * the separation pass: one task per block of frames over every
+    device, for every mode of the pass, which in `run_experiment` also
+    reads the truth of the spans it finishes and scores them;
   * SDR scoring (`metrics._Scores`): one task per (device, length,
     rate) group of images.
 Tasks write disjoint slices of buffers allocated beforehand, or, in

@@ -11,9 +11,9 @@ Each stage has one block kernel that works on a block of frames:
 `_kernels.loglik_block` for the log-likelihoods, `posterior_block` for the
 softmax and its checks, and `power_block` for the powers.  They run in
 the fused per-block pass of `separator`, on every core: `classify` runs
-that pass on one unit that classifies over every array and filters
-nothing, as `separator.separate` does to fill its `posteriors=` buffer,
-so no full-size log-likelihoods are held.  `source_power_estimates` runs
+that pass with no mode, so its blocks sum every array's log-likelihoods
+and filter nothing, as they do to fill `separator.separate`'s
+`posteriors=` buffer, and no full-size log-likelihoods are held.  `source_power_estimates` runs
 `power_block` over a whole tensor, one block after another.
 """
 
@@ -105,14 +105,13 @@ def classify(observations: dict[str, SpectrogramTensor],
     observations unlike the model, misaligned or none ValueError, and
     device ids outside `SpatialModel.check_id` ConfigError.
     """
-    from .separator import _check_inputs, _run_pass, _tensor_readers, _units
+    from .separator import _check_inputs, _plan, _run_pass, _tensor_readers
 
-    _check_inputs("tv-distributed", sorted(observations))
+    _check_inputs([], sorted(observations))
     readers = _tensor_readers(observations, spatial)
     gamma = np.empty((readers[min(readers)].n_frames, spatial.n_bins,
                       states.n_states))
-    _run_pass(_units(readers, spatial, states, "tv-distributed", gamma, None),
-              spatial, states)
+    _run_pass(_plan(readers, spatial, states, [], gamma), spatial, states)
     return PosteriorMap(gamma, states.state_ids)
 
 

@@ -281,7 +281,7 @@ def cmd_separate(args) -> int:
     out = Path(args.out)
     outputs = []  # every file made, closed once the pass is done
 
-    def image(m, sid):
+    def image(mode, m, sid):
         h, path = headers[m], out / _image_name(m, sid)
         outputs.append(made.stream(path, lambda: WavSink(
             path, h.rate, h.channels, h.n_samples)))
@@ -298,7 +298,7 @@ def cmd_separate(args) -> int:
                  states.n_states), states.state_ids))
             outputs.append(gamma)
         consistency = _separate_sources(sources, window, spatial, states,
-                                        args.mode, gamma, image)
+                                        [args.mode], gamma, image)[args.mode]
         for done in outputs:
             done.close()
     if gamma is not None:
@@ -378,7 +378,7 @@ def cmd_evaluate(args) -> int:
         images.feed({key: enter(WavSource(h)) for key, h in est_heads.items()})
     scores = {}
     for (m, k), (wav, _) in pairs.items():
-        ref, err = images.images[(m, k)].energies.totals()
+        ref, err = images.energies((m, k))
         if ref == 0.0:
             raise ConfigError(f"truth image {wav} is silent; SDR is undefined")
         scores[f"{m}/{k}"] = _score(f"{m}/{k}", ref, err)

@@ -359,6 +359,29 @@ class _Samples:
         np.copyto(dst, samples[..., :dst.shape[-1]])
 
 
+def _finished(window: WindowSpec, n_frames: int, n0: int,
+              n1: int) -> tuple[int, int]:
+    """The samples (start, stop) past the left padding that a `_Writer` of
+    n_frames frames finishes once it has added frames n0:n1; none when
+    start >= stop.  The next block adds from frame n1's first sample on,
+    and the last block finishes every sample it reaches."""
+    hop, left = window.hop, _analysis_padding(0, window)[0]  # for any length
+    done = _span(window, n1 - n0) if n1 == n_frames else (n1 - n0) * hop
+    return max(n0 * hop, left) - left, n0 * hop + done - left
+
+
+def _block_sums(rows: int, window: WindowSpec, frames: int,
+                spare=None) -> tuple:
+    """The scratch of a `_Writer` of up to `rows` rows that adds blocks of
+    up to `frames` frames: room for the partial sums of a block's rows and
+    of its window, a view of spare, float, when that is large enough, and
+    where the window's sum is not ~0."""
+    span = _span(window, frames)
+    if spare is None or spare.size < (rows + 1) * span:
+        spare = np.empty((rows + 1) * span)
+    return spare.reshape(-1)[:(rows + 1) * span], np.empty(span, dtype=bool)
+
+
 class _Writer:
     """Weighted overlap-add of frame blocks into signals, in frame order.
 
@@ -366,73 +389,77 @@ class _Writer:
     included, and hands the samples past the left padding, in order, to
     `write`: to `dest`, an object with write(start, samples) (`_Samples`,
     or a sink of WAV files), unless a subclass routes them itself.  `put`
-    synthesizes a block of up to `block` frames in the caller's scratch;
-    once the previous block is done, it adds the frames to the partial
-    sums the previous block left, and their squared window to the
-    window's own partial sum, one row (`_overlap_add` both), then divides
-    the samples no later block reaches by that sum where it is not ~0 and
-    writes them.  Only the partial sums, one window length less a hop per
-    row, stay between blocks.  Blocks may be put from several threads:
-    each waits its turn (`_pool.Turns`), which cannot deadlock when the
-    blocks are pool tasks in frame order.  After a block fails, or
-    `abort`, the blocks waiting for it return.
+    synthesizes a block of frames in the caller's scratch; once the
+    previous block is done, it adds the frames to the partial sums the
+    previous block left, and their squared window to the window's own
+    partial sum, one row (`_overlap_add` both), in the caller's block sums
+    (`_block_sums`), then divides the samples no later block reaches
+    (`_finished`) by that sum where it is not ~0 and writes them.  Only
+    the partial sums, one window length less a hop per row, stay in the
+    writer between blocks.  Blocks may be put from several threads: each
+    waits its turn (`_pool.Turns`), which cannot deadlock when the blocks
+    are pool tasks in frame order.  After a block fails, or `abort`, the
+    blocks waiting for it return.
     """
 
     def __init__(self, rows: tuple, n_frames: int, window: WindowSpec,
-                 block: int, dest):
+                 dest):
         self.window, self.win = window, window.window()
         self.win2 = self.win ** 2  # each frame's part of the window sum
-        self.n_frames, self.dest = n_frames, dest
+        self.rows, self.n_frames, self.dest = rows, n_frames, dest
         self.left = _analysis_padding(0, window)[0]  # for any length
-        span, carry = _span(window, block), window.length - window.hop
-        # the partial sums of a block's frames and of their squared
-        # window, and those the previous block left
-        self.buf = np.zeros(rows + (span,))
-        self.carry = np.zeros(rows + (carry,))
-        self.wsum, self.wcarry = np.zeros(span), np.zeros(carry)
-        self.where = np.empty(span, dtype=bool)  # scratch: where it is not ~0
+        # the partial sums the previous block left, of the rows and of
+        # their squared window
+        carry = window.length - window.hop
+        self.carry, self.wcarry = np.zeros(rows + (carry,)), np.zeros(carry)
         self._turns = _pool.Turns()  # at the frames added so far
 
-    def put(self, n0: int, n1: int, planes, scratch) -> None:
+    def put(self, n0: int, n1: int, planes, frames, sums) -> None:
         """Add frames n0:n1, planes (*rows, n1 - n0, bins) complex.
 
-        scratch: float, at least (*rows, n1 - n0, length) on every axis;
-        its leading part receives the windowed frames.
+        frames: float, at least (*rows, n1 - n0, length) on every axis;
+        its leading part receives the windowed frames.  sums:
+        `_block_sums` of as many rows and frames or more, which may share
+        memory with planes: those are transformed before the sums are
+        formed.
         """
-        frames = scratch[tuple(map(slice, self.buf.shape[:-1]))
-                         + (slice(n1 - n0),)]
+        frames = frames[tuple(map(slice, self.rows)) + (slice(n1 - n0),)]
         try:
             np.fft.irfft(planes, n=self.window.length, axis=-1, out=frames)
             frames *= self.win
             if not self._turns.wait(n0):
                 return
-            self._add(frames, n0, n1)
+            self._add(frames, n0, n1, sums)
         except BaseException:  # release the blocks that wait for this one
             self.abort()
             raise
         self._turns.advance(n1)
 
-    def _add(self, frames, n0: int, n1: int) -> None:
+    def _add(self, frames, n0: int, n1: int, sums) -> None:
         """Add frames n0:n1 and write out the samples they finish."""
         hop, b = self.window.hop, n1 - n0
         reach = _span(self.window, b)  # samples the block touches
-        # the next block adds from frame n1's first sample on
-        done = reach if n1 == self.n_frames else b * hop
+        start, stop = _finished(self.window, self.n_frames, n0, n1)
+        done = self.left + stop - n0 * hop  # the block's samples finished
+        flat, where = sums
+        count = math.prod(self.rows) * reach
+        signals = flat[:count].reshape(self.rows + (reach,))
+        wsum = flat[count:count + reach]
         squares = np.broadcast_to(self.win2, frames.shape[-2:])
-        for buf, carry, add in ((self.buf, self.carry, frames),
-                                (self.wsum, self.wcarry, squares)):
-            buf, k = buf[..., :reach], carry.shape[-1]
+        for buf, carry, add in ((signals, self.carry, frames),
+                                (wsum, self.wcarry, squares)):
+            k = carry.shape[-1]
             np.copyto(buf[..., :k], carry)
             buf[..., k:] = 0.0
             _overlap_add(add, hop, buf)
             if n1 < self.n_frames:
                 np.copyto(carry, buf[..., done:done + k])
-        out, where = self.buf[..., :done], self.where[:done]
-        np.greater(self.wsum[:done], 1e-12, out=where)
-        np.divide(out, self.wsum[:done], out=out, where=where)
-        skip = max(self.left - n0 * hop, 0)
-        if skip < done:
-            self.write(n0 * hop + skip - self.left, out[..., skip:])
+        if start < stop:
+            first = done - (stop - start)
+            out, where = signals[..., first:done], where[:stop - start]
+            np.greater(wsum[first:done], 1e-12, out=where)
+            np.divide(out, wsum[first:done], out=out, where=where)
+            self.write(start, out)
 
     def write(self, start: int, samples) -> None:
         """Hand the finished samples start, start + 1, ... to dest."""
@@ -464,13 +491,15 @@ def istft(spec: SpectrogramTensor, length: int | None = None) -> SampledSignal:
         length = max(_span(window, n_frames) - 2 * window.length, 0)
     chunk = _chunk(n_ch)
     dest = _Samples((n_ch,), length)
-    writer = _Writer((n_ch,), n_frames, window, chunk, dest)
+    writer = _Writer((n_ch,), n_frames, window, dest)
     planes = spec.coeffs.transpose(2, 0, 1)
+    block = min(chunk, n_frames)
     _pool.run(range(0, n_frames, chunk),
-              lambda n0, frames: writer.put(
+              lambda n0, scratch: writer.put(
                   n0, min(n0 + chunk, n_frames), planes[:, n0:n0 + chunk],
-                  frames),
-              lambda: np.empty((n_ch, min(chunk, n_frames), window.length)))
+                  *scratch),
+              lambda: (np.empty((n_ch, block, window.length)),
+                       _block_sums(n_ch, window, block)))
     return SampledSignal(dest.out.T, spec.rate_hz)
 
 
@@ -546,10 +575,13 @@ class _Clock:
         self.channels = self.bounds[-1]
 
     def scratch(self, rows: int) -> np.ndarray:
-        """The raw scratch of `read` for up to `rows` samples: 8 bytes per
-        float of its planes and window, then per sample a source reads 8
-        per channel, and at least 16 (what `scene._ImageSource` renders
-        a span in)."""
+        """The raw scratch of `read` for up to `rows` samples."""
+        return np.empty(self.scratch_floats(rows)).view(np.uint8)
+
+    def scratch_floats(self, rows: int) -> int:
+        """The size of `scratch`, in floats: one per float of its planes
+        and window, then per sample a source reads one per channel, and
+        at least 2 (what `scene._ImageSource` renders a span in)."""
         floats, width, C = 0, rows, self.channels
         if self.ratio is not None:
             # a span's stencils start at most (rows - 1) * ratio + 1
@@ -558,7 +590,7 @@ class _Clock:
                         self.n_samples + _ORDER + 1)
             floats = (2 * _ORDER + 6 + C) * rows + C * width
         widest = max(2, *(s.channels for s in self.sources))
-        return np.empty(floats + widest * width).view(np.uint8)
+        return floats + widest * width
 
     def read(self, start: int, stop: int, raw, out) -> None:
         """Samples start:stop into out, (C, stop - start) float; raw:

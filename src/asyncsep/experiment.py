@@ -13,11 +13,13 @@ sources: its source signals, whole, and one `scene._ImageSource` per
 Training reads the training scene's images through them; its mixtures
 are never made.  The test scene's mixtures do not depend on the clock
 offsets: they are rendered once, synced and channel-major
-(`scene._mixtures`), and each variant resamples them.  Each mode runs
-one streamed pass from the recordings (`separator._separate_sources`)
-whose destinations score each finished span of an image as the pass
-writes it (`metrics._Scores`) against the same span of its truth image,
-rendered and read through the device's clock (`dsp._Clock`), and
+(`scene._mixtures`), and each variant resamples them.  Each variant
+runs one streamed pass from the recordings for every mode
+(`separator._separate_sources`): each block is read, classified and
+its truth span rendered and read through the device's clock
+(`dsp._Clock`) once, and every mode's filters then filter, synthesize
+and score it.  The destinations score each finished span of an image
+as the pass writes it (`metrics._Scores`) against that truth span, and
 discard the noise images, which the pass then does not synthesize.  The
 unprocessed scores are made span by span through the first mode's
 destinations, fed the recordings' spans with the estimates'.
@@ -66,9 +68,9 @@ class ExperimentReport:
     consistency: dict = field(default_factory=dict)  # variant -> mode -> worst rel
     # stage -> seconds; "synthesize" renders the test scene once,
     # "analyze[variant]" is that variant's clock-offset resampling and
-    # "mode[variant]" its streamed pass, which analyzes, separates,
-    # synthesizes and scores each block; the first mode's pass also
-    # scores the unprocessed recordings, span by span
+    # "separate[variant]" its one streamed pass of every mode, which
+    # analyzes each block, separates, synthesizes and scores it in every
+    # mode, and scores the unprocessed recordings, span by span
     runtime_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -132,15 +134,17 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
 
     The test scene is drawn with `seed`, the training scene with
     `seed + 1`.  Fully deterministic for fixed inputs.  A mode outside
-    `MODES`, a variant outside `VARIANTS` or a test scene that the
-    training scene's models cannot separate (`_check_scenes`) raises
-    ValueError before anything is rendered.
+    `MODES`, a variant outside `VARIANTS`, either given twice, or a test
+    scene that the training scene's models cannot separate
+    (`_check_scenes`) raises ValueError before anything is rendered.
     """
     for kind, names, known in (("mode", modes, MODES),
                                ("variant", variants, VARIANTS)):
         for name in names:
             if name not in known:
                 raise ValueError(f"unknown {kind} {name!r}")
+        if len(set(names)) < len(names):
+            raise ValueError(f"{kind}s repeated: {', '.join(names)}")
     _check_scenes(scene, train_scene, modes)
     check_seed(seed)  # before the training scene, drawn with seed + 1
     if window is None:
@@ -179,26 +183,28 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
         sdr = report.sdr_db.setdefault(variant, {"unprocessed": None})
         report.consistency.setdefault(variant, {})
         # the raw mixtures as the estimates of every source image: scored
-        # in the first mode's pass, against the same truth spans, or
-        # alone when there is no mode
+        # by the first mode's destinations, against the same truth spans,
+        # or alone when there is no mode
         if not modes:
             scores = _Scores(truth, sro_hz, rows)
             scores.feed({key: _ArraySource(signals[key[0]].samples)
                          for key in truth})
             sdr["unprocessed"] = scores.scores()
-
-        sources = {m: _ArraySource(sig.samples) for m, sig in signals.items()}
-        for j, mode in enumerate(modes):
+        else:
             t0 = time.perf_counter()
-            scores = _Scores(truth, sro_hz, rows, None if j else {
-                m: sig.samples for m, sig in signals.items()})
-            consistency = _separate_sources(sources, window, spatial, states,
-                                            mode, None, scores.destination)
-            if not j:
-                sdr["unprocessed"] = scores.scores(unprocessed=True)
-            sdr[mode] = scores.scores()
-            report.consistency[variant][mode] = max(consistency.values())
-            report.runtime_s[f"{mode}[{variant}]"] = time.perf_counter() - t0
+            scores = _Scores(truth, sro_hz, rows, {
+                m: sig.samples for m, sig in signals.items()}, modes)
+            consistency = _separate_sources(
+                {m: _ArraySource(sig.samples) for m, sig in signals.items()},
+                window, spatial, states, modes, None, scores.destination,
+                scores)
+            sdr["unprocessed"] = scores.scores(unprocessed=True)
+            for mode in modes:
+                sdr[mode] = scores.scores(mode)
+                report.consistency[variant][mode] = max(
+                    consistency[mode].values())
+            report.runtime_s[f"separate[{variant}]"] = (
+                time.perf_counter() - t0)
         report.mode_means[variant] = {
             name: _finite_mean(values.values()) for name, values in sdr.items()}
     return report

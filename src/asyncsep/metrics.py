@@ -5,13 +5,14 @@ truth images are read there through `dsp._Clock`: `at_device_clock`
 moves whole images.  `_Scores` scores each span of an estimate against
 the same span of its truth as it arrives, for `score_images`, `asyncsep
 evaluate` and `run_experiment`'s streamed pass.  One rule sums the SDR
-energies (`_Energies`), for whole images and spans alike, so `sdr` of a
+energies (`_Energy`), for whole images and spans alike, so `sdr` of a
 pair and every score of `_Scores` agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import NumericalError
 
 __all__ = ["sdr", "at_device_clock", "score_images"]
 
-_CHUNK = 4096  # samples of one chunk of the SDR energies (`_Energies`)
+_CHUNK = 4096  # samples of one chunk of the SDR energies (`_Energy`)
 
 
 def sdr(reference: SampledSignal, estimate: SampledSignal) -> float:
@@ -31,12 +32,14 @@ def sdr(reference: SampledSignal, estimate: SampledSignal) -> float:
     samples and channels.  Returns +inf when the estimate is exact;
     raises ValueError for an all-zero reference (the ratio is undefined)
     and NumericalError when either energy is not finite.  The energies
-    are summed on the calling thread (`_Energies`).
+    are summed on the calling thread (`_Energy`).
     """
     ref, est = _same_shape(reference, estimate)
-    energies = _Energies(ref.shape[1], _energy_scratch(ref.shape[1]))
-    energies.add(ref.T, est.T)
-    return _score("the pair", *energies.totals())
+    C = ref.shape[1]
+    energy, error = (_Energy(C, _energy_scratch(C)) for _ in range(2))
+    energy.add(ref.T)
+    error.add(ref.T, est.T)
+    return _score("the pair", energy.totals(), error.totals())
 
 
 def _same_shape(reference, estimate) -> tuple:
@@ -102,62 +105,60 @@ def _finite_mean(values) -> float:
     return sum(vals) / len(vals) if vals else math.inf
 
 
-class _Energies:
-    """The two SDR energies of one (reference, estimate) pair, fed in
-    sample order.
+class _Energy:
+    """The energy of one signal fed in sample order: `add(x)` takes its
+    next samples, `add(x, y)` those of the difference y - x.
 
-    `add` takes the next samples of both.  The squared reference and the
-    squared error are summed in chunks of `_CHUNK` samples at fixed
-    places, samples j * _CHUNK to (j + 1) * _CHUNK: a chunk's squares lie
-    channel-major in contiguous rows of scratch, np.sum adds each row,
-    and the row sums add in chunk order, channel by channel.  So the
-    energies depend neither on the layout of the samples nor on how they
-    were split among calls, and `sdr` and the span-by-span
-    scoring of `_Scores` agree bit for bit.  scratch: `_energy_scratch`
-    of `channels` or more.
+    The squares are summed in chunks of `_CHUNK` samples at fixed places,
+    samples j * _CHUNK to (j + 1) * _CHUNK: a chunk's samples lie
+    channel-major in contiguous rows of scratch, np.sum adds each row's
+    squares, and the row sums add in chunk order, channel by channel.  So
+    the energy depends neither on the layout of the samples nor on how
+    they were split among calls, and `sdr` and the span-by-span scoring
+    of `_Scores` agree bit for bit.  scratch: `_energy_scratch` of
+    `channels` or more.
     """
 
     def __init__(self, channels: int, scratch):
-        planes, sums = scratch
-        self.sq, self.err = planes[:, :channels]
-        self.sums = sums[:, :channels]
+        plane, sums = scratch
+        self.plane, self.sums = plane[:channels], sums[:channels]
         self.filled = 0  # samples of the open chunk
-        self.ref = self.error = 0.0
+        self.total = 0.0
 
-    def add(self, ref, est) -> None:
-        """The next samples, ref and est (channels, k) float of any
-        layout, fastest channel-major.  Allocates no array."""
-        i, k = 0, ref.shape[1]
+    def add(self, x, y=None) -> None:
+        """The next samples, x and y (channels, k) float of any layout,
+        fastest channel-major.  Allocates no array."""
+        i, k = 0, x.shape[1]
         while i < k:
             j = min(k, i + _CHUNK - self.filled)
-            part = slice(self.filled, self.filled + j - i)
-            np.square(ref[:, i:j], out=self.sq[:, part])
-            np.subtract(est[:, i:j], ref[:, i:j], out=self.err[:, part])
+            part = self.plane[:, self.filled:self.filled + j - i]
+            if y is None:
+                np.copyto(part, x[:, i:j])
+            else:
+                np.subtract(y[:, i:j], x[:, i:j], out=part)
             self.filled += j - i
             i = j
             if self.filled == _CHUNK:
                 self._close()
 
     def _close(self) -> None:
-        sq, err = self.sq[:, :self.filled], self.err[:, :self.filled]
-        np.square(err, out=err)
-        np.sum(sq, axis=1, out=self.sums[0])  # row by row, as np.sum(row)
-        np.sum(err, axis=1, out=self.sums[1])
-        for ref, error in self.sums.T.tolist():
-            self.ref += ref
-            self.error += error
+        part = self.plane[:, :self.filled]
+        np.square(part, out=part)
+        np.sum(part, axis=1, out=self.sums)  # row by row, as np.sum(row)
+        for row in self.sums.tolist():
+            self.total += row
         self.filled = 0
 
-    def totals(self) -> tuple[float, float]:
-        """(reference energy, error energy) of every sample added."""
+    def totals(self) -> float:
+        """The energy of every sample added."""
         if self.filled:
             self._close()
-        return self.ref, self.error
+        return self.total
 
 
 def _energy_scratch(channels: int):
-    """The scratch of an `_Energies` of up to `channels` channels."""
-    return np.empty((2, channels, _CHUNK)), np.empty((2, channels))
+    """The scratch of an `_Energy` of up to `channels` channels."""
+    return np.empty((channels, _CHUNK)), np.empty(channels)
 
 
 def _score(name: str, ref_energy: float, err_energy: float) -> float:
@@ -173,56 +174,47 @@ def _score(name: str, ref_energy: float, err_energy: float) -> float:
             else 10.0 * math.log10(ref_energy / err_energy))
 
 
-class _Spans:
-    """The truth images of one clock, a span of up to `rows` samples at a
-    time: `rows(k, a, b)` gives source k at samples a:b, a view of scratch
-    the next span reuses.  Each span is read once for every image, so they
-    share its weights.  Allocates no array."""
-
-    def __init__(self, clock, rows: int):
-        self.clock, self.rows_max = clock, rows
-        self.n_samples, self.raw = clock.n_samples, clock.scratch(rows)
-        self.out = np.empty((clock.channels, rows))
-        self.span = None  # the (a, b) read into out
-
-    def rows(self, k: int, a: int, b: int) -> np.ndarray:
-        if b - a > self.rows_max:
-            raise ValueError(f"span of {b - a} samples, more than the "
-                             f"{self.rows_max} this clock holds")
-        if self.span != (a, b):
-            self.clock.read(a, b, self.raw, self.out[:, :b - a])
-            self.span = (a, b)
-        c0, c1 = self.clock.bounds[k:k + 2]
-        return self.out[c0:c1, :b - a]
-
-
 class _ImageScore:
-    """Destination of one image signal (`dsp._Writer`) that scores it
-    against its truth image, source k of `spans`, as its spans arrive.
-    Given its device's (n, C) recording, it also scores the recording's
-    same span, the unprocessed estimate, against the same truth rows."""
+    """Destination of one estimate of one image (`dsp._Writer`) that scores
+    it against its truth, source k of clock group g, as its spans arrive:
+    against the span of that group that this thread read last, in
+    `last`, the threading.local of `_Scores.read`.  Given `reference`,
+    the truth's `_Energy`, it also sums the truth's energy, and given its
+    device's (n, C) recording, it scores the recording's same span, the
+    unprocessed estimate, against the same rows."""
 
-    def __init__(self, spans: _Spans, k: int, recording=None):
-        C = spans.clock.sources[k].channels
-        self.spans, self.k, self.written = spans, k, 0
-        self.energies = _Energies(C, _energy_scratch(C))
-        self.recording = recording
+    def __init__(self, last, g: int, clock, k: int, reference=None,
+                 recording=None):
+        self.c0, self.c1 = clock.bounds[k:k + 2]
+        C = self.c1 - self.c0
+        self.last, self.g, self.written = last, g, 0
+        self.n_samples = clock.n_samples
+        self.error = _Energy(C, _energy_scratch(C))
+        self.reference, self.recording = reference, recording
         if recording is not None:
-            self.unprocessed = _Energies(C, _energy_scratch(C))
+            self.unprocessed = _Energy(C, _energy_scratch(C))
 
     def write(self, start: int, samples) -> None:
         """Samples start, start + 1, ... of the estimate, (C, k) float;
         those past the truth's length are dropped.  Allocates no array."""
-        k = min(samples.shape[-1], self.spans.n_samples - start)
+        k = min(samples.shape[-1], self.n_samples - start)
         if k <= 0:
             return
         if start != self.written:
             raise ValueError(f"samples from {start} on scored after "
                              f"{self.written}")
-        ref = self.spans.rows(self.k, start, start + k)
-        self.energies.add(ref, samples[:, :k])
+        spans = getattr(self.last, "spans", None)
+        at, rows = (None, None) if spans is None else spans.get(
+            self.g, (None, None))
+        if at != start or rows.shape[-1] < k:
+            raise ValueError(f"the truth of samples {start}:{start + k} "
+                             f"was not read on this thread")
+        ref = rows[self.c0:self.c1, :k]
+        if self.reference is not None:
+            self.reference.add(ref)
         if self.recording is not None:
             self.unprocessed.add(ref, self.recording[start:start + k].T)
+        self.error.add(ref, samples[:, :k])
         self.written += k
 
 
@@ -233,62 +225,129 @@ class _Scores:
     truth: (device, source) -> (sample source, rate) of the truth image
     (`dsp._ArraySource`, `audio.WavSource`, `scene._ImageSource`);
     sro_hz: device -> clock offset in Hz; rows: the most samples a span
-    holds; recordings: device -> (n, C) samples, whose spans each
-    destination also scores, as the unprocessed estimates
+    holds; modes: the names of the estimates of every image (one, None,
+    by default); recordings: device -> (n, C) samples, whose spans the
+    first mode's destinations also score, as the unprocessed estimates
     (`scores(unprocessed=True)`), or None.
-    `destination(m, k)` takes the estimate of image (m, k), for
-    `separator`'s streamed pass (None for a key not in truth, which the
-    pass then need not synthesize), and
-    `feed` reads every image's estimate from a sample source.  Each
-    (device, length, rate) group is read through one clock (`_Spans`).
-    `scores()` equals `score_images(at_device_clock(truth, sro_hz),
-    estimates)` bit for bit.  Spans of different groups may be written
-    from different threads; those of one group in turn.
+    Each (device, length, rate) group of truth images is read through one
+    clock (`dsp._Clock`), a span at a time, by `read` into the caller's
+    scratch (`scratch`); `destination(mode, m, k)`, the estimate of image
+    (m, k) under mode, scores the writes of each thread against the span
+    that thread read last.  So `separator`'s streamed pass reads each
+    span of the truth once, before the writers' turns, whatever the
+    number of modes (None for a key not in truth, which the pass then
+    need not synthesize), and `feed` reads every image's estimate from a
+    sample source.  The truth's energy is summed once per image, by the
+    first mode's destination.  `scores(mode)` equals
+    `score_images(at_device_clock(truth, sro_hz), estimates)` bit for
+    bit.  Spans of different groups may be written from different
+    threads; those of one destination in order.
     """
 
     def __init__(self, truth: dict, sro_hz: dict, rows: int,
-                 recordings: dict | None = None):
-        self.groups, self.images = [], {}
+                 recordings: dict | None = None, modes=(None,)):
+        self.groups, self.by_device = [], {}  # (clock, keys, first row)
+        self.images, self.reference = {}, {}
+        # the spans each thread read last; the destinations hold it, not
+        # the scorer, so that freeing the scorer frees them at once
+        self.last = threading.local()
+        channels = 0
         for clock, keys in _clocks(truth, sro_hz):
-            spans = _Spans(clock, rows)
-            recording = None if recordings is None else recordings[keys[0][0]]
-            self.groups.append((spans, keys))
-            self.images.update((key, _ImageScore(spans, i, recording))
-                               for i, key in enumerate(keys))
-        self.rows, self.order = rows, list(truth)
+            g, m = len(self.groups), keys[0][0]
+            self.groups.append((clock, keys, channels))
+            self.by_device.setdefault(m, []).append(g)
+            channels += clock.channels
+            for k, key in enumerate(keys):
+                C = clock.sources[k].channels
+                self.reference[key] = _Energy(C, _energy_scratch(C))
+                for j, mode in enumerate(modes):
+                    self.images[(mode, key)] = _ImageScore(
+                        self.last, g, clock, k,
+                        None if j else self.reference[key],
+                        None if j or recordings is None else recordings[m])
+        self.rows, self.channels = rows, channels
+        self.modes, self.order = list(modes), list(truth)
 
-    def destination(self, m: str, k: str):
-        return self.images.get((m, k))
+    def destination(self, mode, m: str, k: str):
+        return self.images.get((mode, (m, k)))
+
+    def scratch(self, channels: int | None = None, spare=None) -> tuple:
+        """One thread's scratch of `read`: rows for `channels` truth
+        channels (every group's, by default) of a span, the raw scratch of
+        the clocks, a view of spare, float, when that is large enough, and
+        the spans read."""
+        floats = max((clock.scratch_floats(self.rows)
+                      for clock, _, _ in self.groups), default=0)
+        if spare is None or spare.size < floats:
+            spare = np.empty(floats)
+        raw = spare.reshape(-1)[:floats].view(np.uint8)
+        rows = np.empty((self.channels if channels is None else channels,
+                         self.rows))
+        return rows, raw, {}
+
+    def read(self, m: str, start: int, stop: int, scratch) -> None:
+        """Read device m's truth images at samples start:stop, those past
+        their length dropped, into scratch, this thread's, whose spans the
+        destinations then score this thread's writes against.  Allocates
+        no array."""
+        rows, raw, spans = scratch
+        for g in self.by_device.get(m, ()):
+            clock, _, r0 = self.groups[g]
+            self._read_group(g, start, stop, rows[r0:r0 + clock.channels],
+                             raw, spans)
+
+    def _read_group(self, g, start, stop, out, raw, spans) -> None:
+        clock = self.groups[g][0]
+        stop = min(stop, clock.n_samples)
+        if stop - start > self.rows:
+            raise ValueError(f"span of {stop - start} samples, more than "
+                             f"the {self.rows} a span holds")
+        out = out[:, :max(stop - start, 0)]
+        if start < stop:
+            clock.read(start, stop, raw, out)
+        spans[g] = (start, out)
+        self.last.spans = spans
 
     def feed(self, estimates: dict) -> None:
-        """Score every image's estimate, estimates: (device, source) ->
-        sample source.  Each group is a task on the pool (`_pool`) that
-        reads its estimates a span at a time in its thread's scratch."""
+        """Score every image's estimate under the one mode, estimates:
+        (device, source) -> sample source.  Each group is a task on the
+        pool (`_pool`) that reads its truth and its estimates a span at a
+        time in its thread's scratch."""
         widest = max((s.channels for s in estimates.values()), default=0)
+        mode, = self.modes
 
-        def work(i, scratch):
-            (spans, keys), (buf, raw) = self.groups[i], scratch
-            for s0 in range(0, spans.n_samples, self.rows):
-                s1 = min(s0 + self.rows, spans.n_samples)
+        def work(g, scratch):
+            (clock, keys, _), (buf, raw, truth) = self.groups[g], scratch
+            rows, truth_raw, spans = truth
+            for s0 in range(0, clock.n_samples, self.rows):
+                s1 = min(s0 + self.rows, clock.n_samples)
+                self._read_group(g, s0, s1, rows[:clock.channels], truth_raw,
+                                 spans)
                 for key in keys:
                     est = buf[:estimates[key].channels, :s1 - s0]
                     estimates[key].read(s0, s1, raw, est)
-                    self.images[key].write(s0, est)
+                    self.images[(mode, key)].write(s0, est)
 
-        _pool.run(range(len(self.groups)), work,
-                  lambda: (np.empty((widest, self.rows)),
-                           np.empty(widest * self.rows).view(np.uint8)))
+        _pool.run(range(len(self.groups)), work, lambda: (
+            np.empty((widest, self.rows)),
+            np.empty(widest * self.rows).view(np.uint8),
+            self.scratch(max(c.channels for c, _, _ in self.groups))))
 
-    def scores(self, unprocessed: bool = False) -> dict[str, float]:
-        """"m/k" -> SDR of the estimates, or of the recordings, in the key
-        order of truth; ValueError for an image not written to its end."""
-        out = {}
-        for m, k in self.order:
-            image = self.images[(m, k)]
-            if image.written != image.spans.n_samples:
-                raise ValueError(f"estimate of {m}/{k} holds "
-                                 f"{image.written} of "
-                                 f"{image.spans.n_samples} samples")
-            energies = image.unprocessed if unprocessed else image.energies
-            out[f"{m}/{k}"] = _score(f"{m}/{k}", *energies.totals())
-        return out
+    def energies(self, key, mode=None, unprocessed: bool = False) -> tuple:
+        """(truth energy, error energy) of image key's estimate under mode,
+        or of its recording; ValueError for an estimate not written to
+        its end."""
+        image = self.images[(self.modes[0] if unprocessed else mode, key)]
+        if image.written != image.n_samples:
+            raise ValueError(f"estimate of {key[0]}/{key[1]} holds "
+                             f"{image.written} of {image.n_samples} "
+                             f"samples")
+        error = image.unprocessed if unprocessed else image.error
+        return self.reference[key].totals(), error.totals()
+
+    def scores(self, mode=None, unprocessed: bool = False) -> dict:
+        """"m/k" -> SDR of the estimates under mode, or of the recordings,
+        in the key order of truth; ValueError for an image not written to
+        its end."""
+        return {f"{m}/{k}": _score(f"{m}/{k}", *self.energies(
+            (m, k), mode, unprocessed)) for m, k in self.order}

@@ -16,22 +16,26 @@ Every variant produces one image per (device, source) plus an auxiliary
 noise image that absorbs the diagonal loading, so the images of a tile
 always sum to the observed mixture coefficient.
 
-Separation is one fused pass per block of frames.  A block reads its
-mixture planes through one reader per device, in channel order, and
-checks each device's planes as they are read: a non-finite value raises
+Separation is one fused pass per block of frames over every device,
+for every mode asked for at once; one task per block.  A block reads
+each device's mixture planes through one reader per device, in channel
+order, and checks them as they are read: a non-finite value raises
 NumericalError naming the device before the block waits for anything,
-so the first such block in task order decides the error.  For the tv
-modes it then sums the classifying arrays' log-likelihoods, takes the
-softmax and forms the powers; every array's filter then factorizes its
-loaded covariance (the static modes factorize once, before the pass),
-writes the K+1 images of the block, checks that they sum to the mixture
-and hands them to a sink.  No
-full-size log-likelihoods or powers are kept; the joint posteriors are
-kept only when the caller passes a buffer for them.  Outside
-tv-distributed, a unit that classifies over every array and has no
-filters fills that buffer; `classifier.classify` runs the pass on that
-unit alone.  The blocks run on every core (`_pool`), and the result does
-not depend on the number of threads.
+so the first such block in task order, and in it the first device,
+decides the error.  Where the pass scores its images, the block then
+reads the truth span it will finish on each device (`metrics._Scores`)
+into its thread's scratch, before any writer's turn.  The static modes'
+filters, factorized once before the pass, filter the block.  When a
+mode classifies, each device's log-likelihoods are formed once, into
+their own plane: tv-local takes each plane's softmax for that device's
+filter, and tv-distributed adds the planes in device order and takes
+the softmax of the sum, which also fills the posteriors when the caller
+passes a buffer for them.  Each filter writes the K+1 images of the
+block, checks that they sum to the mixture and hands them to a sink.  No
+full-size log-likelihoods or powers are kept.  With no mode the pass only
+classifies; `classifier.classify` runs it so.  The blocks run on every
+core (`_pool`), and the result depends neither on the number of threads
+nor on which modes share the pass.
 
 `separate` and `classify` read their blocks from STFT tensors
 (`dsp._TensorReader`), and the sink of `separate` is each filter's
@@ -41,18 +45,21 @@ reads each block from the recordings through a `dsp._Reader`, which
 frames them as `dsp.stft` does, and its sink is a `dsp._Writer`, the
 overlap-add of `dsp.istft`, which hands each finished span of the
 images kept to their destinations (`_ImageWriter`); no spectrogram of a
-whole recording is ever held.  The writer adds a filter's blocks in
-frame order, so the image signals equal `istft` of `separate`'s images
-bit for bit.  `separate_recordings` streams from arrays into arrays;
-`asyncsep separate` streams from WAV files into WAV files, and its
-posteriors into a `.npy` file, so it holds a fixed number of blocks
-whatever the length; `run_experiment` streams from arrays into scores
-(`metrics._Scores`), keeps no noise image and so synthesizes none.
+whole recording is ever held, and a writer keeps only its carry
+between blocks.  The writer adds a filter's blocks in frame order, so
+the image signals equal `istft` of `separate`'s images bit for bit.
+`separate_recordings` streams from arrays into arrays; `asyncsep
+separate` streams from WAV files into WAV files, and its posteriors
+into a `.npy` file, so it holds a fixed number of blocks whatever the
+length; `run_experiment` streams every mode of a variant in one pass
+from arrays into scores (`metrics._Scores`), keeps no noise image and
+so synthesizes none.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -100,7 +107,7 @@ class _Spectra:
     def planes(self, n0, n1, ws):
         return self.out[:, :, n0:n1]
 
-    def put(self, n0, n1, planes, scratch):
+    def put(self, n0, n1, planes, ws):
         pass
 
     def abort(self):
@@ -110,12 +117,13 @@ class _Spectra:
 class _ImageWriter(dsp._Writer):
     """Sink of the streamed pass: a `dsp._Writer` of one filter's images,
     synthesized from a block's K+1 images in its thread's image planes,
-    which routes each finished span itself.  parts: (k, lo, hi, dest)
-    sends image k's rows lo:hi, one device's channels, to dest, a
-    destination of that image's (hi - lo, samples) signal (`dsp._Samples`,
-    `audio.WavSink`, `metrics._ImageScore`), or to nowhere when dest is
-    None.  The noise image, the last, is synthesized only when a part
-    keeps it; the image-sum check still reads all K+1 planes."""
+    with its block sums in the thread's workspace, which routes each
+    finished span itself.  parts: (k, lo, hi, dest) sends image k's rows
+    lo:hi, one device's channels, to dest, a destination of that image's
+    (hi - lo, samples) signal (`dsp._Samples`, `audio.WavSink`,
+    `metrics._ImageScore`), or to nowhere when dest is None.  The noise
+    image, the last, is synthesized only when a part keeps it; the
+    image-sum check still reads all K+1 planes."""
 
     def __init__(self, images: int, channels: int, n_frames: int,
                  window: WindowSpec, parts):
@@ -123,13 +131,13 @@ class _ImageWriter(dsp._Writer):
         self.parts = [p for p in parts if p[3] is not None]
         noise = any(k == images - 1 for k, *_ in self.parts)
         super().__init__((images if noise else images - 1, channels),
-                         n_frames, window, _kernels._BLOCK, None)
+                         n_frames, window, None)
 
     def planes(self, n0, n1, ws):
-        return ws.img[:self.images, :self.buf.shape[1], :n1 - n0]
+        return ws.img[:self.images, :self.rows[1], :n1 - n0]
 
-    def put(self, n0, n1, planes, scratch):
-        super().put(n0, n1, planes[:self.buf.shape[0]], scratch)
+    def put(self, n0, n1, planes, ws):
+        super().put(n0, n1, planes[:self.rows[0]], ws.t, ws.sums)
 
     def write(self, start, samples) -> None:
         for k, lo, hi, dest in self.parts:
@@ -140,12 +148,14 @@ class _ImageWriter(dsp._Writer):
 class _Filter:
     """One filter of the block pass: where its images go and what it needs."""
 
+    mode: str
     arrays: list[str]  # its devices, in channel order
     channels: slice    # those channels among the block's mixture planes
+    n_frames: int
     Rt: np.ndarray     # (C, C, K, F) covariance planes
     noise: tuple       # (noise power, noise power / C), each (F,)
     sink: _Spectra | _ImageWriter  # takes the (K+1, C, b, F) images of a block
-    static: tuple | None  # (p, L, dinv) factorized for every frame, or None
+    static: tuple | None = None  # (p, L, dinv) factorized for every frame
     worst: float = 0.0  # the worst squared image-sum deviation so far
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -155,16 +165,26 @@ class _Filter:
 
 
 @dataclass
-class _Unit:
-    """Devices whose frame blocks are processed together."""
+class _Pass:
+    """The frame blocks of every device and what each block feeds."""
 
     devices: list[str]
     readers: list      # one per device; their channel planes, stacked
-    n_frames: int
-    channels: int      # of the stacked planes
-    loglik: list       # (channel slice, Linv, logdets) per classifying array
-    filters: list[_Filter]
+    frames: list[int]  # each device's frames
+    channels: list[slice]  # each device's planes among the stacked ones
+    loglik: list       # (Linv, logdets) per device, when a mode classifies
+    static: list[_Filter]  # the filters of the long-term spectra
+    local: list[list[_Filter]]  # per device, those of its own posteriors
+    distributed: list[_Filter]  # those of the joint posteriors
+    joint: bool        # whether the block sums the log-likelihoods
     posteriors: object  # takes the (N, F, S) joint posteriors, or None
+    filters: list[_Filter]  # every filter, mode by mode
+    window: WindowSpec | None = None  # of the signals analyzed, if any
+    truth: object = None  # reads the truth each block finishes, or None
+
+    @property
+    def width(self) -> int:
+        return self.channels[-1].stop
 
 
 def _deviation_block(planes: np.ndarray, x: np.ndarray, ws) -> float:
@@ -213,94 +233,161 @@ def _filter_block(f: _Filter, x: np.ndarray, n0: int, n1: int, ws) -> None:
     _kernels.mwf_apply(x, p, f.Rt, L, dinv, f.sink.planes(n0, n1, ws), ws)
 
 
-def _run_block(unit: _Unit, n0: int, ws, var) -> None:
-    """The fused pass over one block of frames of one unit."""
-    n1 = min(n0 + _kernels._BLOCK, unit.n_frames)
-    b = n1 - n0
-    x = ws.x[:unit.channels, :b]
+def _apply(f: _Filter, n0: int, ws) -> None:
+    """Filter one block of frames, check its image sum and sink it."""
+    n1 = min(n0 + _kernels._BLOCK, f.n_frames)
+    x = ws.x[f.channels, :n1 - n0]
+    _filter_block(f, x, n0, n1, ws)
+    planes = f.sink.planes(n0, n1, ws)
+    worst = _deviation_block(planes, x, ws)
+    with f.lock:
+        if worst > f.worst:  # never for a NaN, as in `max`
+            f.worst = worst
+    f.sink.put(n0, n1, planes, ws)
+
+
+def _run_block(p: _Pass, n0: int, ws, var) -> None:
+    """The fused pass over one block of frames of every device.
+
+    Reads and checks each device's planes, reads the truth the block
+    finishes, then runs the static filters; each device's
+    log-likelihoods, when some mode classifies, go to its own posteriors
+    and tv-local filters, and are added in device order into the joint
+    ones, which are bit for bit the running difference of one plane,
+    (0 - qa) - qb == (0 - qa) + (0 - qb).  A device with no frame left in
+    the block (recordings of unequal length) takes no part in it.
+    """
+    ends = [min(n0 + _kernels._BLOCK, n) for n in p.frames]
     try:
-        lo = 0
-        for m, reader in zip(unit.devices, unit.readers):
-            planes = x[lo:lo + reader.channels]
-            lo += reader.channels
+        for m, reader, n1, ch in zip(p.devices, p.readers, ends, p.channels):
+            if n1 <= n0:
+                continue
+            planes = ws.x[ch, :n1 - n0]
             reader.read(n0, n1, ws.t, planes)
             for plane in planes:
-                if not np.isfinite(plane, out=ws.mask[:b]).all():
+                if not np.isfinite(plane, out=ws.mask[:n1 - n0]).all():
                     raise NumericalError(
                         f"non-finite {reader.holds} in array {m!r}")
-        if unit.loglik:
-            ll = ws.ll[:b]
+        if p.truth is not None:
+            for m, n, n1 in zip(p.devices, p.frames, ends):
+                if n1 > n0:
+                    p.truth.read(m, *dsp._finished(p.window, n, n0, n1),
+                                 ws.truth)
+        for f in p.static:
+            if n0 < f.n_frames:
+                _apply(f, n0, ws)
+        if not p.loglik:
+            return
+        joint = None
+        if p.joint:  # every device has the block's frames
+            joint = ws.ll[:ends[0] - n0]
+            joint.fill(0.0)
+        for (Linv, logdets), ch, n1, filters in zip(
+                p.loglik, p.channels, ends, p.local or itertools.repeat(())):
+            if n1 <= n0:
+                continue
+            x = ws.x[ch, :n1 - n0]
+            if not p.local:
+                _kernels.loglik_block(x, Linv, logdets, joint, ws)
+                continue
+            ll = (ws.ll if joint is None else ws.own)[:n1 - n0]
             ll.fill(0.0)
-            for channels, Linv, logdets in unit.loglik:
-                _kernels.loglik_block(x[channels], Linv, logdets, ll, ws)
+            _kernels.loglik_block(x, Linv, logdets, ll, ws)
+            if joint is not None:
+                joint += ll
             posterior_block(ll, ll, ws)
-            if isinstance(unit.posteriors, np.ndarray):
-                np.copyto(unit.posteriors[n0:n1], ll)
-            elif unit.posteriors is not None:
-                unit.posteriors.put(n0, ll, ws)
-            if unit.filters:
-                power_block(ll, var, ws.p.real[:, :b], ws)
-        for f in unit.filters:
-            _filter_block(f, x[f.channels], n0, n1, ws)
-            planes = f.sink.planes(n0, n1, ws)
-            worst = _deviation_block(planes, x[f.channels], ws)
-            with f.lock:
-                if worst > f.worst:  # never for a NaN, as in `max`
-                    f.worst = worst
-            f.sink.put(n0, n1, planes, ws.t)
+            power_block(ll, var, ws.p.real[:, :n1 - n0], ws)
+            for f in filters:
+                _apply(f, n0, ws)
+        if joint is None:
+            return
+        posterior_block(joint, joint, ws)
+        if isinstance(p.posteriors, np.ndarray):
+            np.copyto(p.posteriors[n0:ends[0]], joint)
+        elif p.posteriors is not None:
+            p.posteriors.put(n0, joint, ws)
+        if p.distributed:
+            power_block(joint, var, ws.p.real[:, :ends[0] - n0], ws)
+            for f in p.distributed:
+                _apply(f, n0, ws)
     except BaseException:
-        for f in unit.filters:  # release the blocks that wait for this one
+        for f in p.filters:  # release the blocks that wait for this one
             f.sink.abort()
         raise
 
 
-def _unit(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
-          entries: list[tuple], classifies: bool, sink=None,
-          posteriors=None) -> _Unit:
-    """One unit of the block pass over the devices of `entries`.
+def _plan(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
+          modes, posteriors=None, sink=None) -> _Pass:
+    """The block pass over the devices of `readers` under `modes`.
 
-    entries: (devices, (K, F, C, C) covariances over their channels) pairs;
     readers: device -> its frame blocks (`dsp._Reader` or
-    `dsp._TensorReader`).
-    The unit sums the entries' log-likelihoods when it classifies, writes
-    `posteriors` when given, an (N, F, S) float64 array or an object of
-    that shape and dtype whose put(n0, block, ws) takes the posteriors of
-    frames n0 onwards (`classifier.PosteriorFile`), and has one filter
-    per entry, each with a new sink(devices, channels, frames), unless
-    sink is None.  The filters of a unit that does not classify use the
-    long-term spectra (the static modes).
+    `dsp._TensorReader`).  Each mode has one filter per device, with a new
+    sink(mode, devices, channels, frames), except static-pooled, which
+    has one over every device; the static modes use the long-term
+    spectra, tv-local each device's own posteriors and tv-distributed the
+    joint posteriors over every device.  The block sums the devices'
+    log-likelihoods for tv-distributed and to write `posteriors` when
+    given, an (N, F, S) float64 array or an object of that shape and
+    dtype whose put(n0, block, ws) takes the posteriors of frames n0
+    onwards (`classifier.PosteriorFile`); with no mode and `posteriors`
+    it classifies and filters nothing (`classifier.classify`).  The
+    devices' frames must agree where the block sums them or filters them
+    together; the filter operands of a device are formed once for every
+    mode.
     """
     F, noise = spatial.n_bins, states.noise_spectrum
-    arrays = [m for devices, _ in entries for m in devices]
-    for m in arrays:
-        if m not in readers:
-            raise ValueError(f"no observations for array {m!r}")
-    frames = {m: readers[m].n_frames for m in arrays}
-    if len(set(frames.values())) > 1:
+    devices = sorted(readers)
+    merged = None
+    if "static-pooled" in modes:
+        merged = spatial.merged_covariances()
+        if merged is None:
+            raise ValueError("static-pooled requires a model trained with "
+                             "include_pooled (asyncsep train --pooled)")
+        for m in spatial.covariances:
+            if m not in readers:
+                raise ValueError(f"no observations for array {m!r}")
+    frames = [readers[m].n_frames for m in devices]
+    joint = "tv-distributed" in modes or posteriors is not None
+    if (joint or merged is not None) and len(set(frames)) > 1:
         raise ValueError(f"observations not aligned across arrays: "
-                         f"frames {frames}")
-    n_frames = frames[arrays[0]]
+                         f"frames {dict(zip(devices, frames))}")
     if posteriors is not None and (
-            posteriors.shape != (n_frames, F, states.n_states)
+            posteriors.shape != (frames[0], F, states.n_states)
             or posteriors.dtype != np.float64):
         raise ValueError(
             f"posteriors must be a float64 array of shape "
-            f"{(n_frames, F, states.n_states)}, got {posteriors.dtype} "
+            f"{(frames[0], F, states.n_states)}, got {posteriors.dtype} "
             f"{posteriors.shape}")
-    loglik, filters, lo = [], [], 0
-    for devices, cov in entries:
-        C = sum(readers[m].channels for m in devices)
-        channels = slice(lo, lo + C)
-        lo += C
-        if classifies:
-            factors, logdets = state_factors(cov, states)
-            loglik.append((channels, _kernels.inverse_factors(factors),
-                           logdets))
-        if sink is not None:
-            filters.append(_Filter(
-                devices, channels, _kernels.filter_operands(cov),
-                (noise, noise / C), sink(devices, C, n_frames), None))
-    for f in filters if not classifies else []:
+    bounds = list(itertools.accumulate(
+        [readers[m].channels for m in devices], initial=0))
+    channels = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    loglik = []
+    if joint or "tv-local" in modes:
+        for m in devices:
+            factors, logdets = state_factors(spatial.covariances[m], states)
+            loglik.append((_kernels.inverse_factors(factors), logdets))
+    operands = {}  # the filter operands, by devices, shared by the modes
+
+    def make(mode, devs, cov, ch, n):
+        if tuple(devs) not in operands:
+            operands[tuple(devs)] = _kernels.filter_operands(cov)
+        C = ch.stop - ch.start
+        return _Filter(mode, devs, ch, n, operands[tuple(devs)],
+                       (noise, noise / C), sink(mode, devs, C, n))
+
+    by_mode, filters, static = {}, [], []
+    for mode in modes:
+        if mode == "static-pooled":
+            by_mode[mode] = [make(mode, devices, merged,
+                                  slice(0, bounds[-1]), frames[0])]
+        else:
+            by_mode[mode] = [
+                make(mode, [m], spatial.covariances[m], ch, n)
+                for m, ch, n in zip(devices, channels, frames)]
+        filters += by_mode[mode]
+        if mode.startswith("static"):
+            static += by_mode[mode]
+    for f in static:
         # no per-tile powers: the long-term spectra hold for every frame,
         # so factorize once
         ws = _kernels.Workspace(1, F, factor_channels=f.n_channels,
@@ -308,65 +395,57 @@ def _unit(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
         ws.p.real[:, 0] = states.ltas
         _kernels.mwf_factor(ws.p, f.Rt, *f.noise, ws.L, ws.dinv, ws)
         f.static = (ws.p, ws.L, ws.dinv)
-    return _Unit(arrays, [readers[m] for m in arrays], n_frames, lo, loglik,
-                 filters, posteriors)
+    return _Pass(devices, [readers[m] for m in devices], frames, channels,
+                 loglik, static, [[f] for f in by_mode.get("tv-local", [])],
+                 by_mode.get("tv-distributed", []), joint, posteriors,
+                 filters)
 
 
-def _units(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
-           mode: str, posteriors, sink) -> list[_Unit]:
-    """The units of the block pass under one mode, with their sinks.
+def _run_pass(p: _Pass, spatial: SpatialModel,
+              states: StateSpectrumModel) -> dict:
+    """Run every block on the pool, one task per block of frames over
+    every device; mode -> the worst image-sum deviation per filter.
 
-    See `_unit`; sink(devices, channels, frames) is a new sink for one
-    filter.
-    The unit that classifies over every array writes `posteriors`: the
-    one unit of tv-distributed, or else one more unit that has no
-    filters.  `classifier.classify` runs tv-distributed with no sink.
+    Each thread's workspace also holds, where the pass analyzes and
+    synthesizes signals, its writers' block sums (`dsp._block_sums`,
+    ws.sums) and, with a truth reader, the truth span each block finishes
+    (ws.truth), read in the workspace's frame scratch.
     """
-    every = [([m], spatial.covariances[m]) for m in sorted(readers)]
-    if mode == "tv-distributed":
-        return [_unit(readers, spatial, states, every, True, sink,
-                      posteriors)]
-    filters = every
-    if mode == "static-pooled":
-        merged = spatial.merged_covariances()
-        if merged is None:
-            raise ValueError("static-pooled requires a model trained with "
-                             "include_pooled (asyncsep train --pooled)")
-        filters = [(sorted(spatial.covariances), merged)]
-    units = [_unit(readers, spatial, states, [entry],
-                   not mode.startswith("static"), sink) for entry in filters]
-    if posteriors is not None:
-        units.append(_unit(readers, spatial, states, every, True,
-                           posteriors=posteriors))
-    return units
-
-
-def _run_pass(units: list[_Unit], spatial: SpatialModel,
-              states: StateSpectrumModel, length: int = 0) -> dict:
-    """Run every block of every unit on the pool; the worst image-sum
-    deviation per filter.  length: the window length when the pass
-    analyzes and synthesizes signals, else 0."""
     var = states.conditional_variances()
-    filters = [f for u in units for f in u.filters]
-    factor_channels = max((f.n_channels for f in filters
+    factor_channels = max((f.n_channels for f in p.filters
                            if f.static is None), default=0)
-    filter_channels = max((f.n_channels for f in filters), default=0)
-    # every device is among some filter's channels, so the analysis of a
-    # device's frames fits the synthesis scratch too
-    images, image_channels = 0, 0
-    if length:  # the readers take two planes of frames, too
-        images, image_channels = max(spatial.n_sources + 1, 2), filter_channels
-    channels = max((u.channels for u in units), default=0)
-    _pool.run([(u, n0) for u in units
-               for n0 in range(0, u.n_frames, _kernels._BLOCK)],
-              lambda task, ws: _run_block(*task, ws, var),
-              lambda: _kernels.Workspace(
-                  _kernels._BLOCK, spatial.n_bins, channels=channels,
-                  factor_channels=factor_channels, sources=spatial.n_sources,
-                  states=states.n_states, images=images,
-                  image_channels=image_channels, length=length,
-                  filter_channels=filter_channels))
-    return {_merged_label(f.arrays): float(np.sqrt(f.worst)) for f in filters}
+    filter_channels = max((f.n_channels for f in p.filters), default=0)
+    images, image_channels, length = 0, 0, 0
+    if p.window is not None:  # the readers take two planes of frames, too
+        images = max(spatial.n_sources + 1, 2)
+        image_channels = max(filter_channels, *(
+            ch.stop - ch.start for ch in p.channels))
+        length = p.window.length
+    rows = max((math.prod(f.sink.rows) for f in p.filters
+                if isinstance(f.sink, dsp._Writer)), default=0)
+
+    def workspace():
+        ws = _kernels.Workspace(
+            _kernels._BLOCK, spatial.n_bins, channels=p.width,
+            factor_channels=factor_channels, sources=spatial.n_sources,
+            states=states.n_states, images=images,
+            image_channels=image_channels, length=length,
+            filter_channels=filter_channels,
+            own=p.joint and bool(p.local))
+        if p.window is not None:  # a block's images are synthesized first
+            ws.sums = dsp._block_sums(rows, p.window, _kernels._BLOCK,
+                                      ws.img.view(np.float64))
+        if p.truth is not None:
+            ws.truth = p.truth.scratch(spare=ws.t)
+        return ws
+
+    _pool.run(range(0, max(p.frames), _kernels._BLOCK),
+              lambda n0, ws: _run_block(p, n0, ws, var), workspace)
+    out = {}
+    for f in p.filters:
+        out.setdefault(f.mode, {})[_merged_label(f.arrays)] = float(
+            np.sqrt(f.worst))
+    return out
 
 
 def _parts(devices: list[str], spatial: SpatialModel):
@@ -380,9 +459,12 @@ def _parts(devices: list[str], spatial: SpatialModel):
             yield k, sid, m, lo, hi
 
 
-def _check_inputs(mode: str, array_ids) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+def _check_inputs(modes, array_ids) -> None:
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"modes repeated: {', '.join(modes)}")
     if not array_ids:
         raise ValueError("no observations given")
     for m in array_ids:
@@ -405,7 +487,7 @@ def _tensor_readers(observations: dict[str, SpectrogramTensor],
 
     Each tensor must be of an array of the model and hold that array's
     channels and the model's bins; that the frames agree is left to
-    `_unit`, and that they are finite to the pass (`_run_block`).
+    `_plan`, and that they are finite to the pass (`_run_block`).
     """
     readers = {}
     for m, t in sorted(observations.items()):
@@ -429,22 +511,21 @@ def separate(observations: dict[str, SpectrogramTensor],
     ConfigError.
 
     posteriors: an optional (N, F, S) float64 buffer that receives the
-    joint state posteriors over every array, in every mode.  They come
-    from the unit `classifier.classify` runs, so they equal its `gamma`
+    joint state posteriors over every array, in every mode.  They are
+    summed as `classifier.classify` sums them, so they equal its `gamma`
     bit for bit; the images do not depend on them.
     """
-    _check_inputs(mode, sorted(observations))
+    _check_inputs([mode], sorted(observations))
     K, F = spatial.n_sources, spatial.n_bins
-    units = _units(_tensor_readers(observations, spatial), spatial, states,
-                   mode, posteriors,
-                   lambda devices, C, N: _Spectra(K + 1, C, N, F))
-    consistency = _run_pass(units, spatial, states)
+    p = _plan(_tensor_readers(observations, spatial), spatial, states,
+              [mode], posteriors,
+              lambda mode, devices, C, N: _Spectra(K + 1, C, N, F))
+    consistency = _run_pass(p, spatial, states)[mode]
     images = {  # (N, F, C) views of the buffers
         (m, sid): SpectrogramTensor(
             f.sink.out[k, lo:hi].transpose(1, 2, 0), observations[m].window,
             observations[m].rate_hz, observations[m].n_samples)
-        for u in units for f in u.filters
-        for k, sid, m, lo, hi in _parts(f.arrays, spatial)}
+        for f in p.filters for k, sid, m, lo, hi in _parts(f.arrays, spatial)}
     return SeparationResult(images, mode,
                             metadata={"consistency_rel_max": consistency})
 
@@ -473,7 +554,7 @@ def separate_recordings(recordings: dict[str, SampledSignal],
     """
     images = {}
 
-    def image(m, sid):
+    def image(mode, m, sid):
         rec = recordings[m]
         dest = images[(m, sid)] = dsp._Samples((rec.channels,),
                                                rec.n_samples)
@@ -481,7 +562,7 @@ def separate_recordings(recordings: dict[str, SampledSignal],
 
     consistency = _separate_sources(
         {m: dsp._ArraySource(rec.samples) for m, rec in recordings.items()},
-        window, spatial, states, mode, posteriors, image)
+        window, spatial, states, [mode], posteriors, image)[mode]
     return SeparationResult(
         {(m, sid): SampledSignal(dest.out.T, recordings[m].rate_hz)
          for (m, sid), dest in images.items()}, mode,
@@ -490,25 +571,31 @@ def separate_recordings(recordings: dict[str, SampledSignal],
 
 def _separate_sources(sources: dict, window: WindowSpec,
                       spatial: SpatialModel, states: StateSpectrumModel,
-                      mode: str, posteriors, image) -> dict:
-    """The streamed pass from sample sources to image destinations.
+                      modes, posteriors, image, truth=None) -> dict:
+    """The streamed pass from sample sources to image destinations, one
+    pass for every mode.
 
     sources: device -> its (n, C) samples, a sample source of
-    `dsp._Reader`; posteriors: as `_unit` takes them; image(device,
-    source id) -> the destination of that image's (C, n) signal, an
-    object with write(start, samples) (`dsp._Samples`, `audio.WavSink`,
-    `metrics._ImageScore`), or None for an image nobody keeps; it is
-    called for every image, noise included, in the order of `separate`'s
-    images, once the sources' shapes are checked.  A filter none of
-    whose noise images is kept does not synthesize them
-    (`_ImageWriter`).  Checks and errors as for
-    `separate_recordings`; the pass finds non-finite samples as it reads
-    them, after the destinations are made, so a caller that must leave
-    nothing behind on failure discards them.  Returns the worst
-    image-sum deviation per filter.
+    `dsp._Reader`; modes: the filter variants, each at most once, or none
+    (the pass then only fills posteriors); posteriors: as `_plan` takes
+    them; image(mode, device, source id) -> the destination of that
+    image's (C, n) signal under mode, an object with write(start,
+    samples) (`dsp._Samples`, `audio.WavSink`, `metrics._ImageScore`), or
+    None for an image nobody keeps; it is called for every image, noise
+    included, mode by mode in the order of `separate`'s images, once the
+    sources' shapes are checked.  A filter none of whose noise images is
+    kept does not synthesize them (`_ImageWriter`).  truth: None, or an
+    object whose read(device, start, stop, scratch) reads the truth of
+    the samples start:stop that a block finishes on that device, into
+    the thread's scratch(spare=) before any of the block's writes
+    (`metrics._Scores`).  Checks and errors as for `separate_recordings`;
+    the pass finds non-finite samples as it reads them, block by block
+    across devices, after the destinations are made, so a caller that
+    must leave nothing behind on failure discards them.  Returns, by
+    mode, the worst image-sum deviation per filter.
     """
     array_ids = sorted(sources)
-    _check_inputs(mode, array_ids)
+    _check_inputs(modes, array_ids)
     F = spatial.n_bins
     if window.length // 2 + 1 != F:
         raise ValueError(f"window length {window.length} gives "
@@ -522,10 +609,11 @@ def _separate_sources(sources: dict, window: WindowSpec,
                              f"fewer than one frame ({window.length})")
         readers[m] = dsp._Reader(source, window)
 
-    def sink(devices, C, N):
+    def sink(mode, devices, C, N):
         return _ImageWriter(spatial.n_sources + 1, C, N, window, [
-            (k, lo, hi, image(m, sid))
+            (k, lo, hi, image(mode, m, sid))
             for k, sid, m, lo, hi in _parts(devices, spatial)])
 
-    units = _units(readers, spatial, states, mode, posteriors, sink)
-    return _run_pass(units, spatial, states, window.length)
+    p = _plan(readers, spatial, states, modes, posteriors, sink)
+    p.window, p.truth = window, truth
+    return _run_pass(p, spatial, states)

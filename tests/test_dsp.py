@@ -160,12 +160,13 @@ def _written(spec, n, block):
     `block`-frame blocks, put in frame order on this thread."""
     C, n_frames = spec.channels, spec.n_frames
     dest = dsp._Samples((C,), n)
-    writer = dsp._Writer((C,), n_frames, spec.window, block, dest)
+    writer = dsp._Writer((C,), n_frames, spec.window, dest)
     planes = spec.coeffs.transpose(2, 0, 1)
-    scratch = np.empty((C, block, spec.window.length))
+    frames = np.empty((C, block, spec.window.length))
+    sums = dsp._block_sums(C, spec.window, block)
     for n0 in range(0, n_frames, block):
         n1 = min(n0 + block, n_frames)
-        writer.put(n0, n1, planes[:, n0:n1], scratch)
+        writer.put(n0, n1, planes[:, n0:n1], frames, sums)
     return dest.out.T
 
 

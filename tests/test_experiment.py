@@ -147,6 +147,23 @@ def test_unknown_variant_rejected_before_training(monkeypatch):
         run_experiment(tiny_scene(), tiny_scene(), variants=("sync",), seed=0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"modes": ("tv-local", "tv-local")},
+     "modes repeated: tv-local, tv-local"),
+    ({"modes": MODES + ("static-local",)}, "modes repeated"),
+    ({"variants": ("sro", "synced", "sro")}, "variants repeated"),
+], ids=["mode", "mode-among-others", "variant"])
+def test_repeated_mode_or_variant_rejected_before_training(monkeypatch,
+                                                           kwargs, match):
+    # a repeated mode ran its whole pass twice and kept the second result;
+    # in the one pass of every mode two filters would write one destination
+    import asyncsep.experiment as experiment
+
+    monkeypatch.setattr(experiment, "_image_sources", None)  # not reached
+    with pytest.raises(ValueError, match=match):
+        run_experiment(tiny_scene(), tiny_scene(), seed=0, **kwargs)
+
+
 def _edited(spec: SceneSpec, edit) -> SceneSpec:
     """A copy of spec after edit(copy), checked again."""
     out = copy.deepcopy(spec)
@@ -337,31 +354,34 @@ def test_training_data_is_released_before_the_test_scene(monkeypatch):
 
 
 def test_each_result_is_released_before_the_next_separation(monkeypatch):
-    # no destination of a mode's pass, nor what it scored, is held
-    # through the next mode's pass
+    # no destination of a variant's pass, nor what it scored, is held
+    # through the next variant's pass, which runs every mode
     import weakref
 
-    held, nowhere = [], []
+    held, nowhere, calls = [], [], []
 
-    def tracked(sources, window, spatial, states, mode, posteriors, image):
+    def tracked(sources, window, spatial, states, modes, posteriors, image,
+                truth):
         assert all(ref() is None for ref in held)
+        calls.append(list(modes))
 
-        def kept(m, sid):
-            dest = image(m, sid)
+        def kept(mode, m, sid):
+            dest = image(mode, m, sid)
             if dest is None:  # a noise image, not scored
                 nowhere.append((m, sid))
             else:
                 held.append(weakref.ref(dest))
             return dest
 
-        return _separate_sources(sources, window, spatial, states, mode,
-                                 posteriors, kept)
+        return _separate_sources(sources, window, spatial, states, modes,
+                                 posteriors, kept, truth)
 
     monkeypatch.setattr(experiment, "_separate_sources", tracked)
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("static-local", "tv-distributed"), seed=3,
                    window=WIN, variants=("sro", "synced"))
-    assert len(held) == 4 * 4  # 2 arrays x 2 sources per pass
+    assert calls == 2 * [["static-local", "tv-distributed"]]
+    assert len(held) == 4 * 4  # 2 arrays x 2 sources per mode and variant
     assert nowhere == 4 * [("a", "noise"), ("b", "noise")]
 
 
@@ -375,7 +395,7 @@ def test_discarded_noise_images_are_not_synthesized(monkeypatch):
     class Recorded(separator._ImageWriter):
         def __init__(self, *args):
             super().__init__(*args)
-            rows.append(self.buf.shape[:2])
+            rows.append(self.rows)
 
     monkeypatch.setattr(separator, "_ImageWriter", Recorded)
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
@@ -394,10 +414,10 @@ def test_discarded_noise_images_are_not_synthesized(monkeypatch):
 
 
 def test_mode_loop_memory_does_not_grow_with_length(monkeypatch):
-    # the traced peak of each mode, from its scorer's construction to the
-    # end of its pass, above what run_experiment holds then, on the demo
-    # at 2 s and 8 s; one image signal of the 6 s between them is 1.5 MB,
-    # where holding the (K+1) x 6 image signals grew it by 18 MB
+    # the traced peak of the one pass of every mode, from its scorer's
+    # construction to its end, above what run_experiment holds then, on
+    # the demo at 2 s and 8 s; one image signal of the 6 s between them
+    # is 1.5 MB, where holding the (K+1) x 6 image signals grew it by 18 MB
     import tracemalloc
 
     monkeypatch.setattr(_pool, "worker_count", lambda: 1)
@@ -426,7 +446,7 @@ def test_mode_loop_memory_does_not_grow_with_length(monkeypatch):
                            variants=("sro",))
         finally:
             tracemalloc.stop()
-        assert len(peaks) == len(MODES)
+        assert len(peaks) == 1  # one pass for every mode
         worst[seconds] = max(peaks)
     image = 6.0 * scene.rate_hz * 2 * 8  # 6 s of a 2-channel image
     assert abs(worst[8.0] - worst[2.0]) < image, worst

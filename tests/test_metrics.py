@@ -289,15 +289,19 @@ class TestSpanScores:
             rows = max(b - a for a, b in spans)
             scores = _Scores({key: (source, 16000.0) for key, source in
                               zip(truth, sources)}, {"a": offset}, rows)
-            assert scores.destination("a", "noise") is None
+            assert scores.destination(None, "a", "noise") is None
+            scratch = scores.scratch()
             for a, b in spans:
                 stop = b + 3 if b == n else b
+                scores.read("a", a, stop, scratch)
                 for key, est in ests.items():
-                    image = scores.images[key]
+                    image = scores.images[(None, key)]
+                    at, read = scratch[2][image.g]
+                    assert at == a
                     assert np.array_equal(
-                        _bits(image.spans.rows(image.k, a, b)),
+                        _bits(read[image.c0:image.c1]),
                         _bits(refs[key].samples[a:b].T))
-                    scores.destination(*key).write(a, est[:, a:stop])
+                    scores.destination(None, *key).write(a, est[:, a:stop])
         want = score_images(refs, {key: sig(est[:, :n].T)
                                    for key, est in ests.items()})
         assert scores.scores() == want
@@ -320,11 +324,16 @@ class TestSpanScores:
     def test_spans_out_of_order_or_missing_are_refused(self, rng):
         truth = {("a", "s1"): sig(rng.standard_normal((100, 1)))}
         scores = _Scores(_sources(truth), {"a": 0.3}, 50)
-        dest = scores.destination("a", "s1")
+        dest, scratch = scores.destination(None, "a", "s1"), scores.scratch()
         with pytest.raises(ValueError, match="more than the 50"):
-            dest.write(0, np.ones((1, 60)))
+            scores.read("a", 0, 60, scratch)
+        with pytest.raises(ValueError, match="0:50 was not read"):
+            dest.write(0, np.ones((1, 50)))
+        scores.read("a", 0, 50, scratch)
         dest.write(0, np.ones((1, 50)))
         with pytest.raises(ValueError, match="from 60 on scored after 50"):
             dest.write(60, np.ones((1, 40)))
+        with pytest.raises(ValueError, match="50:100 was not read"):
+            dest.write(50, np.ones((1, 50)))
         with pytest.raises(ValueError, match="holds 50 of 100 samples"):
             scores.scores()

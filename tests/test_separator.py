@@ -620,10 +620,10 @@ class TestWorkerCount:
         lock = threading.Lock()
         real_block = separator._run_block
 
-        def counted(unit, n0, *rest):
+        def counted(p, n0, *rest):
             with lock:
-                calls[(id(unit), n0)] += 1
-            real_block(unit, n0, *rest)
+                calls[(id(p), n0)] += 1
+            real_block(p, n0, *rest)
 
         monkeypatch.setattr(separator, "_run_block", counted)
         for mode in MODES:
@@ -639,11 +639,10 @@ class TestWorkerCount:
                                for key, t in result.images.items()}
                 finally:
                     sys.setswitchinterval(interval)
-                # every block of every unit ran exactly once
+                # every block ran exactly once, one task over every device
                 n_frames = obs["a"].n_frames
                 blocks = -(-n_frames // 8)
-                units = 2 if mode in ("static-local", "tv-local") else 1
-                assert sorted(calls.values()) == [1] * (blocks * units)
+                assert sorted(calls.values()) == [1] * blocks
                 runs.append((result, signals))
             (a, sig_a), (b, sig_b) = runs
             assert a.metadata == b.metadata
@@ -845,7 +844,7 @@ class TestSeparateRecordings:
                                                   states, mode).images
         kept, writers = {}, []
 
-        def image(m, k):
+        def image(mode, m, k):
             if (m, k) in dropped:
                 return None
             kept[(m, k)] = dsp._Samples((2,), recs[m].n_samples)
@@ -860,7 +859,7 @@ class TestSeparateRecordings:
                 mock.patch.object(separator, "_ImageWriter", Recorded):
             separator._separate_sources(
                 {m: dsp._ArraySource(r.samples) for m, r in recs.items()},
-                STREAM_WIN, spatial, states, mode, None, image)
+                STREAM_WIN, spatial, states, [mode], None, image)
         assert set(kept) == set(_ALL_KEPT[mode]) - dropped
         for key, dest in kept.items():
             assert np.array_equal(dest.out, _ALL_KEPT[mode][key].samples.T)
@@ -868,7 +867,7 @@ class TestSeparateRecordings:
         assert len(writers) == len(groups)
         for w, devices in zip(writers, groups):
             noise = any((m, NOISE_ID) not in dropped for m in devices)
-            assert w.buf.shape[0] == (K + 1 if noise else K)
+            assert w.rows[0] == (K + 1 if noise else K)
 
     def test_peak_traced_memory_below_the_image_spectrograms(self,
                                                              monkeypatch):
@@ -892,3 +891,76 @@ class TestSeparateRecordings:
             tracemalloc.stop()
         assert result.images[("a1", "s0")].n_samples == n
         assert peak <= 0.6 * images_bytes
+
+
+_JOINT_CASE = {}  # cut -> (spatial, states, recordings, truth sources)
+
+
+class TestOnePassForEveryMode:
+    """One streamed pass over several modes equals one pass per mode."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(modes=st.permutations(MODES).flatmap(
+               lambda order: st.integers(1, len(MODES)).map(
+                   lambda n: order[:n])),
+           workers=st.sampled_from([1, 3]), offsets=st.booleans(),
+           unequal=st.booleans())
+    def test_images_and_consistency_equal_the_single_mode_passes(
+            self, modes, workers, offsets, unequal):
+        # c's recording ends 9 frames early where no mode filters or
+        # classifies devices jointly; each device's truth is read through
+        # one clock per block, once for every mode
+        from asyncsep.metrics import _Scores
+
+        cut = 1100 if unequal and not {"static-pooled", "tv-distributed"} \
+            & set(modes) else 0
+        if cut not in _JOINT_CASE:
+            spatial, states, recs = _stream_case(2, 19)
+            recs["c"] = SampledSignal(recs["c"].samples[:-cut or None],
+                                      16000.0)
+            rng = np.random.default_rng(cut)
+            truth = {(m, k): dsp._ArraySource(rng.standard_normal(
+                         (r.n_samples, 2))) for m, r in recs.items()
+                     for k in spatial.source_ids}
+            _JOINT_CASE[cut] = spatial, states, recs, truth
+        spatial, states, recs, truth = _JOINT_CASE[cut]
+        sro = {"a": 0.3, "b": -0.2, "c": 0.0} if offsets else {}
+        rows = dsp._span(STREAM_WIN, _kernels._BLOCK)
+        real_read = dsp._Clock.read
+
+        def run(pass_modes):
+            images, reads = {}, Counter()
+
+            def image(mode, m, k):
+                images[(mode, m, k)] = dsp._Samples((2,), recs[m].n_samples)
+                return images[(mode, m, k)]
+
+            def counted(clock, start, stop, raw, out):
+                reads[(id(clock), start)] += 1
+                real_read(clock, start, stop, raw, out)
+
+            scores = _Scores({key: (source, 16000.0)
+                              for key, source in truth.items()}, sro, rows)
+            with mock.patch.object(dsp._Clock, "read", counted):
+                consistency = separator._separate_sources(
+                    {m: dsp._ArraySource(r.samples) for m, r in recs.items()},
+                    STREAM_WIN, spatial, states, pass_modes, None, image,
+                    scores)
+            return images, consistency, reads
+
+        with mock.patch.object(_pool, "worker_count", lambda: workers):
+            images, consistency, reads = run(list(modes))
+            singles = [run([mode]) for mode in modes]
+        assert list(consistency) == list(modes)
+        for mode, (one, one_consistency, one_reads) in zip(modes, singles):
+            assert consistency[mode] == one_consistency[mode]
+            for key, dest in one.items():
+                assert np.array_equal(images[key].out, dest.out)
+            # one read per (block, device group), as many as one mode's
+            assert set(reads.values()) == {1}
+            assert len(reads) == len(one_reads)
+        assert len(images) == sum(len(one) for one, _, _ in singles)
+        frames = [stft_frame_count(r.n_samples, STREAM_WIN)
+                  for r in recs.values()]
+        assert len(set(frames)) == (2 if cut else 1)
+        assert len(reads) == sum(-(-n // _kernels._BLOCK) for n in frames)

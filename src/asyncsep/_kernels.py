@@ -9,10 +9,11 @@ a `Workspace` that the caller allocated, so a block allocates no array.
   * `loglik_block`: the state covariances depend only on (state, bin), so
     their Cholesky factors are inverted once (`inverse_factors`) and each
     tile's quadratic form is a sum over the lower triangle of the inverse;
-  * `mwf_factor` and `mwf_apply`: the multichannel Wiener filter, a
-    Hermitian Cholesky factorization of the loaded mixture covariance,
-    then forward and back solves per tile and the K source images; the
-    noise image is the mixture minus their sum.
+  * `mwf_factor`, `mwf_solve` and `mwf_apply`: the multichannel Wiener
+    filter, a Hermitian Cholesky factorization of the loaded mixture
+    covariance, then forward and back solves per tile over every channel,
+    and the K source images of any range of channels; the noise image is
+    the mixture minus their sum.
 
 The powers have a frame axis of the block's length (time-varying) or 1
 (static); with 1 the factorization holds for every frame.  `_loading` is
@@ -28,6 +29,8 @@ tests and because the pipeline benchmark's tracer wraps them by name.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["USE_NUMBA", "loglik_accumulate", "mwf_filter"]
@@ -42,58 +45,48 @@ class Workspace:
     """Scratch planes of one thread for blocks of up to `frames` frames.
 
       x      (channels, frames, bins) complex: the block's mixture planes
-      y      (filter_channels, frames, bins) complex: one filter's solves
       ll     (frames, bins, states): log-likelihoods, then posteriors
-      own    (frames, bins, states), or no frames unless `own`: one
-             array's own log-likelihoods, then posteriors, where a pass
-             also sums them in ll
       p      (sources, frames, bins) complex: powers, real part only
-      L      (factor_channels, factor_channels, frames, bins) complex: the
-             loaded covariance, then its Cholesky factor
-      dinv   (factor_channels, frames, bins) complex: the reciprocals of
-             the factor's diagonal
       c      (2, frames, bins) complex and r (4, frames, bins) float:
              temporaries
       mask   (frames, bins) and flags (frames, bins, states): booleans
       winners (frames, bins) integers: the state that wins each tile
-      img    (images, image_channels, frames, bins) complex and
-      t      (images, image_channels, frames, length) float: one filter's
-             images of a block and their windowed frames, where the
-             separation pass analyzes and synthesizes signals; a
-             `dsp._Reader` takes t[:2] for a block's samples and frames
+    and, views of one arena,
+      y      (filter_channels, frames, bins) complex: one filter's solves
+      img    (images, image_channels, frames, bins) complex: one device's
+             images of a block, where the separation pass synthesizes
+             signals
+      L      (factor_channels, factor_channels, frames, bins) complex: the
+             loaded covariance, then its Cholesky factor
+      dinv   (factor_channels, frames, bins) complex: the reciprocals of
+             the factor's diagonal
+      own    (frames, bins, states), or no frames unless `own`: one
+             array's own log-likelihoods, then posteriors, where a pass
+             also sums them in ll
+      t      (frame_images, image_channels, frames, length) float: the
+             windowed frames of the images a device's writer synthesizes;
+             a `dsp._Reader` takes t[:2] for a block's samples and frames
+      idle   float: img and t as one run, idle between a block's reads
+             and its first filter
 
     Made by the calling thread before any block runs.  The kernels take
-    the leading channels and frames of each buffer.  Where there are
-    frames (length), y, L, dinv and own share memory with t: a filter's
-    solves and factor are spent once its images are formed, its frames
-    are synthesized only then, and an array's own posteriors are spent
-    once its powers are formed, before its filter starts.
+    the leading channels and frames of each buffer.  The arena holds, in
+    this order, the solves of a filter over several devices
+    (filter_channels above image_channels), which outlive each device's
+    synthesis; img, with L, dinv and own over it; and t, with the solves
+    of a filter of one device over it.  A filter's factor is spent once
+    its solves are formed, before its images are; an array's own
+    posteriors once its powers are formed, before its filter starts; and
+    the solves of one device once its images are formed, before they are
+    synthesized.
     """
 
     def __init__(self, frames: int, bins: int, channels: int = 0,
                  factor_channels: int = 0, sources: int = 0,
                  states: int = 0, images: int = 0, image_channels: int = 0,
                  length: int = 0, filter_channels: int = 0,
-                 own: bool = False):
-        B, F, Cf = frames, bins, factor_channels
-        self.img = np.empty((images, image_channels, B, F),
-                            dtype=np.complex128)
-        Cy = filter_channels
-        sizes = (images * image_channels * B * length,  # floats: t,
-                 2 * (Cy + Cf * Cf + Cf) * B * F,  # y, L and dinv,
-                 B * F * states if own else 0)  # and own
-        if length:
-            shared = np.empty(max(sizes))
-            t, solved, mine = (shared[:n] for n in sizes)
-        else:
-            t, solved, mine = (np.empty(n) for n in sizes)
-        self.t = t.reshape(images, image_channels, B, length)
-        solved = solved.view(np.complex128)
-        self.y = solved[:Cy * B * F].reshape(Cy, B, F)
-        self.L = solved[Cy * B * F:(Cy + Cf * Cf) * B * F].reshape(
-            Cf, Cf, B, F)
-        self.dinv = solved[(Cy + Cf * Cf) * B * F:].reshape(Cf, B, F)
-        self.own = mine.reshape(B if own else 0, F, states)
+                 own: bool = False, frame_images: int = 0):
+        B, F, Cf, Ci = frames, bins, factor_channels, image_channels
         self.x = np.empty((channels, B, F), dtype=np.complex128)
         self.ll = np.empty((B, F, states))
         self.p = np.zeros((sources, B, F), dtype=np.complex128)
@@ -102,6 +95,33 @@ class Workspace:
         self.mask = np.empty((B, F), dtype=bool)
         self.flags = np.empty((B, F, states), dtype=bool)
         self.winners = np.empty((B, F), dtype=np.intp)
+        c16, f8 = np.complex128, np.float64
+        fields = {"y": ((filter_channels, B, F), c16),
+                  "img": ((images, Ci, B, F), c16),
+                  "L": ((Cf, Cf, B, F), c16), "dinv": ((Cf, B, F), c16),
+                  "own": ((B if own else 0, F, states), f8),
+                  "t": ((frame_images, Ci, B, length), f8)}
+        size = {name: math.prod(shape) * np.dtype(dtype).itemsize
+                for name, (shape, dtype) in fields.items()}
+        alone = filter_channels > Ci
+        # the regions in arena order, each of fields laid over each
+        # other: (field, its byte offset in the region)
+        regions = [[("y", 0)] if alone else [],
+                   [("img", 0), ("L", 0), ("dinv", size["L"]), ("own", 0)],
+                   [("t", 0)] + ([] if alone else [("y", 0)])]
+        offsets, at = {}, 0
+        for region in regions:
+            for name, offset in region:
+                offsets[name] = at + offset
+            end = max((at + offset + size[name] for name, offset in region),
+                      default=at)
+            at = -(-end // 64) * 64  # each region 64-byte aligned
+        self.arena = np.empty(at // 8)
+        raw = self.arena.view(np.uint8)
+        for name, (shape, dtype) in fields.items():
+            view = raw[offsets[name]:offsets[name] + size[name]]
+            setattr(self, name, view.view(dtype).reshape(shape))
+        self.idle = raw[offsets["img"]:].view(f8)
 
 
 def _loading(trace, noise_over_c, out, positive):
@@ -237,20 +257,13 @@ def mwf_factor(p, Rt, noise_power, noise_over_c, L, dinv, ws):
                 acc *= dinv[j]
 
 
-def mwf_apply(x, p, Rt, L, dinv, out, ws):
-    """Source and noise images of one block.
+def mwf_solve(x, L, dinv, ws):
+    """Forward and back solves of one block: ws.y[:C, :b] = S^-1 x.
 
-    x:          (C, b, F) mixture planes
-    p, L, dinv: the powers and the factor from `mwf_factor`, with a frame
-                axis of b or 1
-    Rt:         (C, C, K, F) spatial covariance planes
-    out:        (K+1, C, b, F) receives the K source images and, last, the
-                noise image X - sum_k images_k; the noise filter is
-                I - sum_k W_k, so the image sum stays at X however
-                ill-conditioned S is
+    x:       (C, b, F) mixture planes
+    L, dinv: the factor from `mwf_factor`, with a frame axis of b or 1
     """
     C, b, _ = x.shape
-    K = p.shape[0]
     y, t = ws.y[:C, :b], ws.c[0, :b]
     for i in range(C):
         np.copyto(y[i], x[i])
@@ -264,17 +277,34 @@ def mwf_apply(x, p, Rt, L, dinv, out, ws):
             np.multiply(t, y[k], out=t)
             y[i] -= t
         y[i] *= dinv[i]
+
+
+def mwf_apply(x, p, Rt, rows, out, ws):
+    """Source and noise images of one block, on the channels `rows`.
+
+    x:    (C, b, F) mixture planes, whose solves `mwf_solve` left in ws.y
+    p:    the powers of `mwf_factor`, with a frame axis of b or 1
+    Rt:   (C, C, K, F) spatial covariance planes
+    rows: a slice of the C channels, one device's of a merged array
+    out:  (K+1, rows, b, F) receives the K source images and, last, the
+          noise image X - sum_k images_k; the noise filter is
+          I - sum_k W_k, so the image sum stays at X however
+          ill-conditioned S is
+    """
+    C, b, _ = x.shape
+    K = p.shape[0]
+    y, t = ws.y[:C, :b], ws.c[0, :b]
     rest = out[K]
-    np.copyto(rest, x)
+    np.copyto(rest, x[rows])
     for k in range(K):
-        for c in range(C):
-            img = out[k, c]
+        for i, c in enumerate(range(C)[rows]):
+            img = out[k, i]
             np.multiply(Rt[c, 0, k], y[0], out=img)
             for d in range(1, C):
                 np.multiply(Rt[c, d, k], y[d], out=t)
                 img += t
             img *= p[k]
-            rest[c] -= img
+            rest[i] -= img
 
 
 def mwf_filter(X, Rbar, powers, noise_power, block=_BLOCK):
@@ -310,5 +340,6 @@ def mwf_filter(X, Rbar, powers, noise_power, block=_BLOCK):
             mwf_factor(p, Rt, noise_power, noise_over_c, L, dinv, ws)
         x = ws.x[:, :n1 - n0]
         np.copyto(x, np.transpose(X[n0:n1], (2, 0, 1)))
-        mwf_apply(x, p, Rt, L, dinv, out[:, :, n0:n1], ws)
+        mwf_solve(x, L, dinv, ws)
+        mwf_apply(x, p, Rt, slice(0, C), out[:, :, n0:n1], ws)
     return out.transpose(0, 2, 3, 1)

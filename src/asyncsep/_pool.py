@@ -12,7 +12,10 @@ Every stage with numeric work splits it into tasks on this pool:
     samples, or per device group in `asyncsep evaluate`;
   * the separation pass: one task per block of frames over every
     device, for every mode of the pass, which in `run_experiment` also
-    reads the truth of the spans it finishes and scores them;
+    reads the truth of the spans it finishes and scores them; its
+    thread's scratch holds one device's image planes and frames, every
+    device's mixture planes and truth rows, and the solves of the
+    widest filter (`_kernels.Workspace`);
   * SDR scoring (`metrics._Scores`): one task per (device, length,
     rate) group of images.
 Tasks write disjoint slices of buffers allocated beforehand, or, in

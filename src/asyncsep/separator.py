@@ -30,24 +30,29 @@ mode classifies, each device's log-likelihoods are formed once, into
 their own plane: tv-local takes each plane's softmax for that device's
 filter, and tv-distributed adds the planes in device order and takes
 the softmax of the sum, which also fills the posteriors when the caller
-passes a buffer for them.  Each filter writes the K+1 images of the
-block, checks that they sum to the mixture and hands them to a sink.  No
-full-size log-likelihoods or powers are kept.  With no mode the pass only
-classifies; `classifier.classify` runs it so.  The blocks run on every
-core (`_pool`), and the result depends neither on the number of threads
-nor on which modes share the pass.
+passes a buffer for them.  Each filter solves the block over all its
+channels once, then forms the K+1 images of one device at a time, adds
+that device's share of the check that they sum to the mixture, and
+hands them to that device's sink; a filter of every device
+(static-pooled) is a filter of one device repeated over its devices'
+channels, so a thread holds one device's images and frames whatever
+the filter.  No full-size log-likelihoods or powers are kept.  With no
+mode the pass only classifies; `classifier.classify` runs it so.  The
+blocks run on every core (`_pool`), and the result depends neither on
+the number of threads nor on which modes share the pass.
 
 `separate` and `classify` read their blocks from STFT tensors
-(`dsp._TensorReader`), and the sink of `separate` is each filter's
-(K+1, C, N, F) image buffer; the image tensors of its result are
-(N, F, C) views into them.  The streamed pass (`_separate_sources`)
+(`dsp._TensorReader`), and the sink of `separate` is a (K+1, C, N, F)
+image buffer per filter and device; the image tensors of its result
+are (N, F, C) views into them.  The streamed pass (`_separate_sources`)
 reads each block from the recordings through a `dsp._Reader`, which
 frames them as `dsp.stft` does, and its sink is a `dsp._Writer`, the
 overlap-add of `dsp.istft`, which hands each finished span of the
-images kept to their destinations (`_ImageWriter`); no spectrogram of a
-whole recording is ever held, and a writer keeps only its carry
-between blocks.  The writer adds a filter's blocks in frame order, so
-the image signals equal `istft` of `separate`'s images bit for bit.
+images kept to their destinations (`_ImageWriter`, one per filter and
+device); no spectrogram of a whole recording is ever held, and a
+writer keeps only its carry between blocks.  A writer adds its blocks
+in frame order, so the image signals equal `istft` of `separate`'s
+images bit for bit.
 `separate_recordings` streams from arrays into arrays; `asyncsep
 separate` streams from WAV files into WAV files, and its posteriors
 into a `.npy` file, so it holds a fixed number of blocks whatever the
@@ -97,8 +102,8 @@ class SeparationResult:
 
 
 class _Spectra:
-    """Sink of `separate`: the blocks' images stay in one (K+1, C, N, F)
-    buffer."""
+    """Sink of `separate`: one device's images of a filter stay in one
+    (K+1, C, N, F) buffer."""
 
     def __init__(self, images: int, channels: int, n_frames: int, bins: int):
         self.out = np.empty((images, channels, n_frames, bins),
@@ -115,21 +120,21 @@ class _Spectra:
 
 
 class _ImageWriter(dsp._Writer):
-    """Sink of the streamed pass: a `dsp._Writer` of one filter's images,
-    synthesized from a block's K+1 images in its thread's image planes,
-    with its block sums in the thread's workspace, which routes each
-    finished span itself.  parts: (k, lo, hi, dest) sends image k's rows
-    lo:hi, one device's channels, to dest, a destination of that image's
-    (hi - lo, samples) signal (`dsp._Samples`, `audio.WavSink`,
-    `metrics._ImageScore`), or to nowhere when dest is None.  The noise
-    image, the last, is synthesized only when a part keeps it; the
-    image-sum check still reads all K+1 planes."""
+    """Sink of the streamed pass: a `dsp._Writer` of one device's images
+    under one filter, synthesized from a block's K+1 images in its
+    thread's image planes, with its block sums in the thread's
+    workspace, which routes each finished span itself.  parts: (k, dest)
+    sends image k to dest, a destination of that image's (C, samples)
+    signal (`dsp._Samples`, `audio.WavSink`, `metrics._ImageScore`), or
+    to nowhere when dest is None.  The noise image, the last, is
+    synthesized only when a part keeps it; the image-sum check still
+    reads all K+1 planes."""
 
     def __init__(self, images: int, channels: int, n_frames: int,
                  window: WindowSpec, parts):
         self.images = images
-        self.parts = [p for p in parts if p[3] is not None]
-        noise = any(k == images - 1 for k, *_ in self.parts)
+        self.parts = [p for p in parts if p[1] is not None]
+        noise = any(k == images - 1 for k, _ in self.parts)
         super().__init__((images if noise else images - 1, channels),
                          n_frames, window, None)
 
@@ -140,8 +145,8 @@ class _ImageWriter(dsp._Writer):
         super().put(n0, n1, planes[:self.rows[0]], ws.t, ws.sums)
 
     def write(self, start, samples) -> None:
-        for k, lo, hi, dest in self.parts:
-            dest.write(start, samples[k, lo:hi])
+        for k, dest in self.parts:
+            dest.write(start, samples[k])
 
 
 @dataclass
@@ -151,10 +156,12 @@ class _Filter:
     mode: str
     arrays: list[str]  # its devices, in channel order
     channels: slice    # those channels among the block's mixture planes
+    rows: list[slice]  # each device's channels among the filter's
     n_frames: int
     Rt: np.ndarray     # (C, C, K, F) covariance planes
     noise: tuple       # (noise power, noise power / C), each (F,)
-    sink: _Spectra | _ImageWriter  # takes the (K+1, C, b, F) images of a block
+    # per device, what takes the (K+1, C, b, F) images of its channels
+    sinks: list[_Spectra | _ImageWriter]
     static: tuple | None = None  # (p, L, dinv) factorized for every frame
     worst: float = 0.0  # the worst squared image-sum deviation so far
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -187,28 +194,33 @@ class _Pass:
         return self.channels[-1].stop
 
 
-def _deviation_block(planes: np.ndarray, x: np.ndarray, ws) -> float:
+def _deviation_block(parts, ws) -> float:
     """Worst squared relative deviation of the image sum in one block.
 
-    planes: (K+1, C, b, F) images; x: (C, b, F) mixture.  Per channel the
-    images are summed and the mixture subtracted, and the squared
-    deviations and mixture powers are accumulated over channels.  Tiles
-    with a silent mixture count as 0.
+    parts: (planes, x) of consecutive ranges of a filter's channels, in
+    channel order, each read before the next is drawn: (K+1, C, b, F)
+    images and their (C, b, F) mixture.  Per channel the images are
+    summed and the mixture subtracted, and the squared deviations and
+    mixture powers are accumulated over every range's channels; their
+    ratio and its maximum are taken once.  Tiles with a silent mixture
+    count as 0.
     """
-    C, b, _ = x.shape
-    d = ws.c[0, :b]
-    num, den, t, u = (ws.r[i, :b] for i in range(4))
+    for i, (planes, x) in enumerate(parts):
+        C, b, _ = x.shape
+        d = ws.c[0, :b]
+        num, den, t, u = (ws.r[j, :b] for j in range(4))
+        if not i:
+            num.fill(0.0)
+            den.fill(0.0)
+        for c in range(C):
+            np.sum(planes[:, c], axis=0, out=d)
+            d -= x[c]
+            for z, acc in ((d, num), (x[c], den)):
+                np.square(z.real, out=t)
+                np.square(z.imag, out=u)
+                t += u
+                acc += t
     active = ws.mask[:b]
-    num.fill(0.0)
-    den.fill(0.0)
-    for c in range(C):
-        np.sum(planes[:, c], axis=0, out=d)
-        d -= x[c]
-        for z, acc in ((d, num), (x[c], den)):
-            np.square(z.real, out=t)
-            np.square(z.imag, out=u)
-            t += u
-            acc += t
     np.greater(den, 0.0, out=active)
     np.divide(num, den, out=num, where=active)
     np.logical_not(active, out=active)
@@ -216,34 +228,42 @@ def _deviation_block(planes: np.ndarray, x: np.ndarray, ws) -> float:
     return float(num.max())
 
 
-def _filter_block(f: _Filter, x: np.ndarray, n0: int, n1: int, ws) -> None:
-    """Write frames n0:n1 of one filter's images, given the block's powers.
-
-    x: the filter's (C, n1 - n0, F) mixture planes; the images go to the
-    sink's planes.  Time-varying powers are in ws.p and are factorized
-    here; static ones were factorized once.
-    """
-    b = n1 - n0
-    C = x.shape[0]
+def _solve(f: _Filter, x: np.ndarray, ws) -> np.ndarray:
+    """Solve one block of a filter, x its (C, b, F) mixture planes, into
+    ws.y; returns the block's powers.  Time-varying powers are in ws.p
+    and are factorized here; static ones were factorized once."""
+    C, b, _ = x.shape
     if f.static is None:
         p, L, dinv = ws.p[:, :b], ws.L[:C, :C, :b], ws.dinv[:C, :b]
         _kernels.mwf_factor(p, f.Rt, *f.noise, L, dinv, ws)
     else:
         p, L, dinv = f.static
-    _kernels.mwf_apply(x, p, f.Rt, L, dinv, f.sink.planes(n0, n1, ws), ws)
+    _kernels.mwf_solve(x, L, dinv, ws)
+    return p
+
+
+def _images(f: _Filter, x: np.ndarray, p, n0: int, n1: int, ws):
+    """Frames n0:n1 of a filter's images, device by device in channel
+    order: each device's are formed in its sink's planes from the
+    block's solves, yielded with that device's mixture planes and, once
+    read, sunk."""
+    for rows, sink in zip(f.rows, f.sinks):
+        planes = sink.planes(n0, n1, ws)
+        _kernels.mwf_apply(x, p, f.Rt, rows, planes, ws)
+        yield planes, x[rows]
+        sink.put(n0, n1, planes, ws)
 
 
 def _apply(f: _Filter, n0: int, ws) -> None:
-    """Filter one block of frames, check its image sum and sink it."""
+    """Filter one block of frames, and form, check and sink its images
+    device by device."""
     n1 = min(n0 + _kernels._BLOCK, f.n_frames)
     x = ws.x[f.channels, :n1 - n0]
-    _filter_block(f, x, n0, n1, ws)
-    planes = f.sink.planes(n0, n1, ws)
-    worst = _deviation_block(planes, x, ws)
+    p = _solve(f, x, ws)
+    worst = _deviation_block(_images(f, x, p, n0, n1, ws), ws)
     with f.lock:
         if worst > f.worst:  # never for a NaN, as in `max`
             f.worst = worst
-    f.sink.put(n0, n1, planes, ws)
 
 
 def _run_block(p: _Pass, n0: int, ws, var) -> None:
@@ -312,7 +332,8 @@ def _run_block(p: _Pass, n0: int, ws, var) -> None:
                 _apply(f, n0, ws)
     except BaseException:
         for f in p.filters:  # release the blocks that wait for this one
-            f.sink.abort()
+            for sink in f.sinks:
+                sink.abort()
         raise
 
 
@@ -321,16 +342,17 @@ def _plan(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
     """The block pass over the devices of `readers` under `modes`.
 
     readers: device -> its frame blocks (`dsp._Reader` or
-    `dsp._TensorReader`).  Each mode has one filter per device, with a new
-    sink(mode, devices, channels, frames), except static-pooled, which
-    has one over every device; the static modes use the long-term
-    spectra, tv-local each device's own posteriors and tv-distributed the
-    joint posteriors over every device.  The block sums the devices'
-    log-likelihoods for tv-distributed and to write `posteriors` when
-    given, an (N, F, S) float64 array or an object of that shape and
-    dtype whose put(n0, block, ws) takes the posteriors of frames n0
-    onwards (`classifier.PosteriorFile`); with no mode and `posteriors`
-    it classifies and filters nothing (`classifier.classify`).  The
+    `dsp._TensorReader`).  Each mode has one filter per device, except
+    static-pooled, which has one over every device, and each filter a
+    new sink(mode, device, channels, frames) per device; the static
+    modes use the long-term spectra, tv-local each device's own
+    posteriors and tv-distributed the joint posteriors over every
+    device.  The block sums the devices' log-likelihoods for
+    tv-distributed and to write `posteriors` when given, an (N, F, S)
+    float64 array or an object of that shape and dtype whose put(n0,
+    block, ws) takes the posteriors of frames n0 onwards
+    (`classifier.PosteriorFile`); with no mode and `posteriors` it
+    classifies and filters nothing (`classifier.classify`).  The
     devices' frames must agree where the block sums them or filters them
     together; the filter operands of a device are formed once for every
     mode.
@@ -368,21 +390,25 @@ def _plan(readers: dict, spatial: SpatialModel, states: StateSpectrumModel,
             loglik.append((_kernels.inverse_factors(factors), logdets))
     operands = {}  # the filter operands, by devices, shared by the modes
 
-    def make(mode, devs, cov, ch, n):
+    def make(mode, devs, cov, chs, n):
+        """The filter of devs, whose planes are chs, in channel order."""
         if tuple(devs) not in operands:
             operands[tuple(devs)] = _kernels.filter_operands(cov)
-        C = ch.stop - ch.start
-        return _Filter(mode, devs, ch, n, operands[tuple(devs)],
-                       (noise, noise / C), sink(mode, devs, C, n))
+        lo, hi = chs[0].start, chs[-1].stop
+        return _Filter(
+            mode, devs, slice(lo, hi),
+            [slice(c.start - lo, c.stop - lo) for c in chs], n,
+            operands[tuple(devs)], (noise, noise / (hi - lo)),
+            [sink(mode, m, c.stop - c.start, n) for m, c in zip(devs, chs)])
 
     by_mode, filters, static = {}, [], []
     for mode in modes:
         if mode == "static-pooled":
-            by_mode[mode] = [make(mode, devices, merged,
-                                  slice(0, bounds[-1]), frames[0])]
+            by_mode[mode] = [make(mode, devices, merged, channels,
+                                  frames[0])]
         else:
             by_mode[mode] = [
-                make(mode, [m], spatial.covariances[m], ch, n)
+                make(mode, [m], spatial.covariances[m], [ch], n)
                 for m, ch, n in zip(devices, channels, frames)]
         filters += by_mode[mode]
         if mode.startswith("static"):
@@ -406,23 +432,29 @@ def _run_pass(p: _Pass, spatial: SpatialModel,
     """Run every block on the pool, one task per block of frames over
     every device; mode -> the worst image-sum deviation per filter.
 
-    Each thread's workspace also holds, where the pass analyzes and
-    synthesizes signals, its writers' block sums (`dsp._block_sums`,
+    Each thread's workspace is sized by the widest device, not the
+    widest filter, as a filter forms, checks and synthesizes its images
+    device by device; only the solves of a filter over several devices
+    hold every channel.  Where the pass analyzes and synthesizes
+    signals, it also holds its writers' block sums (`dsp._block_sums`,
     ws.sums) and, with a truth reader, the truth span each block finishes
-    (ws.truth), read in the workspace's frame scratch.
+    (ws.truth), read through clock scratch that lies over the image
+    planes and frames (ws.idle).
     """
     var = states.conditional_variances()
     factor_channels = max((f.n_channels for f in p.filters
                            if f.static is None), default=0)
     filter_channels = max((f.n_channels for f in p.filters), default=0)
-    images, image_channels, length = 0, 0, 0
-    if p.window is not None:  # the readers take two planes of frames, too
-        images = max(spatial.n_sources + 1, 2)
-        image_channels = max(filter_channels, *(
-            ch.stop - ch.start for ch in p.channels))
+    writers = [s for f in p.filters for s in f.sinks
+               if isinstance(s, dsp._Writer)]
+    images, image_channels, length, frame_images = 0, 0, 0, 0
+    if p.window is not None:
+        images = spatial.n_sources + 1
+        image_channels = max(ch.stop - ch.start for ch in p.channels)
         length = p.window.length
-    rows = max((math.prod(f.sink.rows) for f in p.filters
-                if isinstance(f.sink, dsp._Writer)), default=0)
+        # the rows the writers synthesize; the readers take two, too
+        frame_images = max([2] + [w.rows[0] for w in writers])
+    rows = max((math.prod(w.rows) for w in writers), default=0)
 
     def workspace():
         ws = _kernels.Workspace(
@@ -431,12 +463,12 @@ def _run_pass(p: _Pass, spatial: SpatialModel,
             states=states.n_states, images=images,
             image_channels=image_channels, length=length,
             filter_channels=filter_channels,
-            own=p.joint and bool(p.local))
+            own=p.joint and bool(p.local), frame_images=frame_images)
         if p.window is not None:  # a block's images are synthesized first
             ws.sums = dsp._block_sums(rows, p.window, _kernels._BLOCK,
                                       ws.img.view(np.float64))
         if p.truth is not None:
-            ws.truth = p.truth.scratch(spare=ws.t)
+            ws.truth = p.truth.scratch(spare=ws.idle)
         return ws
 
     _pool.run(range(0, max(p.frames), _kernels._BLOCK),
@@ -446,17 +478,6 @@ def _run_pass(p: _Pass, spatial: SpatialModel,
         out.setdefault(f.mode, {})[_merged_label(f.arrays)] = float(
             np.sqrt(f.worst))
     return out
-
-
-def _parts(devices: list[str], spatial: SpatialModel):
-    """(k, source id, device, lo, hi) for every image of a filter over
-    `devices`, device by device: rows lo:hi of its image k are that
-    device's channels."""
-    bounds = list(itertools.accumulate(
-        [spatial.channels(m) for m in devices], initial=0))
-    for m, lo, hi in zip(devices, bounds, bounds[1:]):
-        for k, sid in enumerate(spatial.source_ids + [NOISE_ID]):
-            yield k, sid, m, lo, hi
 
 
 def _check_inputs(modes, array_ids) -> None:
@@ -519,13 +540,14 @@ def separate(observations: dict[str, SpectrogramTensor],
     K, F = spatial.n_sources, spatial.n_bins
     p = _plan(_tensor_readers(observations, spatial), spatial, states,
               [mode], posteriors,
-              lambda mode, devices, C, N: _Spectra(K + 1, C, N, F))
+              lambda mode, m, C, N: _Spectra(K + 1, C, N, F))
     consistency = _run_pass(p, spatial, states)[mode]
     images = {  # (N, F, C) views of the buffers
         (m, sid): SpectrogramTensor(
-            f.sink.out[k, lo:hi].transpose(1, 2, 0), observations[m].window,
+            sink.out[k].transpose(1, 2, 0), observations[m].window,
             observations[m].rate_hz, observations[m].n_samples)
-        for f in p.filters for k, sid, m, lo, hi in _parts(f.arrays, spatial)}
+        for f in p.filters for m, sink in zip(f.arrays, f.sinks)
+        for k, sid in enumerate(spatial.source_ids + [NOISE_ID])}
     return SeparationResult(images, mode,
                             metadata={"consistency_rel_max": consistency})
 
@@ -609,10 +631,10 @@ def _separate_sources(sources: dict, window: WindowSpec,
                              f"fewer than one frame ({window.length})")
         readers[m] = dsp._Reader(source, window)
 
-    def sink(mode, devices, C, N):
+    def sink(mode, m, C, N):
         return _ImageWriter(spatial.n_sources + 1, C, N, window, [
-            (k, lo, hi, image(mode, m, sid))
-            for k, sid, m, lo, hi in _parts(devices, spatial)])
+            (k, image(mode, m, sid))
+            for k, sid in enumerate(spatial.source_ids + [NOISE_ID])])
 
     p = _plan(readers, spatial, states, modes, posteriors, sink)
     p.window, p.truth = window, truth

@@ -464,13 +464,21 @@ def consistency_oracle(est, coeffs):
     return worst
 
 
+def workspace_bytes(ws):
+    """The bytes a `_kernels.Workspace` holds: its buffers, each once, and
+    none of the views laid over them."""
+    return sum(a.nbytes for a in vars(ws).values()
+               if isinstance(a, np.ndarray) and a.base is None)
+
+
 def block_consistency(est, coeffs):
     """Worst per-tile relative deviation of the image sum from the mixture,
     by the separation pass's own block reduction.
 
     est is a (K+1, N, F, C) view of a (K+1, C, N, F) buffer, as
     `_kernels.mwf_filter` returns it; it is read as those planes by
-    `separator._deviation_block`, a block of frames at a time.
+    `separator._deviation_block`, a block of frames of every channel at
+    a time.
     """
     planes = est.transpose(0, 3, 1, 2)  # (K+1, C, N, F)
     mix = coeffs.transpose(2, 0, 1)     # (C, N, F)
@@ -479,5 +487,6 @@ def block_consistency(est, coeffs):
     worst = [0.0]
     for n0 in range(0, N, _kernels._BLOCK):
         n1 = n0 + _kernels._BLOCK
-        worst.append(_deviation_block(planes[:, :, n0:n1], mix[:, n0:n1], ws))
+        worst.append(_deviation_block(
+            [(planes[:, :, n0:n1], mix[:, n0:n1])], ws))
     return float(np.sqrt(max(worst)))

@@ -34,7 +34,7 @@ from asyncsep.model import _MAGIC, SpatialModel, load_models, save_models
 from asyncsep.separator import MODES, separate_recordings
 
 from conftest import (make_synthetic_models, pool_run_peaks,
-                      posterior_histogram, rand_unit_psd)
+                      posterior_histogram, rand_unit_psd, workspace_bytes)
 from test_model import _with_entry
 
 
@@ -1158,7 +1158,7 @@ def test_separate_and_evaluate_memory_does_not_grow_with_length(
 
     def recorded(*args, **kwargs):
         ws = real(*args, **kwargs)
-        workspaces.append(sum(a.nbytes for a in vars(ws).values()))
+        workspaces.append(workspace_bytes(ws))
         return ws
 
     monkeypatch.setattr(_kernels, "Workspace", recorded)

@@ -401,7 +401,8 @@ def test_discarded_noise_images_are_not_synthesized(monkeypatch):
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("static-pooled", "tv-local"), seed=3, window=WIN,
                    variants=("sro",))
-    assert rows == [(2, 4), (2, 2), (2, 2)]  # K = 2; pooled, then a and b
+    # K = 2; pooled a and b, then tv-local a and b
+    assert rows == [(2, 2), (2, 2), (2, 2), (2, 2)]
     rows.clear()
     images, recordings = synthesize_scene(tiny_scene(), 3)
     spatial, states = train_models(

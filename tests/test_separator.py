@@ -28,6 +28,7 @@ from conftest import (
     pool_run_peaks,
     rand_unit_psd,
     serial_classify,
+    workspace_bytes,
 )
 
 WIN = WindowSpec(16, 4)
@@ -344,15 +345,16 @@ class TestConsistency:
 
 def _perturbing_filter(monkeypatch, tile, delta):
     """Make the block pass add delta to source 0 of one tile, channel 0."""
-    real = separator._filter_block
+    real = separator._images
 
-    def perturbed(f, x, n0, n1, ws):
-        real(f, x, n0, n1, ws)
-        n, k = tile
-        if n0 <= n < n1:
-            f.sink.planes(n0, n1, ws)[0, 0, n - n0, k] += delta
+    def perturbed(f, x, p, n0, n1, ws):
+        for i, (planes, rows) in enumerate(real(f, x, p, n0, n1, ws)):
+            n, k = tile
+            if not i and n0 <= n < n1:
+                planes[0, 0, n - n0, k] += delta
+            yield planes, rows
 
-    monkeypatch.setattr(separator, "_filter_block", perturbed)
+    monkeypatch.setattr(separator, "_images", perturbed)
 
 
 class TestConsistencyFlagsPerturbedTile:
@@ -687,7 +689,8 @@ class TestBlockPassAllocatesNoArrays:
 
 
 class TestWorkspaceSizes:
-    """The solves are sized by the widest filter, not the widest unit."""
+    """The solves are sized by the widest filter, the image planes and
+    frames by the widest device."""
 
     @pytest.mark.parametrize("mode, solve_channels", [
         ("static-local", 2), ("static-pooled", 6), ("tv-local", 2),
@@ -716,6 +719,70 @@ class TestWorkspaceSizes:
         # every pass classifies all 6 channels into the posteriors
         pass_ws = [s for s in shapes if s[0]]
         assert pass_ws and set(pass_ws) == {(6, solve_channels)}
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_merged_filter_adds_only_its_solves(self, monkeypatch,
+                                                streamed):
+        # a thread's scratch does not grow with the merged array's width:
+        # the merged filter forms, checks and synthesizes its images one
+        # 2-channel device at a time, so a static-pooled pass's workspace
+        # exceeds a static-local one's over the same three devices by the
+        # solves of all 6 channels and nothing more
+        spatial, states, recs = _stream_case(0, 16)
+        made = []
+        real = _kernels.Workspace
+
+        def recording(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(_kernels, "Workspace", recording)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 1)
+        obs = {m: stft(r, STREAM_WIN) for m, r in recs.items()}
+        pass_ws = {}
+        for mode in ("static-local", "static-pooled"):
+            made.clear()
+            if streamed:
+                separate_recordings(recs, STREAM_WIN, spatial, states, mode)
+            else:
+                separate(obs, spatial, states, mode)
+            pass_ws[mode], = [ws for ws in made if ws.x.shape[0]]
+        local, pooled = pass_ws["static-local"], pass_ws["static-pooled"]
+        assert pooled.y.shape[0] == 6 and local.y.shape[0] == 2
+        assert pooled.img.shape[:2] == local.img.shape[:2] == (
+            (spatial.n_sources + 1, 2) if streamed else (0, 0))
+        assert pooled.t.shape == local.t.shape
+        extra = workspace_bytes(pooled) - workspace_bytes(local)
+        assert 0 < extra <= pooled.y.nbytes
+
+
+class TestMergedConsistencyAcrossDevices:
+    """The merged filter checks its image sum device by device, adding
+    each tile's powers over every device's channels before their ratio."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_equals_the_check_over_every_channel(self, monkeypatch,
+                                                 workers):
+        spatial, states, recs = _stream_case(3, 19)
+        ids = sorted(recs)
+        obs = {m: stft(r, STREAM_WIN) for m, r in recs.items()}
+        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+        batch = separate(obs, spatial, states, "static-pooled")
+        stream = separate_recordings(recs, STREAM_WIN, spatial, states,
+                                     "static-pooled")
+        # the six channels' images and mixture, as one array
+        est = np.stack([np.concatenate(
+            [batch.images[(m, k)].coeffs for m in ids], axis=2)
+            for k in states.source_ids + [NOISE_ID]])
+        merged = np.concatenate([obs[m].coeffs for m in ids], axis=2)
+        want = {"a+b+c": block_consistency(est, merged)}
+        assert batch.metadata["consistency_rel_max"] == want
+        assert stream.metadata["consistency_rel_max"] == want
+        # the worst device alone is another number
+        lo = [0, 2, 4]
+        assert want["a+b+c"] != max(
+            block_consistency(est[..., c:c + 2], obs[m].coeffs)
+            for m, c in zip(ids, lo))
 
 
 def _length_for(window, n_frames, spare):
@@ -816,14 +883,14 @@ class TestSeparateRecordings:
             self, monkeypatch, failing_block):
         # the blocks after it wait for its overlap-add; they must return
         spatial, states, recs = _stream_case(1, 40)
-        real = separator._filter_block
+        real = separator._images
 
-        def failing(f, x, n0, n1, ws):
+        def failing(f, x, p, n0, n1, ws):
             if n0 == failing_block:
                 raise NumericalError(f"block {n0} failed")
-            real(f, x, n0, n1, ws)
+            yield from real(f, x, p, n0, n1, ws)
 
-        monkeypatch.setattr(separator, "_filter_block", failing)
+        monkeypatch.setattr(separator, "_images", failing)
         monkeypatch.setattr(_pool, "worker_count", lambda: 3)
         with pytest.raises(NumericalError, match=f"block {failing_block} "):
             _separate_bounded(recs, STREAM_WIN, spatial, states,
@@ -863,11 +930,10 @@ class TestSeparateRecordings:
         assert set(kept) == set(_ALL_KEPT[mode]) - dropped
         for key, dest in kept.items():
             assert np.array_equal(dest.out, _ALL_KEPT[mode][key].samples.T)
-        groups = ["abc"] if mode == "static-pooled" else list("abc")
-        assert len(writers) == len(groups)
-        for w, devices in zip(writers, groups):
-            noise = any((m, NOISE_ID) not in dropped for m in devices)
-            assert w.rows[0] == (K + 1 if noise else K)
+        assert len(writers) == 3  # one per device, whatever the filter
+        for w, m in zip(writers, "abc"):
+            assert w.rows == ((K + 1 if (m, NOISE_ID) not in dropped
+                               else K), 2)
 
     def test_peak_traced_memory_below_the_image_spectrograms(self,
                                                              monkeypatch):

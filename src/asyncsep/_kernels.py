@@ -66,8 +66,9 @@ class Workspace:
       t      (frame_images, image_channels, frames, length) float: the
              windowed frames of the images a device's writer synthesizes;
              a `dsp._Reader` takes t[:2] for a block's samples and frames
-      idle   float: img and t as one run, idle between a block's reads
-             and its first filter
+      idle   float: img and t as one run, idle until a block's first
+             filter: a device's recording and truth are rendered over it,
+             then framed in t, device by device
 
     Made by the calling thread before any block runs.  The kernels take
     the leading channels and frames of each buffer.  The arena holds, in

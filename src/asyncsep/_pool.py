@@ -2,8 +2,9 @@
 
 Every stage with numeric work splits it into tasks on this pool:
   * scene synthesis: one task per source rendering, one per (array,
-    source) image that `synthesize_scene` reads whole, and one per
-    array's mixture, which reads its images a chunk at a time;
+    source) image that `synthesize_scene` reads whole, one per array's
+    noise sweep, and in `synthesize_scene` one per span of an array's
+    recording, which reads its images' span;
   * the STFT and the iSTFT: one task per run of frames of every
     channel, about 64 channel frames (`dsp._chunk`);
   * training: one task per (devices read together, source), which
@@ -11,11 +12,13 @@ Every stage with numeric work splits it into tasks on this pool:
   * reading a device clock (`dsp._Clock`): one task per run of output
     samples, or per device group in `asyncsep evaluate`;
   * the separation pass: one task per block of frames over every
-    device, for every mode of the pass, which in `run_experiment` also
-    reads the truth of the spans it finishes and scores them; its
+    device, for every mode of the pass, which in `run_experiment`
+    renders each device's span of its recording and, from the same
+    render, the truth of the samples it finishes, and scores them; its
     thread's scratch holds one device's image planes and frames, every
-    device's mixture planes and truth rows, and the solves of the
-    widest filter (`_kernels.Workspace`);
+    device's mixture planes, truth rows and recording rows, and the
+    solves of the widest filter (`_kernels.Workspace`), with the render
+    laid over the image planes and frames;
   * SDR scoring (`metrics._Scores`): one task per (device, length,
     rate) group of images.
 Tasks write disjoint slices of buffers allocated beforehand, or, in

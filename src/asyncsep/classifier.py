@@ -184,7 +184,7 @@ class PosteriorFile:
 
     The bytes equal `np.save` of the whole tensor, ".npy" appended to
     the path as np.save appends it.  Takes the blocks of the separation
-    pass (`separator._unit`) in any order, each written at its place,
+    pass (`separator._run_block`) in any order, each written at its place,
     and counts the tiles each state wins, for `histogram`.  `close`
     checks every frame was put; `discard` removes the file.
     """

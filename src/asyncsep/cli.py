@@ -1,7 +1,9 @@
 """Command-line pipeline: simulate | train | separate | evaluate.
 
 Exit codes: 0 success, 2 configuration/path error, 3 numerical failure
-or memory exhausted.
+or memory exhausted, 130 interrupted (Ctrl-C).  A command that fails or
+is interrupted prints one line on stderr and removes every output it
+made.
 
 A typical round trip::
 
@@ -46,6 +48,7 @@ from .separator import MODES, _separate_sources
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130  # as a shell reports a command ended by SIGINT
 
 
 def _resolve_scene(arg: str):
@@ -462,6 +465,10 @@ def main(argv=None) -> int:
         print(f"out of memory in asyncsep {args.command}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except KeyboardInterrupt:
+        print(f"interrupted: asyncsep {args.command} stopped, its outputs "
+              f"removed", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

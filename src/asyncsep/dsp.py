@@ -23,7 +23,9 @@ constant delay (`_Delay`) forms its weights once and renders any span of
 the delayed signal on its own, bit for bit as the whole.  One
 sample source, `_Clock`, reads sources at a device's clock a span at a
 time; `lagrange_resample`, `metrics.at_device_clock` and the scoring of
-`asyncsep evaluate` and `run_experiment` all read through it.
+`asyncsep evaluate` all read through it, and a scene's recording
+(`scene._Recording`) gathers its mixture and its images under its
+stencils (`_Clock.stencils`).
 """
 
 from __future__ import annotations
@@ -253,19 +255,28 @@ class _Reader:
         self.n_bins = window.length // 2 + 1
         self.window, self.win = window, window.window()
 
-    def read(self, n0: int, n1: int, scratch, out) -> None:
+    def span(self, n0: int, n1: int) -> tuple[int, int]:
+        """The samples (start, stop) of the source that frames n0:n1
+        cover; they pass its ends where the padding is."""
+        start = n0 * self.window.hop - self.left
+        return start, start + _span(self.window, n1 - n0)
+
+    def read(self, n0: int, n1: int, scratch, out, span=None) -> None:
         """Spectra of frames n0:n1 into out, (C, n1 - n0, bins) complex.
 
         scratch: contiguous float, (2, C', b, length) with C' >= C and
-        b >= n1 - n0.  Plane 1 receives the span of samples the frames
-        cover, plane 0 the source's raw bytes, then the windowed frames.
+        b >= n1 - n0.  Plane 1 receives the samples of `span(n0, n1)`,
+        zeros past the source's ends, unless span, contiguous (C, count)
+        float, already holds them; plane 0 the source's raw bytes, then
+        the windowed frames.
         """
         hop, length, C = self.window.hop, self.window.length, self.channels
-        count = _span(self.window, n1 - n0)
-        span = scratch[1].reshape(-1)[:C * count].reshape(C, count)
-        _read_padded(self.source.read, self.source.n_samples,
-                     n0 * hop - self.left,
-                     scratch[0].reshape(-1).view(np.uint8), span)
+        if span is None:
+            count = _span(self.window, n1 - n0)
+            span = scratch[1].reshape(-1)[:C * count].reshape(C, count)
+            _read_padded(self.source.read, self.source.n_samples,
+                         self.span(n0, n1)[0],
+                         scratch[0].reshape(-1).view(np.uint8), span)
         # the frames as a strided view of the span (numpy's
         # sliding_window_view keeps a little memory per call)
         view = np.ndarray((C, n1 - n0, length), buffer=span,
@@ -280,7 +291,7 @@ class _Reader:
 class _TensorReader:
     """Frame blocks of one (N, F, C) STFT tensor's coefficients, read as
     `_Reader` reads a recording's; it reads no samples, so it has no
-    window and takes no scratch."""
+    window and takes no scratch or span."""
 
     window, holds = None, "STFT coefficients"
 
@@ -288,7 +299,7 @@ class _TensorReader:
         self.coeffs = coeffs
         self.n_frames, self.n_bins, self.channels = coeffs.shape
 
-    def read(self, n0, n1, scratch, out) -> None:
+    def read(self, n0, n1, scratch, out, span=None) -> None:
         np.copyto(out, np.transpose(self.coeffs[n0:n1], (2, 0, 1)))
 
 
@@ -579,51 +590,79 @@ class _Clock:
         return np.empty(self.scratch_floats(rows)).view(np.uint8)
 
     def scratch_floats(self, rows: int) -> int:
-        """The size of `scratch`, in floats: one per float of its planes
-        and window, then per sample a source reads one per channel, and
-        at least 2 (what `scene._ImageSource` renders a span in)."""
+        """The size of `scratch`, in floats: those of the stencils and the
+        window (`stencils`), then per sample a source reads one per
+        channel, and at least 2 (what `scene._ImageSource` renders a span
+        in)."""
         floats, width, C = 0, rows, self.channels
         if self.ratio is not None:
-            # a span's stencils start at most (rows - 1) * ratio + 1
-            # samples apart, and none past the last sample `_stencils` pads
-            width = min(math.ceil((rows - 1) * self.ratio) + _ORDER + 3,
-                        self.n_samples + _ORDER + 1)
-            floats = (2 * _ORDER + 6 + C) * rows + C * width
+            floats, width = self.stencil_floats(rows, C), self.width(rows)
+            floats += C * width
         widest = max(2, *(s.channels for s in self.sources))
         return floats + widest * width
 
-    def read(self, start: int, stop: int, raw, out) -> None:
-        """Samples start:stop into out, (C, stop - start) float; raw:
-        `scratch` of as many samples or more.  Allocates no array."""
-        r, n, C = stop - start, self.n_samples, self.channels
-        if self.ratio is None or r <= 0:
-            self._read(start, stop, raw, out)
-            return
+    def stencil_floats(self, rows: int, channels: int) -> int:
+        """The floats `stencils` takes for up to `rows` samples, with tap
+        scratch of `channels` rows."""
+        return (2 * _ORDER + 6 + channels) * rows
+
+    def width(self, rows: int) -> int:
+        """The most samples of the sources a span of `rows` samples reads:
+        its stencils start at most (rows - 1) * ratio + 1 samples apart,
+        and none past the last sample `_stencils` pads."""
+        return min(math.ceil((rows - 1) * self.ratio) + _ORDER + 3,
+                   self.n_samples + _ORDER + 1)
+
+    def stencils(self, start: int, stop: int, raw, channels: int) -> tuple:
+        """The stencils of samples start:stop, start < stop, of a clock
+        with an offset, laid out in raw (`stencil_floats`): (first, index,
+        weights, tap, rest).
+
+        Only the g samples from start on with a tap at or before the
+        sources' last sample read the sources; the others are zeros.
+        index, (g,) int, and weights, (_ORDER + 1, g), are their stencils'
+        first columns in a window of the sources whose column 0 holds
+        sample `first`, and whose int(index[-1]) + _ORDER + 1 columns
+        every stencil reads, and their weights (`_gather` takes both);
+        tap: float scratch of `_gather`, (channels, stop - start); rest:
+        raw past them all.  Allocates no array.
+        """
+        r, n = stop - start, self.n_samples
         # positions, abscissae, stencil starts, differences, weights, taps
-        f = raw[:8 * (2 * _ORDER + 6 + C) * r].view(np.float64)
+        f = raw[:8 * self.stencil_floats(r, channels)].view(np.float64)
         pos, t, index = f[:r], f[r:2 * r], f[2 * r:3 * r].view(np.int64)
         diffs = f[3 * r:(_ORDER + 5) * r].reshape(_ORDER + 2, r)
         weights = f[(_ORDER + 5) * r:(2 * _ORDER + 6) * r].reshape(-1, r)
-        tap = f[(2 * _ORDER + 6) * r:].reshape(C, r)
+        tap = f[(2 * _ORDER + 6) * r:].reshape(channels, r)
         pos.fill(1.0)
         pos[0] = start
         np.add.accumulate(pos, out=pos)  # start, start + 1, ..., in place
         pos *= self.ratio  # = np.arange(n) * ratio, rows start:stop
         _stencils(pos, t, index, weights, diffs)
-        out.fill(0.0)
         # the rows with a tap at or before the sources' last sample
         g = int(np.searchsorted(index, n + _ORDER, side="right"))
-        if not g:
-            return
         base = int(index[0])
-        width = int(index[g - 1]) - base + _ORDER + 1
         index = index[:g]
         index -= base
-        # window column i holds the sources' sample base - _ORDER - 1 + i
-        at = f.nbytes + 8 * C * width
-        window = raw[f.nbytes:at].view(np.float64).reshape(C, width)
-        _read_padded(self._read, n, base - _ORDER - 1, raw[at:], window)
-        _gather(window, index, weights[:, :g], tap[:, :g], out[:, :g])
+        return base - _ORDER - 1, index, weights[:, :g], tap, raw[f.nbytes:]
+
+    def read(self, start: int, stop: int, raw, out) -> None:
+        """Samples start:stop into out, (C, stop - start) float; raw:
+        `scratch` of as many samples or more.  Allocates no array."""
+        if self.ratio is None or stop <= start:
+            self._read(start, stop, raw, out)
+            return
+        first, index, weights, tap, rest = self.stencils(start, stop, raw,
+                                                         self.channels)
+        out.fill(0.0)
+        g = index.shape[0]
+        if not g:
+            return
+        C, width = self.channels, int(index[-1]) + _ORDER + 1
+        window = rest[:8 * C * width].view(np.float64).reshape(C, width)
+        _read_padded(self._read, self.n_samples, first,
+                     rest[8 * C * width:], window)
+        _gather(window, index, weights, tap[:, :g], out[:, :g])
 
     def _read(self, start: int, stop: int, raw, out) -> None:
         for source, c0, c1 in zip(self.sources, self.bounds,

@@ -11,41 +11,46 @@ Each scene is rendered once, on the nominal clock, and held as sample
 sources: its source signals, whole, and one `scene._ImageSource` per
 (array, source) image, which renders any span of that image from them.
 Training reads the training scene's images through them; its mixtures
-are never made.  The test scene's mixtures do not depend on the clock
-offsets: they are rendered once, synced and channel-major
-(`scene._mixtures`), and each variant resamples them.  Each variant
-runs one streamed pass from the recordings for every mode
-(`separator._separate_sources`): each block is read, classified and
-its truth span rendered and read through the device's clock
-(`dsp._Clock`) once, and every mode's filters then filter, synthesize
+are never made.  Each test device's recording is a `scene._Recording`
+over its images: their spans added in source order, then its noise,
+drawn again for any span from generator states saved by one sweep, and
+read at the device's clock for the variant.  No recording is held.
+Each variant runs one streamed pass for every mode
+(`separator._separate_sources`): each block reads each device's span
+of its recording through the scorer (`metrics._Scores.read`), which
+renders the device's images once for it and, under the same stencils,
+gathers the truth span the block finishes and keeps the recording's
+part of it.  So images are rendered about 1.4 times per sample: a
+block of 8 frames of the default window reads 11264 samples and
+finishes 8192.  The block
+is then classified once, and every mode's filters filter, synthesize
 and score it.  The destinations score each finished span of an image
 as the pass writes it (`metrics._Scores`) against that truth span, and
 discard the noise images, which the pass then does not synthesize.  The
 unprocessed scores are made span by span through the first mode's
-destinations, fed the recordings' spans with the estimates'.
+destinations, fed the recording's part of the span with the
+estimates'.
 
-So a run holds, of the test scene, the source signals, the synced
-mixtures and the resampled `sro` recordings: 8 bytes per sample for
-each source, for each channel and for each channel of a device with a
-clock offset (104 bytes per sample on the demo).  No spectrogram, no
-image signal and no resampled truth image is held.  The scores equal
-`score_images(at_device_clock(truth, offsets), images)` of whole image
-signals bit for bit.
+So a run holds, of the test scene, its source signals, 8 bytes per
+sample for each source, and, while they are rendered, one render
+scratch (`scene._RenderScratch`, 26 bytes per sample) per worker
+(50 bytes per sample on the demo on one core).  No spectrogram, no
+recording, no image signal and no resampled truth image is held.  The
+scores equal `score_images(at_device_clock(truth, offsets), images)` of
+whole image signals bit for bit.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .dsp import (SampledSignal, WindowSpec, _ArraySource, _span,
-                  lagrange_resample)
+from .dsp import WindowSpec, _span
 from .metrics import _finite_mean, _Scores
 from .model import _train_sources
-from .scene import (SceneSpec, _image_sources, _mixtures, check_seed,
+from .scene import (SceneSpec, _image_sources, _recordings, check_seed,
                     scene_to_dict)
 from .separator import MODES, _separate_sources
 
@@ -66,9 +71,9 @@ class ExperimentReport:
     sdr_db: dict = field(default_factory=dict)       # variant -> mode -> "m/k" -> dB
     mode_means: dict = field(default_factory=dict)   # variant -> mode -> dB
     consistency: dict = field(default_factory=dict)  # variant -> mode -> worst rel
-    # stage -> seconds; "synthesize" renders the test scene once,
-    # "analyze[variant]" is that variant's clock-offset resampling and
-    # "separate[variant]" its one streamed pass of every mode, which
+    # stage -> seconds; "synthesize" renders the test scene's sources
+    # once and sweeps its noise, and "separate[variant]" is that
+    # variant's one streamed pass of every mode, which renders and
     # analyzes each block, separates, synthesizes and scores it in every
     # mode, and scores the unprocessed recordings, span by span
     runtime_s: dict = field(default_factory=dict)
@@ -87,6 +92,8 @@ class ExperimentReport:
 
 def _digest(scene: SceneSpec, train_scene: SceneSpec, seed: int,
             window: WindowSpec, noise_gain: float) -> str:
+    import hashlib  # here alone: OpenSSL's module is large when resident
+
     blob = json.dumps({
         "scene": scene_to_dict(scene),
         "train_scene": scene_to_dict(train_scene),
@@ -160,44 +167,32 @@ def run_experiment(scene: SceneSpec, train_scene: SceneSpec,
     report.runtime_s["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # the mixture noise seeds do not depend on the clock offsets, so each
-    # variant's recordings are these synced mixtures resampled
     images = _image_sources(scene, seed)
-    synced = {arr.id: SampledSignal(mix.T, scene.rate_hz) for arr, mix in
-              zip(scene.arrays, _mixtures(scene, seed, images))}
+    recordings = _recordings(scene, seed, images)
     report.runtime_s["synthesize"] = time.perf_counter() - t0
     truth = {(arr.id, src.id): (images[(arr.id, src.id)], scene.rate_hz)
              for arr in scene.arrays for src in scene.sources}  # as scored
 
     rows = _span(window, _kernels._BLOCK)  # the longest write: a last block
-    for i, variant in enumerate(variants):
+    for variant in variants:
         sro_hz = {arr.id: arr.sro_hz if variant == "sro" else 0.0
                   for arr in scene.arrays}
-        t0 = time.perf_counter()
-        signals = {m: lagrange_resample(synced[m], hz) if hz
-                   else synced[m] for m, hz in sro_hz.items()}
-        if i == len(variants) - 1:
-            del synced  # no later variant resamples the mixtures
-        report.runtime_s[f"analyze[{variant}]"] = time.perf_counter() - t0
-
+        signals = {m: rec.at(sro_hz[m]) for m, rec in recordings.items()}
         sdr = report.sdr_db.setdefault(variant, {"unprocessed": None})
         report.consistency.setdefault(variant, {})
-        # the raw mixtures as the estimates of every source image: scored
+        # the recordings as the estimates of every source image: scored
         # by the first mode's destinations, against the same truth spans,
         # or alone when there is no mode
         if not modes:
             scores = _Scores(truth, sro_hz, rows)
-            scores.feed({key: _ArraySource(signals[key[0]].samples)
-                         for key in truth})
+            scores.feed({key: signals[key[0]] for key in truth})
             sdr["unprocessed"] = scores.scores()
         else:
             t0 = time.perf_counter()
-            scores = _Scores(truth, sro_hz, rows, {
-                m: sig.samples for m, sig in signals.items()}, modes)
+            scores = _Scores(truth, sro_hz, rows, signals, modes)
             consistency = _separate_sources(
-                {m: _ArraySource(sig.samples) for m, sig in signals.items()},
-                window, spatial, states, modes, None, scores.destination,
-                scores)
+                signals, window, spatial, states, modes, None,
+                scores.destination, scores)
             sdr["unprocessed"] = scores.scores(unprocessed=True)
             for mode in modes:
                 sdr[mode] = scores.scores(mode)

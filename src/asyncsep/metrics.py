@@ -11,13 +11,14 @@ pair and every score of `_Scores` agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
 import numpy as np
 
 from . import _pool
-from .dsp import SampledSignal, _ArraySource, _Clock, _resampled
+from .dsp import SampledSignal, _ArraySource, _Clock, _read_padded, _resampled
 from .errors import NumericalError
 
 __all__ = ["sdr", "at_device_clock", "score_images"]
@@ -179,19 +180,19 @@ class _ImageScore:
     it against its truth, source k of clock group g, as its spans arrive:
     against the span of that group that this thread read last, in
     `last`, the threading.local of `_Scores.read`.  Given `reference`,
-    the truth's `_Energy`, it also sums the truth's energy, and given its
-    device's (n, C) recording, it scores the recording's same span, the
-    unprocessed estimate, against the same rows."""
+    the truth's `_Energy`, it also sums the truth's energy, and with
+    `recording` it scores the same span of its device's recording, read
+    with the truth, the unprocessed estimate, against the same rows."""
 
     def __init__(self, last, g: int, clock, k: int, reference=None,
-                 recording=None):
+                 recording: bool = False):
         self.c0, self.c1 = clock.bounds[k:k + 2]
         C = self.c1 - self.c0
         self.last, self.g, self.written = last, g, 0
         self.n_samples = clock.n_samples
         self.error = _Energy(C, _energy_scratch(C))
         self.reference, self.recording = reference, recording
-        if recording is not None:
+        if recording:
             self.unprocessed = _Energy(C, _energy_scratch(C))
 
     def write(self, start: int, samples) -> None:
@@ -204,16 +205,16 @@ class _ImageScore:
             raise ValueError(f"samples from {start} on scored after "
                              f"{self.written}")
         spans = getattr(self.last, "spans", None)
-        at, rows = (None, None) if spans is None else spans.get(
-            self.g, (None, None))
+        at, rows, recorded = (None, None, None) if spans is None else \
+            spans.get(self.g, (None, None, None))
         if at != start or rows.shape[-1] < k:
             raise ValueError(f"the truth of samples {start}:{start + k} "
                              f"was not read on this thread")
         ref = rows[self.c0:self.c1, :k]
         if self.reference is not None:
             self.reference.add(ref)
-        if self.recording is not None:
-            self.unprocessed.add(ref, self.recording[start:start + k].T)
+        if self.recording:
+            self.unprocessed.add(ref, recorded[:, :k])
         self.error.add(ref, samples[:, :k])
         self.written += k
 
@@ -226,22 +227,25 @@ class _Scores:
     (`dsp._ArraySource`, `audio.WavSource`, `scene._ImageSource`);
     sro_hz: device -> clock offset in Hz; rows: the most samples a span
     holds; modes: the names of the estimates of every image (one, None,
-    by default); recordings: device -> (n, C) samples, whose spans the
-    first mode's destinations also score, as the unprocessed estimates
-    (`scores(unprocessed=True)`), or None.
+    by default); recordings: device -> its recording, a
+    `scene._Recording` at sro_hz's clock over that device's truth
+    images, in key order, or None.
     Each (device, length, rate) group of truth images is read through one
-    clock (`dsp._Clock`), a span at a time, by `read` into the caller's
-    scratch (`scratch`); `destination(mode, m, k)`, the estimate of image
-    (m, k) under mode, scores the writes of each thread against the span
-    that thread read last.  So `separator`'s streamed pass reads each
-    span of the truth once, before the writers' turns, whatever the
-    number of modes (None for a key not in truth, which the pass then
-    need not synthesize), and `feed` reads every image's estimate from a
-    sample source.  The truth's energy is summed once per image, by the
-    first mode's destination.  `scores(mode)` equals
-    `score_images(at_device_clock(truth, sro_hz), estimates)` bit for
-    bit.  Spans of different groups may be written from different
-    threads; those of one destination in order.
+    clock (`dsp._Clock`), a span at a time, into the caller's scratch
+    (`scratch`); `destination(mode, m, k)`, the estimate of image (m, k)
+    under mode, scores the writes of each thread against the span that
+    thread read last.  With recordings, `separator`'s streamed pass reads
+    each block's span of a device's recording through `read`, which
+    renders the truth span the block finishes from the same render of
+    its images, once whatever the number of modes (None for a key not
+    in truth, which the pass then need not synthesize), and the first
+    mode's destinations also score that span of the recording, the
+    unprocessed estimate (`scores(unprocessed=True)`).  `feed` reads
+    every image's estimate from a sample source instead.  The truth's
+    energy is summed once per image, by the first mode's destination.
+    `scores(mode)` equals `score_images(at_device_clock(truth, sro_hz),
+    estimates)` bit for bit.  Spans of different groups may be written
+    from different threads; those of one destination in order.
     """
 
     def __init__(self, truth: dict, sro_hz: dict, rows: int,
@@ -264,37 +268,64 @@ class _Scores:
                     self.images[(mode, key)] = _ImageScore(
                         self.last, g, clock, k,
                         None if j else self.reference[key],
-                        None if j or recordings is None else recordings[m])
+                        not j and recordings is not None)
         self.rows, self.channels = rows, channels
         self.modes, self.order = list(modes), list(truth)
+        self.recordings, self.samples = recordings, {}
+        if recordings is not None:
+            at = 0  # each device's rows of its recording's span
+            for m, (g,) in self.by_device.items():
+                if recordings[m].parts != self.groups[g][0].sources:
+                    raise ValueError(f"the recording of {m!r} is not of "
+                                     f"its truth images")
+                self.samples[m] = at
+                at += recordings[m].channels * rows
 
     def destination(self, mode, m: str, k: str):
         return self.images.get((mode, (m, k)))
 
     def scratch(self, channels: int | None = None, spare=None) -> tuple:
         """One thread's scratch of `read`: rows for `channels` truth
-        channels (every group's, by default) of a span, the raw scratch of
-        the clocks, a view of spare, float, when that is large enough, and
-        the spans read."""
-        floats = max((clock.scratch_floats(self.rows)
-                      for clock, _, _ in self.groups), default=0)
+        channels (every group's, by default) of a span; the raw scratch
+        of the clocks, or with recordings theirs, a view of spare, float,
+        when that is large enough; the spans read; and, with recordings,
+        the rows of their spans."""
+        readers = [clock for clock, _, _ in self.groups] \
+            if self.recordings is None else self.recordings.values()
+        floats = max((r.scratch_floats(self.rows) for r in readers),
+                     default=0)
         if spare is None or spare.size < floats:
             spare = np.empty(floats)
         raw = spare.reshape(-1)[:floats].view(np.uint8)
         rows = np.empty((self.channels if channels is None else channels,
                          self.rows))
-        return rows, raw, {}
+        samples = None if self.recordings is None else np.empty(
+            sum(rec.channels for rec in self.recordings.values())
+            * self.rows)
+        return rows, raw, {}, samples
 
-    def read(self, m: str, start: int, stop: int, scratch) -> None:
-        """Read device m's truth images at samples start:stop, those past
-        their length dropped, into scratch, this thread's, whose spans the
-        destinations then score this thread's writes against.  Allocates
-        no array."""
-        rows, raw, spans = scratch
-        for g in self.by_device.get(m, ()):
-            clock, _, r0 = self.groups[g]
-            self._read_group(g, start, stop, rows[r0:r0 + clock.channels],
-                             raw, spans)
+    def read(self, m: str, span: tuple, finished: tuple, scratch):
+        """Device m's recording at samples span, (start, stop), zeros
+        where it passes the recording's ends, and from the same render
+        its truth images and the recording at samples finished, (start,
+        stop) within span, those past their length dropped, into scratch,
+        this thread's, whose spans the destinations then score this
+        thread's writes against; returns the recording's samples,
+        (C, stop - start), a view of scratch.  Allocates no array."""
+        rows, raw, spans, flat = scratch
+        (g,), rec = self.by_device[m], self.recordings[m]
+        clock, _, r0 = self.groups[g]
+        (a, b), (t0, t1) = span, finished
+        t1 = min(t1, rec.n_samples)
+        at = self.samples[m]
+        samples = flat[at:at + rec.channels * (b - a)].reshape(-1, b - a)
+        truth = rows[r0:r0 + clock.channels, :max(t1 - t0, 0)]
+        _read_padded(functools.partial(
+            rec.read, truth=(t0, t1, truth) if t0 < t1 else None),
+            rec.n_samples, a, raw, samples)
+        spans[g] = (t0, truth, samples[:, t0 - a:])
+        self.last.spans = spans
+        return samples
 
     def _read_group(self, g, start, stop, out, raw, spans) -> None:
         clock = self.groups[g][0]
@@ -305,7 +336,7 @@ class _Scores:
         out = out[:, :max(stop - start, 0)]
         if start < stop:
             clock.read(start, stop, raw, out)
-        spans[g] = (start, out)
+        spans[g] = (start, out, None)
         self.last.spans = spans
 
     def feed(self, estimates: dict) -> None:
@@ -318,7 +349,7 @@ class _Scores:
 
         def work(g, scratch):
             (clock, keys, _), (buf, raw, truth) = self.groups[g], scratch
-            rows, truth_raw, spans = truth
+            rows, truth_raw, spans, _ = truth
             for s0 in range(0, clock.n_samples, self.rows):
                 s1 = min(s0 + self.rows, clock.n_samples)
                 self._read_group(g, s0, s1, rows[:clock.channels], truth_raw,

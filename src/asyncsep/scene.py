@@ -9,11 +9,14 @@ clock offset, so the ground-truth images stay on the nominal clock.
 One renderer serves every caller.  The source signals are rendered
 whole (`_image_sources`); each (array, source) image is a sample source
 over its signal (`_ImageSource`) that renders any span of the image on
-its own, and each array's mixture adds its images' spans in source order
-and then draws its noise, a chunk at a time (`_mixtures`).
-`synthesize_scene` reads every image whole and mixes those;
-`run_experiment` holds only the sources, reads the images span by span
-and mixes them without ever holding one whole.
+its own; and each array's recording is a sample source over its images
+(`_Recording`) that adds their spans in source order, then its noise,
+drawn again for any span from saved generator states (`_Noise`), and
+reads that mixture at the array's clock.  `synthesize_scene` reads
+every image whole and every recording over those; `run_experiment`
+holds only the source signals, and its streamed pass renders each
+block's recording span and the truth that block finishes from one
+render of the images.
 
 Scene files are YAML::
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +56,7 @@ import yaml
 
 from . import _pool, dsp
 from .audio import read_wav
-from .dsp import SampledSignal, _ArraySource, _Delay, lagrange_resample
+from .dsp import SampledSignal, _ArraySource, _Delay
 from .errors import ConfigError
 from .model import SpatialModel
 
@@ -69,6 +73,8 @@ __all__ = [
     "scene_to_dict",
     "synthesize_scene",
 ]
+
+_NOISE_SPAN = 4096  # samples between the saved states of an array's noise
 
 
 @dataclass
@@ -349,16 +355,16 @@ def scene_to_dict(spec: SceneSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 class _RenderScratch:
-    """One thread's scratch for rendering sources of n samples."""
+    """One thread's scratch for rendering sources of n samples: 26 bytes
+    per sample (a and b, 8 each; the spectrum, 16 per bin; active and
+    mask, 1 each)."""
 
     def __init__(self, n: int):
         bins = n // 2 + 1
-        self.a = np.empty(n + 1)
+        self.a = np.empty(n)
         self.b = np.empty(n)
-        self.index = np.empty(n, dtype=np.intp)
         self.active = np.empty(n, dtype=bool)
         self.spectrum = np.empty(bins, dtype=np.complex128)
-        self.shape = np.empty(bins)
         self.mask = np.empty((2, bins), dtype=bool)
 
 
@@ -379,7 +385,10 @@ def _render_speech_noise(n: int, rng: np.random.Generator, params: dict,
                          freqs: np.ndarray, out: np.ndarray, ws) -> None:
     """Speech-like test source: tilted bandpass noise under a sparse,
     syllabic-rate envelope with genuine silent gaps; written to out (n,)
-    through ws, a `_RenderScratch`; params: its `_signal_numbers`."""
+    through ws, a `_RenderScratch`; params: its `_signal_numbers`.
+
+    ws.b holds the tilt, then the envelope, then the ranks of the active
+    samples; ws.a the noise, then the active samples' squares."""
     band, tilt, mod = (params[k] for k in ("band_hz", "tilt_hz",
                                            "modulation_hz"))
     activity, level = params["activity"], params["level"]
@@ -388,7 +397,7 @@ def _render_speech_noise(n: int, rng: np.random.Generator, params: dict,
     rng.standard_normal(out=noise)
     np.fft.rfft(noise, out=ws.spectrum)
     # the tilt 1 / sqrt(1 + (f / tilt)^2), zero outside the band
-    shape = ws.shape
+    shape = env[:freqs.shape[0]]
     np.divide(freqs, tilt, out=shape)
     np.square(shape, out=shape)
     np.add(shape, 1.0, out=shape)
@@ -420,7 +429,8 @@ def _render_speech_noise(n: int, rng: np.random.Generator, params: dict,
     if count:
         # gather the active samples in order: each lands on its rank
         # among them, every inactive one on the spare slot past them
-        index, kept = ws.index, ws.a[:count + 1]
+        # (none when every sample is active); the envelope is spent
+        index, kept = env.view(np.intp)[:n], ws.a[:count + 1]
         np.copyto(index, active)
         np.cumsum(index, out=index)
         index -= 1
@@ -524,37 +534,6 @@ class _ImageSource:
                         y += delayed
 
 
-def _mix_into(out, parts, noise_level: float, rng, ws) -> None:
-    """One array's mixture into out, (C, n) float, a chunk of up to
-    `dsp._SPAN` samples at a time: its images' samples, read from parts,
-    their sample sources, added in order to zeros, then at a positive
-    level its seeded white noise, drawn in sample order (channels
-    fastest), times the level.  So the samples do not depend on the chunk
-    size.  ws: `_mix_scratch`.  Allocates no array."""
-    C, n = out.shape
-    span, raw, noise = ws
-    for s0 in range(0, n, dsp._SPAN):
-        s1 = min(s0 + dsp._SPAN, n)
-        total, part_span = out[:, s0:s1], span[:C, :s1 - s0]
-        total.fill(0.0)
-        for part in parts:
-            part.read(s0, s1, raw, part_span)
-            total += part_span
-        if noise_level > 0:
-            z = noise[:(s1 - s0) * C].reshape(s1 - s0, C)
-            rng.standard_normal(out=z)
-            z *= noise_level
-            total += z.T
-
-
-def _mix_scratch(channels: int, n: int):
-    """The scratch of `_mix_into` for arrays of up to `channels` channels
-    and n samples."""
-    rows = min(dsp._SPAN, n)
-    return (np.empty((channels, rows)), np.empty(2 * rows).view(np.uint8),
-            np.empty(channels * rows))
-
-
 def _image_sources(spec: SceneSpec, seed: int) -> dict:
     """Every (array, source) image of a scene as an `_ImageSource`, keyed
     (array id, source id) in source order, then array order.
@@ -578,24 +557,184 @@ def _image_sources(spec: SceneSpec, seed: int) -> dict:
             for arr in spec.arrays}
 
 
-def _mixtures(spec: SceneSpec, seed: int, images: dict) -> list:
-    """Every array's mixture of the images, sample sources keyed as
-    `_image_sources` keys them, with its noise, as a (C, n) channel-major
-    array, in array order; one task per array on the pool (`_mix_into`),
-    each drawing its noise from its own stream."""
+class _Noise:
+    """One array's white noise, (n, C): standard normals drawn from rng, a
+    PCG64 `Generator`, in sample order, channels fastest, times level.
+
+    One sweep here saves the generator's state at every `_NOISE_SPAN`th
+    sample, so `add` draws the noise of any span again from the state
+    saved before it.  Standard normals do not depend on how their draws
+    are split, so a span holds what the whole noise holds there, bit for
+    bit.  scratch: float, `_NOISE_SPAN` * C or more.
+    """
+
+    def __init__(self, channels: int, n: int, level: float, rng, scratch):
+        self.channels, self.level, self.every = channels, level, _NOISE_SPAN
+        self.states = []
+        self._threads = threading.local()  # each thread's generator
+        for s0 in range(0, n, self.every):
+            self.states.append(rng.bit_generator.state)
+            rng.standard_normal(out=scratch[:(min(s0 + self.every, n) - s0)
+                                            * channels])
+
+    def add(self, start: int, stop: int, out, z) -> None:
+        """Add the noise of samples start:stop, start < stop, to out,
+        (C, stop - start) float; z: contiguous float scratch of
+        (stop - start) * C or more.  Allocates no array."""
+        rng = getattr(self._threads, "rng", None)
+        if rng is None:
+            rng = self._threads.rng = np.random.default_rng(0)
+        i = start // self.every
+        rng.bit_generator.state = self.states[i]
+        z = z.reshape(-1)
+        skip = (start - i * self.every) * self.channels
+        while skip:
+            k = min(skip, z.shape[0])
+            rng.standard_normal(out=z[:k])
+            skip -= k
+        z = z[:(stop - start) * self.channels].reshape(stop - start, -1)
+        rng.standard_normal(out=z)
+        z *= self.level
+        out += z.T
+
+
+class _Recording:
+    """One array's recording as a sample source (`dsp._ArraySource`'s
+    read(start, stop, raw, out)), (n, C), rendered span by span.
+
+    On the nominal clock, a sample is its images' samples, read from
+    parts, their sample sources in source order, added in order to
+    zeros, then its noise (`_Noise`, or None for none); with a clock
+    offset the recording is that mixture read at the array's clock
+    through the stencils of `dsp._Clock`.  A span holds what the whole
+    recording holds there, bit for bit, whatever the spans.
+    """
+
+    def __init__(self, parts, channels: int, n: int, noise, rate: float,
+                 sro_hz: float = 0.0):
+        self.parts, self.noise, self.rate = parts, noise, rate
+        self.n_samples, self.channels = n, channels
+        # the clock of the images, stacked; of silence when there is none
+        self.clock = dsp._Clock(
+            parts or [_ArraySource(np.broadcast_to(0.0, (n, channels)))],
+            rate, sro_hz) if sro_hz else None
+
+    def at(self, sro_hz: float) -> "_Recording":
+        """The same recording at the clock offset sro_hz."""
+        return _Recording(self.parts, self.channels, self.n_samples,
+                          self.noise, self.rate, sro_hz)
+
+    def scratch_floats(self, rows: int) -> int:
+        """The floats of raw scratch in which `read` renders `rows`
+        samples at once: on the nominal clock a part's span and what an
+        image renders it in; at a clock the stencils, then the mixture's
+        window, a part's and what an image renders it in."""
+        C = self.channels
+        if self.clock is None:
+            return (C + 2) * rows
+        return (self.clock.stencil_floats(rows, C)
+                + (2 * C + 2) * self.clock.width(rows))
+
+    def read(self, start: int, stop: int, raw, out, truth=None) -> None:
+        """Samples start:stop into out, (C, stop - start) float, rendered
+        in raw, uint8 scratch: the whole span at once when it holds
+        `scratch_floats(stop - start)` floats, else a piece at a time.
+
+        truth: None, or (t0, t1, rows): also the samples t0:t1, within
+        start:stop, of the images at the array's clock into rows,
+        (K * C, t1 - t0) float, image by image, from the same render
+        under the same stencils (the truth that the streamed pass scores
+        against, `metrics._Scores.read`).  Allocates no array.
+        """
+        floats, piece = raw.nbytes // 8, max(stop - start, 1)
+        while self.scratch_floats(piece) > floats:
+            if piece == 1:
+                raise ValueError(f"{floats} floats of scratch cannot "
+                                 f"render a sample")
+            piece = (piece + 1) // 2
+        read = self._read if self.clock is None else self._read_clocked
+        for a in range(start, stop, piece):
+            b = min(a + piece, stop)
+            images = None
+            if truth is not None:
+                t0, t1, rows = truth
+                lo, hi = max(t0, a), min(t1, b)
+                if lo < hi:
+                    images = (lo - a, hi - a, rows[:, lo - t0:hi - t0])
+            read(a, b, raw, out[:, a - start:b - start], images)
+
+    def _read(self, a: int, b: int, raw, out, images) -> None:
+        """Samples a:b on the nominal clock; images: None, or (i0, i1,
+        rows), the images' samples a + i0:a + i1 into rows."""
+        C, r = self.channels, b - a
+        at = 8 * C * r
+        span = raw[:at].view(np.float64).reshape(C, r)
+        out.fill(0.0)
+        for k, part in enumerate(self.parts):
+            part.read(a, b, raw[at:], span)
+            out += span
+            if images is not None:
+                i0, i1, rows = images
+                np.copyto(rows[k * C:(k + 1) * C], span[:, i0:i1])
+        if self.noise is not None:
+            self.noise.add(a, b, out, span)
+
+    def _read_clocked(self, a: int, b: int, raw, out, images) -> None:
+        """Samples a:b at the array's clock: each image's window of the
+        stencils is rendered once, gathered into images' rows, (i0, i1,
+        rows) as for `_read`, and added to the mixture's window, which,
+        its noise added, is gathered into out."""
+        C, n = self.channels, self.n_samples
+        first, index, weights, tap, rest = self.clock.stencils(a, b, raw, C)
+        out.fill(0.0)
+        if images is not None:
+            images[2].fill(0.0)
+        g = index.shape[0]
+        if not g:
+            return
+        width = int(index[-1]) + dsp._ORDER + 1
+        f = rest[:16 * C * width].view(np.float64)
+        mix, span = f[:C * width].reshape(C, width), f[C * width:].reshape(
+            C, width)
+        mix.fill(0.0)
+        for k, part in enumerate(self.parts):
+            dsp._read_padded(part.read, n, first, rest[f.nbytes:], span)
+            mix += span
+            if images is not None:
+                i0, i1, rows = images
+                i1 = min(i1, g)  # the later samples read zeros
+                if i0 < i1:
+                    dsp._gather(span, index[i0:i1], weights[:, i0:i1],
+                                tap[:, :i1 - i0],
+                                rows[k * C:(k + 1) * C, :i1 - i0])
+        if self.noise is not None:  # on the samples the window holds
+            c0 = min(max(-first, 0), width)
+            c1 = min(max(n - first, c0), width)
+            if c0 < c1:
+                self.noise.add(first + c0, first + c1, mix[:, c0:c1], span)
+        dsp._gather(mix, index, weights, tap[:, :g], out[:, :g])
+
+
+def _recordings(spec: SceneSpec, seed: int, images: dict) -> dict:
+    """Every array's recording (`_Recording`) at its clock offset, by
+    array id in array order, over the images, sample sources keyed as
+    `_image_sources` keys them.  Each array draws its noise from its own
+    stream, swept once in a task on the pool (`_Noise`), so the noise
+    does not depend on the clock offsets or the thread count."""
     n = spec.n_samples
-    mixes = [np.empty((arr.channels, n)) for arr in spec.arrays]
-    rngs = [np.random.default_rng(_child_seed(seed, 202, a_idx))
-            for a_idx in range(len(spec.arrays))]
-    _pool.run(range(len(spec.arrays)),
-              lambda a_idx, ws: _mix_into(
-                  mixes[a_idx],
-                  [images[(spec.arrays[a_idx].id, src.id)]
-                   for src in spec.sources],
-                  spec.noise_level, rngs[a_idx], ws),
-              lambda: _mix_scratch(
-                  max((a.channels for a in spec.arrays), default=0), n))
-    return mixes
+    noises = [None] * len(spec.arrays)
+    if spec.noise_level > 0:
+        def sweep(a_idx, scratch):
+            rng = np.random.default_rng(_child_seed(seed, 202, a_idx))
+            noises[a_idx] = _Noise(spec.arrays[a_idx].channels, n,
+                                   spec.noise_level, rng, scratch)
+
+        _pool.run(range(len(spec.arrays)), sweep, lambda: np.empty(
+            _NOISE_SPAN * max(a.channels for a in spec.arrays)))
+    return {arr.id: _Recording([images[(arr.id, src.id)]
+                                for src in spec.sources], arr.channels, n,
+                               noise, spec.rate_hz, arr.sro_hz)
+            for arr, noise in zip(spec.arrays, noises)}
 
 
 def _physical_memory() -> int | None:
@@ -609,15 +748,14 @@ def _physical_memory() -> int | None:
 def synthesis_bytes(spec: SceneSpec) -> int:
     """The float64 samples `synthesize_scene` holds at once, in bytes.
 
-    Every source signal, every (array, source) image and every mixture,
-    plus one more recording per array for its clock resampling.  Working
-    buffers come on top, so this is a lower bound.  `run_experiment`
-    holds less of a scene: its sources, mixtures and resampled
-    recordings, but no image (see the `experiment` module).
+    Every source signal, every (array, source) image and every
+    recording.  Working buffers come on top, so this is a lower bound.
+    `run_experiment` holds less of a scene: its source signals alone
+    (see the `experiment` module).
     """
     channels = sum(a.channels for a in spec.arrays)
     n_src = len(spec.sources)
-    return 8 * spec.n_samples * (n_src + (n_src + 2) * channels)
+    return 8 * spec.n_samples * (n_src + (n_src + 1) * channels)
 
 
 def check_seed(seed: int) -> None:
@@ -636,14 +774,15 @@ def synthesize_scene(spec: SceneSpec, seed: int
     the physical memory raises ConfigError before anything is allocated,
     and so does a negative seed.
 
-    Three rounds of tasks run on the thread pool (`_pool`): one per source
+    Four rounds of tasks run on the thread pool (`_pool`): one per source
     rendering, each from its own random stream (`_image_sources`); one
     per (array, source) image, which reads its `_ImageSource` whole in
-    its thread's scratch; and one per array's mixture of those images
-    (`_mixtures`).  The calling thread allocates every source signal,
-    image and mixture first, so the samples do not depend on the thread
-    count.  Images and recordings are (n, C) views of channel-major
-    buffers.
+    its thread's scratch; one per array's noise sweep (`_recordings`);
+    and one per `dsp._SPAN` samples of an array's recording, read from
+    its `_Recording` over those images.  The calling thread allocates
+    every source signal, image and recording first, so the samples do
+    not depend on the thread count.  Images and recordings are (n, C)
+    views of channel-major buffers.
     """
     check_seed(seed)
     need, have = synthesis_bytes(spec), _physical_memory()
@@ -659,15 +798,19 @@ def synthesize_scene(spec: SceneSpec, seed: int
     _pool.run(list(images),
               lambda key, raw: sources[key].read(0, n, raw, images[key]),
               lambda: np.empty(2 * n).view(np.uint8))
-    mixes = _mixtures(spec, seed, {key: _ArraySource(x.T)
-                                   for key, x in images.items()})
-
-    recordings = {}
-    for arr, total in zip(spec.arrays, mixes):
-        signal = SampledSignal(total.T, rate)
-        if arr.sro_hz:  # all channels of a device share its one clock
-            signal = lagrange_resample(signal, arr.sro_hz)
-        recordings[arr.id] = MultichannelRecording(signal, arr.id,
-                                                   arr.sro_hz)
+    sources = _recordings(spec, seed, {key: _ArraySource(x.T)
+                                       for key, x in images.items()})
+    mixes = {m: np.empty((rec.channels, n)) for m, rec in sources.items()}
+    span = min(dsp._SPAN, n)
+    _pool.run([(m, s0) for m in mixes for s0 in range(0, n, span)],
+              lambda task, raw: sources[task[0]].read(
+                  task[1], min(task[1] + span, n), raw,
+                  mixes[task[0]][:, task[1]:task[1] + span]),
+              lambda: np.empty(max(rec.scratch_floats(span)
+                                   for rec in sources.values())
+                               ).view(np.uint8))
+    recordings = {arr.id: MultichannelRecording(
+        SampledSignal(mixes[arr.id].T, rate), arr.id, arr.sro_hz)
+        for arr in spec.arrays}
     return SourceImageSet({key: SampledSignal(x.T, rate)
                            for key, x in images.items()}), recordings

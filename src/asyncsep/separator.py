@@ -22,9 +22,11 @@ each device's mixture planes through one reader per device, in channel
 order, and checks them as they are read: a non-finite value raises
 NumericalError naming the device before the block waits for anything,
 so the first such block in task order, and in it the first device,
-decides the error.  Where the pass scores its images, the block then
-reads the truth span it will finish on each device (`metrics._Scores`)
-into its thread's scratch, before any writer's turn.  The static modes'
+decides the error.  Where the pass scores its images, each device's
+samples come from its recording (`metrics._Scores.read`), with, from
+the same render, the truth span the block will finish on that device
+and the recording's own part of it, into the thread's scratch, before
+any writer's turn.  The static modes'
 filters, factorized once before the pass, filter the block.  When a
 mode classifies, each device's log-likelihoods are formed once, into
 their own plane: tv-local takes each plane's softmax for that device's
@@ -187,7 +189,7 @@ class _Pass:
     posteriors: object  # takes the (N, F, S) joint posteriors, or None
     filters: list[_Filter]  # every filter, mode by mode
     window: WindowSpec | None = None  # of the signals analyzed, if any
-    truth: object = None  # reads the truth each block finishes, or None
+    truth: object = None  # reads the samples and the truth, or None
 
     @property
     def width(self) -> int:
@@ -269,8 +271,9 @@ def _apply(f: _Filter, n0: int, ws) -> None:
 def _run_block(p: _Pass, n0: int, ws, var) -> None:
     """The fused pass over one block of frames of every device.
 
-    Reads and checks each device's planes, reads the truth the block
-    finishes, then runs the static filters; each device's
+    Reads and checks each device's planes, with the truth the block
+    finishes on that device when the pass scores, then runs the static
+    filters; each device's
     log-likelihoods, when some mode classifies, go to its own posteriors
     and tv-local filters, and are added in device order into the joint
     ones, which are bit for bit the running difference of one plane,
@@ -279,20 +282,20 @@ def _run_block(p: _Pass, n0: int, ws, var) -> None:
     """
     ends = [min(n0 + _kernels._BLOCK, n) for n in p.frames]
     try:
-        for m, reader, n1, ch in zip(p.devices, p.readers, ends, p.channels):
+        for m, reader, n, n1, ch in zip(p.devices, p.readers, p.frames, ends,
+                                        p.channels):
             if n1 <= n0:
                 continue
+            span = None
+            if p.truth is not None:  # and the truth the block finishes
+                span = p.truth.read(m, reader.span(n0, n1), dsp._finished(
+                    p.window, n, n0, n1), ws.truth)
             planes = ws.x[ch, :n1 - n0]
-            reader.read(n0, n1, ws.t, planes)
+            reader.read(n0, n1, ws.t, planes, span)
             for plane in planes:
                 if not np.isfinite(plane, out=ws.mask[:n1 - n0]).all():
                     raise NumericalError(
                         f"non-finite {reader.holds} in array {m!r}")
-        if p.truth is not None:
-            for m, n, n1 in zip(p.devices, p.frames, ends):
-                if n1 > n0:
-                    p.truth.read(m, *dsp._finished(p.window, n, n0, n1),
-                                 ws.truth)
         for f in p.static:
             if n0 < f.n_frames:
                 _apply(f, n0, ws)
@@ -437,9 +440,10 @@ def _run_pass(p: _Pass, spatial: SpatialModel,
     device by device; only the solves of a filter over several devices
     hold every channel.  Where the pass analyzes and synthesizes
     signals, it also holds its writers' block sums (`dsp._block_sums`,
-    ws.sums) and, with a truth reader, the truth span each block finishes
-    (ws.truth), read through clock scratch that lies over the image
-    planes and frames (ws.idle).
+    ws.sums) and, with a truth reader, each block's span of a device's
+    recording, the truth span it finishes and the recording's part of
+    it (ws.truth), rendered in scratch that lies over the image planes
+    and frames (ws.idle).
     """
     var = states.conditional_variances()
     factor_channels = max((f.n_channels for f in p.filters
@@ -607,10 +611,13 @@ def _separate_sources(sources: dict, window: WindowSpec,
     included, mode by mode in the order of `separate`'s images, once the
     sources' shapes are checked.  A filter none of whose noise images is
     kept does not synthesize them (`_ImageWriter`).  truth: None, or an
-    object whose read(device, start, stop, scratch) reads the truth of
-    the samples start:stop that a block finishes on that device, into
-    the thread's scratch(spare=) before any of the block's writes
-    (`metrics._Scores`).  Checks and errors as for `separate_recordings`;
+    object whose read(device, span, finished, scratch) returns that
+    device's samples span, (start, stop), that a block's frames cover,
+    and reads from the same render the truth of the samples finished,
+    (start, stop), that the block finishes on that device, into the
+    thread's scratch(spare=), before any of the block's writes
+    (`metrics._Scores`, whose recordings are the sources).  Checks and errors as for
+    `separate_recordings`;
     the pass finds non-finite samples as it reads them, block by block
     across devices, after the destinations are made, so a caller that
     must leave nothing behind on failure discards them.  Returns, by

@@ -35,7 +35,7 @@ def whole_mix(total: np.ndarray, parts, noise_level: float, rng,
               noise) -> None:
     """Add the whole images, parts, and, at a positive level, seeded white
     noise to total, zeros of their shape; noise: float scratch of that
-    size.  The reference for the chunked mixtures of `scene._mix_into`."""
+    size.  The reference for the span reads of `scene._Recording`."""
     for part in parts:
         total += part
     if noise_level > 0:

@@ -259,6 +259,47 @@ def test_truncated_model_fails_with_config_error(tmp_path, trained_container,
     assert "truncated" in err
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("block", [0, 2])
+def test_interrupt_exits_130_leaving_no_output(tmp_path, trained_container,
+                                               capsys, monkeypatch, workers,
+                                               block):
+    # Ctrl-C while the pass reads a block ended in a KeyboardInterrupt
+    # traceback; it now exits 130 with one line and removes every output
+    model, recordings = trained_container
+    est, post = tmp_path / "out" / "est", tmp_path / "out" / "post.npy"
+    read = dsp._Reader.read
+
+    def interrupted(self, n0, *args):
+        if n0 == block * _kernels._BLOCK:
+            raise KeyboardInterrupt
+        return read(self, n0, *args)
+
+    monkeypatch.setattr(dsp._Reader, "read", interrupted)
+    monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+    capsys.readouterr()
+    assert main(["separate", str(model), str(recordings), str(est),
+                 "--dump-posteriors", str(post)]) == 130
+    err = capsys.readouterr().err
+    assert err == "interrupted: asyncsep separate stopped, its outputs " \
+        "removed\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_openssl_out():
+    # hashlib's _hashlib added 3.6 MB resident to every command; only
+    # run_experiment's digest needs it
+    import subprocess
+    import sys
+
+    code = "import sys, asyncsep.cli; print('_hashlib' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(
+                             Path(cli.__file__).parents[1])})
+    assert run.stdout == "False\n"
+
+
 def _assert_clean_config_error(capsys, *parts):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -21,7 +21,7 @@ from asyncsep.scene import (
     SceneSpec,
     SourceSpec,
     _image_sources,
-    _mixtures,
+    _recordings,
     scene_to_dict,
     synthesize_scene,
 )
@@ -217,7 +217,7 @@ def test_subsets_of_the_training_arrays_and_sources_run():
 
 
 def test_each_scene_is_rendered_once(monkeypatch):
-    # and only the test scene is mixed
+    # and only the test scene is mixed, once for both variants
     import asyncsep.experiment as experiment
 
     renders, mixes = [], []
@@ -228,10 +228,10 @@ def test_each_scene_is_rendered_once(monkeypatch):
 
     def mixing(spec, seed, images):
         mixes.append(seed)
-        return _mixtures(spec, seed, images)
+        return _recordings(spec, seed, images)
 
     monkeypatch.setattr(experiment, "_image_sources", counting)
-    monkeypatch.setattr(experiment, "_mixtures", mixing)
+    monkeypatch.setattr(experiment, "_recordings", mixing)
     run_experiment(tiny_scene(), tiny_scene(duration=1.0),
                    modes=("tv-distributed",), seed=3, window=WIN,
                    variants=("sro", "synced"))
@@ -457,9 +457,10 @@ def test_run_memory_grows_by_what_it_holds():
     # the traced peak of a whole run, on the demo with its test scene at
     # 2 s and at 8 s: the 6 s between them may add at most what the run
     # holds per sample (the experiment module's docstring), 8 bytes for
-    # each source, each channel and each channel with a clock offset,
-    # with 10% to spare; holding the test scene's images and their
-    # channel-major copies added about 3.6 MB per second
+    # each source and the 26 of one worker's render scratch, with 10% to
+    # spare; holding the test scene's images and their channel-major
+    # copies added about 3.6 MB per second, and its mixtures and their
+    # resampled copies 1.3 MB
     import tracemalloc
 
     peaks = {}
@@ -473,9 +474,7 @@ def test_run_memory_grows_by_what_it_holds():
                 peaks[seconds] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    per_sample = 8 * (len(scene.sources)
-                      + sum(a.channels for a in scene.arrays)
-                      + sum(a.channels for a in scene.arrays if a.sro_hz))
-    assert per_sample == 104
+    per_sample = 8 * len(scene.sources) + 26
+    assert per_sample == 50
     held = 6.0 * scene.rate_hz * per_sample
     assert peaks[8.0] - peaks[2.0] <= 1.1 * held, peaks

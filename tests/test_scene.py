@@ -23,8 +23,8 @@ from asyncsep.scene import (
     SourceImageSet,
     SourceSpec,
     _ImageSource,
-    _mix_into,
-    _mix_scratch,
+    _Noise,
+    _Recording,
     load_scene,
     scene_from_dict,
     scene_to_dict,
@@ -211,13 +211,13 @@ class TestSynthesisTasks:
         for arr in spec.arrays:
             arr.sro_hz = 0.0  # the resampler's tasks are measured elsewhere
         peaks = pool_run_peaks(monkeypatch, lambda: synthesize_scene(spec, 1))
-        # sources, images and mixtures, where the smallest array a task
-        # could allocate is one bool per sample
-        assert len(peaks) == 3
+        # sources, images, noise sweeps and recordings, where the smallest
+        # array a task could allocate is one bool per sample
+        assert len(peaks) == 4
         assert max(peaks) < spec.n_samples
-        # as `run_experiment` renders: the sources, then the mixtures of
-        # their image sources, read a chunk at a time, noise included
-        peaks = pool_run_peaks(monkeypatch, lambda: scene._mixtures(
+        # as `run_experiment` renders: the sources, then the noise sweeps
+        # of the recordings over their image sources
+        peaks = pool_run_peaks(monkeypatch, lambda: scene._recordings(
             spec, 1, scene._image_sources(spec, 1)))
         assert len(peaks) == 2
         assert max(peaks) < spec.n_samples
@@ -296,15 +296,32 @@ class TestImageSources:
             assert np.array_equal(out, want[:, a:b])
 
 
+def _recording(parts, channels: int, n: int, noise_level: float, seed: int,
+               sro_hz: float = 0.0) -> _Recording:
+    """The `_Recording` of the images parts, sample sources of n samples,
+    with noise drawn from seed, as a scene makes an array's."""
+    noise = None
+    if noise_level > 0:
+        noise = _Noise(channels, n, noise_level, np.random.default_rng(seed),
+                       np.empty(scene._NOISE_SPAN * channels))
+    return _Recording(parts, channels, n, noise, 16000.0, sro_hz)
+
+
+def _read_whole(recording: _Recording) -> np.ndarray:
+    """Every sample of a recording, read at once, (C, n)."""
+    n = recording.n_samples
+    out = np.full((recording.channels, n), np.nan)
+    recording.read(0, n, np.empty(recording.scratch_floats(n)).view(
+        np.uint8), out)
+    return out
+
+
 def _mixed(images: SourceImageSet, noise_level: float, seed: int):
-    """The samples `_mix_into` makes of every image, as a scene mixes an
+    """The samples of the `_Recording` of every image, as a scene mixes an
     array, (n, C)."""
     parts = [_ArraySource(sig.samples) for sig in images.images.values()]
     n, C = parts[0].samples.shape
-    total = np.empty((C, n))
-    _mix_into(total, parts, noise_level, np.random.default_rng(seed),
-              _mix_scratch(C, n))
-    return total.T
+    return _read_whole(_recording(parts, C, n, noise_level, seed)).T
 
 
 class TestMixImages:
@@ -339,11 +356,12 @@ class TestMixImages:
     @given(n=st.integers(1, 400), channels=st.integers(1, 4),
            k=st.integers(1, 3), noise=st.sampled_from([0.0, 0.05]),
            chunk=st.integers(1, 450), seed=st.integers(0, 2**32 - 1),
-           spans=st.booleans())
+           spans=st.booleans(), every=st.integers(1, 450))
     def test_chunks_equal_the_whole_mix(self, n, channels, k, noise, chunk,
-                                        seed, spans):
-        # read from arrays or from image sources, the mixture of chunks
-        # of any size equals the mixture of the whole images
+                                        seed, spans, every):
+        # read from arrays or from image sources, the recording read in
+        # spans of any size, its noise drawn again from states saved at
+        # any interval, equals the mixture of the whole images
         rng = np.random.default_rng(seed)
         images = [SampledSignal(rng.standard_normal((n, channels)), 16000.0)
                   for _ in range(k)]
@@ -360,9 +378,12 @@ class TestMixImages:
         whole_mix(want, [sig.samples for sig in images], noise,
                   np.random.default_rng(seed + 1), np.empty(want.size))
         got = np.full((channels, n), np.nan)
-        with mock.patch.object(dsp, "_SPAN", chunk):
-            _mix_into(got, parts, noise, np.random.default_rng(seed + 1),
-                      _mix_scratch(channels, n))
+        with mock.patch.object(scene, "_NOISE_SPAN", every):
+            recording = _recording(parts, channels, n, noise, seed + 1)
+        raw = np.empty(recording.scratch_floats(chunk)).view(np.uint8)
+        for s0 in range(0, n, chunk):
+            s1 = min(s0 + chunk, n)
+            recording.read(s0, s1, raw, got[:, s0:s1])
         assert np.array_equal(got.T, want)
 
     def test_noise_is_seeded(self, rng):
@@ -372,6 +393,53 @@ class TestMixImages:
         c = _mixed(images, 0.1, 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestRecordings:
+    """A span of a recording, and the truth rendered with it, hold what
+    the whole recording and its whole images hold there at the array's
+    clock, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 300), channels=st.integers(1, 3),
+           k=st.integers(0, 3), noise=st.sampled_from([0.0, 0.05]),
+           seed=st.integers(0, 2**32 - 1),
+           sro=st.one_of(st.just(0.0), st.floats(-3000.0, 3000.0)),
+           every=st.integers(1, 400))
+    def test_spans_and_truth_equal_the_whole_at_the_clock(
+            self, data, n, channels, k, noise, seed, sro, every):
+        rng = np.random.default_rng(seed)
+        parts = [_ImageSource(rng.standard_normal(n), [
+            tap(float(rng.uniform(0, 40)), float(rng.uniform(-1, 1)),
+                [(float(rng.uniform(0, 300)), 0.3)])
+            for _ in range(channels)]) for _ in range(k)]
+        whole = [np.empty((channels, n)) for _ in parts]
+        for part, x in zip(parts, whole):
+            part.read(0, n, np.empty(2 * n).view(np.uint8), x)
+        mix = np.zeros((n, channels))
+        whole_mix(mix, [x.T for x in whole], noise,
+                  np.random.default_rng(seed + 1), np.empty(mix.size))
+        want = at_device_clock(
+            {("a", "mix"): SampledSignal(mix, 16000.0)} | {
+                ("a", i): SampledSignal(x.T, 16000.0)
+                for i, x in enumerate(whole)}, {"a": sro})
+        with mock.patch.object(scene, "_NOISE_SPAN", every):
+            recording = _recording(parts, channels, n, noise, seed + 1, sro)
+        for a, b in data.draw(_spans(n)):
+            t0, t1 = sorted(data.draw(st.tuples(st.integers(a, b),
+                                                st.integers(a, b))))
+            floats = data.draw(st.integers(recording.scratch_floats(1),
+                                           recording.scratch_floats(b - a
+                                                                    + 1)))
+            out = np.full((channels, b - a), np.nan)
+            rows = np.full((k * channels, t1 - t0), np.nan)
+            recording.read(a, b, np.empty(floats).view(np.uint8), out,
+                           truth=(t0, t1, rows))
+            assert np.array_equal(out, want[("a", "mix")].samples[a:b].T)
+            for i in range(k):
+                assert np.array_equal(
+                    rows[i * channels:(i + 1) * channels],
+                    want[("a", i)].samples[t0:t1].T)
 
 
 class TestSceneConfig:

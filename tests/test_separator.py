@@ -959,7 +959,7 @@ class TestSeparateRecordings:
         assert peak <= 0.6 * images_bytes
 
 
-_JOINT_CASE = {}  # cut -> (spatial, states, recordings, truth sources)
+_JOINT_CASE = {}  # cut -> (spatial, states, truth sources)
 
 
 class TestOnePassForEveryMode:
@@ -974,25 +974,27 @@ class TestOnePassForEveryMode:
     def test_images_and_consistency_equal_the_single_mode_passes(
             self, modes, workers, offsets, unequal):
         # c's recording ends 9 frames early where no mode filters or
-        # classifies devices jointly; each device's truth is read through
-        # one clock per block, once for every mode
+        # classifies devices jointly; each device's recording and truth
+        # are read from one render per block, once for every mode
         from asyncsep.metrics import _Scores
+        from asyncsep.scene import _Recording
 
         cut = 1100 if unequal and not {"static-pooled", "tv-distributed"} \
             & set(modes) else 0
         if cut not in _JOINT_CASE:
             spatial, states, recs = _stream_case(2, 19)
-            recs["c"] = SampledSignal(recs["c"].samples[:-cut or None],
-                                      16000.0)
             rng = np.random.default_rng(cut)
             truth = {(m, k): dsp._ArraySource(rng.standard_normal(
-                         (r.n_samples, 2))) for m, r in recs.items()
-                     for k in spatial.source_ids}
-            _JOINT_CASE[cut] = spatial, states, recs, truth
-        spatial, states, recs, truth = _JOINT_CASE[cut]
+                         (r.n_samples - cut * (m == "c"), 2)))
+                     for m, r in recs.items() for k in spatial.source_ids}
+            _JOINT_CASE[cut] = spatial, states, truth
+        spatial, states, truth = _JOINT_CASE[cut]
         sro = {"a": 0.3, "b": -0.2, "c": 0.0} if offsets else {}
+        recs = {m: _Recording([truth[(m, k)] for k in spatial.source_ids], 2,
+                              truth[(m, "s0")].n_samples, None, 16000.0,
+                              sro.get(m, 0.0)) for m in ("a", "b", "c")}
         rows = dsp._span(STREAM_WIN, _kernels._BLOCK)
-        real_read = dsp._Clock.read
+        real_read = _Recording.read
 
         def run(pass_modes):
             images, reads = {}, Counter()
@@ -1001,17 +1003,17 @@ class TestOnePassForEveryMode:
                 images[(mode, m, k)] = dsp._Samples((2,), recs[m].n_samples)
                 return images[(mode, m, k)]
 
-            def counted(clock, start, stop, raw, out):
-                reads[(id(clock), start)] += 1
-                real_read(clock, start, stop, raw, out)
+            def counted(rec, start, stop, raw, out, truth=None):
+                reads[(id(rec), start)] += 1
+                real_read(rec, start, stop, raw, out, truth)
 
             scores = _Scores({key: (source, 16000.0)
-                              for key, source in truth.items()}, sro, rows)
-            with mock.patch.object(dsp._Clock, "read", counted):
+                              for key, source in truth.items()}, sro, rows,
+                             recs)
+            with mock.patch.object(_Recording, "read", counted):
                 consistency = separator._separate_sources(
-                    {m: dsp._ArraySource(r.samples) for m, r in recs.items()},
-                    STREAM_WIN, spatial, states, pass_modes, None, image,
-                    scores)
+                    recs, STREAM_WIN, spatial, states, pass_modes, None,
+                    image, scores)
             return images, consistency, reads
 
         with mock.patch.object(_pool, "worker_count", lambda: workers):

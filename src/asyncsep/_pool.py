@@ -4,13 +4,14 @@ Every stage with numeric work splits it into tasks on this pool:
   * scene synthesis: one task per source rendering, one per (array,
     source) image that `synthesize_scene` reads whole, one per array's
     noise sweep, and in `synthesize_scene` one per span of an array's
-    recording, which reads its images' span;
+    recording, a `dsp._Clock` over its images, which reads their span;
   * the STFT and the iSTFT: one task per run of frames of every
     channel, about 64 channel frames (`dsp._chunk`);
   * training: one task per (devices read together, source), which
     makes both passes over that pair's frames in frame order;
-  * reading a device clock (`dsp._Clock`): one task per run of output
-    samples, or per device group in `asyncsep evaluate`;
+  * reading a device clock's sources stacked (`dsp._Clock`, in
+    `lagrange_resample` and `metrics.at_device_clock`): one task per run
+    of output samples;
   * the separation pass: one task per block of frames over every
     device, for every mode of the pass, which in `run_experiment`
     renders each device's span of its recording and, from the same
@@ -19,8 +20,10 @@ Every stage with numeric work splits it into tasks on this pool:
     device's mixture planes, truth rows and recording rows, and the
     solves of the widest filter (`_kernels.Workspace`), with the render
     laid over the image planes and frames;
-  * SDR scoring (`metrics._Scores`): one task per (device, length,
-    rate) group of images.
+  * SDR scoring of estimates read from sample sources
+    (`metrics._Scores.feed`: `asyncsep evaluate`, and `run_experiment`
+    with no mode): one task per (device, length, rate) group of images,
+    which reads their truth through one device clock.
 Tasks write disjoint slices of buffers allocated beforehand, or, in
 the iSTFT and the streamed separation pass, add into shared sums in
 task order (`Turns`), so the result does not depend on how many threads

@@ -164,8 +164,8 @@ def _format(raw: bytes, chunk_size: int, order: str) -> tuple:
 class WavSource:
     """The samples of a WAV file, read a span at a time.
 
-    The (n, C) sample source of a `dsp._Reader`: n_samples and channels,
-    and `read`.  Holds the file open until `close`.
+    An (n, C) sample source (`dsp`) that reads a span's bytes into its
+    raw scratch.  Holds the file open until `close`.
     """
 
     def __init__(self, header: WavHeader):
@@ -173,11 +173,14 @@ class WavSource:
         self.n_samples, self.channels = header.n_samples, header.channels
         self._fd = os.open(header.path, os.O_RDONLY)
 
+    def scratch_floats(self, rows: int) -> int:
+        """The bytes of `rows` frames, in floats."""
+        return -(-rows * self.channels * self.header.dtype.itemsize // 8)
+
     def read(self, start: int, stop: int, raw, out) -> None:
         """Samples start:stop into out, (C, stop - start) float, converted
         as `read_wav` converts them: cast to float, then divided by the
-        integer full scale.  raw: contiguous uint8 scratch of at least the
-        span's bytes.  Allocates no array.
+        integer full scale.  Allocates no array.
         """
         h = self.header
         frame = h.channels * h.dtype.itemsize
@@ -216,9 +219,9 @@ def read_wav(path, expected_rate: float | None = None) -> SampledSignal:
     """
     header = read_header(path, expected_rate)
     samples = np.empty((header.n_samples, header.channels))
-    raw = np.empty(min(_SPAN, header.n_samples) * header.channels
-                   * header.dtype.itemsize, dtype=np.uint8)
     with WavSource(header) as source:
+        raw = np.empty(source.scratch_floats(min(_SPAN, header.n_samples))
+                       ).view(np.uint8)
         for s0 in range(0, header.n_samples, _SPAN):
             s1 = min(s0 + _SPAN, header.n_samples)
             source.read(s0, s1, raw, samples[s0:s1].T)

@@ -192,8 +192,7 @@ class PosteriorFile:
     dtype = np.dtype(np.float64)
 
     def __init__(self, path, shape: tuple, state_ids: list[str]):
-        path = os.fspath(path)
-        self.path = Path(path if path.endswith(".npy") else path + ".npy")
+        self.path = self.target(path)
         self.shape, self.state_ids = tuple(shape), list(state_ids)
         self.wins = [0] * self.shape[2]  # the tiles each state won so far
         self._lock = threading.Lock()
@@ -204,6 +203,12 @@ class PosteriorFile:
             "fortran_order": False, "shape": self.shape})
         self._fh.flush()
         self._offset = self._fh.tell()
+
+    @staticmethod
+    def target(path) -> Path:
+        """The file written for path: ".npy" appended unless it ends so."""
+        path = os.fspath(path)
+        return Path(path if path.endswith(".npy") else path + ".npy")
 
     def put(self, n0: int, gamma, ws) -> None:
         """Write frames n0 onwards, gamma (b, F, S) C-contiguous, and count

@@ -1,9 +1,11 @@
 """Command-line pipeline: simulate | train | separate | evaluate.
 
 Exit codes: 0 success, 2 configuration/path error, 3 numerical failure
-or memory exhausted, 130 interrupted (Ctrl-C).  A command that fails or
-is interrupted prints one line on stderr and removes every output it
-made.
+or memory exhausted, 130 interrupted (Ctrl-C).  A command writes its
+outputs under temporary names and moves them over their targets once
+all are complete; one that fails or is interrupted prints one line on
+stderr, removes every output it made and leaves the files of an
+earlier run as they were.
 
 A typical round trip::
 
@@ -25,8 +27,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -102,42 +106,68 @@ def _image_name(array_id: str, source_id: str) -> str:
 
 
 class _Outputs:
-    """The outputs a command makes, each removed if the command fails,
-    and then every directory that was missing when one was made, deepest
-    first, once it is empty.
+    """The outputs a command makes, each written under a temporary name
+    in its target's directory (`_temporary`) and moved over its target
+    (`os.replace`) by `commit`, once every output is complete and closed.
 
-    An OSError from making one, such as a directory that cannot be made
-    where a file is, becomes a ConfigError naming the path; an OSError
-    from anything else, reading an input included, is left as it is.
+    If the command fails, `discard` removes the temporaries, so the
+    files an earlier run left at the targets stay as they were, and then
+    every directory that was missing when an output was made, deepest
+    first, once it is empty.  Only a kill during `commit` can leave some
+    targets new and others old.  An OSError from making an output, such
+    as a directory that cannot be made where a file is or a directory
+    standing at its target, becomes a ConfigError naming the path; an
+    OSError from anything else, reading an input included, is left as it
+    is.
     """
 
     def __init__(self):
-        self._made = []
+        self._made = []  # what removes each thing made, in order
+        self._moves = []  # (file written, its target)
 
     def file(self, path: Path, write) -> None:
-        """Make the file at path with write(path)."""
+        """Make the file at path with write(temporary)."""
+        tmp = _temporary(path)
         try:
-            self._make(path, lambda: write(path))
+            self._make(path, tmp, lambda: write(tmp))
         finally:
-            self._made.append(lambda: path.unlink(missing_ok=True))
+            self._made.append(lambda: tmp.unlink(missing_ok=True))
+        self._moves.append((tmp, path))
 
     def stream(self, path, open_):
-        """open_(), an output at path with discard() (`WavSink`,
-        `PosteriorFile`), discarded if the command fails."""
-        out = self._make(path, open_)
+        """open_(temporary), an output of path with close() and discard(),
+        whose file is at its .path (`WavSink`, `PosteriorFile`),
+        discarded if the command fails."""
+        tmp = _temporary(path)
+        out = self._make(path, tmp, lambda: open_(tmp))
         self._made.append(out.discard)
+        self._moves.append((out.path, path))
         return out
 
-    def _make(self, path, make):
+    def _make(self, path, tmp: Path, make):
         # its missing directories, removed after it, deepest first
         missing = [d for d in Path(path).parents if not d.exists()]
         self._made += [d.rmdir for d in reversed(missing)]
         try:
+            if Path(path).is_dir():  # no file can be moved over it
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), str(path))
             return make()
         except OSError as exc:
-            where = path if exc.filename is None else exc.filename
+            where = exc.filename
+            if where is None or str(where) == str(tmp):
+                where = path
             raise ConfigError(f"cannot write {where}: "
                               f"{exc.strerror or exc}") from None
+
+    def commit(self) -> None:
+        """Move every output over its target, in the order made."""
+        for done, path in self._moves:
+            try:
+                os.replace(done, path)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: "
+                                  f"{exc.strerror or exc}") from None
 
     def discard(self) -> None:
         for remove in reversed(self._made):
@@ -145,13 +175,23 @@ class _Outputs:
                 remove()
 
 
+def _temporary(path) -> Path:
+    """The name an output of path is written under until it is complete:
+    hidden, in the same directory, and not matched by the patterns the
+    commands read (`*.wav`)."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
 def _making():
-    """The block that makes a command's outputs (`_Outputs`); if it
-    fails, every output made is removed."""
+    """The block that makes a command's outputs (`_Outputs`): they replace
+    their targets once it ends, and if it fails, every output made is
+    removed."""
     made = _Outputs()
     try:
         yield made
+        made.commit()
     except BaseException:
         made.discard()
         raise
@@ -285,9 +325,10 @@ def cmd_separate(args) -> int:
     outputs = []  # every file made, closed once the pass is done
 
     def image(mode, m, sid):
-        h, path = headers[m], out / _image_name(m, sid)
-        outputs.append(made.stream(path, lambda: WavSink(
-            path, h.rate, h.channels, h.n_samples)))
+        h = headers[m]
+        outputs.append(made.stream(out / _image_name(m, sid),
+                                   lambda tmp: WavSink(
+                                       tmp, h.rate, h.channels, h.n_samples)))
         return outputs[-1]
 
     gamma = None
@@ -295,10 +336,11 @@ def cmd_separate(args) -> int:
         sources = {m: stack.enter_context(WavSource(h))
                    for m, h in headers.items()}
         if args.dump_posteriors:
-            gamma = made.stream(args.dump_posteriors, lambda: PosteriorFile(
-                args.dump_posteriors,
-                (next(iter(frames.values())), spatial.n_bins,
-                 states.n_states), states.state_ids))
+            gamma = made.stream(
+                PosteriorFile.target(args.dump_posteriors),
+                lambda tmp: PosteriorFile(
+                    tmp, (next(iter(frames.values())), spatial.n_bins,
+                          states.n_states), states.state_ids))
             outputs.append(gamma)
         consistency = _separate_sources(sources, window, spatial, states,
                                         [args.mode], gamma, image)[args.mode]

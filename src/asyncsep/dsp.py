@@ -5,27 +5,39 @@ Conventions used throughout the package:
   * STFT tensors are complex128 arrays of shape (num_frames, num_bins, num_channels)
   * the one-sided spectrum keeps bins 0..length//2 inclusive
 
+Every reader of samples reads them from a sample source, an object with
+  * n_samples and channels: it holds (n_samples, channels) samples;
+  * scratch_floats(rows): the floats of raw scratch it reads up to
+    `rows` samples in;
+  * read(start, stop, raw, out): samples start:stop, within 0:n_samples,
+    into out, (channels, stop - start) float, through raw, contiguous
+    uint8 scratch of scratch_floats(stop - start) floats or more.
+An array (`_ArraySource`), a WAV file's data chunk (`audio.WavSource`),
+a scene's image (`scene._ImageSource`) and a device's recording
+(`_Clock`) are sample sources, and every reader sizes its scratch by
+asking its sources.
+
 The framing rule exists once, in two private classes: `_Reader` frames
 any run of a recording's frames, with the analysis padding, from a
-sample source (an array, or a WAV file's data chunk), and `_Writer`
-synthesizes runs of frames, overlap-adds them and their squared window
-in frame order, divides each finished span by that window sum and hands
-it past the padding to a destination (an array, or WAV files).  Neither
-holds more than a block of samples of its own.  `stft` reads through a
-reader, `istft` writes through a writer, and the streamed pass of
-`separator` uses both.  Which frames reach a sample is decided only by
-`_overlap_add`; a run's span, the padding and a read past a source's
-ends each have one helper too.
+sample source, and `_Writer` synthesizes runs of frames, overlap-adds
+them and their squared window in frame order, divides each finished
+span by that window sum and hands it past the padding to a destination
+(an array, or WAV files).  Neither holds more than a block of samples
+of its own.  `stft` reads through a reader, `istft` writes through a
+writer, and the streamed pass of `separator` uses both.  Which frames
+reach a sample is decided only by `_overlap_add`; a run's span, the
+padding and a read past a source's ends each have one helper too.
 
 Every fractional delay and clock resampling interpolates with one
 Lagrange stencil, of order `_ORDER` (4): `_lagrange_weights`.  A
 constant delay (`_Delay`) forms its weights once and renders any span of
-the delayed signal on its own, bit for bit as the whole.  One
-sample source, `_Clock`, reads sources at a device's clock a span at a
-time; `lagrange_resample`, `metrics.at_device_clock` and the scoring of
-`asyncsep evaluate` all read through it, and a scene's recording
-(`scene._Recording`) gathers its mixture and its images under its
-stencils (`_Clock.stencils`).
+the delayed signal on its own, bit for bit as the whole.  One class,
+`_Clock`, reads sample sources at a device's clock, a span at a time:
+as a sample source it is the device's recording, its sources mixed with
+its noise (`scene._recordings`), and from the same read of its sources
+it also renders them stacked, for `lagrange_resample`,
+`metrics.at_device_clock` and the truth that `metrics._Scores` scores
+against.
 """
 
 from __future__ import annotations
@@ -221,25 +233,23 @@ def _read_padded(read, n: int, start: int, raw, out) -> None:
 
 
 class _ArraySource:
-    """An (n, C) array as the sample source of a `_Reader`."""
+    """An (n, C) array as a sample source; it reads without scratch."""
 
     def __init__(self, samples: np.ndarray):
         self.samples = samples
         self.n_samples, self.channels = samples.shape
 
+    def scratch_floats(self, rows: int) -> int:
+        return 0
+
     def read(self, start: int, stop: int, raw, out) -> None:
-        """Samples start:stop into out, (C, stop - start) float; raw,
-        the scratch of a source that converts, is not used."""
         np.copyto(out, self.samples[start:stop].T)
 
 
 class _Reader:
     """Frame blocks of one recording, analyzed as `stft` does.
 
-    source: the recording's (n, C) samples, an object with n_samples,
-    channels and read(start, stop, raw, out), which writes samples
-    start:stop into out, (C, stop - start) float, through raw, uint8
-    scratch: an `_ArraySource` or an `audio.WavSource`.  channels,
+    source: the recording's (n, C) samples, a sample source.  channels,
     n_frames and n_bins give the (C, N, F) of the spectrogram, and `read`
     windows and transforms any run of its frames.  The analysis padding
     is virtual: a run reads its span of samples and zeros where the span
@@ -261,14 +271,20 @@ class _Reader:
         start = n0 * self.window.hop - self.left
         return start, start + _span(self.window, n1 - n0)
 
+    def raw_floats(self, frames: int) -> int:
+        """The floats of plane 0 of `read`'s scratch in which the source
+        reads the span of up to `frames` frames."""
+        return self.source.scratch_floats(_span(self.window, frames))
+
     def read(self, n0: int, n1: int, scratch, out, span=None) -> None:
         """Spectra of frames n0:n1 into out, (C, n1 - n0, bins) complex.
 
-        scratch: contiguous float, (2, C', b, length) with C' >= C and
-        b >= n1 - n0.  Plane 1 receives the samples of `span(n0, n1)`,
-        zeros past the source's ends, unless span, contiguous (C, count)
-        float, already holds them; plane 0 the source's raw bytes, then
-        the windowed frames.
+        scratch: contiguous float, (2, C', b, length) with C' >= C,
+        b >= n1 - n0 and `raw_floats(n1 - n0)` floats or more in plane 0.
+        Plane 1 receives the samples of `span(n0, n1)`, zeros past the
+        source's ends, unless span, contiguous (C, count) float, already
+        holds them; plane 0 the source's raw bytes, then the windowed
+        frames.
         """
         hop, length, C = self.window.hop, self.window.length, self.channels
         if span is None:
@@ -561,19 +577,28 @@ def _gather(padded, index, weights, tap, dst) -> None:
 
 
 class _Clock:
-    """A sample source of one device's samples on its clock.
+    """One device's sources on its clock, and its recording: the one
+    reader of sample sources at a device clock.
 
     sources: sample sources of one length (`_ArraySource`,
-    `audio.WavSource`), their channels stacked; sro_hz: the clock offset
-    at `rate`, finite and smaller than the rate, or ValueError.  Sample
-    tau is theirs at position tau * rate / (rate + sro_hz), interpolated
-    over _ORDER + 1 samples (`_stencils`, `_gather`) with zeros past
-    either end, or without an offset their sample tau.  `read` reads only
-    the window its span's stencils touch, in the caller's scratch, so
-    threads may read one clock at once.
+    `audio.WavSource`, `scene._ImageSource`), in order; sro_hz: the clock
+    offset at `rate`, finite and smaller than the rate, or ValueError;
+    noise: None, or an object whose add(start, stop, out, z) adds the
+    noise of samples start:stop to out, (C, stop - start), through z,
+    float scratch of as many values (`scene._Noise`).  A source's sample
+    tau at the clock is its sample at position tau * rate / (rate +
+    sro_hz), interpolated over _ORDER + 1 samples (`_stencils`,
+    `_gather`) with zeros past either end, or without an offset its
+    sample tau.  As a sample source the clock is the recording, with the
+    channels of sources[0]: the sources added in order to zeros, then
+    the noise, on the nominal clock, read at the clock.  `render` reads
+    the recording, the sources stacked, or both, from one read of each
+    source's window under one set of stencils: only the window the
+    span's stencils touch, in the caller's scratch, so threads may read
+    one clock at once.
     """
 
-    def __init__(self, sources, rate: float, sro_hz: float):
+    def __init__(self, sources, rate: float, sro_hz: float, noise=None):
         if not math.isfinite(sro_hz):
             raise ValueError(f"rate_offset_hz must be finite, got {sro_hz}")
         if abs(sro_hz) >= rate:
@@ -581,105 +606,149 @@ class _Clock:
                              f"below the sample rate ({rate})")
         # input samples per output sample
         self.ratio = rate / (rate + sro_hz) if sro_hz != 0.0 else None
-        self.sources, self.n_samples = sources, sources[0].n_samples
+        self.sources, self.rate, self.noise = sources, rate, noise
+        self.n_samples, self.channels = sources[0].n_samples, \
+            sources[0].channels
         self.bounds = np.cumsum([0] + [s.channels for s in sources]).tolist()
-        self.channels = self.bounds[-1]
+        self.widest = max(s.channels for s in sources)
+
+    def at(self, sro_hz: float) -> "_Clock":
+        """The same sources and noise at the clock offset sro_hz."""
+        return _Clock(self.sources, self.rate, sro_hz, self.noise)
 
     def scratch(self, rows: int) -> np.ndarray:
-        """The raw scratch of `read` for up to `rows` samples."""
+        """The raw scratch of `render` for up to `rows` samples."""
         return np.empty(self.scratch_floats(rows)).view(np.uint8)
 
     def scratch_floats(self, rows: int) -> int:
-        """The size of `scratch`, in floats: those of the stencils and the
-        window (`stencils`), then per sample a source reads one per
-        channel, and at least 2 (what `scene._ImageSource` renders a span
-        in)."""
-        floats, width, C = 0, rows, self.channels
+        """The size of `scratch`, in floats: with an offset, the stencils
+        and the recording's window; then a source's span or window, and
+        the scratch a source reads it in.  The window: a span's stencils
+        start at most (rows - 1) * ratio + 1 samples apart, and none past
+        the last sample `_stencils` pads."""
+        floats, width = 0, rows
         if self.ratio is not None:
-            floats, width = self.stencil_floats(rows, C), self.width(rows)
-            floats += C * width
-        widest = max(2, *(s.channels for s in self.sources))
-        return floats + widest * width
+            width = min(math.ceil((rows - 1) * self.ratio) + _ORDER + 3,
+                        self.n_samples + _ORDER + 1)
+            floats = ((2 * _ORDER + 6 + self.widest) * rows
+                      + self.channels * width)
+        return floats + self.widest * width + max(
+            s.scratch_floats(width) for s in self.sources)
 
-    def stencil_floats(self, rows: int, channels: int) -> int:
-        """The floats `stencils` takes for up to `rows` samples, with tap
-        scratch of `channels` rows."""
-        return (2 * _ORDER + 6 + channels) * rows
+    def read(self, start: int, stop: int, raw, out) -> None:
+        """The recording's samples start:stop into out, (C, stop - start)
+        float; raw: `scratch` of as many samples or more."""
+        self.render(start, stop, raw, out)
 
-    def width(self, rows: int) -> int:
-        """The most samples of the sources a span of `rows` samples reads:
-        its stencils start at most (rows - 1) * ratio + 1 samples apart,
-        and none past the last sample `_stencils` pads."""
-        return min(math.ceil((rows - 1) * self.ratio) + _ORDER + 3,
-                   self.n_samples + _ORDER + 1)
+    def render(self, start: int, stop: int, raw, out=None,
+               stacked=None) -> None:
+        """The recording's samples start:stop into out, (C, stop - start)
+        float, unless out is None, and, given stacked, (t0, t1, rows),
+        the sources' samples t0:t1, within start:stop, into rows, (every
+        source's channels, t1 - t0) float, source by source; raw:
+        `scratch` of stop - start samples or more.  Allocates no array.
 
-    def stencils(self, start: int, stop: int, raw, channels: int) -> tuple:
-        """The stencils of samples start:stop, start < stop, of a clock
-        with an offset, laid out in raw (`stencil_floats`): (first, index,
-        weights, tap, rest).
-
-        Only the g samples from start on with a tap at or before the
-        sources' last sample read the sources; the others are zeros.
-        index, (g,) int, and weights, (_ORDER + 1, g), are their stencils'
-        first columns in a window of the sources whose column 0 holds
-        sample `first`, and whose int(index[-1]) + _ORDER + 1 columns
-        every stencil reads, and their weights (`_gather` takes both);
-        tap: float scratch of `_gather`, (channels, stop - start); rest:
-        raw past them all.  Allocates no array.
+        Without an offset the sources are read straight into the rows
+        when the recording is not read, as a sum would turn their -0.0
+        into +0.0.  With one, every source's window is gathered on its
+        own: per element the products add in the same order as over the
+        sources stacked.
         """
-        r, n = stop - start, self.n_samples
+        if stop <= start:
+            return
+        if self.ratio is None:
+            self._nominal(start, stop, raw, out, stacked)
+            return
+        r, n, C, widest = stop - start, self.n_samples, self.channels, \
+            self.widest
         # positions, abscissae, stencil starts, differences, weights, taps
-        f = raw[:8 * self.stencil_floats(r, channels)].view(np.float64)
+        f = raw[:8 * (2 * _ORDER + 6 + widest) * r].view(np.float64)
         pos, t, index = f[:r], f[r:2 * r], f[2 * r:3 * r].view(np.int64)
         diffs = f[3 * r:(_ORDER + 5) * r].reshape(_ORDER + 2, r)
         weights = f[(_ORDER + 5) * r:(2 * _ORDER + 6) * r].reshape(-1, r)
-        tap = f[(2 * _ORDER + 6) * r:].reshape(channels, r)
+        tap = f[(2 * _ORDER + 6) * r:].reshape(widest, r)
         pos.fill(1.0)
         pos[0] = start
         np.add.accumulate(pos, out=pos)  # start, start + 1, ..., in place
         pos *= self.ratio  # = np.arange(n) * ratio, rows start:stop
         _stencils(pos, t, index, weights, diffs)
-        # the rows with a tap at or before the sources' last sample
+        # the g rows with a tap at or before the sources' last sample read
+        # them; the others are zeros
         g = int(np.searchsorted(index, n + _ORDER, side="right"))
-        base = int(index[0])
-        index = index[:g]
-        index -= base
-        return base - _ORDER - 1, index, weights[:, :g], tap, raw[f.nbytes:]
-
-    def read(self, start: int, stop: int, raw, out) -> None:
-        """Samples start:stop into out, (C, stop - start) float; raw:
-        `scratch` of as many samples or more.  Allocates no array."""
-        if self.ratio is None or stop <= start:
-            self._read(start, stop, raw, out)
-            return
-        first, index, weights, tap, rest = self.stencils(start, stop, raw,
-                                                         self.channels)
-        out.fill(0.0)
-        g = index.shape[0]
+        if out is not None:
+            out.fill(0.0)
+        if stacked is not None:
+            t0, t1, rows = stacked
+            rows.fill(0.0)
         if not g:
             return
-        C, width = self.channels, int(index[-1]) + _ORDER + 1
-        window = rest[:8 * C * width].view(np.float64).reshape(C, width)
-        _read_padded(self._read, self.n_samples, first,
-                     rest[8 * C * width:], window)
-        _gather(window, index, weights, tap[:, :g], out[:, :g])
-
-    def _read(self, start: int, stop: int, raw, out) -> None:
+        # the window of the sources whose column 0 holds sample `first`
+        base = int(index[0])
+        first, index, weights = base - _ORDER - 1, index[:g], weights[:, :g]
+        index -= base
+        width = int(index[-1]) + _ORDER + 1
+        rest = raw[f.nbytes:]
+        if out is not None:
+            mix = rest[:8 * C * width].view(np.float64).reshape(C, width)
+            rest = rest[mix.nbytes:]
+            mix.fill(0.0)
+        window = rest[:8 * widest * width].view(np.float64)
+        rest = rest[window.nbytes:]
         for source, c0, c1 in zip(self.sources, self.bounds,
                                   self.bounds[1:]):
-            source.read(start, stop, raw, out[c0:c1])
+            x = window[:(c1 - c0) * width].reshape(c1 - c0, width)
+            _read_padded(source.read, n, first, rest, x)
+            if out is not None:
+                mix += x
+            if stacked is not None:
+                i0, i1 = t0 - start, min(t1 - start, g)
+                if i0 < i1:
+                    _gather(x, index[i0:i1], weights[:, i0:i1],
+                            tap[:c1 - c0, :i1 - i0], rows[c0:c1, :i1 - i0])
+        if out is None:
+            return
+        if self.noise is not None:  # on the samples the window holds
+            c0 = min(max(-first, 0), width)
+            c1 = min(max(n - first, c0), width)
+            if c0 < c1:
+                self.noise.add(first + c0, first + c1, mix[:, c0:c1], window)
+        _gather(mix, index, weights, tap[:C, :g], out[:, :g])
+
+    def _nominal(self, start: int, stop: int, raw, out, stacked) -> None:
+        """`render` without an offset."""
+        if out is None:
+            t0, t1, rows = stacked
+            for source, c0, c1 in zip(self.sources, self.bounds,
+                                      self.bounds[1:]):
+                source.read(t0, t1, raw, rows[c0:c1])
+            return
+        r = stop - start
+        span = raw[:8 * self.widest * r].view(np.float64)
+        out.fill(0.0)
+        for source, c0, c1 in zip(self.sources, self.bounds,
+                                  self.bounds[1:]):
+            x = span[:(c1 - c0) * r].reshape(c1 - c0, r)
+            source.read(start, stop, raw[span.nbytes:], x)
+            out += x
+            if stacked is not None:
+                t0, t1, rows = stacked
+                np.copyto(rows[c0:c1], x[:, t0 - start:t1 - start])
+        if self.noise is not None:
+            self.noise.add(start, stop, out, span)
 
 
 def _resampled(clock: _Clock) -> np.ndarray:
-    """Every sample of clock, (C, n), read as tasks on the thread pool
-    (`_pool`) of `_SPAN` samples, each in its thread's scratch,
-    so a sample does not depend on the thread count."""
+    """Every sample of clock's sources stacked, (channels, n), read as
+    tasks on the thread pool (`_pool`) of `_SPAN` samples, each in its
+    thread's scratch, so a sample does not depend on the thread count."""
     n = clock.n_samples
-    out = np.empty((clock.channels, n))
-    _pool.run(range(0, n, _SPAN),
-              lambda r0, raw: clock.read(r0, min(r0 + _SPAN, n), raw,
-                                         out[:, r0:r0 + _SPAN]),
-              lambda: clock.scratch(min(_SPAN, n)))
+    out = np.empty((clock.bounds[-1], n))
+
+    def read(r0, raw):
+        r1 = min(r0 + _SPAN, n)
+        clock.render(r0, r1, raw, stacked=(r0, r1, out[:, r0:r1]))
+
+    _pool.run(range(0, n, _SPAN), read, lambda: clock.scratch(min(_SPAN, n)))
     return out
 
 

@@ -11,11 +11,11 @@ Each scene is rendered once, on the nominal clock, and held as sample
 sources: its source signals, whole, and one `scene._ImageSource` per
 (array, source) image, which renders any span of that image from them.
 Training reads the training scene's images through them; its mixtures
-are never made.  Each test device's recording is a `scene._Recording`
-over its images: their spans added in source order, then its noise,
-drawn again for any span from generator states saved by one sweep, and
-read at the device's clock for the variant.  No recording is held.
-Each variant runs one streamed pass for every mode
+are never made.  Each test device's recording is a `dsp._Clock` over
+its images and its noise: their spans added in source order, then the
+noise, drawn again for any span from generator states saved by one
+sweep, read at the device's clock for the variant.  No recording is
+held.  Each variant runs one streamed pass for every mode
 (`separator._separate_sources`): each block reads each device's span
 of its recording through the scorer (`metrics._Scores.read`), which
 renders the device's images once for it and, under the same stencils,

@@ -3,15 +3,15 @@
 Estimates stay on the clock of the device that recorded them, so the
 truth images are read there through `dsp._Clock`: `at_device_clock`
 moves whole images.  `_Scores` scores each span of an estimate against
-the same span of its truth as it arrives, for `score_images`, `asyncsep
-evaluate` and `run_experiment`'s streamed pass.  One rule sums the SDR
-energies (`_Energy`), for whole images and spans alike, so `sdr` of a
-pair and every score of `_Scores` agree bit for bit.
+the same span of its truth as it arrives, for `asyncsep evaluate` and
+`run_experiment`'s streamed pass; `score_images` scores whole pairs as
+`sdr` does.  One rule sums the SDR energies (`_Energy`), for whole
+images and spans alike, so `sdr` of a pair and every score of `_Scores`
+agree bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 
@@ -35,12 +35,17 @@ def sdr(reference: SampledSignal, estimate: SampledSignal) -> float:
     and NumericalError when either energy is not finite.  The energies
     are summed on the calling thread (`_Energy`).
     """
+    return _pair_score("the pair", reference, estimate)
+
+
+def _pair_score(name: str, reference, estimate) -> float:
+    """`sdr` of a pair, its errors naming the pair `name`."""
     ref, est = _same_shape(reference, estimate)
     C = ref.shape[1]
     energy, error = (_Energy(C, _energy_scratch(C)) for _ in range(2))
     energy.add(ref.T)
     error.add(ref.T, est.T)
-    return _score("the pair", energy.totals(), error.totals())
+    return _score(name, energy.totals(), error.totals())
 
 
 def _same_shape(reference, estimate) -> tuple:
@@ -88,16 +93,15 @@ def score_images(refs, estimates) -> dict[str, float]:
 
     Every pair is checked first: a missing estimate or shapes that
     differ raise ValueError.  The images are then scored as they stand,
-    with no clock offset, by `_Scores`.
+    with no clock offset, pair by pair on the calling thread, each
+    error naming its key.
     """
     for (m, k), ref in refs.items():
         if (m, k) not in estimates:
             raise ValueError(f"no estimate of {m}/{k}")
         _same_shape(ref, estimates[(m, k)])
-    scores = _Scores({key: (_ArraySource(ref.samples), ref.rate_hz)
-                      for key, ref in refs.items()}, {}, _CHUNK)
-    scores.feed({key: _ArraySource(estimates[key].samples) for key in refs})
-    return scores.scores()
+    return {f"{m}/{k}": _pair_score(f"{m}/{k}", ref, estimates[(m, k)])
+            for (m, k), ref in refs.items()}
 
 
 def _finite_mean(values) -> float:
@@ -223,21 +227,20 @@ class _Scores:
     """Scores of image signals written span by span against the truth at
     each device's clock.
 
-    truth: (device, source) -> (sample source, rate) of the truth image
-    (`dsp._ArraySource`, `audio.WavSource`, `scene._ImageSource`);
+    truth: (device, source) -> (sample source, rate) of the truth image;
     sro_hz: device -> clock offset in Hz; rows: the most samples a span
     holds; modes: the names of the estimates of every image (one, None,
-    by default); recordings: device -> its recording, a
-    `scene._Recording` at sro_hz's clock over that device's truth
-    images, in key order, or None.
-    Each (device, length, rate) group of truth images is read through one
-    clock (`dsp._Clock`), a span at a time, into the caller's scratch
-    (`scratch`); `destination(mode, m, k)`, the estimate of image (m, k)
-    under mode, scores the writes of each thread against the span that
-    thread read last.  With recordings, `separator`'s streamed pass reads
-    each block's span of a device's recording through `read`, which
-    renders the truth span the block finishes from the same render of
-    its images, once whatever the number of modes (None for a key not
+    by default); recordings: device -> its recording, a `dsp._Clock` at
+    sro_hz's clock over that device's truth images, in key order, or
+    None.  Each (device, length, rate) group of truth images is read
+    through one clock, a span at a time, into the caller's scratch
+    (`scratch`): the device's recording, when given, else a clock over
+    the group's images.  `destination(mode, m, k)`, the estimate of
+    image (m, k) under mode, scores the writes of each thread against the
+    span that thread read last.  With recordings, `separator`'s streamed
+    pass reads each block's span of a device's recording through `read`,
+    which renders the truth span the block finishes from the same render
+    of its images, once whatever the number of modes (None for a key not
     in truth, which the pass then need not synthesize), and the first
     mode's destinations also score that span of the recording, the
     unprocessed estimate (`scores(unprocessed=True)`).  `feed` reads
@@ -250,17 +253,26 @@ class _Scores:
 
     def __init__(self, truth: dict, sro_hz: dict, rows: int,
                  recordings: dict | None = None, modes=(None,)):
-        self.groups, self.by_device = [], {}  # (clock, keys, first row)
+        # (clock, keys, first row of its truth in a thread's scratch):
+        # the pass reads every device's at once, `feed` one group at a time
+        self.groups, self.by_device, self.samples = [], {}, {}
         self.images, self.reference = {}, {}
         # the spans each thread read last; the destinations hold it, not
         # the scorer, so that freeing the scorer frees them at once
         self.last = threading.local()
-        channels = 0
+        channels = recorded = 0
         for clock, keys in _clocks(truth, sro_hz):
-            g, m = len(self.groups), keys[0][0]
-            self.groups.append((clock, keys, channels))
-            self.by_device.setdefault(m, []).append(g)
-            channels += clock.channels
+            g, m, r0 = len(self.groups), keys[0][0], 0
+            if recordings is not None:
+                if recordings[m].sources != clock.sources:
+                    raise ValueError(f"the recording of {m!r} is not of "
+                                     f"its truth images")
+                clock, r0 = recordings[m], channels
+                self.samples[g] = recorded  # its recording's span
+                recorded += clock.channels * rows
+            self.groups.append((clock, keys, r0))
+            self.by_device.setdefault(m, g)
+            channels = max(channels, r0 + clock.bounds[-1])
             for k, key in enumerate(keys):
                 C = clock.sources[k].channels
                 self.reference[key] = _Energy(C, _energy_scratch(C))
@@ -269,75 +281,60 @@ class _Scores:
                         self.last, g, clock, k,
                         None if j else self.reference[key],
                         not j and recordings is not None)
-        self.rows, self.channels = rows, channels
+        self.rows, self.channels, self.recorded = rows, channels, recorded
         self.modes, self.order = list(modes), list(truth)
-        self.recordings, self.samples = recordings, {}
-        if recordings is not None:
-            at = 0  # each device's rows of its recording's span
-            for m, (g,) in self.by_device.items():
-                if recordings[m].parts != self.groups[g][0].sources:
-                    raise ValueError(f"the recording of {m!r} is not of "
-                                     f"its truth images")
-                self.samples[m] = at
-                at += recordings[m].channels * rows
 
     def destination(self, mode, m: str, k: str):
         return self.images.get((mode, (m, k)))
 
-    def scratch(self, channels: int | None = None, spare=None) -> tuple:
-        """One thread's scratch of `read`: rows for `channels` truth
-        channels (every group's, by default) of a span; the raw scratch
-        of the clocks, or with recordings theirs, a view of spare, float,
-        when that is large enough; the spans read; and, with recordings,
-        the rows of their spans."""
-        readers = [clock for clock, _, _ in self.groups] \
-            if self.recordings is None else self.recordings.values()
-        floats = max((r.scratch_floats(self.rows) for r in readers),
-                     default=0)
+    def scratch(self, spare=None) -> tuple:
+        """One thread's scratch of `read`: rows for the truth of a span;
+        the raw scratch of the clocks, a view of spare, float, when that
+        is large enough; the spans read; and, with recordings, the rows
+        of their spans."""
+        floats = max((clock.scratch_floats(self.rows)
+                      for clock, _, _ in self.groups), default=0)
         if spare is None or spare.size < floats:
             spare = np.empty(floats)
         raw = spare.reshape(-1)[:floats].view(np.uint8)
-        rows = np.empty((self.channels if channels is None else channels,
-                         self.rows))
-        samples = None if self.recordings is None else np.empty(
-            sum(rec.channels for rec in self.recordings.values())
-            * self.rows)
-        return rows, raw, {}, samples
+        return (np.empty((self.channels, self.rows)), raw, {},
+                np.empty(self.recorded))
 
     def read(self, m: str, span: tuple, finished: tuple, scratch):
-        """Device m's recording at samples span, (start, stop), zeros
-        where it passes the recording's ends, and from the same render
-        its truth images and the recording at samples finished, (start,
-        stop) within span, those past their length dropped, into scratch,
-        this thread's, whose spans the destinations then score this
-        thread's writes against; returns the recording's samples,
-        (C, stop - start), a view of scratch.  Allocates no array."""
+        """Device m's recording at samples span, (start, stop), and its
+        truth images at samples finished, (start, stop) within span, from
+        the same render, for the streamed pass (`_read`)."""
+        return self._read(self.by_device[m], span, finished, scratch)
+
+    def _read(self, g: int, span, finished: tuple, scratch):
+        """Group g's truth images at samples finished, (start, stop),
+        those past their length dropped, into scratch, this thread's,
+        whose spans the destinations then score this thread's writes
+        against; and, given span, (start, stop) around finished, from the
+        same render the device's recording at samples span, zeros where
+        it passes the recording's ends, returned as (C, stop - start), a
+        view of scratch, or else None.  Allocates no array."""
         rows, raw, spans, flat = scratch
-        (g,), rec = self.by_device[m], self.recordings[m]
         clock, _, r0 = self.groups[g]
-        (a, b), (t0, t1) = span, finished
-        t1 = min(t1, rec.n_samples)
-        at = self.samples[m]
-        samples = flat[at:at + rec.channels * (b - a)].reshape(-1, b - a)
-        truth = rows[r0:r0 + clock.channels, :max(t1 - t0, 0)]
-        _read_padded(functools.partial(
-            rec.read, truth=(t0, t1, truth) if t0 < t1 else None),
-            rec.n_samples, a, raw, samples)
-        spans[g] = (t0, truth, samples[:, t0 - a:])
+        t0, t1 = finished[0], min(finished[1], clock.n_samples)
+        if t1 - t0 > self.rows:
+            raise ValueError(f"span of {t1 - t0} samples, more than the "
+                             f"{self.rows} a span holds")
+        truth = rows[r0:r0 + clock.bounds[-1], :max(t1 - t0, 0)]
+        stacked = (t0, t1, truth) if t0 < t1 else None
+        samples = recorded = None
+        if span is None:
+            clock.render(t0, t1, raw, stacked=stacked)
+        else:
+            a, b = span
+            at = self.samples[g]
+            samples = flat[at:at + clock.channels * (b - a)].reshape(-1, b - a)
+            _read_padded(lambda s0, s1, raw, out: clock.render(
+                s0, s1, raw, out, stacked), clock.n_samples, a, raw, samples)
+            recorded = samples[:, t0 - a:]
+        spans[g] = (t0, truth, recorded)
         self.last.spans = spans
         return samples
-
-    def _read_group(self, g, start, stop, out, raw, spans) -> None:
-        clock = self.groups[g][0]
-        stop = min(stop, clock.n_samples)
-        if stop - start > self.rows:
-            raise ValueError(f"span of {stop - start} samples, more than "
-                             f"the {self.rows} a span holds")
-        out = out[:, :max(stop - start, 0)]
-        if start < stop:
-            clock.read(start, stop, raw, out)
-        spans[g] = (start, out, None)
-        self.last.spans = spans
 
     def feed(self, estimates: dict) -> None:
         """Score every image's estimate under the one mode, estimates:
@@ -345,24 +342,23 @@ class _Scores:
         pool (`_pool`) that reads its truth and its estimates a span at a
         time in its thread's scratch."""
         widest = max((s.channels for s in estimates.values()), default=0)
+        floats = max((s.scratch_floats(self.rows)
+                      for s in estimates.values()), default=0)
         mode, = self.modes
 
         def work(g, scratch):
             (clock, keys, _), (buf, raw, truth) = self.groups[g], scratch
-            rows, truth_raw, spans, _ = truth
             for s0 in range(0, clock.n_samples, self.rows):
                 s1 = min(s0 + self.rows, clock.n_samples)
-                self._read_group(g, s0, s1, rows[:clock.channels], truth_raw,
-                                 spans)
+                self._read(g, None, (s0, s1), truth)
                 for key in keys:
                     est = buf[:estimates[key].channels, :s1 - s0]
                     estimates[key].read(s0, s1, raw, est)
                     self.images[(mode, key)].write(s0, est)
 
         _pool.run(range(len(self.groups)), work, lambda: (
-            np.empty((widest, self.rows)),
-            np.empty(widest * self.rows).view(np.uint8),
-            self.scratch(max(c.channels for c, _, _ in self.groups))))
+            np.empty((widest, self.rows)), np.empty(floats).view(np.uint8),
+            self.scratch()))
 
     def energies(self, key, mode=None, unprocessed: bool = False) -> tuple:
         """(truth energy, error energy) of image key's estimate under mode,

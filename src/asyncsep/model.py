@@ -263,19 +263,23 @@ class _Sums:
 
 class _Scratch:
     """One thread's scratch for the training tasks of all_sums: blocks of
-    up to `_FRAME_BLOCK` frames, the readers' samples included."""
+    up to `_FRAME_BLOCK` frames, the readers' samples included, with
+    room in plane 0 for the raw scratch their sources state."""
 
     def __init__(self, all_sums: list[_Sums]):
         readers = [r for sums in all_sums for part in sums.parts
                    for r in part]
-        windows = [r.window.length for r in readers if r.window is not None]
+        framed = [r for r in readers if r.window is not None]
         block = min(_FRAME_BLOCK, max(r.n_frames for r in readers))
         channels = max(s.channels for s in all_sums)
         entries = max(len(s.entries) for s in all_sums)
         bins = all_sums[0].energy.shape[1]
-        self.samples = np.empty(
-            (2, max(r.channels for r in readers), block, max(windows))
-            if windows else (0,))
+        self.samples = np.empty((0,))
+        if framed:
+            length = max(r.window.length for r in framed)
+            rows = max([r.channels for r in framed] + [
+                -(-r.raw_floats(block) // (block * length)) for r in framed])
+            self.samples = np.empty((2, rows, block, length))
         self.x = np.empty((channels, block, bins), dtype=np.complex128)
         self.xw = np.empty((channels, block, bins), dtype=np.complex128)
         self.t = np.empty((block, bins), dtype=np.complex128)
@@ -536,8 +540,8 @@ def _train_sources(sources: dict, window: WindowSpec, noise_gain: float = 1.0,
     spectrogram held.
 
     sources: (device id, source id) -> the image's (n, C) samples, a
-    sample source of `dsp._Reader` (`dsp._ArraySource`,
-    `audio.WavSource`) of at least one window; ValueError if shorter.
+    sample source (`dsp._ArraySource`, `audio.WavSource`,
+    `scene._ImageSource`) of at least one window; ValueError if shorter.
     names: as `_train` takes them.
     """
     for key, source in sources.items():

@@ -9,9 +9,9 @@ clock offset, so the ground-truth images stay on the nominal clock.
 One renderer serves every caller.  The source signals are rendered
 whole (`_image_sources`); each (array, source) image is a sample source
 over its signal (`_ImageSource`) that renders any span of the image on
-its own; and each array's recording is a sample source over its images
-(`_Recording`) that adds their spans in source order, then its noise,
-drawn again for any span from saved generator states (`_Noise`), and
+its own; and each array's recording is a `dsp._Clock` over its images
+and its noise, drawn again for any span from saved generator states
+(`_Noise`), which adds their spans in source order, then the noise, and
 reads that mixture at the array's clock.  `synthesize_scene` reads
 every image whole and every recording over those; `run_experiment`
 holds only the source signals, and its streamed pass renders each
@@ -40,7 +40,7 @@ Signal descriptors: ``wav`` (path, mixed down to mono, rate must match),
 amplitude), ``speech_noise`` (level, activity, band_hz, tilt_hz,
 modulation_hz).  Delays are in samples and may be fractional; echo delays
 are absolute, not relative to the direct path.  Every delay and clock
-offset is rendered with `dsp`'s one Lagrange stencil (`dsp._ORDER`).
+offset is rendered with `dsp`'s one Lagrange stencil.
 """
 
 from __future__ import annotations
@@ -497,9 +497,8 @@ def _child_seed(seed: int, *key: int) -> int:
 
 
 class _ImageSource:
-    """One (array, source) image as a sample source (`dsp._ArraySource`'s
-    read(start, stop, raw, out)), rendered span by span from its source
-    signal, (n,).
+    """One (array, source) image as a sample source, rendered span by
+    span from its source signal, (n,).
 
     Channel c is the source delayed by its direct path times its gain,
     plus each echo's delayed source times that echo's gain, in tap order.
@@ -514,24 +513,22 @@ class _ImageSource:
                      + [(e.gain, _Delay(e.delay)) for e in t.echoes]
                      for t in taps]
 
+    def scratch_floats(self, rows: int) -> int:
+        """A tap's delayed span and `dsp._Delay`'s scratch."""
+        return 2 * rows
+
     def read(self, start: int, stop: int, raw, out) -> None:
-        """Samples start:stop into out, (C, stop - start) float, rendered
-        in raw, scratch of 16 bytes or more: raw.nbytes // 16 samples at a
-        time, the whole span when raw holds 16 bytes per sample.
-        Allocates no array."""
-        floats = raw[:raw.nbytes // 16 * 16].view(np.float64)
-        piece = max(floats.shape[0] // 2, 1)
-        for a in range(start, stop, piece):
-            b = min(a + piece, stop)
-            delayed, tap = floats[:b - a], floats[piece:piece + b - a]
-            for y, taps in zip(out[:, a - start:b - start], self.taps):
-                for i, (gain, delay) in enumerate(taps):
-                    delay.read(self.signal, a, delayed, tap)
-                    if not i:
-                        np.multiply(delayed, gain, out=y)
-                    else:
-                        delayed *= gain
-                        y += delayed
+        r = stop - start
+        floats = raw[:16 * r].view(np.float64)
+        delayed, tap = floats[:r], floats[r:]
+        for y, taps in zip(out, self.taps):
+            for i, (gain, delay) in enumerate(taps):
+                delay.read(self.signal, start, delayed, tap)
+                if not i:
+                    np.multiply(delayed, gain, out=y)
+                else:
+                    delayed *= gain
+                    y += delayed
 
 
 def _image_sources(spec: SceneSpec, seed: int) -> dict:
@@ -598,129 +595,14 @@ class _Noise:
         out += z.T
 
 
-class _Recording:
-    """One array's recording as a sample source (`dsp._ArraySource`'s
-    read(start, stop, raw, out)), (n, C), rendered span by span.
-
-    On the nominal clock, a sample is its images' samples, read from
-    parts, their sample sources in source order, added in order to
-    zeros, then its noise (`_Noise`, or None for none); with a clock
-    offset the recording is that mixture read at the array's clock
-    through the stencils of `dsp._Clock`.  A span holds what the whole
-    recording holds there, bit for bit, whatever the spans.
-    """
-
-    def __init__(self, parts, channels: int, n: int, noise, rate: float,
-                 sro_hz: float = 0.0):
-        self.parts, self.noise, self.rate = parts, noise, rate
-        self.n_samples, self.channels = n, channels
-        # the clock of the images, stacked; of silence when there is none
-        self.clock = dsp._Clock(
-            parts or [_ArraySource(np.broadcast_to(0.0, (n, channels)))],
-            rate, sro_hz) if sro_hz else None
-
-    def at(self, sro_hz: float) -> "_Recording":
-        """The same recording at the clock offset sro_hz."""
-        return _Recording(self.parts, self.channels, self.n_samples,
-                          self.noise, self.rate, sro_hz)
-
-    def scratch_floats(self, rows: int) -> int:
-        """The floats of raw scratch in which `read` renders `rows`
-        samples at once: on the nominal clock a part's span and what an
-        image renders it in; at a clock the stencils, then the mixture's
-        window, a part's and what an image renders it in."""
-        C = self.channels
-        if self.clock is None:
-            return (C + 2) * rows
-        return (self.clock.stencil_floats(rows, C)
-                + (2 * C + 2) * self.clock.width(rows))
-
-    def read(self, start: int, stop: int, raw, out, truth=None) -> None:
-        """Samples start:stop into out, (C, stop - start) float, rendered
-        in raw, uint8 scratch: the whole span at once when it holds
-        `scratch_floats(stop - start)` floats, else a piece at a time.
-
-        truth: None, or (t0, t1, rows): also the samples t0:t1, within
-        start:stop, of the images at the array's clock into rows,
-        (K * C, t1 - t0) float, image by image, from the same render
-        under the same stencils (the truth that the streamed pass scores
-        against, `metrics._Scores.read`).  Allocates no array.
-        """
-        floats, piece = raw.nbytes // 8, max(stop - start, 1)
-        while self.scratch_floats(piece) > floats:
-            if piece == 1:
-                raise ValueError(f"{floats} floats of scratch cannot "
-                                 f"render a sample")
-            piece = (piece + 1) // 2
-        read = self._read if self.clock is None else self._read_clocked
-        for a in range(start, stop, piece):
-            b = min(a + piece, stop)
-            images = None
-            if truth is not None:
-                t0, t1, rows = truth
-                lo, hi = max(t0, a), min(t1, b)
-                if lo < hi:
-                    images = (lo - a, hi - a, rows[:, lo - t0:hi - t0])
-            read(a, b, raw, out[:, a - start:b - start], images)
-
-    def _read(self, a: int, b: int, raw, out, images) -> None:
-        """Samples a:b on the nominal clock; images: None, or (i0, i1,
-        rows), the images' samples a + i0:a + i1 into rows."""
-        C, r = self.channels, b - a
-        at = 8 * C * r
-        span = raw[:at].view(np.float64).reshape(C, r)
-        out.fill(0.0)
-        for k, part in enumerate(self.parts):
-            part.read(a, b, raw[at:], span)
-            out += span
-            if images is not None:
-                i0, i1, rows = images
-                np.copyto(rows[k * C:(k + 1) * C], span[:, i0:i1])
-        if self.noise is not None:
-            self.noise.add(a, b, out, span)
-
-    def _read_clocked(self, a: int, b: int, raw, out, images) -> None:
-        """Samples a:b at the array's clock: each image's window of the
-        stencils is rendered once, gathered into images' rows, (i0, i1,
-        rows) as for `_read`, and added to the mixture's window, which,
-        its noise added, is gathered into out."""
-        C, n = self.channels, self.n_samples
-        first, index, weights, tap, rest = self.clock.stencils(a, b, raw, C)
-        out.fill(0.0)
-        if images is not None:
-            images[2].fill(0.0)
-        g = index.shape[0]
-        if not g:
-            return
-        width = int(index[-1]) + dsp._ORDER + 1
-        f = rest[:16 * C * width].view(np.float64)
-        mix, span = f[:C * width].reshape(C, width), f[C * width:].reshape(
-            C, width)
-        mix.fill(0.0)
-        for k, part in enumerate(self.parts):
-            dsp._read_padded(part.read, n, first, rest[f.nbytes:], span)
-            mix += span
-            if images is not None:
-                i0, i1, rows = images
-                i1 = min(i1, g)  # the later samples read zeros
-                if i0 < i1:
-                    dsp._gather(span, index[i0:i1], weights[:, i0:i1],
-                                tap[:, :i1 - i0],
-                                rows[k * C:(k + 1) * C, :i1 - i0])
-        if self.noise is not None:  # on the samples the window holds
-            c0 = min(max(-first, 0), width)
-            c1 = min(max(n - first, c0), width)
-            if c0 < c1:
-                self.noise.add(first + c0, first + c1, mix[:, c0:c1], span)
-        dsp._gather(mix, index, weights, tap[:, :g], out[:, :g])
-
-
 def _recordings(spec: SceneSpec, seed: int, images: dict) -> dict:
-    """Every array's recording (`_Recording`) at its clock offset, by
-    array id in array order, over the images, sample sources keyed as
-    `_image_sources` keys them.  Each array draws its noise from its own
-    stream, swept once in a task on the pool (`_Noise`), so the noise
-    does not depend on the clock offsets or the thread count."""
+    """Every array's recording, a `dsp._Clock` at its clock offset over
+    its images in source order and its noise (`_Noise`, or None for
+    none), by array id in array order; images: sample sources keyed as
+    `_image_sources` keys them.  An array of a scene without sources
+    records silence and its noise.  Each array draws its noise from its
+    own stream, swept once in a task on the pool, so the noise does not
+    depend on the clock offsets or the thread count."""
     n = spec.n_samples
     noises = [None] * len(spec.arrays)
     if spec.noise_level > 0:
@@ -731,10 +613,11 @@ def _recordings(spec: SceneSpec, seed: int, images: dict) -> dict:
 
         _pool.run(range(len(spec.arrays)), sweep, lambda: np.empty(
             _NOISE_SPAN * max(a.channels for a in spec.arrays)))
-    return {arr.id: _Recording([images[(arr.id, src.id)]
-                                for src in spec.sources], arr.channels, n,
-                               noise, spec.rate_hz, arr.sro_hz)
-            for arr, noise in zip(spec.arrays, noises)}
+    return {arr.id: dsp._Clock(
+        [images[(arr.id, src.id)] for src in spec.sources]
+        or [_ArraySource(np.broadcast_to(0.0, (n, arr.channels)))],
+        spec.rate_hz, arr.sro_hz, noise)
+        for arr, noise in zip(spec.arrays, noises)}
 
 
 def _physical_memory() -> int | None:
@@ -779,7 +662,7 @@ def synthesize_scene(spec: SceneSpec, seed: int
     per (array, source) image, which reads its `_ImageSource` whole in
     its thread's scratch; one per array's noise sweep (`_recordings`);
     and one per `dsp._SPAN` samples of an array's recording, read from
-    its `_Recording` over those images.  The calling thread allocates
+    its `dsp._Clock` over those images.  The calling thread allocates
     every source signal, image and recording first, so the samples do
     not depend on the thread count.  Images and recordings are (n, C)
     views of channel-major buffers.
@@ -797,7 +680,9 @@ def synthesize_scene(spec: SceneSpec, seed: int
               for key, src in sources.items()}
     _pool.run(list(images),
               lambda key, raw: sources[key].read(0, n, raw, images[key]),
-              lambda: np.empty(2 * n).view(np.uint8))
+              lambda: np.empty(max(src.scratch_floats(n)
+                                   for src in sources.values())
+                               ).view(np.uint8))
     sources = _recordings(spec, seed, {key: _ArraySource(x.T)
                                        for key, x in images.items()})
     mixes = {m: np.empty((rec.channels, n)) for m, rec in sources.items()}

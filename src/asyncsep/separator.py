@@ -473,6 +473,11 @@ def _run_pass(p: _Pass, spatial: SpatialModel,
                                       ws.img.view(np.float64))
         if p.truth is not None:
             ws.truth = p.truth.scratch(spare=ws.idle)
+        elif p.window is not None:  # the readers read their sources
+            for m, reader in zip(p.devices, p.readers):
+                if reader.raw_floats(_kernels._BLOCK) > ws.t[0].size:
+                    raise ValueError(f"the samples of array {m!r} need "
+                                     f"more scratch than a block holds")
         return ws
 
     _pool.run(range(0, max(p.frames), _kernels._BLOCK),

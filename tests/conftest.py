@@ -35,7 +35,8 @@ def whole_mix(total: np.ndarray, parts, noise_level: float, rng,
               noise) -> None:
     """Add the whole images, parts, and, at a positive level, seeded white
     noise to total, zeros of their shape; noise: float scratch of that
-    size.  The reference for the span reads of `scene._Recording`."""
+    size.  The reference for the span reads of a scene's recording
+    (`dsp._Clock`)."""
     for part in parts:
         total += part
     if noise_level > 0:

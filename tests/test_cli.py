@@ -3,15 +3,21 @@
 import contextlib
 import errno
 import io
+import itertools
 import json
 import math
 import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,10 +27,11 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.io.wavfile import WavFileWarning
 
-from asyncsep import _kernels, _pool, cli, dsp, separator
+from asyncsep import _kernels, _pool, audio, cli, dsp, separator
 from asyncsep import model as model_module
+from asyncsep import scene as scene_module
 from asyncsep.audio import read_wav, write_wav
-from asyncsep.classifier import PosteriorMap
+from asyncsep.classifier import PosteriorFile, PosteriorMap
 from asyncsep.cli import main
 from asyncsep.demo import demo_scene_path
 from asyncsep.dsp import SampledSignal, WindowSpec, stft_frame_count
@@ -1259,7 +1266,8 @@ def test_evaluate_memory_does_not_grow_with_length(tmp_path, monkeypatch):
     # device b's clock over its two 2-channel images, and its span
     clock = dsp._Clock([dsp._ArraySource(np.empty((8 * 16000, 2)))] * 2,
                        16000.0, 0.5)
-    span = clock.scratch(dsp._SPAN).nbytes + 8 * clock.channels * dsp._SPAN
+    span = (clock.scratch(dsp._SPAN).nbytes
+            + 8 * clock.bounds[-1] * dsp._SPAN)
     assert abs(peaks[8.0] - peaks[2.0]) < span, (peaks, span)
 
 
@@ -1491,12 +1499,13 @@ def test_a_failing_input_is_not_reported_as_an_output(
     est, post = tmp_path / "est", tmp_path / "post.npy"
     argv = ["separate", str(model), str(recordings), str(est),
             "--dump-posteriors", str(post)]
-    # a read that fails once the estimates are being written: the error
-    # is left as it is, and every output made is removed
+    # a read that fails once the estimates are being written, under
+    # their temporary names: the error is left as it is, and every
+    # output made is removed
     preadv = os.preadv
 
     def failing(fd, buffers, offset):
-        if any(est.glob("*.wav")):
+        if est.is_dir() and any(est.iterdir()):
             raise OSError(errno.EIO, os.strerror(errno.EIO))
         return preadv(fd, buffers, offset)
 
@@ -1521,3 +1530,144 @@ def test_a_failing_input_is_not_reported_as_an_output(
     assert not est.exists()
     assert not post.exists()
     assert "cannot write" not in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def earlier_run(tmp_path_factory):
+    """An earlier run of every command, and the inputs of a second run
+    whose outputs would differ: `other`, simulated with another seed."""
+    root = tmp_path_factory.mktemp("earlier")
+    scene = root / "scene.yaml"
+    scene.write_text(yaml.safe_dump(SCENE))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for sim, seed in (("sim", "1"), ("other", "2")):
+            assert main(["simulate", str(scene), str(root / sim),
+                         "--seed", seed]) == 0
+        assert main(["train", str(root / "sim" / "images"),
+                     str(root / "model.bin"), "--stft-len", "1024"]) == 0
+        assert main(["separate", str(root / "model.bin"),
+                     str(root / "sim" / "recordings"), str(root / "est"),
+                     "--dump-posteriors", str(root / "post.npy")]) == 0
+        assert main(["evaluate", str(root / "est"), str(root / "sim" / "images"),
+                     str(root / "report.json")]) == 0
+    return root
+
+
+def _tree(root: Path) -> dict:
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# each command run again over the earlier run's outputs, from other
+# inputs, and the most calls it makes of a failure point
+# (`_failing_at`): reads, writes
+_RERUNS = {
+    "simulate": (lambda r: ["simulate", str(r / "scene.yaml"), str(r / "sim"),
+                            "--seed", "2"], 4, 5),
+    "train": (lambda r: ["train", str(r / "other" / "images"),
+                         str(r / "model.bin"), "--stft-len", "1024"], 5, 2),
+    "separate": (lambda r: ["separate", str(r / "model.bin"),
+                            str(r / "other" / "recordings"), str(r / "est"),
+                            "--dump-posteriors", str(r / "post.npy")], 5, 5),
+    "evaluate": (lambda r: ["evaluate", str(r / "est"),
+                            str(r / "other" / "images"),
+                            str(r / "report.json")], 5, 1),
+}
+
+
+@contextlib.contextmanager
+def _failing_at(k: int, error, targets):
+    """The k-th call of any of targets, (owner, name), raises error."""
+    calls = itertools.count(1)
+    with contextlib.ExitStack() as stack:
+        for owner, name in targets:
+            real = getattr(owner, name)
+
+            def failing(*args, real=real, **kwargs):
+                if next(calls) == k:
+                    raise error
+                return real(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(owner, name, failing))
+        yield
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(sorted(_RERUNS)),
+       failure=st.sampled_from(["read", "interrupt", "write"]),
+       k=st.integers(1, 5))
+def test_a_failed_run_leaves_the_earlier_outputs(earlier_run, command,
+                                                  failure, k):
+    # a source that fails at its k-th read, a Ctrl-C there, or an output
+    # whose k-th write fails: every file of the earlier run stays as it
+    # was, and no temporary is left
+    argv, reads, writes = _RERUNS[command]
+    if failure == "write":
+        point = _failing_at(min(k, writes), OSError(errno.ENOSPC, "full"), [
+            (audio.WavSink, "write"), (PosteriorFile, "put"),
+            (Path, "write_bytes"), (Path, "write_text")])
+    else:
+        source = (scene_module._ImageSource if command == "simulate"
+                  else audio.WavSource)
+        point = _failing_at(min(k, reads), OSError(errno.EIO, "bad read")
+                            if failure == "read" else KeyboardInterrupt(),
+                            [(source, "read")])
+    before = _tree(earlier_run)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), point:
+        try:
+            code = main(argv(earlier_run))
+        except OSError:
+            code = None
+    assert code != 0
+    assert _tree(earlier_run) == before
+
+
+def test_a_killed_separate_leaves_no_partial_output(tmp_path,
+                                                    trained_container):
+    # SIGKILL while the pass writes the estimates: a file under a final
+    # name is the earlier run's, or, once the renames began, the new
+    # run's whole one; never a part of either
+    model, _ = trained_container
+    path = tmp_path / "long.yaml"
+    path.write_text(yaml.safe_dump(dict(SCENE, duration_s=12.0)))
+    est, post = tmp_path / "est", tmp_path / "post.npy"
+    whole, whole_post = tmp_path / "whole", tmp_path / "whole.npy"
+    argv = ["separate", str(model), str(tmp_path / "new" / "recordings"),
+            str(est), "--dump-posteriors", str(post)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, seed in (("old", "3"), ("new", "4")):
+            assert main(["simulate", str(path), str(tmp_path / name),
+                         "--seed", seed]) == 0
+        assert main(["separate", str(model),
+                     str(tmp_path / "old" / "recordings"), str(est),
+                     "--dump-posteriors", str(post)]) == 0
+        assert main(argv[:3] + [str(whole), argv[4], str(whole_post)]) == 0
+    earlier, new = _tree(est), _tree(whole)
+    earlier["post"], new["post"] = post.read_bytes(), whole_post.read_bytes()
+    assert all(earlier[name] != new[name] for name in earlier)
+    start = time.time_ns()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asyncsep"] + argv,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 120
+        # until the run has written samples past a header into est
+        while not any(p.stat().st_mtime_ns >= start
+                      and p.stat().st_size > 4096 for p in est.iterdir()):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == -signal.SIGKILL
+    got = {name: data for name, data in _tree(est).items()
+           if not name.startswith(".")}
+    got["post"] = post.read_bytes()
+    assert sorted(got) == sorted(earlier)
+    assert [name for name in got
+            if got[name] not in (earlier[name], new[name])] == []

@@ -479,7 +479,7 @@ class TestInterpolationMatchesPerSampleOracle:
             raw = clock.scratch(max(b - a for a, b in spans))
             out = np.empty((channels, n))
             for a, b in spans:
-                clock.read(a, b, raw, out[:, a:b])
+                clock.render(a, b, raw, stacked=(a, b, out[:, a:b]))
         assert np.array_equal(
             _bits(out.T),
             _bits(_serial(np.concatenate(samples, axis=1), rate, offset)))

@@ -6,8 +6,11 @@ synthesis and resampling (`dsp._SPAN`), the frame runs of the STFT and
 the iSTFT (`dsp._CHUNK`), the interval of a recording's saved noise
 states (`scene._NOISE_SPAN`) and the worker count only split the work;
 every recording, image, posterior, consistency value and report is the
-same bit for bit.  (`metrics._CHUNK` is not among them: it fixes where
-the SDR sums split.)
+same bit for bit, and so is every read of a device clock's sources
+stacked: `lagrange_resample`, `at_device_clock` and the truth that an
+`asyncsep evaluate`-style `metrics._Scores.feed` scores against.
+(`metrics._CHUNK` is not among them: it fixes where the SDR sums
+split.)
 """
 
 import contextlib
@@ -19,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsep import _kernels, _pool, dsp, scene
-from asyncsep.dsp import WindowSpec, istft, stft
+from asyncsep.dsp import WindowSpec, istft, lagrange_resample, stft
 from asyncsep.experiment import run_experiment
+from asyncsep.metrics import _Scores, at_device_clock
 from asyncsep.model import _train_sources
 from asyncsep.scene import (ArraySpec, ChannelCoupling, EchoTap, SceneSpec,
                             SourceSpec, _image_sources, synthesize_scene)
@@ -51,8 +55,8 @@ _MODELS = []  # the models, trained once
 
 def _outputs() -> dict:
     """The bytes of every output of synthesis, of `separate_recordings` in
-    each mode, of the tensor path in one, and of `run_experiment`, by
-    name, as digests."""
+    each mode, of the tensor path in one, of the stacked reads of a
+    device clock and of `run_experiment`, by name, as digests."""
     spec, train = _scene(0.5), _scene(0.4)
     if not _MODELS:
         _MODELS.extend(_train_sources(_image_sources(train, 4), WIN,
@@ -71,6 +75,21 @@ def _outputs() -> dict:
         out[f"consistency {mode}"] = result.metadata["consistency_rel_max"]
         out.update({f"{mode} {key}": sig.samples
                     for key, sig in result.images.items()})
+    # device a's recording moved again by its offset, its images moved
+    # to its clock, and every estimate of the last mode scored at the
+    # device clocks as `asyncsep evaluate` scores them
+    offsets = {arr.id: arr.sro_hz for arr in spec.arrays}
+    out["resampled a"] = lagrange_resample(signals["a"],
+                                           offsets["a"]).samples
+    moved = at_device_clock({key: sig for key, sig in images.images.items()
+                             if key[0] == "a"}, offsets)
+    out.update({f"moved {key}": sig.samples for key, sig in moved.items()})
+    scores = _Scores({key: (dsp._ArraySource(sig.samples), sig.rate_hz)
+                      for key, sig in images.images.items()}, offsets,
+                     dsp._SPAN)
+    scores.feed({key: dsp._ArraySource(result.images[key].samples)
+                 for key in images.images})
+    out["evaluate report"] = scores.scores()
     tensors = separate({m: stft(sig, WIN) for m, sig in signals.items()},
                        spatial, states, "tv-local")
     out.update({f"istft {key}": istft(t, spec.n_samples).samples

@@ -195,7 +195,7 @@ class TestAtDeviceClock:
 
         def counted(sources, rate, offset):
             clock = dsp._Clock(sources, rate, offset)
-            calls.append((clock.n_samples, clock.channels, rate, offset))
+            calls.append((clock.n_samples, clock.bounds[-1], rate, offset))
             return clock
 
         monkeypatch.setattr(metrics, "_Clock", counted)
@@ -259,11 +259,9 @@ def _sources(truth):
 def _read_truth(scores, m, start, stop, scratch):
     """Read device m's truth images at samples start:stop into scratch,
     as `_Scores.feed` reads each span of a group."""
-    rows, raw, spans, _ = scratch
-    for g in scores.by_device[m]:
-        clock, _, r0 = scores.groups[g]
-        scores._read_group(g, start, stop, rows[r0:r0 + clock.channels],
-                           raw, spans)
+    for g, (_, keys, _) in enumerate(scores.groups):
+        if keys[0][0] == m:
+            scores._read(g, None, (start, stop), scratch)
 
 
 class TestSpanScores:

@@ -29,6 +29,7 @@ from asyncsep.model import (
     save_models,
     train_models,
 )
+from asyncsep.scene import ChannelCoupling, EchoTap, _ImageSource
 
 from conftest import (pool_run_peaks, pool_workers, rand_unit_psd,
                       regularized_sum)
@@ -607,6 +608,27 @@ class TestTrainingTasks:
                 assert np.array_equal(got_t.ltas, want_t.ltas)
                 assert np.array_equal(got_t.noise_spectrum,
                                       want_t.noise_spectrum)
+
+    @pytest.mark.parametrize("block", [1, None])
+    def test_mono_images_read_in_the_scratch_they_state(self, block,
+                                                        monkeypatch):
+        # a mono image renders a span in 2 floats per sample, more than a
+        # reader's plane of one channel holds for a block of one frame
+        images = {("a", k): _ImageSource(x[:, 0], [ChannelCoupling(
+            0.5, 0.8, [EchoTap(30.0, 0.3)])])
+            for (m, k), x in self._signals(0).items() if m == "a"}
+        arrays = {}
+        for key, image in images.items():
+            x = np.empty((1, image.n_samples))
+            image.read(0, image.n_samples, np.empty(image.scratch_floats(
+                image.n_samples)).view(np.uint8), x)
+            arrays[key] = _ArraySource(x.T)
+        if block is not None:
+            monkeypatch.setattr(model, "_FRAME_BLOCK", block)
+        want_s, want_t = model._train_sources(arrays, self.WIN)
+        got_s, got_t = model._train_sources(images, self.WIN)
+        assert np.array_equal(got_s.covariances["a"], want_s.covariances["a"])
+        assert np.array_equal(got_t.ltas, want_t.ltas)
 
     def test_on_more_threads_than_cores(self, tmp_path):
         # each (group, source)'s sums are its task's alone; a lost or

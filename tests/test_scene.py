@@ -24,7 +24,6 @@ from asyncsep.scene import (
     SourceSpec,
     _ImageSource,
     _Noise,
-    _Recording,
     load_scene,
     scene_from_dict,
     scene_to_dict,
@@ -248,14 +247,15 @@ def _image_sources(draw):
         for _ in range(draw(st.integers(0, 2)))]) for _ in range(channels)]
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))
                               ).standard_normal(n)
-    whole = np.empty((channels, n))
-    _ImageSource(x, taps).read(0, n, np.empty(2 * n).view(np.uint8), whole)
+    whole, source = np.empty((channels, n)), _ImageSource(x, taps)
+    source.read(0, n, np.empty(source.scratch_floats(n)).view(np.uint8),
+                whole)
     for c, t in enumerate(taps):  # as each channel was rendered whole
         want = t.gain * fractional_delay(x, t.delay)
         for e in t.echoes:
             want += e.gain * fractional_delay(x, e.delay)
         assert np.array_equal(whole[c], want)
-    return _ImageSource(x, taps), whole
+    return source, whole
 
 
 def _spans(n: int):
@@ -271,12 +271,11 @@ class TestImageSources:
     @settings(max_examples=200, deadline=None)
     @given(case=_image_sources(), data=st.data())
     def test_span_reads_equal_the_whole_image(self, case, data):
-        # spans across the causal zeros and both ends, rendered in raw
-        # scratch of any size, a piece at a time
+        # spans across the causal zeros and both ends, each rendered in
+        # the raw scratch the source states for it
         source, whole = case
         for a, b in data.draw(_spans(source.n_samples)):
-            raw = np.empty(data.draw(st.integers(2, 2 * (b - a) + 3))
-                           ).view(np.uint8)
+            raw = np.empty(source.scratch_floats(b - a)).view(np.uint8)
             out = np.full((source.channels, b - a), np.nan)
             source.read(a, b, raw, out)
             assert np.array_equal(out, whole[:, a:b])
@@ -297,17 +296,19 @@ class TestImageSources:
 
 
 def _recording(parts, channels: int, n: int, noise_level: float, seed: int,
-               sro_hz: float = 0.0) -> _Recording:
-    """The `_Recording` of the images parts, sample sources of n samples,
-    with noise drawn from seed, as a scene makes an array's."""
+               sro_hz: float = 0.0) -> _Clock:
+    """The recording, a `_Clock`, of the images parts, sample sources of
+    n samples, or of silence for none, with noise drawn from seed, as a
+    scene makes an array's."""
     noise = None
     if noise_level > 0:
         noise = _Noise(channels, n, noise_level, np.random.default_rng(seed),
                        np.empty(scene._NOISE_SPAN * channels))
-    return _Recording(parts, channels, n, noise, 16000.0, sro_hz)
+    return _Clock(parts or [_ArraySource(np.zeros((n, channels)))], 16000.0,
+                  sro_hz, noise)
 
 
-def _read_whole(recording: _Recording) -> np.ndarray:
+def _read_whole(recording: _Clock) -> np.ndarray:
     """Every sample of a recording, read at once, (C, n)."""
     n = recording.n_samples
     out = np.full((recording.channels, n), np.nan)
@@ -317,7 +318,7 @@ def _read_whole(recording: _Recording) -> np.ndarray:
 
 
 def _mixed(images: SourceImageSet, noise_level: float, seed: int):
-    """The samples of the `_Recording` of every image, as a scene mixes an
+    """The samples of the recording of every image, as a scene mixes an
     array, (n, C)."""
     parts = [_ArraySource(sig.samples) for sig in images.images.values()]
     n, C = parts[0].samples.shape
@@ -372,7 +373,8 @@ class TestMixImages:
                     for c in range(channels)]
             parts.append(_ImageSource(x, taps))
             whole = np.empty((channels, n))
-            parts[-1].read(0, n, np.empty(2 * n).view(np.uint8), whole)
+            parts[-1].read(0, n, np.empty(parts[-1].scratch_floats(n)
+                                          ).view(np.uint8), whole)
             images.append(SampledSignal(whole.T, 16000.0))
         want = np.zeros((n, channels))
         whole_mix(want, [sig.samples for sig in images], noise,
@@ -415,7 +417,8 @@ class TestRecordings:
             for _ in range(channels)]) for _ in range(k)]
         whole = [np.empty((channels, n)) for _ in parts]
         for part, x in zip(parts, whole):
-            part.read(0, n, np.empty(2 * n).view(np.uint8), x)
+            part.read(0, n, np.empty(part.scratch_floats(n)).view(np.uint8),
+                      x)
         mix = np.zeros((n, channels))
         whole_mix(mix, [x.T for x in whole], noise,
                   np.random.default_rng(seed + 1), np.empty(mix.size))
@@ -428,13 +431,10 @@ class TestRecordings:
         for a, b in data.draw(_spans(n)):
             t0, t1 = sorted(data.draw(st.tuples(st.integers(a, b),
                                                 st.integers(a, b))))
-            floats = data.draw(st.integers(recording.scratch_floats(1),
-                                           recording.scratch_floats(b - a
-                                                                    + 1)))
             out = np.full((channels, b - a), np.nan)
             rows = np.full((k * channels, t1 - t0), np.nan)
-            recording.read(a, b, np.empty(floats).view(np.uint8), out,
-                           truth=(t0, t1, rows))
+            recording.render(a, b, recording.scratch(b - a), out,
+                             (t0, t1, rows) if k else None)
             assert np.array_equal(out, want[("a", "mix")].samples[a:b].T)
             for i in range(k):
                 assert np.array_equal(

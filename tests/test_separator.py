@@ -935,6 +935,22 @@ class TestSeparateRecordings:
             assert w.rows == ((K + 1 if (m, NOISE_ID) not in dropped
                                else K), 2)
 
+    def test_a_source_needing_more_scratch_than_a_block_is_refused(self):
+        # the pass reads each device's samples in one plane of its
+        # workspace, checked against what the source states when the
+        # workspace is made, before any block runs
+        class Greedy(dsp._ArraySource):
+            def scratch_floats(self, rows):
+                return 10 ** 9
+
+        spatial, states, recs = _stream_case(0, 16)
+        sources = {m: (Greedy if m == "b" else dsp._ArraySource)(r.samples)
+                   for m, r in recs.items()}
+        with pytest.raises(ValueError, match="array 'b' need more scratch"):
+            separator._separate_sources(sources, STREAM_WIN, spatial, states,
+                                        ["tv-local"], None,
+                                        lambda mode, m, k: None)
+
     def test_peak_traced_memory_below_the_image_spectrograms(self,
                                                              monkeypatch):
         # the demo geometry at 15 s: three 2-channel devices, 3 sources
@@ -977,7 +993,6 @@ class TestOnePassForEveryMode:
         # classifies devices jointly; each device's recording and truth
         # are read from one render per block, once for every mode
         from asyncsep.metrics import _Scores
-        from asyncsep.scene import _Recording
 
         cut = 1100 if unequal and not {"static-pooled", "tv-distributed"} \
             & set(modes) else 0
@@ -990,11 +1005,11 @@ class TestOnePassForEveryMode:
             _JOINT_CASE[cut] = spatial, states, truth
         spatial, states, truth = _JOINT_CASE[cut]
         sro = {"a": 0.3, "b": -0.2, "c": 0.0} if offsets else {}
-        recs = {m: _Recording([truth[(m, k)] for k in spatial.source_ids], 2,
-                              truth[(m, "s0")].n_samples, None, 16000.0,
-                              sro.get(m, 0.0)) for m in ("a", "b", "c")}
+        recs = {m: dsp._Clock([truth[(m, k)] for k in spatial.source_ids],
+                              16000.0, sro.get(m, 0.0))
+                for m in ("a", "b", "c")}
         rows = dsp._span(STREAM_WIN, _kernels._BLOCK)
-        real_read = _Recording.read
+        real_render = dsp._Clock.render
 
         def run(pass_modes):
             images, reads = {}, Counter()
@@ -1003,14 +1018,14 @@ class TestOnePassForEveryMode:
                 images[(mode, m, k)] = dsp._Samples((2,), recs[m].n_samples)
                 return images[(mode, m, k)]
 
-            def counted(rec, start, stop, raw, out, truth=None):
+            def counted(rec, start, stop, raw, out=None, stacked=None):
                 reads[(id(rec), start)] += 1
-                real_read(rec, start, stop, raw, out, truth)
+                real_render(rec, start, stop, raw, out, stacked)
 
             scores = _Scores({key: (source, 16000.0)
                               for key, source in truth.items()}, sro, rows,
                              recs)
-            with mock.patch.object(_Recording, "read", counted):
+            with mock.patch.object(dsp._Clock, "render", counted):
                 consistency = separator._separate_sources(
                     recs, STREAM_WIN, spatial, states, pass_modes, None,
                     image, scores)
